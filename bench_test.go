@@ -17,7 +17,6 @@ import (
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/sim"
-	"tigris/internal/stream"
 	"tigris/internal/synth"
 	"tigris/internal/twostage"
 )
@@ -361,8 +360,8 @@ func BenchmarkFig15_TopTreeHeight(b *testing.B) {
 //
 // The batched Searcher API spreads each stage's queries over a worker
 // pool; these pairs measure the end-to-end and per-query-kind speedup on
-// the current machine (compare the Serial/Parallel ns/op in BENCH_*.json
-// runs). Exact search results are bit-identical between the variants.
+// the current machine (compare the Serial/Parallel ns/op). Exact search
+// results are bit-identical between the variants.
 
 func benchmarkRegister(b *testing.B, parallelism int) {
 	seq := benchSeq()
@@ -450,84 +449,6 @@ func benchmarkNearestBatchTwoStage(b *testing.B, parallelism int) {
 // the parallelism-exposing tree.
 func BenchmarkNearestBatchTwoStageSerial(b *testing.B)   { benchmarkNearestBatchTwoStage(b, 1) }
 func BenchmarkNearestBatchTwoStageParallel(b *testing.B) { benchmarkNearestBatchTwoStage(b, 0) }
-
-// --- Streaming service mode ---------------------------------------------
-//
-// These pairs measure what the odometry engine buys over the per-pair
-// Register loop on the same frame sequence: front-end reuse (each frame
-// prepared once instead of twice) and two-stage pipelining (frame N's
-// front-end overlapping frame N−1's fine-tuning). The custom metrics are
-// registered pairs per second and milliseconds per frame, so BENCH_*.json
-// runs track service-mode throughput. Exact backends make all three
-// variants produce bit-identical trajectories.
-
-var streamBenchData struct {
-	once sync.Once
-	seq  *synth.Sequence
-}
-
-func streamBenchSeq() *synth.Sequence {
-	streamBenchData.once.Do(func() {
-		cfg := synth.SequenceConfig{
-			Scene:     synth.SceneConfig{Seed: 2019, Length: 120},
-			Lidar:     synth.LidarConfig{Beams: 24, AzimuthSteps: 450, Seed: 2019},
-			NumFrames: 5,
-		}
-		streamBenchData.seq = synth.GenerateSequence(cfg)
-	})
-	return streamBenchData.seq
-}
-
-func reportStreamThroughput(b *testing.B, frames int) {
-	secsPerIter := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(float64(frames-1)/secsPerIter, "pairs/sec")
-	b.ReportMetric(1e3*secsPerIter/float64(frames), "ms/frame")
-}
-
-func benchmarkStream(b *testing.B, pipelined bool) {
-	seq := streamBenchSeq()
-	cfg := dse.DP4().Config
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := stream.New(stream.Config{Pipeline: cfg, Pipelined: pipelined})
-		for _, f := range seq.Frames {
-			if _, err := eng.Push(f); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.Drain()
-		eng.Close()
-		if eng.Trajectory().Len() != seq.Len() {
-			b.Fatal("trajectory incomplete")
-		}
-	}
-	reportStreamThroughput(b, seq.Len())
-}
-
-// BenchmarkStreamPipelined: front-end reuse + two-stage overlap.
-func BenchmarkStreamPipelined(b *testing.B) { benchmarkStream(b, true) }
-
-// BenchmarkStreamUnpipelined: front-end reuse only (each Push runs both
-// stages synchronously).
-func BenchmarkStreamUnpipelined(b *testing.B) { benchmarkStream(b, false) }
-
-// BenchmarkStreamPerPair is the no-reuse baseline: the classic loop that
-// re-runs the full Register pipeline — both clouds' front-ends — per
-// consecutive pair.
-func BenchmarkStreamPerPair(b *testing.B) {
-	seq := streamBenchSeq()
-	cfg := dse.DP4().Config
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j+1 < seq.Len(); j++ {
-			res := registration.Register(seq.Frames[j+1], seq.Frames[j], cfg)
-			if res.Total <= 0 {
-				b.Fatal("missing instrumentation")
-			}
-		}
-	}
-	reportStreamThroughput(b, seq.Len())
-}
 
 // BenchmarkTableArea reports the §6.2 area model outputs.
 func BenchmarkTableArea(b *testing.B) {

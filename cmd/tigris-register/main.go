@@ -12,8 +12,7 @@
 // -backend selects any registered search backend by name (canonical,
 // twostage, twostage-approx, bruteforce, ...); -opt passes
 // backend-specific options, e.g. `-backend twostage -opt top_height=8`.
-// The deprecated -searcher flag (canonical|twostage|approx) keeps
-// working. Generate sample inputs with `go run ./examples/mapping` or via
+// Generate sample inputs with `go run ./cmd/tigris-synth` or via
 // tigris.WriteCloud.
 package main
 
@@ -64,10 +63,9 @@ func (f *optFlag) Set(v string) error {
 }
 
 func main() {
-	backend := flag.String("backend", "", "search backend registry name (overrides -searcher; see internal/search)")
+	backend := flag.String("backend", search.BackendCanonical, "search backend registry name (see internal/search)")
 	var opts optFlag
 	flag.Var(&opts, "opt", "backend option as key=value (repeatable)")
-	searcher := flag.String("searcher", "canonical", "deprecated alias: canonical, twostage, or approx")
 	parallel := flag.Int("parallel", 0, "batch search worker count (0 = all CPUs, 1 = sequential)")
 	profile := flag.Bool("profile", false, "print stage timing and KD-tree search breakdown")
 	designPoint := flag.String("dp", "DP5", "design point to run (DP1..DP8)")
@@ -87,15 +85,7 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown design point %q (want DP1..DP8)", *designPoint)
 	}
-	name := *backend
-	if name == "" {
-		var ok bool
-		if name, ok = registration.LegacySearcherName(*searcher); !ok {
-			log.Fatalf("unknown searcher %q (use -backend for registry names: %s)",
-				*searcher, strings.Join(search.Backends(), ", "))
-		}
-	}
-	cfg.Searcher.Backend = name
+	cfg.Searcher.Backend = *backend
 	cfg.Searcher.TopHeight = -1 // full frames: size two-stage leaves to ~128 points
 	cfg.Searcher.Options = opts.opts
 	cfg.Searcher.Parallelism = *parallel

@@ -55,8 +55,8 @@
 // -selftest starts the server on a loopback port, streams two synthetic
 // LiDAR frames through the real HTTP surface — through the configured
 // -backend (default: the non-default "twostage", so the registry path is
-// always smoked) — verifies the trajectory and the legacy searcher
-// aliases, and exits non-zero on any failure (the CI smoke test).
+// always smoked) — verifies the trajectory, and exits non-zero on any
+// failure (the CI smoke test).
 package main
 
 import (
@@ -243,11 +243,6 @@ func runSelftest(srv *serve.Server, backend string) error {
 	}
 	fmt.Fprintf(os.Stderr, "backends: %v\n", reg.Backends)
 
-	// The deprecated searcher aliases must still resolve.
-	if err := createAndDelete(base, `{"searcher":"approx"}`); err != nil {
-		return fmt.Errorf("legacy searcher alias: %w", err)
-	}
-
 	// Create the streaming session on the requested backend.
 	resp, err = http.Post(base+"/v1/sessions", "application/json",
 		bytes.NewReader([]byte(fmt.Sprintf(`{"backend":%q,"pipelined":true}`, backend))))
@@ -393,23 +388,6 @@ func runSelftest(srv *serve.Server, backend string) error {
 		return fmt.Errorf("delete: %w", err)
 	}
 	return nil
-}
-
-// createAndDelete creates a session from the given JSON body and
-// immediately deletes it, verifying both round trips succeed.
-func createAndDelete(base, body string) error {
-	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return err
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if err := decodeAndClose(resp, &created); err != nil {
-		return err
-	}
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%s", base, created.ID), nil)
-	return expectStatus(http.DefaultClient.Do(req))
 }
 
 // fetchText GETs a URL and returns its body as a string.

@@ -3,8 +3,8 @@
 // stage recognizes the revisit (frame signatures through the pluggable
 // search-backend registry, verified with the full registration
 // pipeline), and pose-graph optimization pulls a drift-corrupted
-// odometry chain back onto the ground truth. This is the walkthrough
-// behind cmd/tigris-slam; every step uses the public tigris API.
+// odometry chain back onto the ground truth. Every step uses the public
+// tigris API; bench's slam_circuit workload measures the same stack.
 //
 //	go run ./examples/slam [-frames N] [-lap N]
 package main

@@ -124,47 +124,11 @@ type voxelKey struct {
 	X, Y, Z int32
 }
 
-// VoxelDownsample returns a new cloud with at most one point per cubic
+// VoxelDownsampleSlab returns a new slab with at most one point per cubic
 // voxel of the given edge length: the centroid of the points that fell in
-// the cell. Registration front-ends routinely downsample dense LiDAR
-// frames before key-point detection; the leaf size is one of the pipeline's
-// parametric knobs.
-func VoxelDownsample(c *Cloud, leaf float64) *Cloud {
-	if leaf <= 0 || c.Len() == 0 {
-		return c.Clone()
-	}
-	type acc struct {
-		sum   geom.Vec3
-		count int
-		first int // index of first point, for deterministic ordering
-	}
-	cells := make(map[voxelKey]*acc, c.Len()/4+1)
-	order := make([]voxelKey, 0, c.Len()/4+1)
-	inv := 1 / leaf
-	for i, p := range c.Points {
-		k := voxelKey{
-			X: int32(math.Floor(p.X * inv)),
-			Y: int32(math.Floor(p.Y * inv)),
-			Z: int32(math.Floor(p.Z * inv)),
-		}
-		a, ok := cells[k]
-		if !ok {
-			a = &acc{first: i}
-			cells[k] = a
-			order = append(order, k)
-		}
-		a.sum = a.sum.Add(p)
-		a.count++
-	}
-	out := New(len(order))
-	for _, k := range order {
-		a := cells[k]
-		out.Points = append(out.Points, a.sum.Scale(1/float64(a.count)))
-	}
-	return out
-}
-
-// VoxelDownsampleSlab is VoxelDownsample over an SoA slab: cell keys are
+// the cell, in order of each cell's first point. Registration front-ends
+// routinely downsample dense LiDAR frames before key-point detection; the
+// leaf size is one of the pipeline's parametric knobs. Cell keys are
 // computed from the dequantized coordinates, centroids accumulate in
 // float64, and the result is re-quantized into a fresh slab. Normals are
 // not carried over (the front-end estimates them on the downsampled

@@ -105,8 +105,8 @@ func TestSelect(t *testing.T) {
 
 func TestVoxelDownsampleReduces(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	c := randCloud(r, 5000)
-	d := VoxelDownsample(c, 2.0)
+	c := SlabFromCloud(randCloud(r, 5000))
+	d := VoxelDownsampleSlab(c, 2.0)
 	if d.Len() >= c.Len() {
 		t.Fatalf("downsample did not reduce: %d -> %d", c.Len(), d.Len())
 	}
@@ -116,7 +116,7 @@ func TestVoxelDownsampleReduces(t *testing.T) {
 	// Every output point must lie within the original bounds (centroids of
 	// cell members cannot escape the hull of the inputs).
 	b := c.Bounds()
-	for _, p := range d.Points {
+	for _, p := range d.Points() {
 		if !b.Contains(p) {
 			t.Fatalf("downsampled point %v escaped bounds", p)
 		}
@@ -124,40 +124,41 @@ func TestVoxelDownsampleReduces(t *testing.T) {
 }
 
 func TestVoxelDownsampleOnePerCell(t *testing.T) {
-	c := FromPoints([]geom.Vec3{
+	c := SlabFromPoints([]geom.Vec3{
 		{X: 0.1, Y: 0.1, Z: 0.1},
 		{X: 0.2, Y: 0.3, Z: 0.4}, // same unit cell
 		{X: 1.5, Y: 0.1, Z: 0.1}, // different cell
 	})
-	d := VoxelDownsample(c, 1.0)
+	d := VoxelDownsampleSlab(c, 1.0)
 	if d.Len() != 2 {
 		t.Fatalf("expected 2 cells, got %d", d.Len())
 	}
-	// First output is the centroid of the two co-located points.
+	// First output is the centroid of the two co-located points, to
+	// float32 precision.
 	want := geom.Vec3{X: 0.15, Y: 0.2, Z: 0.25}
-	if d.Points[0].Dist(want) > 1e-12 {
-		t.Errorf("cell centroid = %v, want %v", d.Points[0], want)
+	if d.At(0).Dist(want) > 1e-7 {
+		t.Errorf("cell centroid = %v, want %v", d.At(0), want)
 	}
 }
 
 func TestVoxelDownsampleDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	c := randCloud(r, 1000)
-	a := VoxelDownsample(c, 1.5)
-	b := VoxelDownsample(c, 1.5)
+	c := SlabFromCloud(randCloud(r, 1000))
+	a := VoxelDownsampleSlab(c, 1.5)
+	b := VoxelDownsampleSlab(c, 1.5)
 	if a.Len() != b.Len() {
 		t.Fatal("non-deterministic length")
 	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
+	for i := 0; i < a.Len(); i++ {
+		if a.At(i) != b.At(i) {
 			t.Fatal("non-deterministic ordering")
 		}
 	}
 }
 
 func TestVoxelDownsampleNoopLeaf(t *testing.T) {
-	c := FromPoints([]geom.Vec3{{X: 1}, {X: 2}})
-	d := VoxelDownsample(c, 0)
+	c := SlabFromPoints([]geom.Vec3{{X: 1}, {X: 2}})
+	d := VoxelDownsampleSlab(c, 0)
 	if d.Len() != 2 {
 		t.Fatal("leaf<=0 should clone")
 	}

@@ -150,18 +150,6 @@ func (s *Slab) Points() []geom.Vec3 {
 	return pts
 }
 
-// ToCloud materializes the slab as an AoS cloud (points and normals).
-func (s *Slab) ToCloud() *Cloud {
-	c := &Cloud{Points: s.Points()}
-	if s.HasNormals() {
-		c.Normals = make([]geom.Vec3, s.Len())
-		for i := range c.Normals {
-			c.Normals[i] = s.NormalAt(i)
-		}
-	}
-	return c
-}
-
 // Clone returns a deep copy.
 func (s *Slab) Clone() *Slab {
 	out := &Slab{
@@ -233,23 +221,10 @@ func (s *Slab) Centroid() geom.Vec3 {
 }
 
 // Bytes returns the slab's point-storage footprint: coordinate and
-// normal payload bytes. This is the number the bench reports as
-// point-storage bytes/frame (an AoS float64 layout of the same content
-// would cost AosBytes).
+// normal payload bytes.
 func (s *Slab) Bytes() int64 {
 	b := int64(len(s.Xs)+len(s.Ys)+len(s.Zs)) * 4
 	b += int64(len(s.NXs)+len(s.NYs)+len(s.NZs)) * 4
-	return b
-}
-
-// AosBytes returns what the same content would cost in the pre-slab AoS
-// []geom.Vec3 layout (24 B/point, plus 24 B/normal when present) — the
-// denominator of the bench's layout-reduction ratio.
-func (s *Slab) AosBytes() int64 {
-	b := int64(s.Len()) * 24
-	if s.HasNormals() {
-		b += int64(s.Len()) * 24
-	}
 	return b
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"tigris/internal/geom"
 )
@@ -51,15 +52,14 @@ func TestSlabRoundTripCloud(t *testing.T) {
 	if !s.HasNormals() {
 		t.Fatal("normals lost on ingest")
 	}
-	back := s.ToCloud()
-	if back.Len() != c.Len() || !back.HasNormals() {
-		t.Fatalf("round trip shape: %d points, normals=%v", back.Len(), back.HasNormals())
+	if s.Len() != c.Len() {
+		t.Fatalf("round trip shape: %d points, want %d", s.Len(), c.Len())
 	}
-	for i := range back.Points {
-		if back.Points[i] != c.Points[i].Quantize32() {
+	for i, p := range s.Points() {
+		if p != c.Points[i].Quantize32() {
 			t.Fatalf("point %d moved beyond quantization", i)
 		}
-		if back.Normals[i] != c.Normals[i].Quantize32() {
+		if s.NormalAt(i) != c.Normals[i].Quantize32() {
 			t.Fatalf("normal %d moved beyond quantization", i)
 		}
 	}
@@ -109,23 +109,20 @@ func TestSlabSelectAndClone(t *testing.T) {
 	}
 }
 
-// TestSlabBytesHalvesAoS pins the tentpole's storage claim: coordinate
-// payload is 12 B/point against the AoS layout's 24, with and without
+// TestSlabBytesHalvesAoS pins the slab's storage claim: coordinate
+// payload is 12 B/point against the 24 of a []geom.Vec3, with and without
 // normals.
 func TestSlabBytesHalvesAoS(t *testing.T) {
 	s := NewSlab(1000)
 	if got, want := s.Bytes(), int64(12000); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
-	if s.AosBytes() != 2*s.Bytes() {
-		t.Fatalf("AosBytes %d is not 2x Bytes %d", s.AosBytes(), s.Bytes())
+	if aos := int64(unsafe.Sizeof(geom.Vec3{})) * 1000; aos != 2*s.Bytes() {
+		t.Fatalf("[]geom.Vec3 at %d B is not 2x Bytes %d", aos, s.Bytes())
 	}
 	s.EnsureNormals()
 	if got, want := s.Bytes(), int64(24000); got != want {
 		t.Fatalf("Bytes with normals = %d, want %d", got, want)
-	}
-	if s.AosBytes() != 2*s.Bytes() {
-		t.Fatalf("AosBytes with normals %d is not 2x Bytes %d", s.AosBytes(), s.Bytes())
 	}
 }
 
@@ -143,32 +140,6 @@ func TestSlabValidateErrors(t *testing.T) {
 	halfN.NXs = make([]float32, 3) // NYs/NZs missing
 	if halfN.Validate() == nil {
 		t.Error("partial normal slabs accepted")
-	}
-}
-
-// TestVoxelDownsampleSlabMatchesAoS: on pre-snapped input the slab
-// downsampler must bucket identically to the AoS one and produce the
-// quantized AoS centroids, cell for cell.
-func TestVoxelDownsampleSlabMatchesAoS(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randVecs(r, 2000)
-	for i := range pts {
-		pts[i] = pts[i].Quantize32()
-	}
-	aos := VoxelDownsample(FromPoints(pts), 0.7)
-	soa := VoxelDownsampleSlab(SlabFromPoints(pts), 0.7)
-	if soa.Len() != aos.Len() {
-		t.Fatalf("cell counts differ: %d vs %d", soa.Len(), aos.Len())
-	}
-	for i := 0; i < soa.Len(); i++ {
-		if soa.At(i) != aos.Points[i].Quantize32() {
-			t.Fatalf("cell %d: slab %v, AoS %v", i, soa.At(i), aos.Points[i].Quantize32())
-		}
-	}
-	// Degenerate leaf: clone semantics.
-	same := VoxelDownsampleSlab(SlabFromPoints(pts), 0)
-	if same.Len() != len(pts) {
-		t.Fatalf("leaf<=0 should clone: %d vs %d", same.Len(), len(pts))
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tigris/internal/serve"
 )
 
 // admitTable implements per-client token-bucket admission control: each
@@ -95,7 +97,7 @@ func (g *Gateway) admitOK(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	g.cAdmitRejected.Inc()
-	writeOverload(w, http.StatusTooManyRequests, retry,
+	serve.WriteOverload(w, http.StatusTooManyRequests, retry,
 		"admission: client over rate (%.3g/s, burst %d)", g.cfg.AdmitRate, int(g.admit.burst))
 	return false
 }

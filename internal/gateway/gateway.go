@@ -82,6 +82,7 @@ import (
 	"time"
 
 	"tigris/internal/obs"
+	"tigris/internal/serve"
 )
 
 // proxyLatencyFamily is the Prometheus family the gateway's per-route
@@ -325,24 +326,6 @@ func (g *Gateway) Close() {
 	}
 }
 
-// statusWriter captures status and size for the request counter/log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += n
-	return n, err
-}
-
 // routeLabel normalizes a request path to a bounded route pattern.
 func routeLabel(path string) string {
 	switch path {
@@ -369,16 +352,16 @@ func routeLabel(path string) string {
 // request counting, and request logging.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := &serve.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 	g.serveAuthed(sw, r)
 	route := routeLabel(r.URL.Path)
-	g.reg.Counter(`tigris_gateway_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.status) + `"}`).Inc()
+	g.reg.Counter(`tigris_gateway_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.Status) + `"}`).Inc()
 	if g.logger != nil {
 		g.logger.Info("request",
 			"method", r.Method,
 			"route", route,
-			"status", sw.status,
-			"bytes", sw.bytes,
+			"status", sw.Status,
+			"bytes", sw.Bytes,
 			"duration_ms", float64(time.Since(start).Microseconds())/1e3,
 		)
 	}
@@ -388,13 +371,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // then routes. /v1/* passes through untouched — the client's bearer
 // token travels with the proxied request and the worker enforces it.
 func (g *Gateway) serveAuthed(w http.ResponseWriter, r *http.Request) {
-	if g.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/gateway/") {
-		token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || token != g.cfg.AuthToken {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="tigris-gateway"`)
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
+	if g.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/gateway/") && !serve.BearerOK(r, g.cfg.AuthToken) {
+		w.Header().Set("WWW-Authenticate", `Bearer realm="tigris-gateway"`)
+		serve.HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+		return
 	}
 	g.mux.ServeHTTP(w, r)
 }
@@ -410,7 +390,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	serve.WriteJSON(w, status, map[string]any{
 		"status":          map[bool]string{true: "ok", false: "no healthy workers"}[healthy > 0],
 		"workers":         len(g.workers),
 		"workers_healthy": healthy,
@@ -442,30 +422,30 @@ func (g *Gateway) Workers() []WorkerStatus {
 }
 
 func (g *Gateway) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"workers": g.Workers()})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"workers": g.Workers()})
 }
 
 func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 	ref := r.URL.Query().Get("worker")
 	if ref == "" {
-		httpError(w, http.StatusBadRequest, "missing ?worker=<url or index>")
+		serve.HTTPError(w, http.StatusBadRequest, "missing ?worker=<url or index>")
 		return
 	}
 	wk := g.findWorker(ref)
 	if wk == nil {
-		httpError(w, http.StatusNotFound, "no worker %q", ref)
+		serve.HTTPError(w, http.StatusNotFound, "no worker %q", ref)
 		return
 	}
 	migrated, err := g.DrainWorker(ref)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		serve.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":    err.Error(),
 			"worker":   wk.url,
 			"migrated": migrated,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"worker": wk.url, "migrated": migrated})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"worker": wk.url, "migrated": migrated})
 }
 
 // findWorker resolves a worker by URL or decimal index.
@@ -502,7 +482,7 @@ func (g *Gateway) withSession(fn func(http.ResponseWriter, *http.Request, *gwSes
 	return func(w http.ResponseWriter, r *http.Request) {
 		ses := g.session(r.PathValue("id"))
 		if ses == nil {
-			httpError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
+			serve.HTTPError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
 			return
 		}
 		// The session's trace id on every response, whichever worker ends
@@ -588,7 +568,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCreateBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading session config: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "reading session config: %v", err)
 		return
 	}
 
@@ -610,7 +590,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	span.End()
 	if err != nil {
 		g.cNoWorker.Inc()
-		writeOverload(w, http.StatusServiceUnavailable, 1, "%v", err)
+		serve.WriteOverload(w, http.StatusServiceUnavailable, 1, "%v", err)
 		return
 	}
 	if status != http.StatusCreated {
@@ -640,7 +620,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	created["trace"] = trace.String()
 	w.Header().Set(workerHeader, wk.url)
 	w.Header().Set("X-Tigris-Trace", trace.String())
-	writeJSON(w, http.StatusCreated, created)
+	serve.WriteJSON(w, http.StatusCreated, created)
 }
 
 // createUpstream tries policy-ordered candidates until one accepts the
@@ -713,7 +693,7 @@ func (g *Gateway) handlePush(w http.ResponseWriter, r *http.Request, ses *gwSess
 	defer ses.mu.RUnlock()
 	wk, prefixLen := ses.w, len(ses.prefix)
 	if !wk.healthy.Load() {
-		httpError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
 		return
 	}
 	span := g.rec.Start("frames")
@@ -722,7 +702,7 @@ func (g *Gateway) handlePush(w http.ResponseWriter, r *http.Request, ses *gwSess
 	span.End()
 	if err != nil {
 		g.markUnhealthy(wk, err)
-		httpError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -739,10 +719,10 @@ func (g *Gateway) handlePush(w http.ResponseWriter, r *http.Request, ses *gwSess
 				out["frame"] = f + float64(prefixLen)
 			}
 			w.Header().Set(workerHeader, wk.url)
-			writeJSON(w, resp.StatusCode, out)
+			serve.WriteJSON(w, resp.StatusCode, out)
 			return
 		}
-		httpError(w, http.StatusBadGateway, "worker %s: bad push response", wk.url)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: bad push response", wk.url)
 		return
 	}
 	copyResponse(w, resp, wk)
@@ -769,7 +749,7 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 	defer ses.mu.RUnlock()
 	wk := ses.w
 	if !wk.healthy.Load() {
-		httpError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
 		return
 	}
 	span := g.rec.Start("trajectory")
@@ -778,7 +758,7 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 	span.End()
 	if err != nil {
 		g.markUnhealthy(wk, err)
-		httpError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -792,7 +772,7 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 	}
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %s: bad trajectory response: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: bad trajectory response: %v", wk.url, err)
 		return
 	}
 	suffix, _ := out["trajectory"].([]any)
@@ -810,7 +790,7 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 	out["frames"] = len(stitched)
 	out["migrations"] = ses.migrations
 	w.Header().Set(workerHeader, wk.url)
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleLoops proxies the loop-closure listing, shifting worker-local
@@ -820,7 +800,7 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 	defer ses.mu.RUnlock()
 	wk := ses.w
 	if !wk.healthy.Load() {
-		httpError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
 		return
 	}
 	span := g.rec.Start("loops")
@@ -829,7 +809,7 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 	span.End()
 	if err != nil {
 		g.markUnhealthy(wk, err)
-		httpError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -843,7 +823,7 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 	}
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		httpError(w, http.StatusBadGateway, "worker %s: bad loops response: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: bad loops response: %v", wk.url, err)
 		return
 	}
 	suffix, _ := out["closures"].([]any)
@@ -863,7 +843,7 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 	}
 	out["closures"] = all
 	w.Header().Set(workerHeader, wk.url)
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, ses *gwSession) {
@@ -871,7 +851,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, ses *gwSes
 	defer ses.mu.RUnlock()
 	wk := ses.w
 	if !wk.healthy.Load() {
-		httpError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
 		return
 	}
 	span := g.rec.Start("stats")
@@ -880,7 +860,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, ses *gwSes
 	span.End()
 	if err != nil {
 		g.markUnhealthy(wk, err)
-		httpError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -901,7 +881,7 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, ses *gwSe
 	span.End()
 	if err != nil {
 		g.markUnhealthy(wk, err)
-		httpError(w, http.StatusBadGateway, "worker %s: %v (gateway mapping removed)", wk.url, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v (gateway mapping removed)", wk.url, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -909,7 +889,7 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, ses *gwSe
 	if json.NewDecoder(resp.Body).Decode(&out) == nil {
 		out["id"] = ses.id
 		w.Header().Set(workerHeader, wk.url)
-		writeJSON(w, resp.StatusCode, out)
+		serve.WriteJSON(w, resp.StatusCode, out)
 		return
 	}
 	copyResponse(w, resp, wk)
@@ -932,7 +912,7 @@ func (g *Gateway) proxyFleet(path string) http.HandlerFunc {
 			copyResponse(w, resp, wk)
 			return
 		}
-		writeOverload(w, http.StatusServiceUnavailable, 1, "no healthy worker")
+		serve.WriteOverload(w, http.StatusServiceUnavailable, 1, "no healthy worker")
 	}
 }
 
@@ -941,26 +921,4 @@ func (g *Gateway) markUnhealthy(wk *worker, err error) {
 	if wk.healthy.Swap(false) && g.logger != nil {
 		g.logger.Warn("worker marked unhealthy", "worker", wk.url, "error", err.Error())
 	}
-}
-
-// --- shared response helpers -------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeOverload mirrors internal/serve's overload-rejection shape:
-// Retry-After header plus a JSON body repeating the estimate.
-func writeOverload(w http.ResponseWriter, status, retrySecs int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(retrySecs))
-	writeJSON(w, status, map[string]any{
-		"error":               fmt.Sprintf(format, args...),
-		"retry_after_seconds": retrySecs,
-	})
 }

@@ -80,14 +80,14 @@ func (g *Gateway) Decisions() []Decision {
 }
 
 func (g *Gateway) handleDecisions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"decisions": g.Decisions()})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"decisions": g.Decisions()})
 }
 
 // handleBuildinfo mirrors the workers' /v1/buildinfo for the gateway
 // binary itself (satellite of the -version story: the same identity a
 // worker reports, served from the front door).
 func (g *Gateway) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, serve.BuildInfo())
+	serve.WriteJSON(w, http.StatusOK, serve.BuildInfo())
 }
 
 // workerTraceDoc is the subset of a worker's /debug/trace document the
@@ -158,5 +158,5 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request, ses *gwSes
 	if len(slowest) > 0 {
 		out["slowest"] = slowest
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }

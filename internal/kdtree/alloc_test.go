@@ -74,14 +74,14 @@ func TestKNearestIntoZeroAllocs(t *testing.T) {
 
 func TestBruteRadiusIntoZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	_, pts := allocTree(2000, 14)
+	tree, pts := allocTree(2000, 14)
 	q := pts[7]
-	buf := BruteRadiusInto(pts, q, 2.0, nil)
+	buf := BruteRadiusIntoSlab(tree.Slab(), q, 2.0, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = BruteRadiusInto(pts, q, 2.0, buf[:0])
+		buf = BruteRadiusIntoSlab(tree.Slab(), q, 2.0, buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("BruteRadiusInto allocates %.1f times per query, want 0", allocs)
+		t.Errorf("BruteRadiusIntoSlab allocates %.1f times per query, want 0", allocs)
 	}
 }
 

@@ -10,11 +10,8 @@ import (
 // paper §4.1), and the kernel the accelerator back-end runs over leaf
 // node-sets.
 //
-// The AoS variants scan a []geom.Vec3 in full float64; to act as an
-// oracle for the float32 trees, feed them points snapped with
-// geom.Vec3.Quantize32 (then the dequantized arithmetic is
-// bit-identical). The slab variants scan an SoA slab directly with the
-// same float64-on-dequantized kernel the trees use.
+// They scan an SoA slab directly with the same float64-on-dequantized
+// kernel the trees use.
 
 // BruteNearestSlab scans the slab linearly for the nearest neighbor of q.
 func BruteNearestSlab(s *cloud.Slab, q geom.Vec3) (Neighbor, bool) {
@@ -27,7 +24,11 @@ func BruteNearestSlab(s *cloud.Slab, q geom.Vec3) (Neighbor, bool) {
 	return best, best.Index >= 0
 }
 
-// BruteKNearestIntoSlab is BruteKNearestInto over an SoA slab.
+// BruteKNearestIntoSlab scans the slab linearly for the k nearest
+// neighbors of q, returned in ascending distance order. It answers into
+// buf (reset to length 0), so callers that recycle result slabs avoid a
+// fresh allocation per query; the returned slice may be a regrown
+// replacement for buf.
 func BruteKNearestIntoSlab(s *cloud.Slab, q geom.Vec3, k int, buf []Neighbor) []Neighbor {
 	if k <= 0 {
 		return nil
@@ -47,7 +48,9 @@ func BruteKNearestIntoSlab(s *cloud.Slab, q geom.Vec3, k int, buf []Neighbor) []
 	return drainHeapAscending(h)
 }
 
-// BruteRadiusIntoSlab is BruteRadiusInto over an SoA slab.
+// BruteRadiusIntoSlab scans the slab linearly for all points within r of
+// q, returned in ascending distance order, appending into buf (reset to
+// length 0); see RadiusInto for the slab-recycling contract.
 func BruteRadiusIntoSlab(s *cloud.Slab, q geom.Vec3, r float64, buf []Neighbor) []Neighbor {
 	if r < 0 {
 		return nil
@@ -63,46 +66,6 @@ func BruteRadiusIntoSlab(s *cloud.Slab, q geom.Vec3, r float64, buf []Neighbor) 
 	return res
 }
 
-// BruteNearest scans pts linearly for the nearest neighbor of q.
-func BruteNearest(pts []geom.Vec3, q geom.Vec3) (Neighbor, bool) {
-	best := Neighbor{Index: -1, Dist2: 1e308}
-	for i, p := range pts {
-		if d2 := q.Dist2(p); d2 < best.Dist2 {
-			best = Neighbor{Index: i, Dist2: d2}
-		}
-	}
-	return best, best.Index >= 0
-}
-
-// BruteKNearest scans pts linearly for the k nearest neighbors of q,
-// returned in ascending distance order.
-func BruteKNearest(pts []geom.Vec3, q geom.Vec3, k int) []Neighbor {
-	return BruteKNearestInto(pts, q, k, nil)
-}
-
-// BruteKNearestInto is BruteKNearest answering into buf (reset to length
-// 0), so callers that recycle result slabs avoid a fresh allocation per
-// query. The returned slice may be a regrown replacement for buf; results
-// are identical to BruteKNearest.
-func BruteKNearestInto(pts []geom.Vec3, q geom.Vec3, k int, buf []Neighbor) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	h := maxHeap(buf[:0])
-	if cap(h) < k && k <= len(pts) {
-		h = make(maxHeap, 0, k)
-	}
-	for i, p := range pts {
-		d2 := q.Dist2(p)
-		if len(h) < k {
-			h.push(Neighbor{Index: i, Dist2: d2})
-		} else if d2 < h[0].Dist2 {
-			h.replaceTop(Neighbor{Index: i, Dist2: d2})
-		}
-	}
-	return drainHeapAscending(h)
-}
-
 // drainHeapAscending empties a max-heap into ascending order in place:
 // each pop shrinks the heap to length i, freeing slot i of the shared
 // backing array for the popped (i-th largest) element.
@@ -112,28 +75,5 @@ func drainHeapAscending(h maxHeap) []Neighbor {
 		nb := h.pop()
 		res[i] = nb
 	}
-	return res
-}
-
-// BruteRadius scans pts linearly for all points within r of q, returned in
-// ascending distance order.
-func BruteRadius(pts []geom.Vec3, q geom.Vec3, r float64) []Neighbor {
-	return BruteRadiusInto(pts, q, r, nil)
-}
-
-// BruteRadiusInto is BruteRadius appending into buf (reset to length 0);
-// see RadiusInto for the slab-recycling contract.
-func BruteRadiusInto(pts []geom.Vec3, q geom.Vec3, r float64, buf []Neighbor) []Neighbor {
-	if r < 0 {
-		return nil
-	}
-	r2 := r * r
-	res := buf[:0]
-	for i, p := range pts {
-		if d2 := q.Dist2(p); d2 <= r2 {
-			res = append(res, Neighbor{Index: i, Dist2: d2})
-		}
-	}
-	SortNeighbors(res)
 	return res
 }

@@ -5,12 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/geom"
 )
 
 // randPoints generates test points pre-snapped to float32 (the slab
-// quantization convention): the tree stores exactly these coordinates,
-// so float64 brute-force oracles over the same slice stay bit-identical.
+// quantization convention), so the tree stores exactly these coordinates.
 func randPoints(r *rand.Rand, n int) []geom.Vec3 {
 	pts := make([]geom.Vec3, n)
 	for i := range pts {
@@ -31,7 +31,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			q := geom.Vec3{X: r.Float64()*120 - 60, Y: r.Float64()*120 - 60, Z: r.Float64()*12 - 6}
 			got, ok := tree.Nearest(q, nil)
-			want, _ := BruteNearest(pts, q)
+			want, _ := BruteNearestSlab(tree.Slab(), q)
 			if !ok {
 				t.Fatal("nearest returned !ok on non-empty tree")
 			}
@@ -50,7 +50,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		q := randPoints(r, 1)[0]
 		k := 1 + r.Intn(20)
 		got := tree.KNearest(q, k, nil)
-		want := BruteKNearest(pts, q, k)
+		want := BruteKNearestIntoSlab(tree.Slab(), q, k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("k-NN count %d, want %d", len(got), len(want))
 		}
@@ -93,7 +93,7 @@ func TestRadiusMatchesBruteForce(t *testing.T) {
 		q := randPoints(r, 1)[0]
 		radius := r.Float64() * 15
 		got := tree.Radius(q, radius, nil)
-		want := BruteRadius(pts, q, radius)
+		want := BruteRadiusIntoSlab(tree.Slab(), q, radius, nil)
 		if len(got) != len(want) {
 			t.Fatalf("radius count %d, want %d", len(got), len(want))
 		}
@@ -214,13 +214,14 @@ func TestNNVisitsLogarithmic(t *testing.T) {
 }
 
 func TestBruteEmpty(t *testing.T) {
-	if _, ok := BruteNearest(nil, geom.Vec3{}); ok {
+	empty := cloud.NewSlab(0)
+	if _, ok := BruteNearestSlab(empty, geom.Vec3{}); ok {
 		t.Error("brute nearest on empty should be !ok")
 	}
-	if res := BruteRadius(nil, geom.Vec3{}, 1); len(res) != 0 {
+	if res := BruteRadiusIntoSlab(empty, geom.Vec3{}, 1, nil); len(res) != 0 {
 		t.Error("brute radius on empty should be empty")
 	}
-	if res := BruteKNearest(nil, geom.Vec3{}, 0); res != nil {
+	if res := BruteKNearestIntoSlab(empty, geom.Vec3{}, 0, nil); res != nil {
 		t.Error("brute k-NN with k=0 should be nil")
 	}
 }

@@ -268,7 +268,7 @@ type Detector struct {
 // check (HTTP session creation, CLI flags) mirroring
 // registration.SearcherConfig.Validate.
 func (c Config) Validate() error {
-	if _, err := search.NewByName(backendName(c), nil, c.Options); err != nil {
+	if _, err := search.NewByNameSlab(backendName(c), cloud.NewSlab(0), c.Options); err != nil {
 		return fmt.Errorf("loop: %w", err)
 	}
 	return nil
@@ -377,11 +377,11 @@ func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab)
 		}
 		if n > 0 {
 			if d.searcher == nil || d.indexed != n {
-				pts := make([]geom.Vec3, n)
+				keys := cloud.NewSlab(n)
 				for i := 0; i < n; i++ {
-					pts[i] = d.sigs[i].key
+					keys.SetPoint(i, d.sigs[i].key)
 				}
-				s, err := search.NewByName(backendName(d.cfg), pts, d.cfg.Options)
+				s, err := search.NewByNameSlab(backendName(d.cfg), keys, d.cfg.Options)
 				if err != nil {
 					// Validated at construction; an error here means the
 					// options stopped being valid mid-session.

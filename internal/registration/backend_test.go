@@ -4,54 +4,52 @@ import (
 	"strings"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
-// TestLegacyKindMapsToBackendName pins the deprecated enum → registry
-// name mapping.
-func TestLegacyKindMapsToBackendName(t *testing.T) {
-	for kind, want := range map[SearcherKind]string{
-		SearchCanonical:      search.BackendCanonical,
-		SearchTwoStage:       search.BackendTwoStage,
-		SearchTwoStageApprox: search.BackendTwoStageApprox,
-	} {
-		if got := (SearcherConfig{Kind: kind}).BackendName(); got != want {
-			t.Errorf("Kind %v → %q, want %q", kind, got, want)
-		}
+// TestBackendNameDefaultsToCanonical: the zero SearcherConfig selects
+// the canonical KD-tree, and an explicit name is returned as given.
+func TestBackendNameDefaultsToCanonical(t *testing.T) {
+	if got := (SearcherConfig{}).BackendName(); got != search.BackendCanonical {
+		t.Errorf("SearcherConfig{} → %q, want %q", got, search.BackendCanonical)
 	}
-	// An explicit name wins over the enum.
-	c := SearcherConfig{Backend: search.BackendBruteForce, Kind: SearchTwoStage}
+	if err := (SearcherConfig{}).Validate(); err != nil {
+		t.Errorf("zero config rejected: %v", err)
+	}
+	c := SearcherConfig{Backend: search.BackendBruteForce}
 	if got := c.BackendName(); got != search.BackendBruteForce {
-		t.Errorf("explicit Backend lost to Kind: %q", got)
+		t.Errorf("explicit Backend → %q", got)
 	}
 }
 
-// TestLegacyKindBitIdentical is the compatibility acceptance test: a
-// pipeline selected through the deprecated enum must produce the same
-// registration result, bit for bit, as the same backend selected by
-// registry name.
-func TestLegacyKindBitIdentical(t *testing.T) {
+// TestRegisterWithCustomBackend: a backend registered at runtime through
+// search.NewBackend is selectable by SearcherConfig.Backend and carries
+// the whole pipeline. The custom factory wraps the canonical tree, so
+// the result must equal the built-in's exactly.
+func TestRegisterWithCustomBackend(t *testing.T) {
+	const name = "test-registration-custom"
+	if err := search.RegisterBackend(search.NewBackend(name, func(slab *cloud.Slab, opts search.Options) (search.Searcher, error) {
+		return search.NewByNameSlab(search.BackendCanonical, slab, opts)
+	})); err != nil {
+		t.Fatal(err)
+	}
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 46))
-	for kind, name := range map[SearcherKind]string{
-		SearchCanonical:      search.BackendCanonical,
-		SearchTwoStage:       search.BackendTwoStage,
-		SearchTwoStageApprox: search.BackendTwoStageApprox,
-	} {
-		legacy := pipelineTestConfig()
-		legacy.Searcher = SearcherConfig{Kind: kind, TopHeight: -1}
-		named := pipelineTestConfig()
-		named.Searcher = SearcherConfig{Backend: name, TopHeight: -1}
+	canonical := pipelineTestConfig()
+	custom := pipelineTestConfig()
+	custom.Searcher = SearcherConfig{Backend: name}
+	if err := custom.Searcher.Validate(); err != nil {
+		t.Fatalf("registered backend rejected: %v", err)
+	}
 
-		a := Register(seq.Frames[1].Clone(), seq.Frames[0].Clone(), legacy)
-		b := Register(seq.Frames[1].Clone(), seq.Frames[0].Clone(), named)
-		if a.Transform != b.Transform {
-			t.Errorf("%s: enum-selected transform %v != name-selected %v", name, a.Transform, b.Transform)
-		}
-		if a.SearchQueries != b.SearchQueries || a.NodesVisited != b.NodesVisited {
-			t.Errorf("%s: search metrics diverged: %d/%d queries, %d/%d visits",
-				name, a.SearchQueries, b.SearchQueries, a.NodesVisited, b.NodesVisited)
-		}
+	a := Register(seq.Frames[1].Clone(), seq.Frames[0].Clone(), canonical)
+	b := Register(seq.Frames[1].Clone(), seq.Frames[0].Clone(), custom)
+	if a.Transform != b.Transform {
+		t.Errorf("custom backend transform %v != canonical %v", b.Transform, a.Transform)
+	}
+	if b.SearchQueries == 0 || a.SearchQueries != b.SearchQueries {
+		t.Errorf("search metrics diverged: %d vs %d queries", a.SearchQueries, b.SearchQueries)
 	}
 }
 
@@ -74,8 +72,14 @@ func TestRegisterWithBruteForceBackend(t *testing.T) {
 
 // TestSearcherConfigValidate covers the boundary checks.
 func TestSearcherConfigValidate(t *testing.T) {
-	if err := (SearcherConfig{Backend: "no-such"}).Validate(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("unknown backend Validate = %v", err)
+	err := (SearcherConfig{Backend: "no-such"}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "unknown backend") {
+		t.Fatalf("unknown backend Validate = %v", err)
+	}
+	for _, name := range search.Backends() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-backend error does not list registered %q: %v", name, err)
+		}
 	}
 	if err := (SearcherConfig{Backend: search.BackendTrace}).Validate(); err == nil {
 		t.Error("trace without a sink must fail validation")
@@ -86,8 +90,8 @@ func TestSearcherConfigValidate(t *testing.T) {
 	}).Validate(); err != nil {
 		t.Errorf("valid trace config rejected: %v", err)
 	}
-	if err := (SearcherConfig{Kind: SearchTwoStageApprox, TopHeight: -1}).Validate(); err != nil {
-		t.Errorf("legacy config rejected: %v", err)
+	if err := (SearcherConfig{Backend: search.BackendTwoStageApprox, TopHeight: -1}).Validate(); err != nil {
+		t.Errorf("approx config rejected: %v", err)
 	}
 	// Options overlay: a typed knob must lose to the free-form bag — and
 	// a bad overlay value must fail.

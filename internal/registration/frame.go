@@ -141,36 +141,6 @@ func (f *PreparedFrame) FineTarget(cfg PipelineConfig) (search.Searcher, *cloud.
 	return f.fineSearch, f.Raw
 }
 
-// StorageBytes returns the frame's point-storage footprint: the raw
-// slab plus, when downsampling produced a distinct front-end cloud, the
-// front-end slab. The search indexes alias these slabs (zero-copy
-// builds), so this is the frame's whole coordinate payload; the bench
-// reports it as point-storage bytes/frame.
-func (f *PreparedFrame) StorageBytes() int64 {
-	if f.Raw == nil {
-		return 0
-	}
-	b := f.Raw.Bytes()
-	if f.FE != nil && f.FE != f.Raw {
-		b += f.FE.Bytes()
-	}
-	return b
-}
-
-// AosStorageBytes returns what the same frame state would cost in the
-// pre-slab AoS float64 layout — the denominator of the bench's
-// layout-reduction ratio.
-func (f *PreparedFrame) AosStorageBytes() int64 {
-	if f.Raw == nil {
-		return 0
-	}
-	b := f.Raw.AosBytes()
-	if f.FE != nil && f.FE != f.Raw {
-		b += f.FE.AosBytes()
-	}
-	return b
-}
-
 // Searchers returns every search index this frame has built so far (the
 // front-end index, plus the fine-tuning index once FineTarget created
 // it), for metrics roll-up.

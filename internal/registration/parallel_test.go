@@ -3,18 +3,19 @@ package registration
 import (
 	"testing"
 
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
-// parallelEquivCases enumerates the searcher kinds whose end-to-end
+// parallelEquivCases enumerates the exact backends whose end-to-end
 // pipeline output must be bit-identical between the sequential path
 // (Parallelism 1) and the worker-pool path.
 var parallelEquivCases = []struct {
-	name string
-	kind SearcherKind
+	name    string
+	backend string
 }{
-	{"canonical", SearchCanonical},
-	{"twostage-exact", SearchTwoStage},
+	{"canonical", search.BackendCanonical},
+	{"twostage-exact", search.BackendTwoStage},
 }
 
 // TestRegisterParallelMatchesSequential: the full two-phase pipeline must
@@ -25,7 +26,7 @@ func TestRegisterParallelMatchesSequential(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 77))
 	for _, tc := range parallelEquivCases {
 		base := pipelineTestConfig()
-		base.Searcher.Kind = tc.kind
+		base.Searcher.Backend = tc.backend
 		base.Searcher.TopHeight = -1
 
 		serial := base
@@ -89,7 +90,7 @@ func TestRegisterParallelWithInjectionMatchesSequential(t *testing.T) {
 func TestRegisterApproxParallelismInvariant(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 79))
 	base := pipelineTestConfig()
-	base.Searcher.Kind = SearchTwoStageApprox
+	base.Searcher.Backend = search.BackendTwoStageApprox
 	base.Searcher.TopHeight = -1
 
 	var first Result

@@ -11,77 +11,21 @@ import (
 	"tigris/internal/search"
 )
 
-// SearcherKind selects the KD-tree variant the pipeline routes every
-// neighbor search through.
-//
-// Deprecated: backends are selected by registry name now
-// (SearcherConfig.Backend); the enum is kept as an alias that maps onto
-// the names and is consulted only when Backend is empty.
-type SearcherKind int
-
-const (
-	// SearchCanonical uses the classic KD-tree (the §3 characterization
-	// baseline).
-	SearchCanonical SearcherKind = iota
-	// SearchTwoStage uses the two-stage tree with exact search.
-	SearchTwoStage
-	// SearchTwoStageApprox uses the two-stage tree with the approximate
-	// leader/follower algorithm on the dense stages (NE radius search and
-	// RPCE NN search), exactly the stages §4.2 found error-tolerant.
-	SearchTwoStageApprox
-)
-
-// String implements fmt.Stringer.
-func (k SearcherKind) String() string {
-	switch k {
-	case SearchCanonical:
-		return "Canonical"
-	case SearchTwoStage:
-		return "TwoStage"
-	case SearchTwoStageApprox:
-		return "TwoStageApprox"
-	default:
-		return "UnknownSearcher"
-	}
-}
-
-// LegacySearcherName maps the deprecated user-facing searcher aliases
-// ("canonical", "twostage", "approx") onto registry backend names — the
-// single definition shared by the CLI -searcher flags and the service's
-// "searcher" JSON field, so the deprecated surfaces cannot drift apart.
-func LegacySearcherName(alias string) (string, bool) {
-	switch alias {
-	case "canonical":
-		return search.BackendCanonical, true
-	case "twostage":
-		return search.BackendTwoStage, true
-	case "approx":
-		return search.BackendTwoStageApprox, true
-	}
-	return "", false
-}
-
 // SearcherConfig bundles the search-backend selection. Backends are
 // chosen by registry name (search.RegisterBackend / search.Backends), so
 // the pipeline, the streaming engine, the HTTP service, and the DSE
-// harness all grow new structures without code changes here; the legacy
-// Kind enum remains as a deprecated alias onto the names and produces
-// bit-identical results.
+// harness all grow new structures without code changes here.
 type SearcherConfig struct {
 	// Backend is the registry name of the search backend ("canonical",
 	// "twostage", "twostage-approx", "bruteforce", "trace", or any name
-	// registered through search.RegisterBackend). Empty falls back to the
-	// deprecated Kind enum (whose zero value selects "canonical").
+	// registered through search.RegisterBackend). Empty selects
+	// "canonical".
 	Backend string
 	// Options is the backend-specific option bag (see the search.Opt*
 	// keys), overlaid on the typed knobs below — an Options entry wins
 	// over the corresponding typed field. Values may come from JSON, CLI
 	// flags, or Go code (e.g. the trace backend's *search.TraceLog sink).
 	Options search.Options
-	// Kind is the deprecated enum selector, consulted only when Backend
-	// is empty: SearchCanonical → "canonical", SearchTwoStage →
-	// "twostage", SearchTwoStageApprox → "twostage-approx".
-	Kind SearcherKind
 	// TopHeight for the two-stage variants (paper default 10; <0 sizes
 	// leaf sets to ~128 points).
 	TopHeight int
@@ -99,20 +43,13 @@ type SearcherConfig struct {
 	Parallelism int
 }
 
-// BackendName resolves the effective registry name: Backend when set,
-// otherwise the legacy Kind mapping.
+// BackendName resolves the effective registry name: Backend, or
+// "canonical" when empty.
 func (c SearcherConfig) BackendName() string {
 	if c.Backend != "" {
 		return c.Backend
 	}
-	switch c.Kind {
-	case SearchTwoStage:
-		return search.BackendTwoStage
-	case SearchTwoStageApprox:
-		return search.BackendTwoStageApprox
-	default:
-		return search.BackendCanonical
-	}
+	return search.BackendCanonical
 }
 
 // EffectiveParallelism resolves the batch worker count the pipeline's
@@ -169,12 +106,12 @@ func (c SearcherConfig) BackendOptions() search.Options {
 }
 
 // Validate reports whether the configured backend exists and accepts the
-// resolved options, by constructing it over an empty point set (cheap for
+// resolved options, by constructing it over an empty slab (cheap for
 // every built-in). Boundary code (CLI flags, HTTP session creation) calls
 // this so a bad name or option fails fast with an actionable error
 // instead of panicking mid-pipeline.
 func (c SearcherConfig) Validate() error {
-	_, err := search.NewByName(c.BackendName(), nil, c.BackendOptions())
+	_, err := search.NewByNameSlab(c.BackendName(), cloud.NewSlab(0), c.BackendOptions())
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"tigris/internal/features"
 	"tigris/internal/geom"
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
@@ -82,11 +83,11 @@ func TestRegisterWithTwoStageApproxKeepsAccuracy(t *testing.T) {
 	truth := seq.GroundTruthDelta(0)
 
 	exact := pipelineTestConfig()
-	exact.Searcher = SearcherConfig{Kind: SearchTwoStage, TopHeight: -1}
+	exact.Searcher = SearcherConfig{Backend: search.BackendTwoStage, TopHeight: -1}
 	eExact := EvaluatePair(Register(seq.Frames[1], seq.Frames[0], exact).Transform, truth)
 
 	approx := pipelineTestConfig()
-	approx.Searcher = SearcherConfig{Kind: SearchTwoStageApprox, TopHeight: -1}
+	approx.Searcher = SearcherConfig{Backend: search.BackendTwoStageApprox, TopHeight: -1}
 	eApprox := EvaluatePair(Register(seq.Frames[1], seq.Frames[0], approx).Transform, truth)
 
 	if eApprox.TranslationalPct > eExact.TranslationalPct+3 {
@@ -96,19 +97,6 @@ func TestRegisterWithTwoStageApproxKeepsAccuracy(t *testing.T) {
 	if math.Abs(eApprox.RotationalDegPerM-eExact.RotationalDegPerM) > 0.1 {
 		t.Errorf("approximate search changed rotational error: %.4f vs %.4f",
 			eApprox.RotationalDegPerM, eExact.RotationalDegPerM)
-	}
-}
-
-func TestSearcherKindStrings(t *testing.T) {
-	for kind, want := range map[SearcherKind]string{
-		SearchCanonical:      "Canonical",
-		SearchTwoStage:       "TwoStage",
-		SearchTwoStageApprox: "TwoStageApprox",
-		SearcherKind(99):     "UnknownSearcher",
-	} {
-		if got := kind.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", kind, got, want)
-		}
 	}
 }
 

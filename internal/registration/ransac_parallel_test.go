@@ -156,9 +156,10 @@ func TestEstimateRigidTransformParInvariant(t *testing.T) {
 			t.Fatalf("workers %d: transform differs from serial", w)
 		}
 	}
-	rmse1 := AlignmentRMSEPar(tr, src, dst, 1)
+	srcS, dstS := cloud.SlabFromPoints(src), cloud.SlabFromPoints(dst)
+	rmse1 := AlignmentRMSESlabPar(tr, srcS, dstS, 1)
 	for _, w := range []int{3, 8} {
-		if AlignmentRMSEPar(tr, src, dst, w) != rmse1 {
+		if AlignmentRMSESlabPar(tr, srcS, dstS, w) != rmse1 {
 			t.Fatalf("workers %d: RMSE differs from serial", w)
 		}
 	}

@@ -113,12 +113,9 @@ func TestEstimatePointToPlaneRecovers(t *testing.T) {
 	features.EstimateNormals(c, s, features.NormalConfig{SearchRadius: 1.5})
 	truth := randTransformSmall(r)
 	inv := truth.Inverse()
-	src := make([]geom.Vec3, c.Len())
-	for i := range src {
-		src[i] = inv.Apply(c.At(i)) // so truth maps src back onto c
-	}
-	cc := c.ToCloud()
-	got, ok := EstimatePointToPlane(src, cc.Points, cc.Normals)
+	src := c.Clone()
+	src.TransformInPlace(inv) // so truth maps src back onto c
+	got, ok := EstimatePointToPlaneSlab(src, c)
 	if !ok {
 		t.Fatal("point-to-plane failed")
 	}
@@ -359,9 +356,9 @@ func TestRegisterSearcherVariantsAgree(t *testing.T) {
 
 	base := pipelineTestConfig()
 	var errs []float64
-	for _, kind := range []SearcherKind{SearchCanonical, SearchTwoStage, SearchTwoStageApprox} {
+	for _, name := range []string{search.BackendCanonical, search.BackendTwoStage, search.BackendTwoStageApprox} {
 		cfg := base
-		cfg.Searcher = SearcherConfig{Kind: kind, TopHeight: 6}
+		cfg.Searcher = SearcherConfig{Backend: name, TopHeight: 6}
 		res := Register(seq.Frames[1], seq.Frames[0], cfg)
 		e := EvaluatePair(res.Transform, truth)
 		errs = append(errs, e.TranslationalPct)

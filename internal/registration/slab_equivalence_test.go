@@ -9,18 +9,18 @@ import (
 	"tigris/internal/synth"
 )
 
-// The SoA solvers must be bit-identical to the AoS solvers on the same
-// (float32-representable) correspondences: both dequantize to float64 and
-// fold in the same accumChunk order, so the layout change alone cannot
-// move a single bit. These tests pin that equivalence, then check the
-// end-to-end trajectory stays within tolerance of ground truth under the
-// one-time float32 quantization.
+// The point-to-point solve exists over slabs (ICP's correspondences) and
+// over []geom.Vec3 (RANSAC's key-point lists). On the same
+// (float32-representable) correspondences the two must be bit-identical:
+// both dequantize to float64 and fold in the same accumChunk order, so
+// the layout alone cannot move a single bit. These tests pin that
+// equivalence, then check the end-to-end trajectory stays within
+// tolerance of ground truth under the one-time float32 quantization.
 
-func snappedCorrespondences(r *rand.Rand, n int) (srcPts, dstPts, normals []geom.Vec3) {
+func snappedCorrespondences(r *rand.Rand, n int) (srcPts, dstPts []geom.Vec3) {
 	tr := geom.Transform{R: geom.RotZ(0.25).Mul(geom.RotX(0.1)), T: geom.Vec3{X: 1.2, Y: -0.4, Z: 0.2}}
 	srcPts = make([]geom.Vec3, n)
 	dstPts = make([]geom.Vec3, n)
-	normals = make([]geom.Vec3, n)
 	for i := range srcPts {
 		srcPts[i] = geom.Vec3{
 			X: r.Float64()*20 - 10,
@@ -32,25 +32,8 @@ func snappedCorrespondences(r *rand.Rand, n int) (srcPts, dstPts, normals []geom
 			Y: r.NormFloat64() * 0.01,
 			Z: r.NormFloat64() * 0.01,
 		}).Quantize32()
-		normals[i] = geom.Vec3{
-			X: r.Float64() - 0.5,
-			Y: r.Float64() - 0.5,
-			Z: 1,
-		}.Normalize().Quantize32()
 	}
-	return srcPts, dstPts, normals
-}
-
-func slabsFrom(srcPts, dstPts, normals []geom.Vec3) (src, dst *cloud.Slab) {
-	src = cloud.SlabFromPoints(srcPts)
-	dst = cloud.SlabFromPoints(dstPts)
-	if normals != nil {
-		dst.EnsureNormals()
-		for i, n := range normals {
-			dst.SetNormal(i, n)
-		}
-	}
-	return src, dst
+	return srcPts, dstPts
 }
 
 func TestSlabSolversBitIdenticalToAoS(t *testing.T) {
@@ -58,21 +41,13 @@ func TestSlabSolversBitIdenticalToAoS(t *testing.T) {
 	// Spans multiple accumChunk blocks so the parallel folding is
 	// exercised, plus small sizes for the sequential path.
 	for _, n := range []int{6, 500, 3*accumChunk + 71} {
-		srcPts, dstPts, normals := snappedCorrespondences(r, n)
-		src, dst := slabsFrom(srcPts, dstPts, normals)
+		srcPts, dstPts := snappedCorrespondences(r, n)
+		src, dst := cloud.SlabFromPoints(srcPts), cloud.SlabFromPoints(dstPts)
 		for _, workers := range []int{1, 2, 4} {
 			aosT, aosOK := EstimateRigidTransformPar(srcPts, dstPts, workers)
 			soaT, soaOK := EstimateRigidTransformSlabPar(src, dst, workers)
 			if aosOK != soaOK || aosT != soaT {
 				t.Fatalf("n=%d p=%d: point-to-point differs\nAoS %v\nSoA %v", n, workers, aosT, soaT)
-			}
-			aosP, aosOK := EstimatePointToPlanePar(srcPts, dstPts, normals, workers)
-			soaP, soaOK := EstimatePointToPlaneSlabPar(src, dst, workers)
-			if aosOK != soaOK || aosP != soaP {
-				t.Fatalf("n=%d p=%d: point-to-plane differs\nAoS %v\nSoA %v", n, workers, aosP, soaP)
-			}
-			if a, s := AlignmentRMSE(aosT, srcPts, dstPts), AlignmentRMSESlabPar(aosT, src, dst, workers); a != s {
-				t.Fatalf("n=%d p=%d: RMSE differs: %v vs %v", n, workers, a, s)
 			}
 		}
 	}

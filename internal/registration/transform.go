@@ -161,17 +161,6 @@ func (m ErrorMetric) String() string {
 	}
 }
 
-// EstimatePointToPlane solves the point-to-plane alignment: find the rigid
-// T minimizing Σ((T(srcᵢ)−dstᵢ)·nᵢ)², with nᵢ the target surface normal.
-// It runs Levenberg–Marquardt over a 6-DoF twist (rx, ry, rz, tx, ty, tz)
-// with the analytic Jacobian of the linearized residual: for the residual
-// r = (R·s + t − d)·n, ∂r/∂ξ = [ (R·s)×n ; n ] at the current estimate —
-// the standard ICP linearization (Low 2004) the paper's LM solver [45]
-// choice corresponds to.
-func EstimatePointToPlane(src, dst, normals []geom.Vec3) (geom.Transform, bool) {
-	return EstimatePointToPlanePar(src, dst, normals, 1)
-}
-
 // normalEqPart is one chunk's share of the 6×6 normal equations.
 type normalEqPart struct {
 	jtj [36]float64
@@ -186,99 +175,6 @@ func (p normalEqPart) add(o normalEqPart) normalEqPart {
 		p.jtr[i] += o.jtr[i]
 	}
 	return p
-}
-
-// EstimatePointToPlanePar is EstimatePointToPlane with the per-point
-// accumulation (the JᵀJ/Jᵀr normal equations and the cost evaluations)
-// spread over up to `workers` goroutines (<= 0 selects NumCPU). Results
-// are bit-identical at any worker count (see accumChunk).
-func EstimatePointToPlanePar(src, dst, normals []geom.Vec3, workers int) (geom.Transform, bool) {
-	if len(src) != len(dst) || len(src) != len(normals) || len(src) < 6 {
-		return geom.IdentityTransform(), false
-	}
-	cur := geom.IdentityTransform()
-	lambda := 1e-4
-	cost := pointToPlaneCost(cur, src, dst, normals, workers)
-	// A handful of damped Gauss-Newton steps suffices: the outer ICP loop
-	// re-linearizes anyway.
-	for iter := 0; iter < 6; iter++ {
-		// Accumulate the 6×6 normal equations in one pass.
-		eq := reduceChunks(len(src), workers,
-			func(lo, hi int) normalEqPart {
-				var p normalEqPart
-				for i := lo; i < hi; i++ {
-					s := cur.Apply(src[i])
-					n := normals[i]
-					r := s.Sub(dst[i]).Dot(n)
-					c := s.Cross(n)
-					row := [6]float64{c.X, c.Y, c.Z, n.X, n.Y, n.Z}
-					for a := 0; a < 6; a++ {
-						p.jtr[a] += row[a] * r
-						for b := a; b < 6; b++ {
-							p.jtj[a*6+b] += row[a] * row[b]
-						}
-					}
-				}
-				return p
-			},
-			normalEqPart.add)
-		jtj, jtr := eq.jtj, eq.jtr
-		for a := 0; a < 6; a++ {
-			for b := 0; b < a; b++ {
-				jtj[a*6+b] = jtj[b*6+a]
-			}
-		}
-		improved := false
-		for attempt := 0; attempt < 8; attempt++ {
-			damped := jtj
-			for a := 0; a < 6; a++ {
-				d := jtj[a*6+a]
-				if d == 0 {
-					d = 1
-				}
-				damped[a*6+a] += lambda * d
-			}
-			neg := make([]float64, 6)
-			for a := 0; a < 6; a++ {
-				neg[a] = -jtr[a]
-			}
-			delta, err := linalg.SolveDense(damped[:], neg)
-			if err != nil {
-				lambda *= 10
-				continue
-			}
-			trial := twistToTransform(delta).Compose(cur)
-			trialCost := pointToPlaneCost(trial, src, dst, normals, workers)
-			if trialCost < cost {
-				cur = trial
-				cost = trialCost
-				lambda = math.Max(lambda*0.3, 1e-12)
-				improved = true
-				if vecNorm6(delta) < 1e-10 {
-					return cur, true
-				}
-				break
-			}
-			lambda *= 10
-		}
-		if !improved {
-			break
-		}
-	}
-	return cur, true
-}
-
-func pointToPlaneCost(t geom.Transform, src, dst, normals []geom.Vec3, workers int) float64 {
-	return reduceChunks(len(src), workers,
-		func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				r := t.Apply(src[i]).Sub(dst[i]).Dot(normals[i])
-				s += r * r
-			}
-			return s
-		},
-		func(a, b float64) float64 { return a + b })
 }
 
 func vecNorm6(v []float64) float64 {
@@ -301,37 +197,4 @@ func twistToTransform(p []float64) geom.Transform {
 		r = geom.AxisAngle(w.Scale(1/angle), angle)
 	}
 	return geom.Transform{R: r, T: geom.Vec3{X: p[3], Y: p[4], Z: p[5]}}
-}
-
-// AlignmentRMSE returns the root-mean-square point-to-point error of the
-// transform over the pairs; the ICP convergence criterion watches it.
-func AlignmentRMSE(tr geom.Transform, src, dst []geom.Vec3) float64 {
-	return AlignmentRMSEPar(tr, src, dst, 1)
-}
-
-// AlignmentRMSEPar is AlignmentRMSE with the squared-error accumulation
-// spread over up to `workers` goroutines (<= 0 selects NumCPU). Results
-// are bit-identical at any worker count (see accumChunk); small inputs
-// take a closure-free sequential kernel like EstimateRigidTransformPar.
-func AlignmentRMSEPar(tr geom.Transform, src, dst []geom.Vec3, workers int) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	var s float64
-	if len(src) <= accumChunk {
-		s = sqErrSeq(tr, src, dst, 0, len(src))
-	} else {
-		s = reduceChunks(len(src), workers,
-			func(lo, hi int) float64 { return sqErrSeq(tr, src, dst, lo, hi) },
-			func(a, b float64) float64 { return a + b })
-	}
-	return math.Sqrt(s / float64(len(src)))
-}
-
-func sqErrSeq(tr geom.Transform, src, dst []geom.Vec3, lo, hi int) float64 {
-	var p float64
-	for i := lo; i < hi; i++ {
-		p += tr.Apply(src[i]).Dist2(dst[i])
-	}
-	return p
 }

@@ -8,14 +8,12 @@ import (
 	"tigris/internal/linalg"
 )
 
-// This file holds the SoA float32 variants of the error-minimization
-// reductions: the same Umeyama / point-to-plane LM / RMSE math as
-// transform.go, but streaming correspondence slabs (cloud.Slab) instead
-// of AoS []geom.Vec3. ICP gathers its correspondences directly into
-// pooled slabs (12 B/point instead of 24), so each solver iteration
-// walks half the bytes; every accumulation dequantizes to float64 and
-// folds in accumChunk order, keeping results bit-identical at any
-// Parallelism for the same (float32) inputs.
+// This file holds the error-minimization reductions ICP runs over
+// correspondence slabs (cloud.Slab): Umeyama point-to-point, point-to-plane
+// LM, and RMSE. ICP gathers its correspondences directly into pooled
+// slabs; every accumulation dequantizes to float64 and folds in
+// accumChunk order, keeping results bit-identical at any Parallelism for
+// the same (float32) inputs.
 
 // EstimateRigidTransformSlab solves the point-to-point alignment over
 // paired correspondence slabs (see EstimateRigidTransform).
@@ -62,8 +60,13 @@ func EstimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Tran
 }
 
 // EstimatePointToPlaneSlab solves the point-to-plane alignment over
-// correspondence slabs; dst must carry the target surface normals (see
-// EstimatePointToPlane).
+// correspondence slabs: find the rigid T minimizing Σ((T(srcᵢ)−dstᵢ)·nᵢ)²,
+// with nᵢ the target surface normal dst must carry. It runs
+// Levenberg–Marquardt over a 6-DoF twist (rx, ry, rz, tx, ty, tz) with the
+// analytic Jacobian of the linearized residual: for the residual
+// r = (R·s + t − d)·n, ∂r/∂ξ = [ (R·s)×n ; n ] at the current estimate —
+// the standard ICP linearization (Low 2004) the paper's LM solver [45]
+// choice corresponds to.
 func EstimatePointToPlaneSlab(src, dst *cloud.Slab) (geom.Transform, bool) {
 	return EstimatePointToPlaneSlabPar(src, dst, 1)
 }
@@ -159,7 +162,9 @@ func pointToPlaneCostSlab(t geom.Transform, src, dst *cloud.Slab, workers int) f
 		func(a, b float64) float64 { return a + b })
 }
 
-// AlignmentRMSESlab is AlignmentRMSE over correspondence slabs.
+// AlignmentRMSESlab returns the root-mean-square point-to-point error of
+// the transform over the correspondence slabs; the ICP convergence
+// criterion watches it.
 func AlignmentRMSESlab(tr geom.Transform, src, dst *cloud.Slab) float64 {
 	return AlignmentRMSESlabPar(tr, src, dst, 1)
 }

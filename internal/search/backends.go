@@ -13,11 +13,11 @@ import (
 // paths the pipeline used before the registry existed, bit for bit.
 
 func init() {
-	mustRegister(NewSlabBackend(BackendCanonical, newCanonicalBackend))
-	mustRegister(NewSlabBackend(BackendTwoStage, newTwoStageBackend))
-	mustRegister(NewSlabBackend(BackendTwoStageApprox, newTwoStageApproxBackend))
-	mustRegister(NewSlabBackend(BackendBruteForce, newBruteForceBackend))
-	mustRegister(NewSlabBackend(BackendTrace, newTraceBackend))
+	mustRegister(NewBackend(BackendCanonical, newCanonicalBackend))
+	mustRegister(NewBackend(BackendTwoStage, newTwoStageBackend))
+	mustRegister(NewBackend(BackendTwoStageApprox, newTwoStageApproxBackend))
+	mustRegister(NewBackend(BackendBruteForce, newBruteForceBackend))
+	mustRegister(NewBackend(BackendTrace, newTraceBackend))
 }
 
 func newCanonicalBackend(slab *cloud.Slab, opts Options) (Searcher, error) {

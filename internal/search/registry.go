@@ -8,17 +8,16 @@ import (
 	"sync"
 
 	"tigris/internal/cloud"
-	"tigris/internal/geom"
 )
 
 // This file implements the open backend registry: search structures are
-// selected by name through a factory interface instead of a closed enum,
-// so new structures (and decorators like the trace backend) plug into the
-// registration pipeline, the HTTP service, the DSE harness, and the
-// accelerator co-simulation without touching a switch statement. The
-// paper's whole thesis is that *which* neighbor-search structure serves
-// the pipeline's millions of queries governs registration speed; an open
-// registry is how the repo keeps growing that design space.
+// selected by name through a factory interface, so new structures (and
+// decorators like the trace backend) plug into the registration pipeline,
+// the HTTP service, the DSE harness, and the accelerator co-simulation
+// without touching a switch statement. The paper's whole thesis is that
+// *which* neighbor-search structure serves the pipeline's millions of
+// queries governs registration speed; an open registry is how the repo
+// keeps growing that design space.
 
 // Registered backend names. These are the stable selection strings used
 // by -backend flags, the tigris-serve session JSON, and
@@ -170,63 +169,30 @@ func (o Options) checkKeys(known ...string) error {
 }
 
 // Backend is a named searcher factory: the unit of registration. New
-// builds a Searcher over pts; opts carries backend-specific knobs (see
-// the Opt* keys) and must be rejected when it contains keys the backend
-// does not understand.
+// builds a Searcher zero-copy over an SoA slab; opts carries
+// backend-specific knobs (see the Opt* keys) and must be rejected when it
+// contains keys the backend does not understand.
 type Backend interface {
 	// Name returns the registry selection string.
 	Name() string
-	// New builds a searcher over the (possibly empty) point set.
-	New(pts []geom.Vec3, opts Options) (Searcher, error)
-}
-
-// SlabBackend is the optional zero-copy capability: a backend that can
-// build directly over an SoA float32 slab without materializing an AoS
-// point slice. Every built-in backend implements it; NewByNameSlab
-// routes through it when available and falls back to New on the
-// (dequantized) materialized points otherwise.
-type SlabBackend interface {
-	Backend
-	// NewSlab builds a searcher zero-copy over the (possibly empty) slab.
-	NewSlab(s *cloud.Slab, opts Options) (Searcher, error)
+	// New builds a searcher over the (possibly empty) slab.
+	New(s *cloud.Slab, opts Options) (Searcher, error)
 }
 
 // backendFunc adapts a plain factory function to Backend.
 type backendFunc struct {
 	name string
-	fn   func(pts []geom.Vec3, opts Options) (Searcher, error)
-}
-
-func (b backendFunc) Name() string { return b.name }
-func (b backendFunc) New(pts []geom.Vec3, opts Options) (Searcher, error) {
-	return b.fn(pts, opts)
-}
-
-// NewBackend wraps a factory function as a registrable Backend.
-func NewBackend(name string, fn func(pts []geom.Vec3, opts Options) (Searcher, error)) Backend {
-	return backendFunc{name: name, fn: fn}
-}
-
-// slabBackendFunc adapts a slab-native factory to SlabBackend; the AoS
-// entry point quantizes into a fresh slab first, so both paths construct
-// identical searchers.
-type slabBackendFunc struct {
-	name string
 	fn   func(s *cloud.Slab, opts Options) (Searcher, error)
 }
 
-func (b slabBackendFunc) Name() string { return b.name }
-func (b slabBackendFunc) New(pts []geom.Vec3, opts Options) (Searcher, error) {
-	return b.fn(cloud.SlabFromPoints(pts), opts)
-}
-func (b slabBackendFunc) NewSlab(s *cloud.Slab, opts Options) (Searcher, error) {
+func (b backendFunc) Name() string { return b.name }
+func (b backendFunc) New(s *cloud.Slab, opts Options) (Searcher, error) {
 	return b.fn(s, opts)
 }
 
-// NewSlabBackend wraps a slab-native factory function as a registrable
-// SlabBackend.
-func NewSlabBackend(name string, fn func(s *cloud.Slab, opts Options) (Searcher, error)) SlabBackend {
-	return slabBackendFunc{name: name, fn: fn}
+// NewBackend wraps a factory function as a registrable Backend.
+func NewBackend(name string, fn func(s *cloud.Slab, opts Options) (Searcher, error)) Backend {
+	return backendFunc{name: name, fn: fn}
 }
 
 var (
@@ -279,40 +245,18 @@ func LookupBackend(name string) (Backend, bool) {
 	return b, ok
 }
 
-// NewByName builds a searcher through the registry. Unknown names report
-// the registered set so callers (CLI flags, HTTP handlers) can surface an
-// actionable error.
-func NewByName(name string, pts []geom.Vec3, opts Options) (Searcher, error) {
-	b, ok := LookupBackend(name)
-	if !ok {
-		return nil, fmt.Errorf("search: unknown backend %q (registered: %s)",
-			name, strings.Join(Backends(), ", "))
-	}
-	s, err := b.New(pts, opts)
-	if err != nil {
-		return nil, fmt.Errorf("search: backend %q: %w", name, err)
-	}
-	return s, nil
-}
-
-// NewByNameSlab is NewByName building zero-copy over an SoA slab — the
-// pipeline's hot construction path (one quantization on frame ingest,
-// no further copies). Backends without the SlabBackend capability get
-// the materialized dequantized points; since those are float32-exact,
-// a capability-less backend that re-quantizes indexes identical values.
+// NewByNameSlab builds a searcher through the registry, zero-copy over
+// an SoA slab — the pipeline's hot construction path (one quantization on
+// frame ingest, no further copies). Unknown names report the registered
+// set so callers (CLI flags, HTTP handlers) can surface an actionable
+// error.
 func NewByNameSlab(name string, slab *cloud.Slab, opts Options) (Searcher, error) {
 	b, ok := LookupBackend(name)
 	if !ok {
 		return nil, fmt.Errorf("search: unknown backend %q (registered: %s)",
 			name, strings.Join(Backends(), ", "))
 	}
-	var s Searcher
-	var err error
-	if sb, slabCap := b.(SlabBackend); slabCap {
-		s, err = sb.NewSlab(slab, opts)
-	} else {
-		s, err = b.New(slab.Points(), opts)
-	}
+	s, err := b.New(slab, opts)
 	if err != nil {
 		return nil, fmt.Errorf("search: backend %q: %w", name, err)
 	}

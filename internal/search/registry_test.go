@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/twostage"
 )
@@ -42,11 +43,11 @@ func sortedStrings(s []string) bool {
 
 // TestRegisterBackendErrors covers duplicate and empty names.
 func TestRegisterBackendErrors(t *testing.T) {
-	dup := NewSlabBackend(BackendCanonical, newCanonicalBackend)
+	dup := NewBackend(BackendCanonical, newCanonicalBackend)
 	if err := RegisterBackend(dup); err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Fatalf("duplicate registration error = %v", err)
 	}
-	if err := RegisterBackend(NewSlabBackend("", newCanonicalBackend)); err == nil {
+	if err := RegisterBackend(NewBackend("", newCanonicalBackend)); err == nil {
 		t.Fatal("empty-name registration must fail")
 	}
 }
@@ -55,16 +56,16 @@ func TestRegisterBackendErrors(t *testing.T) {
 // at runtime is immediately constructible by name.
 func TestRegisterCustomBackend(t *testing.T) {
 	const name = "test-custom-linear"
-	if err := RegisterBackend(NewBackend(name, func(pts []geom.Vec3, opts Options) (Searcher, error) {
+	if err := RegisterBackend(NewBackend(name, func(slab *cloud.Slab, opts Options) (Searcher, error) {
 		if err := opts.checkKeys(OptParallelism); err != nil {
 			return nil, err
 		}
-		return NewBruteSearcher(pts), nil
+		return NewBruteSearcherSlab(slab), nil
 	})); err != nil {
 		t.Fatal(err)
 	}
 	pts := randPoints(rand.New(rand.NewSource(3)), 50)
-	s, err := NewByName(name, pts, nil)
+	s, err := NewByNameSlab(name, cloud.SlabFromPoints(pts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,33 @@ func TestRegisterCustomBackend(t *testing.T) {
 
 // TestNewByNameUnknown checks the error lists the registered set.
 func TestNewByNameUnknown(t *testing.T) {
-	_, err := NewByName("no-such-structure", nil, nil)
+	_, err := NewByNameSlab("no-such-structure", cloud.NewSlab(0), nil)
 	if err == nil {
 		t.Fatal("unknown backend must fail")
 	}
 	if !strings.Contains(err.Error(), BackendCanonical) || !strings.Contains(err.Error(), "no-such-structure") {
 		t.Fatalf("error should name the unknown backend and the registered set, got: %v", err)
+	}
+}
+
+// TestBuiltinsConstructOverEmptySlab: config validation builds every
+// backend over no points (registration.SearcherConfig.Validate,
+// loop.Config), so each built-in must construct there and answer "no
+// neighbor" instead of panicking.
+func TestBuiltinsConstructOverEmptySlab(t *testing.T) {
+	for _, name := range Backends() {
+		var opts Options
+		if name == BackendTrace {
+			opts = Options{OptTraceSink: &TraceLog{}}
+		}
+		s, err := NewByNameSlab(name, cloud.NewSlab(0), opts)
+		if err != nil {
+			t.Errorf("%s over an empty slab: %v", name, err)
+			continue
+		}
+		if _, ok := s.Nearest(geom.Vec3{}); ok {
+			t.Errorf("%s found a neighbor in an empty slab", name)
+		}
 	}
 }
 
@@ -101,14 +123,14 @@ func TestBackendOptionErrors(t *testing.T) {
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: "nope"}, "unknown backend"},
 	}
 	for _, tc := range cases {
-		_, err := NewByName(tc.name, nil, tc.opts)
+		_, err := NewByNameSlab(tc.name, cloud.NewSlab(0), tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s with %v: error = %v, want substring %q", tc.name, tc.opts, err, tc.want)
 		}
 	}
 
 	// Several typos surface in one round trip, sorted.
-	_, err := NewByName(BackendCanonical, nil, Options{"tophight": 8, "nn_treshold": 1.0})
+	_, err := NewByNameSlab(BackendCanonical, cloud.NewSlab(0), Options{"tophight": 8, "nn_treshold": 1.0})
 	if err == nil || !strings.Contains(err.Error(), "nn_treshold, tophight") {
 		t.Errorf("multi-typo error should list every unknown key, got: %v", err)
 	}
@@ -142,7 +164,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 		},
 	}
 	for name, opts := range jsonOpts {
-		s, err := NewByName(name, pts, opts)
+		s, err := NewByNameSlab(name, cloud.SlabFromPoints(pts), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,7 +1,7 @@
 // Package search defines the neighbor-search abstraction the registration
 // pipeline is written against, with interchangeable backends selected by
 // name through an open registry (registry.go: RegisterBackend /
-// Backends / NewByName):
+// Backends / NewByNameSlab):
 //
 //   - KDSearcher ("canonical"): the canonical KD-tree (the pipeline's
 //     default, §3).

@@ -11,8 +11,8 @@ import (
 )
 
 // randPoints generates test points pre-snapped to float32 (the slab
-// quantization convention), so exact backends match AoS oracles
-// bit-for-bit.
+// quantization convention), so the backends store exactly these
+// coordinates.
 func randPoints(r *rand.Rand, n int) []geom.Vec3 {
 	pts := make([]geom.Vec3, n)
 	for i := range pts {
@@ -32,7 +32,7 @@ func TestKDSearcherMatchesBrute(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		q := randPoints(r, 1)[0]
 		nb, ok := s.Nearest(q)
-		want, _ := kdtree.BruteNearest(pts, q)
+		want, _ := kdtree.BruteNearestSlab(s.Slab(), q)
 		if !ok || math.Abs(nb.Dist2-want.Dist2) > 1e-12 {
 			t.Fatalf("KDSearcher NN mismatch")
 		}
@@ -73,7 +73,7 @@ func TestTwoStageKNearestExact(t *testing.T) {
 		q := randPoints(r, 1)[0]
 		k := 1 + r.Intn(12)
 		got := ts.KNearest(q, k)
-		want := kdtree.BruteKNearest(pts, q, k)
+		want := kdtree.BruteKNearestIntoSlab(ts.Slab(), q, k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("k-NN count %d, want %d", len(got), len(want))
 		}
@@ -124,7 +124,7 @@ func TestKthNNSearcher(t *testing.T) {
 		if !ok {
 			t.Fatal("no result")
 		}
-		want := kdtree.BruteKNearest(pts, q, k)
+		want := kdtree.BruteKNearestIntoSlab(inner.Slab(), q, k, nil)
 		if nb.Index != want[k-1].Index {
 			t.Fatalf("K=%d: got %d, want %d", k, nb.Index, want[k-1].Index)
 		}
@@ -135,7 +135,7 @@ func TestKthNNSearcher(t *testing.T) {
 	if !ok {
 		t.Fatal("tiny cloud should still answer")
 	}
-	want := kdtree.BruteKNearest(pts[:3], geom.Vec3{}, 3)
+	want := kdtree.BruteKNearestIntoSlab(tiny.Inner.Slab(), geom.Vec3{}, 3, nil)
 	if nb.Index != want[2].Index {
 		t.Errorf("fallback should return farthest available")
 	}

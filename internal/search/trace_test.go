@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/geom"
 )
 
@@ -17,7 +18,7 @@ func TestTraceSearcherTransparent(t *testing.T) {
 	qs := randPoints(r, 30)
 
 	sink := &TraceLog{}
-	traced, err := NewByName(BackendTrace, pts, Options{
+	traced, err := NewByNameSlab(BackendTrace, cloud.SlabFromPoints(pts), Options{
 		OptTraceInner: BackendTwoStage,
 		OptTraceSink:  sink,
 		OptTopHeight:  3,
@@ -125,7 +126,7 @@ func TestTraceLogRotation(t *testing.T) {
 func TestTraceBackendMaxBatchesOption(t *testing.T) {
 	sink := &TraceLog{}
 	pts := []geom.Vec3{{X: 1}, {X: 2}, {X: 3}}
-	s, err := NewByName(BackendTrace, pts, Options{
+	s, err := NewByNameSlab(BackendTrace, cloud.SlabFromPoints(pts), Options{
 		OptTraceSink: sink, OptTraceMaxBatches: 2,
 	})
 	if err != nil {
@@ -140,7 +141,7 @@ func TestTraceBackendMaxBatchesOption(t *testing.T) {
 	if sink.Dropped() != 3 {
 		t.Fatalf("Dropped = %d, want 3", sink.Dropped())
 	}
-	if _, err := NewByName(BackendTrace, pts, Options{
+	if _, err := NewByNameSlab(BackendTrace, cloud.SlabFromPoints(pts), Options{
 		OptTraceSink: sink, OptTraceMaxBatches: -1,
 	}); err == nil {
 		t.Fatal("negative max_batches must be rejected")

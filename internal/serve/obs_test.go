@@ -41,7 +41,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	client := ts.Client()
 
 	var created map[string]any
-	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"searcher": "canonical"}, &created); code != http.StatusCreated {
+	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend": "canonical"}, &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	id := created["id"].(string)
@@ -115,7 +115,7 @@ func TestStatsLatencyDigest(t *testing.T) {
 	client := ts.Client()
 
 	var created map[string]any
-	postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"searcher": "canonical"}, &created)
+	postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend": "canonical"}, &created)
 	id := created["id"].(string)
 	const frames = 3
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(frames, 62))
@@ -259,7 +259,7 @@ func TestStatsPollingRace(t *testing.T) {
 	client := ts.Client()
 
 	var created map[string]any
-	postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"searcher": "canonical"}, &created)
+	postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend": "canonical"}, &created)
 	id := created["id"].(string)
 
 	stop := make(chan struct{})

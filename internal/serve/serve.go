@@ -59,7 +59,9 @@ package serve
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -106,8 +108,7 @@ type Config struct {
 	// sessions that do not set their own (0 = all CPUs).
 	Parallelism int
 	// DefaultBackend is the registry search-backend name for sessions
-	// whose request names neither a backend nor a legacy searcher ("" =
-	// canonical).
+	// whose request names no backend ("" = canonical).
 	DefaultBackend string
 	// SessionTTL evicts sessions that have served no request for this
 	// long (0 disables eviction). Sessions still processing queued
@@ -235,17 +236,17 @@ func New(cfg Config) *Server {
 	reg.GaugeFunc("tigris_limiter_in_use", func() float64 { return float64(len(s.limiter)) })
 	reg.GaugeFunc("tigris_limiter_capacity", func() float64 { return float64(cap(s.limiter)) })
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
 	})
 	s.mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"backends": search.Backends()})
+		WriteJSON(w, http.StatusOK, map[string]any{"backends": search.Backends()})
 	})
 	s.mux.HandleFunc("GET /v1/buildinfo", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, BuildInfo())
+		WriteJSON(w, http.StatusOK, BuildInfo())
 	})
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/frames", s.withSession(s.handlePush))
@@ -307,22 +308,24 @@ func BuildInfo() map[string]any {
 	return out
 }
 
-// statusWriter captures the response status and body size for the
-// request log and the per-route request counter.
-type statusWriter struct {
+// StatusWriter captures the response status and body size for the
+// request log and the per-route request counter (the worker's and the
+// gateway's). Initialize Status to http.StatusOK: a handler that never
+// calls WriteHeader answered 200.
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	Status int
+	Bytes  int
 }
 
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
+func (sw *StatusWriter) WriteHeader(code int) {
+	sw.Status = code
 	sw.ResponseWriter.WriteHeader(code)
 }
 
-func (sw *statusWriter) Write(p []byte) (int, error) {
+func (sw *StatusWriter) Write(p []byte) (int, error) {
 	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += n
+	sw.Bytes += n
 	return n, err
 }
 
@@ -357,17 +360,17 @@ func routeLabel(path string) (route, sessionID string) {
 // Config.Logger is set.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 	s.serveAuthed(sw, r)
 	route, sid := routeLabel(r.URL.Path)
-	s.reg.Counter(`tigris_http_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.status) + `"}`).Inc()
+	s.reg.Counter(`tigris_http_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.Status) + `"}`).Inc()
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Info("request",
 			"method", r.Method,
 			"route", route,
 			"session", sid,
-			"status", sw.status,
-			"bytes", sw.bytes,
+			"status", sw.Status,
+			"bytes", sw.Bytes,
 			"duration_ms", float64(time.Since(start).Microseconds())/1e3,
 		)
 	}
@@ -375,15 +378,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serveAuthed enforces the bearer-token gate, then routes.
 func (s *Server) serveAuthed(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/v1/") {
-		token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(s.cfg.AuthToken)) != 1 {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="tigris"`)
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
+	if s.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/v1/") && !BearerOK(r, s.cfg.AuthToken) {
+		w.Header().Set("WWW-Authenticate", `Bearer realm="tigris"`)
+		HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
+		return
 	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// BearerOK reports whether the request carries `Authorization: Bearer
+// <token>`, compared in constant time.
+func BearerOK(r *http.Request, token string) bool {
+	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }
 
 // Drain blocks until every live session has committed all pushed frames
@@ -466,17 +473,14 @@ func (s *Server) EvictIdle(now time.Time) []string {
 
 // sessionRequest is the JSON body of POST /v1/sessions. All fields are
 // optional; the zero value yields the balanced DP5 design point on the
-// server's default backend with pipelining on.
+// server's default backend with pipelining on. Unknown fields are a 400.
 type sessionRequest struct {
 	// Backend is a registry search-backend name (GET /v1/backends lists
-	// them). Wins over the legacy Searcher field.
+	// them).
 	Backend string `json:"backend"`
 	// BackendOptions carries backend-specific options (e.g.
 	// {"top_height": 8, "nn_threshold": 1.0}); unknown keys are a 400.
 	BackendOptions map[string]any `json:"backend_options"`
-	// Searcher is the deprecated alias: "canonical", "twostage", or
-	// "approx" (→ "twostage-approx").
-	Searcher string `json:"searcher"`
 	// DesignPoint picks a base configuration, "DP1".."DP8" (default DP5).
 	DesignPoint string `json:"design_point"`
 	// Parallelism pins the per-stage batch worker count (0 = server
@@ -545,20 +549,24 @@ func (lr *loopRequest) loopConfig() (*loop.Config, float64, error) {
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
 	if r.Body != nil {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && err.Error() != "EOF" {
-			httpError(w, http.StatusBadRequest, "bad session config: %v", err)
+		// A misspelled or retired key is a 400 naming the field, never
+		// silently a default session.
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			HTTPError(w, http.StatusBadRequest, "bad session config: %v", err)
 			return
 		}
 	}
 	cfg, err := s.pipelineConfig(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	pipelined := req.Pipelined == nil || *req.Pipelined
 	loopCfg, loopWeight, err := req.Loop.loopConfig()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "loop config: %v", err)
+		HTTPError(w, http.StatusBadRequest, "loop config: %v", err)
 		return
 	}
 	// The session records stage latencies into its own recorder (read
@@ -600,32 +608,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.cSessionsOpened.Inc()
 
 	w.Header().Set("X-Tigris-Trace", trace.String())
-	writeJSON(w, http.StatusCreated, map[string]any{
+	WriteJSON(w, http.StatusCreated, map[string]any{
 		"id":        id,
 		"pipelined": pipelined,
 		"backend":   cfg.Searcher.BackendName(),
 		"loop":      loopCfg != nil,
 		"trace":     trace.String(),
 	})
-}
-
-// backendName resolves the request's backend selection to a registry
-// name: explicit Backend first, then the deprecated searcher aliases,
-// then the server default.
-func (s *Server) backendName(req sessionRequest) (string, error) {
-	if req.Backend != "" {
-		return req.Backend, nil
-	}
-	if req.Searcher == "" {
-		if s.cfg.DefaultBackend != "" {
-			return s.cfg.DefaultBackend, nil
-		}
-		return search.BackendCanonical, nil
-	}
-	if name, ok := registration.LegacySearcherName(req.Searcher); ok {
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown searcher %q (want canonical, twostage, or approx; or select by name with \"backend\")", req.Searcher)
 }
 
 // pipelineConfig resolves a session request to a registration config.
@@ -646,11 +635,10 @@ func (s *Server) pipelineConfig(req sessionRequest) (registration.PipelineConfig
 	if !found {
 		return cfg, fmt.Errorf("unknown design point %q (want DP1..DP8)", name)
 	}
-	backend, err := s.backendName(req)
-	if err != nil {
-		return cfg, err
+	cfg.Searcher.Backend = req.Backend
+	if cfg.Searcher.Backend == "" {
+		cfg.Searcher.Backend = s.cfg.DefaultBackend
 	}
-	cfg.Searcher.Backend = backend
 	// Sessions index full frames: size two-stage leaf sets to ~128 points
 	// unless the request pins a height through backend_options.
 	cfg.Searcher.TopHeight = -1
@@ -686,7 +674,7 @@ func (s *Server) withSession(fn func(http.ResponseWriter, *http.Request, *sessio
 		}
 		s.mu.Unlock()
 		if !ok {
-			httpError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
+			HTTPError(w, http.StatusNotFound, "no session %q", r.PathValue("id"))
 			return
 		}
 		// Every session-scoped response carries the session's trace id, so
@@ -733,13 +721,13 @@ func (s *Server) retryAfterSeconds(pending int) int {
 	return secs
 }
 
-// writeOverload emits the shared overload-rejection shape: a Retry-After
+// WriteOverload emits the shared overload-rejection shape: a Retry-After
 // header plus a JSON body repeating the estimate, so gateway retry and
 // loadgen backoff can be driven by the server's own backlog model. The
-// gateway's admission 429s mirror this shape.
-func writeOverload(w http.ResponseWriter, status, retrySecs int, format string, args ...any) {
+// gateway's admission 429s and no-worker 503s use it too.
+func WriteOverload(w http.ResponseWriter, status, retrySecs int, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(retrySecs))
-	writeJSON(w, status, map[string]any{
+	WriteJSON(w, status, map[string]any{
 		"error":               fmt.Sprintf(format, args...),
 		"retry_after_seconds": retrySecs,
 	})
@@ -750,20 +738,20 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, ses *session
 	if s.cfg.MaxPending > 0 {
 		if pending := s.totalPending(); pending >= s.cfg.MaxPending {
 			s.cOverloadReject.Inc()
-			writeOverload(w, http.StatusServiceUnavailable, s.retryAfterSeconds(pending),
+			WriteOverload(w, http.StatusServiceUnavailable, s.retryAfterSeconds(pending),
 				"server overloaded: %d frames pending (cap %d)", pending, s.cfg.MaxPending)
 			return
 		}
 	}
 	c, err := cloud.Read(http.MaxBytesReader(w, r.Body, maxFrameBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad frame: %v", err)
+		HTTPError(w, http.StatusBadRequest, "bad frame: %v", err)
 		return
 	}
 	start := time.Now()
 	idx, err := eng.Push(c)
 	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
+		HTTPError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.cFramesPushed.Inc()
@@ -777,7 +765,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, ses *session
 		}
 		resp["wall_ms"] = float64(time.Since(start).Microseconds()) / 1e3
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	WriteJSON(w, http.StatusAccepted, resp)
 }
 
 func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *session) {
@@ -789,7 +777,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *s
 	resp := trajectoryResponse(traj)
 	if optimized, _ := strconv.ParseBool(r.URL.Query().Get("optimized")); optimized {
 		if traj.Len() > maxOptimizeFrames {
-			httpError(w, http.StatusUnprocessableEntity,
+			HTTPError(w, http.StatusUnprocessableEntity,
 				"session has %d frames; the dense pose-graph solver is capped at %d", traj.Len(), maxOptimizeFrames)
 			return
 		}
@@ -803,7 +791,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *s
 		poses, res, err := eng.OptimizedPoses(posegraph.Options{Parallelism: par.Workers(s.cfg.Parallelism)})
 		s.limiter.Release()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "optimize: %v", err)
+			HTTPError(w, http.StatusInternalServerError, "optimize: %v", err)
 			return
 		}
 		opt := make([]wireTransform, len(poses))
@@ -818,7 +806,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *s
 			"converged":    res.Converged,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // wireClosure is one verified loop closure in the loops response.
@@ -851,7 +839,7 @@ func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request, ses *sessio
 		}
 	}
 	st := eng.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"closures": out,
 		"stats": map[string]any{
 			"observed": st.Loop.Observed,
@@ -892,7 +880,7 @@ func latencyDigest(rec *obs.Recorder) map[string]wireLatency {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ses *session) {
 	st := ses.eng.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"frames_pushed":     st.FramesPushed,
 		"frames_prepared":   st.FramesPrepared,
 		"pairs_aligned":     st.PairsAligned,
@@ -932,12 +920,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if !ok {
-		httpError(w, http.StatusNotFound, "no session %q", id)
+		HTTPError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
 	ses.eng.Close()
 	s.cSessionsClosed.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "frames": ses.eng.Trajectory().Len()})
+	WriteJSON(w, http.StatusOK, map[string]any{"id": id, "frames": ses.eng.Trajectory().Len()})
 }
 
 // --- wire types ---------------------------------------------------------
@@ -992,12 +980,14 @@ func wantWait(r *http.Request) bool {
 	return v
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// HTTPError answers with status and {"error": <formatted message>}.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

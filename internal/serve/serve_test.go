@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Create a session.
 	var created map[string]any
-	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"searcher": "canonical"}, &created); code != http.StatusCreated {
+	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend": "canonical"}, &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	id, _ := created["id"].(string)
@@ -128,7 +129,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// Reference: per-pair Register over the wire clouds, bit-compared
 	// against the served deltas.
 	var dpCfg registration.PipelineConfig
-	srvCfg, err := srv.pipelineConfig(sessionRequest{Searcher: "canonical"})
+	srvCfg, err := srv.pipelineConfig(sessionRequest{Backend: "canonical"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +222,30 @@ func TestServerRejectsBadInput(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"searcher": "quantum"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad searcher accepted: %d", code)
+	// Session create rejects what it does not understand: the retired
+	// "searcher" key and a typo are 400s naming the field, never silently
+	// a canonical session.
+	for field, value := range map[string]string{"searcher": "approx", "backnd": "twostage"} {
+		var out map[string]string
+		if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{field: value}, &out); code != http.StatusBadRequest {
+			t.Fatalf("unknown field %q accepted: %d", field, code)
+		}
+		if !strings.Contains(out["error"], field) {
+			t.Errorf("400 for %q does not name the field: %q", field, out["error"])
+		}
+	}
+	resp, err := client.Post(ts.URL+"/v1/sessions", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("empty create body: %d, want 201", resp.StatusCode)
 	}
 	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"design_point": "DP99"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad design point accepted: %d", code)
 	}
-	resp, err := client.Post(ts.URL+"/v1/sessions/nope/frames", "text/plain", bytes.NewReader([]byte("junk")))
+	resp, err = client.Post(ts.URL+"/v1/sessions/nope/frames", "text/plain", bytes.NewReader([]byte("junk")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +342,6 @@ func TestDefaultBackendConfig(t *testing.T) {
 	}
 	if got := cfg.Searcher.BackendName(); got != "twostage" {
 		t.Errorf("default session backend = %q, want twostage", got)
-	}
-	cfg, err = srv.pipelineConfig(sessionRequest{Searcher: "canonical"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Searcher.BackendName(); got != "canonical" {
-		t.Errorf("legacy searcher lost to server default: %q", got)
 	}
 	cfg, err = srv.pipelineConfig(sessionRequest{Backend: "bruteforce"})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"tigris/internal/obs"
-	"tigris/internal/registration"
+	"tigris/internal/search"
 )
 
 // TestRecordingInert is the tentpole's determinism contract: telemetry
@@ -17,7 +17,7 @@ import (
 func TestRecordingInert(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 51)
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	for _, pipelined := range []bool{false, true} {
 		off, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined})
 
@@ -69,7 +69,7 @@ func TestRecordingInert(t *testing.T) {
 func TestStatsConcurrentPolling(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 52)
-	eng := New(Config{Pipeline: testConfig(registration.SearchCanonical), Pipelined: true, Obs: obs.NewRecorder()})
+	eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Pipelined: true, Obs: obs.NewRecorder()})
 
 	stop := make(chan struct{})
 	var pollers sync.WaitGroup

@@ -8,6 +8,7 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/registration"
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
@@ -19,10 +20,10 @@ func testSeq(t testing.TB, frames int, seed int64) *synth.Sequence {
 
 // testConfig is a front-end-on-raw configuration (no voxel leaf) so each
 // frame needs exactly one search index.
-func testConfig(kind registration.SearcherKind) registration.PipelineConfig {
+func testConfig(backend string) registration.PipelineConfig {
 	cfg := registration.PipelineConfig{}
-	cfg.Searcher.Kind = kind
-	if kind != registration.SearchCanonical {
+	cfg.Searcher.Backend = backend
+	if backend != search.BackendCanonical {
 		cfg.Searcher.TopHeight = -1
 	}
 	cfg.Rejection.Method = registration.RejectRANSAC
@@ -61,7 +62,7 @@ func runStream(frames []*cloud.Cloud, cfg Config) (Trajectory, Stats) {
 func TestStreamMatchesPerPairExact(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 21)
-	for _, kind := range []registration.SearcherKind{registration.SearchCanonical, registration.SearchTwoStage} {
+	for _, kind := range []string{search.BackendCanonical, search.BackendTwoStage} {
 		cfg := testConfig(kind)
 
 		// Reference: the classic per-pair loop.
@@ -109,7 +110,7 @@ func poseOrCompose(prev geom.Transform, fr FrameResult, i int) geom.Transform {
 func TestStreamBuildOnceStats(t *testing.T) {
 	const frames = 5
 	seq := testSeq(t, frames, 22)
-	_, stats := runStream(cloneFrames(seq), Config{Pipeline: testConfig(registration.SearchCanonical), Pipelined: true})
+	_, stats := runStream(cloneFrames(seq), Config{Pipeline: testConfig(search.BackendCanonical), Pipelined: true})
 	if stats.FramesPushed != frames || stats.FramesPrepared != frames {
 		t.Fatalf("pushed/prepared = %d/%d, want %d/%d", stats.FramesPushed, stats.FramesPrepared, frames, frames)
 	}
@@ -133,7 +134,7 @@ func TestStreamBuildOnceStats(t *testing.T) {
 func TestStreamDownsampledFineIndex(t *testing.T) {
 	const frames = 3
 	seq := testSeq(t, frames, 23)
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	cfg.VoxelLeaf = 0.4
 
 	ref := cloneFrames(seq)
@@ -162,7 +163,7 @@ func TestStreamDownsampledFineIndex(t *testing.T) {
 func TestStreamApproxDeterministic(t *testing.T) {
 	const frames = 3
 	seq := testSeq(t, frames, 24)
-	cfg := testConfig(registration.SearchTwoStageApprox)
+	cfg := testConfig(search.BackendTwoStageApprox)
 	a, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: true})
 	b, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: false})
 	for i := range a.Poses {
@@ -185,7 +186,7 @@ func TestStreamConcurrentSessions(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			seq := testSeq(t, frames, seed)
-			eng := New(Config{Pipeline: testConfig(registration.SearchCanonical), Pipelined: true, Limiter: lim})
+			eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Pipelined: true, Limiter: lim})
 			for _, f := range cloneFrames(seq) {
 				if _, err := eng.Push(f); err != nil {
 					t.Error(err)
@@ -210,7 +211,7 @@ func TestStreamConcurrentSessions(t *testing.T) {
 func TestStreamOrigin(t *testing.T) {
 	seq := testSeq(t, 2, 25)
 	origin := geom.Transform{R: geom.RotZ(0.3), T: geom.V3(4, 5, 6)}
-	traj, _ := runStream(cloneFrames(seq), Config{Pipeline: testConfig(registration.SearchCanonical), Origin: &origin})
+	traj, _ := runStream(cloneFrames(seq), Config{Pipeline: testConfig(search.BackendCanonical), Origin: &origin})
 	if traj.Poses[0] != origin {
 		t.Fatalf("pose 0 = %+v, want origin", traj.Poses[0])
 	}
@@ -225,7 +226,7 @@ func TestStreamOrigin(t *testing.T) {
 func TestPending(t *testing.T) {
 	lim := NewLimiter(1)
 	lim <- struct{}{} // occupy the only slot: prepare cannot start
-	eng := New(Config{Pipeline: testConfig(registration.SearchCanonical), Pipelined: true, Limiter: lim})
+	eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Pipelined: true, Limiter: lim})
 	seq := testSeq(t, 1, 70)
 	if eng.Pending() != 0 {
 		t.Fatalf("fresh engine Pending = %d", eng.Pending())
@@ -250,7 +251,7 @@ func TestPending(t *testing.T) {
 // while both stages always keep at least one worker and — with a pool
 // wide enough — exactly exhaust the budget.
 func TestAdaptiveSplitRebalances(t *testing.T) {
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	cfg.Searcher.Parallelism = 8
 	e := New(Config{Pipeline: cfg, Pipelined: true})
 	defer e.Close()
@@ -297,7 +298,7 @@ func TestAdaptiveSplitRebalances(t *testing.T) {
 // TestAdaptiveSplitNarrowPool: a 1-worker session cannot split; both
 // stages must run with the configured width unchanged.
 func TestAdaptiveSplitNarrowPool(t *testing.T) {
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	cfg.Searcher.Parallelism = 1
 	e := New(Config{Pipeline: cfg, Pipelined: true})
 	defer e.Close()
@@ -314,7 +315,7 @@ func TestAdaptiveSplitNarrowPool(t *testing.T) {
 // per-pair Register loop.
 func TestStreamPipelinedAdaptiveMatchesRegister(t *testing.T) {
 	seq := testSeq(t, 4, 41)
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	cfg.Searcher.Parallelism = 4
 
 	ref := cloneFrames(seq)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"tigris/internal/obs"
-	"tigris/internal/registration"
+	"tigris/internal/search"
 )
 
 // TestTracingInert extends the recording-determinism contract to the
@@ -17,7 +17,7 @@ import (
 func TestTracingInert(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 53)
-	cfg := testConfig(registration.SearchCanonical)
+	cfg := testConfig(search.BackendCanonical)
 	for _, pipelined := range []bool{false, true} {
 		off, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined})
 
@@ -92,7 +92,7 @@ func TestTracingInert(t *testing.T) {
 func TestTracingDefaultsTraceID(t *testing.T) {
 	seq := testSeq(t, 2, 54)
 	fr := obs.NewFlightRecorder(256, 1)
-	eng := New(Config{Pipeline: testConfig(registration.SearchCanonical), Flight: fr})
+	eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Flight: fr})
 	if eng.TraceID().IsZero() {
 		t.Fatal("engine with a flight recorder minted no trace id")
 	}

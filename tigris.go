@@ -37,7 +37,8 @@
 //     odometry engine behind cmd/tigris-serve (internal/stream)
 //   - SLAM: LoopConfig/LoopClosure (place recognition + verification,
 //     internal/loop) and PoseGraph/OptimizePoseGraph with ATE/RPE
-//     metrics (internal/posegraph), the back-end behind cmd/tigris-slam
+//     metrics (internal/posegraph), the back-end examples/slam walks
+//     through
 //   - accelerator: AccelConfig, SimWorkload, Simulate (internal/sim)
 //   - baselines: GPUModel/CPUModel (internal/baseline)
 //   - dataset: GenerateSequence (internal/synth)
@@ -91,8 +92,11 @@ func NewCloud(n int) *Cloud { return cloud.New(n) }
 // CloudFromPoints wraps a point slice without copying.
 func CloudFromPoints(pts []Vec3) *Cloud { return cloud.FromPoints(pts) }
 
-// VoxelDownsample reduces a cloud to one centroid per voxel cell.
-func VoxelDownsample(c *Cloud, leaf float64) *Cloud { return cloud.VoxelDownsample(c, leaf) }
+// VoxelDownsample reduces a cloud to one centroid per voxel cell, at the
+// pipeline's float32 precision; normals are not carried over.
+func VoxelDownsample(c *Cloud, leaf float64) *Cloud {
+	return cloud.FromPoints(cloud.VoxelDownsampleSlab(cloud.SlabFromPoints(c.Points), leaf).Points())
+}
 
 // WriteCloud serializes a cloud in the ASCII TIGRIS-CLOUD format.
 func WriteCloud(w io.Writer, c *Cloud) error { return cloud.Write(w, c) }
@@ -199,8 +203,12 @@ const (
 func RegisterSearchBackend(b SearchBackend) error { return search.RegisterBackend(b) }
 
 // NewSearchBackend wraps a factory function as a registrable backend.
+// The pipeline builds over float32 slabs; fn receives the dequantized
+// points.
 func NewSearchBackend(name string, fn func(pts []Vec3, opts SearchOptions) (Searcher, error)) SearchBackend {
-	return search.NewBackend(name, fn)
+	return search.NewBackend(name, func(s *cloud.Slab, opts SearchOptions) (Searcher, error) {
+		return fn(s.Points(), opts)
+	})
 }
 
 // SearchBackends returns the registered backend names, sorted.
@@ -209,7 +217,7 @@ func SearchBackends() []string { return search.Backends() }
 // NewSearcherByName builds a searcher through the registry; unknown
 // names report the registered set.
 func NewSearcherByName(name string, pts []Vec3, opts SearchOptions) (Searcher, error) {
-	return search.NewByName(name, pts, opts)
+	return search.NewByNameSlab(name, cloud.SlabFromPoints(pts), opts)
 }
 
 // WorkloadsFromTrace converts a trace-backend capture into accelerator
@@ -239,11 +247,6 @@ type (
 	// Validate checks a boundary-supplied config before it reaches the
 	// pipeline.
 	SearcherConfig = registration.SearcherConfig
-	// SearcherKind enumerates the built-in search backends.
-	//
-	// Deprecated: select backends by registry name via
-	// SearcherConfig.Backend; the enum remains as a bit-identical alias.
-	SearcherKind = registration.SearcherKind
 	// Result is the registration outcome with instrumentation.
 	Result = registration.Result
 	// ICPConfig parameterizes fine-tuning.
@@ -252,17 +255,6 @@ type (
 	FrameError = registration.FrameError
 	// SequenceError aggregates frame errors.
 	SequenceError = registration.SequenceError
-)
-
-// Search backend kinds for SearcherConfig.
-//
-// Deprecated: use the Backend* name constants (or any registered name)
-// with SearcherConfig.Backend; these enum values map onto the same
-// backends and produce bit-identical results.
-const (
-	SearchCanonical      = registration.SearchCanonical
-	SearchTwoStage       = registration.SearchTwoStage
-	SearchTwoStageApprox = registration.SearchTwoStageApprox
 )
 
 // Register estimates the transform mapping src onto dst.
