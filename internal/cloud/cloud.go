@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"tigris/internal/geom"
+	"tigris/internal/par"
 )
 
 // Cloud is a point cloud frame. Points is always populated; Normals is
@@ -124,6 +125,24 @@ type voxelKey struct {
 	X, Y, Z int32
 }
 
+// voxelCell accumulates the points that fell in one cell.
+type voxelCell struct {
+	sum   geom.Vec3
+	count int
+}
+
+// voxelGrid is the scratch one downsampling pass fills: the cells in
+// order of their first point, and the key → cell index that finds them.
+// A frame's grid is dead once its centroids are written out, so grids are
+// recycled across calls (a streaming session downsamples every frame);
+// clearing the map keeps its buckets.
+type voxelGrid struct {
+	index map[voxelKey]int32
+	cells []voxelCell
+}
+
+var voxelGrids par.FreeList[*voxelGrid]
+
 // VoxelDownsampleSlab returns a new slab with at most one point per cubic
 // voxel of the given edge length: the centroid of the points that fell in
 // the cell, in order of each cell's first point. Registration front-ends
@@ -137,12 +156,10 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 	if leaf <= 0 || s.Len() == 0 {
 		return s.Clone()
 	}
-	type acc struct {
-		sum   geom.Vec3
-		count int
+	g, ok := voxelGrids.Get()
+	if !ok {
+		g = &voxelGrid{index: make(map[voxelKey]int32, s.Len()/4+1)}
 	}
-	cells := make(map[voxelKey]*acc, s.Len()/4+1)
-	order := make([]voxelKey, 0, s.Len()/4+1)
 	inv := 1 / leaf
 	for i := 0; i < s.Len(); i++ {
 		p := s.At(i)
@@ -151,24 +168,23 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 			Y: int32(math.Floor(p.Y * inv)),
 			Z: int32(math.Floor(p.Z * inv)),
 		}
-		a, ok := cells[k]
-		if !ok {
-			a = &acc{}
-			cells[k] = a
-			order = append(order, k)
+		ci, seen := g.index[k]
+		if !seen {
+			ci = int32(len(g.cells))
+			g.index[k] = ci
+			g.cells = append(g.cells, voxelCell{})
 		}
-		a.sum = a.sum.Add(p)
-		a.count++
+		c := &g.cells[ci]
+		c.sum = c.sum.Add(p)
+		c.count++
 	}
-	out := &Slab{
-		Xs: make([]float32, 0, len(order)),
-		Ys: make([]float32, 0, len(order)),
-		Zs: make([]float32, 0, len(order)),
+	out := NewSlab(len(g.cells))
+	for i, c := range g.cells {
+		out.SetPoint(i, c.sum.Scale(1/float64(c.count)))
 	}
-	for _, k := range order {
-		a := cells[k]
-		out.Append(a.sum.Scale(1 / float64(a.count)))
-	}
+	clear(g.index)
+	g.cells = g.cells[:0]
+	voxelGrids.Put(g)
 	return out
 }
 

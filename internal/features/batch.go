@@ -55,9 +55,9 @@ func forBlocks(workers int, s *cloud.Slab, batch func(block []geom.Vec3) [][]kdt
 		par.For(hi-lo, workers, func(w, j int) {
 			fn(w, lo+j, nbs[j])
 		})
-		// The sweep consumed every neighbor list; hand the slabs back so
+		// The sweep consumed every neighbor list; hand the batch back so
 		// the next block (and the next frame of a streaming session)
-		// reuses them instead of re-allocating.
+		// answers into the same arenas instead of allocating.
 		search.RecycleBatch(nbs)
 	}
 	blockBufs.Put(bufp)

@@ -2,7 +2,6 @@ package features
 
 import (
 	"math"
-	"sort"
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
@@ -119,72 +118,103 @@ func ComputeDescriptors(c *cloud.Slab, s search.Searcher, keypoints []int, cfg D
 			shapeContextDescriptor(c, keypoints[ki], cfg.SearchRadius, kpNbs[ki], out.Data[ki*dim:(ki+1)*dim])
 		})
 	default:
-		spfhTable := computeSPFHTable(c, s, keypoints, kpNbs, cfg.SearchRadius)
+		table := computeSPFHTable(c, s, keypoints, kpNbs, cfg.SearchRadius)
 		par.For(len(keypoints), workers, func(_, ki int) {
-			fpfhDescriptor(c, keypoints[ki], kpNbs[ki], out.Data[ki*dim:(ki+1)*dim], spfhTable)
+			fpfhDescriptor(keypoints[ki], kpNbs[ki], out.Data[ki*dim:(ki+1)*dim], table)
 		})
+		spfhTables.Put(table)
 	}
-	// The support regions are fully consumed; hand their slabs back so
-	// the next frame's radius batches reuse them.
+	// The support regions are fully consumed; hand the batch back so the
+	// next frame's radius batches reuse it.
 	search.RecycleBatch(kpNbs)
 	return out
+}
+
+// spfhTable holds the SPFH of every point one frame's FPFH rows read:
+// the rows back to back in one slab, found through a dense point-index →
+// row map. Tables are recycled across frames (a streaming session fills
+// one per frame), so a steady-state frame allocates none of it.
+type spfhTable struct {
+	slot []int32   // per cloud point: its row, or spfhAbsent
+	data []float64 // rows × spfhDim
+	need []int     // the support points that are not key-points, ascending
+	pts  []geom.Vec3
+}
+
+const (
+	spfhDim            = 3 * fpfhBinsPerAngle
+	spfhAbsent   int32 = -1
+	spfhWanted   int32 = -2
+	spfhTooClose       = 1e-12 // squared distance under which a neighbor is the point itself
+)
+
+var spfhTables par.FreeList[*spfhTable]
+
+// row returns the SPFH of point pi (which must be in the table).
+func (t *spfhTable) row(pi int) []float64 {
+	r := int(t.slot[pi])
+	return t.data[r*spfhDim : (r+1)*spfhDim]
 }
 
 // computeSPFHTable returns the SPFH of every point an FPFH row will read:
 // each key-point itself plus every neighbor its weighting loop touches.
 // Key-point SPFHs reuse the neighborhoods the caller already fetched
 // (kpNbs is their exact radius result); the remaining support points are
-// deduplicated and sorted so their batch is issued in a deterministic
-// order, and every SPFH is computed exactly once (the sequential
-// implementation memoized the same values in a cache keyed by index).
-func computeSPFHTable(c *cloud.Slab, s search.Searcher, keypoints []int, kpNbs [][]kdtree.Neighbor, radius float64) map[int][]float64 {
-	kpSet := make(map[int]struct{}, len(keypoints))
-	for _, pi := range keypoints {
-		kpSet[pi] = struct{}{}
+// deduplicated and taken in ascending index order so their batch is
+// issued in a deterministic order, and every SPFH is computed exactly
+// once (the sequential implementation memoized the same values in a cache
+// keyed by index). The caller returns the table to spfhTables when done.
+func computeSPFHTable(c *cloud.Slab, s search.Searcher, keypoints []int, kpNbs [][]kdtree.Neighbor, radius float64) *spfhTable {
+	t, ok := spfhTables.Get()
+	if !ok {
+		t = &spfhTable{}
 	}
-	needSet := make(map[int]struct{}, len(keypoints)*8)
+	if cap(t.slot) < c.Len() {
+		t.slot = make([]int32, c.Len())
+	}
+	t.slot = t.slot[:c.Len()]
+	for i := range t.slot {
+		t.slot[i] = spfhAbsent
+	}
+	for ki, pi := range keypoints {
+		t.slot[pi] = int32(ki)
+	}
 	for ki, pi := range keypoints {
 		for _, nb := range kpNbs[ki] {
-			if nb.Index == pi || nb.Dist2 < 1e-12 {
+			if nb.Index == pi || nb.Dist2 < spfhTooClose {
 				continue
 			}
-			if _, isKP := kpSet[nb.Index]; isKP {
-				continue
+			if t.slot[nb.Index] == spfhAbsent {
+				t.slot[nb.Index] = spfhWanted
 			}
-			needSet[nb.Index] = struct{}{}
 		}
 	}
-	need := make([]int, 0, len(needSet))
-	for idx := range needSet {
-		need = append(need, idx)
+	t.need, t.pts = t.need[:0], t.pts[:0]
+	for idx, sl := range t.slot {
+		if sl == spfhWanted {
+			t.slot[idx] = int32(len(keypoints) + len(t.need))
+			t.need = append(t.need, idx)
+			t.pts = append(t.pts, c.At(idx))
+		}
 	}
-	sort.Ints(need)
+	rows := (len(keypoints) + len(t.need)) * spfhDim
+	if cap(t.data) < rows {
+		t.data = make([]float64, rows)
+	}
+	t.data = t.data[:rows]
 
-	kpRows := make([][]float64, len(keypoints))
 	par.For(len(keypoints), s.Parallelism(), func(_, ki int) {
-		kpRows[ki] = spfh(c, keypoints[ki], kpNbs[ki])
+		spfh(t.row(keypoints[ki]), c, keypoints[ki], kpNbs[ki])
 	})
-
-	pts := make([]geom.Vec3, len(need))
-	for i, idx := range need {
-		pts[i] = c.At(idx)
-	}
 	// The support set can approach the whole cloud when key-points are
 	// dense, so stream it in bounded blocks like the full-cloud stages:
 	// only the SPFH rows persist, each block's neighbor lists are
 	// released after its sweep.
-	rows := make([][]float64, len(need))
-	forRadiusPointBlocks(s, pts, radius, func(_, i int, nbs []kdtree.Neighbor) {
-		rows[i] = spfh(c, need[i], nbs)
+	need := t.need
+	forRadiusPointBlocks(s, t.pts, radius, func(_, i int, nbs []kdtree.Neighbor) {
+		spfh(t.row(need[i]), c, need[i], nbs)
 	})
-	table := make(map[int][]float64, len(keypoints)+len(need))
-	for ki, pi := range keypoints {
-		table[pi] = kpRows[ki]
-	}
-	for i, idx := range need {
-		table[idx] = rows[i]
-	}
-	return table
+	return t
 }
 
 // --- FPFH ---------------------------------------------------------------
@@ -213,11 +243,11 @@ func darbouxAngles(ps, ns, pt, nt geom.Vec3) (alpha, phi, theta float64, ok bool
 	return alpha, phi, theta, true
 }
 
-// spfh computes the Simplified Point Feature Histogram of point pi over
-// the prefetched radius neighborhood nbs: the concatenated (α, φ, θ)
-// histograms.
-func spfh(c *cloud.Slab, pi int, nbs []kdtree.Neighbor) []float64 {
-	h := make([]float64, 3*fpfhBinsPerAngle)
+// spfh fills h (spfhDim long) with the Simplified Point Feature Histogram
+// of point pi over the prefetched radius neighborhood nbs: the
+// concatenated (α, φ, θ) histograms.
+func spfh(h []float64, c *cloud.Slab, pi int, nbs []kdtree.Neighbor) {
+	clear(h)
 	p := c.At(pi)
 	n := c.NormalAt(pi)
 	count := 0
@@ -240,7 +270,6 @@ func spfh(c *cloud.Slab, pi int, nbs []kdtree.Neighbor) []float64 {
 			h[i] *= inv
 		}
 	}
-	return h
 }
 
 // binUnit maps [-1, 1] to one of the 11 bins.
@@ -268,18 +297,18 @@ func binAngle(v float64) int {
 }
 
 // fpfhDescriptor computes FPFH(p) = SPFH(p) + Σ_k SPFH(k)/ω_k over the
-// prefetched neighborhood, with ω_k the distance weight. spfhTable holds
-// the SPFH of every index the loop reads (see computeSPFHTable).
-func fpfhDescriptor(c *cloud.Slab, pi int, nbs []kdtree.Neighbor, row []float64, spfhTable map[int][]float64) {
-	copy(row, spfhTable[pi])
+// prefetched neighborhood, with ω_k the distance weight. table holds the
+// SPFH of every index the loop reads (see computeSPFHTable).
+func fpfhDescriptor(pi int, nbs []kdtree.Neighbor, row []float64, table *spfhTable) {
+	copy(row, table.row(pi))
 	var wsum float64
-	acc := make([]float64, len(row))
+	var acc [spfhDim]float64
 	for _, nb := range nbs {
-		if nb.Index == pi || nb.Dist2 < 1e-12 {
+		if nb.Index == pi || nb.Dist2 < spfhTooClose {
 			continue
 		}
 		w := 1 / math.Sqrt(nb.Dist2)
-		h := spfhTable[nb.Index]
+		h := table.row(nb.Index)
 		for i := range acc {
 			acc[i] += w * h[i]
 		}

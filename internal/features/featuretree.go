@@ -2,9 +2,9 @@ package features
 
 import (
 	"math"
-	"sort"
 	"time"
 
+	"tigris/internal/kdtree"
 	"tigris/internal/par"
 )
 
@@ -65,14 +65,12 @@ func (t *FeatureTree) build(rows []int32, depth int) int32 {
 		return -1
 	}
 	axis := t.widestAxis(rows)
-	sort.Slice(rows, func(a, b int) bool {
-		va := t.desc.Row(int(rows[a]))[axis]
-		vb := t.desc.Row(int(rows[b]))[axis]
-		if va != vb {
-			return va < vb
-		}
-		return rows[a] < rows[b]
-	})
+	// Unlike the 3D trees this level sorts fully instead of selecting
+	// its median: widestAxis samples rows by position, so the order a
+	// level leaves its halves in decides the children's axes. The trees
+	// are a few hundred rows, so the sort's only cost that mattered was
+	// sort.Slice's allocations.
+	kdtree.SortIndex(rows, t.desc.Data[axis:], t.desc.Dim)
 	mid := len(rows) / 2
 	self := int32(len(t.nodes))
 	t.nodes = append(t.nodes, ftNode{

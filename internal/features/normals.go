@@ -104,7 +104,10 @@ func EstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int {
 		}
 		return s.RadiusBatch(block, cfg.SearchRadius)
 	}
-	degenerate := make([]int, par.Workers(workers))
+	// One scratch per sweep worker, reused for every point the worker
+	// fits: the per-point kernels allocate nothing.
+	scratch := make([]normalScratch, par.Workers(workers))
+	degenerate := make([]int, len(scratch))
 	forBlocks(workers, c, batch, func(w, i int, nbs []kdtree.Neighbor) {
 		p := c.At(i)
 		if len(nbs) < cfg.MinNeighbors {
@@ -112,12 +115,14 @@ func EstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int {
 			degenerate[w]++
 			return
 		}
+		sc := &scratch[w]
+		sc.gather(nbs, c)
 		var n geom.Vec3
 		switch cfg.Method {
 		case AreaWeighted:
-			n = areaWeightedNormal(p, nbs, c)
+			n = sc.areaWeightedNormal(p)
 		default:
-			n = planeSVDNormal(p, nbs, c)
+			n = sc.planeSVDNormal()
 		}
 		// Orient toward the viewpoint so normals are consistent across the
 		// cloud (required by the Darboux-frame descriptors).
@@ -133,44 +138,62 @@ func EstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int {
 	return total
 }
 
-// planeSVDNormal returns the smallest-eigenvalue eigenvector of the
-// neighborhood covariance.
-func planeSVDNormal(p geom.Vec3, nbs []kdtree.Neighbor, pts *cloud.Slab) geom.Vec3 {
-	var centroid geom.Vec3
+// normalScratch is one worker's reusable state for the per-point normal
+// kernels: the neighborhood's positions, dequantized once per point, and
+// the azimuth-ordered fan AreaWeighted walks. Both grow to the largest
+// neighborhood the worker has seen and are then reused as they are.
+type normalScratch struct {
+	pts   []geom.Vec3
+	polar []polarEntry
+}
+
+// gather loads the positions of nbs into the scratch, in neighbor order.
+func (sc *normalScratch) gather(nbs []kdtree.Neighbor, c *cloud.Slab) {
+	sc.pts = sc.pts[:0]
 	for _, nb := range nbs {
-		centroid = centroid.Add(pts.At(nb.Index))
+		sc.pts = append(sc.pts, c.At(nb.Index))
 	}
-	centroid = centroid.Scale(1 / float64(len(nbs)))
+}
+
+// planeSVDNormal returns the smallest-eigenvalue eigenvector of the
+// gathered neighborhood's covariance.
+func (sc *normalScratch) planeSVDNormal() geom.Vec3 {
+	var centroid geom.Vec3
+	for _, q := range sc.pts {
+		centroid = centroid.Add(q)
+	}
+	centroid = centroid.Scale(1 / float64(len(sc.pts)))
 
 	var cov geom.Mat3
-	for _, nb := range nbs {
-		d := pts.At(nb.Index).Sub(centroid)
+	for _, q := range sc.pts {
+		d := q.Sub(centroid)
 		cov = cov.Add(geom.OuterProduct(d, d))
 	}
 	eig := linalg.EigenSym3(cov)
 	return eig.Vectors[0] // smallest eigenvalue => plane normal
 }
 
-// areaWeightedNormal sums the cross products of a triangle fan around p.
-// Each cross product's magnitude is twice the triangle area, so summing
-// raw cross products weights faces by area, which is the essence of
-// Klasing's AreaWeighted estimator.
-func areaWeightedNormal(p geom.Vec3, nbs []kdtree.Neighbor, pts *cloud.Slab) geom.Vec3 {
+// areaWeightedNormal sums the cross products of a triangle fan around p
+// over the gathered neighborhood. Each cross product's magnitude is twice
+// the triangle area, so summing raw cross products weights faces by area,
+// which is the essence of Klasing's AreaWeighted estimator.
+func (sc *normalScratch) areaWeightedNormal(p geom.Vec3) geom.Vec3 {
 	// Order neighbors by azimuth in a provisional tangent plane so the fan
 	// is geometrically consistent.
-	prov := planeSVDNormal(p, nbs, pts)
+	prov := sc.planeSVDNormal()
 	u, v := prov.OrthoBasis()
-	ordered := make([]polarEntry, 0, len(nbs))
-	for _, nb := range nbs {
-		d := pts.At(nb.Index).Sub(p)
-		ordered = append(ordered, polarEntry{idx: nb.Index, ang: math.Atan2(d.Dot(v), d.Dot(u))})
+	ordered := sc.polar[:0]
+	for j, q := range sc.pts {
+		d := q.Sub(p)
+		ordered = append(ordered, polarEntry{slot: j, ang: math.Atan2(d.Dot(v), d.Dot(u))})
 	}
+	sc.polar = ordered
 	sortPolar(ordered)
 
 	var sum geom.Vec3
 	for i := range ordered {
-		a := pts.At(ordered[i].idx).Sub(p)
-		b := pts.At(ordered[(i+1)%len(ordered)].idx).Sub(p)
+		a := sc.pts[ordered[i].slot].Sub(p)
+		b := sc.pts[ordered[(i+1)%len(ordered)].slot].Sub(p)
 		sum = sum.Add(a.Cross(b))
 	}
 	n := sum.Normalize()
@@ -185,15 +208,18 @@ func areaWeightedNormal(p geom.Vec3, nbs []kdtree.Neighbor, pts *cloud.Slab) geo
 	return n
 }
 
-// polarEntry pairs a point index with its azimuth in a tangent plane.
+// polarEntry pairs a gathered neighbor's slot with its azimuth in a
+// tangent plane.
 type polarEntry struct {
-	idx int
-	ang float64
+	slot int
+	ang  float64
 }
 
+// sortPolar orders the fan by azimuth with a stable insertion sort:
+// equal azimuths keep their neighbor order, which the fan's cross-product
+// sum depends on, and fans are tens of entries, where an insertion sort
+// beats the general stable sorts.
 func sortPolar(p []polarEntry) {
-	// Insertion sort: neighborhoods are small (tens of points), and this
-	// avoids pulling in sort for an inner loop.
 	for i := 1; i < len(p); i++ {
 		for j := i; j > 0 && p[j].ang < p[j-1].ang; j-- {
 			p[j], p[j-1] = p[j-1], p[j]

@@ -16,12 +16,11 @@
 package kdtree
 
 import (
-	"runtime"
-	"sort"
 	"sync"
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
+	"tigris/internal/par"
 )
 
 // Neighbor is one search result: the index of a point in the tree's
@@ -94,14 +93,19 @@ func (t *Tree) component(i int32, axis int) float64 {
 }
 
 // buildSpawnMin is the smallest subtree worth a fresh goroutine during
-// construction: below it the per-level sort is cheaper than scheduling.
+// construction: below it the median selection is cheaper than scheduling.
 const buildSpawnMin = 4096
 
-// buildSpawnDepth bounds how many recursion levels may fork: 2^depth
-// concurrent subtree builds saturate the machine without goroutine
-// explosion on deep trees.
-func buildSpawnDepth() int {
-	w := runtime.NumCPU()
+// BuildSpawnDepth bounds how many recursion levels of a tree build may
+// fork for a budget of workers goroutines (<= 0 selects NumCPU): none for
+// a single worker, otherwise enough that 2^depth concurrent subtree
+// builds saturate the budget without goroutine explosion on deep trees.
+// The two-stage builder shares it.
+func BuildSpawnDepth(workers int) int {
+	w := par.Workers(workers)
+	if w <= 1 {
+		return 0
+	}
 	d := 0
 	for 1<<d < w {
 		d++
@@ -109,13 +113,19 @@ func buildSpawnDepth() int {
 	return d + 1
 }
 
+// idxScratch recycles the builders' index permutation across builds: a
+// streaming session builds two trees per frame forever, and the
+// permutation is dead the moment the node array is filled.
+var idxScratch par.FreeList[[]int32]
+
 // Build constructs a balanced KD-tree by recursive median split along the
 // widest-spread axis, the strategy FLANN and PCL use for point clouds.
-// Build is O(n log² n) from the per-level sorts.
+// Each level finds its median by selection (SelectIndex), so Build is
+// O(n log n) and allocates only the node array.
 //
-// Construction parallelizes: sibling subtrees sort disjoint index ranges
-// and are built concurrently to a bounded spawn depth. Because a KD
-// subtree over n points holds exactly n nodes, every recursion's slot
+// Construction parallelizes: sibling subtrees rearrange disjoint index
+// ranges and are built concurrently to a bounded spawn depth. Because a
+// KD subtree over n points holds exactly n nodes, every recursion's slot
 // range in the preorder node array is known up front, so workers write
 // disjoint, deterministic slots — the resulting tree is bit-identical to
 // a sequential build (the Fig. 4b "construction" bar shrinks with cores,
@@ -127,20 +137,32 @@ func Build(pts []geom.Vec3) *Tree {
 }
 
 // BuildSlab constructs the tree directly over an SoA slab without
-// copying the coordinates. The slab must not be mutated afterwards.
-func BuildSlab(s *cloud.Slab) *Tree {
+// copying the coordinates, forking up to one build goroutine per CPU.
+// The slab must not be mutated afterwards.
+func BuildSlab(s *cloud.Slab) *Tree { return BuildSlabPar(s, 0) }
+
+// BuildSlabPar is BuildSlab on a budget of workers goroutines (<= 0
+// selects NumCPU; 1 builds on the calling goroutine alone), so an index
+// built for a searcher pinned to a share of the machine stays inside
+// that share. The tree is identical at every setting.
+func BuildSlabPar(s *cloud.Slab, workers int) *Tree {
 	t := &Tree{slab: s, xs: s.Xs, ys: s.Ys, zs: s.Zs, root: -1}
 	n := s.Len()
 	if n == 0 {
 		return t
 	}
 	t.nodes = make([]node, n)
-	idx := make([]int32, n)
+	idx, _ := idxScratch.Get()
+	if cap(idx) < n {
+		idx = make([]int32, n)
+	}
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	t.root = 0
-	t.buildAt(idx, 0, buildSpawnDepth())
+	t.buildAt(idx, 0, BuildSpawnDepth(workers))
+	idxScratch.Put(idx)
 	return t
 }
 
@@ -150,21 +172,14 @@ func BuildSlab(s *cloud.Slab) *Tree {
 // forking the left child onto its own goroutine.
 func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
 	axis := widestAxis(t.xs, t.ys, t.zs, idx)
-	// Median split: sort by the chosen axis (a contiguous float32 load
-	// per comparison — the SoA layout's construction win); ties are
+	// Median split by selection on the chosen axis (a contiguous float32
+	// load per comparison — the SoA layout's construction win); ties are
 	// broken by index so construction is deterministic. Comparing the
 	// float32 values directly orders identically to comparing their
 	// float64 dequantizations.
 	ax := axisSlice(t.xs, t.ys, t.zs, axis)
-	sort.Slice(idx, func(a, b int) bool {
-		pa := ax[idx[a]]
-		pb := ax[idx[b]]
-		if pa != pb {
-			return pa < pb
-		}
-		return idx[a] < idx[b]
-	})
 	mid := len(idx) / 2
+	SelectIndex(idx, mid, ax, 1)
 	n := node{
 		point: idx[mid],
 		axis:  int8(axis),

@@ -233,3 +233,51 @@ func ForChunks(n, workers, c int, fn func(worker, lo, hi int)) {
 		fn(worker, lo, hi)
 	})
 }
+
+// freeListMax bounds how many idle values a FreeList keeps; a Put beyond
+// it drops the value for the collector.
+const freeListMax = 16
+
+// FreeList is a small bounded stack of reusable scratch values shared by
+// every goroutine of the process. It exists beside sync.Pool because the
+// collector empties a sync.Pool on every cycle: a streaming session's
+// per-frame scratch (result arenas, build permutations, hash buckets) is
+// megabytes that a pool hands to the collector between frames and the
+// next frame then regrows. A FreeList keeps what it is given until it is
+// taken again, so its footprint is the high-water mark of what was in
+// use at once, capped at freeListMax values. The zero value is ready to
+// use; T is typically a slice or a pointer to a scratch struct, stored by
+// value so Put does not allocate.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Get pops the most recently returned value; ok is false when the list
+// is empty and the caller must make a fresh one.
+func (f *FreeList[T]) Get() (v T, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return v, false
+	}
+	v = f.items[n-1]
+	var zero T
+	f.items[n-1] = zero
+	f.items = f.items[:n-1]
+	return v, true
+}
+
+// Put hands v back for a later Get. The caller must hold no reference
+// to it afterwards.
+func (f *FreeList[T]) Put(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.items == nil {
+		f.items = make([]T, 0, freeListMax)
+	}
+	if len(f.items) < freeListMax {
+		f.items = append(f.items, v)
+	}
+}

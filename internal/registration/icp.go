@@ -79,7 +79,8 @@ type ICPResult struct {
 }
 
 // icpScratch holds every buffer one ICP call cycles through its
-// iterations: the moved source copy, the strided query set, the
+// iterations: the moved source copy (reciprocal RPCE only), the strided
+// query set, the
 // nearest-neighbor results, and the gated correspondence slabs. Pooled
 // across calls so a streaming session's fine-tuning runs with near-zero
 // steady-state allocations. The correspondence pairs live in SoA float32
@@ -116,19 +117,13 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 	sc := icpScratchPool.Get().(*icpScratch)
 	defer icpScratchPool.Put(sc)
 
-	// The moved source copy: only the positions matter to RPCE, so a bare
-	// float64 point slice carries the iteratively-updated positions (the
-	// accumulated transforms would drift if re-quantized every iteration).
-	cur := sc.cur[:0]
-	for i := 0; i < src.Len(); i++ {
-		cur = append(cur, initial.Apply(src.At(i)))
-	}
-	sc.cur = cur
-
-	// The strided query index set is fixed across iterations; the query
-	// positions change as cur moves.
+	// RPCE matches the strided subset of the source; the index set is
+	// fixed across iterations and the query positions move with every
+	// delta. Only the positions matter, so they are carried as bare
+	// float64 points (the accumulated transforms would drift if
+	// re-quantized every iteration).
 	qIdx := sc.qIdx[:0]
-	for i := 0; i < len(cur); i += cfg.SourceStride {
+	for i := 0; i < src.Len(); i += cfg.SourceStride {
 		qIdx = append(qIdx, i)
 	}
 	sc.qIdx = qIdx
@@ -136,6 +131,19 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		sc.qs = make([]geom.Vec3, len(qIdx))
 	}
 	qs := sc.qs[:len(qIdx)]
+	for qi, i := range qIdx {
+		qs[qi] = initial.Apply(src.At(i))
+	}
+	// Reciprocal RPCE indexes the whole moved source every iteration, so
+	// only then is every point carried along; otherwise nothing ever
+	// reads the points between the strides.
+	cur := sc.cur[:0]
+	if cfg.Reciprocal {
+		for i := 0; i < src.Len(); i++ {
+			cur = append(cur, initial.Apply(src.At(i)))
+		}
+		sc.cur = cur
+	}
 
 	usePlane := cfg.Metric == PointToPlane && tslab.HasNormals()
 
@@ -148,13 +156,9 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		start := time.Now()
 		var srcSearch search.Searcher
 		if cfg.Reciprocal {
-			srcSearch = search.NewKDSearcher(cur)
-			srcSearch.SetParallelism(target.Parallelism())
+			srcSearch = search.NewKDSearcherSlabPar(cloud.SlabFromPoints(cur), target.Parallelism())
 		}
 		maxD2 := cfg.MaxCorrespondenceDist * cfg.MaxCorrespondenceDist
-		for qi, i := range qIdx {
-			qs[qi] = cur[i]
-		}
 		nbs := search.BatchNearestInto(target, qs, sc.nbs[:0])
 		sc.nbs = nbs
 
@@ -220,6 +224,9 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		}
 
 		res.Transform = delta.Compose(res.Transform)
+		for qi := range qs {
+			qs[qi] = delta.Apply(qs[qi])
+		}
 		for i := range cur {
 			cur[i] = delta.Apply(cur[i])
 		}

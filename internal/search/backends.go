@@ -28,9 +28,7 @@ func newCanonicalBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := NewKDSearcherSlab(slab)
-	s.SetParallelism(p)
-	return s, nil
+	return NewKDSearcherSlabPar(slab, p), nil
 }
 
 // twoStageConfigFromOptions is shared by the exact and approximate

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"sync"
 	"time"
 
 	"tigris/internal/geom"
@@ -28,66 +27,160 @@ const ApproxBatchChunk = 256
 // missNeighbor marks a NearestBatch entry with no result (empty tree).
 func missNeighbor() kdtree.Neighbor { return kdtree.Neighbor{Index: -1} }
 
-// neighborSlabs pools per-query radius result buffers. Radius search is
-// the dominant query kind of the front-end (normal estimation, key-point
-// responses, descriptor support regions), and a streaming session issues
-// millions of such queries per frame forever; drawing result slabs from
-// a pool and letting the stage hand them back via RecycleBatch removes
-// that steady-state churn. Slabs converge to the largest neighborhood
-// size seen, so after warm-up a batch allocates only its header.
-var neighborSlabs = sync.Pool{
-	New: func() any {
-		s := make([]kdtree.Neighbor, 0, 64)
-		return &s
-	},
+// A KNearestBatch/RadiusBatch result is one pooled batch: a header slice
+// with one entry per query, each a window of a per-worker arena that
+// holds the worker's answers back to back. Radius search is the dominant
+// query kind of the front-end (normal estimation, key-point responses,
+// descriptor support regions) and a streaming session issues tens of
+// thousands of such queries per frame forever; answering into a handful
+// of large arenas instead of one small slab per query, and handing the
+// whole batch back in one piece (RecycleBatch), is what keeps that
+// steady state allocation-free.
+//
+// The header describes itself, so RecycleBatch needs nothing but the
+// slice the caller was given. Past that slice's length, inside its
+// capacity, the header goes on:
+//
+//	hdr[0:n]          the n per-query results (the caller's slice)
+//	hdr[n]            a mark: "what you hold is a whole batch"
+//	...               unused (nil)
+//	hdr[c-1-k:c-1]    the k arenas the header carries (cap = capacity)
+//	hdr[c-1]          a mark whose capacity encodes k
+//
+// A slice that is not laid out this way (built by a custom backend,
+// re-sliced, appended to) is simply not a batch: RecycleBatch clears it
+// and the collector takes the rest. Idle headers wait in a par.FreeList,
+// which unlike sync.Pool survives garbage collections — arenas are
+// megabytes, and a collected pool made every second frame regrow them.
+// A header keeps every arena it was ever given: a batch narrower than
+// the last one uses the rightmost and leaves the others parked.
+
+// batchMark backs the mark slices of a batch header; the end mark's
+// capacity carries the arena count, so pooled batches have fewer than
+// len(batchMark) workers (wider ones are plain allocations).
+var batchMark [1025]kdtree.Neighbor
+
+// markOf returns the mark encoding k.
+func markOf(k int) []kdtree.Neighbor { return batchMark[: 0 : k+1] }
+
+// markCount reports whether s is a batch mark and the count it encodes.
+func markCount(s []kdtree.Neighbor) (int, bool) {
+	if len(s) != 0 || cap(s) == 0 || &s[:1][0] != &batchMark[0] {
+		return 0, false
+	}
+	return cap(s) - 1, true
 }
 
-func getNeighborSlab() []kdtree.Neighbor {
-	return *neighborSlabs.Get().(*[]kdtree.Neighbor)
+// heldArenas returns the arenas an idle (or whole live) header carries,
+// nil when hdr does not end in a mark.
+func heldArenas(hdr [][]kdtree.Neighbor) [][]kdtree.Neighbor {
+	c := len(hdr)
+	if c == 0 {
+		return nil
+	}
+	k, ok := markCount(hdr[c-1])
+	if !ok || k > c-1 {
+		return nil
+	}
+	return hdr[c-1-k : c-1]
 }
 
-func putNeighborSlab(s []kdtree.Neighbor) {
-	s = s[:0]
-	neighborSlabs.Put(&s)
+// arenaFloor is the smallest arena a worker is given once it has
+// outgrown the one it held.
+const arenaFloor = 4096
+
+// idleBatches holds recycled batch headers: all nil but for the arenas
+// and the end mark.
+var idleBatches par.FreeList[[][]kdtree.Neighbor]
+
+// takeBatch returns the result slice for n queries and the arenas of the
+// workers that will answer them, reusing an idle header when there is
+// one. Every result entry must be assigned before the batch is returned
+// to a caller.
+func takeBatch(n, workers int) (out, arenas [][]kdtree.Neighbor) {
+	if workers >= len(batchMark) {
+		return make([][]kdtree.Neighbor, n), make([][]kdtree.Neighbor, workers)
+	}
+	hdr, _ := idleBatches.Get()
+	held := heldArenas(hdr)
+	keep := max(len(held), workers)
+	if c := n + 1 + keep + 1; len(hdr) < c {
+		grown := make([][]kdtree.Neighbor, c)
+		copy(grown[c-1-len(held):], held)
+		hdr = grown
+	}
+	c := len(hdr)
+	hdr[c-1] = markOf(keep)
+	hdr[n] = markOf(0)
+	arenas = hdr[c-1-workers : c-1]
+	for w := range arenas {
+		arenas[w] = arenas[w][:0]
+	}
+	return hdr[:n], arenas
 }
 
-// RecycleBatch returns every per-query slice of a batch result to the
-// slab pool and clears the entries. Callers that fully consume a
-// RadiusBatch/KNearestBatch result may hand it back so the next batch
-// reuses the capacity; no reference to any entry may be retained. The
-// entries need not have come from the pool — any slab is welcome.
+// RecycleBatch takes back a KNearestBatch/RadiusBatch result the caller
+// has fully consumed: every entry is cleared, and when res is a pooled
+// batch (every built-in backend returns one) its header and arenas serve
+// the next batch. No reference to any entry may be retained. Any other
+// slice of neighbor lists is welcome too and is only cleared.
 func RecycleBatch(res [][]kdtree.Neighbor) {
-	for i, s := range res {
-		if cap(s) > 0 {
-			putNeighborSlab(s)
-		}
-		res[i] = nil
+	clear(res)
+	n := len(res)
+	hdr := res[:cap(res)]
+	if n >= len(hdr) {
+		return
 	}
+	if _, ok := markCount(hdr[n]); !ok {
+		return
+	}
+	if held := heldArenas(hdr); held == nil || n+1+len(held)+1 > len(hdr) {
+		return
+	}
+	hdr[n] = nil
+	idleBatches.Put(hdr)
 }
 
-// radiusPooled answers one radius query into a pooled slab, preserving
-// the sequential nil-result convention (misses return nil, and the
-// untouched slab goes straight back to the pool).
-func radiusPooled(radiusInto func(buf []kdtree.Neighbor) []kdtree.Neighbor) []kdtree.Neighbor {
-	buf := getNeighborSlab()
-	res := radiusInto(buf)
-	if len(res) == 0 {
-		putNeighborSlab(buf)
-		return nil
-	}
-	return res
+// arenaTail is the unfilled remainder of an arena: the buffer a query
+// answers into (the *Into kernels reset it to length 0 and append).
+func arenaTail(arena []kdtree.Neighbor) []kdtree.Neighbor {
+	return arena[len(arena):]
 }
 
-// knnPooled is radiusPooled's k-NN twin: one k-NN query answered into a
-// pooled slab, with empty results handing the slab straight back.
-func knnPooled(knnInto func(buf []kdtree.Neighbor) []kdtree.Neighbor) []kdtree.Neighbor {
-	buf := getNeighborSlab()
-	res := knnInto(buf)
+// fileResult files one query's answer, which a kernel produced from
+// arenaTail(*arena). While the arena has room the answer lies in the
+// tail and the arena simply grows over it. When the kernel outgrew the
+// tail and moved the answer to an array of its own, the worker is given
+// a larger arena for the queries still to come (the results already
+// filed keep the old one alive until the batch is recycled). Empty
+// answers are nil, as the sequential methods return them, and a filed
+// answer's capacity ends with it so an append cannot run into the next.
+func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighbor {
 	if len(res) == 0 {
-		putNeighborSlab(buf)
 		return nil
 	}
-	return res
+	a := *arena
+	if tail := a[len(a):cap(a)]; len(tail) > 0 && &res[0] == &tail[0] {
+		*arena = a[:len(a)+len(res)]
+	} else {
+		*arena = make([]kdtree.Neighbor, 0, max(2*cap(a), arenaFloor)+len(res))
+	}
+	return res[:len(res):len(res)]
+}
+
+// fillParallel answers a batch's queries on one worker per arena:
+// answer(shard, i, buf) is query i answered into buf and counted into
+// the worker's stats shard, merge folds each shard into the searcher
+// after the batch. Single-arena batches are answered by their searcher
+// in a plain loop instead, which needs neither shards nor closures.
+func fillParallel[St any](out, arenas [][]kdtree.Neighbor, answer func(shard *St, i int, buf []kdtree.Neighbor) []kdtree.Neighbor, merge func(*St)) {
+	shards := make([]St, len(arenas))
+	par.For(len(out), len(arenas), func(w, i int) {
+		out[i] = fileResult(&arenas[w], answer(&shards[w], i, arenaTail(arenas[w])))
+	})
+	for w := range shards {
+		merge(&shards[w])
+	}
 }
 
 // nearestInto is the optional fast-path capability behind BatchNearestInto.
@@ -143,36 +236,43 @@ func (s *KDSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []k
 	return out
 }
 
-// KNearestBatch implements Searcher. Result slices come from the shared
-// slab pool (each slab doubles as the query's candidate heap); consumers
-// that drain the batch may return them with RecycleBatch.
+// KNearestBatch implements Searcher. The result is a pooled batch (each
+// answer's arena window doubles as the query's candidate heap);
+// consumers that drain it may return it with RecycleBatch.
 func (s *KDSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
-			out[i] = knnPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	if len(arenas) == 1 {
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], s.tree.KNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
+		}
+	} else {
+		fillParallel(out, arenas,
+			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
 				return s.tree.KNearestInto(qs[i], k, buf, shard)
-			})
-		},
-		func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+			},
+			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+	}
 	s.record(start)
 	return out
 }
 
-// RadiusBatch implements Searcher. Result slices come from the shared
-// slab pool; consumers that drain the batch may return them with
-// RecycleBatch.
+// RadiusBatch implements Searcher. The result is a pooled batch;
+// consumers that drain it may return it with RecycleBatch.
 func (s *KDSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
-			out[i] = radiusPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	if len(arenas) == 1 {
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], s.tree.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
+		}
+	} else {
+		fillParallel(out, arenas,
+			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
 				return s.tree.RadiusInto(qs[i], r, buf, shard)
-			})
-		},
-		func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+			},
+			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+	}
 	s.record(start)
 	return out
 }
@@ -193,7 +293,7 @@ func (s *TwoStageSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbo
 	start := time.Now()
 	out := growNeighbors(buf, len(qs))
 	if s.approx != nil {
-		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, i int) {
+		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, _, i int) {
 			nb, ok := sess.Nearest(qs[i], shard)
 			if !ok {
 				nb = missNeighbor()
@@ -218,12 +318,18 @@ func (s *TwoStageSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbo
 // KNearestBatch implements Searcher. k-NN is always exact (see KNearest).
 func (s *TwoStageSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	par.Sharded(len(qs), s.parallelism,
-		func(shard *twostage.Stats, i int) {
-			out[i] = s.kNearest(qs[i], k, shard)
-		},
-		func(shard *twostage.Stats) { s.stats.Merge(*shard) })
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	if len(arenas) == 1 {
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], s.kNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
+		}
+	} else {
+		fillParallel(out, arenas,
+			func(shard *twostage.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+				return s.kNearestInto(qs[i], k, buf, shard)
+			},
+			func(shard *twostage.Stats) { s.stats.Merge(*shard) })
+	}
 	s.record(start)
 	return out
 }
@@ -232,17 +338,20 @@ func (s *TwoStageSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neigh
 // chunking semantics.
 func (s *TwoStageSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	if s.approx != nil {
-		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, i int) {
-			out[i] = sess.Radius(qs[i], r, shard)
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	switch {
+	case s.approx != nil:
+		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int) {
+			out[i] = fileResult(&arenas[w], sess.RadiusInto(qs[i], r, arenaTail(arenas[w]), shard))
 		})
-	} else {
-		par.Sharded(len(qs), s.parallelism,
-			func(shard *twostage.Stats, i int) {
-				out[i] = radiusPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
-					return s.tree.RadiusInto(qs[i], r, buf, shard)
-				})
+	case len(arenas) == 1:
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], s.tree.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
+		}
+	default:
+		fillParallel(out, arenas,
+			func(shard *twostage.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+				return s.tree.RadiusInto(qs[i], r, buf, shard)
 			},
 			func(shard *twostage.Stats) { s.stats.Merge(*shard) })
 	}
@@ -256,8 +365,9 @@ func (s *TwoStageSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Nei
 // O(leaves) of fresh buffers per chunk — so leader state never crosses
 // chunk (or worker) boundaries and results are independent of which
 // worker executes which chunk. Each worker also owns a stats shard for
-// the chunks it happens to execute.
-func (s *TwoStageSearcher) approxChunked(n int, run func(sess *twostage.ApproxSession, shard *twostage.Stats, i int)) {
+// the chunks it happens to execute; run receives the worker id beside
+// the query index so batches can answer into per-worker arenas.
+func (s *TwoStageSearcher) approxChunked(n int, run func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int)) {
 	workers := s.parallelism
 	shards := make([]twostage.Stats, workers)
 	for len(s.workerSessions) < workers {
@@ -272,7 +382,7 @@ func (s *TwoStageSearcher) approxChunked(n int, run func(sess *twostage.ApproxSe
 			sess.Reset()
 		}
 		for i := lo; i < hi; i++ {
-			run(sess, &shards[w], i)
+			run(sess, &shards[w], w, i)
 		}
 	})
 	for w := range shards {

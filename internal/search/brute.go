@@ -99,37 +99,46 @@ func (s *BruteSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) 
 	return out
 }
 
-// KNearestBatch implements Searcher. Result slices come from the shared
-// slab pool; consumers that drain the batch may return them with
-// RecycleBatch.
+// KNearestBatch implements Searcher. The result is a pooled batch;
+// consumers that drain it may return it with RecycleBatch.
 func (s *BruteSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
-			out[i] = knnPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	if len(arenas) == 1 {
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], kdtree.BruteKNearestIntoSlab(s.slab, q, k, arenaTail(arenas[0])))
+			s.count(&s.stats)
+		}
+	} else {
+		fillParallel(out, arenas,
+			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+				s.count(shard)
 				return kdtree.BruteKNearestIntoSlab(s.slab, qs[i], k, buf)
-			})
-			s.count(shard)
-		},
-		func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+			},
+			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+	}
 	s.record(start)
 	return out
 }
 
-// RadiusBatch implements Searcher; see KNearestBatch for the slab
+// RadiusBatch implements Searcher; see KNearestBatch for the batch
 // contract.
 func (s *BruteSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
-	out := make([][]kdtree.Neighbor, len(qs))
-	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
-			out[i] = radiusPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
+	out, arenas := takeBatch(len(qs), s.parallelism)
+	if len(arenas) == 1 {
+		for i, q := range qs {
+			out[i] = fileResult(&arenas[0], kdtree.BruteRadiusIntoSlab(s.slab, q, r, arenaTail(arenas[0])))
+			s.count(&s.stats)
+		}
+	} else {
+		fillParallel(out, arenas,
+			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+				s.count(shard)
 				return kdtree.BruteRadiusIntoSlab(s.slab, qs[i], r, buf)
-			})
-			s.count(shard)
-		},
-		func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+			},
+			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+	}
 	s.record(start)
 	return out
 }

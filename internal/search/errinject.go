@@ -40,9 +40,9 @@ func (s *KthNNSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
 
 // NearestBatch implements Searcher: the whole batch is answered through
 // the inner KNearestBatch and degraded per query, so the distortion is
-// identical to calling Nearest once per query. The k-NN slabs are fully
-// consumed here (only the last value survives, by copy), so they go
-// straight back to the slab pool.
+// identical to calling Nearest once per query. The k-NN batch is fully
+// consumed here (only the last value survives, by copy), so it goes
+// straight back for reuse.
 func (s *KthNNSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 	k := s.K
 	if k < 1 {
@@ -106,9 +106,9 @@ type ShellSearcher struct {
 
 // shellFilter keeps the neighbors at squared distance >= r1sq, the
 // single definition of the shell's inner bound for both query paths.
-// It filters in place: the inner query's slab is the returned slab, so
-// pooled batch buffers survive the injection wrapper and RecycleBatch
-// downstream keeps working at full capacity.
+// It filters in place: the inner query's answer is the returned slice,
+// so a pooled batch survives the injection wrapper and RecycleBatch
+// downstream takes it back whole.
 func shellFilter(outer []kdtree.Neighbor, r1sq float64) []kdtree.Neighbor {
 	res := outer[:0]
 	for _, nb := range outer {

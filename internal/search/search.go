@@ -80,13 +80,14 @@ func (m *Metrics) Merge(other Metrics) {
 // results are positionally aligned with the query slice; a NearestBatch
 // entry with Index < 0 means the searcher holds no points.
 //
-// Ownership contract: every per-query slice a KNearestBatch or
-// RadiusBatch returns passes to the caller, which may consume it and
-// hand it to RecycleBatch for reuse by the shared slab pool — pipeline
-// stages do exactly that. Implementations (including backends registered
-// through RegisterBackend) must therefore return slices they do not
-// retain or alias: memory a backend keeps referencing would be recycled
-// under it and overwritten by later pooled queries.
+// Ownership contract: a KNearestBatch or RadiusBatch result passes to
+// the caller whole, which may consume it and hand it to RecycleBatch —
+// pipeline stages do exactly that. The built-in backends answer into
+// pooled batches (batch.go) that RecycleBatch takes back in one piece,
+// so the per-query slices die with the call: copy what must outlive it.
+// Implementations (including backends registered through
+// RegisterBackend) must return slices they do not retain or alias; a
+// result that is not a pooled batch is merely cleared by RecycleBatch.
 type Searcher interface {
 	// Nearest returns the nearest neighbor of q.
 	Nearest(q geom.Vec3) (kdtree.Neighbor, bool)
@@ -130,9 +131,16 @@ func NewKDSearcher(pts []geom.Vec3) *KDSearcher {
 // NewKDSearcherSlab builds a canonical KD-tree zero-copy over an
 // existing SoA slab.
 func NewKDSearcherSlab(slab *cloud.Slab) *KDSearcher {
-	s := &KDSearcher{parallelism: par.Workers(0)}
+	return NewKDSearcherSlabPar(slab, 0)
+}
+
+// NewKDSearcherSlabPar is NewKDSearcherSlab with the worker count fixed
+// up front (<= 0 selects NumCPU), so the index build forks no wider
+// than the batches the searcher will run.
+func NewKDSearcherSlabPar(slab *cloud.Slab, parallelism int) *KDSearcher {
+	s := &KDSearcher{parallelism: par.Workers(parallelism)}
 	start := time.Now()
-	s.tree = kdtree.BuildSlab(slab)
+	s.tree = kdtree.BuildSlabPar(slab, s.parallelism)
 	s.metrics.BuildTime = time.Since(start)
 	return s
 }
@@ -218,11 +226,11 @@ func NewTwoStageSearcher(pts []geom.Vec3, cfg TwoStageConfig) *TwoStageSearcher 
 func NewTwoStageSearcherSlab(slab *cloud.Slab, cfg TwoStageConfig) *TwoStageSearcher {
 	s := &TwoStageSearcher{parallelism: par.Workers(cfg.Parallelism)}
 	start := time.Now()
-	if cfg.TopHeight < 0 {
-		s.tree = twostage.BuildWithLeafSizeSlab(slab, 128)
-	} else {
-		s.tree = twostage.BuildSlab(slab, cfg.TopHeight)
+	height := cfg.TopHeight
+	if height < 0 {
+		height = twostage.HeightForLeafSize(slab.Len(), 128)
 	}
+	s.tree = twostage.BuildSlabPar(slab, height, s.parallelism)
 	s.metrics.BuildTime = time.Since(start)
 	if cfg.Approx != nil {
 		opts := *cfg.Approx
@@ -266,37 +274,35 @@ func (s *TwoStageSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
 	// complex; the two-stage tree answers k-NN by brute-forcing the whole
 	// set only when the top-tree is absent. For simplicity and exactness we
 	// run a bounded search: collect via expanding radius.
-	res := s.kNearest(q, k, &s.stats)
+	res := s.kNearestInto(q, k, nil, &s.stats)
 	s.record(start)
 	return res
 }
 
-// kNearest answers k-NN exactly on the two-stage tree by radius doubling:
-// start from the NN distance and expand until k neighbors are inside.
-// stats is a parameter (not s.stats) so batch workers can shard it. The
-// result lives in a pooled slab (the expanding radius passes reuse it),
-// so fully-consumed batches may hand results back via RecycleBatch.
-func (s *TwoStageSearcher) kNearest(q geom.Vec3, k int, stats *twostage.Stats) []kdtree.Neighbor {
+// kNearestInto answers k-NN exactly on the two-stage tree by radius
+// doubling: start from the NN distance and expand until k neighbors are
+// inside. stats is a parameter (not s.stats) so batch workers can shard
+// it. The answer is built in buf (reset to length 0; the expanding radius
+// passes reuse it and whatever it regrows into).
+func (s *TwoStageSearcher) kNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *twostage.Stats) []kdtree.Neighbor {
 	if k <= 0 || s.tree.Len() == 0 {
 		return nil
 	}
 	nb, _ := s.tree.Nearest(q, stats)
 	r := 2 * (1e-6 + math.Sqrt(nb.Dist2))
-	return knnPooled(func(buf []kdtree.Neighbor) []kdtree.Neighbor {
-		var res []kdtree.Neighbor
-		for i := 0; i < 64; i++ {
-			res = s.tree.RadiusInto(q, r, buf[:0], stats)
-			buf = res // keep any regrown capacity for the next pass
-			if len(res) >= k || len(res) == s.tree.Len() {
-				break
-			}
-			r *= 2
+	var res []kdtree.Neighbor
+	for i := 0; i < 64; i++ {
+		res = s.tree.RadiusInto(q, r, buf, stats)
+		buf = res // keep any regrown capacity for the next pass
+		if len(res) >= k || len(res) == s.tree.Len() {
+			break
 		}
-		if len(res) > k {
-			res = res[:k]
-		}
-		return res
-	})
+		r *= 2
+	}
+	if len(res) > k {
+		res = res[:k]
+	}
+	return res
 }
 
 // Radius implements Searcher.

@@ -67,6 +67,14 @@ func (s *ApproxSession) Nearest(q geom.Vec3, stats *Stats) (kdtree.Neighbor, boo
 
 // Radius performs one approximate radius query, updating leader state.
 func (s *ApproxSession) Radius(q geom.Vec3, r float64, stats *Stats) []kdtree.Neighbor {
+	return s.RadiusInto(q, r, nil, stats)
+}
+
+// RadiusInto is Radius appending into buf (reset to length 0); see
+// Tree.RadiusInto for the slab-recycling contract. Leader result sets
+// are the session's own copies, so the returned slice aliases nothing
+// the session keeps.
+func (s *ApproxSession) RadiusInto(q geom.Vec3, r float64, buf []kdtree.Neighbor, stats *Stats) []kdtree.Neighbor {
 	if stats != nil {
 		stats.Queries++
 	}
@@ -82,7 +90,7 @@ func (s *ApproxSession) Radius(q geom.Vec3, r float64, stats *Stats) []kdtree.Ne
 	if opts.RadiusThresholdFrac > 0 {
 		opts.Threshold = opts.RadiusThresholdFrac * r
 	}
-	var res []kdtree.Neighbor
+	res := buf[:0]
 	s.tree.radiusApprox(s.tree.root, q, r*r, &res, s.rad, opts, stats)
 	sortNeighbors(res)
 	return res

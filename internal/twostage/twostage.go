@@ -21,8 +21,6 @@ package twostage
 
 import (
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 
 	"tigris/internal/cloud"
@@ -101,9 +99,14 @@ func Build(pts []geom.Vec3, topHeight int) *Tree {
 }
 
 // BuildSlab constructs a two-stage tree directly over an SoA slab
-// without copying the coordinates. The slab must not be mutated
-// afterwards.
-func BuildSlab(s *cloud.Slab, topHeight int) *Tree {
+// without copying the coordinates, forking up to one build goroutine per
+// CPU. The slab must not be mutated afterwards.
+func BuildSlab(s *cloud.Slab, topHeight int) *Tree { return BuildSlabPar(s, topHeight, 0) }
+
+// BuildSlabPar is BuildSlab on a budget of workers goroutines (<= 0
+// selects NumCPU; 1 builds on the calling goroutine alone). The tree is
+// identical at every setting.
+func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 	if topHeight < 0 {
 		topHeight = 0
 	}
@@ -119,6 +122,8 @@ func BuildSlab(s *cloud.Slab, topHeight int) *Tree {
 	if nLeaves > 0 {
 		t.leaves = make([][]int32, nLeaves)
 	}
+	// The index permutation the build rearranges ends up owned by the
+	// tree: every leaf set is a window of it.
 	idx := make([]int32, s.Len())
 	for i := range idx {
 		idx[i] = int32(i)
@@ -128,7 +133,7 @@ func BuildSlab(s *cloud.Slab, topHeight int) *Tree {
 	} else {
 		t.root = Child(0)
 	}
-	t.buildAt(idx, 0, 0, 0, sizes, buildSpawnDepth())
+	t.buildAt(idx, 0, 0, 0, sizes, kdtree.BuildSpawnDepth(workers))
 	return t
 }
 
@@ -159,40 +164,36 @@ func subtreeSize(n, h int, memo map[sizeKey][2]int32) (nodes, leaves int32) {
 	return nodes, leaves
 }
 
-// buildSpawnMin / buildSpawnDepth mirror the canonical tree's bounded
-// construction fan-out.
+// buildSpawnMin mirrors the canonical tree's construction fan-out
+// threshold (the spawn depth itself is kdtree.BuildSpawnDepth).
 const buildSpawnMin = 4096
-
-func buildSpawnDepth() int {
-	w := runtime.NumCPU()
-	d := 0
-	for 1<<d < w {
-		d++
-	}
-	return d + 1
-}
 
 // buildAt constructs the subtree over idx (non-empty) at depth, writing
 // the top-tree nodes into the preorder slot range starting at nodeAt and
 // the leaf sets into consecutive slots starting at leafAt.
 func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[sizeKey][2]int32, spawn int) {
 	if depth >= t.height {
-		set := make([]int32, len(idx))
-		copy(set, idx)
-		t.leaves[leafAt] = set
+		// The window is final: nothing rearranges it once its parent has
+		// split, and sibling windows are disjoint.
+		t.leaves[leafAt] = idx[:len(idx):len(idx)]
 		return
 	}
 	axis := widestAxis(t.xs, t.ys, t.zs, idx)
 	ax := axisSlice(t.xs, t.ys, t.zs, axis)
-	sort.Slice(idx, func(a, b int) bool {
-		pa := ax[idx[a]]
-		pb := ax[idx[b]]
-		if pa != pb {
-			return pa < pb
-		}
-		return idx[a] < idx[b]
-	})
 	mid := len(idx) / 2
+	rem := t.height - depth - 1 // top levels remaining below this node
+	if rem == 0 {
+		// The halves become leaf sets as they stand, and a leaf set's
+		// scan order is part of the tree (the accelerator model streams
+		// it, approximate search picks leaders in it): this level alone
+		// sorts fully, so every set keeps the (coordinate, index) order
+		// of its parent's axis.
+		kdtree.SortIndex(idx, ax, 1)
+	} else {
+		// Deeper levels re-split on their own axis, so only the median
+		// matters here.
+		kdtree.SelectIndex(idx, mid, ax, 1)
+	}
 	nd := Node{
 		Point: idx[mid],
 		Axis:  int8(axis),
@@ -200,7 +201,6 @@ func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[s
 		Left:  ChildNone,
 		Right: ChildNone,
 	}
-	rem := t.height - depth - 1 // top levels remaining below this node
 	leftN, leftL := subtreeSize(mid, rem, sizes)
 	if mid > 0 {
 		if rem == 0 {
@@ -247,15 +247,20 @@ func BuildWithLeafSize(pts []geom.Vec3, targetLeafSize int) *Tree {
 // BuildWithLeafSizeSlab is BuildWithLeafSize building zero-copy over an
 // existing SoA slab.
 func BuildWithLeafSizeSlab(s *cloud.Slab, targetLeafSize int) *Tree {
+	return BuildSlab(s, HeightForLeafSize(s.Len(), targetLeafSize))
+}
+
+// HeightForLeafSize returns the top-tree height at which n points split
+// into leaf sets of at most targetLeafSize points.
+func HeightForLeafSize(n, targetLeafSize int) int {
 	if targetLeafSize < 1 {
 		targetLeafSize = 1
 	}
-	n := s.Len()
 	h := 0
 	for size := n; size > targetLeafSize; size = (size - 1) / 2 {
 		h++
 	}
-	return BuildSlab(s, h)
+	return h
 }
 
 // axisSlice selects the per-axis coordinate slab.
