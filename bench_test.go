@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"tigris/internal/baseline"
+	"tigris/internal/cloud"
 	"tigris/internal/dse"
+	"tigris/internal/features"
 	"tigris/internal/kdtree"
 	"tigris/internal/registration"
 	"tigris/internal/search"
@@ -381,6 +383,45 @@ func BenchmarkRegisterSerial(b *testing.B) { benchmarkRegister(b, 1) }
 
 // BenchmarkRegisterParallel uses one worker per CPU (the default).
 func BenchmarkRegisterParallel(b *testing.B) { benchmarkRegister(b, 0) }
+
+// BenchmarkAlignFirst times what a streamed frame's alignment pays at
+// the default design point (DP5, 32×600 frames, one worker): the target's
+// raw-cloud index build, the raw normals its ICP matches name, and the
+// pair stages. targets_touched is the share of the target's raw points
+// whose normal had to be estimated.
+func BenchmarkAlignFirst(b *testing.B) {
+	seq := benchSeqEval()
+	cfg := DefaultPipelineConfig()
+	cfg.Searcher.Parallelism = 1
+	src := registration.PrepareFrame(seq.Frames[1].Clone(), cfg)
+	var res registration.Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst := registration.PrepareFrame(seq.Frames[0].Clone(), cfg)
+		b.StartTimer()
+		res = registration.Align(src, dst, cfg)
+		b.StopTimer()
+		dst.Release()
+		b.StartTimer()
+	}
+	if res.FineTargetPoints == 0 {
+		b.Fatal("DP5 did not take the on-demand normals path")
+	}
+	b.ReportMetric(float64(res.FineNormals)/float64(res.FineTargetPoints), "targets_touched")
+}
+
+// BenchmarkEstimateNormalsRaw times the per-point normal kernel where
+// fine-tuning runs it: AreaWeighted normals (DP5's configuration) for
+// every point of a raw 32×600 frame, one worker.
+func BenchmarkEstimateNormalsRaw(b *testing.B) {
+	slab := cloud.SlabFromCloud(benchSeqEval().Frames[0])
+	s := search.NewKDSearcherSlabPar(slab, 1)
+	cfg := DefaultPipelineConfig().Normal
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		features.EstimateNormals(slab, s, cfg)
+	}
+}
 
 // searchBench lazily builds the shared micro-benchmark data: a KD-tree
 // over frame 0 and the full frame-1 point set as the query batch.

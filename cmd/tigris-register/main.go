@@ -143,6 +143,11 @@ func main() {
 			res.Stage.DescriptorCalculation.Round(1e6), res.Stage.KPCE.Round(1e6),
 			res.Stage.Rejection.Round(1e6), res.Stage.RPCE.Round(1e6),
 			res.Stage.ErrorMinimization.Round(1e6))
+		if res.FineTargetPoints > 0 {
+			fmt.Fprintf(os.Stderr, "fine-tuning normals: %v for %d of %d target points (%.0f%%)\n",
+				res.ICP.NormalTime.Round(1e6), res.FineNormals, res.FineTargetPoints,
+				100*float64(res.FineNormals)/float64(res.FineTargetPoints))
+		}
 		fmt.Fprintf(os.Stderr, "KD-tree: search %v (%.0f%%), construction %v, other %v\n",
 			res.KDSearchTime.Round(1e6),
 			100*float64(res.KDSearchTime)/float64(res.Total),

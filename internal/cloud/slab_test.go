@@ -109,6 +109,39 @@ func TestSlabSelectAndClone(t *testing.T) {
 	}
 }
 
+// TestSlabCloneSharesNoNormalArray: a clone's normals are its own, both
+// ways round — the streaming engine hands the loop detector a clone of a
+// frame's raw cloud and then keeps estimating normals into the original
+// while a verification reads the clone. A clone of a slab that has no
+// normal arrays yet must not acquire the ones its origin gets later.
+func TestSlabCloneSharesNoNormalArray(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	s := SlabFromCloud(&Cloud{Points: randVecs(r, 40), Normals: randVecs(r, 40)})
+	cl := s.Clone()
+	for name, pair := range map[string][2][]float32{"NXs": {s.NXs, cl.NXs}, "NYs": {s.NYs, cl.NYs}, "NZs": {s.NZs, cl.NZs}} {
+		if len(pair[1]) != len(pair[0]) || &pair[0][0] == &pair[1][0] {
+			t.Fatalf("%s: clone has %d normals for %d, or aliases its origin", name, len(pair[1]), len(pair[0]))
+		}
+	}
+	before := cl.NormalAt(7)
+	s.SetNormal(7, geom.Vec3{Z: 1})
+	if cl.NormalAt(7) != before {
+		t.Error("a normal written to the origin showed in the clone")
+	}
+	cl.SetNormal(8, geom.Vec3{Y: 1})
+	if s.NormalAt(8) == (geom.Vec3{Y: 1}) {
+		t.Error("a normal written to the clone showed in the origin")
+	}
+
+	bare := SlabFromPoints(randVecs(r, 40))
+	early := bare.Clone()
+	bare.EnsureNormals()
+	bare.SetNormal(0, geom.Vec3{X: 1})
+	if early.HasNormals() || early.NXs != nil {
+		t.Error("a clone taken before its origin had normals has them now")
+	}
+}
+
 // TestSlabBytesHalvesAoS pins the slab's storage claim: coordinate
 // payload is 12 B/point against the 24 of a []geom.Vec3, with and without
 // normals.

@@ -30,18 +30,22 @@ var blockBufs = sync.Pool{
 	},
 }
 
-// forBlocks streams the slab's points through batch in bounded blocks and
-// hands every query's neighbors to fn on the worker pool. Queries are
-// dequantized slab coordinates (float64 of the stored float32), so every
-// stage queries exactly the values the search structures index. fn
-// receives the worker id (stable within one call, for per-worker
-// tallies), the global query index, and that query's neighbor list; it
-// must write results positionally, which keeps the output bit-identical
-// to the sequential per-query loop.
-func forBlocks(workers int, s *cloud.Slab, batch func(block []geom.Vec3) [][]kdtree.Neighbor, fn func(worker, i int, nbs []kdtree.Neighbor)) {
+// forBlocks streams slab points through batch in bounded blocks and hands
+// every query's neighbors to fn on the worker pool: the points idx names,
+// in that order, or every point when idx is nil. Queries are dequantized
+// slab coordinates (float64 of the stored float32), so every stage
+// queries exactly the values the search structures index. fn receives
+// the worker id (stable within one call, for per-worker tallies), the
+// query's point index, and that query's neighbor list; it must write
+// results positionally, which keeps the output bit-identical to the
+// sequential per-query loop.
+func forBlocks(workers int, s *cloud.Slab, idx []int, batch func(block []geom.Vec3) [][]kdtree.Neighbor, fn func(worker, i int, nbs []kdtree.Neighbor)) {
+	n := s.Len()
+	if idx != nil {
+		n = len(idx)
+	}
 	bufp := blockBufs.Get().(*[]geom.Vec3)
 	buf := *bufp
-	n := s.Len()
 	for lo := 0; lo < n; lo += batchBlockSize {
 		hi := lo + batchBlockSize
 		if hi > n {
@@ -49,18 +53,36 @@ func forBlocks(workers int, s *cloud.Slab, batch func(block []geom.Vec3) [][]kdt
 		}
 		block := buf[:hi-lo]
 		for j := range block {
-			block[j] = s.At(lo + j)
+			block[j] = s.At(pointAt(idx, lo+j))
 		}
 		nbs := batch(block)
-		par.For(hi-lo, workers, func(w, j int) {
-			fn(w, lo+j, nbs[j])
-		})
+		if workers <= 1 {
+			// The plain loop: a one-worker sweep needs no closure, and a
+			// stage that issues many small batches (fine-tuning normals,
+			// one per ICP iteration) would allocate one each.
+			for j := range nbs {
+				fn(0, pointAt(idx, lo+j), nbs[j])
+			}
+		} else {
+			par.For(hi-lo, workers, func(w, j int) {
+				fn(w, pointAt(idx, lo+j), nbs[j])
+			})
+		}
 		// The sweep consumed every neighbor list; hand the batch back so
 		// the next block (and the next frame of a streaming session)
 		// answers into the same arenas instead of allocating.
 		search.RecycleBatch(nbs)
 	}
 	blockBufs.Put(bufp)
+}
+
+// pointAt resolves the j-th query of a sweep to its point index: idx[j],
+// or j itself when the sweep covers the whole slab.
+func pointAt(idx []int, j int) int {
+	if idx != nil {
+		return idx[j]
+	}
+	return j
 }
 
 // forPointBlocks is forBlocks for callers that already hold an AoS query
@@ -81,7 +103,7 @@ func forPointBlocks(workers int, pts []geom.Vec3, batch func(block []geom.Vec3) 
 
 // forRadiusBlocks is forBlocks for the common radius-search shape.
 func forRadiusBlocks(s search.Searcher, c *cloud.Slab, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	forBlocks(s.Parallelism(), c, func(block []geom.Vec3) [][]kdtree.Neighbor {
+	forBlocks(s.Parallelism(), c, nil, func(block []geom.Vec3) [][]kdtree.Neighbor {
 		return s.RadiusBatch(block, r)
 	}, fn)
 }

@@ -22,6 +22,10 @@ const (
 	StageRejection = "rejection"
 	StageRPCE      = "rpce"
 	StageSolve     = "error_minimization"
+	// Target raw-cloud normals estimated on demand between ICP's
+	// correspondence search and its solve (recorded only by pairs that
+	// take that path).
+	StageFineNormals = "fine_normals"
 	// Whole-frame latency: front-end plus alignment, the number a serving
 	// SLO is written against.
 	StageFrame = "frame"

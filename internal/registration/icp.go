@@ -1,12 +1,12 @@
 package registration
 
 import (
-	"sync"
 	"time"
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
+	"tigris/internal/par"
 	"tigris/internal/search"
 )
 
@@ -76,12 +76,16 @@ type ICPResult struct {
 	RPCETime time.Duration
 	// SolveTime is the wall time spent in transform estimation.
 	SolveTime time.Duration
+	// NormalTime is the wall time spent estimating target normals on
+	// demand (Align's path only; kept out of RPCETime so that stays the
+	// cost of the correspondence search alone).
+	NormalTime time.Duration
 }
 
 // icpScratch holds every buffer one ICP call cycles through its
 // iterations: the moved source copy (reciprocal RPCE only), the strided
-// query set, the
-// nearest-neighbor results, and the gated correspondence slabs. Pooled
+// query set, the nearest-neighbor results, the list of matched targets
+// still lacking a normal, and the gated correspondence slabs. Recycled
 // across calls so a streaming session's fine-tuning runs with near-zero
 // steady-state allocations. The correspondence pairs live in SoA float32
 // slabs (srcS/dstS) — half the bytes of the historical AoS gather — and
@@ -94,15 +98,26 @@ type icpScratch struct {
 	nbs    []kdtree.Neighbor
 	candQ  []int
 	backQs []geom.Vec3
+	need   []int
 	srcS   cloud.Slab
 	dstS   cloud.Slab
 }
 
-var icpScratchPool = sync.Pool{New: func() any { return new(icpScratch) }}
+// idleICPScratch holds the scratches no ICP call is using. A par.FreeList,
+// not a sync.Pool: a scratch is half a megabyte, and a pool's per-P caches
+// lose it whenever the alignment goroutine resumes on another P — every
+// pipeline hand-off, once the stages are balanced enough for alignment to
+// wait on the front-end.
+var idleICPScratch par.FreeList[*icpScratch]
 
 // ICP runs iterative closest point from the initial guess. target is the
-// searcher indexing the target cloud; its slab must carry the target
-// normals when the point-to-plane metric is selected. Each iteration's
+// searcher indexing the target cloud. With the point-to-plane metric its
+// slab must already carry a normal for every point — ICP reads whichever
+// ones the matches name and estimates none — and a slab without normal
+// arrays is a caller bug that panics; the metric is never quietly
+// downgraded to point-to-point. (Align's targets are the exception: their
+// raw-cloud normals arrive on demand, see PreparedFrame.FineTarget, which
+// is why Align does not come through this entry point.) Each iteration's
 // RPCE runs as one NearestBatch against the target (and, for reciprocal
 // RPCE, a second batch of back-queries against a fresh source index), so
 // the dominant per-iteration cost parallelizes across the searcher's
@@ -110,12 +125,23 @@ var icpScratchPool = sync.Pool{New: func() any { return new(icpScratch) }}
 // the per-point error accumulation inside transform estimation fans out
 // over cfg.Parallelism workers with bit-identical results at any setting.
 func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg ICPConfig) ICPResult {
+	return icp(src, target, initial, cfg, nil)
+}
+
+// icp is ICP with an optional source of target normals: when fine is
+// non-nil, every iteration hands it the matches that survived the gates
+// before any of their normals is read, and fine estimates the ones it
+// has not estimated yet (point-to-plane only; fine is nil otherwise).
+func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg ICPConfig, fine *fineNormals) ICPResult {
 	cfg.defaults()
 	res := ICPResult{Transform: initial}
 	tslab := target.Slab()
 
-	sc := icpScratchPool.Get().(*icpScratch)
-	defer icpScratchPool.Put(sc)
+	sc, ok := idleICPScratch.Get()
+	if !ok {
+		sc = new(icpScratch)
+	}
+	defer idleICPScratch.Put(sc)
 
 	// RPCE matches the strided subset of the source; the index set is
 	// fixed across iterations and the query positions move with every
@@ -145,7 +171,10 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		sc.cur = cur
 	}
 
-	usePlane := cfg.Metric == PointToPlane && tslab.HasNormals()
+	usePlane := cfg.Metric == PointToPlane
+	if usePlane && !tslab.HasNormals() {
+		panic("registration: point-to-plane ICP over a target slab without normals")
+	}
 
 	prevRMSE := -1.0
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
@@ -171,8 +200,8 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		}
 		sc.candQ = candQ
 		// Reciprocal gate: batch the back-queries for the candidates only
-		// (the same queries the sequential loop would issue).
-		var backs []kdtree.Neighbor
+		// (the same queries the sequential loop would issue) and keep the
+		// candidates whose match points back at them.
 		if cfg.Reciprocal {
 			if cap(sc.backQs) < len(candQ) {
 				sc.backQs = make([]geom.Vec3, len(candQ))
@@ -181,7 +210,26 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 			for ci, qi := range candQ {
 				backQs[ci] = tslab.At(nbs[qi].Index)
 			}
-			backs = srcSearch.NearestBatch(backQs)
+			backs := srcSearch.NearestBatch(backQs)
+			kept := candQ[:0]
+			for ci, qi := range candQ {
+				if backs[ci].Index == qIdx[qi] {
+					kept = append(kept, qi)
+				}
+			}
+			candQ = kept
+		}
+		// The matches are settled; those whose normal no iteration and no
+		// earlier pair has read before get it now, ahead of the gather.
+		if fine != nil {
+			t0 := time.Now()
+			if cap(sc.need) < len(candQ) {
+				sc.need = make([]int, 0, len(qIdx))
+			}
+			sc.need = fine.estimateMissing(nbs, candQ, sc.need[:0])
+			d := time.Since(t0)
+			res.NormalTime += d
+			start = start.Add(d) // keep it out of RPCETime
 		}
 		// Gather surviving correspondences into the SoA scratch slabs the
 		// solvers stream: moved source positions quantize to float32 here
@@ -193,10 +241,7 @@ func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		if usePlane {
 			dstS.EnsureNormals()
 		}
-		for ci, qi := range candQ {
-			if cfg.Reciprocal && backs[ci].Index != qIdx[qi] {
-				continue
-			}
+		for _, qi := range candQ {
 			ti := nbs[qi].Index
 			srcS.Append(qs[qi])
 			dstS.Append(tslab.At(ti))

@@ -210,6 +210,13 @@ type Result struct {
 	// Front-end population counts.
 	SrcKeypoints, DstKeypoints int
 	Correspondences, Inliers   int
+	// FineNormals is how many of the target's raw-cloud normals this pair
+	// had to estimate (the ones its matches named that no earlier pair
+	// had), out of FineTargetPoints raw target points: their ratio is the
+	// share of the target fine-tuning touched, the rest being work a
+	// whole-cloud pass would have done for nothing. Both are zero when the
+	// normals ICP reads are the front-end's own or it reads none.
+	FineNormals, FineTargetPoints int
 }
 
 // OtherTime returns Total − KDSearchTime − KDBuildTime (clamped at 0).

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -69,10 +70,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tigris_stage_latency_seconds_bucket{stage="frame",le="+Inf"} 2`,
 		`tigris_stage_latency_seconds_count{stage="prep"} 2`,
 		`tigris_stage_latency_seconds_count{stage="align"} 1`,
+		// The default design point fine-tunes point-to-plane against a
+		// downsampled front-end: the one pair estimated its target's raw
+		// normals on demand, timed on its own.
+		`tigris_stage_latency_seconds_count{stage="fine_normals"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics scrape missing %q", want)
 		}
+	}
+	// What share of the target ICP touched is a scraped number.
+	var estimated, points float64
+	for _, line := range strings.Split(body, "\n") {
+		fmt.Sscanf(line, "tigris_fine_normals_estimated %g", &estimated)
+		fmt.Sscanf(line, "tigris_fine_target_points %g", &points)
+	}
+	if points != float64(len(seq.Frames[0].Points)) || estimated <= 0 || estimated >= points {
+		t.Errorf("scrape reports %g fine normals estimated for %g target points (target frame has %d)",
+			estimated, points, len(seq.Frames[0].Points))
 	}
 
 	// Closing the session moves created -> closed and empties the gauge.

@@ -226,13 +226,11 @@ func New(cfg Config) *Server {
 		}
 		return float64(n)
 	})
-	reg.GaugeFunc("tigris_loop_closures_accepted", func() float64 {
-		var n int64
-		for _, ses := range s.snapshotSessions() {
-			n += ses.eng.Stats().Loop.Accepted
-		}
-		return float64(n)
-	})
+	reg.GaugeFunc("tigris_loop_closures_accepted", s.sumSessionStats(func(st stream.Stats) int64 { return st.Loop.Accepted }))
+	// What share of its targets fine-tuning touched: normals estimated
+	// over target points, across the live sessions' odometry pairs.
+	reg.GaugeFunc("tigris_fine_normals_estimated", s.sumSessionStats(func(st stream.Stats) int64 { return st.FineNormals }))
+	reg.GaugeFunc("tigris_fine_target_points", s.sumSessionStats(func(st stream.Stats) int64 { return st.FineTargetPoints }))
 	reg.GaugeFunc("tigris_limiter_in_use", func() float64 { return float64(len(s.limiter)) })
 	reg.GaugeFunc("tigris_limiter_capacity", func() float64 { return float64(cap(s.limiter)) })
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -878,23 +876,37 @@ func latencyDigest(rec *obs.Recorder) map[string]wireLatency {
 	return out
 }
 
+// sumSessionStats returns a scrape-time gauge: one counter of the engine
+// stats, summed over the live sessions.
+func (s *Server) sumSessionStats(pick func(stream.Stats) int64) func() float64 {
+	return func() float64 {
+		var n int64
+		for _, ses := range s.snapshotSessions() {
+			n += pick(ses.eng.Stats())
+		}
+		return float64(n)
+	}
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ses *session) {
 	st := ses.eng.Stats()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"frames_pushed":     st.FramesPushed,
-		"frames_prepared":   st.FramesPrepared,
-		"pairs_aligned":     st.PairsAligned,
-		"tree_builds":       st.TreeBuilds,
-		"descriptor_builds": st.DescriptorBuilds,
-		"search_queries":    st.Search.Queries,
-		"nodes_visited":     st.Search.NodesVisited,
-		"search_ms":         float64(st.Search.SearchTime.Microseconds()) / 1e3,
-		"build_ms":          float64(st.Search.BuildTime.Microseconds()) / 1e3,
-		"loops_proposed":    st.Loop.Proposed,
-		"loops_verified":    st.Loop.Verified,
-		"loops_accepted":    st.Loop.Accepted,
-		"loop_ms":           float64(st.LoopTime.Microseconds()) / 1e3,
-		"latency_ms":        latencyDigest(ses.rec),
+		"frames_pushed":      st.FramesPushed,
+		"frames_prepared":    st.FramesPrepared,
+		"pairs_aligned":      st.PairsAligned,
+		"tree_builds":        st.TreeBuilds,
+		"descriptor_builds":  st.DescriptorBuilds,
+		"fine_normals":       st.FineNormals,
+		"fine_target_points": st.FineTargetPoints,
+		"search_queries":     st.Search.Queries,
+		"nodes_visited":      st.Search.NodesVisited,
+		"search_ms":          float64(st.Search.SearchTime.Microseconds()) / 1e3,
+		"build_ms":           float64(st.Search.BuildTime.Microseconds()) / 1e3,
+		"loops_proposed":     st.Loop.Proposed,
+		"loops_verified":     st.Loop.Verified,
+		"loops_accepted":     st.Loop.Accepted,
+		"loop_ms":            float64(st.LoopTime.Microseconds()) / 1e3,
+		"latency_ms":         latencyDigest(ses.rec),
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"tigris/internal/dse"
 	"tigris/internal/geom"
 	"tigris/internal/loop"
+	"tigris/internal/obs"
 	"tigris/internal/posegraph"
 	"tigris/internal/synth"
 )
@@ -196,6 +197,57 @@ func TestLoopStageConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Close()
+}
+
+// TestLoopVerificationOverlapsOnDemandNormals pins the reason the loop
+// stage is handed a clone of every frame's cloud. With a downsampled
+// front-end and point-to-plane ICP, every iteration of pair N+1's
+// alignment estimates normals into frame N's raw slab, while the loop
+// worker may still be verifying frame N's candidates, which re-registers
+// the retained clouds. The two must share no array (run under -race in
+// CI), and the overlap has to really happen for the run to prove it: the
+// flight recorder's spans must show a verification in progress during a
+// later frame's alignment.
+func TestLoopVerificationOverlapsOnDemandNormals(t *testing.T) {
+	cfg := dse.NamedDesignPoints()[3].Config // DP4: downsampled, point-to-plane, cheap
+	cfg.Searcher.Parallelism = 2
+	seq := slamSequence(14)
+	fr := obs.NewFlightRecorder(8192, 1)
+	eng := New(Config{
+		Pipeline:  cfg,
+		Pipelined: true,
+		Loop:      &loop.Config{MinSeparation: 6, MaxCandidates: 2, Cooldown: 1},
+		Flight:    fr,
+	})
+	for _, f := range seq.Frames {
+		if _, err := eng.Push(f.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+	st := eng.Stats()
+	eng.Close()
+	if st.Loop.Verified == 0 {
+		t.Fatal("no loop candidate was verified: nothing ran beside the alignments")
+	}
+	if st.FineNormals == 0 || st.FineNormals >= st.FineTargetPoints {
+		t.Fatalf("alignments estimated %d normals on demand for %d target points", st.FineNormals, st.FineTargetPoints)
+	}
+	overlaps := 0
+	evs := fr.Events()
+	for _, v := range evs {
+		if v.Stage != obs.StageLoopVerify {
+			continue
+		}
+		for _, a := range evs {
+			if a.Stage == obs.StageAlign && a.Frame > v.Frame && a.Start < v.Start+v.Dur && v.Start < a.Start+a.Dur {
+				overlaps++
+			}
+		}
+	}
+	if overlaps == 0 {
+		t.Fatal("no verification overlapped a later frame's alignment")
+	}
 }
 
 // TestOptimizedPosesWithoutLoopStage: no loop stage means a consistent

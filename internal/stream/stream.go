@@ -188,6 +188,14 @@ type Stats struct {
 	PairsAligned     int64
 	TreeBuilds       int64
 	DescriptorBuilds int64
+	// FineNormals counts the target raw-cloud normals the odometry pairs'
+	// fine-tuning estimated, FineTargetPoints the raw points of those
+	// targets: their ratio is the share of a target ICP's matches touch
+	// (≈ 0.7 at the default design point), the rest being normals nobody
+	// reads and nobody estimates. Both stay zero when fine-tuning reads
+	// the front-end's normals or none (registration.Result).
+	FineNormals      int64
+	FineTargetPoints int64
 	// Search aggregates the released frames' searcher metrics (query
 	// counts, node visits, build/search wall time).
 	Search search.Metrics
@@ -235,6 +243,8 @@ type Engine struct {
 	cPairsAligned     obs.Counter
 	cTreeBuilds       obs.Counter
 	cDescriptorBuilds obs.Counter
+	cFineNormals      obs.Counter
+	cFineTargetPoints obs.Counter
 	cLoopTimeNs       obs.Counter
 
 	// mu guards everything below.
@@ -575,6 +585,8 @@ func (e *Engine) commit(pf, prev *registration.PreparedFrame, idx int, prepStart
 	e.mu.Unlock()
 	if prev != nil {
 		e.cPairsAligned.Inc()
+		e.cFineNormals.Add(int64(fr.Reg.FineNormals))
+		e.cFineTargetPoints.Add(int64(fr.Reg.FineTargetPoints))
 	}
 	e.rec.Observe(obs.StageFrame, fr.PrepTime+fr.AlignTime)
 	if e.flight != nil {
@@ -637,10 +649,11 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 	}
 	// The detector retains the cloud for later verification; hand it a
 	// private clone, because the pipeline keeps mutating pf.Raw after
-	// this commit (the next pair's FineTarget writes its normals in
-	// place, which would race with a concurrent verification's read).
-	// Cloning at observe time also pins the retained content to the same
-	// snapshot in pipelined and sequential modes.
+	// this commit: every ICP iteration of the next pair, which targets
+	// this frame, estimates normals into it in place, and a verification
+	// running beside that alignment reads the retained cloud. Cloning at
+	// observe time also pins the retained content to the same snapshot in
+	// pipelined and sequential modes.
 	e.loopObsRec.SetScope(frameSpanID(index), index)
 	cands := e.det.Observe(index, pf.Desc, pf.Raw.Clone())
 	if len(cands) == 0 {
@@ -830,6 +843,8 @@ func (e *Engine) Stats() Stats {
 		PairsAligned:     e.cPairsAligned.Value(),
 		TreeBuilds:       e.cTreeBuilds.Value(),
 		DescriptorBuilds: e.cDescriptorBuilds.Value(),
+		FineNormals:      e.cFineNormals.Value(),
+		FineTargetPoints: e.cFineTargetPoints.Value(),
 		LoopTime:         time.Duration(e.cLoopTimeNs.Value()),
 	}
 	e.mu.Lock()

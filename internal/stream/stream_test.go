@@ -159,16 +159,35 @@ func TestStreamDownsampledFineIndex(t *testing.T) {
 
 // TestStreamApproxDeterministic runs the approximate backend twice and
 // expects identical trajectories (chunk-determinism carries over to the
-// session), pipelined and not.
+// session), pipelined and not — on the front-end-on-raw configuration and
+// on a downsampled point-to-plane one, whose fine-tuning estimates the
+// target's raw normals on demand: the batches those queries form depend
+// on the matches of each ICP iteration, not on the schedule, so the
+// trajectory must also be the same at any Parallelism.
 func TestStreamApproxDeterministic(t *testing.T) {
 	const frames = 3
 	seq := testSeq(t, frames, 24)
-	cfg := testConfig(search.BackendTwoStageApprox)
-	a, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: true})
-	b, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: false})
-	for i := range a.Poses {
-		if a.Poses[i] != b.Poses[i] {
-			t.Fatalf("approximate backend diverged at frame %d", i)
+	onRaw := testConfig(search.BackendTwoStageApprox)
+	plane := testConfig(search.BackendTwoStageApprox)
+	plane.VoxelLeaf = 0.4
+	plane.ICP.Metric = registration.PointToPlane
+	plane.ICP.SourceStride = 2
+	for name, cfg := range map[string]registration.PipelineConfig{"front-end on raw": onRaw, "point-to-plane, downsampled": plane} {
+		cfg.Searcher.Parallelism = 1
+		want, st := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: false})
+		if lazy := cfg.VoxelLeaf > 0; lazy != (st.FineNormals > 0) {
+			t.Errorf("%s: %d normals estimated on demand", name, st.FineNormals)
+		}
+		for _, p := range []int{1, 4} {
+			for _, pipelined := range []bool{true, false} {
+				cfg.Searcher.Parallelism = p
+				got, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined})
+				for i := range want.Poses {
+					if got.Poses[i] != want.Poses[i] {
+						t.Fatalf("%s: approximate backend diverged at frame %d (parallelism %d, pipelined %v)", name, i, p, pipelined)
+					}
+				}
+			}
 		}
 	}
 }
