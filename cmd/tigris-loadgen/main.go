@@ -1,8 +1,7 @@
 // Command tigris-loadgen drives open-loop multi-client traffic against
-// a tigris-serve worker or a tigris-gateway fleet and writes a
-// BENCH_serve.json record of what the clients observed: sessions/sec,
-// per-frame latency percentiles, admission rejections, and the
-// per-worker load split.
+// a tigris-serve worker or a tigris-gateway fleet and prints a JSON
+// record of what the clients observed: sessions/sec, per-frame latency
+// percentiles, admission rejections, and the per-worker load split.
 //
 // Usage:
 //
@@ -23,9 +22,9 @@
 // -beams, -azimuth, and -loop is used. The same -seed reproduces the
 // same schedule, mix, and synthetic frames.
 //
-// The JSON record lands at -out (default BENCH_serve.json; "-" for
-// stdout only) tagged with -tag. -rate-ladder "2,5,10" sweeps the run
-// across ascending arrival rates instead of the single -rate; the
+// The JSON record goes to stdout, or to the file named by -out, tagged
+// with -tag. -rate-ladder "2,5,10" sweeps the run across ascending
+// arrival rates instead of the single -rate; the
 // output is then a JSON array with one record per step (the saturation
 // curve in one invocation). Each record carries per-profile latency
 // splits and trace-id exemplars: the slowest observations of each
@@ -74,7 +73,7 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "per-session pipeline parallelism (0 = server default)")
 	mix := flag.Bool("mix", false, "run the built-in weighted scenario mix instead of the single profile")
 	authToken := flag.String("auth-token", "", "bearer token presented on every request")
-	out := flag.String("out", "BENCH_serve.json", "output JSON path (\"-\" = stdout only)")
+	out := flag.String("out", "-", "output JSON path (\"-\" = stdout only)")
 	tag := flag.String("tag", "", "tag recorded in the output")
 	rateLadder := flag.String("rate-ladder", "", "comma-separated arrival rates to sweep instead of -rate; the output becomes a JSON array with one record per step")
 	traceOut := flag.String("trace-out", "", "after the run, probe one traced session through the target and write its stitched gateway trace (Chrome trace-event JSON) here")
@@ -154,8 +153,8 @@ func main() {
 		failed = failed || res.SessionsFailed > 0
 	}
 
-	// A single run keeps the historical one-object BENCH_serve.json
-	// shape; a ladder is a JSON array, one record per rate step.
+	// A single run is one JSON object; a ladder is a JSON array, one
+	// record per rate step.
 	var outDoc any = results[0]
 	if *rateLadder != "" {
 		outDoc = results

@@ -86,7 +86,6 @@ func main() {
 		log.Fatalf("unknown design point %q (want DP1..DP8)", *designPoint)
 	}
 	cfg.Searcher.Backend = *backend
-	cfg.Searcher.TopHeight = -1 // full frames: size two-stage leaves to ~128 points
 	cfg.Searcher.Options = opts.opts
 	cfg.Searcher.Parallelism = *parallel
 	if err := cfg.Searcher.Validate(); err != nil {

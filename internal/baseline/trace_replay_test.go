@@ -26,7 +26,6 @@ func TestTraceReplayMatchesPipelineQueries(t *testing.T) {
 		Options: search.Options{
 			search.OptTraceInner: search.BackendTwoStage,
 			search.OptTraceSink:  sink,
-			search.OptTopHeight:  -1,
 		},
 	}
 	cfg.Rejection.Method = registration.RejectRANSAC

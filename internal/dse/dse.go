@@ -33,8 +33,6 @@ type Evaluated struct {
 	// KDSearch / KDBuild are the mean Fig. 4b components; Other is the
 	// remainder.
 	KDSearch, KDBuild, Other time.Duration
-	// NodesVisited is the mean 3D-search node visits per frame pair.
-	NodesVisited int64
 }
 
 // KDSearchFrac returns the Fig. 4b KD-search share of total time.
@@ -49,47 +47,32 @@ func (e *Evaluated) KDSearchFrac() float64 {
 // Evaluate runs the design point on every consecutive frame pair of the
 // sequence and aggregates errors and timings.
 func Evaluate(seq *synth.Sequence, dp DesignPoint) Evaluated {
-	var out Evaluated
-	out.Point = dp
-	var errs []registration.FrameError
+	out := Evaluated{Point: dp}
 	pairs := seq.Len() - 1
 	if pairs <= 0 {
 		return out
 	}
-	var totalTime, searchT, buildT, otherT time.Duration
-	var stage registration.StageTimes
-	var visits int64
+	var errs []registration.FrameError
 	for i := 0; i < pairs; i++ {
 		res := registration.Register(seq.Frames[i+1], seq.Frames[i], dp.Config)
 		errs = append(errs, registration.EvaluatePair(res.Transform, seq.GroundTruthDelta(i)))
-		totalTime += res.Total
-		searchT += res.KDSearchTime
-		buildT += res.KDBuildTime
-		otherT += res.OtherTime()
-		visits += res.NodesVisited
-		stage.NormalEstimation += res.Stage.NormalEstimation
-		stage.KeypointDetection += res.Stage.KeypointDetection
-		stage.DescriptorCalculation += res.Stage.DescriptorCalculation
-		stage.KPCE += res.Stage.KPCE
-		stage.Rejection += res.Stage.Rejection
-		stage.RPCE += res.Stage.RPCE
-		stage.ErrorMinimization += res.Stage.ErrorMinimization
+		out.MeanTime += res.Total
+		out.KDSearch += res.KDSearchTime
+		out.KDBuild += res.KDBuildTime
+		out.Other += res.OtherTime()
+		out.Stage.NormalEstimation += res.Stage.NormalEstimation
+		out.Stage.KeypointDetection += res.Stage.KeypointDetection
+		out.Stage.DescriptorCalculation += res.Stage.DescriptorCalculation
+		out.Stage.KPCE += res.Stage.KPCE
+		out.Stage.Rejection += res.Stage.Rejection
+		out.Stage.RPCE += res.Stage.RPCE
+		out.Stage.ErrorMinimization += res.Stage.ErrorMinimization
 	}
-	n := time.Duration(pairs)
 	out.Error = registration.Aggregate(errs)
-	out.MeanTime = totalTime / n
-	out.KDSearch = searchT / n
-	out.KDBuild = buildT / n
-	out.Other = otherT / n
-	out.NodesVisited = visits / int64(pairs)
-	out.Stage = registration.StageTimes{
-		NormalEstimation:      stage.NormalEstimation / n,
-		KeypointDetection:     stage.KeypointDetection / n,
-		DescriptorCalculation: stage.DescriptorCalculation / n,
-		KPCE:                  stage.KPCE / n,
-		Rejection:             stage.Rejection / n,
-		RPCE:                  stage.RPCE / n,
-		ErrorMinimization:     stage.ErrorMinimization / n,
+	st := &out.Stage
+	for _, sum := range []*time.Duration{&out.MeanTime, &out.KDSearch, &out.KDBuild, &out.Other,
+		&st.NormalEstimation, &st.KeypointDetection, &st.DescriptorCalculation, &st.KPCE, &st.Rejection, &st.RPCE, &st.ErrorMinimization} {
+		*sum /= time.Duration(pairs)
 	}
 	return out
 }

@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"tigris/internal/kdtree"
 	"tigris/internal/registration"
-	"tigris/internal/sim"
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
@@ -115,25 +117,49 @@ func TestEvaluateEmptySequence(t *testing.T) {
 	}
 }
 
-func TestStageWorkloads(t *testing.T) {
+// TestCaptureKeepsBatchesWithTheirSlabs: the stream holds both frames'
+// front-ends and fine-tuning, every batch beside the point set that
+// answered it, and does not depend on the worker count.
+func TestCaptureKeepsBatchesWithTheirSlabs(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 32))
-	ws := StageWorkloads(seq, DP7())
-	if len(ws) != 2 {
-		t.Fatalf("expected 2 workloads, got %d", len(ws))
+	cfg := DP7().Config // downsampled front-end: fine-tuning has its own slab
+	cfg.Searcher.Parallelism = 1
+	st := Capture(seq, cfg)
+	if len(st.Slabs) != 3 || st.Slabs[2].Len() != seq.Frames[0].Len() {
+		t.Fatalf("want target FE, source FE and the target's raw cloud; got %d slabs", len(st.Slabs))
 	}
-	if ws[0].Kind != sim.RadiusSearch || ws[0].Radius != 0.75 {
-		t.Errorf("NE workload wrong: %+v", ws[0])
+	trees := make([]*kdtree.Tree, len(st.Slabs))
+	for i, s := range st.Slabs {
+		trees[i] = kdtree.BuildSlab(s)
 	}
-	if ws[1].Kind != sim.NNSearch {
-		t.Errorf("RPCE workload wrong kind")
+	perSlab := make([]int, len(st.Slabs))
+	for i, b := range st.Batches {
+		perSlab[b.Slab]++
+		// RPCE searches the raw target only, key-points and descriptors
+		// the front-end clouds only; normals are estimated on both (the
+		// raw target's on demand, for the points ICP matched).
+		if fine := b.Slab == 2; b.Stage != search.StageNormals && fine != (b.Stage == search.StageRPCE) {
+			t.Fatalf("batch %d: stage %q over slab %d", i, b.Stage, b.Slab)
+		}
+		// Every stage but RPCE queries around points of the cloud it
+		// indexes, so over the right slab the nearest point is the query.
+		if b.Stage == search.StageRPCE {
+			continue
+		}
+		for _, q := range b.Queries {
+			if nb, _ := trees[b.Slab].Nearest(q, nil); nb.Dist2 != 0 {
+				t.Fatalf("batch %d (%s): query %v is not a point of slab %d", i, b.Stage, q, b.Slab)
+			}
+		}
 	}
-	if len(ws[0].Queries) == 0 || len(ws[1].Queries) == 0 {
-		t.Error("empty workloads")
+	for i, n := range perSlab {
+		if n == 0 {
+			t.Errorf("no batch over slab %d", i)
+		}
 	}
-	// DP4 strides its RPCE queries; DP7 does not.
-	ws4 := StageWorkloads(seq, DP4())
-	if len(ws4[1].Queries) >= len(ws[1].Queries) {
-		t.Error("DP4's strided RPCE should issue fewer queries than DP7")
+	cfg.Searcher.Parallelism = 2
+	if st2 := Capture(seq, cfg); !reflect.DeepEqual(st.Batches, st2.Batches) {
+		t.Error("capture differs between Parallelism 1 and 2")
 	}
 }
 

@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"fmt"
+	"slices"
+
+	"tigris/internal/cloud"
 	"tigris/internal/features"
-	"tigris/internal/geom"
 	"tigris/internal/registration"
 	"tigris/internal/search"
-	"tigris/internal/sim"
 	"tigris/internal/synth"
 )
 
@@ -140,7 +142,7 @@ func Grid() []DesignPoint {
 						cfg.ICP.Metric = metric
 						id++
 						out = append(out, DesignPoint{
-							Name:   gridName(id, neRadius, kp, desc, stride, metric),
+							Name:   fmt.Sprintf("G%d-r%.2f-%s-%s-s%d-%s", id, neRadius, kp, desc, stride, metric),
 							Config: cfg,
 						})
 					}
@@ -151,63 +153,60 @@ func Grid() []DesignPoint {
 	return out
 }
 
-func gridName(id int, r float64, kp features.KeypointMethod, d features.DescriptorMethod, stride int, m registration.ErrorMetric) string {
-	return "G" + itoa(id) + "-r" + ftoa(r) + "-" + kp.String() + "-" + d.String() + "-s" + itoa(stride) + "-" + m.String()
+// Batch is one captured stage batch and the point set it was answered
+// over, as an index into Stream.Slabs.
+type Batch struct {
+	search.TraceBatch
+	Slab int
 }
 
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+// Stream is every 3D search batch one registered pair issues, in issue
+// order, each kept with the point set it queried — so a replay (the
+// accelerator model, a baseline device model, another backend) builds the
+// same indexes and asks them the same questions. Slabs are in first-use
+// order: the target's front-end cloud, the source's, and, when the
+// front-end is downsampled, the target's raw cloud that fine-tuning
+// searches.
+type Stream struct {
+	Slabs   []*cloud.Slab
+	Batches []Batch
 }
 
-func ftoa(v float64) string {
-	// Two decimal places are all the knob values need.
-	whole := int(v)
-	frac := int(v*100+0.5) - whole*100
-	return itoa(whole) + "." + string([]byte{byte('0' + frac/10), byte('0' + frac%10)})
-}
-
-// StageWorkloads extracts the KD-tree search workloads one frame pair of
-// the sequence would issue under the design point: the Normal Estimation
-// radius workload over the downsampled target cloud, and the RPCE NN
-// workload of the first fine-tuning iteration. These drive the
-// accelerator experiments (Fig. 11–15), which evaluate KD-tree search in
-// isolation on the design points' search mixes (§6.3).
-func StageWorkloads(seq *synth.Sequence, dp DesignPoint) (workloads []sim.Workload) {
-	cfg := dp.Config
-	target := seq.Frames[0]
-	source := seq.Frames[1]
-	// NE: every raw point radius-searches its neighborhood. The paper's
-	// Fig. 2 pipeline estimates normals on the full cloud (voxel
-	// downsampling is this repo's optional front-end optimization, not
-	// part of the paper's pipeline), and it is exactly this full-density
-	// radius workload that makes the back-end dominant (Fig. 6b).
-	workloads = append(workloads, sim.Workload{
-		Kind:    sim.RadiusSearch,
-		Queries: target.Points,
-		Radius:  cfg.Normal.SearchRadius,
-	})
-	// RPCE: every (strided) raw source point NN-searches the raw target.
-	stride := cfg.ICP.SourceStride
-	if stride < 1 {
-		stride = 1
+// Capture registers frame 1 of the sequence onto frame 0 stage by stage
+// with the trace backend wrapped around the canonical tree (exact
+// backends issue identical queries, so the capture is
+// backend-independent; cfg.Searcher contributes only its Parallelism).
+// This is the one workload source of the accelerator experiments
+// (Fig. 11–15), which evaluate KD-tree search in isolation on the design
+// points' search mixes (§6.3). Frames are cloned: the pipeline writes
+// normals into its inputs.
+func Capture(seq *synth.Sequence, cfg registration.PipelineConfig) *Stream {
+	sink := &search.TraceLog{}
+	cfg.Searcher = registration.SearcherConfig{
+		Backend:     search.BackendTrace,
+		Parallelism: cfg.Searcher.Parallelism,
+		Options: search.Options{
+			search.OptTraceInner: search.BackendCanonical,
+			search.OptTraceSink:  sink,
+		},
 	}
-	queries := make([]geom.Vec3, 0, source.Len()/stride+1)
-	for i := 0; i < source.Len(); i += stride {
-		queries = append(queries, source.Points[i])
+	st := &Stream{}
+	take := func(slab *cloud.Slab) {
+		at := slices.Index(st.Slabs, slab)
+		if at < 0 {
+			at = len(st.Slabs)
+			st.Slabs = append(st.Slabs, slab)
+		}
+		for _, b := range sink.Batches() {
+			st.Batches = append(st.Batches, Batch{TraceBatch: b, Slab: at})
+		}
+		sink.Reset()
 	}
-	workloads = append(workloads, sim.Workload{
-		Kind:    sim.NNSearch,
-		Queries: queries,
-	})
-	return workloads
+	dst := registration.PrepareFrame(seq.Frames[0].Clone(), cfg)
+	take(dst.FE)
+	src := registration.PrepareFrame(seq.Frames[1].Clone(), cfg)
+	take(src.FE)
+	registration.Align(src, dst, cfg)
+	take(dst.Raw)
+	return st
 }

@@ -1,8 +1,8 @@
 // Package linalg implements the small-matrix numeric kernels the Tigris
 // pipeline depends on: a cyclic-Jacobi symmetric eigensolver, a 3×3 singular
-// value decomposition, dense Gaussian elimination for the normal equations,
-// and a Levenberg–Marquardt solver (the fine-tuning phase's optional ICP
-// solver, paper Tbl. 1).
+// value decomposition, and dense Gaussian elimination for the normal
+// equations (the Levenberg–Marquardt loops in registration and posegraph
+// solve their damped systems with it).
 //
 // Everything here is written for 3–6 dimensional problems; clarity and
 // numerical robustness are favored over asymptotic tricks.

@@ -236,66 +236,6 @@ func TestSolveDenseNeedsPivoting(t *testing.T) {
 	}
 }
 
-func TestLMQuadraticBowl(t *testing.T) {
-	// Minimize (p0-3)² + (p1+2)²: residuals are the two terms directly.
-	f := func(p []float64, out []float64) {
-		out[0] = p[0] - 3
-		out[1] = p[1] + 2
-	}
-	res, err := LevenbergMarquardt(f, []float64{0, 0}, 2, LMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Params[0]-3) > 1e-6 || math.Abs(res.Params[1]+2) > 1e-6 {
-		t.Fatalf("LM solution = %v", res.Params)
-	}
-	if !res.Converged {
-		t.Error("LM should report convergence")
-	}
-}
-
-func TestLMRosenbrock(t *testing.T) {
-	// Rosenbrock as least squares: r1 = 10(y - x²), r2 = 1 - x.
-	f := func(p []float64, out []float64) {
-		out[0] = 10 * (p[1] - p[0]*p[0])
-		out[1] = 1 - p[0]
-	}
-	res, err := LevenbergMarquardt(f, []float64{-1.2, 1}, 2, LMOptions{MaxIterations: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Params[0]-1) > 1e-4 || math.Abs(res.Params[1]-1) > 1e-4 {
-		t.Fatalf("Rosenbrock solution = %v (cost %v)", res.Params, res.Cost)
-	}
-}
-
-func TestLMCurveFit(t *testing.T) {
-	// Fit a + b·x to noisy-free samples of 2 + 0.5·x.
-	xs := []float64{0, 1, 2, 3, 4, 5}
-	f := func(p []float64, out []float64) {
-		for i, x := range xs {
-			out[i] = p[0] + p[1]*x - (2 + 0.5*x)
-		}
-	}
-	res, err := LevenbergMarquardt(f, []float64{0, 0}, len(xs), LMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Params[0]-2) > 1e-6 || math.Abs(res.Params[1]-0.5) > 1e-6 {
-		t.Fatalf("fit = %v", res.Params)
-	}
-	if res.Cost > 1e-12 {
-		t.Fatalf("residual cost = %v", res.Cost)
-	}
-}
-
-func TestLMUnderdetermined(t *testing.T) {
-	f := func(p []float64, out []float64) { out[0] = p[0] + p[1] }
-	if _, err := LevenbergMarquardt(f, []float64{0, 0}, 1, LMOptions{}); err == nil {
-		t.Fatal("expected error for underdetermined problem")
-	}
-}
-
 func TestMatVec(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5, 6} // 2×3
 	x := []float64{1, 0, -1}

@@ -125,7 +125,7 @@ type TraceExemplar struct {
 // family.
 const traceExemplarK = 4
 
-// Result is the BENCH_serve.json record of one run.
+// Result is the JSON record of one run.
 type Result struct {
 	Name            string            `json:"name"`
 	Tag             string            `json:"tag,omitempty"`

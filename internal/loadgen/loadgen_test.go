@@ -139,7 +139,7 @@ func TestRunAgainstGatewayFleet(t *testing.T) {
 			t.Fatalf("%s digest = %+v, want count 4", stage, d)
 		}
 	}
-	// The record round-trips as the BENCH_serve.json contract expects.
+	// The record round-trips through JSON under its field names.
 	b, _ := json.Marshal(res)
 	var back map[string]any
 	if err := json.Unmarshal(b, &back); err != nil {

@@ -90,20 +90,13 @@ func TestSearcherConfigValidate(t *testing.T) {
 	}).Validate(); err != nil {
 		t.Errorf("valid trace config rejected: %v", err)
 	}
-	if err := (SearcherConfig{Backend: search.BackendTwoStageApprox, TopHeight: -1}).Validate(); err != nil {
+	if err := (SearcherConfig{Backend: search.BackendTwoStageApprox}).Validate(); err != nil {
 		t.Errorf("approx config rejected: %v", err)
 	}
-	// Options overlay: a typed knob must lose to the free-form bag — and
-	// a bad overlay value must fail.
-	bad := SearcherConfig{Backend: search.BackendTwoStage, TopHeight: -1,
+	bad := SearcherConfig{Backend: search.BackendTwoStage,
 		Options: search.Options{search.OptTopHeight: "tall"}}
 	if err := bad.Validate(); err == nil {
 		t.Error("bad option type must fail validation")
-	}
-	overlay := SearcherConfig{Backend: search.BackendTwoStage, TopHeight: -1,
-		Options: search.Options{search.OptTopHeight: 3}}
-	if got, err := overlay.BackendOptions().Int(search.OptTopHeight, 0); err != nil || got != 3 {
-		t.Errorf("Options overlay lost: top_height = %d, %v", got, err)
 	}
 }
 

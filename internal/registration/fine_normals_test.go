@@ -110,9 +110,6 @@ func TestAlignMatchesEagerReference(t *testing.T) {
 				cfg := v.cfg
 				cfg.Searcher.Backend = backend
 				cfg.Searcher.Parallelism = 2
-				if backend == search.BackendTwoStage {
-					cfg.Searcher.TopHeight = -1
-				}
 				src := registration.PrepareFrame(seq.Frames[1].Clone(), cfg)
 				dst := registration.PrepareFrame(seq.Frames[0].Clone(), cfg)
 				poisonRawNormals(dst)

@@ -27,7 +27,6 @@ func TestRegisterParallelMatchesSequential(t *testing.T) {
 	for _, tc := range parallelEquivCases {
 		base := pipelineTestConfig()
 		base.Searcher.Backend = tc.backend
-		base.Searcher.TopHeight = -1
 
 		serial := base
 		serial.Searcher.Parallelism = 1
@@ -91,7 +90,6 @@ func TestRegisterApproxParallelismInvariant(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 79))
 	base := pipelineTestConfig()
 	base.Searcher.Backend = search.BackendTwoStageApprox
-	base.Searcher.TopHeight = -1
 
 	var first Result
 	for i, p := range []int{1, 2, 8} {

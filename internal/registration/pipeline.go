@@ -22,20 +22,10 @@ type SearcherConfig struct {
 	// "canonical".
 	Backend string
 	// Options is the backend-specific option bag (see the search.Opt*
-	// keys), overlaid on the typed knobs below — an Options entry wins
-	// over the corresponding typed field. Values may come from JSON, CLI
-	// flags, or Go code (e.g. the trace backend's *search.TraceLog sink).
+	// keys). Values may come from JSON, CLI flags, or Go code (e.g. the
+	// trace backend's *search.TraceLog sink). An OptParallelism entry
+	// wins over the Parallelism field.
 	Options search.Options
-	// TopHeight for the two-stage variants (paper default 10; <0 sizes
-	// leaf sets to ~128 points).
-	TopHeight int
-	// NNThreshold is the approximate-search NN discriminator in meters
-	// (default twostage.DefaultNNThreshold).
-	NNThreshold float64
-	// RadiusThresholdFrac is the approximate-search radius discriminator
-	// as a fraction of the search radius (default
-	// twostage.DefaultRadiusThresholdFrac).
-	RadiusThresholdFrac float64
 	// Parallelism is the batch worker count every query-dominated stage
 	// runs with: 0 (the default) selects runtime.NumCPU(), 1 forces the
 	// sequential path, and any other positive value pins the pool size.
@@ -79,26 +69,10 @@ func (c SearcherConfig) WithParallelism(n int) SearcherConfig {
 	return c
 }
 
-// BackendOptions resolves the effective option bag: the typed knobs
-// serialized under their search.Opt* keys (only the keys the selected
-// backend understands; for the trace decorator that is its inner
-// backend), overlaid with the free-form Options.
+// BackendOptions resolves the effective option bag: Parallelism under
+// search.OptParallelism, overlaid with the free-form Options.
 func (c SearcherConfig) BackendOptions() search.Options {
 	opts := search.Options{search.OptParallelism: c.Parallelism}
-	structural := c.BackendName()
-	if structural == search.BackendTrace {
-		if inner, err := c.Options.String(search.OptTraceInner, search.BackendCanonical); err == nil {
-			structural = inner
-		}
-	}
-	switch structural {
-	case search.BackendTwoStage:
-		opts[search.OptTopHeight] = c.TopHeight
-	case search.BackendTwoStageApprox:
-		opts[search.OptTopHeight] = c.TopHeight
-		opts[search.OptNNThreshold] = c.NNThreshold
-		opts[search.OptRadiusThresholdFrac] = c.RadiusThresholdFrac
-	}
 	for k, v := range c.Options {
 		opts[k] = v
 	}

@@ -83,11 +83,11 @@ func TestRegisterWithTwoStageApproxKeepsAccuracy(t *testing.T) {
 	truth := seq.GroundTruthDelta(0)
 
 	exact := pipelineTestConfig()
-	exact.Searcher = SearcherConfig{Backend: search.BackendTwoStage, TopHeight: -1}
+	exact.Searcher = SearcherConfig{Backend: search.BackendTwoStage}
 	eExact := EvaluatePair(Register(seq.Frames[1], seq.Frames[0], exact).Transform, truth)
 
 	approx := pipelineTestConfig()
-	approx.Searcher = SearcherConfig{Backend: search.BackendTwoStageApprox, TopHeight: -1}
+	approx.Searcher = SearcherConfig{Backend: search.BackendTwoStageApprox}
 	eApprox := EvaluatePair(Register(seq.Frames[1], seq.Frames[0], approx).Transform, truth)
 
 	if eApprox.TranslationalPct > eExact.TranslationalPct+3 {

@@ -358,7 +358,7 @@ func TestRegisterSearcherVariantsAgree(t *testing.T) {
 	var errs []float64
 	for _, name := range []string{search.BackendCanonical, search.BackendTwoStage, search.BackendTwoStageApprox} {
 		cfg := base
-		cfg.Searcher = SearcherConfig{Backend: name, TopHeight: 6}
+		cfg.Searcher = SearcherConfig{Backend: name}
 		res := Register(seq.Frames[1], seq.Frames[0], cfg)
 		e := EvaluatePair(res.Transform, truth)
 		errs = append(errs, e.TranslationalPct)

@@ -32,11 +32,12 @@ func newCanonicalBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 }
 
 // twoStageConfigFromOptions is shared by the exact and approximate
-// two-stage factories.
+// two-stage factories. An absent top_height sizes leaf sets to ~128
+// points (height 0 would be one leaf holding every point: a linear scan).
 func twoStageConfigFromOptions(opts Options) (TwoStageConfig, error) {
 	var cfg TwoStageConfig
 	var err error
-	if cfg.TopHeight, err = opts.Int(OptTopHeight, 0); err != nil {
+	if cfg.TopHeight, err = opts.Int(OptTopHeight, -1); err != nil {
 		return cfg, err
 	}
 	if cfg.Parallelism, err = opts.Int(OptParallelism, 0); err != nil {

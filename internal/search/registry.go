@@ -46,8 +46,8 @@ const (
 	// OptParallelism (int) is the batch worker count; accepted by every
 	// built-in backend. 0 selects NumCPU, 1 forces the sequential path.
 	OptParallelism = "parallelism"
-	// OptTopHeight (int) is the two-stage top-tree height; < 0 sizes leaf
-	// sets to ~128 points.
+	// OptTopHeight (int) is the two-stage top-tree height; absent or < 0
+	// sizes leaf sets to ~128 points.
 	OptTopHeight = "top_height"
 	// OptNNThreshold (float) is the approximate-search NN discriminator
 	// in meters (0 selects twostage.DefaultNNThreshold).

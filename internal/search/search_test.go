@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
 	"tigris/internal/twostage"
@@ -110,6 +111,23 @@ func TestNegativeTopHeightAutoSizes(t *testing.T) {
 	ts := NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: -1})
 	if got := ts.Tree().MaxLeafSize(); got > 128 {
 		t.Errorf("auto-sized leaf = %d, want <= 128", got)
+	}
+}
+
+// TestTwoStageBackendDefaultIsATree: a registry two-stage backend built
+// with no top_height must size its leaf sets, not put every point in one
+// leaf (height 0: a linear scan per query).
+func TestTwoStageBackendDefaultIsATree(t *testing.T) {
+	slab := cloud.SlabFromPoints(randPoints(rand.New(rand.NewSource(5)), 4000))
+	for _, name := range []string{BackendTwoStage, BackendTwoStageApprox} {
+		s, err := NewByNameSlab(name, slab, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tree := s.(*TwoStageSearcher).Tree()
+		if leaves, max := len(tree.Leaves()), tree.MaxLeafSize(); leaves < 2 || max > 128 {
+			t.Errorf("%s with no options: %d leaves, largest %d points; want > 1 leaf of <= 128", name, leaves, max)
+		}
 	}
 }
 

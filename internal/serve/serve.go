@@ -637,9 +637,6 @@ func (s *Server) pipelineConfig(req sessionRequest) (registration.PipelineConfig
 	if cfg.Searcher.Backend == "" {
 		cfg.Searcher.Backend = s.cfg.DefaultBackend
 	}
-	// Sessions index full frames: size two-stage leaf sets to ~128 points
-	// unless the request pins a height through backend_options.
-	cfg.Searcher.TopHeight = -1
 	if req.BackendOptions != nil {
 		cfg.Searcher.Options = search.Options(req.BackendOptions)
 	}

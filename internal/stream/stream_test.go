@@ -23,9 +23,6 @@ func testSeq(t testing.TB, frames int, seed int64) *synth.Sequence {
 func testConfig(backend string) registration.PipelineConfig {
 	cfg := registration.PipelineConfig{}
 	cfg.Searcher.Backend = backend
-	if backend != search.BackendCanonical {
-		cfg.Searcher.TopHeight = -1
-	}
 	cfg.Rejection.Method = registration.RejectRANSAC
 	cfg.Rejection.Seed = 7
 	cfg.ICP.MaxIterations = 12
