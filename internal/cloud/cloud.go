@@ -188,16 +188,29 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 	return out
 }
 
-// Validate checks structural invariants: finite coordinates and a normals
-// slice that is either nil or parallel to the points.
+// Validate checks what everything below ingest relies on: a normals slice
+// that is either nil or parallel to the points, and coordinates and
+// normals that are finite as float32 — the precision every slab and index
+// holds them at, where 1e300 is +Inf and a NaN is unordered against every
+// split plane a search prunes on.
 func (c *Cloud) Validate() error {
 	if c.Normals != nil && len(c.Normals) != len(c.Points) {
 		return fmt.Errorf("cloud: %d normals for %d points", len(c.Normals), len(c.Points))
 	}
 	for i, p := range c.Points {
-		if !p.IsFinite() {
-			return fmt.Errorf("cloud: non-finite point %d: %v", i, p)
+		if !finite32(p) {
+			return fmt.Errorf("cloud: point %d is not finite in float32: %v", i, p)
+		}
+	}
+	for i, n := range c.Normals {
+		if !finite32(n) {
+			return fmt.Errorf("cloud: normal %d is not finite in float32: %v", i, n)
 		}
 	}
 	return nil
+}
+
+// finite32 reports whether v stays finite when quantized to float32.
+func finite32(v geom.Vec3) bool {
+	return geom.Vec3{X: float64(float32(v.X)), Y: float64(float32(v.Y)), Z: float64(float32(v.Z))}.IsFinite()
 }

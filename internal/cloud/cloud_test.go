@@ -173,10 +173,18 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("NaN point accepted")
 	}
+	huge := FromPoints([]geom.Vec3{{X: 1e300}})
+	if err := huge.Validate(); err == nil {
+		t.Error("a coordinate that is +Inf as float32 accepted")
+	}
 	mismatched := FromPoints([]geom.Vec3{{X: 1}, {X: 2}})
 	mismatched.Normals = []geom.Vec3{{Z: 1}}
 	if err := mismatched.Validate(); err == nil {
 		t.Error("mismatched normals accepted")
+	}
+	mismatched.Normals = []geom.Vec3{{Z: 1}, {Z: math.Inf(1)}}
+	if err := mismatched.Validate(); err == nil {
+		t.Error("non-finite normal accepted")
 	}
 }
 
@@ -230,6 +238,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"TIGRIS-CLOUD v1\nPOINTS 2\nFIELDS xyz\nDATA ascii\n1 2 3\n", // truncated
 		"TIGRIS-CLOUD v1\nPOINTS 1\nFIELDS xyz\nDATA ascii\n1 2\n",   // short row
 		"TIGRIS-CLOUD v1\nPOINTS -5\nFIELDS xyz\nDATA ascii\n",
+		// Not finite at the float32 precision the indexes are built over.
+		"TIGRIS-CLOUD v1\nPOINTS 1\nFIELDS xyz\nDATA ascii\nNaN 2 3\n",
+		"TIGRIS-CLOUD v1\nPOINTS 1\nFIELDS xyz\nDATA ascii\n1 1e300 3\n", // +Inf as float32
+		"TIGRIS-CLOUD v1\nPOINTS 1\nFIELDS xyz\nDATA ascii\n1 2 -Inf\n",
+		"TIGRIS-CLOUD v1\nPOINTS 1\nFIELDS xyznormal\nDATA ascii\n1 2 3 0 1e300 1\n",
 	}
 	for i, s := range cases {
 		if _, err := Read(strings.NewReader(s)); err == nil {

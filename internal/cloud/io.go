@@ -54,7 +54,9 @@ func Write(w io.Writer, c *Cloud) error {
 	return bw.Flush()
 }
 
-// Read parses a cloud previously produced by Write.
+// Read parses a cloud previously produced by Write. A frame that does not
+// pass Validate — a coordinate or normal that is not finite as float32 —
+// is an error, not a cloud.
 func Read(r io.Reader) (*Cloud, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -129,6 +131,9 @@ func Read(r io.Reader) (*Cloud, error) {
 		if withNormals {
 			c.Normals = append(c.Normals, geom.Vec3{X: vals[3], Y: vals[4], Z: vals[5]})
 		}
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

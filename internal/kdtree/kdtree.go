@@ -171,13 +171,12 @@ func BuildSlabPar(s *cloud.Slab, workers int) *Tree {
 // the next mid slots, the right subtree after it. spawn > 0 allows
 // forking the left child onto its own goroutine.
 func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
-	axis := widestAxis(t.xs, t.ys, t.zs, idx)
 	// Median split by selection on the chosen axis (a contiguous float32
 	// load per comparison — the SoA layout's construction win); ties are
 	// broken by index so construction is deterministic. Comparing the
 	// float32 values directly orders identically to comparing their
 	// float64 dequantizations.
-	ax := axisSlice(t.xs, t.ys, t.zs, axis)
+	axis, ax := SplitAxis(t.xs, t.ys, t.zs, idx)
 	mid := len(idx) / 2
 	SelectIndex(idx, mid, ax, 1)
 	n := node{
@@ -214,22 +213,12 @@ func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
 	}
 }
 
-// axisSlice selects the per-axis coordinate slab.
-func axisSlice(xs, ys, zs []float32, axis int) []float32 {
-	switch axis {
-	case 0:
-		return xs
-	case 1:
-		return ys
-	default:
-		return zs
-	}
-}
-
-// widestAxis returns the axis with the largest coordinate spread over
-// the indexed points, scanning each axis slab independently (three
-// sequential float32 streams instead of one strided struct walk).
-func widestAxis(xs, ys, zs []float32, idx []int32) int {
+// SplitAxis is the split-axis policy of a tree build: the axis with the
+// largest coordinate spread over the indexed points (non-empty) and that
+// axis's coordinate slab, scanning each axis slab independently (three
+// sequential float32 streams instead of one strided struct walk). The
+// two-stage builder shares it.
+func SplitAxis(xs, ys, zs []float32, idx []int32) (axis int, col []float32) {
 	lox, hix := xs[idx[0]], xs[idx[0]]
 	loy, hiy := ys[idx[0]], ys[idx[0]]
 	loz, hiz := zs[idx[0]], zs[idx[0]]
@@ -253,11 +242,11 @@ func widestAxis(xs, ys, zs []float32, idx []int32) int {
 	sx, sy, sz := hix-lox, hiy-loy, hiz-loz
 	switch {
 	case sx >= sy && sx >= sz:
-		return 0
+		return 0, xs
 	case sy >= sz:
-		return 1
+		return 1, ys
 	default:
-		return 2
+		return 2, zs
 	}
 }
 

@@ -30,8 +30,7 @@ func seqBuildRec(t *Tree, idx []int32) int32 {
 	if len(idx) == 0 {
 		return -1
 	}
-	axis := widestAxis(t.xs, t.ys, t.zs, idx)
-	ax := axisSlice(t.xs, t.ys, t.zs, axis)
+	axis, ax := SplitAxis(t.xs, t.ys, t.zs, idx)
 	sort.Slice(idx, func(a, b int) bool {
 		pa := ax[idx[a]]
 		pb := ax[idx[b]]

@@ -51,7 +51,7 @@ func eagerICP(src, dst *registration.PreparedFrame, initial geom.Transform, cfg 
 		target = s
 	}
 	if cfg.Inject.RPCEKthNN > 1 {
-		target = &search.KthNNSearcher{Inner: target, K: cfg.Inject.RPCEKthNN}
+		target = &search.KthNNSearcher{Searcher: target, K: cfg.Inject.RPCEKthNN}
 	}
 	icpCfg := cfg.ICP
 	icpCfg.Parallelism = cfg.Searcher.EffectiveParallelism()

@@ -134,7 +134,7 @@ func PrepareFrameSlab(s *cloud.Slab, cfg PipelineConfig) *PreparedFrame {
 	// its batches per stage (Fig. 6-style weighting in the co-sim).
 	ne := f.FESearch
 	if cfg.Inject.NEShell != nil {
-		ne = &search.ShellSearcher{Inner: f.FESearch, R1: cfg.Inject.NEShell[0], R2: cfg.Inject.NEShell[1]}
+		ne = &search.ShellSearcher{Searcher: f.FESearch, R1: cfg.Inject.NEShell[0], R2: cfg.Inject.NEShell[1]}
 	}
 	search.TagStage(ne, search.StageNormals)
 	t0 := time.Now()
@@ -324,7 +324,7 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	search.TagStage(icpTarget, search.StageRPCE)
 	var rpceSearch search.Searcher = icpTarget
 	if cfg.Inject.RPCEKthNN > 1 {
-		rpceSearch = &search.KthNNSearcher{Inner: icpTarget, K: cfg.Inject.RPCEKthNN}
+		rpceSearch = &search.KthNNSearcher{Searcher: icpTarget, K: cfg.Inject.RPCEKthNN}
 	}
 	// Fine-tuning always refines with the raw source points; the error
 	// accumulation inherits the searcher parallelism like every other

@@ -132,5 +132,5 @@ func newTraceBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TraceSearcher{Inner: is, Log: sink}, nil
+	return &TraceSearcher{Searcher: is, Log: sink}, nil
 }

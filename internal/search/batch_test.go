@@ -32,10 +32,10 @@ func backendCases() []backendCase {
 			})
 		}},
 		{"kthnn-inject", true, func(pts []geom.Vec3) Searcher {
-			return &KthNNSearcher{Inner: NewKDSearcher(pts), K: 3}
+			return &KthNNSearcher{Searcher: NewKDSearcher(pts), K: 3}
 		}},
 		{"shell-inject", true, func(pts []geom.Vec3) Searcher {
-			return &ShellSearcher{Inner: NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: 4}), R1: 0.5, R2: 2.5}
+			return &ShellSearcher{Searcher: NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: 4}), R1: 0.5, R2: 2.5}
 		}},
 	}
 }

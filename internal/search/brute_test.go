@@ -119,7 +119,7 @@ func TestKthNNInjectionRecycles(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := randPoints(rng, 400)
 	qs := randPoints(rng, 60)
-	inj := &KthNNSearcher{Inner: NewKDSearcher(pts), K: 3}
+	inj := &KthNNSearcher{Searcher: NewKDSearcher(pts), K: 3}
 	oracle := NewKDSearcher(pts)
 	for round := 0; round < 2; round++ {
 		got := inj.NearestBatch(qs)

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
 )
@@ -14,13 +13,17 @@ import (
 //   - ShellSearcher replaces radius-r results with the points lying in the
 //     spherical shell <r1, r2> with r1 < r < r2 (Fig. 7b's x-axis).
 //
-// Both delegate every other query kind to the wrapped searcher unchanged.
+// Both embed the searcher they wrap, so every other query kind and the
+// rest of the Searcher surface reach it unchanged. Embedding promotes the
+// interface's methods only: the optional NearestBatchInto fast path is not
+// among them, so BatchNearestInto answers through the wrapper's own
+// NearestBatch and cannot bypass an injection.
 
 // KthNNSearcher degrades Nearest to return the K-th nearest neighbor
 // (K = 1 is exact).
 type KthNNSearcher struct {
-	Inner Searcher
-	K     int
+	Searcher
+	K int
 }
 
 // Nearest implements Searcher with the k-th-neighbor substitution.
@@ -29,7 +32,7 @@ func (s *KthNNSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
 	if k < 1 {
 		k = 1
 	}
-	res := s.Inner.KNearest(q, k)
+	res := s.Searcher.KNearest(q, k)
 	if len(res) == 0 {
 		return kdtree.Neighbor{}, false
 	}
@@ -48,7 +51,7 @@ func (s *KthNNSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 	if k < 1 {
 		k = 1
 	}
-	knn := s.Inner.KNearestBatch(qs, k)
+	knn := s.Searcher.KNearestBatch(qs, k)
 	out := make([]kdtree.Neighbor, len(qs))
 	for i, res := range knn {
 		if len(res) == 0 {
@@ -61,46 +64,14 @@ func (s *KthNNSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 	return out
 }
 
-// KNearest implements Searcher (undistorted).
-func (s *KthNNSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
-	return s.Inner.KNearest(q, k)
-}
-
-// KNearestBatch implements Searcher (undistorted).
-func (s *KthNNSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
-	return s.Inner.KNearestBatch(qs, k)
-}
-
-// Radius implements Searcher (undistorted).
-func (s *KthNNSearcher) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
-	return s.Inner.Radius(q, r)
-}
-
-// RadiusBatch implements Searcher (undistorted).
-func (s *KthNNSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
-	return s.Inner.RadiusBatch(qs, r)
-}
-
 // SetStage forwards stage attribution to the wrapped searcher.
-func (s *KthNNSearcher) SetStage(stage string) { TagStage(s.Inner, stage) }
-
-// SetParallelism implements Searcher by delegation.
-func (s *KthNNSearcher) SetParallelism(n int) { s.Inner.SetParallelism(n) }
-
-// Parallelism implements Searcher by delegation.
-func (s *KthNNSearcher) Parallelism() int { return s.Inner.Parallelism() }
-
-// Slab implements Searcher.
-func (s *KthNNSearcher) Slab() *cloud.Slab { return s.Inner.Slab() }
-
-// Metrics implements Searcher.
-func (s *KthNNSearcher) Metrics() *Metrics { return s.Inner.Metrics() }
+func (s *KthNNSearcher) SetStage(stage string) { TagStage(s.Searcher, stage) }
 
 // ShellSearcher degrades Radius(q, r) to return points in the shell
 // [R1, R2] instead of the ball [0, r]. The caller chooses R1 < r < R2 as in
 // Fig. 7b (e.g. <30 cm, 75 cm> against r = 60 cm).
 type ShellSearcher struct {
-	Inner  Searcher
+	Searcher
 	R1, R2 float64
 }
 
@@ -121,14 +92,14 @@ func shellFilter(outer []kdtree.Neighbor, r1sq float64) []kdtree.Neighbor {
 
 // Radius implements Searcher with the shell substitution.
 func (s *ShellSearcher) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
-	return shellFilter(s.Inner.Radius(q, s.R2), s.R1*s.R1)
+	return shellFilter(s.Searcher.Radius(q, s.R2), s.R1*s.R1)
 }
 
 // RadiusBatch implements Searcher with the shell substitution: the batch
 // runs through the inner RadiusBatch at R2 and each result is re-filtered
 // exactly as Radius does per query.
 func (s *ShellSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
-	outer := s.Inner.RadiusBatch(qs, s.R2)
+	outer := s.Searcher.RadiusBatch(qs, s.R2)
 	r1sq := s.R1 * s.R1
 	for i, res := range outer {
 		outer[i] = shellFilter(res, r1sq)
@@ -136,37 +107,5 @@ func (s *ShellSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighb
 	return outer
 }
 
-// Nearest implements Searcher (undistorted).
-func (s *ShellSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
-	return s.Inner.Nearest(q)
-}
-
-// NearestBatch implements Searcher (undistorted).
-func (s *ShellSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
-	return s.Inner.NearestBatch(qs)
-}
-
-// KNearest implements Searcher (undistorted).
-func (s *ShellSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
-	return s.Inner.KNearest(q, k)
-}
-
-// KNearestBatch implements Searcher (undistorted).
-func (s *ShellSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
-	return s.Inner.KNearestBatch(qs, k)
-}
-
 // SetStage forwards stage attribution to the wrapped searcher.
-func (s *ShellSearcher) SetStage(stage string) { TagStage(s.Inner, stage) }
-
-// SetParallelism implements Searcher by delegation.
-func (s *ShellSearcher) SetParallelism(n int) { s.Inner.SetParallelism(n) }
-
-// Parallelism implements Searcher by delegation.
-func (s *ShellSearcher) Parallelism() int { return s.Inner.Parallelism() }
-
-// Slab implements Searcher.
-func (s *ShellSearcher) Slab() *cloud.Slab { return s.Inner.Slab() }
-
-// Metrics implements Searcher.
-func (s *ShellSearcher) Metrics() *Metrics { return s.Inner.Metrics() }
+func (s *ShellSearcher) SetStage(stage string) { TagStage(s.Searcher, stage) }

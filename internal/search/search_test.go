@@ -136,7 +136,7 @@ func TestKthNNSearcher(t *testing.T) {
 	pts := randPoints(r, 300)
 	inner := NewKDSearcher(pts)
 	for _, k := range []int{1, 2, 5, 9} {
-		s := &KthNNSearcher{Inner: inner, K: k}
+		s := &KthNNSearcher{Searcher: inner, K: k}
 		q := randPoints(r, 1)[0]
 		nb, ok := s.Nearest(q)
 		if !ok {
@@ -148,12 +148,12 @@ func TestKthNNSearcher(t *testing.T) {
 		}
 	}
 	// K larger than the cloud falls back to the farthest available.
-	tiny := &KthNNSearcher{Inner: NewKDSearcher(pts[:3]), K: 10}
+	tiny := &KthNNSearcher{Searcher: NewKDSearcher(pts[:3]), K: 10}
 	nb, ok := tiny.Nearest(geom.Vec3{})
 	if !ok {
 		t.Fatal("tiny cloud should still answer")
 	}
-	want := kdtree.BruteKNearestIntoSlab(tiny.Inner.Slab(), geom.Vec3{}, 3, nil)
+	want := kdtree.BruteKNearestIntoSlab(tiny.Slab(), geom.Vec3{}, 3, nil)
 	if nb.Index != want[2].Index {
 		t.Errorf("fallback should return farthest available")
 	}
@@ -163,7 +163,7 @@ func TestShellSearcher(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pts := randPoints(r, 800)
 	inner := NewKDSearcher(pts)
-	s := &ShellSearcher{Inner: inner, R1: 3, R2: 7}
+	s := &ShellSearcher{Searcher: inner, R1: 3, R2: 7}
 	q := randPoints(r, 1)[0]
 	res := s.Radius(q, 5) // nominal r is ignored by the injection
 	if len(res) == 0 {
@@ -192,8 +192,8 @@ func TestInjectionPassThrough(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	pts := randPoints(r, 200)
 	inner := NewKDSearcher(pts)
-	kth := &KthNNSearcher{Inner: inner, K: 3}
-	shell := &ShellSearcher{Inner: inner, R1: 1, R2: 2}
+	kth := &KthNNSearcher{Searcher: inner, K: 3}
+	shell := &ShellSearcher{Searcher: inner, R1: 1, R2: 2}
 	q := randPoints(r, 1)[0]
 
 	if got, want := kth.Radius(q, 4), inner.Radius(q, 4); len(got) != len(want) {
@@ -206,6 +206,29 @@ func TestInjectionPassThrough(t *testing.T) {
 	}
 	if kth.Slab().Len() != 200 || shell.Slab().Len() != 200 {
 		t.Error("Slab pass-through broken")
+	}
+}
+
+// TestBatchNearestIntoKeepsInjection: the wrappers embed the Searcher
+// interface, which does not carry the optional NearestBatchInto fast
+// path, so BatchNearestInto must answer through the wrapper's own
+// NearestBatch — a promoted inner fast path would silently drop the
+// injected error from ICP's hot loop.
+func TestBatchNearestIntoKeepsInjection(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	inner := NewKDSearcher(randPoints(r, 300))
+	kth := &KthNNSearcher{Searcher: inner, K: 3}
+	qs := randPoints(r, 40)
+
+	got := BatchNearestInto(kth, qs, nil)
+	exact := inner.NearestBatch(qs)
+	for i, q := range qs {
+		if want, _ := kth.Nearest(q); got[i] != want {
+			t.Fatalf("query %d: %v through BatchNearestInto, %v from the wrapper", i, got[i], want)
+		}
+		if got[i] == exact[i] {
+			t.Fatalf("query %d: the injection was bypassed", i)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package search
 
 import (
 	"sync"
-	"tigris/internal/cloud"
 
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
@@ -195,15 +194,16 @@ func (l *TraceLog) Reset() {
 	l.mu.Unlock()
 }
 
-// TraceSearcher decorates Inner, recording every query into Log before
-// delegating. Construct it directly or via the "trace" registry backend
-// (options: "inner" backend name, "sink" *TraceLog, rest forwarded).
+// TraceSearcher decorates the Searcher it embeds, recording every query
+// into Log before delegating. Construct it directly or via the "trace"
+// registry backend (options: "inner" backend name, "sink" *TraceLog, rest
+// forwarded).
 // The pipeline stages label their traffic through SetStage (see
 // TagStage); like the rest of the Searcher surface, the stage tag is not
 // synchronized — distinct searcher instances record concurrently, one
 // instance must be driven sequentially.
 type TraceSearcher struct {
-	Inner Searcher
+	Searcher
 	Log   *TraceLog
 	stage string
 }
@@ -215,25 +215,25 @@ func (s *TraceSearcher) SetStage(stage string) { s.stage = stage }
 // Nearest implements Searcher, recording a batch of one.
 func (s *TraceSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
 	s.Log.add(TraceNearest, s.stage, 0, 0, []geom.Vec3{q})
-	return s.Inner.Nearest(q)
+	return s.Searcher.Nearest(q)
 }
 
 // KNearest implements Searcher, recording a batch of one.
 func (s *TraceSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
 	s.Log.add(TraceKNearest, s.stage, k, 0, []geom.Vec3{q})
-	return s.Inner.KNearest(q, k)
+	return s.Searcher.KNearest(q, k)
 }
 
 // Radius implements Searcher, recording a batch of one.
 func (s *TraceSearcher) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
 	s.Log.add(TraceRadius, s.stage, 0, r, []geom.Vec3{q})
-	return s.Inner.Radius(q, r)
+	return s.Searcher.Radius(q, r)
 }
 
 // NearestBatch implements Searcher, recording the whole stage batch.
 func (s *TraceSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 	s.Log.add(TraceNearest, s.stage, 0, 0, qs)
-	return s.Inner.NearestBatch(qs)
+	return s.Searcher.NearestBatch(qs)
 }
 
 // NearestBatchInto records the batch and forwards the in-place fast path
@@ -241,29 +241,17 @@ func (s *TraceSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 // behavior when the inner backend supports it.
 func (s *TraceSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []kdtree.Neighbor {
 	s.Log.add(TraceNearest, s.stage, 0, 0, qs)
-	return BatchNearestInto(s.Inner, qs, buf)
+	return BatchNearestInto(s.Searcher, qs, buf)
 }
 
 // KNearestBatch implements Searcher, recording the whole stage batch.
 func (s *TraceSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	s.Log.add(TraceKNearest, s.stage, k, 0, qs)
-	return s.Inner.KNearestBatch(qs, k)
+	return s.Searcher.KNearestBatch(qs, k)
 }
 
 // RadiusBatch implements Searcher, recording the whole stage batch.
 func (s *TraceSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	s.Log.add(TraceRadius, s.stage, 0, r, qs)
-	return s.Inner.RadiusBatch(qs, r)
+	return s.Searcher.RadiusBatch(qs, r)
 }
-
-// SetParallelism implements Searcher by delegation.
-func (s *TraceSearcher) SetParallelism(n int) { s.Inner.SetParallelism(n) }
-
-// Parallelism implements Searcher by delegation.
-func (s *TraceSearcher) Parallelism() int { return s.Inner.Parallelism() }
-
-// Slab implements Searcher.
-func (s *TraceSearcher) Slab() *cloud.Slab { return s.Inner.Slab() }
-
-// Metrics implements Searcher.
-func (s *TraceSearcher) Metrics() *Metrics { return s.Inner.Metrics() }

@@ -2,10 +2,12 @@
 // simulator of the front-end Recursion Units (RU) that traverse the
 // two-stage KD-tree's top-tree, and the back-end Search Units (SU) whose
 // Processing Element (PE) arrays exhaustively scan leaf node-sets. The
-// simulator executes real search workloads over a real twostage.Tree —
-// results are bit-identical to the software search — while accounting
-// cycles, buffer traffic, and energy the way the paper's synthesis-
-// parameterized simulator does (§6.1).
+// model does not search: Prepare answers the workload with the software's
+// own two-stage search (one twostage.ApproxSession per stage batch) and
+// the engine schedules the visits that search logged — so the results are
+// the software's and so is every node visit and leaf scan — while
+// accounting cycles, buffer traffic, and energy the way the paper's
+// synthesis-parameterized simulator does (§6.1).
 //
 // Modeled mechanisms, each mapped to its paper section:
 //
@@ -24,7 +26,11 @@
 //     (Fig. 8).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"tigris/internal/twostage"
+)
 
 // IssuePolicy selects how SUs issue queries to their PEs (§5.3).
 type IssuePolicy int
@@ -125,6 +131,17 @@ func (c *Config) defaults() {
 	}
 	if c.BQBCapacity == 0 {
 		c.BQBCapacity = 128
+	}
+}
+
+// approxOptions is where the model's approximation settings become the
+// software search's: one Leader Buffer state per stage batch, capped at
+// LeaderCap entries a leaf.
+func (c *Config) approxOptions() twostage.ApproxOptions {
+	return twostage.ApproxOptions{
+		Threshold:           c.Approx,
+		RadiusThresholdFrac: c.ApproxRadiusFrac,
+		MaxLeaders:          c.LeaderCap,
 	}
 }
 

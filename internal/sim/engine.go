@@ -2,9 +2,13 @@ package sim
 
 import (
 	"container/heap"
+
+	"tigris/internal/twostage"
 )
 
-// The engine schedules query traces over the modeled hardware:
+// The engine schedules the queries' visits (twostage.Visit: one FE burst
+// optionally followed by one BE leaf visit, as the software search made
+// them) over the modeled hardware:
 //
 //	FQQ → RU (FE burst) → query distribution network → SU BQB → PE batch
 //	 ↑                                                            │
@@ -89,7 +93,7 @@ func (h *eventHeap) Pop() interface{} {
 	return it
 }
 
-// pendingQuery is one FQQ entry: a query positioned at a segment.
+// pendingQuery is one FQQ entry: a query positioned at step seg of its walk.
 type pendingQuery struct {
 	qid, seg int32
 }
@@ -121,10 +125,10 @@ func (q *suFIFO) compact() {
 	}
 }
 
-// engine executes the traces and accumulates the Report counters.
+// engine executes the logged walks and accumulates the Report counters.
 type engine struct {
 	cfg    *Config
-	traces []queryTrace
+	visits *twostage.VisitLog
 
 	events eventHeap
 	order  uint64
@@ -202,10 +206,10 @@ type OpCounts struct {
 	DRAMAccesses  int64
 }
 
-func newEngine(cfg *Config, traces []queryTrace, numLeaves int) *engine {
+func newEngine(cfg *Config, visits *twostage.VisitLog, numLeaves int) *engine {
 	e := &engine{
 		cfg:       cfg,
-		traces:    traces,
+		visits:    visits,
 		ruFree:    make([]uint64, cfg.NumRU),
 		suQueue:   make([]suFIFO, cfg.NumSU),
 		suBusy:    make([]uint64, cfg.NumSU),
@@ -254,10 +258,15 @@ func (e *engine) scheduleSUCheck(su int32, t uint64) {
 	e.push(event{time: t, kind: evSUCheck, su: su})
 }
 
-// run executes all traces and returns the total cycle count.
+// visit returns step seg of query qid's walk.
+func (e *engine) visit(qid, seg int32) *twostage.Visit {
+	return &e.visits.Query(int(qid))[seg]
+}
+
+// run executes all walks and returns the total cycle count.
 func (e *engine) run() uint64 {
 	// All queries arrive at cycle 0 in the FQQ.
-	for qid := range e.traces {
+	for qid := range e.visits.Queries() {
 		e.push(event{time: 0, kind: evFQQArrival, qid: int32(qid), seg: 0})
 	}
 	for e.events.Len() > 0 {
@@ -295,8 +304,8 @@ func (e *engine) dispatchFE() {
 		if e.now > start {
 			start = e.now
 		}
-		seg := &e.traces[item.qid].segments[item.seg]
-		cycles := ruBurstCycles(seg.fullNodes, seg.prunedNodes, e.cfg)
+		seg := e.visit(item.qid, item.seg)
+		cycles := ruBurstCycles(seg.TopNodes, seg.Pruned, e.cfg)
 		end := start + cycles
 		e.ruFree[ru] = end
 		e.ruBusyCycles += cycles
@@ -304,19 +313,19 @@ func (e *engine) dispatchFE() {
 		// FE traffic: query fetch, stack pops/pushes, node reads, result
 		// inserts for top-node hits.
 		e.traffic.QueryBuf++
-		pops := int64(seg.fullNodes + seg.prunedNodes)
-		e.traffic.QueryStacks += pops + 2*int64(seg.fullNodes) // pops + child pushes
-		e.traffic.PointsBuf += int64(seg.fullNodes)            // RN reads node data
-		e.counts.PEDistanceOps += int64(seg.fullNodes)         // CD stage compute
-		e.counts.SRAMReads += pops + int64(seg.fullNodes) + 1
-		e.counts.SRAMWrites += 2 * int64(seg.fullNodes)
+		pops := int64(seg.TopNodes + seg.Pruned)
+		e.traffic.QueryStacks += pops + 2*int64(seg.TopNodes) // pops + child pushes
+		e.traffic.PointsBuf += int64(seg.TopNodes)            // RN reads node data
+		e.counts.PEDistanceOps += int64(seg.TopNodes)         // CD stage compute
+		e.counts.SRAMReads += pops + int64(seg.TopNodes) + 1
+		e.counts.SRAMWrites += 2 * int64(seg.TopNodes)
 
-		if seg.leafID >= 0 {
-			su := e.leafToSU[seg.leafID]
+		if seg.Leaf >= 0 {
+			su := e.leafToSU[seg.Leaf]
 			e.traffic.BEQueryQueue += 2
 			e.counts.SRAMWrites++
 			e.suQueue[su].push(suQueueItem{
-				qid: item.qid, seg: item.seg, leaf: seg.leafID, follower: seg.follower,
+				qid: item.qid, seg: item.seg, leaf: seg.Leaf, follower: seg.Follower,
 			})
 			t := end
 			if e.cfg.Issue == MQSN && e.suBusy[su] > t {
@@ -376,12 +385,12 @@ func (e *engine) serviceSU(su int) {
 
 	var maxScan, maxLeader int32
 	for _, it := range batch {
-		seg := &e.traces[it.qid].segments[it.seg]
-		if seg.scanned > maxScan {
-			maxScan = seg.scanned
+		seg := e.visit(it.qid, it.seg)
+		if seg.Scanned > maxScan {
+			maxScan = seg.Scanned
 		}
-		if seg.leaderChecks > maxLeader {
-			maxLeader = seg.leaderChecks
+		if seg.LeaderChecks > maxLeader {
+			maxLeader = seg.LeaderChecks
 		}
 	}
 	cycles := suScanCycles(maxScan, maxLeader, len(batch), e.cfg.PEsPerSU)
@@ -411,8 +420,8 @@ func (e *engine) serviceMQMN(su int) {
 		if e.now > start {
 			start = e.now
 		}
-		seg := &e.traces[it.qid].segments[it.seg]
-		cycles := suScanCycles(seg.scanned, seg.leaderChecks, 1, e.cfg.PEsPerSU)
+		seg := e.visit(it.qid, it.seg)
+		cycles := suScanCycles(seg.Scanned, seg.LeaderChecks, 1, e.cfg.PEsPerSU)
 		end := start + cycles
 		e.peFree[su][pe] = end
 		e.suBusyCycles += cycles
@@ -428,19 +437,19 @@ func (e *engine) serviceMQMN(su int) {
 func (e *engine) accountScan(su int, batch []suQueueItem, follower bool, shared bool) {
 	var streamReads int64
 	for bi, it := range batch {
-		seg := &e.traces[it.qid].segments[it.seg]
+		seg := e.visit(it.qid, it.seg)
 		e.traffic.QueryBuf++ // PE-local query point load
 		e.counts.SRAMReads++
-		e.counts.PEDistanceOps += int64(seg.scanned) + int64(seg.leaderChecks)
-		e.traffic.ResultBuf += int64(seg.resWrites)
-		e.counts.SRAMWrites += int64(seg.resWrites)
+		e.counts.PEDistanceOps += int64(seg.Scanned) + int64(seg.LeaderChecks)
+		e.traffic.ResultBuf += int64(seg.ResultWrites)
+		e.counts.SRAMWrites += int64(seg.ResultWrites)
 		if follower {
 			// Followers stream their leader's results from the Result
 			// Buffer (§5.3) — never shareable.
-			e.traffic.ResultBuf += int64(seg.scanned)
-			e.counts.SRAMReads += int64(seg.scanned) + int64(seg.leaderChecks)
+			e.traffic.ResultBuf += int64(seg.Scanned)
+			e.counts.SRAMReads += int64(seg.Scanned) + int64(seg.LeaderChecks)
 		} else if !shared || bi == 0 {
-			streamReads += int64(seg.scanned)
+			streamReads += int64(seg.Scanned)
 		}
 	}
 	if follower || streamReads == 0 {

@@ -27,14 +27,3 @@ func WorkloadsFromTrace(batches []search.TraceBatch) []Workload {
 	}
 	return out
 }
-
-// StageQueryCounts sums a capture's queries per pipeline stage — the
-// Fig. 6-style weights a co-sim run scales its per-stage results with.
-// Batches the pipeline never tagged fall under the "" key.
-func StageQueryCounts(batches []search.TraceBatch) map[string]int64 {
-	out := make(map[string]int64)
-	for _, b := range batches {
-		out[b.Stage] += int64(len(b.Queries))
-	}
-	return out
-}

@@ -109,11 +109,14 @@ func TestLeaderCapAccuracyTradeoff(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Approx = 1.0
 		cfg.LeaderCap = cap
-		traces, _ := traceNN(tree, queries, &cfg)
+		p, err := Prepare(tree, Workload{Kind: NNSearch, Queries: queries}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
-		for _, tr := range traces {
-			for _, s := range tr.segments {
-				if s.follower {
+		for i := range queries {
+			for _, v := range p.visits.Query(i) {
+				if v.Follower {
 					n++
 				}
 			}

@@ -29,13 +29,15 @@ type Report struct {
 	// NNResults holds per-query nearest neighbors for NN workloads
 	// (functional output, bit-identical to the software search).
 	NNResults []kdtree.Neighbor
-	// RadiusResults holds per-query neighbor lists for radius workloads.
+	// RadiusResults holds per-query neighbor lists for radius workloads,
+	// each in the order the walk found them (the Result Buffer's write
+	// order), not sorted by distance.
 	RadiusResults [][]kdtree.Neighbor
 	// Queries is the workload size.
 	Queries int
 }
 
-// Prepared is a traced workload ready for repeated timing runs. The trace
+// Prepared is a walked workload ready for repeated timing runs. The walk
 // (which nodes each query visits, which leaves it scans, the functional
 // results) depends only on the tree, the workload, and the approximation
 // settings — not on the unit counts or pipeline options — so parameter
@@ -43,15 +45,15 @@ type Report struct {
 type Prepared struct {
 	tree          *twostage.Tree
 	w             Workload
-	traces        []queryTrace
+	visits        twostage.VisitLog
 	nnResults     []kdtree.Neighbor
 	radiusResults [][]kdtree.Neighbor
-	approx        float64
-	approxFrac    float64
-	leaderCap     int
+	approx        twostage.ApproxOptions
 }
 
-// Prepare traces the workload under cfg's approximation settings.
+// Prepare answers the workload under cfg's approximation settings with the
+// software search — one twostage session for the batch, queries in order —
+// and keeps the visits that search made for the engine to time.
 func Prepare(tree *twostage.Tree, w Workload, cfg Config) (*Prepared, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
@@ -60,21 +62,23 @@ func Prepare(tree *twostage.Tree, w Workload, cfg Config) (*Prepared, error) {
 	if w.Kind == RadiusSearch && w.Radius <= 0 && len(w.Queries) > 0 {
 		return nil, fmt.Errorf("sim: radius workload needs a positive radius, got %v", w.Radius)
 	}
-	p := &Prepared{
-		tree:       tree,
-		w:          w,
-		approx:     cfg.Approx,
-		approxFrac: cfg.ApproxRadiusFrac,
-		leaderCap:  cfg.LeaderCap,
-	}
+	p := &Prepared{tree: tree, w: w, approx: cfg.approxOptions()}
 	if len(w.Queries) == 0 {
 		return p, nil
 	}
+	sess := tree.NewApproxSession(p.approx)
+	sess.LogVisits(&p.visits)
 	switch w.Kind {
 	case RadiusSearch:
-		p.traces, p.radiusResults = traceRadius(tree, w.Queries, w.Radius, &cfg)
+		p.radiusResults = make([][]kdtree.Neighbor, len(w.Queries))
+		for i, q := range w.Queries {
+			p.radiusResults[i] = sess.RadiusUnsorted(q, w.Radius, nil, nil)
+		}
 	default:
-		p.traces, p.nnResults = traceNN(tree, w.Queries, &cfg)
+		p.nnResults = make([]kdtree.Neighbor, len(w.Queries))
+		for i, q := range w.Queries {
+			p.nnResults[i], _ = sess.Nearest(q, nil)
+		}
 	}
 	return p, nil
 }
@@ -92,13 +96,13 @@ func Run(tree *twostage.Tree, w Workload, cfg Config) (*Report, error) {
 
 // Simulate times the prepared workload under cfg. The approximation
 // settings and leader cap must match the ones used at Prepare time (they
-// shape the trace); mismatches are rejected.
+// shape the walk); mismatches are rejected.
 func (p *Prepared) Simulate(cfg Config) (*Report, error) {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Approx != p.approx || cfg.ApproxRadiusFrac != p.approxFrac || cfg.LeaderCap != p.leaderCap {
+	if cfg.approxOptions() != p.approx {
 		return nil, fmt.Errorf("sim: approximation settings differ from Prepare time")
 	}
 	if len(p.w.Queries) == 0 {
@@ -110,14 +114,7 @@ func (p *Prepared) Simulate(cfg Config) (*Report, error) {
 		RadiusResults: p.radiusResults,
 	}
 	w := p.w
-	tree := p.tree
-	traces := p.traces
-
-	numLeaves := len(tree.Leaves())
-	if numLeaves == 0 {
-		numLeaves = 1
-	}
-	eng := newEngine(&cfg, traces, numLeaves)
+	eng := newEngine(&cfg, &p.visits, max(len(p.tree.Leaves()), 1))
 
 	// DRAM: per-query compressed result summaries stream back to the host
 	// (4 bytes each, 64-byte bursts). The cloud, the tree, and the query

@@ -3,9 +3,11 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tigris/internal/geom"
+	"tigris/internal/kdtree"
 	"tigris/internal/twostage"
 )
 
@@ -99,10 +101,10 @@ func TestSimApproxMatchesApproxSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tree.NearestBatchApprox(queries, twostage.ApproxOptions{Threshold: 1.2, MaxLeaders: 16}, nil)
-	for i := range queries {
-		if rep.NNResults[i].Index != want[i].Index {
-			t.Fatalf("query %d: sim %v, session %v", i, rep.NNResults[i], want[i])
+	sess := tree.NewApproxSession(twostage.ApproxOptions{Threshold: 1.2, MaxLeaders: 16})
+	for i, q := range queries {
+		if want, _ := sess.Nearest(q, nil); rep.NNResults[i] != want {
+			t.Fatalf("query %d: sim %v, session %v", i, rep.NNResults[i], want)
 		}
 	}
 }
@@ -120,11 +122,14 @@ func TestSimApproxRadiusMatchesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tree.RadiusBatchApprox(queries, radius,
-		twostage.ApproxOptions{Threshold: 1, RadiusThresholdFrac: 0.4, MaxLeaders: 16}, nil)
-	for i := range queries {
-		if len(rep.RadiusResults[i]) != len(want[i]) {
-			t.Fatalf("query %d: sim %d results, session %d", i, len(rep.RadiusResults[i]), len(want[i]))
+	sess := tree.NewApproxSession(twostage.ApproxOptions{Threshold: 1, RadiusThresholdFrac: 0.4, MaxLeaders: 16})
+	for i, q := range queries {
+		// The model keeps the Result Buffer's write order; the session's
+		// public answer is that list sorted.
+		got := slices.Clone(rep.RadiusResults[i])
+		kdtree.SortNeighbors(got)
+		if want := sess.Radius(q, radius, nil); !slices.Equal(got, want) {
+			t.Fatalf("query %d: sim %v, session %v", i, got, want)
 		}
 	}
 }
@@ -462,8 +467,8 @@ func BenchmarkSimPreparedSweep(b *testing.B) {
 }
 
 func TestAllQueriesComplete(t *testing.T) {
-	// Scheduling must never drop a query: every trace's final segment has
-	// to execute, across tree shapes and issue policies.
+	// Scheduling must never drop a query: every walk's final visit has to
+	// execute, across tree shapes and issue policies.
 	r := rand.New(rand.NewSource(30))
 	for _, leaf := range []int{1, 16, 128} {
 		tree := twostage.BuildWithLeafSize(randPoints(r, 5000), leaf)
@@ -471,8 +476,11 @@ func TestAllQueriesComplete(t *testing.T) {
 		for _, issue := range []IssuePolicy{MQSN, MQMN} {
 			cfg := DefaultConfig()
 			cfg.Issue = issue
-			traces, _ := traceRadius(tree, queries, 1.5, &cfg)
-			eng := newEngine(&cfg, traces, max(len(tree.Leaves()), 1))
+			p, err := Prepare(tree, Workload{Kind: RadiusSearch, Queries: queries, Radius: 1.5}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := newEngine(&cfg, &p.visits, max(len(tree.Leaves()), 1))
 			eng.run()
 			if eng.completed != len(queries) {
 				t.Fatalf("leaf=%d issue=%v: %d of %d queries completed", leaf, issue, eng.completed, len(queries))

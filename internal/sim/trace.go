@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"tigris/internal/geom"
-	"tigris/internal/kdtree"
-	"tigris/internal/twostage"
-)
+import "tigris/internal/geom"
 
 // SearchKind is the workload's search type (paper §4.1: point cloud
 // registration issues radius searches and NN searches).
@@ -38,256 +32,4 @@ type Workload struct {
 	// labels; empty for synthesized workloads). It lets co-sim runs
 	// weight per-stage contributions the way Fig. 6 does.
 	Stage string
-}
-
-// segment is one FE burst optionally followed by one BE leaf visit. A
-// query's execution is a sequence of segments; the final segment has
-// leafID < 0 (the top-tree stack drained without reaching another leaf).
-type segment struct {
-	fullNodes    int32 // top-tree nodes fully processed (5-stage)
-	prunedNodes  int32 // nodes popped and discarded (bypass path)
-	leafID       int32 // leaf visited after the burst; -1 = query done
-	leaderChecks int32 // leader-distance computations before the scan
-	scanned      int32 // points streamed through the PEs in the scan
-	resWrites    int32 // result-buffer writes during this segment
-	follower     bool  // scan reads the leader's results, not the node set
-}
-
-// queryTrace is the full execution trace of one query.
-type queryTrace struct {
-	segments []segment
-}
-
-// stackEntry mirrors a hardware query-stack slot: a child link plus the
-// bound distance² computed at the parent's CD stage, used for the pop-time
-// prune (bypass) test.
-type stackEntry struct {
-	child   twostage.Child
-	boundD2 float64
-}
-
-// traceNN generates traces and functional results for an NN workload.
-// Queries are processed in order so leader/follower behavior matches the
-// software ApproxSession semantics exactly.
-func traceNN(tree *twostage.Tree, queries []geom.Vec3, cfg *Config) ([]queryTrace, []kdtree.Neighbor) {
-	pts := tree.Points()
-	nodes := tree.Nodes()
-	leaves := tree.Leaves()
-	type nnLeader struct {
-		q   geom.Vec3
-		res kdtree.Neighbor
-	}
-	leaders := make([][]nnLeader, len(leaves))
-
-	traces := make([]queryTrace, len(queries))
-	results := make([]kdtree.Neighbor, len(queries))
-	var stack []stackEntry
-	for qi, q := range queries {
-		best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-		stack = stack[:0]
-		if tree.Root() != twostage.ChildNone {
-			stack = append(stack, stackEntry{child: tree.Root()})
-		}
-		seg := segment{leafID: -1}
-		tr := queryTrace{}
-		for len(stack) > 0 {
-			e := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if e.boundD2 >= 0 && e.boundD2 >= best.Dist2 {
-				seg.prunedNodes++
-				continue
-			}
-			if e.child.IsLeaf() {
-				id := e.child.LeafID()
-				set := leaves[id]
-				if len(set) == 0 {
-					continue
-				}
-				seg.leafID = int32(id)
-				// BE leaf visit: leader check, then follower or precise scan.
-				approx := cfg.Approx > 0
-				if approx && len(leaders[id]) > 0 {
-					seg.leaderChecks = int32(len(leaders[id]))
-					closest := -1
-					closestD2 := math.MaxFloat64
-					for li := range leaders[id] {
-						if d2 := q.Dist2(leaders[id][li].q); d2 < closestD2 {
-							closestD2 = d2
-							closest = li
-						}
-					}
-					if math.Sqrt(closestD2) < cfg.Approx {
-						ld := leaders[id][closest]
-						seg.follower = true
-						if ld.res.Index >= 0 {
-							seg.scanned = 1
-							if d2 := q.Dist2(pts[ld.res.Index]); d2 < best.Dist2 {
-								best = kdtree.Neighbor{Index: ld.res.Index, Dist2: d2}
-								seg.resWrites++
-							}
-						}
-						tr.segments = append(tr.segments, seg)
-						seg = segment{leafID: -1}
-						continue
-					}
-				}
-				seg.scanned = int32(len(set))
-				local := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-				for _, pi := range set {
-					d2 := q.Dist2(pts[pi])
-					if d2 < local.Dist2 {
-						local = kdtree.Neighbor{Index: int(pi), Dist2: d2}
-					}
-					if d2 < best.Dist2 {
-						best = kdtree.Neighbor{Index: int(pi), Dist2: d2}
-						seg.resWrites++
-					}
-				}
-				if approx && len(leaders[id]) < cfg.LeaderCap {
-					leaders[id] = append(leaders[id], nnLeader{q: q, res: local})
-				}
-				tr.segments = append(tr.segments, seg)
-				seg = segment{leafID: -1}
-				continue
-			}
-			// Internal top-tree node: full five-stage processing.
-			n := &nodes[e.child]
-			seg.fullNodes++
-			if d2 := q.Dist2(pts[n.Point]); d2 < best.Dist2 {
-				best = kdtree.Neighbor{Index: int(n.Point), Dist2: d2}
-				seg.resWrites++
-			}
-			diff := q.Component(int(n.Axis)) - n.Split
-			near, far := n.Left, n.Right
-			if diff > 0 {
-				near, far = far, near
-			}
-			// Push far first so near is processed before the far prune test
-			// fires with the tightened bound (paper §5.2: PI pushes both
-			// children; whichever is pushed later pops next).
-			if far != twostage.ChildNone {
-				stack = append(stack, stackEntry{child: far, boundD2: diff * diff})
-			}
-			if near != twostage.ChildNone {
-				stack = append(stack, stackEntry{child: near, boundD2: -1})
-			}
-		}
-		tr.segments = append(tr.segments, seg) // final burst, leafID -1
-		traces[qi] = tr
-		results[qi] = best
-	}
-	return traces, results
-}
-
-// traceRadius generates traces and functional results for a radius
-// workload.
-func traceRadius(tree *twostage.Tree, queries []geom.Vec3, radius float64, cfg *Config) ([]queryTrace, [][]kdtree.Neighbor) {
-	pts := tree.Points()
-	nodes := tree.Nodes()
-	leaves := tree.Leaves()
-	r2 := radius * radius
-	thd := cfg.Approx
-	if cfg.ApproxRadiusFrac > 0 {
-		thd = cfg.ApproxRadiusFrac * radius
-	}
-	type radLeader struct {
-		q   geom.Vec3
-		res []kdtree.Neighbor
-	}
-	leaders := make([][]radLeader, len(leaves))
-
-	traces := make([]queryTrace, len(queries))
-	results := make([][]kdtree.Neighbor, len(queries))
-	var stack []stackEntry
-	for qi, q := range queries {
-		var res []kdtree.Neighbor
-		stack = stack[:0]
-		if tree.Root() != twostage.ChildNone {
-			stack = append(stack, stackEntry{child: tree.Root()})
-		}
-		seg := segment{leafID: -1}
-		tr := queryTrace{}
-		for len(stack) > 0 {
-			e := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if e.boundD2 > r2 {
-				seg.prunedNodes++
-				continue
-			}
-			if e.child.IsLeaf() {
-				id := e.child.LeafID()
-				set := leaves[id]
-				if len(set) == 0 {
-					continue
-				}
-				seg.leafID = int32(id)
-				approx := cfg.Approx > 0 || cfg.ApproxRadiusFrac > 0
-				if approx && len(leaders[id]) > 0 {
-					seg.leaderChecks = int32(len(leaders[id]))
-					closest := -1
-					closestD2 := math.MaxFloat64
-					for li := range leaders[id] {
-						if d2 := q.Dist2(leaders[id][li].q); d2 < closestD2 {
-							closestD2 = d2
-							closest = li
-						}
-					}
-					if math.Sqrt(closestD2) < thd {
-						ld := leaders[id][closest]
-						seg.follower = true
-						seg.scanned = int32(len(ld.res))
-						for _, nb := range ld.res {
-							if d2 := q.Dist2(pts[nb.Index]); d2 <= r2 {
-								res = append(res, kdtree.Neighbor{Index: nb.Index, Dist2: d2})
-								seg.resWrites++
-							}
-						}
-						tr.segments = append(tr.segments, seg)
-						seg = segment{leafID: -1}
-						continue
-					}
-				}
-				seg.scanned = int32(len(set))
-				var local []kdtree.Neighbor
-				for _, pi := range set {
-					if d2 := q.Dist2(pts[pi]); d2 <= r2 {
-						nb := kdtree.Neighbor{Index: int(pi), Dist2: d2}
-						local = append(local, nb)
-						res = append(res, nb)
-						seg.resWrites++
-					}
-				}
-				if approx && len(leaders[id]) < cfg.LeaderCap {
-					leaders[id] = append(leaders[id], radLeader{q: q, res: local})
-				}
-				tr.segments = append(tr.segments, seg)
-				seg = segment{leafID: -1}
-				continue
-			}
-			n := &nodes[e.child]
-			seg.fullNodes++
-			if d2 := q.Dist2(pts[n.Point]); d2 <= r2 {
-				res = append(res, kdtree.Neighbor{Index: int(n.Point), Dist2: d2})
-				seg.resWrites++
-			}
-			diff := q.Component(int(n.Axis)) - n.Split
-			near, far := n.Left, n.Right
-			if diff > 0 {
-				near, far = far, near
-			}
-			if far != twostage.ChildNone {
-				// Radius pruning is inclusive (<= r) to mirror the software
-				// search; encode by shrinking the bound epsilon-free: use
-				// boundD2 slightly below exact by comparing > r2 at pop.
-				stack = append(stack, stackEntry{child: far, boundD2: diff * diff})
-			}
-			if near != twostage.ChildNone {
-				stack = append(stack, stackEntry{child: near, boundD2: -1})
-			}
-		}
-		tr.segments = append(tr.segments, seg)
-		traces[qi] = tr
-		results[qi] = res
-	}
-	return traces, results
 }

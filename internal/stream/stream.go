@@ -84,13 +84,12 @@ type Config struct {
 	Pipeline registration.PipelineConfig
 	// Pipelined overlaps frame N's front-end with frame N−1's alignment.
 	// Off, each Push runs both stages synchronously before returning —
-	// same trajectory, no overlap.
+	// same trajectory, no overlap. On, one pushed frame may wait for the
+	// front-end before Push blocks, which bounds session memory: at most
+	// that raw frame plus four frames in or past the front-end (the one
+	// being prepared, one in the register between the stages, the pair
+	// being aligned) are alive at once.
 	Pipelined bool
-	// QueueDepth bounds how many pushed frames may wait for the front-end
-	// in pipelined mode before Push blocks (default 1). Bounding the
-	// queue bounds session memory: at most QueueDepth raw frames plus
-	// three prepared frames are alive at once.
-	QueueDepth int
 	// Origin is the pose assigned to the first frame (zero value:
 	// identity).
 	Origin *geom.Transform
@@ -375,15 +374,13 @@ func New(cfg Config) *Engine {
 		e.stages = 3
 	}
 	if cfg.Pipelined {
-		depth := cfg.QueueDepth
-		if depth < 1 {
-			depth = 1
-		}
 		// Start from an even split of the configured worker budget; the
 		// EWMAs take over once the stages have been observed.
 		e.pool = par.NewPool(cfg.Pipeline.Searcher.EffectiveParallelism())
 		e.resplitLocked()
-		e.in = make(chan queuedCloud, depth)
+		// Capacity 1: one pushed frame may wait for the front-end before
+		// Push blocks (see Config.Pipelined for the memory bound).
+		e.in = make(chan queuedCloud, 1)
 		// Capacity 1 is the pipeline register between the two stages:
 		// the front-end worker may run one frame ahead of alignment.
 		preparedCh := make(chan queuedFrame, 1)

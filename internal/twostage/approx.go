@@ -40,81 +40,61 @@ const DefaultNNThreshold = 1.2
 // a fraction of the search radius.
 const DefaultRadiusThresholdFrac = 0.4
 
-// nnLeader caches one leader query and its best match within one leaf.
-type nnLeader struct {
+// leader is one Leader Buffer entry: a query that took the precise path in
+// a leaf and the leaf-local result it cached there — the nearest point for
+// NN search, the in-radius list for radius search.
+type leader[R any] struct {
 	q   geom.Vec3
-	res kdtree.Neighbor // leaf-local nearest (Index < 0 if leaf was empty)
+	res R
 }
 
-// radLeader caches one leader query and its leaf-local radius result.
-type radLeader struct {
-	q   geom.Vec3
-	res []kdtree.Neighbor
-}
-
-// NearestBatchApprox answers NN queries as a batch with the approximate
-// leader/follower algorithm. Results are positionally aligned with
-// queries; a result with Index < 0 means the tree was empty.
-func (t *Tree) NearestBatchApprox(queries []geom.Vec3, opts ApproxOptions, stats *Stats) []kdtree.Neighbor {
-	opts.defaults()
-	leaders := make([][]nnLeader, len(t.leaves))
-	out := make([]kdtree.Neighbor, len(queries))
-	for qi, q := range queries {
-		if stats != nil {
-			stats.Queries++
-		}
-		best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-		t.nearestApprox(t.root, q, &best, leaders, opts, stats)
-		out[qi] = best
+// follow is the discriminator of Algorithm 1 (getMinDist): it returns which
+// of the leaf's leaders q follows, or -1 when q takes the precise path
+// (threshold disabled, no leader yet, or the closest one thd or farther
+// away), and charges the leader checks to v.
+func follow[R any](leaders []leader[R], q geom.Vec3, thd float64, v *Visit) int {
+	if thd <= 0 || len(leaders) == 0 {
+		return -1
 	}
-	return out
+	v.LeaderChecks = int32(len(leaders))
+	closest, closestD2 := -1, math.MaxFloat64
+	for i := range leaders {
+		if d2 := q.Dist2(leaders[i].q); d2 < closestD2 {
+			closest, closestD2 = i, d2
+		}
+	}
+	if math.Sqrt(closestD2) >= thd {
+		return -1
+	}
+	v.Follower = true
+	return closest
 }
 
-// nearestApprox mirrors nearestChild but applies Algorithm 1 at leaves.
-func (t *Tree) nearestApprox(c Child, q geom.Vec3, best *kdtree.Neighbor, leaders [][]nnLeader, opts ApproxOptions, stats *Stats) {
-	switch {
-	case c == ChildNone:
+// nearestLeaf is the NN walk's leaf visit under a session: Algorithm 1 when
+// the threshold is positive, the plain exhaustive scan otherwise, recorded
+// either way.
+func (s *ApproxSession) nearestLeaf(id int, q geom.Vec3, best *kdtree.Neighbor, stats *Stats) {
+	t := s.tree
+	set := t.leaves[id]
+	if len(set) == 0 {
 		return
-	case c.IsLeaf():
-		id := c.LeafID()
-		set := t.leaves[id]
-		if len(set) == 0 {
-			return
-		}
-		if opts.Threshold > 0 && len(leaders[id]) > 0 {
-			// Find the closest leader for q (paper: getMinDist).
-			closest := -1
-			closestD2 := math.MaxFloat64
-			for li := range leaders[id] {
-				if stats != nil {
-					stats.LeaderChecks++
-				}
-				if d2 := q.Dist2(leaders[id][li].q); d2 < closestD2 {
-					closestD2 = d2
-					closest = li
-				}
-			}
-			if math.Sqrt(closestD2) < opts.Threshold {
-				// Approximate path: search in the leader's results.
-				if stats != nil {
-					stats.FollowerHits++
-				}
-				ld := leaders[id][closest]
-				if ld.res.Index >= 0 {
-					if stats != nil {
-						stats.LeafPointsViewed++
-					}
-					if d2 := t.dist2(q, int32(ld.res.Index)); d2 < best.Dist2 {
-						*best = kdtree.Neighbor{Index: ld.res.Index, Dist2: d2}
-					}
-				}
-				return
+	}
+	v := &s.open
+	v.Leaf = int32(id)
+	thd := s.opts.Threshold
+	if li := follow(s.nn[id], q, thd, v); li >= 0 {
+		// Approximate path: the leader's result is the only candidate.
+		if res := s.nn[id][li].res; res.Index >= 0 {
+			v.Scanned = 1
+			if d2 := t.dist2(q, int32(res.Index)); d2 < best.Dist2 {
+				*best = kdtree.Neighbor{Index: res.Index, Dist2: d2}
+				v.ResultWrites++
 			}
 		}
-		// Precise path: exhaustive scan of the leaf set.
-		if stats != nil {
-			stats.LeafPointsViewed += int64(len(set))
-		}
+	} else {
+		// Precise path: exhaustive scan of the leaf set, keeping the
+		// leaf-local best a leader caches beside the query's own.
+		v.Scanned = int32(len(set))
 		local := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
 		for _, pi := range set {
 			d2 := t.dist2(q, pi)
@@ -123,139 +103,51 @@ func (t *Tree) nearestApprox(c Child, q geom.Vec3, best *kdtree.Neighbor, leader
 			}
 			if d2 < best.Dist2 {
 				*best = kdtree.Neighbor{Index: int(pi), Dist2: d2}
+				v.ResultWrites++
 			}
 		}
-		if opts.Threshold > 0 && len(leaders[id]) < opts.MaxLeaders {
-			leaders[id] = append(leaders[id], nnLeader{q: q, res: local})
+		if thd > 0 && len(s.nn[id]) < s.opts.MaxLeaders {
+			s.nn[id] = append(s.nn[id], leader[kdtree.Neighbor]{q: q, res: local})
 			if stats != nil {
 				stats.LeaderInserts++
 			}
 		}
-	default:
-		n := &t.nodes[c]
-		if stats != nil {
-			stats.TopNodesVisited++
-		}
-		if d2 := t.dist2(q, n.Point); d2 < best.Dist2 {
-			*best = kdtree.Neighbor{Index: int(n.Point), Dist2: d2}
-		}
-		diff := q.Component(int(n.Axis)) - n.Split
-		near, far := n.Left, n.Right
-		if diff > 0 {
-			near, far = far, near
-		}
-		t.nearestApprox(near, q, best, leaders, opts, stats)
-		if far != ChildNone {
-			if diff*diff < best.Dist2 {
-				t.nearestApprox(far, q, best, leaders, opts, stats)
-			} else if stats != nil {
-				stats.TopNodesPruned++
-			}
-		}
 	}
+	s.closeVisit(stats)
 }
 
-// RadiusBatchApprox answers radius queries as a batch with the approximate
-// leader/follower algorithm. Results are positionally aligned with queries
-// and sorted by ascending distance.
-func (t *Tree) RadiusBatchApprox(queries []geom.Vec3, r float64, opts ApproxOptions, stats *Stats) [][]kdtree.Neighbor {
-	opts.defaults()
-	if opts.RadiusThresholdFrac > 0 {
-		opts.Threshold = opts.RadiusThresholdFrac * r
-	}
-	leaders := make([][]radLeader, len(t.leaves))
-	out := make([][]kdtree.Neighbor, len(queries))
-	r2 := r * r
-	for qi, q := range queries {
-		if stats != nil {
-			stats.Queries++
-		}
-		var res []kdtree.Neighbor
-		t.radiusApprox(t.root, q, r2, &res, leaders, opts, stats)
-		sortNeighbors(res)
-		out[qi] = res
-	}
-	return out
-}
-
-func (t *Tree) radiusApprox(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, leaders [][]radLeader, opts ApproxOptions, stats *Stats) {
-	switch {
-	case c == ChildNone:
+// radiusLeaf is the radius walk's leaf visit under a session; see
+// nearestLeaf. A follower re-filters its leader's result list with its own
+// center.
+func (s *ApproxSession) radiusLeaf(id int, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, stats *Stats) {
+	t := s.tree
+	set := t.leaves[id]
+	if len(set) == 0 {
 		return
-	case c.IsLeaf():
-		id := c.LeafID()
-		set := t.leaves[id]
-		if len(set) == 0 {
-			return
-		}
-		if opts.Threshold > 0 && len(leaders[id]) > 0 {
-			closest := -1
-			closestD2 := math.MaxFloat64
-			for li := range leaders[id] {
-				if stats != nil {
-					stats.LeaderChecks++
-				}
-				if d2 := q.Dist2(leaders[id][li].q); d2 < closestD2 {
-					closestD2 = d2
-					closest = li
-				}
-			}
-			if math.Sqrt(closestD2) < opts.Threshold {
-				if stats != nil {
-					stats.FollowerHits++
-				}
-				// Approximate path: re-filter the leader's result set with
-				// this query's center.
-				ld := leaders[id][closest]
-				if stats != nil {
-					stats.LeafPointsViewed += int64(len(ld.res))
-				}
-				for _, nb := range ld.res {
-					if d2 := t.dist2(q, int32(nb.Index)); d2 <= r2 {
-						*res = append(*res, kdtree.Neighbor{Index: nb.Index, Dist2: d2})
-					}
-				}
-				return
+	}
+	v := &s.open
+	v.Leaf = int32(id)
+	before := len(*res)
+	if li := follow(s.rad[id], q, s.radThd, v); li >= 0 {
+		cached := s.rad[id][li].res
+		v.Scanned = int32(len(cached))
+		for _, nb := range cached {
+			if d2 := t.dist2(q, int32(nb.Index)); d2 <= r2 {
+				*res = append(*res, kdtree.Neighbor{Index: nb.Index, Dist2: d2})
 			}
 		}
-		// Precise path.
-		if stats != nil {
-			stats.LeafPointsViewed += int64(len(set))
-		}
-		var local []kdtree.Neighbor
-		for _, pi := range set {
-			if d2 := t.dist2(q, pi); d2 <= r2 {
-				nb := kdtree.Neighbor{Index: int(pi), Dist2: d2}
-				local = append(local, nb)
-				*res = append(*res, nb)
-			}
-		}
-		if opts.Threshold > 0 && len(leaders[id]) < opts.MaxLeaders {
-			leaders[id] = append(leaders[id], radLeader{q: q, res: local})
+	} else {
+		v.Scanned = int32(len(set))
+		*res = t.scanRadius(set, q, r2, *res)
+		if s.radThd > 0 && len(s.rad[id]) < s.opts.MaxLeaders {
+			// The leader keeps its own copy: res belongs to the caller.
+			local := append([]kdtree.Neighbor(nil), (*res)[before:]...)
+			s.rad[id] = append(s.rad[id], leader[[]kdtree.Neighbor]{q: q, res: local})
 			if stats != nil {
 				stats.LeaderInserts++
 			}
 		}
-	default:
-		n := &t.nodes[c]
-		if stats != nil {
-			stats.TopNodesVisited++
-		}
-		if d2 := t.dist2(q, n.Point); d2 <= r2 {
-			*res = append(*res, kdtree.Neighbor{Index: int(n.Point), Dist2: d2})
-		}
-		diff := q.Component(int(n.Axis)) - n.Split
-		near, far := n.Left, n.Right
-		if diff > 0 {
-			near, far = far, near
-		}
-		t.radiusApprox(near, q, r2, res, leaders, opts, stats)
-		if far != ChildNone {
-			if diff*diff <= r2 {
-				t.radiusApprox(far, q, r2, res, leaders, opts, stats)
-			} else if stats != nil {
-				stats.TopNodesPruned++
-			}
-		}
 	}
+	v.ResultWrites += int32(len(*res) - before)
+	s.closeVisit(stats)
 }

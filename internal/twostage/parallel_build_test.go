@@ -8,6 +8,7 @@ import (
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
+	"tigris/internal/kdtree"
 )
 
 // seqBuild is the original sequential append-order construction, kept as
@@ -37,8 +38,7 @@ func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 		t.leaves = append(t.leaves, set)
 		return encodeLeaf(id)
 	}
-	axis := widestAxis(t.xs, t.ys, t.zs, idx)
-	ax := axisSlice(t.xs, t.ys, t.zs, axis)
+	axis, ax := kdtree.SplitAxis(t.xs, t.ys, t.zs, idx)
 	sort.Slice(idx, func(a, b int) bool {
 		pa := ax[idx[a]]
 		pb := ax[idx[b]]

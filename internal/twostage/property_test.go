@@ -84,7 +84,7 @@ func TestQuickPartitionInvariant(t *testing.T) {
 		tree := Build(tc.Pts, tc.Height)
 		seen := make([]bool, len(tc.Pts))
 		count := 0
-		for _, n := range tree.Nodes() {
+		for _, n := range tree.nodes {
 			if seen[n.Point] {
 				return false
 			}
@@ -122,14 +122,14 @@ func TestQuickSplitPlaneInvariant(t *testing.T) {
 			case c.IsLeaf():
 				return tree.Leaves()[c.LeafID()]
 			default:
-				n := tree.Nodes()[c]
+				n := tree.nodes[c]
 				out := []int32{n.Point}
 				out = append(out, collect(n.Left)...)
 				out = append(out, collect(n.Right)...)
 				return out
 			}
 		}
-		for _, n := range tree.Nodes() {
+		for _, n := range tree.nodes {
 			for _, pi := range collect(n.Left) {
 				if tc.Pts[pi].Component(int(n.Axis)) > n.Split+1e-12 {
 					ok = false
@@ -159,7 +159,7 @@ func TestQuickApproxNeverWorseThanLeaderBound(t *testing.T) {
 		tree := Build(tc.Pts, 4)
 		queries := tc.Pts[:len(tc.Pts)/2]
 		const thd = 1.5
-		res := tree.NearestBatchApprox(queries, ApproxOptions{Threshold: thd}, nil)
+		res := sessionNearest(tree, queries, ApproxOptions{Threshold: thd}, nil)
 		for i, q := range queries {
 			want, _ := tree.Nearest(q, nil)
 			if math.Sqrt(res[i].Dist2) > math.Sqrt(want.Dist2)+2*thd+1e-9 {

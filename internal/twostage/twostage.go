@@ -17,6 +17,13 @@
 // and followers (searched only against the closest leader's result set).
 // A distance discriminator thd decides the split, and the leader set per
 // leaf is capped (16 in the accelerator's Leader Buffer, §5.3).
+//
+// There is one NN walk and one radius walk (Tree.nearest, Tree.radius).
+// Exact search runs them bare; an ApproxSession runs them with Algorithm 1
+// at the leaves; and a session asked to (LogVisits) writes down every
+// walk as the bursts of top-tree nodes and the leaf scans the accelerator
+// would execute (Visit). That log is all internal/sim reads: the model
+// times the walk the software performed, it does not perform one.
 package twostage
 
 import (
@@ -51,8 +58,7 @@ func (c Child) LeafID() int { return int(leafBase - c) }
 func encodeLeaf(id int) Child { return leafBase - Child(id) }
 
 // Node is one top-tree node. It stores a point (like the canonical tree)
-// and a splitting plane. Exported so the accelerator simulator can walk
-// the exact structure the hardware would hold in its Input Point Buffer.
+// and a splitting plane.
 type Node struct {
 	Point       int32 // index into the point slice
 	Left, Right Child
@@ -178,8 +184,10 @@ func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[s
 		t.leaves[leafAt] = idx[:len(idx):len(idx)]
 		return
 	}
-	axis := widestAxis(t.xs, t.ys, t.zs, idx)
-	ax := axisSlice(t.xs, t.ys, t.zs, axis)
+	// The canonical tree's split-axis policy, so that the top-tree is
+	// "exactly the same as the first htop levels of the classic KD-tree"
+	// (paper §4.1).
+	axis, ax := kdtree.SplitAxis(t.xs, t.ys, t.zs, idx)
 	mid := len(idx) / 2
 	rem := t.height - depth - 1 // top levels remaining below this node
 	if rem == 0 {
@@ -263,53 +271,6 @@ func HeightForLeafSize(n, targetLeafSize int) int {
 	return h
 }
 
-// axisSlice selects the per-axis coordinate slab.
-func axisSlice(xs, ys, zs []float32, axis int) []float32 {
-	switch axis {
-	case 0:
-		return xs
-	case 1:
-		return ys
-	default:
-		return zs
-	}
-}
-
-// widestAxis mirrors the canonical tree's split-axis policy so that the
-// top-tree is "exactly the same as the first htop levels of the classic
-// KD-tree" (paper §4.1), scanning each axis slab independently.
-func widestAxis(xs, ys, zs []float32, idx []int32) int {
-	lox, hix := xs[idx[0]], xs[idx[0]]
-	loy, hiy := ys[idx[0]], ys[idx[0]]
-	loz, hiz := zs[idx[0]], zs[idx[0]]
-	for _, i := range idx[1:] {
-		if v := xs[i]; v < lox {
-			lox = v
-		} else if v > hix {
-			hix = v
-		}
-		if v := ys[i]; v < loy {
-			loy = v
-		} else if v > hiy {
-			hiy = v
-		}
-		if v := zs[i]; v < loz {
-			loz = v
-		} else if v > hiz {
-			hiz = v
-		}
-	}
-	sx, sy, sz := hix-lox, hiy-loy, hiz-loz
-	switch {
-	case sx >= sy && sx >= sz:
-		return 0
-	case sy >= sz:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // Len returns the number of points.
 func (t *Tree) Len() int { return len(t.xs) }
 
@@ -323,14 +284,8 @@ func (t *Tree) At(i int) geom.Vec3 { return t.slab.At(i) }
 // O(n) copy for diagnostics and tools; hot paths use Slab or At.
 func (t *Tree) Points() []geom.Vec3 { return t.slab.Points() }
 
-// Nodes exposes the top-tree nodes (read-only by convention).
-func (t *Tree) Nodes() []Node { return t.nodes }
-
 // Leaves exposes the unordered leaf sets (read-only by convention).
 func (t *Tree) Leaves() [][]int32 { return t.leaves }
-
-// Root returns the root child link.
-func (t *Tree) Root() Child { return t.root }
 
 // TopHeight returns the configured top-tree height.
 func (t *Tree) TopHeight() int { return t.height }
@@ -384,15 +339,26 @@ func (t *Tree) Nearest(q geom.Vec3, stats *Stats) (kdtree.Neighbor, bool) {
 		stats.Queries++
 	}
 	best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-	t.nearestChild(t.root, q, &best, stats)
+	t.nearest(t.root, q, &best, stats, nil)
 	return best, best.Index >= 0
 }
 
-func (t *Tree) nearestChild(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *Stats) {
+// nearest is the NN walk, the only one: Tree.Nearest, ApproxSession and,
+// through a session's visit log, the accelerator model all run it. It
+// descends the near child first and tests the far child against the bound
+// the near subtree left behind. s is what a walk carries beyond exact
+// search — Algorithm 1's leaders and the visit being recorded — and is nil
+// for plain exact search, which then pays one branch per leaf and nil
+// checks per node for the sharing.
+func (t *Tree) nearest(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *Stats, s *ApproxSession) {
 	switch {
 	case c == ChildNone:
 		return
 	case c.IsLeaf():
+		if s != nil {
+			s.nearestLeaf(c.LeafID(), q, best, stats)
+			return
+		}
 		set := t.leaves[c.LeafID()]
 		if stats != nil {
 			stats.LeafPointsViewed += int64(len(set))
@@ -407,20 +373,31 @@ func (t *Tree) nearestChild(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *
 		if stats != nil {
 			stats.TopNodesVisited++
 		}
+		if s != nil {
+			s.open.TopNodes++
+		}
 		if d2 := t.dist2(q, n.Point); d2 < best.Dist2 {
 			*best = kdtree.Neighbor{Index: int(n.Point), Dist2: d2}
+			if s != nil {
+				s.open.ResultWrites++
+			}
 		}
 		diff := q.Component(int(n.Axis)) - n.Split
 		near, far := n.Left, n.Right
 		if diff > 0 {
 			near, far = far, near
 		}
-		t.nearestChild(near, q, best, stats)
+		t.nearest(near, q, best, stats, s)
 		if far != ChildNone {
 			if diff*diff < best.Dist2 {
-				t.nearestChild(far, q, best, stats)
-			} else if stats != nil {
-				stats.TopNodesPruned++
+				t.nearest(far, q, best, stats, s)
+			} else {
+				if stats != nil {
+					stats.TopNodesPruned++
+				}
+				if s != nil {
+					s.open.Pruned++
+				}
 			}
 		}
 	}
@@ -441,51 +418,69 @@ func (t *Tree) RadiusInto(q geom.Vec3, r float64, buf []kdtree.Neighbor, stats *
 		stats.Queries++
 	}
 	res := buf[:0]
-	t.radiusChild(t.root, q, r*r, &res, stats)
-	sortNeighbors(res)
+	t.radius(t.root, q, r*r, &res, stats, nil)
+	kdtree.SortNeighbors(res)
 	return res
 }
 
-func (t *Tree) radiusChild(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, stats *Stats) {
+// radius is the radius walk; see nearest for s and the visiting order. It
+// appends in visiting order and leaves the sorting to its callers.
+func (t *Tree) radius(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, stats *Stats, s *ApproxSession) {
 	switch {
 	case c == ChildNone:
 		return
 	case c.IsLeaf():
+		if s != nil {
+			s.radiusLeaf(c.LeafID(), q, r2, res, stats)
+			return
+		}
 		set := t.leaves[c.LeafID()]
 		if stats != nil {
 			stats.LeafPointsViewed += int64(len(set))
 		}
-		for _, pi := range set {
-			if d2 := t.dist2(q, pi); d2 <= r2 {
-				*res = append(*res, kdtree.Neighbor{Index: int(pi), Dist2: d2})
-			}
-		}
+		*res = t.scanRadius(set, q, r2, *res)
 	default:
 		n := &t.nodes[c]
 		if stats != nil {
 			stats.TopNodesVisited++
 		}
+		if s != nil {
+			s.open.TopNodes++
+		}
 		if d2 := t.dist2(q, n.Point); d2 <= r2 {
 			*res = append(*res, kdtree.Neighbor{Index: int(n.Point), Dist2: d2})
+			if s != nil {
+				s.open.ResultWrites++
+			}
 		}
 		diff := q.Component(int(n.Axis)) - n.Split
 		near, far := n.Left, n.Right
 		if diff > 0 {
 			near, far = far, near
 		}
-		t.radiusChild(near, q, r2, res, stats)
+		t.radius(near, q, r2, res, stats, s)
 		if far != ChildNone {
 			if diff*diff <= r2 {
-				t.radiusChild(far, q, r2, res, stats)
-			} else if stats != nil {
-				stats.TopNodesPruned++
+				t.radius(far, q, r2, res, stats, s)
+			} else {
+				if stats != nil {
+					stats.TopNodesPruned++
+				}
+				if s != nil {
+					s.open.Pruned++
+				}
 			}
 		}
 	}
 }
 
-// sortNeighbors orders results by ascending (Dist2, Index) through the
-// allocation-free kdtree sort (sort.Slice would allocate per query).
-func sortNeighbors(res []kdtree.Neighbor) {
-	kdtree.SortNeighbors(res)
+// scanRadius is the exhaustive scan of one leaf set: it appends to res, in
+// the set's stored order, every point within r2 of q.
+func (t *Tree) scanRadius(set []int32, q geom.Vec3, r2 float64, res []kdtree.Neighbor) []kdtree.Neighbor {
+	for _, pi := range set {
+		if d2 := t.dist2(q, pi); d2 <= r2 {
+			res = append(res, kdtree.Neighbor{Index: int(pi), Dist2: d2})
+		}
+	}
+	return res
 }

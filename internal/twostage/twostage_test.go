@@ -3,6 +3,7 @@ package twostage
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tigris/internal/geom"
@@ -19,6 +20,27 @@ func randPoints(r *rand.Rand, n int) []geom.Vec3 {
 		}
 	}
 	return pts
+}
+
+// sessionNearest answers the queries in order on one fresh session: a stage
+// batch as the accelerator sees it.
+func sessionNearest(tree *Tree, queries []geom.Vec3, opts ApproxOptions, stats *Stats) []kdtree.Neighbor {
+	sess := tree.NewApproxSession(opts)
+	out := make([]kdtree.Neighbor, len(queries))
+	for i, q := range queries {
+		out[i], _ = sess.Nearest(q, stats)
+	}
+	return out
+}
+
+// sessionRadius is sessionNearest for radius search.
+func sessionRadius(tree *Tree, queries []geom.Vec3, r float64, opts ApproxOptions, stats *Stats) [][]kdtree.Neighbor {
+	sess := tree.NewApproxSession(opts)
+	out := make([][]kdtree.Neighbor, len(queries))
+	for i, q := range queries {
+		out[i] = sess.Radius(q, r, stats)
+	}
+	return out
 }
 
 func TestNearestMatchesCanonical(t *testing.T) {
@@ -65,8 +87,8 @@ func TestHeightZeroIsBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pts := randPoints(r, 200)
 	tree := Build(pts, 0)
-	if len(tree.Nodes()) != 0 {
-		t.Fatalf("height-0 tree has %d top nodes", len(tree.Nodes()))
+	if len(tree.nodes) != 0 {
+		t.Fatalf("height-0 tree has %d top nodes", len(tree.nodes))
 	}
 	if len(tree.Leaves()) != 1 || len(tree.Leaves()[0]) != 200 {
 		t.Fatalf("height-0 tree should be one full leaf set")
@@ -139,15 +161,69 @@ func TestChildEncoding(t *testing.T) {
 }
 
 func TestApproxExactWhenDisabled(t *testing.T) {
+	// A threshold of zero is exact search: the answers and the Stats of
+	// Tree.Nearest and Tree.Radius, to the last counter.
 	r := rand.New(rand.NewSource(6))
 	pts := randPoints(r, 500)
 	tree := Build(pts, 4)
 	queries := randPoints(r, 80)
-	res := tree.NearestBatchApprox(queries, ApproxOptions{Threshold: 0}, nil)
+	const radius = 12.0
+	var got, want Stats
+	sess := tree.NewApproxSession(ApproxOptions{Threshold: 0})
 	for i, q := range queries {
-		want, _ := tree.Nearest(q, nil)
-		if math.Abs(res[i].Dist2-want.Dist2) > 1e-12 {
-			t.Fatalf("disabled approx diverged at %d", i)
+		nn, _ := sess.Nearest(q, &got)
+		if exact, _ := tree.Nearest(q, &want); nn != exact {
+			t.Fatalf("query %d: session NN %v, tree %v", i, nn, exact)
+		}
+		if rad, exact := sess.Radius(q, radius, &got), tree.Radius(q, radius, &want); !slices.Equal(rad, exact) {
+			t.Fatalf("query %d: session radius %v, tree %v", i, rad, exact)
+		}
+	}
+	if got != want {
+		t.Errorf("session stats %+v, tree stats %+v", got, want)
+	}
+	if want.TopNodesPruned == 0 || want.LeafPointsViewed == 0 {
+		t.Errorf("workload exercises no pruning or no leaf scan: %+v", want)
+	}
+}
+
+func TestLoggingVisitsChangesNothing(t *testing.T) {
+	// A session that logs its visits answers exactly as one that does not,
+	// with the same Stats, exact and approximate, NN and radius — and the
+	// log holds one walk per query.
+	r := rand.New(rand.NewSource(16))
+	pts := randPoints(r, 3000)
+	tree := BuildWithLeafSize(pts, 64)
+	queries := make([]geom.Vec3, 300)
+	for i := range queries {
+		base := pts[r.Intn(len(pts))]
+		queries[i] = base.Add(geom.Vec3{X: r.Float64() - 0.5, Y: r.Float64() - 0.5, Z: r.Float64() - 0.5})
+	}
+	const radius = 3.0
+	for _, opts := range []ApproxOptions{{}, {Threshold: DefaultNNThreshold, RadiusThresholdFrac: DefaultRadiusThresholdFrac}} {
+		var plainStats, loggedStats Stats
+		var log VisitLog
+		plain, logged := tree.NewApproxSession(opts), tree.NewApproxSession(opts)
+		logged.LogVisits(&log)
+		for i, q := range queries {
+			a, _ := plain.Nearest(q, &plainStats)
+			if b, _ := logged.Nearest(q, &loggedStats); a != b {
+				t.Fatalf("%+v: query %d: NN %v unlogged, %v logged", opts, i, a, b)
+			}
+		}
+		for i, q := range queries {
+			if a, b := plain.Radius(q, radius, &plainStats), logged.Radius(q, radius, &loggedStats); !slices.Equal(a, b) {
+				t.Fatalf("%+v: query %d: radius %v unlogged, %v logged", opts, i, a, b)
+			}
+		}
+		if plainStats != loggedStats {
+			t.Errorf("%+v: stats %+v unlogged, %+v logged", opts, plainStats, loggedStats)
+		}
+		if (plainStats.FollowerHits > 0) != (opts.Threshold > 0) {
+			t.Errorf("%+v: %d follower visits", opts, plainStats.FollowerHits)
+		}
+		if log.Queries() != 2*len(queries) {
+			t.Errorf("%+v: %d walks logged for %d queries", opts, log.Queries(), 2*len(queries))
 		}
 	}
 }
@@ -169,7 +245,7 @@ func TestApproxNNBoundedError(t *testing.T) {
 	}
 	const thd = 1.2
 	var stats Stats
-	res := tree.NearestBatchApprox(queries, ApproxOptions{Threshold: thd}, &stats)
+	res := sessionNearest(tree, queries, ApproxOptions{Threshold: thd}, &stats)
 	if stats.FollowerHits == 0 {
 		t.Fatal("expected some follower hits with clustered queries")
 	}
@@ -202,8 +278,8 @@ func TestApproxReducesWork(t *testing.T) {
 		queries[i] = base.Add(geom.Vec3{X: r.Float64()*0.6 - 0.3, Y: r.Float64()*0.6 - 0.3, Z: r.Float64()*0.6 - 0.3})
 	}
 	var exactStats, approxStats Stats
-	tree.NearestBatchApprox(queries, ApproxOptions{Threshold: 0}, &exactStats)
-	tree.NearestBatchApprox(queries, ApproxOptions{Threshold: 1.2}, &approxStats)
+	sessionNearest(tree, queries, ApproxOptions{Threshold: 0}, &exactStats)
+	sessionNearest(tree, queries, ApproxOptions{Threshold: 1.2}, &approxStats)
 	if approxStats.TotalVisited() >= exactStats.TotalVisited() {
 		t.Errorf("approx visited %d >= exact %d", approxStats.TotalVisited(), exactStats.TotalVisited())
 	}
@@ -223,7 +299,7 @@ func TestApproxRadiusSubsetOfExact(t *testing.T) {
 	}
 	const radius = 3.0
 	var stats Stats
-	res := tree.RadiusBatchApprox(queries, radius, ApproxOptions{Threshold: radius * 0.4}, &stats)
+	res := sessionRadius(tree, queries, radius, ApproxOptions{Threshold: radius * 0.4}, &stats)
 	if stats.FollowerHits == 0 {
 		t.Fatal("expected follower hits")
 	}
@@ -257,7 +333,7 @@ func TestApproxRadiusRecall(t *testing.T) {
 		queries[i] = base.Add(geom.Vec3{X: r.Float64()*0.8 - 0.4, Y: r.Float64()*0.8 - 0.4, Z: r.Float64()*0.8 - 0.4})
 	}
 	const radius = 4.0
-	res := tree.RadiusBatchApprox(queries, radius, ApproxOptions{Threshold: radius * DefaultRadiusThresholdFrac}, nil)
+	res := sessionRadius(tree, queries, radius, ApproxOptions{Threshold: radius * DefaultRadiusThresholdFrac}, nil)
 	var found, total int
 	for i, q := range queries {
 		exact := tree.Radius(q, radius, nil)
@@ -277,7 +353,7 @@ func TestLeaderCap(t *testing.T) {
 	var stats Stats
 	// A tiny threshold forces nearly every query onto the precise path,
 	// which would add a leader every time without the cap.
-	tree.NearestBatchApprox(queries, ApproxOptions{Threshold: 1e-9, MaxLeaders: 16}, &stats)
+	sessionNearest(tree, queries, ApproxOptions{Threshold: 1e-9, MaxLeaders: 16}, &stats)
 	maxPossible := int64(len(tree.Leaves()) * 16)
 	if stats.LeaderInserts > maxPossible {
 		t.Errorf("leader inserts %d exceed cap %d", stats.LeaderInserts, maxPossible)
@@ -305,7 +381,7 @@ func TestEmptyTree(t *testing.T) {
 	if res := tree.Radius(geom.Vec3{}, 1, nil); len(res) != 0 {
 		t.Error("empty tree radius returned results")
 	}
-	res := tree.NearestBatchApprox([]geom.Vec3{{}}, ApproxOptions{Threshold: 1}, nil)
+	res := sessionNearest(tree, []geom.Vec3{{}}, ApproxOptions{Threshold: 1}, nil)
 	if res[0].Index >= 0 {
 		t.Error("empty tree approx returned neighbor")
 	}
@@ -341,6 +417,6 @@ func BenchmarkApproxNearestBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.NearestBatchApprox(queries, ApproxOptions{Threshold: 1.2}, nil)
+		sessionNearest(tree, queries, ApproxOptions{Threshold: 1.2}, nil)
 	}
 }
