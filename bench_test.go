@@ -11,6 +11,7 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/dse"
 	"tigris/internal/features"
+	"tigris/internal/geom"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/synth"
@@ -114,11 +115,11 @@ func BenchmarkEstimateNormalsRaw(b *testing.B) {
 // over frame 0 and the full frame-1 point set as the query batch.
 var searchBench struct {
 	once    sync.Once
-	target  []Vec3
-	queries []Vec3
+	target  []geom.Vec3
+	queries []geom.Vec3
 }
 
-func searchBenchData() ([]Vec3, []Vec3) {
+func searchBenchData() ([]geom.Vec3, []geom.Vec3) {
 	searchBench.once.Do(func() {
 		seq := benchSeq()
 		searchBench.target = seq.Frames[0].Points

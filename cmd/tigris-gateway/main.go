@@ -30,6 +30,8 @@
 //	curl localhost:8088/gateway/workers          # fleet status
 //	curl -X POST 'localhost:8088/gateway/drain?worker=0'
 //	                                             # migrate sessions off worker 0
+//	curl -X DELETE 'localhost:8088/gateway/drain?worker=0'
+//	                                             # re-admit worker 0 after its restart
 //	curl localhost:8088/metrics                  # gateway telemetry
 //	curl localhost:8088/gateway/decisions        # routing-decision trace
 //	curl localhost:8088/gateway/trace/g1         # stitched session trace (Chrome JSON)
@@ -41,16 +43,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"tigris/internal/gateway"
@@ -79,22 +76,22 @@ func main() {
 		return
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := serve.NewLogger(*logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	if *workers == "" {
-		fatal(logger, "missing -workers", fmt.Errorf("at least one worker URL is required"))
+		serve.Fatal(logger, "missing -workers", fmt.Errorf("at least one worker URL is required"))
 	}
 	pol, err := gateway.ParsePolicy(*policy)
 	if err != nil {
-		fatal(logger, "invalid -policy", err)
+		serve.Fatal(logger, "invalid -policy", err)
 	}
 	tlsCfg := serve.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey}
 	if err := tlsCfg.Validate(); err != nil {
-		fatal(logger, "invalid TLS config", err)
+		serve.Fatal(logger, "invalid TLS config", err)
 	}
 
 	gw, err := gateway.New(gateway.Config{
@@ -108,36 +105,15 @@ func main() {
 		Logger:          logger,
 	})
 	if err != nil {
-		fatal(logger, "gateway config", err)
+		serve.Fatal(logger, "gateway config", err)
 	}
 	defer gw.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: gw}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-		sig := <-sigc
-		logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Error("listener shutdown", "error", err)
-		}
-	}()
-
 	logger.Info("gateway listening",
 		"addr", *addr, "workers", splitList(*workers), "policy", string(pol), "tls", tlsCfg.Enabled())
-	if tlsCfg.Enabled() {
-		err = httpSrv.ListenAndServeTLS(tlsCfg.CertFile, tlsCfg.KeyFile)
-	} else {
-		err = httpSrv.ListenAndServe()
+	if err := tlsCfg.ListenAndServe(*addr, gw, logger, nil); err != nil {
+		serve.Fatal(logger, "gateway exited", err)
 	}
-	if err != nil && err != http.ErrServerClosed {
-		fatal(logger, "gateway exited", err)
-	}
-	<-done
 }
 
 // splitList splits a comma-separated flag, dropping empty entries.
@@ -149,19 +125,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	}
-	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-}
-
-func fatal(logger *slog.Logger, msg string, err error) {
-	logger.Error(msg, "error", err)
-	os.Exit(1)
 }

@@ -61,7 +61,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,10 +70,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"tigris/internal/cloud"
 	"tigris/internal/serve"
@@ -104,7 +100,7 @@ func main() {
 		return
 	}
 
-	logger, err := newLogger(*logFormat)
+	logger, err := serve.NewLogger(*logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -112,7 +108,7 @@ func main() {
 
 	tlsCfg := serve.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey}
 	if err := tlsCfg.Validate(); err != nil {
-		fatal(logger, "invalid TLS config", err)
+		serve.Fatal(logger, "invalid TLS config", err)
 	}
 
 	srv := serve.New(serve.Config{
@@ -131,7 +127,7 @@ func main() {
 			name = "twostage" // smoke a non-default backend through the registry
 		}
 		if err := runSelftest(srv, name); err != nil {
-			fatal(logger, "selftest FAILED", err)
+			serve.Fatal(logger, "selftest FAILED", err)
 		}
 		fmt.Println("selftest ok")
 		return
@@ -145,51 +141,20 @@ func main() {
 	// requests finish), then drains every session's queued frames before
 	// tearing the engines down — so a gateway draining this worker sees
 	// all committed state land, never an abrupt kill.
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-		sig := <-sigc
-		logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			logger.Error("listener shutdown", "error", err)
-		}
+	// Graceful shutdown: once SIGTERM/SIGINT has stopped the listener
+	// (in-flight requests finish), drain every session's queued frames
+	// before tearing the engines down — so a gateway draining this worker
+	// sees all committed state land, never an abrupt kill.
+	logger.Info("listening", "addr", *addr, "tls", tlsCfg.Enabled())
+	err = tlsCfg.ListenAndServe(*addr, srv, logger, func() {
 		logger.Info("draining sessions")
 		srv.Drain()
 		srv.Close()
 		logger.Info("drained, exiting")
-	}()
-
-	logger.Info("listening", "addr", *addr, "tls", tlsCfg.Enabled())
-	if tlsCfg.Enabled() {
-		err = httpSrv.ListenAndServeTLS(tlsCfg.CertFile, tlsCfg.KeyFile)
-	} else {
-		err = httpSrv.ListenAndServe()
+	})
+	if err != nil {
+		serve.Fatal(logger, "server exited", err)
 	}
-	if err != nil && err != http.ErrServerClosed {
-		fatal(logger, "server exited", err)
-	}
-	<-done
-}
-
-// newLogger builds the process logger in the requested encoding.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	}
-	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
-}
-
-func fatal(logger *slog.Logger, msg string, err error) {
-	logger.Error(msg, "error", err)
-	os.Exit(1)
 }
 
 // servePprof mounts net/http/pprof on its own listener, keeping the

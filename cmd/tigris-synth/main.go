@@ -1,5 +1,5 @@
 // Command tigris-synth generates a synthetic LiDAR sequence (the KITTI
-// substitute, DESIGN.md substitution 1) and writes each frame as a
+// substitute, README "Substitutions" 1) and writes each frame as a
 // TIGRIS-CLOUD file plus a poses.txt with the ground-truth trajectory in
 // KITTI's 3×4 row-major format. The output feeds tigris-register or any
 // external tool.

@@ -1,6 +1,6 @@
 // Package baseline models the evaluation baselines of paper §6.1: KD-tree
 // search running on a CPU (Xeon Silver 4110) and on a GPU (RTX 2080 Ti
-// with the FLANN CUDA implementation). See DESIGN.md substitution 2.
+// with the FLANN CUDA implementation). See README "Substitutions", 2.
 //
 // The models replay the *same instrumented search workload* the Tigris
 // accelerator executes and convert the observed node-visit counts into

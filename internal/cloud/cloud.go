@@ -70,18 +70,6 @@ func (c *Cloud) Transform(t geom.Transform) *Cloud {
 	return out
 }
 
-// TransformInPlace moves every point of c by t without allocating.
-func (c *Cloud) TransformInPlace(t geom.Transform) {
-	for i, p := range c.Points {
-		c.Points[i] = t.Apply(p)
-	}
-	if c.HasNormals() {
-		for i, n := range c.Normals {
-			c.Normals[i] = t.ApplyDirection(n)
-		}
-	}
-}
-
 // Bounds returns the axis-aligned bounding box of the cloud.
 func (c *Cloud) Bounds() geom.Aabb {
 	b := geom.EmptyAabb()
@@ -89,35 +77,6 @@ func (c *Cloud) Bounds() geom.Aabb {
 		b.Extend(p)
 	}
 	return b
-}
-
-// Centroid returns the mean of all points; the zero vector for an empty
-// cloud.
-func (c *Cloud) Centroid() geom.Vec3 {
-	if len(c.Points) == 0 {
-		return geom.Vec3{}
-	}
-	var s geom.Vec3
-	for _, p := range c.Points {
-		s = s.Add(p)
-	}
-	return s.Scale(1 / float64(len(c.Points)))
-}
-
-// Select returns a new cloud containing the points (and normals, if
-// present) at the given indices.
-func (c *Cloud) Select(indices []int) *Cloud {
-	out := &Cloud{Points: make([]geom.Vec3, len(indices))}
-	for i, idx := range indices {
-		out.Points[i] = c.Points[idx]
-	}
-	if c.HasNormals() {
-		out.Normals = make([]geom.Vec3, len(indices))
-		for i, idx := range indices {
-			out.Normals[i] = c.Normals[idx]
-		}
-	}
-	return out
 }
 
 // voxelKey identifies one cell of the downsampling grid.

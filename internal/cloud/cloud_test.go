@@ -45,23 +45,6 @@ func TestTransformRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransformInPlaceMatchesTransform(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	c := randCloud(r, 100)
-	c.Normals = make([]geom.Vec3, c.Len())
-	for i := range c.Normals {
-		c.Normals[i] = geom.Vec3{Z: 1}
-	}
-	tr := geom.Transform{R: geom.RotX(0.7), T: geom.Vec3{X: 5}}
-	want := c.Transform(tr)
-	c.TransformInPlace(tr)
-	for i := range c.Points {
-		if c.Points[i] != want.Points[i] || c.Normals[i] != want.Normals[i] {
-			t.Fatalf("in-place transform mismatch at %d", i)
-		}
-	}
-}
-
 func TestNormalsRotateNotTranslate(t *testing.T) {
 	c := FromPoints([]geom.Vec3{{X: 1, Y: 2, Z: 3}})
 	c.Normals = []geom.Vec3{{Z: 1}}
@@ -72,34 +55,11 @@ func TestNormalsRotateNotTranslate(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	c := FromPoints([]geom.Vec3{{X: 1}, {X: 3}, {Y: 2}, {Y: -2}})
-	got := c.Centroid()
-	if got.Dist(geom.Vec3{X: 1}) > 1e-12 {
-		t.Errorf("centroid = %v", got)
-	}
-	if (&Cloud{}).Centroid() != (geom.Vec3{}) {
-		t.Error("empty centroid should be zero")
-	}
-}
-
 func TestBounds(t *testing.T) {
 	c := FromPoints([]geom.Vec3{{X: -1, Y: 2, Z: 0}, {X: 3, Y: -4, Z: 5}})
 	b := c.Bounds()
 	if b.Min != (geom.Vec3{X: -1, Y: -4, Z: 0}) || b.Max != (geom.Vec3{X: 3, Y: 2, Z: 5}) {
 		t.Errorf("bounds = %+v", b)
-	}
-}
-
-func TestSelect(t *testing.T) {
-	c := FromPoints([]geom.Vec3{{X: 0}, {X: 1}, {X: 2}, {X: 3}})
-	c.Normals = []geom.Vec3{{Z: 0}, {Z: 1}, {Z: 2}, {Z: 3}}
-	s := c.Select([]int{3, 1})
-	if s.Len() != 2 || s.Points[0].X != 3 || s.Points[1].X != 1 {
-		t.Errorf("select points = %v", s.Points)
-	}
-	if s.Normals[0].Z != 3 || s.Normals[1].Z != 1 {
-		t.Errorf("select normals = %v", s.Normals)
 	}
 }
 
@@ -115,7 +75,7 @@ func TestVoxelDownsampleReduces(t *testing.T) {
 	}
 	// Every output point must lie within the original bounds (centroids of
 	// cell members cannot escape the hull of the inputs).
-	b := c.Bounds()
+	b := FromPoints(c.Points()).Bounds()
 	for _, p := range d.Points() {
 		if !b.Contains(p) {
 			t.Fatalf("downsampled point %v escaped bounds", p)

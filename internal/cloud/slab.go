@@ -165,26 +165,6 @@ func (s *Slab) Clone() *Slab {
 	return out
 }
 
-// Select returns a new slab containing the points (and normals, if
-// present) at the given indices.
-func (s *Slab) Select(indices []int) *Slab {
-	out := NewSlab(len(indices))
-	for i, idx := range indices {
-		out.Xs[i] = s.Xs[idx]
-		out.Ys[i] = s.Ys[idx]
-		out.Zs[i] = s.Zs[idx]
-	}
-	if s.HasNormals() {
-		out.EnsureNormals()
-		for i, idx := range indices {
-			out.NXs[i] = s.NXs[idx]
-			out.NYs[i] = s.NYs[idx]
-			out.NZs[i] = s.NZs[idx]
-		}
-	}
-	return out
-}
-
 // TransformInPlace moves every point by t and rotates the normals,
 // computing in float64 and re-quantizing the results.
 func (s *Slab) TransformInPlace(t geom.Transform) {
@@ -196,28 +176,6 @@ func (s *Slab) TransformInPlace(t geom.Transform) {
 			s.SetNormal(i, t.ApplyDirection(s.NormalAt(i)))
 		}
 	}
-}
-
-// Bounds returns the axis-aligned bounding box of the dequantized points.
-func (s *Slab) Bounds() geom.Aabb {
-	b := geom.EmptyAabb()
-	for i := range s.Xs {
-		b.Extend(s.At(i))
-	}
-	return b
-}
-
-// Centroid returns the float64 mean of the dequantized points; the zero
-// vector for an empty slab.
-func (s *Slab) Centroid() geom.Vec3 {
-	if s.Len() == 0 {
-		return geom.Vec3{}
-	}
-	var sum geom.Vec3
-	for i := range s.Xs {
-		sum = sum.Add(s.At(i))
-	}
-	return sum.Scale(1 / float64(s.Len()))
 }
 
 // Bytes returns the slab's point-storage footprint: coordinate and
@@ -256,17 +214,4 @@ func (s *Slab) Dist2(q geom.Vec3, i int) float64 {
 	dy := q.Y - float64(s.Ys[i])
 	dz := q.Z - float64(s.Zs[i])
 	return dx*dx + dy*dy + dz*dz
-}
-
-// Component returns point i's axis-indexed coordinate as float64
-// (0→X, 1→Y, 2→Z), mirroring geom.Vec3.Component for slab consumers.
-func (s *Slab) Component(i, axis int) float64 {
-	switch axis {
-	case 0:
-		return float64(s.Xs[i])
-	case 1:
-		return float64(s.Ys[i])
-	default:
-		return float64(s.Zs[i])
-	}
 }

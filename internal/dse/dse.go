@@ -35,15 +35,6 @@ type Evaluated struct {
 	KDSearch, KDBuild, Other time.Duration
 }
 
-// KDSearchFrac returns the Fig. 4b KD-search share of total time.
-func (e *Evaluated) KDSearchFrac() float64 {
-	total := e.KDSearch + e.KDBuild + e.Other
-	if total == 0 {
-		return 0
-	}
-	return float64(e.KDSearch) / float64(total)
-}
-
 // Evaluate runs the design point on every consecutive frame pair of the
 // sequence and aggregates errors and timings.
 func Evaluate(seq *synth.Sequence, dp DesignPoint) Evaluated {

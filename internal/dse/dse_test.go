@@ -104,8 +104,8 @@ func TestEvaluateProducesBreakdown(t *testing.T) {
 	if ev.Error.Frames != 1 {
 		t.Errorf("frames = %d", ev.Error.Frames)
 	}
-	if f := ev.KDSearchFrac(); f <= 0 || f >= 1 {
-		t.Errorf("KD search fraction %v implausible", f)
+	if ev.KDBuild <= 0 || ev.Other <= 0 {
+		t.Errorf("KD build %v, other %v: Fig. 4b components missing", ev.KDBuild, ev.Other)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestKDTreeSearchDominates(t *testing.T) {
 	// anchor on a real frame pair.
 	seq := synth.GenerateSequence(synth.EvalSequenceConfig(2, 33))
 	ev := Evaluate(seq, DP7())
-	if f := ev.KDSearchFrac(); f < 0.35 {
+	if f := float64(ev.KDSearch) / float64(ev.KDSearch+ev.KDBuild+ev.Other); f < 0.35 {
 		t.Errorf("KD search fraction %.2f; paper reports 0.50-0.85", f)
 	}
 }

@@ -318,31 +318,6 @@ func TestFeatureTreeEmpty(t *testing.T) {
 	}
 }
 
-func TestCurvatureFlatVsEdge(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	c := boxEdgeCloud(r, 2000)
-	s := search.NewKDSearcherSlab(c)
-	curv := Curvature(c, s, 0.8)
-	var flatSum, flatN, edgeSum, edgeN float64
-	for i := 0; i < c.Len(); i++ {
-		p := c.At(i)
-		if p.Z == 0 && p.X < 0 {
-			flatSum += curv[i]
-			flatN++
-		}
-		if p.X == 2 && p.Z == 0 {
-			edgeSum += curv[i]
-			edgeN++
-		}
-	}
-	if flatN == 0 || edgeN == 0 {
-		t.Skip("insufficient samples")
-	}
-	if edgeSum/edgeN <= flatSum/flatN {
-		t.Errorf("edge curvature %.4f not above flat %.4f", edgeSum/edgeN, flatSum/flatN)
-	}
-}
-
 func TestKNeighborNormals(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	want := geom.Vec3{Z: 1}

@@ -7,14 +7,13 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
-	"tigris/internal/linalg"
 	"tigris/internal/par"
 	"tigris/internal/search"
 )
 
 // KeypointMethod selects the key-point detector (Tbl. 1, Key-point
 // Detection row). NARF is substituted by the SIFT-style detector; see
-// DESIGN.md.
+// README "Substitutions".
 type KeypointMethod int
 
 const (
@@ -211,33 +210,5 @@ func selectKeypoints(c *cloud.Slab, s search.Searcher, responses []float64, supp
 			suppressed[nb.Index] = true
 		}
 	}
-	return out
-}
-
-// Curvature returns the surface-variation measure λ0/(λ0+λ1+λ2) for each
-// point, a cheap edge/cornerness signal exposed for diagnostics and
-// examples.
-func Curvature(c *cloud.Slab, s search.Searcher, radius float64) []float64 {
-	out := make([]float64, c.Len())
-	forRadiusBlocks(s, c, radius, func(_, i int, nbs []kdtree.Neighbor) {
-		if len(nbs) < 4 {
-			return
-		}
-		var centroid geom.Vec3
-		for _, nb := range nbs {
-			centroid = centroid.Add(c.At(nb.Index))
-		}
-		centroid = centroid.Scale(1 / float64(len(nbs)))
-		var cov geom.Mat3
-		for _, nb := range nbs {
-			d := c.At(nb.Index).Sub(centroid)
-			cov = cov.Add(geom.OuterProduct(d, d))
-		}
-		eig := linalg.EigenSym3(cov)
-		sum := eig.Values[0] + eig.Values[1] + eig.Values[2]
-		if sum > 0 {
-			out[i] = eig.Values[0] / sum
-		}
-	})
 	return out
 }

@@ -4,7 +4,7 @@
 //   - Normal estimation: PlaneSVD and AreaWeighted [35].
 //   - Key-point detection: Harris3D [27,61] and a SIFT-style
 //     difference-of-densities detector [40,59] (substituting NARF, see
-//     DESIGN.md).
+//     README "Substitutions").
 //   - Feature descriptors: FPFH [56], SHOT [64], and 3DSC [20].
 //
 // All stages take a search.Searcher so neighbor lookups route through

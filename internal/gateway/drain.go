@@ -16,7 +16,7 @@ import (
 // the draining worker (they keep working until the worker actually
 // dies). The worker stays fenced afterwards, so it can be killed or
 // restarted; the health poller re-admits it for routing only after a
-// restart flips draining back off via Undrain.
+// restart flips draining back off via DELETE /gateway/drain.
 func (g *Gateway) DrainWorker(ref string) (int, error) {
 	wk := g.findWorker(ref)
 	if wk == nil {
@@ -47,17 +47,6 @@ func (g *Gateway) DrainWorker(ref string) (int, error) {
 		}
 	}
 	return migrated, firstErr
-}
-
-// Undrain re-admits a previously drained worker for new sessions (after
-// a restart, say). Health still gates actual routing.
-func (g *Gateway) Undrain(ref string) error {
-	wk := g.findWorker(ref)
-	if wk == nil {
-		return fmt.Errorf("no worker %q", ref)
-	}
-	wk.draining.Store(false)
-	return nil
 }
 
 // migrate moves one session off a draining worker. It holds the session

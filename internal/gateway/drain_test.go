@@ -145,8 +145,19 @@ func TestDrainEmptyWorkerAndUndrain(t *testing.T) {
 			t.Fatalf("create %d placed on drained worker", i)
 		}
 	}
-	if err := g.Undrain(f.urls[0]); err != nil {
-		t.Fatal(err)
+	// An unknown worker is a 404, a missing one a 400, on either verb.
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		for query, want := range map[string]int{"?worker=nope": http.StatusNotFound, "": http.StatusBadRequest} {
+			if code := adminDrain(t, method, base+"/gateway/drain"+query, ""); code != want {
+				t.Fatalf("%s /gateway/drain%s: status %d, want %d", method, query, code, want)
+			}
+		}
+	}
+	if code := adminDrain(t, http.MethodDelete, base+"/gateway/drain?worker=0", ""); code != http.StatusOK {
+		t.Fatalf("undrain: status %d", code)
+	}
+	if ws := g.Workers(); ws[0].Draining {
+		t.Fatalf("worker 0 still draining after DELETE: %+v", ws[0])
 	}
 	// Round-robin resumes over both workers once re-admitted.
 	seen := map[string]bool{}
@@ -162,30 +173,35 @@ func TestDrainEmptyWorkerAndUndrain(t *testing.T) {
 	}
 }
 
+// adminDrain issues a drain (POST) or undrain (DELETE) request and
+// returns the status.
+func adminDrain(t *testing.T, method, url, token string) int {
+	t.Helper()
+	req, _ := http.NewRequest(method, url, nil)
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestAdminSurfaceAuth pins the auth split: /gateway/* requires the
 // gateway token, /v1/* passes through untouched.
 func TestAdminSurfaceAuth(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
 	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin, AuthToken: "secret"})
 
-	resp, err := http.Post(base+"/gateway/drain?worker=0", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated drain: status %d, want 401", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodPost, base+"/gateway/drain?worker=0", nil)
-	req.Header.Set("Authorization", "Bearer secret")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authenticated drain: status %d, want 200", resp.StatusCode)
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		if code := adminDrain(t, method, base+"/gateway/drain?worker=0", ""); code != http.StatusUnauthorized {
+			t.Fatalf("unauthenticated %s drain: status %d, want 401", method, code)
+		}
+		if code := adminDrain(t, method, base+"/gateway/drain?worker=0", "secret"); code != http.StatusOK {
+			t.Fatalf("authenticated %s drain: status %d, want 200", method, code)
+		}
 	}
 
 	// The session surface stays open (workers enforce their own tokens).

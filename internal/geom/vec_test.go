@@ -102,10 +102,6 @@ func TestComponentAccessors(t *testing.T) {
 			t.Errorf("Component(%d) = %v, want %v", axis, got, want)
 		}
 	}
-	w := v.WithComponent(1, 9)
-	if w.Y != 9 || w.X != 1 || w.Z != 3 {
-		t.Errorf("WithComponent = %v", w)
-	}
 }
 
 func TestLerpEndpoints(t *testing.T) {
@@ -157,15 +153,9 @@ func TestAngleBetween(t *testing.T) {
 
 func TestAabbExtendContains(t *testing.T) {
 	b := EmptyAabb()
-	if !b.IsEmpty() {
-		t.Fatal("fresh box should be empty")
-	}
 	pts := []Vec3{{1, 2, 3}, {-1, 5, 0}, {0, 0, 10}}
 	for _, p := range pts {
 		b.Extend(p)
-	}
-	if b.IsEmpty() {
-		t.Fatal("extended box should not be empty")
 	}
 	for _, p := range pts {
 		if !b.Contains(p) {

@@ -250,23 +250,11 @@ func SplitAxis(xs, ys, zs []float32, idx []int32) (axis int, col []float32) {
 	}
 }
 
-// Len returns the number of points in the tree.
-func (t *Tree) Len() int { return len(t.xs) }
-
 // Slab exposes the backing SoA point slab (read-only by convention).
 func (t *Tree) Slab() *cloud.Slab { return t.slab }
 
-// At dequantizes point i (the value every search distance was computed
-// against).
-func (t *Tree) At(i int) geom.Vec3 { return t.slab.At(i) }
-
-// Points materializes the dequantized points as a fresh AoS slice — an
-// O(n) copy for diagnostics and tests; hot paths use Slab or At.
-func (t *Tree) Points() []geom.Vec3 { return t.slab.Points() }
-
-// Height returns the height of the tree (0 for a single node, -1 empty).
-func (t *Tree) Height() int { return t.height(t.root) }
-
+// height returns the height of the subtree at n (0 for a single node, -1
+// empty): the balance the build promises.
 func (t *Tree) height(n int32) int {
 	if n < 0 {
 		return -1

@@ -131,8 +131,8 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if !ok || nb.Index != 0 || math.Abs(nb.Dist2-49) > 1e-12 {
 		t.Errorf("singleton nearest = %+v", nb)
 	}
-	if single.Height() != 0 {
-		t.Errorf("singleton height = %d", single.Height())
+	if h := single.height(single.root); h != 0 {
+		t.Errorf("singleton height = %d", h)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestTreeBalanced(t *testing.T) {
 	for _, n := range []int{100, 1000, 5000} {
 		tree := Build(randPoints(r, n))
 		maxH := int(1.2*math.Log2(float64(n))) + 2
-		if h := tree.Height(); h > maxH {
+		if h := tree.height(tree.root); h > maxH {
 			t.Errorf("n=%d: height %d exceeds balanced bound %d", n, h, maxH)
 		}
 	}

@@ -89,10 +89,6 @@ type Config struct {
 	// AuthToken, when set, is presented as a bearer token (it also
 	// becomes the admission-control client key).
 	AuthToken string
-	// Retries bounds per-request retries after a 429/503 (default 2).
-	Retries int
-	// MaxRetryWait caps how long a Retry-After is honored (default 2s).
-	MaxRetryWait time.Duration
 	// Client is the HTTP client (default a fresh one, no timeout).
 	Client *http.Client
 	// Logger, when non-nil, receives per-session records.
@@ -217,12 +213,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if len(cfg.Profiles) == 0 {
 		cfg.Profiles = DefaultProfiles()
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.MaxRetryWait == 0 {
-		cfg.MaxRetryWait = 2 * time.Second
 	}
 	arr, err := NewArrivals(cfg.Arrival, cfg.Rate, cfg.CV, cfg.Seed)
 	if err != nil {
@@ -559,6 +549,13 @@ func (r *runner) do(method, pathAndQuery, contentType string, body []byte) (*htt
 	return r.client.Do(req)
 }
 
+// The retry budget: per-request retries after a 429/503, and the longest
+// Retry-After honored.
+const (
+	retries      = 2
+	maxRetryWait = 2 * time.Second
+)
+
 // doWithRetry issues a request, honoring 429/503 Retry-After backoff
 // within the bounded retry budget. Rejections are counted even when a
 // retry later succeeds — they are part of the service the client saw.
@@ -576,13 +573,10 @@ func (r *runner) doWithRetry(method, pathAndQuery, contentType string, body []by
 		default:
 			return resp, nil
 		}
-		if attempt >= r.cfg.Retries {
+		if attempt >= retries {
 			return resp, nil
 		}
-		wait := retryAfter(resp)
-		if wait > r.cfg.MaxRetryWait {
-			wait = r.cfg.MaxRetryWait
-		}
+		wait := min(retryAfter(resp), maxRetryWait)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		time.Sleep(wait)

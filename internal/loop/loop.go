@@ -58,40 +58,10 @@ type Config struct {
 	// MaxCandidates bounds how many gated signature neighbors are
 	// proposed per frame, best signature distance first (default 2).
 	MaxCandidates int
-	// MaxSignatureDist drops candidates whose full-signature L2 distance
-	// exceeds it (0 = no signature gate; verification is the filter).
-	MaxSignatureDist float64
 	// Cooldown suppresses proposals for this many frames after an
 	// accepted closure, so one revisit does not spend a verification on
 	// every frame along it (default MinSeparation/2).
 	Cooldown int
-	// MinInliers is the verification floor on RANSAC-consistent
-	// correspondences (default 12).
-	MinInliers int
-	// MinInlierRatio is the verification floor on inliers/correspondences
-	// (default 0.5).
-	MinInlierRatio float64
-	// MaxRMSE rejects verifications whose final ICP RMSE exceeds it
-	// (default 0.3 m).
-	MaxRMSE float64
-	// TightRMSE accepts a verification on ICP evidence alone when the
-	// final RMSE is at or below it (default MaxRMSE/3): a fit this tight
-	// is a confirmed revisit even when the sparse key-point features
-	// yielded few RANSAC inliers, which happens routinely on low-beam
-	// frames.
-	TightRMSE float64
-	// MaxDeltaTranslation rejects verified transforms that move more than
-	// this many meters (default 10) — a candidate is supposed to be a
-	// near-revisit, so a huge relative motion means the registration
-	// locked onto the wrong structure.
-	MaxDeltaTranslation float64
-	// ExactSignatures disables the uint8 signature quantization and
-	// retains full float64 signature vectors — a validation knob for
-	// comparing the quantized detector's accepted-closure set against the
-	// exact one (the two match on the test circuits; quantization error
-	// is orders of magnitude below the inter-frame signature distances
-	// the candidate ranking discriminates).
-	ExactSignatures bool
 	// Obs, when non-nil, records the signature-ranking span (the
 	// obs.StageLoopObserve series: aggregation, index maintenance, and
 	// candidate ranking — the cheap per-frame half of place recognition;
@@ -110,22 +80,28 @@ func (c *Config) defaults() {
 	if c.Cooldown == 0 {
 		c.Cooldown = c.MinSeparation / 2
 	}
-	if c.MinInliers == 0 {
-		c.MinInliers = 12
-	}
-	if c.MinInlierRatio == 0 {
-		c.MinInlierRatio = 0.5
-	}
-	if c.MaxRMSE == 0 {
-		c.MaxRMSE = 0.3
-	}
-	if c.TightRMSE == 0 {
-		c.TightRMSE = c.MaxRMSE / 3
-	}
-	if c.MaxDeltaTranslation == 0 {
-		c.MaxDeltaTranslation = 10
-	}
 }
+
+// The verification gates. No deployment has needed other values, so they
+// are not options.
+const (
+	// minInliers and minInlierRatio are the floors on RANSAC-consistent
+	// correspondences, absolute and as a share of all correspondences.
+	minInliers     = 12
+	minInlierRatio = 0.5
+	// maxRMSE rejects verifications whose final ICP RMSE (m) exceeds it.
+	maxRMSE = 0.3
+	// tightRMSE accepts a verification on ICP evidence alone: a fit this
+	// tight is a confirmed revisit even when the sparse key-point features
+	// yielded few RANSAC inliers, which happens routinely on low-beam
+	// frames.
+	tightRMSE = maxRMSE / 3
+	// maxDeltaTranslation rejects verified transforms that move further
+	// (m): a candidate is supposed to be a near-revisit, so a huge
+	// relative motion means the registration locked onto the wrong
+	// structure.
+	maxDeltaTranslation = 10
+)
 
 // Candidate is a proposed loop pair awaiting verification: frame From
 // (newer) may be a revisit of frame To (older).
@@ -154,16 +130,11 @@ type Stats struct {
 	Observed, Proposed, Verified, Accepted int64
 }
 
-// signature is one frame's place fingerprint. The mean descriptor is
-// held quantized (q) unless Config.ExactSignatures asked for the full
-// float64 vector (mean).
+// signature is one frame's place fingerprint.
 type signature struct {
 	index int
-	// q is the quantized mean descriptor (the default representation).
-	q QuantizedSignature
-	// mean is the exact mean descriptor, retained only under
-	// Config.ExactSignatures.
-	mean []float64
+	// q is the quantized mean descriptor.
+	q quantizedSignature
 	// key is the 3D projection indexed by the search backend.
 	key geom.Vec3
 }
@@ -171,9 +142,6 @@ type signature struct {
 // dist returns the L2 distance between this signature's (dequantized)
 // vector and the query's dequantized vector.
 func (s *signature) dist(query []float64) float64 {
-	if s.mean != nil {
-		return l2dist(query, s.mean)
-	}
 	var sum float64
 	for i, v := range query {
 		d := v - s.q.At(i)
@@ -182,21 +150,21 @@ func (s *signature) dist(query []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// QuantizedSignature is a signature vector quantized to uint8 codes with
+// quantizedSignature is a signature vector quantized to uint8 codes with
 // a per-signature affine dequantization (value = Offset + Scale·code):
 // 1 byte per dimension instead of 8, with the code range stretched over
 // exactly this vector's [min, max]. A SLAM session retains one signature
 // per observed frame forever, so the 8x shrink bounds the place
 // recognition memory that grows without bound.
-type QuantizedSignature struct {
+type quantizedSignature struct {
 	Codes  []uint8
 	Offset float64
 	Scale  float64
 }
 
-// QuantizeSignature quantizes v with a per-vector affine code.
-func QuantizeSignature(v []float64) QuantizedSignature {
-	q := QuantizedSignature{Codes: make([]uint8, len(v))}
+// quantizeSignature quantizes v with a per-vector affine code.
+func quantizeSignature(v []float64) quantizedSignature {
+	q := quantizedSignature{Codes: make([]uint8, len(v))}
 	if len(v) == 0 {
 		return q
 	}
@@ -229,21 +197,18 @@ func QuantizeSignature(v []float64) QuantizedSignature {
 }
 
 // At dequantizes dimension i.
-func (q QuantizedSignature) At(i int) float64 {
+func (q quantizedSignature) At(i int) float64 {
 	return q.Offset + q.Scale*float64(q.Codes[i])
 }
 
 // Dequantize materializes the dequantized vector.
-func (q QuantizedSignature) Dequantize() []float64 {
+func (q quantizedSignature) Dequantize() []float64 {
 	out := make([]float64, len(q.Codes))
 	for i := range out {
 		out[i] = q.At(i)
 	}
 	return out
 }
-
-// Bytes returns the retained payload size (codes + the affine pair).
-func (q QuantizedSignature) Bytes() int { return len(q.Codes) + 16 }
 
 // Detector accumulates frame signatures and proposes/verifies loop
 // candidates. Methods are safe for concurrent use (a pipelined streaming
@@ -291,12 +256,12 @@ func backendName(cfg Config) string {
 	return cfg.Backend
 }
 
-// Signature aggregates a descriptor matrix into the frame's fingerprint:
-// the mean descriptor row (a fixed-order reduction, so the result is
-// independent of any parallelism) and its 3D projection — the centroids
-// of the vector's three equal bands, which for FPFH are the three
-// Darboux-angle histograms. Exposed for tests and tooling.
-func Signature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
+// frameSignature aggregates a descriptor matrix into the frame's
+// fingerprint: the mean descriptor row (a fixed-order reduction, so the
+// result is independent of any parallelism) and its 3D projection — the
+// centroids of the vector's three equal bands, which for FPFH are the
+// three Darboux-angle histograms.
+func frameSignature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
 	if d == nil || d.Dim == 0 || d.Count() == 0 {
 		return nil, geom.Vec3{}
 	}
@@ -341,24 +306,24 @@ func Signature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
 // Observe ingests frame index's front-end products: it computes the
 // frame's signature from desc, retains c for later verification, and
 // returns the loop candidates the signature index proposes (subject to
-// the temporal gate, the signature gate, and the cooldown). desc is read
-// synchronously and not retained, so callers may release the prepared
-// frame afterwards; the detector takes ownership of c, which must not
-// be mutated afterwards (pass a clone if the pipeline keeps writing to
-// it). Frames must be observed in increasing index order.
+// the temporal gate and the cooldown). desc is read synchronously and not
+// retained, so callers may release the prepared frame afterwards; the
+// detector takes ownership of c, which must not be mutated afterwards
+// (pass a clone if the pipeline keeps writing to it). Frames must be
+// observed in increasing index order.
 //
-// Signatures are retained uint8-quantized (see QuantizedSignature); the
+// Signatures are retained uint8-quantized (see quantizedSignature); the
 // query side of every ranking is the freshly-computed mean passed
 // through the same quantize/dequantize round trip, so both sides of a
 // distance carry identical quantization treatment.
 func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab) []Candidate {
 	span := d.cfg.Obs.Start(obs.StageLoopObserve)
 	defer span.End()
-	mean, key := Signature(desc)
-	var qsig QuantizedSignature
-	queryVec := mean
-	if mean != nil && !d.cfg.ExactSignatures {
-		qsig = QuantizeSignature(mean)
+	mean, key := frameSignature(desc)
+	var qsig quantizedSignature
+	var queryVec []float64
+	if mean != nil {
+		qsig = quantizeSignature(mean)
 		queryVec = qsig.Dequantize()
 	}
 	d.mu.Lock()
@@ -395,11 +360,7 @@ func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab)
 					continue
 				}
 				sig := &d.sigs[nb.Index]
-				dist := sig.dist(queryVec)
-				if d.cfg.MaxSignatureDist > 0 && dist > d.cfg.MaxSignatureDist {
-					continue
-				}
-				cands = append(cands, Candidate{From: index, To: sig.index, SigDist: dist})
+				cands = append(cands, Candidate{From: index, To: sig.index, SigDist: sig.dist(queryVec)})
 			}
 			// Most promising first: the 3D key ranked the retrieval, the
 			// full-signature distance ranks the verification order (callers
@@ -415,13 +376,7 @@ func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab)
 	}
 
 	if mean != nil {
-		stored := signature{index: index, key: key}
-		if d.cfg.ExactSignatures {
-			stored.mean = mean
-		} else {
-			stored.q = qsig
-		}
-		d.sigs = append(d.sigs, stored)
+		d.sigs = append(d.sigs, signature{index: index, q: qsig, key: key})
 		// Retain the cloud only for frames that entered the signature
 		// index: a signature-less frame (no descriptors) can never be
 		// proposed as either side of a closure, so keeping its points
@@ -467,18 +422,18 @@ func (d *Detector) Verify(cand Candidate, cfg registration.PipelineConfig) (Clos
 		RMSE:            res.ICP.FinalRMSE,
 		SigDist:         cand.SigDist,
 	}
-	if !res.ICP.Converged || res.ICP.FinalRMSE > d.cfg.MaxRMSE {
+	if !res.ICP.Converged || res.ICP.FinalRMSE > maxRMSE {
 		return cl, false
 	}
-	if res.Transform.TranslationNorm() > d.cfg.MaxDeltaTranslation {
+	if res.Transform.TranslationNorm() > maxDeltaTranslation {
 		return cl, false
 	}
 	// Geometric consensus: either the feature stage agrees broadly, or
 	// the fine-tuning fit is tight enough to stand on its own.
 	featureOK := res.Correspondences > 0 &&
-		res.Inliers >= d.cfg.MinInliers &&
-		float64(res.Inliers) >= d.cfg.MinInlierRatio*float64(res.Correspondences)
-	if !featureOK && res.ICP.FinalRMSE > d.cfg.TightRMSE {
+		res.Inliers >= minInliers &&
+		float64(res.Inliers) >= minInlierRatio*float64(res.Correspondences)
+	if !featureOK && res.ICP.FinalRMSE > tightRMSE {
 		return cl, false
 	}
 	d.mu.Lock()
@@ -495,37 +450,4 @@ func (d *Detector) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// SignatureBytes reports the retained signature payload across all
-// observed frames (the quantity the uint8 quantization shrinks 8x
-// against float64 vectors).
-func (d *Detector) SignatureBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var b int64
-	for i := range d.sigs {
-		if d.sigs[i].mean != nil {
-			b += int64(len(d.sigs[i].mean)) * 8
-		} else {
-			b += int64(d.sigs[i].q.Bytes())
-		}
-	}
-	return b
-}
-
-// Frames reports how many frames have been observed.
-func (d *Detector) Frames() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.sigs)
-}
-
-func l2dist(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		d := v - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }

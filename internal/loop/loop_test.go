@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"reflect"
 	"testing"
 
 	"tigris/internal/cloud"
@@ -45,8 +46,8 @@ func TestSignatureDeterministicAndDiscriminative(t *testing.T) {
 	defer pf0b.Release()
 	defer pf1.Release()
 
-	m0, k0 := Signature(pf0.Desc)
-	m0b, k0b := Signature(pf0b.Desc)
+	m0, k0 := frameSignature(pf0.Desc)
+	m0b, k0b := frameSignature(pf0b.Desc)
 	if k0 != k0b {
 		t.Fatalf("signature key not deterministic: %v vs %v", k0, k0b)
 	}
@@ -55,13 +56,13 @@ func TestSignatureDeterministicAndDiscriminative(t *testing.T) {
 			t.Fatalf("signature mean not deterministic at %d", j)
 		}
 	}
-	m1, _ := Signature(pf1.Desc)
-	if l2dist(m0, m1) <= 0 {
+	m1, _ := frameSignature(pf1.Desc)
+	if reflect.DeepEqual(m0, m1) {
 		t.Fatal("distinct frames produced identical signatures")
 	}
 
 	// Empty descriptors degrade gracefully.
-	if m, _ := Signature(nil); m != nil {
+	if m, _ := frameSignature(nil); m != nil {
 		t.Fatal("nil descriptors should give an empty signature")
 	}
 }

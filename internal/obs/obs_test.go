@@ -209,7 +209,6 @@ func TestConcurrentRecordRead(t *testing.T) {
 			snap := h.Snapshot()
 			_ = snap.Quantile(0.95)
 			_ = rec.Summaries()
-			_ = rec.Stages()
 		}
 	}()
 	writers.Wait()
@@ -258,12 +257,12 @@ func TestRecorderTeeAndPublish(t *testing.T) {
 	}
 }
 
-// TestRegistryExposition covers counters, gauges, and computed gauges.
+// TestRegistryExposition covers counters and computed gauges.
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter(`tigris_http_requests_total{route="/healthz",code="200"}`).Add(3)
 	reg.Counter(`tigris_http_requests_total{route="/metrics",code="200"}`).Inc()
-	reg.Gauge("tigris_limiter_capacity").Set(8)
+	reg.GaugeFunc("tigris_limiter_capacity", func() float64 { return 8 })
 	reg.GaugeFunc("tigris_sessions_active", func() float64 { return 2 })
 
 	var sb strings.Builder
@@ -298,9 +297,6 @@ func TestNilRecorderSurface(t *testing.T) {
 	}
 	if s := r.Summaries(); s != nil {
 		t.Errorf("nil Summaries = %v, want nil", s)
-	}
-	if s := r.Stages(); s != nil {
-		t.Errorf("nil Stages = %v, want nil", s)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -216,18 +215,4 @@ func (r *Recorder) Summaries() map[string]Summary {
 		}
 	}
 	return out
-}
-
-// Stages returns the recorded stage names, sorted, for deterministic
-// iteration over Summaries. Safe on a nil receiver.
-func (r *Recorder) Stages() []string {
-	if r == nil {
-		return nil
-	}
-	c := r.core
-	c.mu.Lock()
-	stages := append([]string(nil), c.stages...)
-	c.mu.Unlock()
-	sort.Strings(stages)
-	return stages
 }

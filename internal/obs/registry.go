@@ -25,18 +25,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomically set/read instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Registry is a named collection of metrics with Prometheus text
 // exposition. Metric names may carry a label set inline, e.g.
 // `tigris_http_requests_total{route="/healthz",code="200"}`; series
@@ -48,7 +36,6 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
 	hists      map[string]*Histogram
 }
@@ -57,7 +44,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
 		hists:      make(map[string]*Histogram),
 	}
@@ -79,24 +65,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c = &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // GaugeFunc registers a computed gauge: fn is evaluated at scrape time.
@@ -163,10 +131,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for n, c := range r.counters {
 		counters[n] = c.Value()
 	}
-	gauges := make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs))
-	for n, g := range r.gauges {
-		gauges[n] = float64(g.Value())
-	}
+	gauges := make(map[string]float64, len(r.gaugeFuncs))
 	funcs := make(map[string]func() float64, len(r.gaugeFuncs))
 	for n, fn := range r.gaugeFuncs {
 		funcs[n] = fn

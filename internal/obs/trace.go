@@ -145,7 +145,6 @@ type flightShard struct {
 // allocates only when a new tail-beating sample arrives).
 type FlightRecorder struct {
 	spanCtr   atomic.Uint64
-	total     atomic.Uint64
 	shards    [flightShards]flightShard
 	exemplars sync.Map // stage name -> *exemplarBuf
 	slowestK  int
@@ -174,14 +173,6 @@ func NewFlightRecorder(capacity, slowestK int) *FlightRecorder {
 	return f
 }
 
-// NextSpanID allocates a process-unique span id.
-func (f *FlightRecorder) NextSpanID() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.spanCtr.Add(1)
-}
-
 // Record appends one completed span to the ring (overwriting the
 // oldest event in its shard once full) and runs slowest-K admission
 // for the span's stage. ev.Span == 0 gets a fresh id. Nil-safe.
@@ -197,17 +188,7 @@ func (f *FlightRecorder) Record(ev SpanEvent) {
 	s.ring[s.pos%uint64(len(s.ring))] = ev
 	s.pos++
 	s.mu.Unlock()
-	f.total.Add(1)
 	f.admit(ev)
-}
-
-// TotalRecorded returns the number of events ever recorded (including
-// those the ring has since overwritten).
-func (f *FlightRecorder) TotalRecorded() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.total.Load()
 }
 
 // Events returns a merged snapshot of the ring, oldest first (sorted

@@ -79,9 +79,6 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 			Dur:   1,
 		})
 	}
-	if got := fr.TotalRecorded(); got != n {
-		t.Fatalf("TotalRecorded = %d, want %d", got, n)
-	}
 	evs := fr.Events()
 	if len(evs) == 0 || len(evs) > capacity {
 		t.Fatalf("ring snapshot has %d events, want 1..%d", len(evs), capacity)
@@ -161,7 +158,8 @@ func TestSlowestKSurvivesWrap(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrentRecord(t *testing.T) {
-	fr := NewFlightRecorder(256, 4)
+	// Sized so that any one shard could hold every event: none may be lost.
+	fr := NewFlightRecorder(flightShards*8*500, 4)
 	trace := NewTraceID()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -178,8 +176,8 @@ func TestFlightRecorderConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := fr.TotalRecorded(); got != 8*500 {
-		t.Fatalf("TotalRecorded = %d, want %d", got, 8*500)
+	if got := len(fr.Events()); got != 8*500 {
+		t.Fatalf("%d events retained, want %d", got, 8*500)
 	}
 	// Auto-assigned span ids must be unique across goroutines.
 	seen := map[uint64]bool{}
@@ -214,7 +212,7 @@ func TestTracedObserveZeroAlloc(t *testing.T) {
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(SpanEvent{Stage: "x"})
-	if fr.TotalRecorded() != 0 || fr.Events() != nil || fr.Slowest() != nil || fr.NextSpanID() != 0 {
+	if fr.Events() != nil || fr.Slowest() != nil {
 		t.Fatal("nil FlightRecorder not inert")
 	}
 	exp := fr.Export()

@@ -8,8 +8,7 @@ import (
 
 // Trajectory-level accuracy metrics, the SLAM counterparts of the
 // KITTI-style per-pair errors in internal/registration: ATE measures
-// global consistency (what loop closure + optimization improve), RPE
-// measures local odometry quality (which optimization should preserve).
+// global consistency (what loop closure + optimization improve).
 
 // ATEResult summarizes absolute trajectory error.
 type ATEResult struct {
@@ -48,41 +47,5 @@ func ATE(est, ref []geom.Transform) ATEResult {
 	out.Frames = n
 	out.Mean = sum / float64(n)
 	out.RMSE = math.Sqrt(sum2 / float64(n))
-	return out
-}
-
-// RPEResult summarizes relative pose error over consecutive frames.
-type RPEResult struct {
-	// TransRMSE is the per-step translational error RMSE in meters.
-	TransRMSE float64
-	// RotRMSE is the per-step rotational error RMSE in radians.
-	RotRMSE float64
-	// Steps compared.
-	Steps int
-}
-
-// RPE computes the relative pose error of est against ref over every
-// consecutive frame pair: E_k = (R_k⁻¹R_{k+1})⁻¹ ∘ (Ê_k⁻¹Ê_{k+1}).
-func RPE(est, ref []geom.Transform) RPEResult {
-	n := len(est)
-	if len(ref) < n {
-		n = len(ref)
-	}
-	var out RPEResult
-	if n < 2 {
-		return out
-	}
-	var st, sr float64
-	for k := 0; k+1 < n; k++ {
-		de := est[k].Inverse().Compose(est[k+1])
-		dr := ref[k].Inverse().Compose(ref[k+1])
-		e := dr.Inverse().Compose(de)
-		st += e.T.Norm2()
-		a := e.RotationAngle()
-		sr += a * a
-	}
-	out.Steps = n - 1
-	out.TransRMSE = math.Sqrt(st / float64(out.Steps))
-	out.RotRMSE = math.Sqrt(sr / float64(out.Steps))
 	return out
 }

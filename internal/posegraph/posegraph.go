@@ -100,14 +100,6 @@ func FromOdometry(origin geom.Transform, deltas []geom.Transform) *Graph {
 type Options struct {
 	// MaxIterations bounds outer LM iterations (default 30).
 	MaxIterations int
-	// InitialLambda is the starting LM damping (default 1e-4).
-	InitialLambda float64
-	// CostTol stops when the relative cost improvement of an accepted
-	// step falls below it (default 1e-9).
-	CostTol float64
-	// HuberDelta is the robust-kernel threshold on a Robust edge's
-	// weighted residual norm (default 1.0).
-	HuberDelta float64
 	// Parallelism is the per-edge linearization worker count (<= 0
 	// selects NumCPU, 1 forces the sequential path). Results are
 	// bit-identical at any setting.
@@ -118,16 +110,18 @@ func (o *Options) defaults() {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 30
 	}
-	if o.InitialLambda == 0 {
-		o.InitialLambda = 1e-4
-	}
-	if o.CostTol == 0 {
-		o.CostTol = 1e-9
-	}
-	if o.HuberDelta == 0 {
-		o.HuberDelta = 1.0
-	}
 }
+
+const (
+	// initialLambda is the starting LM damping.
+	initialLambda = 1e-4
+	// costTol stops the run when the relative cost improvement of an
+	// accepted step falls below it.
+	costTol = 1e-9
+	// huberDelta is the robust-kernel threshold on a Robust edge's
+	// weighted residual norm.
+	huberDelta = 1.0
+)
 
 // Result reports an optimization run.
 type Result struct {
@@ -135,7 +129,7 @@ type Result struct {
 	InitialCost, FinalCost float64
 	// Iterations counts outer LM iterations executed.
 	Iterations int
-	// Converged is true when the run stopped on CostTol or a zero
+	// Converged is true when the run stopped on the cost tolerance or a zero
 	// gradient. It is false when the iteration cap ran out AND when the
 	// damping loop stalled (no cost-improving step at any damping level
 	// — an ill-conditioned graph), so callers can tell an optimized
@@ -201,7 +195,7 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 	delta := make([]float64, dim)
 
 	g.evalResiduals(poses, resids, workers)
-	lambda := opts.InitialLambda
+	lambda := initialLambda
 	var cost float64
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
@@ -210,7 +204,7 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 		// linearization point — re-deriving it inside the perturbed
 		// residuals would flatten the gradient exactly where the kernel is
 		// active and stall the descent.
-		g.huberScales(resids, scales, opts.HuberDelta)
+		g.huberScales(resids, scales, huberDelta)
 		cost = scaledCost(resids, scales)
 		if iter == 0 {
 			res.InitialCost = cost
@@ -268,7 +262,7 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 				for ei := range trialResids {
 					resids[ei] = trialResids[ei]
 				}
-				if cost-trialCost <= opts.CostTol*(1+cost) {
+				if cost-trialCost <= costTol*(1+cost) {
 					res.Converged = true
 				}
 				cost = trialCost

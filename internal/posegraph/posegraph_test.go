@@ -55,13 +55,19 @@ func TestOptimizeClosesDriftedLoop(t *testing.T) {
 	if opt[0] != g.Poses[0] {
 		t.Errorf("node 0 moved: %v", opt[0])
 	}
-	// Local consistency must survive: optimized RPE within a small factor
-	// of the odometry RPE (the optimizer redistributes error, it does not
-	// shred the chain).
-	rpeBefore := RPE(g.Poses, truth)
-	rpeAfter := RPE(opt, truth)
-	if rpeAfter.TransRMSE > 3*rpeBefore.TransRMSE+1e-9 {
-		t.Errorf("RPE degraded: %.5f -> %.5f", rpeBefore.TransRMSE, rpeAfter.TransRMSE)
+	// Local consistency must survive: the worst per-step translation
+	// error stays within a small factor of the odometry's (the optimizer
+	// redistributes error, it does not shred the chain).
+	worstStep := func(est []geom.Transform) (worst float64) {
+		for k := 0; k+1 < len(est); k++ {
+			de := est[k].Inverse().Compose(est[k+1])
+			dr := truth[k].Inverse().Compose(truth[k+1])
+			worst = math.Max(worst, de.T.Sub(dr.T).Norm())
+		}
+		return worst
+	}
+	if before, after := worstStep(g.Poses), worstStep(opt); after > 3*before+1e-9 {
+		t.Errorf("per-step error degraded: %.5f -> %.5f", before, after)
 	}
 }
 
@@ -138,16 +144,14 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
+// TestATEAndRPE covers ATE alone since RPE, which had no caller but
+// tests, was deleted.
 func TestATEAndRPE(t *testing.T) {
 	truth, _ := driftedChain(10, 0, 1)
 	// Identical trajectories: zero errors.
 	ate := ATE(truth, truth)
 	if ate.RMSE != 0 || ate.Max != 0 || ate.Frames != 10 {
 		t.Fatalf("self ATE = %+v", ate)
-	}
-	rpe := RPE(truth, truth)
-	if rpe.TransRMSE != 0 || rpe.RotRMSE != 0 {
-		t.Fatalf("self RPE = %+v", rpe)
 	}
 	// A constant offset on every pose vanishes under first-pose anchoring.
 	shifted := make([]geom.Transform, len(truth))

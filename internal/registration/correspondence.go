@@ -71,15 +71,6 @@ type KPCEConfig struct {
 	Parallelism int
 }
 
-// EstimateKeypointCorrespondences matches source key-point descriptors to
-// target key-point descriptors by feature-space nearest neighbor (paper
-// Fig. 2, KPCE). Returned indices are positions in the key-point lists,
-// not raw cloud indices.
-func EstimateKeypointCorrespondences(src, dst *features.Descriptors, cfg KPCEConfig) []Correspondence {
-	out, _, _ := kpceMatch(src, dst, cfg)
-	return out
-}
-
 // kpceScratch pools the per-call KPCE query-row staging (the row views
 // handed to the batched feature trees). References to descriptor rows are
 // cleared before the scratch returns to the pool so a parked scratch
@@ -97,8 +88,10 @@ func (sc *kpceScratch) release() {
 	kpceScratchPool.Put(sc)
 }
 
-// kpceMatch is the shared KPCE kernel: forward (and optionally backward)
-// feature-space NN matching through batched feature-tree queries. The
+// kpceMatch is the KPCE kernel (paper Fig. 2): forward (and optionally
+// backward) feature-space NN matching of source key-point descriptors to
+// target ones through batched feature-tree queries. Returned indices are
+// positions in the key-point lists, not raw cloud indices. The
 // trees are returned so callers can roll their build/search times into
 // the pipeline's KD-tree accounting. The correspondence list is assembled
 // in source order, bit-identical to per-query sequential matching; it

@@ -191,7 +191,7 @@ func TestKPCEAndRejection(t *testing.T) {
 	}
 	src := mk(v(0), v(10), v(20))
 	dst := mk(v(20.01), v(0.01), v(10.01))
-	corr := EstimateKeypointCorrespondences(src, dst, KPCEConfig{})
+	corr, _, _ := kpceMatch(src, dst, KPCEConfig{})
 	if len(corr) != 3 {
 		t.Fatalf("expected 3 correspondences, got %d", len(corr))
 	}
@@ -201,7 +201,7 @@ func TestKPCEAndRejection(t *testing.T) {
 			t.Fatalf("correspondence %d -> %d, want %d", c.Source, c.Target, want[c.Source])
 		}
 	}
-	recip := EstimateKeypointCorrespondences(src, dst, KPCEConfig{Reciprocal: true})
+	recip, _, _ := kpceMatch(src, dst, KPCEConfig{Reciprocal: true})
 	if len(recip) != 3 {
 		t.Fatalf("reciprocal dropped valid matches: %d", len(recip))
 	}

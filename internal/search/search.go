@@ -265,15 +265,11 @@ func (s *TwoStageSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
 }
 
 // KNearest implements Searcher. The two-stage structure serves k-NN
-// exactly (no leader/follower path: the pipeline stages that use k-NN are
-// the sparse ones the paper excludes from approximation, §4.2).
+// exactly, by radius doubling from the NN distance (kNearestInto); there
+// is no leader/follower path, because the pipeline stages that use k-NN
+// are the sparse ones the paper excludes from approximation (§4.2).
 func (s *TwoStageSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
 	start := time.Now()
-	// Exact k-NN via radius-free exhaustive merge: reuse Nearest's
-	// traversal by falling back to a canonical scan of candidate leaves is
-	// complex; the two-stage tree answers k-NN by brute-forcing the whole
-	// set only when the top-tree is absent. For simplicity and exactness we
-	// run a bounded search: collect via expanding radius.
 	res := s.kNearestInto(q, k, nil, &s.stats)
 	s.record(start)
 	return res

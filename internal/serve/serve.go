@@ -132,31 +132,16 @@ type Config struct {
 	// are normalized patterns, not raw paths, so log cardinality stays
 	// bounded whatever clients send.
 	Logger *slog.Logger
-	// TraceCapacity bounds each session's flight-recorder ring (span
-	// events retained; 0 selects 1024). Tracing is always on — the
-	// recorder is allocation-free on the record path and deterministically
-	// inert, so there is no off switch to reason about.
-	TraceCapacity int
-	// TraceSlowestK is the per-stage slowest-K exemplar retention
-	// (0 selects 4).
-	TraceSlowestK int
 }
 
-// traceCapacity resolves Config.TraceCapacity's default.
-func (c Config) traceCapacity() int {
-	if c.TraceCapacity > 0 {
-		return c.TraceCapacity
-	}
-	return 1024
-}
-
-// traceSlowestK resolves Config.TraceSlowestK's default.
-func (c Config) traceSlowestK() int {
-	if c.TraceSlowestK > 0 {
-		return c.TraceSlowestK
-	}
-	return 4
-}
+// Each session's flight recorder: span events retained in its ring, and
+// slowest-K exemplars kept per stage. Tracing is always on — the recorder
+// is allocation-free on the record path and deterministically inert, so
+// there is no off switch to reason about.
+const (
+	flightRingEvents = 1024
+	flightSlowestK   = 4
+)
 
 // session pairs an engine with its idle-eviction bookkeeping. lastUsed is
 // guarded by the server mutex and bumped at the start of every request
@@ -585,7 +570,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		trace = obs.NewTraceID()
 	}
-	flight := obs.NewFlightRecorder(s.cfg.traceCapacity(), s.cfg.traceSlowestK())
+	flight := obs.NewFlightRecorder(flightRingEvents, flightSlowestK)
 	eng := stream.New(stream.Config{
 		Pipeline:       cfg,
 		Pipelined:      pipelined,

@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"context"
 	"crypto/tls"
 	"fmt"
+	"log/slog"
+	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 )
 
 // TLSConfig carries the optional TLS serving material. Both paths must be
@@ -41,5 +47,57 @@ func (c TLSConfig) Validate() error {
 	if _, err := tls.LoadX509KeyPair(c.CertFile, c.KeyFile); err != nil {
 		return fmt.Errorf("serve: tls key pair: %w", err)
 	}
+	return nil
+}
+
+// NewLogger builds a daemon's stderr logger in the -log-format encoding.
+func NewLogger(format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	}
+	return nil, fmt.Errorf("unknown -log-format %q (want text or json)", format)
+}
+
+// Fatal logs err under msg and exits the process with status 1.
+func Fatal(logger *slog.Logger, msg string, err error) {
+	logger.Error(msg, "error", err)
+	os.Exit(1)
+}
+
+// ListenAndServe serves h on addr — over TLS when c is enabled — until
+// SIGTERM or SIGINT. It then stops the listener, giving in-flight
+// requests 30 s to finish, runs stop (nil for none) and returns; any
+// other way the server ends is the error returned.
+func (c TLSConfig) ListenAndServe(addr string, h http.Handler, logger *slog.Logger, stop func()) error {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sigc := make(chan os.Signal, 1)
+		signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+		sig := <-sigc
+		logger.Info("shutting down", "signal", sig.String())
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			logger.Error("listener shutdown", "error", err)
+		}
+		if stop != nil {
+			stop()
+		}
+	}()
+	var err error
+	if c.Enabled() {
+		err = httpSrv.ListenAndServeTLS(c.CertFile, c.KeyFile)
+	} else {
+		err = httpSrv.ListenAndServe()
+	}
+	if err != http.ErrServerClosed {
+		return err
+	}
+	<-done
 	return nil
 }

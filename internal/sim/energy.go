@@ -2,7 +2,7 @@ package sim
 
 import "time"
 
-// Energy model (DESIGN.md substitution 3). Per-event energies are
+// Energy model (README "Substitutions", 3). Per-event energies are
 // documented constants for a 16 nm process, chosen so the shipping
 // configuration reproduces the paper's §6.3 DP4 energy breakdown
 // (PE ≈ 53.7%, SRAM read ≈ 34.8%, SRAM write ≈ 8.0%, leakage ≈ 3.3%,

@@ -27,28 +27,25 @@ type Report struct {
 	RUUtilization, SUUtilization float64
 
 	// NNResults holds per-query nearest neighbors for NN workloads
-	// (functional output, bit-identical to the software search).
+	// (functional output, bit-identical to the software search). A radius
+	// workload's answers are not kept: the engine times the result writes
+	// each visit logged, not the lists.
 	NNResults []kdtree.Neighbor
-	// RadiusResults holds per-query neighbor lists for radius workloads,
-	// each in the order the walk found them (the Result Buffer's write
-	// order), not sorted by distance.
-	RadiusResults [][]kdtree.Neighbor
 	// Queries is the workload size.
 	Queries int
 }
 
 // Prepared is a walked workload ready for repeated timing runs. The walk
-// (which nodes each query visits, which leaves it scans, the functional
-// results) depends only on the tree, the workload, and the approximation
+// (which nodes each query visits, which leaves it scans, how many results
+// it writes) depends only on the tree, the workload, and the approximation
 // settings — not on the unit counts or pipeline options — so parameter
 // sweeps like Fig. 14 prepare once and simulate many configurations.
 type Prepared struct {
-	tree          *twostage.Tree
-	w             Workload
-	visits        twostage.VisitLog
-	nnResults     []kdtree.Neighbor
-	radiusResults [][]kdtree.Neighbor
-	approx        twostage.ApproxOptions
+	tree      *twostage.Tree
+	w         Workload
+	visits    twostage.VisitLog
+	nnResults []kdtree.Neighbor
+	approx    twostage.ApproxOptions
 }
 
 // Prepare answers the workload under cfg's approximation settings with the
@@ -70,9 +67,9 @@ func Prepare(tree *twostage.Tree, w Workload, cfg Config) (*Prepared, error) {
 	sess.LogVisits(&p.visits)
 	switch w.Kind {
 	case RadiusSearch:
-		p.radiusResults = make([][]kdtree.Neighbor, len(w.Queries))
-		for i, q := range w.Queries {
-			p.radiusResults[i] = sess.RadiusUnsorted(q, w.Radius, nil, nil)
+		var buf []kdtree.Neighbor // a leader copies what it caches out of it
+		for _, q := range w.Queries {
+			buf = sess.RadiusUnsorted(q, w.Radius, buf, nil)
 		}
 	default:
 		p.nnResults = make([]kdtree.Neighbor, len(w.Queries))
@@ -108,11 +105,7 @@ func (p *Prepared) Simulate(cfg Config) (*Report, error) {
 	if len(p.w.Queries) == 0 {
 		return &Report{}, nil
 	}
-	rep := &Report{
-		Queries:       len(p.w.Queries),
-		NNResults:     p.nnResults,
-		RadiusResults: p.radiusResults,
-	}
+	rep := &Report{Queries: len(p.w.Queries), NNResults: p.nnResults}
 	w := p.w
 	eng := newEngine(&cfg, &p.visits, max(len(p.tree.Leaves()), 1))
 

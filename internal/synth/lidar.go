@@ -67,9 +67,6 @@ func NewLidar(scene *Scene, cfg LidarConfig) *Lidar {
 	return &Lidar{cfg: cfg, scene: scene}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (l *Lidar) Config() LidarConfig { return l.cfg }
-
 // Scan captures one revolution from the given vehicle pose (vehicle → world
 // transform) and returns the point cloud in the sensor frame, which is how
 // real LiDAR drivers and KITTI deliver data. frameIndex decorrelates the

@@ -9,7 +9,7 @@
 // procedurally generated street scene and returns frames in the sensor
 // coordinate system together with ground-truth poses, so the KITTI-style
 // translational (%) and rotational (deg/m) error metrics are computable.
-// See DESIGN.md, substitution 1.
+// See README "Substitutions", 1.
 package synth
 
 import (
@@ -125,10 +125,6 @@ func (c cylinder) intersect(origin, dir geom.Vec3) (float64, bool) {
 type Scene struct {
 	prims []primitive
 }
-
-// NumPrimitives returns the number of objects in the scene (including the
-// ground plane).
-func (s *Scene) NumPrimitives() int { return len(s.prims) }
 
 // Raycast finds the nearest surface along the ray within maxRange.
 func (s *Scene) Raycast(origin, dir geom.Vec3, maxRange float64) (float64, bool) {

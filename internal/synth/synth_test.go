@@ -73,8 +73,8 @@ func TestCylinderIntersect(t *testing.T) {
 func TestSceneDeterminism(t *testing.T) {
 	a := GenerateScene(SceneConfig{Seed: 42})
 	b := GenerateScene(SceneConfig{Seed: 42})
-	if a.NumPrimitives() != b.NumPrimitives() {
-		t.Fatalf("same seed produced %d vs %d primitives", a.NumPrimitives(), b.NumPrimitives())
+	if len(a.prims) != len(b.prims) {
+		t.Fatalf("same seed produced %d vs %d primitives", len(a.prims), len(b.prims))
 	}
 	c := GenerateScene(SceneConfig{Seed: 43})
 	// Different seeds should (overwhelmingly) differ somewhere; compare a
@@ -118,9 +118,9 @@ func TestLidarScanProducesPlausibleFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All points within max range of the sensor (at the mount height).
-	sensor := geom.Vec3{Z: lidar.Config().MountHeight}
+	sensor := geom.Vec3{Z: lidar.cfg.MountHeight}
 	for _, p := range frame.Points {
-		if p.Dist(sensor) > lidar.Config().MaxRange+1 {
+		if p.Dist(sensor) > lidar.cfg.MaxRange+1 {
 			t.Fatalf("point %v beyond max range", p)
 		}
 	}
@@ -270,11 +270,11 @@ func TestSplitMixDistribution(t *testing.T) {
 func TestSceneConfigKnobs(t *testing.T) {
 	base := GenerateScene(SceneConfig{Seed: 1})
 	dense := GenerateScene(SceneConfig{Seed: 1, CarDensity: 3, PoleSpacing: 6, BuildingDensity: 2})
-	if dense.NumPrimitives() <= base.NumPrimitives() {
-		t.Errorf("denser knobs produced %d primitives vs base %d", dense.NumPrimitives(), base.NumPrimitives())
+	if len(dense.prims) <= len(base.prims) {
+		t.Errorf("denser knobs produced %d primitives vs base %d", len(dense.prims), len(base.prims))
 	}
 	long := GenerateScene(SceneConfig{Seed: 1, Length: 500})
-	if long.NumPrimitives() <= base.NumPrimitives() {
+	if len(long.prims) <= len(base.prims) {
 		t.Error("longer street should have more primitives")
 	}
 }

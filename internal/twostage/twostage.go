@@ -48,9 +48,6 @@ const leafBase Child = -2
 // IsLeaf reports whether the child link points at a leaf set.
 func (c Child) IsLeaf() bool { return c <= leafBase }
 
-// IsNode reports whether the child link points at an internal node.
-func (c Child) IsNode() bool { return c >= 0 }
-
 // LeafID returns the leaf-set index encoded in a leaf child link.
 func (c Child) LeafID() int { return int(leafBase - c) }
 
@@ -277,18 +274,12 @@ func (t *Tree) Len() int { return len(t.xs) }
 // Slab exposes the backing SoA point slab (read-only by convention).
 func (t *Tree) Slab() *cloud.Slab { return t.slab }
 
-// At dequantizes point i.
-func (t *Tree) At(i int) geom.Vec3 { return t.slab.At(i) }
-
 // Points materializes the dequantized points as a fresh AoS slice — an
-// O(n) copy for diagnostics and tools; hot paths use Slab or At.
+// O(n) copy for diagnostics and tools; hot paths use Slab.
 func (t *Tree) Points() []geom.Vec3 { return t.slab.Points() }
 
 // Leaves exposes the unordered leaf sets (read-only by convention).
 func (t *Tree) Leaves() [][]int32 { return t.leaves }
-
-// TopHeight returns the configured top-tree height.
-func (t *Tree) TopHeight() int { return t.height }
 
 // MaxLeafSize returns the size of the largest leaf set (the paper's
 // "leaf-set size" knob reported in Fig. 6).

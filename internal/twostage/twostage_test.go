@@ -145,17 +145,17 @@ func TestBuildWithLeafSizeRespectsTarget(t *testing.T) {
 func TestChildEncoding(t *testing.T) {
 	for _, id := range []int{0, 1, 7, 100000} {
 		c := encodeLeaf(id)
-		if !c.IsLeaf() || c.IsNode() {
+		if !c.IsLeaf() || c >= 0 {
 			t.Fatalf("leaf %d misclassified", id)
 		}
 		if c.LeafID() != id {
 			t.Fatalf("leaf id round trip: %d -> %d", id, c.LeafID())
 		}
 	}
-	if ChildNone.IsLeaf() || ChildNone.IsNode() {
+	if ChildNone.IsLeaf() || ChildNone >= 0 {
 		t.Error("ChildNone misclassified")
 	}
-	if !Child(5).IsNode() || Child(5).IsLeaf() {
+	if Child(5).IsLeaf() {
 		t.Error("node child misclassified")
 	}
 }

@@ -2,10 +2,19 @@ package tigris_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"testing"
 
 	"tigris"
+	"tigris/internal/cloud"
+	"tigris/internal/geom"
 )
 
 // TestPublicAPIEndToEnd drives the whole public surface the way the
@@ -63,9 +72,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPICloudHelpers(t *testing.T) {
-	c := tigris.CloudFromPoints([]tigris.Vec3{
-		tigris.V3(0.1, 0.1, 0), tigris.V3(0.2, 0.2, 0), tigris.V3(5, 5, 0),
-	})
+	c := tigris.NewCloud(3)
+	c.Points = append(c.Points,
+		geom.V3(0.1, 0.1, 0), geom.V3(0.2, 0.2, 0), geom.V3(5, 5, 0))
 	d := tigris.VoxelDownsample(c, 1.0)
 	if d.Len() != 2 {
 		t.Fatalf("downsample = %d cells", d.Len())
@@ -74,7 +83,7 @@ func TestPublicAPICloudHelpers(t *testing.T) {
 	if err := tigris.WriteCloud(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := tigris.ReadCloud(&buf)
+	back, err := cloud.Read(&buf)
 	if err != nil || back.Len() != d.Len() {
 		t.Fatalf("cloud IO round trip: %v", err)
 	}
@@ -85,32 +94,29 @@ func TestPublicAPIDesignPoints(t *testing.T) {
 	if len(dps) != 8 {
 		t.Fatalf("expected DP1..DP8, got %d", len(dps))
 	}
+	if !reflect.DeepEqual(tigris.DefaultPipelineConfig(), dps[4].Config) {
+		t.Fatal("the default pipeline is not DP5")
+	}
 	seq := tigris.GenerateSequence(tigris.QuickSequenceConfig(2, 9))
-	ev := tigris.EvaluateDesignPoint(seq, dps[3]) // DP4
-	if ev.MeanTime <= 0 {
-		t.Fatal("design point evaluation produced no timing")
+	if res := tigris.Register(seq.Frames[1], seq.Frames[0], dps[3].Config); res.Total <= 0 { // DP4
+		t.Fatal("design point registration produced no timing")
 	}
 }
 
 // TestPublicAPIStream drives the streaming engine surface: push a short
-// synthetic sequence, drain, and check the trajectory matches both the
-// per-pair Register loop (bit-identical for the exact backend) and the
-// split PrepareFrame/AlignFrames stages.
+// synthetic sequence, drain, and check the trajectory matches the
+// per-pair Register loop (bit-identical for the exact backend).
 func TestPublicAPIStream(t *testing.T) {
 	const frames = 3
 	seq := tigris.GenerateSequence(tigris.QuickSequenceConfig(frames, 12))
 	cfg := tigris.DefaultPipelineConfig()
 
-	ref := make([]*tigris.Cloud, frames)
+	ref := make([]*cloud.Cloud, frames)
 	for i, f := range seq.Frames {
 		ref[i] = f.Clone()
 	}
 
-	eng := tigris.NewStream(tigris.StreamConfig{
-		Pipeline:  cfg,
-		Pipelined: true,
-		Limiter:   tigris.NewStreamLimiter(2),
-	})
+	eng := tigris.NewStream(tigris.StreamConfig{Pipeline: cfg, Pipelined: true})
 	for _, f := range seq.Frames {
 		if _, err := eng.Push(f); err != nil {
 			t.Fatal(err)
@@ -123,20 +129,13 @@ func TestPublicAPIStream(t *testing.T) {
 		t.Fatalf("trajectory has %d frames, want %d", traj.Len(), frames)
 	}
 	for i := 1; i < frames; i++ {
-		want := tigris.Register(ref[i].Clone(), ref[i-1].Clone(), cfg).Transform
+		want := tigris.Register(ref[i], ref[i-1], cfg).Transform
 		if traj.Frames[i].Delta != want {
 			t.Fatalf("frame %d: streamed delta differs from per-pair Register", i)
 		}
 	}
 	if st := eng.Stats(); st.FramesPrepared != frames || st.DescriptorBuilds != frames {
 		t.Fatalf("front-end not build-once: %+v", st)
-	}
-
-	// The split stages compose to the same pair result.
-	ps := tigris.PrepareFrame(ref[1].Clone(), cfg)
-	pd := tigris.PrepareFrame(ref[0].Clone(), cfg)
-	if got := tigris.AlignFrames(ps, pd, cfg).Transform; got != traj.Frames[1].Delta {
-		t.Fatal("PrepareFrame+AlignFrames differs from the streamed pair")
 	}
 }
 
@@ -145,8 +144,54 @@ func TestPublicAPITransforms(t *testing.T) {
 	if !tr.NearlyEqual(tr.Compose(tr), 1e-12) {
 		t.Fatal("identity compose broken")
 	}
-	v := tigris.V3(1, 2, 3)
+	v := geom.V3(1, 2, 3)
 	if tr.Apply(v) != v {
 		t.Fatal("identity apply broken")
+	}
+}
+
+// TestFacadeNamesHaveAConsumer keeps the facade at what its traffic
+// uses: every exported package-level name in tigris.go must appear as
+// tigris.<Name> in a file under examples/ or in README.md.
+func TestFacadeNamesHaveAConsumer(t *testing.T) {
+	var traffic []byte
+	examples, err := filepath.Glob("examples/*/*.go")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no examples found: %v", err)
+	}
+	for _, name := range append(examples, "README.md") {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traffic = append(traffic, b...)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "tigris.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []*ast.Ident
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			names = append(names, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, sp.Name)
+				case *ast.ValueSpec:
+					names = append(names, sp.Names...)
+				}
+			}
+		}
+	}
+	for _, name := range names {
+		if !name.IsExported() {
+			continue
+		}
+		if ok, _ := regexp.Match(`\btigris\.`+name.Name+`\b`, traffic); !ok {
+			t.Errorf("tigris.%s is used by no example and no README snippet", name.Name)
+		}
 	}
 }
