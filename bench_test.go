@@ -1,6 +1,6 @@
 // Micro-benchmarks of the registration hot path: the two fine-tuning
-// benchmarks CI runs, and serial/parallel pairs of the batched search
-// API. The paper's figures are cmd/tigris-paper; the end-to-end numbers
+// benchmarks and the loop-verification benchmark CI runs, and
+// serial/parallel pairs of the batched search API. The paper's figures are cmd/tigris-paper; the end-to-end numbers
 // are bench/.
 package tigris
 
@@ -12,6 +12,7 @@ import (
 	"tigris/internal/dse"
 	"tigris/internal/features"
 	"tigris/internal/geom"
+	"tigris/internal/loop"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/synth"
@@ -108,6 +109,48 @@ func BenchmarkEstimateNormalsRaw(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		features.EstimateNormals(slab, s, cfg)
+	}
+}
+
+// BenchmarkLoopVerify times one loop verification as slam_circuit pays
+// it: DP7, 16×300 frames on the radius-3 circuit of 40 frames a lap, one
+// worker, the frames' front-ends already retained by the detector — so an
+// iteration is one raw-cloud index over the older frame, its normals on
+// demand, KPCE, rejection and ICP. "accepted" is frame 40 against frame 0
+// (the same pose a lap later); "rejected" is frame 40 against frame 20,
+// across the circuit, the kind of candidate that runs ICP to its
+// iteration limit before the gates can turn it down.
+func BenchmarkLoopVerify(b *testing.B) {
+	seqCfg := synth.QuickSequenceConfig(41, 2019)
+	seqCfg.Trajectory = synth.CircuitTrajectory{Radius: 3, FramesPerLap: 40}
+	seq := synth.GenerateSequence(seqCfg)
+	cfg := dse.DP7().Config
+	cfg.Searcher.Parallelism = 1
+	det, err := loop.NewDetector(loop.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, i := range []int{0, 20, 40} {
+		pf := registration.PrepareFrame(seq.Frames[i], cfg)
+		det.Observe(i, pf)
+		pf.Release()
+	}
+	for _, c := range []struct {
+		name   string
+		cand   loop.Candidate
+		accept bool
+	}{
+		{"accepted", loop.Candidate{From: 40, To: 0}, true},
+		{"rejected", loop.Candidate{From: 40, To: 20}, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := det.Verify(c.cand, cfg); ok != c.accept {
+					b.Fatalf("Verify(%+v) accepted = %v, want %v", c.cand, ok, c.accept)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package loop implements place recognition for the SLAM layer: it
 // decides when the sensor has returned to somewhere it has been before,
-// and verifies the revisit with the full registration pipeline so the
+// and verifies the revisit by registering the two frames, so the
 // pose-graph back-end (internal/posegraph) only ever receives
 // geometrically confirmed constraints.
 //
@@ -18,10 +18,11 @@
 //   - Candidates pass a temporal gate (no matching against the recent
 //     past — consecutive frames always look alike) and are ranked by
 //     full-signature distance.
-//   - Verification registers the two frames with the existing
-//     registration.PrepareFrame / registration.Align path and accepts
-//     the closure only on strong geometric consensus (inlier count and
-//     ratio, ICP convergence, bounded relative motion).
+//   - Verification runs registration.Align on the front-ends the caller
+//     already computed (the detector keeps what Align reads of each; no
+//     frame is prepared again) and accepts the closure only on strong
+//     geometric consensus (inlier count and ratio, ICP convergence,
+//     bounded relative motion).
 //
 // Everything is deterministic: signatures are fixed-order reductions,
 // retrieval uses exact backends' parallelism-invariant results, and
@@ -217,9 +218,11 @@ func (q quantizedSignature) Dequantize() []float64 {
 type Detector struct {
 	cfg Config
 
-	mu     sync.Mutex
-	sigs   []signature
-	clouds map[int]*cloud.Slab
+	mu   sync.Mutex
+	sigs []signature
+	// frames holds what a verification aligns of each frame in the
+	// signature index (PreparedFrame.Detach); entries are never written.
+	frames map[int]*registration.PreparedFrame
 	// searcher indexes sigs[i].key positionally; rebuilt lazily when
 	// frames were added since the last proposal.
 	searcher search.Searcher
@@ -246,7 +249,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Detector{cfg: cfg, clouds: make(map[int]*cloud.Slab), lastHit: -1 << 30}, nil
+	return &Detector{cfg: cfg, frames: make(map[int]*registration.PreparedFrame), lastHit: -1 << 30}, nil
 }
 
 func backendName(cfg Config) string {
@@ -304,22 +307,25 @@ func frameSignature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
 }
 
 // Observe ingests frame index's front-end products: it computes the
-// frame's signature from desc, retains c for later verification, and
-// returns the loop candidates the signature index proposes (subject to
-// the temporal gate and the cooldown). desc is read synchronously and not
-// retained, so callers may release the prepared frame afterwards; the
-// detector takes ownership of c, which must not be mutated afterwards
-// (pass a clone if the pipeline keeps writing to it). Frames must be
-// observed in increasing index order.
+// frame's signature from pf.Desc, retains what verification will align,
+// and returns the loop candidates the signature index proposes (subject to
+// the temporal gate and the cooldown). Frames must be observed in
+// increasing index order.
+//
+// Ownership: the detector keeps pf.Detach() — a copy of the descriptors
+// and, by reference, the key-point positions, the raw point arrays and
+// (front-end on the raw cloud) its normals. The caller may go on to align
+// pf as source or target and Release it, none of which writes those
+// arrays; it must not move or re-estimate pf.Raw in place.
 //
 // Signatures are retained uint8-quantized (see quantizedSignature); the
 // query side of every ranking is the freshly-computed mean passed
 // through the same quantize/dequantize round trip, so both sides of a
 // distance carry identical quantization treatment.
-func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab) []Candidate {
+func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidate {
 	span := d.cfg.Obs.Start(obs.StageLoopObserve)
 	defer span.End()
-	mean, key := frameSignature(desc)
+	mean, key := frameSignature(pf.Desc)
 	var qsig quantizedSignature
 	var queryVec []float64
 	if mean != nil {
@@ -377,28 +383,33 @@ func (d *Detector) Observe(index int, desc *features.Descriptors, c *cloud.Slab)
 
 	if mean != nil {
 		d.sigs = append(d.sigs, signature{index: index, q: qsig, key: key})
-		// Retain the cloud only for frames that entered the signature
-		// index: a signature-less frame (no descriptors) can never be
-		// proposed as either side of a closure, so keeping its points
-		// would only leak one cloud per degenerate frame.
-		if c != nil {
-			d.clouds[index] = c
-		}
+		// Retain only frames that entered the signature index: a
+		// signature-less frame (no descriptors) can never be proposed as
+		// either side of a closure, so keeping its points would only leak
+		// one cloud per degenerate frame.
+		d.frames[index] = pf.Detach()
 	}
 	return cands
 }
 
-// Verify registers the candidate pair through the full
-// PrepareFrame/Align path (on private clones, so retained clouds are
-// never mutated concurrently) and accepts the closure only on strong
-// geometric consensus. cfg is the registration configuration to verify
-// with — callers typically pass their pipeline config, possibly pinned
-// to a worker share; exact backends make the outcome identical at any
-// Parallelism.
+// Verify aligns the candidate pair's retained front-ends
+// (registration.Align: one raw-cloud index over the older frame, its
+// normals on demand, ICP) and accepts the closure only on strong geometric
+// consensus; a candidate naming a frame that was not retained is declined.
+// The newer frame is only read and the older one is aligned through a
+// Detach of its own, so what Align builds lives for this verification
+// alone and concurrent verifications may share either frame.
+//
+// cfg governs the pair stages only (KPCE, rejection, ICP, the fine-tuning
+// index and its on-demand normals) — callers typically pass their pipeline
+// config, possibly pinned to a worker share; exact backends make the
+// outcome identical at any Parallelism. The front-end knobs (downsampling,
+// key-points, descriptors, a raw-cloud front-end's normals) were fixed
+// when each frame was prepared and are not read again.
 func (d *Detector) Verify(cand Candidate, cfg registration.PipelineConfig) (Closure, bool) {
 	d.mu.Lock()
-	from, okFrom := d.clouds[cand.From]
-	to, okTo := d.clouds[cand.To]
+	from, okFrom := d.frames[cand.From]
+	to, okTo := d.frames[cand.To]
 	if okFrom && okTo {
 		d.stats.Verified++
 	}
@@ -407,11 +418,7 @@ func (d *Detector) Verify(cand Candidate, cfg registration.PipelineConfig) (Clos
 		return Closure{}, false
 	}
 
-	pf := registration.PrepareFrameSlab(from.Clone(), cfg)
-	pt := registration.PrepareFrameSlab(to.Clone(), cfg)
-	res := registration.Align(pf, pt, cfg)
-	pf.Release()
-	pt.Release()
+	res := registration.Align(from, to.Detach(), cfg)
 
 	cl := Closure{
 		From:            cand.From,

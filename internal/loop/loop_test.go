@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tigris/internal/cloud"
 	"tigris/internal/dse"
 	"tigris/internal/registration"
 	"tigris/internal/synth"
@@ -87,9 +86,8 @@ func TestDetectorProposesAndVerifiesRevisit(t *testing.T) {
 
 	var accepted []Closure
 	for i, f := range seq.Frames {
-		c := cloud.SlabFromCloud(f)
-		pf := registration.PrepareFrameSlab(c, cfg)
-		cands := det.Observe(i, pf.Desc, c)
+		pf := registration.PrepareFrame(f, cfg)
+		cands := det.Observe(i, pf)
 		pf.Release()
 		for _, cand := range cands {
 			if cand.From-cand.To < perLap-2 {
@@ -128,25 +126,31 @@ func TestDetectorCooldownAndGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Synthetic signatures via a tiny descriptor matrix; no clouds needed
-	// for proposal-only behavior.
+	// One prepared frame observed under six indices: proposals depend on
+	// the signatures alone.
 	seq := circuitSequence(t, 2, 40)
 	cfg := slamPipeline(t)
 	pf := registration.PrepareFrame(seq.Frames[0].Clone(), cfg)
 	defer pf.Release()
 	for i := 0; i < 5; i++ {
-		if cands := det.Observe(i, pf.Desc, nil); len(cands) != 0 {
+		if cands := det.Observe(i, pf); len(cands) != 0 {
 			t.Fatalf("frame %d proposed %v inside the temporal gate", i, cands)
 		}
 	}
 	// Frame 5 may match frame 0 (identical signature — same descriptors).
-	cands := det.Observe(5, pf.Desc, nil)
+	cands := det.Observe(5, pf)
 	if len(cands) == 0 || cands[0].To != 0 || cands[0].SigDist != 0 {
 		t.Fatalf("frame 5 should match frame 0 exactly, got %v", cands)
 	}
-	// Without clouds, verification must decline gracefully.
-	if _, ok := det.Verify(cands[0], cfg); ok {
-		t.Fatal("verification without retained clouds succeeded")
+	// A candidate naming a frame the detector does not hold must be
+	// declined gracefully, whichever side it is.
+	for _, cand := range []Candidate{{From: 5, To: 99}, {From: 99, To: 0}} {
+		if _, ok := det.Verify(cand, cfg); ok {
+			t.Fatalf("verification of %+v succeeded without a retained frame", cand)
+		}
+	}
+	if st := det.Stats(); st.Verified != 0 {
+		t.Fatalf("declined candidates counted as %d verifications", st.Verified)
 	}
 }
 

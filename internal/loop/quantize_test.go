@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"tigris/internal/cloud"
 	"tigris/internal/registration"
 )
 
@@ -72,9 +71,8 @@ func TestQuantizedClosureSetUnchanged(t *testing.T) {
 	}
 	var accepted [][2]int
 	for i, f := range seq.Frames {
-		s := cloud.SlabFromCloud(f)
-		pf := registration.PrepareFrameSlab(s, cfg)
-		cands := det.Observe(i, pf.Desc, s)
+		pf := registration.PrepareFrame(f, cfg)
+		cands := det.Observe(i, pf)
 		pf.Release()
 		for _, cand := range cands {
 			if cl, ok := det.Verify(cand, cfg); ok {

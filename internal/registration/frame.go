@@ -30,7 +30,7 @@ import (
 // A PreparedFrame is not safe for concurrent use: its searchers carry
 // per-instance metrics, FineTarget mutates lazily-built state, and every
 // ICP iteration of an Align that targets the frame may write normals into
-// Raw.
+// Raw. Detach returns the part of it that can be shared.
 type PreparedFrame struct {
 	// Raw is the frame's SoA float32 slab (the cloud as given, quantized
 	// once on ingest); fine-tuning RPCE always refines with these points.
@@ -115,11 +115,10 @@ func PrepareFrame(c *cloud.Cloud, cfg PipelineConfig) *PreparedFrame {
 }
 
 // PrepareFrameSlab is PrepareFrame for callers that already hold the
-// frame as an SoA slab (the streaming engine, the loop detector's
-// verification clones): no further quantization or copying happens — the
+// frame as an SoA slab: no further quantization or copying happens — the
 // search indexes are built zero-copy over the slab, and the slab's normal
-// arrays receive the normal-estimation output. The detector takes
-// ownership of s (its normals are written in place).
+// arrays receive the normal-estimation output. The frame takes ownership
+// of s (its normals are written in place).
 func PrepareFrameSlab(s *cloud.Slab, cfg PipelineConfig) *PreparedFrame {
 	start := time.Now()
 	f := &PreparedFrame{Raw: s, FE: s}
@@ -165,7 +164,8 @@ func PrepareFrameSlab(s *cloud.Slab, cfg PipelineConfig) *PreparedFrame {
 
 // FineTarget returns the searcher and cloud RPCE queries when this frame
 // is a pair's target. When the front-end ran on the raw cloud the
-// front-end index — and its normals — are reused; otherwise a raw-cloud
+// front-end index — and its normals — are reused; otherwise (and on a
+// detached frame, which has the normals but not the index) a raw-cloud
 // index is built on first use and cached for every later pair that
 // targets this frame. Point-to-plane fine-tuning additionally reads
 // raw-cloud normals, but only those of the points its matches name (about
@@ -173,7 +173,7 @@ func PrepareFrameSlab(s *cloud.Slab, cfg PipelineConfig) *PreparedFrame {
 // here: Align's ICP asks for them as its matches settle (targetNormals),
 // and each is estimated once.
 func (f *PreparedFrame) FineTarget(cfg PipelineConfig) (search.Searcher, *cloud.Slab) {
-	if f.FE == f.Raw {
+	if f.FE == f.Raw && f.FESearch != nil {
 		return f.FESearch, f.FE
 	}
 	if f.fineSearch == nil {
@@ -232,6 +232,32 @@ func (f *PreparedFrame) SearchMetrics() search.Metrics {
 	return m
 }
 
+// Detach returns the part of f that Align reads — raw points, key-point
+// positions, descriptors — as a frame of its own, with no FESearch, no
+// Keypoints, FE only where it is Raw, and nothing f built as a target: the
+// loop detector keeps one per observed frame, aligns it as a source as it
+// is, and aligns a fresh Detach of it as a target. The point arrays and
+// key-point positions are shared with f, not copied: nothing writes them
+// after the front-end, so f and its detached frames may be aligned at the
+// same time. So are the normals of a front-end that ran on the raw cloud —
+// they are what point-to-plane ICP reads (error injection included) and
+// no Align writes them; otherwise a detached target estimates its own on
+// demand, into arrays f never sees. The descriptors are copied, because
+// f.Release recycles f's; a detached frame needs no Release.
+func (f *PreparedFrame) Detach() *PreparedFrame {
+	raw := &cloud.Slab{Xs: f.Raw.Xs, Ys: f.Raw.Ys, Zs: f.Raw.Zs}
+	d := &PreparedFrame{
+		Raw:         raw,
+		KeypointPts: f.KeypointPts,
+		Desc:        &features.Descriptors{Dim: f.Desc.Dim, Data: append([]float64(nil), f.Desc.Data...)},
+	}
+	if f.FE == f.Raw {
+		raw.NXs, raw.NYs, raw.NZs = f.Raw.NXs, f.Raw.NYs, f.Raw.NZs
+		d.FE = raw
+	}
+	return d
+}
+
 // Release returns the frame's pooled buffers (currently the descriptor
 // slab) for reuse and drops the references that keep the front-end
 // products alive. Call it when the frame has played its last role in a
@@ -257,8 +283,8 @@ func (f *PreparedFrame) Release() {
 func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	start := time.Now()
 	var res Result
-	res.SrcKeypoints = len(src.Keypoints)
-	res.DstKeypoints = len(dst.Keypoints)
+	res.SrcKeypoints = len(src.KeypointPts)
+	res.DstKeypoints = len(dst.KeypointPts)
 
 	// (4) KPCE in feature space.
 	t0 := time.Now()

@@ -487,8 +487,9 @@ type sessionRequest struct {
 
 // loopRequest is the JSON shape of the session's loop-closure options.
 // Zero fields select the internal/loop defaults. Note that an enabled
-// loop stage retains every pushed frame's cloud for verification, so
-// session memory grows with stream length.
+// loop stage retains what verification aligns of every pushed frame —
+// its raw float32 points, key-point positions and descriptors, 12 B a
+// point plus ≈ 11 KB — so session memory grows with stream length.
 type loopRequest struct {
 	Enabled bool `json:"enabled"`
 	// Backend names the signature-index search backend ("" = canonical).

@@ -1,13 +1,17 @@
 package stream
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/dse"
 	"tigris/internal/geom"
 	"tigris/internal/loop"
 	"tigris/internal/obs"
 	"tigris/internal/posegraph"
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
@@ -199,13 +203,83 @@ func TestLoopStageConcurrency(t *testing.T) {
 	eng.Close()
 }
 
-// TestLoopVerificationOverlapsOnDemandNormals pins the reason the loop
-// stage is handed a clone of every frame's cloud. With a downsampled
-// front-end and point-to-plane ICP, every iteration of pair N+1's
-// alignment estimates normals into frame N's raw slab, while the loop
-// worker may still be verifying frame N's candidates, which re-registers
-// the retained clouds. The two must share no array (run under -race in
-// CI), and the overlap has to really happen for the run to prove it: the
+// countingBackend is the two-stage backend behind a counter of real index
+// constructions over non-empty slabs (config validation builds over an
+// empty one). Registered once a process, so -count=N works.
+var countingBackend struct {
+	once   sync.Once
+	builds atomic.Int64
+}
+
+const countingBackendName = "test-stream-counting"
+
+func registerCountingBackend(t *testing.T) {
+	t.Helper()
+	countingBackend.once.Do(func() {
+		err := search.RegisterBackend(search.NewBackend(countingBackendName, func(slab *cloud.Slab, opts search.Options) (search.Searcher, error) {
+			if slab.Len() > 0 {
+				countingBackend.builds.Add(1)
+			}
+			return search.NewByNameSlab(search.BackendTwoStage, slab, opts)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestLoopSessionBuildsEachIndexOnce counts what Stats' front-end
+// counters only assert: with the pipeline's indexes built by a counting
+// backend (the loop stage's signature index stays on the canonical one),
+// a pipelined loop-on session of N downsampled frames constructs N
+// front-end indexes, N−1 fine-tuning indexes (the last frame is nobody's
+// target) and one raw index per verification — no front-end runs twice.
+// Re-preparing both frames in every verification cost three constructions
+// and two front-ends each.
+func TestLoopSessionBuildsEachIndexOnce(t *testing.T) {
+	registerCountingBackend(t)
+	cfg := dse.NamedDesignPoints()[3].Config // DP4: downsampled, cheap
+	cfg.Searcher.Backend = countingBackendName
+	cfg.Searcher.Parallelism = 2
+	seq := slamSequence(14)
+	n := int64(seq.Len())
+	before := countingBackend.builds.Load()
+	eng := New(Config{
+		Pipeline:  cfg,
+		Pipelined: true,
+		Loop:      &loop.Config{MinSeparation: 6, MaxCandidates: 2, Cooldown: 1},
+	})
+	for _, f := range seq.Frames {
+		if _, err := eng.Push(f.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+	st := eng.Stats()
+	builds := countingBackend.builds.Load() - before
+	if st.Loop.Verified == 0 {
+		t.Fatal("no loop candidate was verified")
+	}
+	if want := n + (n - 1) + st.Loop.Verified; builds != want {
+		t.Errorf("%d index constructions for %d frames and %d verifications, want %d (%d a verification)",
+			builds, n, st.Loop.Verified, want, (builds-n-(n-1))/st.Loop.Verified)
+	}
+	if st.FramesPrepared != n || st.DescriptorBuilds != n || st.TreeBuilds != n+(n-1) {
+		t.Errorf("stats report %d front-ends, %d descriptor builds, %d tree builds for %d odometry frames",
+			st.FramesPrepared, st.DescriptorBuilds, st.TreeBuilds, n)
+	}
+}
+
+// TestLoopVerificationOverlapsOnDemandNormals pins what the loop stage
+// may share with the pipeline. The detector keeps every frame's raw
+// position arrays by reference, not a clone. With a downsampled front-end
+// and point-to-plane ICP, every iteration of pair N+1's alignment
+// estimates normals for frame N's raw points and builds an index over
+// them, while the loop worker may still be verifying frame N's
+// candidates, which aligns against the same points. That is safe only
+// because the positions are never written after the front-end and each
+// side writes normals into arrays of its own (run under -race in CI),
+// and the overlap has to really happen for the run to prove it: the
 // flight recorder's spans must show a verification in progress during a
 // later frame's alignment.
 func TestLoopVerificationOverlapsOnDemandNormals(t *testing.T) {

@@ -11,7 +11,8 @@
 //     processed twice — once as a pair's source and once as the next
 //     pair's target. The engine prepares each frame exactly once
 //     (registration.PrepareFrame) and reuses the state for both roles,
-//     halving steady-state front-end work.
+//     halving steady-state front-end work; with the loop stage on, a
+//     verification aligns those same front-ends, a frame's third role.
 //
 //   - Frame-level pipelining. With Config.Pipelined, frame N's front-end
 //     overlaps frame N−1's pair alignment (KPCE, rejection, ICP
@@ -99,16 +100,18 @@ type Config struct {
 	// Loop, when non-nil, enables the loop-closure stage: every committed
 	// frame's descriptors are aggregated into a place signature
 	// (internal/loop), candidates proposed by the signature index are
-	// verified with the full registration pipeline, and accepted closures
-	// accumulate for pose-graph optimization (OptimizedPoses). In
-	// pipelined mode verification runs on its own worker goroutine with
-	// its own share of the adaptively split pool, overlapping both other
-	// stages. Enabling the stage retains every pushed frame's cloud for
-	// the session's life (verification needs the raw points), so bound
-	// session length accordingly. The config must name a valid search
-	// backend (validate with loop.Config.Validate at the boundary); New
-	// panics otherwise, like the registration layer does on invalid
-	// searcher configs.
+	// verified by aligning the two frames' front-ends (registration.Align;
+	// no frame is prepared twice), and accepted closures accumulate for
+	// pose-graph optimization (OptimizedPoses). In pipelined mode
+	// verification runs on its own worker goroutine with its own share of
+	// the adaptively split pool, overlapping both other stages. Enabling
+	// the stage retains, for the session's life, what Align reads of every
+	// pushed frame — raw points (12 B each, 24 B with a raw-cloud
+	// front-end's normals), key-point positions, a copy of the descriptors
+	// (≈ 11 KB) — so bound session length accordingly. The config must name
+	// a valid search backend (validate with loop.Config.Validate at the
+	// boundary); New panics otherwise, like the registration layer does on
+	// invalid searcher configs.
 	Loop *loop.Config
 	// LoopEdgeWeight scales verified loop edges relative to odometry
 	// edges in the optimized pose graph (default 10): one globally
@@ -177,7 +180,10 @@ func (t Trajectory) Len() int { return len(t.Poses) }
 // are the reuse proof: after N frames, FramesPrepared and
 // DescriptorBuilds are N (a per-pair loop would have prepared 2(N−1)
 // clouds), and TreeBuilds is N plus one fine-tuning index per target
-// frame when downsampling is active. The scalar counters are maintained
+// frame when downsampling is active. Loop verification runs no front-end,
+// so that is every front-end of the session; TreeBuilds and Search cover
+// the odometry frames only — a verification's one raw index and its
+// queries are inside LoopTime instead. The scalar counters are maintained
 // on lock-free atomics (internal/obs), so a server polling Stats
 // concurrently with running stages reads them without contending on the
 // engine mutex.
@@ -644,15 +650,15 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 		}
 		e.mu.Unlock()
 	}
-	// The detector retains the cloud for later verification; hand it a
-	// private clone, because the pipeline keeps mutating pf.Raw after
-	// this commit: every ICP iteration of the next pair, which targets
-	// this frame, estimates normals into it in place, and a verification
-	// running beside that alignment reads the retained cloud. Cloning at
-	// observe time also pins the retained content to the same snapshot in
-	// pipelined and sequential modes.
+	// The detector keeps pf's point arrays and key-point positions by
+	// reference (loop.Detector.Observe), so a verification may be reading
+	// them while the next pair aligns against pf. Nothing writes them after
+	// the front-end: what that pair's ICP writes — on-demand normals, the
+	// raw index — hangs off pf and pf.Raw's own header, which the detector
+	// does not hold, and a raw-cloud front-end's normals are all there
+	// already.
 	e.loopObsRec.SetScope(frameSpanID(index), index)
-	cands := e.det.Observe(index, pf.Desc, pf.Raw.Clone())
+	cands := e.det.Observe(index, pf)
 	if len(cands) == 0 {
 		return
 	}
@@ -672,10 +678,10 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 func (e *Engine) verifyLoop(cands []loop.Candidate) {
 	e.cfg.Limiter.acquire()
 	cfg, workers := e.stageConfig(stageLoop)
-	// Verification reruns the registration pipeline internally; detach the
-	// recorder so its KPCE/ICP sub-stages don't pollute the odometry
-	// per-stage histograms. The whole verification lands in one
-	// obs.StageLoopVerify sample below instead.
+	// Verification runs registration.Align internally; detach the recorder
+	// so its KPCE/ICP sub-stages don't pollute the odometry per-stage
+	// histograms. The whole verification lands in one obs.StageLoopVerify
+	// sample below instead.
 	cfg.Obs = nil
 	start := time.Now()
 	var accepted *loop.Closure
