@@ -322,6 +322,8 @@ func runSelftest(srv *serve.Server, backend string) error {
 	for _, want := range []string{
 		"tigris_frames_pushed_total 2",
 		"tigris_sessions_active 1",
+		"\ntigris_par_slots ",
+		"\ntigris_par_slots_in_use ",
 		`tigris_stage_latency_seconds_bucket{stage="frame",le="+Inf"} 2`,
 		`tigris_http_requests_total{route="/v1/sessions/{id}/frames",code="202"} 2`,
 	} {

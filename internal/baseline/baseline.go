@@ -114,7 +114,7 @@ func ProfileCanonical(tree *kdtree.Tree, w sim.Workload) Profile {
 func ProfileCanonicalParallel(tree *kdtree.Tree, w sim.Workload, parallelism int) Profile {
 	var stats kdtree.Stats
 	par.Sharded(len(w.Queries), par.Workers(parallelism),
-		func(shard *kdtree.Stats, i int) {
+		func(shard *kdtree.Stats, _, i int) {
 			if w.Kind == sim.RadiusSearch {
 				tree.Radius(w.Queries[i], w.Radius, shard)
 			} else {
@@ -143,7 +143,7 @@ func ProfileTwoStage(tree *twostage.Tree, w sim.Workload) Profile {
 func ProfileTwoStageParallel(tree *twostage.Tree, w sim.Workload, parallelism int) Profile {
 	var stats twostage.Stats
 	par.Sharded(len(w.Queries), par.Workers(parallelism),
-		func(shard *twostage.Stats, i int) {
+		func(shard *twostage.Stats, _, i int) {
 			if w.Kind == sim.RadiusSearch {
 				tree.Radius(w.Queries[i], w.Radius, shard)
 			} else {

@@ -155,7 +155,7 @@ func (t *FeatureTree) NearestBatch(qs [][]float64, parallelism int) []FeatureMat
 	}
 	start := time.Now()
 	par.Sharded(len(qs), par.Workers(parallelism),
-		func(visited *int64, i int) {
+		func(visited *int64, _, i int) {
 			best := FeatureMatch{Row: -1, Dist2: math.MaxFloat64}
 			t.nearest(t.root, qs[i], &best, visited)
 			out[i] = best

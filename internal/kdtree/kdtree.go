@@ -97,9 +97,10 @@ func (t *Tree) component(i int32, axis int) float64 {
 const buildSpawnMin = 4096
 
 // BuildSpawnDepth bounds how many recursion levels of a tree build may
-// fork for a budget of workers goroutines (<= 0 selects NumCPU): none for
+// fork for a cap of workers goroutines (<= 0 selects NumCPU): none for
 // a single worker, otherwise enough that 2^depth concurrent subtree
-// builds saturate the budget without goroutine explosion on deep trees.
+// builds reach the cap without goroutine explosion on deep trees. Each
+// fork also needs a free slot of the process's budget (internal/par).
 // The two-stage builder shares it.
 func BuildSpawnDepth(workers int) int {
 	w := par.Workers(workers)
@@ -141,10 +142,10 @@ func Build(pts []geom.Vec3) *Tree {
 // The slab must not be mutated afterwards.
 func BuildSlab(s *cloud.Slab) *Tree { return BuildSlabPar(s, 0) }
 
-// BuildSlabPar is BuildSlab on a budget of workers goroutines (<= 0
-// selects NumCPU; 1 builds on the calling goroutine alone), so an index
-// built for a searcher pinned to a share of the machine stays inside
-// that share. The tree is identical at every setting.
+// BuildSlabPar is BuildSlab on at most workers goroutines (<= 0 selects
+// NumCPU; 1 builds on the calling goroutine alone): the caller, and one
+// per slot it can borrow as it forks. The tree is identical at every
+// setting.
 func BuildSlabPar(s *cloud.Slab, workers int) *Tree {
 	t := &Tree{slab: s, xs: s.Xs, ys: s.Ys, zs: s.Zs, root: -1}
 	n := s.Len()
@@ -169,7 +170,8 @@ func BuildSlabPar(s *cloud.Slab, workers int) *Tree {
 // buildAt constructs the subtree over idx (non-empty) into the preorder
 // slot range [at, at+len(idx)): the median at `at`, the left subtree in
 // the next mid slots, the right subtree after it. spawn > 0 allows
-// forking the left child onto its own goroutine.
+// forking the left child onto its own goroutine, which happens when a
+// slot of the process's budget (internal/par) is free at that instant.
 func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
 	// Median split by selection on the chosen axis (a contiguous float32
 	// load per comparison — the SoA layout's construction win); ties are
@@ -194,11 +196,12 @@ func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
 	}
 	t.nodes[at] = n
 	left, right := idx[:mid], idx[mid+1:]
-	if spawn > 0 && len(idx) >= buildSpawnMin && n.left >= 0 && n.right >= 0 {
+	if spawn > 0 && len(idx) >= buildSpawnMin && n.left >= 0 && n.right >= 0 && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer par.Release()
 			t.buildAt(left, n.left, spawn-1)
 		}()
 		t.buildAt(right, n.right, spawn-1)

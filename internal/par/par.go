@@ -1,10 +1,18 @@
-// Package par provides the small worker-pool primitives the batched
-// neighbor-search layer is built on. The paper's central argument is that
-// KD-tree search exposes massive query-level parallelism; par.For is the
-// software analogue of the accelerator's query dispatch: a fixed worker
-// pool pulls index blocks off a shared counter, and every item of work is
-// identified by its index so results can be written positionally, keeping
-// parallel output bit-identical to sequential output.
+// Package par provides the small parallel-loop primitives the batched
+// neighbor-search layer is built on, and the one budget they all draw on.
+// The paper's central argument is that KD-tree search exposes massive
+// query-level parallelism, and its accelerator wins by dispatching each
+// query to whichever search unit is free (§5); par is the software
+// analogue. The process has GOMAXPROCS slots. A pipeline stage holds
+// exactly one while it computes (Acquire/Release); a parallel loop runs on
+// its caller and borrows further slots only if they are free at that
+// instant, handing each back as its helper runs out of work. So two busy
+// stages run one-wide each, a stage whose neighbours are idle or blocked
+// gets the whole machine, and however many stages and sessions a process
+// hosts, no more than GOMAXPROCS goroutines compute at once. Every item of
+// work is identified by its index so results can be written positionally,
+// keeping parallel output bit-identical to sequential output at any width
+// a loop happens to be granted.
 package par
 
 import (
@@ -21,7 +29,8 @@ const grain = 32
 
 // Workers resolves a requested parallelism: n > 0 selects n workers,
 // anything else selects runtime.NumCPU(). This is the shared default for
-// every Parallelism knob in the search and registration layers.
+// every Parallelism knob in the search and registration layers; it caps
+// how wide a loop may run, the slot budget decides how wide it does.
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -29,17 +38,77 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// For runs fn(worker, i) for every i in [0, n), distributing indices over
-// at most workers goroutines. worker is in [0, workers) and is stable for
-// the lifetime of one call, so callers can give each worker private state
-// (stats shards, scratch buffers, approximate-search sessions) without
-// locking. Indices are claimed in blocks, so fn must not assume any
-// ordering between indices run by different workers; fn must write results
-// positionally (by i) for the output to be deterministic.
+// slots is the process-wide budget, a counting semaphore: its capacity is
+// runtime.GOMAXPROCS(0) at first use, its length the slots in use.
+var (
+	slotsOnce sync.Once
+	slots     chan struct{}
+)
+
+func budget() chan struct{} {
+	slotsOnce.Do(func() { slots = make(chan struct{}, runtime.GOMAXPROCS(0)) })
+	return slots
+}
+
+// probe is the tests' view of the budget (nil outside them): slot sees
+// every slot taken (+1) and returned (-1), loop every parallel loop's
+// width, the caller included, as asked (its Parallelism capped at its
+// claimable blocks) and as granted.
+var probe struct {
+	slot func(delta int)
+	loop func(asked, granted int)
+}
+
+// Acquire takes the slot a stage computes on, waiting until one is free;
+// the stage's parallel loops then borrow whatever else is. Nothing may
+// block on another stage while holding it. Admission (which tenant may
+// start a stage at all) is the caller's business and comes first.
+func Acquire() {
+	budget() <- struct{}{}
+	if probe.slot != nil {
+		probe.slot(1)
+	}
+}
+
+// TryAcquire takes one more slot only if one is free this instant: the
+// licence to start one more computing goroutine, which must Release it.
+func TryAcquire() bool {
+	select {
+	case budget() <- struct{}{}:
+		if probe.slot != nil {
+			probe.slot(1)
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// Release returns a slot taken by Acquire or TryAcquire.
+func Release() {
+	if probe.slot != nil {
+		probe.slot(-1)
+	}
+	<-slots
+}
+
+// Slots returns the budget; SlotsInUse how many of them stages and their
+// helpers hold right now.
+func Slots() int      { return cap(budget()) }
+func SlotsInUse() int { return len(budget()) }
+
+// For runs fn(worker, i) for every i in [0, n) on the calling goroutine
+// and on at most workers-1 helpers, one per slot it could borrow. worker
+// is in [0, workers) and is stable for the lifetime of one call, so
+// callers can give each worker private state (stats shards, scratch
+// buffers, approximate-search sessions) without locking. Indices are
+// claimed in blocks, so fn must not assume any ordering between indices
+// run by different workers; fn must write results positionally (by i) for
+// the output to be deterministic.
 //
-// workers <= 1 (or n <= 1) degenerates to a plain sequential loop on the
-// calling goroutine with worker == 0, making the sequential path the
-// exact specialization of the parallel one.
+// workers <= 1 (or n <= 1, or no free slot) degenerates to a plain
+// sequential loop on the calling goroutine with worker == 0, making the
+// sequential path the exact specialization of the parallel one.
 func For(n, workers int, fn func(worker, i int)) {
 	forGrain(n, workers, grain, fn)
 }
@@ -49,162 +118,105 @@ func For(n, workers int, fn func(worker, i int)) {
 // claims single indices because each of its indices is already a whole
 // chunk of work.
 func forGrain(n, workers, g int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	// Never spawn more workers than there are claimable blocks: the rest
-	// would start only to lose one atomic claim and exit, and small
-	// batches recur in hot loops (one NearestBatch per ICP iteration).
-	if blocks := (n + g - 1) / g; workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 {
+	helpers := borrow(n, workers, g)
+	if helpers == 0 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
-	g64 := int64(g)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(g64)) - g
-				if lo >= n {
-					return
-				}
-				hi := lo + g
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(worker, i)
-				}
-			}
-		}(w)
+	fan(n, helpers, g, fn)
+}
+
+// borrow takes the slots of a loop's helpers: as many as are free, at
+// most workers-1, and never more than there are claimable blocks beyond
+// the caller's first — the rest would start only to lose one atomic claim
+// and exit, and small batches recur in hot loops (one NearestBatch per ICP
+// iteration).
+func borrow(n, workers, g int) int {
+	if blocks := (n + g - 1) / g; workers > blocks {
+		workers = blocks
 	}
+	if workers <= 1 {
+		return 0
+	}
+	helpers := 0
+	for helpers < workers-1 && TryAcquire() {
+		helpers++
+	}
+	if probe.loop != nil {
+		probe.loop(workers, helpers+1)
+	}
+	return helpers
+}
+
+// fan runs the block-claiming loop as worker 0 on the caller and as
+// workers 1..helpers on goroutines that each hold a borrowed slot and
+// return it as soon as no block is left to claim.
+func fan(n, helpers, g int, fn func(worker, i int)) {
+	var next atomic.Int64
+	work := func(worker int) {
+		for {
+			lo := int(next.Add(int64(g))) - g
+			if lo >= n {
+				return
+			}
+			for i, hi := lo, min(lo+g, n); i < hi; i++ {
+				fn(worker, i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for w := 1; w <= helpers; w++ {
+		go func() {
+			defer wg.Done()
+			defer Release()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 }
 
-// Sharded executes n work items over the worker pool with one shard of
-// per-worker state of type St each, then hands every shard to merge (in
-// worker order). It is the scheduling primitive behind every batched
-// search method: shards carry instrumentation (stats counters) that must
-// stay exact without atomics on the query fast path.
-func Sharded[St any](n, workers int, run func(shard *St, i int), merge func(*St)) {
-	if workers > n {
-		workers = n
+// LinePad separates per-worker state that is written in a hot loop: two
+// values with a LinePad between them never share a cache line, so one
+// worker counting a visited node does not take the line from its
+// neighbour (ICP's RPCE batch ran no faster on two workers than on one
+// while their 24-byte stats shards sat side by side).
+type LinePad [64]byte
+
+// Sharded executes n work items like For, with one shard of per-worker
+// state of type St each, then hands every shard to merge (in worker
+// order). It is the scheduling primitive behind every batched search
+// method: shards carry instrumentation (stats counters) that must stay
+// exact without atomics on the query fast path. The shards of a loop that
+// was granted helpers lie a LinePad apart; a loop that was not counts
+// into one local shard and allocates nothing — hot loops issue one small
+// batch per iteration (ICP's per-iteration NearestBatch).
+func Sharded[St any](n, workers int, run func(shard *St, worker, i int), merge func(*St)) {
+	if n <= 0 {
+		return
 	}
-	if workers <= 1 {
-		// Sequential specialization: one stack shard instead of a
-		// heap-allocated shard slice. Hot loops issue one small batch per
-		// iteration (ICP's per-iteration NearestBatch), so this keeps the
-		// single-worker batch path allocation-free.
-		if n <= 0 {
-			return
-		}
+	helpers := borrow(n, workers, grain)
+	if helpers == 0 {
 		var shard St
 		for i := 0; i < n; i++ {
-			run(&shard, i)
+			run(&shard, 0, i)
 		}
 		merge(&shard)
 		return
 	}
-	shards := make([]St, workers)
-	For(n, workers, func(w, i int) {
-		run(&shards[w], i)
+	shards := make([]struct {
+		st St
+		_  LinePad
+	}, helpers+1)
+	fan(n, helpers, grain, func(w, i int) {
+		run(&shards[w].st, w, i)
 	})
 	for w := range shards {
-		merge(&shards[w])
+		merge(&shards[w].st)
 	}
-}
-
-// Pool is a worker budget that can be divided between concurrently
-// running stages. A pipeline whose stages each size their batches with
-// Workers(0) oversubscribes the machine (every stage spawns NumCPU
-// goroutines); carving one Pool into weighted sub-pools gives each stage
-// a dedicated share so concurrent stages together use exactly the
-// machine's width. A Pool carries no goroutines of its own — it is an
-// accounting object whose Workers() count callers feed to For/Sharded or
-// a Parallelism knob.
-type Pool struct {
-	workers int
-}
-
-// NewPool returns a pool of Workers(n) workers (n <= 0 selects NumCPU).
-func NewPool(n int) *Pool {
-	return &Pool{workers: Workers(n)}
-}
-
-// Workers returns the pool's worker budget.
-func (p *Pool) Workers() int { return p.workers }
-
-// Split divides the pool into one sub-pool per weight. Every sub-pool is
-// reserved one worker first — no stage may starve — and the remaining
-// workers are apportioned proportionally to the weights (largest
-// remainder, ties to the lowest index, so the split is deterministic).
-// Whenever the pool is at least as wide as the weight count, the shares
-// sum exactly to the pool's budget; a narrower pool hands every sub-pool
-// its floor of one and oversubscribes instead. Negative or non-finite
-// weights count as zero; if all weights are zero the split is even.
-func (p *Pool) Split(weights ...float64) []*Pool {
-	k := len(weights)
-	if k == 0 {
-		return nil
-	}
-	out := make([]*Pool, k)
-	if p.workers <= k {
-		for i := range out {
-			out[i] = &Pool{workers: 1}
-		}
-		return out
-	}
-	// Sanitize into a local copy: callers may retain the slice they
-	// expanded into the variadic.
-	ws := make([]float64, k)
-	var total float64
-	for i, w := range weights {
-		if w < 0 || w != w || w > 1e300 {
-			continue
-		}
-		ws[i] = w
-		total += w
-	}
-	weights = ws
-	extra := p.workers - k
-	shares := make([]int, k)
-	fracs := make([]float64, k)
-	assigned := 0
-	for i, w := range weights {
-		frac := 1 / float64(k)
-		if total > 0 {
-			frac = w / total
-		}
-		exact := frac * float64(extra)
-		shares[i] = int(exact)
-		fracs[i] = exact - float64(shares[i])
-		assigned += shares[i]
-	}
-	// Hand the leftover workers to the largest remainders, lowest index
-	// first on ties.
-	for assigned < extra {
-		best := 0
-		for i := 1; i < len(fracs); i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		shares[best]++
-		fracs[best] = -1
-		assigned++
-	}
-	for i, s := range shares {
-		out[i] = &Pool{workers: s + 1}
-	}
-	return out
 }
 
 // ForChunks runs fn(worker, lo, hi) over the half-open chunks

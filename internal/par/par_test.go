@@ -2,9 +2,11 @@ package par
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestWorkers(t *testing.T) {
@@ -20,6 +22,7 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
+	WithBudget(t, 8)
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]int64, n)
@@ -35,6 +38,7 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForWorkerIDsAreDisjoint(t *testing.T) {
+	WithBudget(t, 4)
 	const n, workers = 500, 4
 	// Each index records its worker; per-worker shards written without
 	// synchronization must not race (go test -race guards this).
@@ -69,6 +73,7 @@ func TestForEmptyAndTiny(t *testing.T) {
 }
 
 func TestForChunksBoundariesIndependentOfWorkers(t *testing.T) {
+	WithBudget(t, 8)
 	const n, c = 1003, 256
 	var want [][2]int
 	ForChunks(n, 1, c, func(_, lo, hi int) {
@@ -100,6 +105,7 @@ func TestForChunksDistributesAcrossWorkers(t *testing.T) {
 	// would hand them all to the first worker, silently serializing the
 	// batch. The sleep forces overlap so multiple workers get to claim
 	// even on a single-CPU machine.
+	WithBudget(t, 4)
 	const chunks, c, workers = 8, 256, 4
 	var used [workers]atomic.Int64
 	ForChunks(chunks*c, workers, c, func(w, lo, hi int) {
@@ -127,5 +133,104 @@ func TestForChunksZeroChunkSizeIsOneChunk(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Errorf("calls = %d", calls)
+	}
+}
+
+// TestLoopBorrowsOnlyFreeSlots is the budget's one rule at the level of a
+// single loop: the caller always runs, helpers are the slots free at that
+// instant (never more than workers-1, never more than the blocks beyond
+// the caller's), and every one of them is back when the loop returns.
+func TestLoopBorrowsOnlyFreeSlots(t *testing.T) {
+	WithBudget(t, 3)
+	var granted []int
+	Probe(t, nil, func(_, g int) { granted = append(granted, g) })
+	loop := func(n, workers int) {
+		For(n, workers, func(_, _ int) { time.Sleep(50 * time.Microsecond) })
+	}
+	loop(10*grain, 8) // nobody holds a slot: the caller and all three
+	Acquire()         // a stage computing: its loop gets the other two
+	loop(10*grain, 8)
+	loop(10*grain, 2) // the Parallelism cap
+	loop(2*grain, 8)  // two blocks: one helper has something to claim
+	Acquire()         // a second busy stage
+	loop(10*grain, 8)
+	Acquire() // all three busy: nothing to lend
+	loop(10*grain, 8)
+	if got := SlotsInUse(); got != 3 {
+		t.Errorf("%d slots in use with three stages holding one each and no loop running", got)
+	}
+	Release()
+	Release()
+	Release()
+	want := []int{4, 3, 2, 2, 2, 1}
+	if len(granted) != len(want) {
+		t.Fatalf("loops were granted %v workers, want %v", granted, want)
+	}
+	for i := range want {
+		if granted[i] != want[i] {
+			t.Fatalf("loops were granted %v workers, want %v", granted, want)
+		}
+	}
+	if Slots() != 3 || SlotsInUse() != 0 {
+		t.Errorf("budget reads %d slots, %d in use after everything was returned", Slots(), SlotsInUse())
+	}
+}
+
+// TestBudgetOfOneSlot: a budget of one slot lends nothing, ever, and
+// every primitive still completes on its caller.
+func TestBudgetOfOneSlot(t *testing.T) {
+	WithBudget(t, 1)
+	Probe(t, nil, func(asked, granted int) {
+		if granted != 1 {
+			t.Errorf("a loop asking for %d workers was granted %d on a budget of one", asked, granted)
+		}
+	})
+	Acquire()
+	defer Release()
+	if TryAcquire() {
+		t.Fatal("a second slot on a budget of one")
+	}
+	sum := 0
+	For(1000, 4, func(w, i int) { sum += i + w })
+	ForChunks(1000, 4, 10, func(w, lo, hi int) { sum += hi - lo + w })
+	Sharded(1000, 4, func(s *int, w, i int) { *s += i + w }, func(s *int) { sum += *s })
+	if want := 2*(999*1000/2) + 1000; sum != want {
+		t.Fatalf("sum %d, want %d", sum, want)
+	}
+}
+
+// TestShardsDoNotShareALine: the shards of a loop that runs on several
+// workers are counted into once per visited tree node, so no two of them
+// may lie within a cache line of each other.
+func TestShardsDoNotShareALine(t *testing.T) {
+	WithBudget(t, 4)
+	type stats struct{ queries, visited, pruned int64 } // kdtree.Stats' shape
+	var mu sync.Mutex
+	at := map[int]uintptr{}
+	total := int64(0)
+	Sharded(64*grain, 4,
+		func(s *stats, w, i int) {
+			s.queries++
+			mu.Lock()
+			at[w] = uintptr(unsafe.Pointer(s))
+			mu.Unlock()
+			time.Sleep(10 * time.Microsecond)
+		},
+		func(s *stats) { total += s.queries })
+	if total != 64*grain {
+		t.Fatalf("shards counted %d items, want %d", total, 64*grain)
+	}
+	if len(at) < 2 {
+		t.Fatalf("%d workers ran the loop: nothing to compare", len(at))
+	}
+	for w, a := range at {
+		for v, b := range at {
+			if w != v && a < b && b-a < unsafe.Sizeof(stats{})+unsafe.Sizeof(LinePad{}) {
+				t.Errorf("shards of workers %d and %d are %d bytes apart", w, v, b-a)
+			}
+		}
+	}
+	if unsafe.Sizeof(LinePad{}) < 64 {
+		t.Errorf("LinePad is %d bytes", unsafe.Sizeof(LinePad{}))
 	}
 }

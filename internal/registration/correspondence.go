@@ -337,7 +337,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 	}
 	var best hypoScore
 	par.Sharded(iters, par.Workers(cfg.Parallelism),
-		func(shard *hypoScore, h int) {
+		func(shard *hypoScore, _, h int) {
 			if count, ok := score(h); ok && shard.better(count+1, h) {
 				*shard = hypoScore{countPlus1: count + 1, hyp: h}
 			}

@@ -225,11 +225,10 @@ func (w *widthSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighb
 	return w.Searcher.RadiusBatch(qs, r)
 }
 
-// TestFineNormalsRunAtAlignWidth: a pipelined stream builds a frame under
-// the front-end's worker share and aligns against it under the alignment
-// stage's. The raw-cloud normals are estimated during the alignment and
-// must run at its width — as the RPCE batches do — whatever width the
-// index was built at.
+// TestFineNormalsRunAtAlignWidth: a frame may be built under one
+// Parallelism and aligned against under another. The raw-cloud normals
+// are estimated during the alignment and must run at its cap — as the
+// RPCE batches do — whatever the index was built at.
 func TestFineNormalsRunAtAlignWidth(t *testing.T) {
 	const name = "test-registration-width-log"
 	log := &widthLog{}
@@ -253,7 +252,7 @@ func TestFineNormalsRunAtAlignWidth(t *testing.T) {
 
 	src := registration.PrepareFrame(seq.Frames[1].Clone(), prepCfg)
 	dst := registration.PrepareFrame(seq.Frames[0].Clone(), prepCfg)
-	// An earlier pair built the fine index under yet another share.
+	// An earlier pair built the fine index under yet another cap.
 	staleCfg := cfg
 	staleCfg.Searcher.Parallelism = 7
 	dst.FineTarget(staleCfg)
@@ -266,7 +265,7 @@ func TestFineNormalsRunAtAlignWidth(t *testing.T) {
 	for kind, widths := range map[string][]int{"RPCE": log.nearest, "normal-estimation": log.radius} {
 		for i, w := range widths {
 			if w != 3 {
-				t.Errorf("%s batch %d of the alignment ran %d wide, want the alignment stage's 3", kind, i, w)
+				t.Errorf("%s batch %d of the alignment ran %d wide, want the alignment's 3", kind, i, w)
 			}
 		}
 	}

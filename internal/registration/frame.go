@@ -340,12 +340,10 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	// --- Fine-tuning phase (paper Fig. 2, right) ---
 	icpTarget, _ := dst.FineTarget(cfg)
 	fine := dst.targetNormals(cfg)
-	// The target index may have been built by the other pipeline stage
-	// under a different worker share (front-end reuse in a pipelined
-	// stream splits the pool between stages); re-pin its batch width to
-	// THIS stage's share so the adaptive split governs the RPCE batches
-	// and the normal-estimation batches between them. Exact backends are
-	// parallelism-invariant, so this never changes results.
+	// The target index may have been built under another config; this
+	// pair's caps the RPCE batches and the normal-estimation batches
+	// between them. Exact backends are parallelism-invariant, so this
+	// never changes results.
 	icpTarget.SetParallelism(cfg.Searcher.EffectiveParallelism())
 	search.TagStage(icpTarget, search.StageRPCE)
 	var rpceSearch search.Searcher = icpTarget

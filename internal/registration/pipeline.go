@@ -53,22 +53,6 @@ func (c SearcherConfig) EffectiveParallelism() int {
 	return c.Parallelism
 }
 
-// WithParallelism returns a copy of c pinned to n batch workers: the
-// typed knob is set and any Options override is dropped, so n governs
-// every parallelism consumer (searcher construction, KPCE, rejection,
-// ICP error accumulation). The streaming engine uses this to hand each
-// pipeline stage its share of an adaptively split worker pool; exact
-// backends return bit-identical results at any setting, so re-pinning
-// never changes output.
-func (c SearcherConfig) WithParallelism(n int) SearcherConfig {
-	c.Parallelism = n
-	if _, ok := c.Options[search.OptParallelism]; ok {
-		c.Options = c.Options.Clone()
-		delete(c.Options, search.OptParallelism)
-	}
-	return c
-}
-
 // BackendOptions resolves the effective option bag: Parallelism under
 // search.OptParallelism, overlaid with the free-form Options.
 func (c SearcherConfig) BackendOptions() search.Options {

@@ -165,10 +165,10 @@ func TestEstimateRigidTransformParInvariant(t *testing.T) {
 	}
 }
 
-// TestAlignRepinsTargetParallelism: a pipelined stream prepares a frame
-// under one pool share and aligns against it under another; Align must
-// re-pin the reused target index to ITS stage's share (the adaptive
-// split is pointless if RPCE batches keep the prepare-time width).
+// TestAlignRepinsTargetParallelism: a frame may be prepared under one
+// Parallelism and aligned against under another; Align must re-pin the
+// reused target index to the cap of the config it was handed, not leave
+// the RPCE batches at the prepare-time one.
 func TestAlignRepinsTargetParallelism(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 83))
 	cfg := pipelineTestConfig()
@@ -186,6 +186,6 @@ func TestAlignRepinsTargetParallelism(t *testing.T) {
 	}
 	Align(src, dst, alignCfg)
 	if got := dst.FESearch.Parallelism(); got != 2 {
-		t.Errorf("align left the reused target index at %d workers, want its stage share 2", got)
+		t.Errorf("align left the reused target index at %d workers, want its own config's 2", got)
 	}
 }

@@ -168,19 +168,15 @@ func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighb
 	return res[:len(res):len(res)]
 }
 
-// fillParallel answers a batch's queries on one worker per arena:
+// fillParallel answers a batch's queries on up to one worker per arena:
 // answer(shard, i, buf) is query i answered into buf and counted into
 // the worker's stats shard, merge folds each shard into the searcher
 // after the batch. Single-arena batches are answered by their searcher
 // in a plain loop instead, which needs neither shards nor closures.
 func fillParallel[St any](out, arenas [][]kdtree.Neighbor, answer func(shard *St, i int, buf []kdtree.Neighbor) []kdtree.Neighbor, merge func(*St)) {
-	shards := make([]St, len(arenas))
-	par.For(len(out), len(arenas), func(w, i int) {
-		out[i] = fileResult(&arenas[w], answer(&shards[w], i, arenaTail(arenas[w])))
-	})
-	for w := range shards {
-		merge(&shards[w])
-	}
+	par.Sharded(len(out), len(arenas), func(shard *St, w, i int) {
+		out[i] = fileResult(&arenas[w], answer(shard, i, arenaTail(arenas[w])))
+	}, merge)
 }
 
 // nearestInto is the optional fast-path capability behind BatchNearestInto.
@@ -224,7 +220,7 @@ func (s *KDSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []k
 	start := time.Now()
 	out := growNeighbors(buf, len(qs))
 	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
+		func(shard *kdtree.Stats, _, i int) {
 			nb, ok := s.tree.Nearest(qs[i], shard)
 			if !ok {
 				nb = missNeighbor()
@@ -302,7 +298,7 @@ func (s *TwoStageSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbo
 		})
 	} else {
 		par.Sharded(len(qs), s.parallelism,
-			func(shard *twostage.Stats, i int) {
+			func(shard *twostage.Stats, _, i int) {
 				nb, ok := s.tree.Nearest(qs[i], shard)
 				if !ok {
 					nb = missNeighbor()
@@ -359,33 +355,40 @@ func (s *TwoStageSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Nei
 	return out
 }
 
+// approxWorker is what one worker of an approximate batch owns for the
+// life of the searcher: its leader/follower session, and the stats shard
+// of the chunks it happens to execute in the batch at hand, a cache line
+// clear of the next worker's (shards are counted into per visited node).
+type approxWorker struct {
+	sess  *twostage.ApproxSession
+	stats twostage.Stats
+	_     par.LinePad
+}
+
 // approxChunked runs one approximate query kernel over fixed-size chunks
 // of the batch. Every chunk starts from empty leader state — each worker
 // keeps one session and Resets it between chunks instead of allocating
 // O(leaves) of fresh buffers per chunk — so leader state never crosses
 // chunk (or worker) boundaries and results are independent of which
-// worker executes which chunk. Each worker also owns a stats shard for
-// the chunks it happens to execute; run receives the worker id beside
-// the query index so batches can answer into per-worker arenas.
+// worker executes which chunk. run receives the worker id beside the
+// query index so batches can answer into per-worker arenas.
 func (s *TwoStageSearcher) approxChunked(n int, run func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int)) {
-	workers := s.parallelism
-	shards := make([]twostage.Stats, workers)
-	for len(s.workerSessions) < workers {
-		s.workerSessions = append(s.workerSessions, nil)
+	for len(s.approxWorkers) < s.parallelism {
+		s.approxWorkers = append(s.approxWorkers, approxWorker{})
 	}
-	par.ForChunks(n, workers, ApproxBatchChunk, func(w, lo, hi int) {
-		sess := s.workerSessions[w]
-		if sess == nil {
-			sess = s.tree.NewApproxSession(*s.approx)
-			s.workerSessions[w] = sess
+	par.ForChunks(n, s.parallelism, ApproxBatchChunk, func(w, lo, hi int) {
+		aw := &s.approxWorkers[w]
+		if aw.sess == nil {
+			aw.sess = s.tree.NewApproxSession(*s.approx)
 		} else {
-			sess.Reset()
+			aw.sess.Reset()
 		}
 		for i := lo; i < hi; i++ {
-			run(sess, &shards[w], w, i)
+			run(aw.sess, &aw.stats, w, i)
 		}
 	})
-	for w := range shards {
-		s.stats.Merge(shards[w])
+	for w := range s.approxWorkers {
+		s.stats.Merge(s.approxWorkers[w].stats)
+		s.approxWorkers[w].stats = twostage.Stats{}
 	}
 }

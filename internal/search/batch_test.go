@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
@@ -241,5 +242,17 @@ func TestSetParallelismResolution(t *testing.T) {
 	s.SetParallelism(0)
 	if s.Parallelism() < 1 {
 		t.Errorf("Parallelism() = %d, want >= 1", s.Parallelism())
+	}
+}
+
+// TestApproxWorkersDoNotShareALine: the approximate backend's per-worker
+// stats shards live side by side in the searcher and are counted into
+// once per visited node, so a cache line's worth of padding must follow
+// each (the exact backends' shards are par.Sharded's, tested there).
+func TestApproxWorkersDoNotShareALine(t *testing.T) {
+	var aw approxWorker
+	end := unsafe.Offsetof(aw.stats) + unsafe.Sizeof(aw.stats)
+	if gap := unsafe.Sizeof(aw) - end; gap < 64 {
+		t.Fatalf("%d bytes between one worker's stats shard and the next worker's state", gap)
 	}
 }

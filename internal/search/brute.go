@@ -86,7 +86,7 @@ func (s *BruteSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) 
 	start := time.Now()
 	out := growNeighbors(buf, len(qs))
 	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, i int) {
+		func(shard *kdtree.Stats, _, i int) {
 			nb, ok := kdtree.BruteNearestSlab(s.slab, qs[i])
 			if !ok {
 				nb = missNeighbor()

@@ -195,13 +195,13 @@ type TwoStageSearcher struct {
 	tree    *twostage.Tree
 	session *twostage.ApproxSession // nil when approximation is disabled
 	approx  *twostage.ApproxOptions // nil when approximation is disabled
-	// workerSessions caches one approximate session per batch worker,
+	// approxWorkers caches one approximate session per batch worker,
 	// Reset between chunks (see batch.go); grown lazily so repeated
 	// batch calls reuse the O(leaves) leader buffers.
-	workerSessions []*twostage.ApproxSession
-	stats          twostage.Stats
-	metrics        Metrics
-	parallelism    int
+	approxWorkers []approxWorker
+	stats         twostage.Stats
+	metrics       Metrics
+	parallelism   int
 }
 
 // TwoStageConfig configures a TwoStageSearcher.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"tigris/internal/par"
 	"tigris/internal/synth"
 )
 
@@ -64,6 +65,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tigris_sessions_active 1",
 		"tigris_frames_pending 0",
 		"tigris_limiter_capacity",
+		// The process's slot budget beside the server's admission limiter.
+		fmt.Sprintf("tigris_par_slots %d\n", par.Slots()),
+		"\ntigris_par_slots_in_use ",
 		`tigris_http_requests_total{route="/v1/sessions",code="201"} 1`,
 		`tigris_http_requests_total{route="/v1/sessions/{id}/frames",code="202"} 2`,
 		"# TYPE tigris_stage_latency_seconds histogram",

@@ -1,9 +1,11 @@
 // Package serve implements the multi-user registration service behind
 // cmd/tigris-serve: a stdlib net/http server where each session owns one
 // streaming odometry engine (internal/stream) and every session shares a
-// server-level concurrency limiter, so total CPU fan-out stays bounded
-// no matter how many users stream frames at once — the serving idiom of
-// long-lived sessions with queued requests and per-session state reuse.
+// server-level concurrency limiter — which sessions may have a heavy
+// stage under way — while the process's slot budget (internal/par) keeps
+// the goroutines computing at GOMAXPROCS no matter how many users stream
+// frames at once — the serving idiom of long-lived sessions with queued
+// requests and per-session state reuse.
 //
 // # Endpoints
 //
@@ -218,6 +220,10 @@ func New(cfg Config) *Server {
 	reg.GaugeFunc("tigris_fine_target_points", s.sumSessionStats(func(st stream.Stats) int64 { return st.FineTargetPoints }))
 	reg.GaugeFunc("tigris_limiter_in_use", func() float64 { return float64(len(s.limiter)) })
 	reg.GaugeFunc("tigris_limiter_capacity", func() float64 { return float64(cap(s.limiter)) })
+	// The limiter admits stages; how wide an admitted stage runs is the
+	// process's slot budget (internal/par), shared by every server in it.
+	reg.GaugeFunc("tigris_par_slots", func() float64 { return float64(par.Slots()) })
+	reg.GaugeFunc("tigris_par_slots_in_use", func() float64 { return float64(par.SlotsInUse()) })
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -766,8 +772,9 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *s
 		// its verified loop edges. Cheap for the no-closure case (the
 		// graph is consistent); callers wanting every queued frame
 		// reflected combine with ?wait=1. The solve is a heavy stage like
-		// any other — it runs under the shared limiter with the server's
-		// parallelism so -max-concurrent and -parallel govern it too.
+		// any other — it is admitted by the shared limiter and capped at
+		// the server's parallelism, so -max-concurrent and -parallel
+		// govern it too (the engine takes its slot).
 		s.limiter.Acquire()
 		poses, res, err := eng.OptimizedPoses(posegraph.Options{Parallelism: par.Workers(s.cfg.Parallelism)})
 		s.limiter.Release()

@@ -10,6 +10,7 @@ import (
 	"tigris/internal/geom"
 	"tigris/internal/loop"
 	"tigris/internal/obs"
+	"tigris/internal/par"
 	"tigris/internal/posegraph"
 	"tigris/internal/search"
 	"tigris/internal/synth"
@@ -283,6 +284,9 @@ func TestLoopSessionBuildsEachIndexOnce(t *testing.T) {
 // flight recorder's spans must show a verification in progress during a
 // later frame's alignment.
 func TestLoopVerificationOverlapsOnDemandNormals(t *testing.T) {
+	if par.Slots() < 2 {
+		t.Skip("one slot: stages take turns, so nothing can overlap")
+	}
 	cfg := dse.NamedDesignPoints()[3].Config // DP4: downsampled, point-to-plane, cheap
 	cfg.Searcher.Parallelism = 2
 	seq := slamSequence(14)

@@ -17,8 +17,12 @@
 //   - Frame-level pipelining. With Config.Pipelined, frame N's front-end
 //     overlaps frame N−1's pair alignment (KPCE, rejection, ICP
 //     fine-tuning) on a two-stage channel pipeline — the ROADMAP's
-//     "overlap frame N's front-end with frame N−1's fine-tuning". Both
-//     stages internally fan out over the internal/par worker pools.
+//     "overlap frame N's front-end with frame N−1's fine-tuning". A
+//     stage holds one slot of the process's budget (internal/par) while
+//     it computes and its parallel loops borrow the slots that are free:
+//     two busy stages run one-wide each, and a stage whose neighbour is
+//     idle or blocked on the register between them gets the whole
+//     machine, at the configured Parallelism at most.
 //
 // For the exact search backends the resulting trajectory is bit-identical
 // to the sequential per-pair Register loop at any pipelining or
@@ -43,10 +47,12 @@ import (
 	"tigris/internal/search"
 )
 
-// Limiter caps concurrent heavy stages (frame preparation and pair
-// alignment) across any number of engines. A server hosting many
-// sessions shares one Limiter so total CPU fan-out stays bounded no
-// matter how many users stream at once; a nil Limiter imposes no cap.
+// Limiter caps concurrent heavy stages (frame preparation, pair
+// alignment, loop verification) across the engines that share it. It is
+// admission: which of a server's sessions may start a stage now. How
+// wide an admitted stage runs is not its business — the stage then takes
+// one slot of the process's budget (internal/par) and borrows what is
+// free. A nil Limiter admits everything.
 type Limiter chan struct{}
 
 // NewLimiter returns a Limiter admitting up to n concurrent stages
@@ -85,7 +91,9 @@ type Config struct {
 	Pipeline registration.PipelineConfig
 	// Pipelined overlaps frame N's front-end with frame N−1's alignment.
 	// Off, each Push runs both stages synchronously before returning —
-	// same trajectory, no overlap. On, one pushed frame may wait for the
+	// same trajectory, no overlap. Either way every stage runs at the
+	// pipeline's configured Parallelism on as many slots as are free
+	// (internal/par). On, one pushed frame may wait for the
 	// front-end before Push blocks, which bounds session memory: at most
 	// that raw frame plus four frames in or past the front-end (the one
 	// being prepared, one in the register between the stages, the pair
@@ -94,8 +102,9 @@ type Config struct {
 	// Origin is the pose assigned to the first frame (zero value:
 	// identity).
 	Origin *geom.Transform
-	// Limiter, when non-nil, gates every prepare/align stage (shared
-	// across engines by the registration server).
+	// Limiter, when non-nil, admits every prepare/align/verify stage
+	// (shared across engines by the registration server); the stage takes
+	// its slot of the process's budget after it is admitted.
 	Limiter Limiter
 	// Loop, when non-nil, enables the loop-closure stage: every committed
 	// frame's descriptors are aggregated into a place signature
@@ -103,8 +112,8 @@ type Config struct {
 	// verified by aligning the two frames' front-ends (registration.Align;
 	// no frame is prepared twice), and accepted closures accumulate for
 	// pose-graph optimization (OptimizedPoses). In pipelined mode
-	// verification runs on its own worker goroutine with its own share of
-	// the adaptively split pool, overlapping both other stages. Enabling
+	// verification runs on its own worker goroutine, a third stage beside
+	// the other two under the same slot budget. Enabling
 	// the stage retains, for the session's life, what Align reads of every
 	// pushed frame — raw points (12 B each, 24 B with a raw-cloud
 	// front-end's normals), key-point positions, a copy of the descriptors
@@ -265,21 +274,6 @@ type Engine struct {
 	in chan queuedCloud
 	wg sync.WaitGroup
 
-	// Adaptive stage split (pipelined mode). The concurrent stages would
-	// otherwise each size their batches to the full Parallelism and fight
-	// over the machine — the PR 2 defect where pipelining only won with a
-	// hand-capped knob. pool is the session's total worker budget;
-	// stageWork are EWMAs of each stage's observed serial work (latency ×
-	// workers), and stageWorkers the current apportionment — two entries
-	// normally, three when the loop-closure stage runs its verifications
-	// concurrently. Exact backends are bit-identical at any parallelism,
-	// so rebalancing never changes the trajectory.
-	splitMu      sync.Mutex
-	pool         *par.Pool
-	stageWork    [3]float64
-	stageWorkers [3]int
-	stages       int
-
 	// Loop-closure stage (enabled by Config.Loop).
 	det         *loop.Detector
 	closures    []loop.Closure // guarded by mu
@@ -291,7 +285,7 @@ type Engine struct {
 	prev *registration.PreparedFrame
 }
 
-// Pipeline stage indices for the adaptive pool split.
+// Pipeline stage indices (stageRecs).
 const (
 	stagePrep = iota
 	stageAlign
@@ -342,7 +336,7 @@ var ErrClosed = errors.New("stream: engine closed")
 // loop.Config.Validate, exactly as SearcherConfig.Validate guards the
 // searcher selection.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, stages: 2}
+	e := &Engine{cfg: cfg}
 	e.cond = sync.NewCond(&e.mu)
 	e.rec = cfg.Obs
 	// Thread the recorder into every registration stage's config so the
@@ -377,13 +371,8 @@ func New(cfg Config) *Engine {
 			panic(fmt.Sprintf("stream: %v (validate loop configs at the boundary with loop.Config.Validate)", err))
 		}
 		e.det = det
-		e.stages = 3
 	}
 	if cfg.Pipelined {
-		// Start from an even split of the configured worker budget; the
-		// EWMAs take over once the stages have been observed.
-		e.pool = par.NewPool(cfg.Pipeline.Searcher.EffectiveParallelism())
-		e.resplitLocked()
 		// Capacity 1: one pushed frame may wait for the front-end before
 		// Push blocks (see Config.Pipelined for the memory bound).
 		e.in = make(chan queuedCloud, 1)
@@ -404,30 +393,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 	return e
-}
-
-// resplitLocked re-apportions the pool between the active stages from
-// their work EWMAs. The split stays even until both steady stages
-// (front-end and alignment) have been observed; the loop stage's weight
-// may stay zero for long stretches (candidates are gated and cooled
-// down), in which case Split's one-worker floor keeps it alive without
-// starving the steady stages. Callers hold splitMu, except during
-// construction.
-func (e *Engine) resplitLocked() {
-	ws := make([]float64, e.stages)
-	if e.stageWork[stagePrep] <= 0 || e.stageWork[stageAlign] <= 0 {
-		for s := range ws {
-			ws[s] = 1
-		}
-	} else {
-		for s := 0; s < e.stages; s++ {
-			ws[s] = e.stageWork[s]
-		}
-	}
-	subs := e.pool.Split(ws...)
-	for s, sub := range subs {
-		e.stageWorkers[s] = sub.Workers()
-	}
 }
 
 // Push submits the next frame of the stream and returns its index. The
@@ -478,71 +443,31 @@ func (e *Engine) traceRec(stage, idx int) *obs.Recorder {
 	return sr
 }
 
-// splitAlpha is the EWMA weight of the latest per-stage work sample:
-// heavy enough to track scene-density drift within a few frames, light
-// enough that one slow frame (a GC pause, a cold cache) cannot whipsaw
-// the apportionment.
-const splitAlpha = 0.4
-
-// stageConfig resolves the pipeline configuration one stage should run
-// with: its current share of the split pool in pipelined mode, the
-// unmodified configuration otherwise (splitting a 1-worker budget is
-// meaningless).
-func (e *Engine) stageConfig(stage int) (registration.PipelineConfig, int) {
-	cfg := e.cfg.Pipeline
-	if !e.cfg.Pipelined || e.pool.Workers() < 2 {
-		return cfg, par.Workers(cfg.Searcher.EffectiveParallelism())
-	}
-	e.splitMu.Lock()
-	w := e.stageWorkers[stage]
-	e.splitMu.Unlock()
-	cfg.Searcher = cfg.Searcher.WithParallelism(w)
-	return cfg, w
-}
-
-// observeStage folds one stage execution (wall time d on `workers`
-// workers) into the stage's work EWMA and re-apportions the pool. Work —
-// latency × workers — estimates the stage's serial cost, so splitting the
-// pool proportionally to it equalizes the stage latencies, which is what
-// maximizes pipeline throughput.
-func (e *Engine) observeStage(stage int, d time.Duration, workers int) {
-	if !e.cfg.Pipelined || e.pool.Workers() < 2 {
-		return
-	}
-	work := d.Seconds() * float64(workers)
-	e.splitMu.Lock()
-	defer e.splitMu.Unlock()
-	tgt := &e.stageWork[stage]
-	if *tgt <= 0 {
-		*tgt = work
-	} else {
-		*tgt += splitAlpha * (work - *tgt)
-	}
-	// The loop stage is bursty: verifications arrive in gated, cooled-down
-	// clumps. Decay its weight on every aligned frame so an idle loop
-	// stage slides back to Split's one-worker floor instead of holding a
-	// burst-sized share forever.
-	if stage == stageAlign && e.stages > stageLoop {
-		e.stageWork[stageLoop] *= 1 - splitAlpha
-		if e.stageWork[stageLoop] < 1e-12 {
-			e.stageWork[stageLoop] = 0
-		}
-	}
-	e.resplitLocked()
-}
-
-// prepare runs the front-end stage under the limiter. The build-once
-// counters are bumped here — at the site that actually builds — so the
-// stats assert real work, not commits.
-func (e *Engine) prepare(c *cloud.Cloud, idx int) *registration.PreparedFrame {
+// enter starts one heavy stage: the limiter admits it (which tenant may
+// start a stage), then it takes the slot it computes on (how wide it runs
+// is what its loops can borrow beside that). leave undoes both. A stage
+// holds neither while it waits on another stage.
+func (e *Engine) enter() {
 	e.cfg.Limiter.acquire()
-	defer e.cfg.Limiter.release()
-	cfg, workers := e.stageConfig(stagePrep)
+	par.Acquire()
+}
+
+func (e *Engine) leave() {
+	par.Release()
+	e.cfg.Limiter.release()
+}
+
+// prepare runs the front-end stage. The build-once counters are bumped
+// here — at the site that actually builds — so the stats assert real
+// work, not commits.
+func (e *Engine) prepare(c *cloud.Cloud, idx int) *registration.PreparedFrame {
+	e.enter()
+	defer e.leave()
+	cfg := e.cfg.Pipeline
 	if sr := e.traceRec(stagePrep, idx); sr != nil {
 		cfg.Obs = sr
 	}
 	pf := registration.PrepareFrame(c, cfg)
-	e.observeStage(stagePrep, pf.PrepTotal, workers)
 	e.cFramesPrepared.Inc()
 	e.cDescriptorBuilds.Inc()
 	return pf
@@ -553,16 +478,15 @@ func (e *Engine) prepare(c *cloud.Cloud, idx int) *registration.PreparedFrame {
 func (e *Engine) commit(pf, prev *registration.PreparedFrame, idx int, prepStart time.Time) {
 	fr := FrameResult{PrepTime: pf.PrepTotal, Delta: geom.IdentityTransform()}
 	if prev != nil {
-		e.cfg.Limiter.acquire()
-		cfg, workers := e.stageConfig(stageAlign)
+		e.enter()
+		cfg := e.cfg.Pipeline
 		if sr := e.traceRec(stageAlign, idx); sr != nil {
 			cfg.Obs = sr
 		}
 		start := time.Now()
 		fr.Reg = registration.Align(pf, prev, cfg)
 		fr.AlignTime = time.Since(start)
-		e.observeStage(stageAlign, fr.AlignTime, workers)
-		e.cfg.Limiter.release()
+		e.leave()
 		fr.Delta = fr.Reg.Transform
 		// Surface this frame's front-end shares in the pair result so
 		// per-frame records read like Register's (the target's shares
@@ -630,7 +554,7 @@ func (e *Engine) release(f *registration.PreparedFrame) {
 // observeLoop runs the loop-closure stage's cheap half for a committed
 // frame: signature aggregation and candidate proposal. Candidate
 // verification is expensive and runs inline in sequential mode, or on
-// the loop worker (with its own pool share) in pipelined mode.
+// the loop worker in pipelined mode.
 //
 // Determinism: proposals depend on the detector's cooldown state, which
 // verification outcomes advance — so in pipelined mode Observe waits
@@ -674,10 +598,10 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 
 // verifyLoop verifies proposed candidates in order, stopping at the
 // first accepted closure (the cooldown then suppresses the frames right
-// behind it). Runs under the limiter like every heavy stage.
+// behind it). A heavy stage like the other two.
 func (e *Engine) verifyLoop(cands []loop.Candidate) {
-	e.cfg.Limiter.acquire()
-	cfg, workers := e.stageConfig(stageLoop)
+	e.enter()
+	cfg := e.cfg.Pipeline
 	// Verification runs registration.Align internally; detach the recorder
 	// so its KPCE/ICP sub-stages don't pollute the odometry per-stage
 	// histograms. The whole verification lands in one obs.StageLoopVerify
@@ -692,8 +616,7 @@ func (e *Engine) verifyLoop(cands []loop.Candidate) {
 		}
 	}
 	elapsed := time.Since(start)
-	e.observeStage(stageLoop, elapsed, workers)
-	e.cfg.Limiter.release()
+	e.leave()
 	e.cLoopTimeNs.Add(int64(elapsed))
 	// The verification span hangs off the proposing frame's root span.
 	vrec := e.rec
@@ -905,7 +828,11 @@ func (e *Engine) OptimizedPoses(opts posegraph.Options) ([]geom.Transform, poseg
 			TransWeight: w, RotWeight: w, Robust: true,
 		})
 	}
+	// The solve computes on a slot like a stage does; admitting it is the
+	// caller's business (the server takes its limiter around this call).
+	par.Acquire()
 	poses, res, err := g.Optimize(opts)
+	par.Release()
 	e.rec.Observe(obs.StagePoseGraph, res.SolveTime)
 	if e.flight != nil {
 		// Frameless root span: the back-end solve belongs to the session,

@@ -3,10 +3,13 @@ package stream
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"tigris/internal/cloud"
+	"tigris/internal/dse"
 	"tigris/internal/geom"
+	"tigris/internal/kdtree"
+	"tigris/internal/loop"
+	"tigris/internal/par"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/synth"
@@ -261,74 +264,139 @@ func TestPending(t *testing.T) {
 	eng.Close()
 }
 
-// TestAdaptiveSplitRebalances drives the EWMA/split machinery directly:
-// observing a fine-tuning stage that is much heavier than the front-end
-// must shift the worker apportionment toward alignment (and vice versa),
-// while both stages always keep at least one worker and — with a pool
-// wide enough — exactly exhaust the budget.
+// slotLog is what a slotSearcher writes down: the process's slots in use
+// (internal/par) at the moment each of its batches began.
+type slotLog struct {
+	mu    sync.Mutex
+	inUse []int
+}
+
+// slotSearcher is the canonical searcher noting, as a batch begins on the
+// stage's goroutine, how many slots are held.
+type slotSearcher struct {
+	search.Searcher
+	log *slotLog
+}
+
+func (s *slotSearcher) note() {
+	s.log.mu.Lock()
+	s.log.inUse = append(s.log.inUse, par.SlotsInUse())
+	s.log.mu.Unlock()
+}
+
+func (s *slotSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
+	s.note()
+	return s.Searcher.NearestBatch(qs)
+}
+
+func (s *slotSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
+	s.note()
+	return s.Searcher.RadiusBatch(qs, r)
+}
+
+// slotBackend registers the slotSearcher backend once a process (so
+// -count=N works); every searcher it builds writes to the one log.
+var slotBackend struct {
+	once sync.Once
+	log  slotLog
+}
+
+const slotBackendName = "test-stream-slots"
+
+// TestAdaptiveSplitRebalances: a stage running alone is granted the full
+// width — the engine's half of it. (The name is the one the EWMA pool
+// split was tested under; the slot budget replaced it.) With one frame in
+// flight the other stages are idle or blocked on a channel, and an idle
+// stage must hold no slot: at the start of every batch of the frame's
+// front-end and of its alignment the only slot in use is the one the
+// batch's own stage computes on, so every other slot of the budget is
+// free for its loops to borrow — which they do, all of them, up to
+// Parallelism (internal/par: TestLoopBorrowsOnlyFreeSlots on one loop,
+// TestLoneStageGetsFullWidth on this engine).
 func TestAdaptiveSplitRebalances(t *testing.T) {
-	cfg := testConfig(search.BackendCanonical)
-	cfg.Searcher.Parallelism = 8
-	e := New(Config{Pipeline: cfg, Pipelined: true})
-	defer e.Close()
-
-	if e.stageWorkers[stagePrep]+e.stageWorkers[stageAlign] != 8 {
-		t.Fatalf("initial split %d+%d, want the full 8-worker budget",
-			e.stageWorkers[stagePrep], e.stageWorkers[stageAlign])
+	slotBackend.once.Do(func() {
+		err := search.RegisterBackend(search.NewBackend(slotBackendName, func(slab *cloud.Slab, opts search.Options) (search.Searcher, error) {
+			inner, err := search.NewByNameSlab(search.BackendCanonical, slab, opts)
+			if err != nil {
+				return nil, err
+			}
+			return &slotSearcher{Searcher: inner, log: &slotBackend.log}, nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	cfg := testConfig(slotBackendName)
+	cfg.Searcher.Parallelism = 4
+	slotBackend.log.inUse = nil
+	eng := New(Config{Pipeline: cfg, Pipelined: true})
+	for _, f := range cloneFrames(testSeq(t, 3, 26)) {
+		if _, err := eng.Push(f); err != nil {
+			t.Fatal(err)
+		}
+		eng.Drain()
 	}
-
-	// Front-end 3× heavier: prep should get the larger share.
-	for i := 0; i < 6; i++ {
-		e.observeStage(stagePrep, 90*time.Millisecond, e.stageWorkers[stagePrep])
-		e.observeStage(stageAlign, 30*time.Millisecond, e.stageWorkers[stageAlign])
+	eng.Close()
+	if len(slotBackend.log.inUse) == 0 {
+		t.Fatal("the session issued no batch")
 	}
-	if e.stageWorkers[stagePrep] <= e.stageWorkers[stageAlign] {
-		t.Fatalf("prep-heavy load split %d+%d, want prep > align",
-			e.stageWorkers[stagePrep], e.stageWorkers[stageAlign])
+	for i, n := range slotBackend.log.inUse {
+		if n != 1 {
+			t.Fatalf("batch %d of %d began with %d slots in use, want 1: its own stage's, the idle neighbour's lent", i, len(slotBackend.log.inUse), n)
+		}
 	}
-	if e.stageWorkers[stagePrep]+e.stageWorkers[stageAlign] != 8 || e.stageWorkers[stageAlign] < 1 {
-		t.Fatalf("split %d+%d violates the budget", e.stageWorkers[stagePrep], e.stageWorkers[stageAlign])
-	}
-
-	// The load inverts; the EWMA must follow it across.
-	for i := 0; i < 12; i++ {
-		e.observeStage(stagePrep, 10*time.Millisecond, e.stageWorkers[stagePrep])
-		e.observeStage(stageAlign, 120*time.Millisecond, e.stageWorkers[stageAlign])
-	}
-	if e.stageWorkers[stageAlign] <= e.stageWorkers[stagePrep] {
-		t.Fatalf("align-heavy load split %d+%d, want align > prep",
-			e.stageWorkers[stagePrep], e.stageWorkers[stageAlign])
-	}
-
-	// The stage configs hand each stage exactly its share.
-	prepCfg, pw := e.stageConfig(stagePrep)
-	alignCfg, aw := e.stageConfig(stageAlign)
-	if pw != e.stageWorkers[stagePrep] || aw != e.stageWorkers[stageAlign] {
-		t.Fatalf("stageConfig workers %d/%d, split %d/%d", pw, aw, e.stageWorkers[stagePrep], e.stageWorkers[stageAlign])
-	}
-	if prepCfg.Searcher.EffectiveParallelism() != pw || alignCfg.Searcher.EffectiveParallelism() != aw {
-		t.Fatal("stage configs do not pin their share as the effective parallelism")
+	if n := par.SlotsInUse(); n != 0 {
+		t.Errorf("%d slots in use after the session closed", n)
 	}
 }
 
-// TestAdaptiveSplitNarrowPool: a 1-worker session cannot split; both
-// stages must run with the configured width unchanged.
+// TestAdaptiveSplitNarrowPool: a budget of one slot completes a pipelined
+// three-stage session. The test holds every slot of the process's budget
+// but one, so the front-end, alignment and loop verification — each asking
+// for four workers — take turns on the one that is left, nothing can ever
+// borrow, and nothing deadlocks; the trajectory is the sequential one.
+// (internal/par's own tests cover the other widths on this engine: a busy
+// neighbour lends nothing, and no more goroutines compute than there are
+// slots.)
 func TestAdaptiveSplitNarrowPool(t *testing.T) {
-	cfg := testConfig(search.BackendCanonical)
-	cfg.Searcher.Parallelism = 1
-	e := New(Config{Pipeline: cfg, Pipelined: true})
-	defer e.Close()
-	got, w := e.stageConfig(stagePrep)
-	if w != 1 || got.Searcher.Parallelism != 1 {
-		t.Fatalf("narrow pool stage got %d workers", w)
+	for i := 1; i < par.Slots(); i++ {
+		par.Acquire()
+		defer par.Release()
 	}
-	e.observeStage(stagePrep, time.Second, 1) // must be a no-op, not a panic
+	cfg := dse.NamedDesignPoints()[3].Config // DP4: cheap
+	cfg.Searcher.Parallelism = 4
+	lc := &loop.Config{MinSeparation: 6, MaxCandidates: 2, Cooldown: 1}
+	seq := slamSequence(10)
+	want, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Loop: lc})
+	eng := New(Config{Pipeline: cfg, Pipelined: true, Loop: lc})
+	for _, f := range cloneFrames(seq) {
+		if _, err := eng.Push(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+	got, st := eng.Trajectory(), eng.Stats()
+	if st.Loop.Verified == 0 {
+		t.Fatal("no loop candidate was verified: the third stage never ran")
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%d of %d frames committed", got.Len(), want.Len())
+	}
+	for i := range want.Poses {
+		if got.Poses[i] != want.Poses[i] {
+			t.Fatalf("frame %d: pose differs from the sequential session's", i)
+		}
+	}
+	if n := par.SlotsInUse(); n != par.Slots()-1 {
+		t.Errorf("%d slots in use after the session closed, want the %d this test holds", n, par.Slots()-1)
+	}
 }
 
-// TestStreamPipelinedAdaptiveMatchesRegister: the adaptive split changes
-// only worker counts, and exact backends are parallelism-invariant, so a
-// pipelined session rebalancing itself must still be bit-identical to the
-// per-pair Register loop.
+// TestStreamPipelinedAdaptiveMatchesRegister: which slots a stage's loops
+// could borrow changes only worker counts, and exact backends are
+// parallelism-invariant, so a pipelined session whose stages lend each
+// other the machine must still be bit-identical to the per-pair Register
+// loop.
 func TestStreamPipelinedAdaptiveMatchesRegister(t *testing.T) {
 	seq := testSeq(t, 4, 41)
 	cfg := testConfig(search.BackendCanonical)

@@ -33,6 +33,7 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
+	"tigris/internal/par"
 )
 
 // Child encodes a top-tree child link: an internal node index (>= 0), an
@@ -106,9 +107,10 @@ func Build(pts []geom.Vec3, topHeight int) *Tree {
 // CPU. The slab must not be mutated afterwards.
 func BuildSlab(s *cloud.Slab, topHeight int) *Tree { return BuildSlabPar(s, topHeight, 0) }
 
-// BuildSlabPar is BuildSlab on a budget of workers goroutines (<= 0
-// selects NumCPU; 1 builds on the calling goroutine alone). The tree is
-// identical at every setting.
+// BuildSlabPar is BuildSlab on at most workers goroutines (<= 0 selects
+// NumCPU; 1 builds on the calling goroutine alone): the caller, and one
+// per slot of the process's budget (internal/par) it can borrow as it
+// forks. The tree is identical at every setting.
 func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 	if topHeight < 0 {
 		topHeight = 0
@@ -223,11 +225,12 @@ func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[s
 	}
 	t.nodes[nodeAt] = nd
 	left, right := idx[:mid], idx[mid+1:]
-	if spawn > 0 && len(idx) >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone {
+	if spawn > 0 && len(idx) >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer par.Release()
 			t.buildAt(left, depth+1, nodeAt+1, leafAt, sizes, spawn-1)
 		}()
 		t.buildAt(right, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn-1)
