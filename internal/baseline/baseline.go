@@ -98,6 +98,14 @@ func (m Model) Energy(p Profile) float64 {
 	return m.Time(p).Seconds() * m.PowerWatts
 }
 
+// replayShard is what one worker of a profiling replay owns: its visit
+// counters, and the buffer its radius answers are built in — the replay
+// reads the counters and drops the answers, so one buffer serves them all.
+type replayShard[St any] struct {
+	stats St
+	buf   []kdtree.Neighbor
+}
+
 // ProfileCanonical replays the workload on a canonical KD-tree and
 // returns its visit profile (the paper's Base-KD configuration). The
 // replay is sequential; use ProfileCanonicalParallel to spread it over a
@@ -114,14 +122,14 @@ func ProfileCanonical(tree *kdtree.Tree, w sim.Workload) Profile {
 func ProfileCanonicalParallel(tree *kdtree.Tree, w sim.Workload, parallelism int) Profile {
 	var stats kdtree.Stats
 	par.Sharded(len(w.Queries), par.Workers(parallelism),
-		func(shard *kdtree.Stats, _, i int) {
+		func(shard *replayShard[kdtree.Stats], _, i int) {
 			if w.Kind == sim.RadiusSearch {
-				tree.Radius(w.Queries[i], w.Radius, shard)
+				shard.buf = tree.RadiusInto(w.Queries[i], w.Radius, shard.buf, &shard.stats)
 			} else {
-				tree.Nearest(w.Queries[i], shard)
+				tree.Nearest(w.Queries[i], &shard.stats)
 			}
 		},
-		func(shard *kdtree.Stats) { stats.Merge(*shard) })
+		func(shard *replayShard[kdtree.Stats]) { stats.Merge(shard.stats) })
 	return Profile{
 		TreeVisits: stats.NodesVisited,
 		Queries:    stats.Queries,
@@ -143,14 +151,14 @@ func ProfileTwoStage(tree *twostage.Tree, w sim.Workload) Profile {
 func ProfileTwoStageParallel(tree *twostage.Tree, w sim.Workload, parallelism int) Profile {
 	var stats twostage.Stats
 	par.Sharded(len(w.Queries), par.Workers(parallelism),
-		func(shard *twostage.Stats, _, i int) {
+		func(shard *replayShard[twostage.Stats], _, i int) {
 			if w.Kind == sim.RadiusSearch {
-				tree.Radius(w.Queries[i], w.Radius, shard)
+				shard.buf = tree.RadiusInto(w.Queries[i], w.Radius, shard.buf, &shard.stats)
 			} else {
-				tree.Nearest(w.Queries[i], shard)
+				tree.Nearest(w.Queries[i], &shard.stats)
 			}
 		},
-		func(shard *twostage.Stats) { stats.Merge(*shard) })
+		func(shard *replayShard[twostage.Stats]) { stats.Merge(shard.stats) })
 	return Profile{
 		TreeVisits:  stats.TopNodesVisited,
 		BruteVisits: stats.LeafPointsViewed + stats.LeaderChecks,

@@ -136,6 +136,21 @@ func TestParallelProfileMatchesSequential(t *testing.T) {
 	canon := kdtree.Build(pts)
 	two := twostage.BuildWithLeafSize(pts, 64)
 
+	// The replay answers radius queries into one buffer per worker; the
+	// counters are those of plain one-by-one calls that share nothing.
+	var plainC kdtree.Stats
+	var plainT twostage.Stats
+	for _, q := range wr.Queries {
+		canon.Radius(q, wr.Radius, &plainC)
+		two.Radius(q, wr.Radius, &plainT)
+	}
+	if got, want := ProfileCanonical(canon, wr), (Profile{TreeVisits: plainC.NodesVisited, Queries: plainC.Queries}); got != want {
+		t.Errorf("canonical radius replay: %+v, plain calls count %+v", got, want)
+	}
+	if got, want := ProfileTwoStage(two, wr), (Profile{TreeVisits: plainT.TopNodesVisited, BruteVisits: plainT.LeafPointsViewed + plainT.LeaderChecks, Queries: plainT.Queries}); got != want {
+		t.Errorf("two-stage radius replay: %+v, plain calls count %+v", got, want)
+	}
+
 	for _, w := range []sim.Workload{wn, wr} {
 		seqC := ProfileCanonical(canon, w)
 		for _, p := range []int{2, 8} {

@@ -250,12 +250,24 @@ func (sc *normalScratch) planeSVDNormal() geom.Vec3 {
 	}
 	centroid = centroid.Scale(1 / float64(len(sc.pts)))
 
-	var cov geom.Mat3
+	// The covariance is symmetric and d.X*d.Y == d.Y*d.X exactly, so the
+	// six distinct sums, mirrored, are bit for bit the nine that adding
+	// up OuterProduct(d, d) gives.
+	var xx, xy, xz, yy, yz, zz float64
 	for _, q := range sc.pts {
 		d := q.Sub(centroid)
-		cov = cov.Add(geom.OuterProduct(d, d))
+		xx += d.X * d.X
+		xy += d.X * d.Y
+		xz += d.X * d.Z
+		yy += d.Y * d.Y
+		yz += d.Y * d.Z
+		zz += d.Z * d.Z
 	}
-	eig := linalg.EigenSym3(cov)
+	eig := linalg.EigenSym3(geom.Mat3{
+		xx, xy, xz,
+		xy, yy, yz,
+		xz, yz, zz,
+	})
 	return eig.Vectors[0] // smallest eigenvalue => plane normal
 }
 

@@ -85,33 +85,6 @@ func TestBruteRadiusIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSortNeighborsMatchesReference: the dedicated allocation-free sort
-// must order exactly like the sort.Slice call it replaced — ascending
-// (Dist2, Index) — across sizes covering the insertion-sort cutoff, the
-// quicksort path, and heavy Dist2 ties.
-func TestSortNeighborsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 2, 3, 12, 13, 64, 257, 1000} {
-		for trial := 0; trial < 20; trial++ {
-			res := make([]Neighbor, n)
-			for i := range res {
-				// Coarse distances force Index tie-breaks.
-				res[i] = Neighbor{Index: i, Dist2: float64(rng.Intn(8))}
-			}
-			rng.Shuffle(n, func(i, j int) { res[i], res[j] = res[j], res[i] })
-			SortNeighbors(res)
-			for i := 1; i < n; i++ {
-				if neighborLess(res[i], res[i-1]) {
-					t.Fatalf("n=%d: out of order at %d: %v after %v", n, i, res[i], res[i-1])
-				}
-				if res[i] == res[i-1] {
-					t.Fatalf("n=%d: duplicate entry at %d", n, i)
-				}
-			}
-		}
-	}
-}
-
 // skipUnderRace skips allocation-budget tests when the race detector's
 // shadow allocations would break AllocsPerRun.
 func skipUnderRace(t *testing.T) {

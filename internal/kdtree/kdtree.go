@@ -13,6 +13,17 @@
 // Every search can report how many tree nodes it visited via Stats; those
 // counts drive the redundancy analysis of Fig. 6 and the baseline cost
 // models in internal/baseline.
+//
+// Radius answers come ordered by ascending (Dist2, Index), a strict total
+// order, so an answer is one fixed sequence whichever backend produced it.
+// SortNeighbors (sort.go) puts them in that order for every backend in
+// the repo. It deals by distance instead of comparing — a result's d² are
+// near-uniform, so n buckets hold about one entry each and the sort is
+// linear — using the spare capacity of the result buffer as scratch (the
+// *Into methods answer into a caller's buffer; the batch arenas of
+// internal/search hand them their whole unfilled tail), and falls back to
+// an in-place comparison sort when that room is missing or the distances
+// pile up, so the worst case is the comparison sort's.
 package kdtree
 
 import (
@@ -375,7 +386,8 @@ func (t *Tree) Radius(q geom.Vec3, r float64, stats *Stats) []Neighbor {
 // RadiusInto is Radius appending into buf (reset to length 0), so callers
 // that recycle result slabs avoid a fresh allocation per query. The
 // returned slice may be a regrown replacement for buf; results are
-// identical to Radius.
+// identical to Radius. All of buf's capacity is the call's to write:
+// what the answer leaves spare is the sort's scratch (SortNeighbors).
 func (t *Tree) RadiusInto(q geom.Vec3, r float64, buf []Neighbor, stats *Stats) []Neighbor {
 	if t.root < 0 || r < 0 {
 		return nil
@@ -413,69 +425,6 @@ func (t *Tree) radius(ni int32, q geom.Vec3, r2 float64, res *[]Neighbor, stats 
 			stats.NodesPruned++
 		}
 	}
-}
-
-// SortNeighbors orders neighbors by ascending (Dist2, Index) — the result
-// order every radius search promises. It replaces sort.Slice on the query
-// hot path: sort.Slice allocates (an interface header and a closure) on
-// every call, and radius search issues millions of calls per streaming
-// frame, so an allocation-free dedicated sort is what keeps steady-state
-// traversal at zero allocations. The (Dist2, Index) key is a strict total
-// order over a result set (each tree point appears at most once), so any
-// correct sort yields the identical, deterministic order sort.Slice did.
-func SortNeighbors(res []Neighbor) {
-	// Quicksort with median-of-three pivoting, recursing into the smaller
-	// partition and looping on the larger so stack depth stays O(log n).
-	for len(res) > 12 {
-		p := partitionNeighbors(res)
-		if p < len(res)-p-1 {
-			SortNeighbors(res[:p])
-			res = res[p+1:]
-		} else {
-			SortNeighbors(res[p+1:])
-			res = res[:p]
-		}
-	}
-	// Insertion sort finishes the small runs.
-	for i := 1; i < len(res); i++ {
-		for j := i; j > 0 && neighborLess(res[j], res[j-1]); j-- {
-			res[j], res[j-1] = res[j-1], res[j]
-		}
-	}
-}
-
-func neighborLess(a, b Neighbor) bool {
-	if a.Dist2 != b.Dist2 {
-		return a.Dist2 < b.Dist2
-	}
-	return a.Index < b.Index
-}
-
-// partitionNeighbors Hoare-style partitions res around a median-of-three
-// pivot moved to the end, returning the pivot's final position.
-func partitionNeighbors(res []Neighbor) int {
-	hi := len(res) - 1
-	mid := hi / 2
-	if neighborLess(res[mid], res[0]) {
-		res[mid], res[0] = res[0], res[mid]
-	}
-	if neighborLess(res[hi], res[0]) {
-		res[hi], res[0] = res[0], res[hi]
-	}
-	if neighborLess(res[hi], res[mid]) {
-		res[hi], res[mid] = res[mid], res[hi]
-	}
-	res[mid], res[hi] = res[hi], res[mid]
-	pivot := res[hi]
-	at := 0
-	for i := 0; i < hi; i++ {
-		if neighborLess(res[i], pivot) {
-			res[i], res[at] = res[at], res[i]
-			at++
-		}
-	}
-	res[at], res[hi] = res[hi], res[at]
-	return at
 }
 
 // maxHeap is a binary max-heap by Dist2, used as the bounded candidate set

@@ -1,7 +1,9 @@
 package search
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"unsafe"
 
@@ -101,6 +103,53 @@ func TestBatchMatchesSequential(t *testing.T) {
 				if !sameNeighbors(gotRad[i], wantRad[i]) {
 					t.Fatalf("%s/p%d: RadiusBatch[%d] mismatch", bc.name, parallelism, i)
 				}
+			}
+		}
+	}
+}
+
+// TestRadiusBatchOrderIndependentOfTheSort: every backend's radius answers
+// end in kdtree.SortNeighbors — the brute-force oracle's too, so comparing
+// a tree with it cannot see an ordering bug. Batches answer into arena
+// tails, which is where the sort deals instead of comparing; this holds
+// each batched answer to sort.Slice under (Dist2, Index), on ordinary
+// queries, with an unbounded radius, and from a query so far off that
+// every squared distance overflows (all points, in index order).
+func TestRadiusBatchOrderIndependentOfTheSort(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	pts := randPoints(r, 1500)
+	far := geom.Vec3{X: 1e200, Y: 1e200, Z: -1e200}
+	cases := append(backendCases()[:3:3], backendCase{"bruteforce", true, func(pts []geom.Vec3) Searcher {
+		return NewBruteSearcher(pts)
+	}})
+	for _, bc := range cases {
+		for _, parallelism := range []int{1, 2} {
+			s := bc.build(pts)
+			s.SetParallelism(parallelism)
+			for _, probe := range []struct {
+				qs     []geom.Vec3
+				radius float64
+			}{
+				{randPoints(r, 300), 3.0},
+				{[]geom.Vec3{pts[0], far, pts[1]}, math.Inf(1)},
+			} {
+				res := s.RadiusBatch(probe.qs, probe.radius)
+				for i, got := range res {
+					want := append([]kdtree.Neighbor(nil), got...)
+					sort.Slice(want, func(a, b int) bool {
+						if want[a].Dist2 != want[b].Dist2 {
+							return want[a].Dist2 < want[b].Dist2
+						}
+						return want[a].Index < want[b].Index
+					})
+					if !sameNeighbors(got, want) {
+						t.Fatalf("%s/p%d: RadiusBatch[%d] at r=%v is not in (Dist2, Index) order", bc.name, parallelism, i, probe.radius)
+					}
+					if math.IsInf(probe.radius, 1) && bc.exact && len(got) != len(pts) {
+						t.Fatalf("%s/p%d: unbounded RadiusBatch[%d] has %d of %d points", bc.name, parallelism, i, len(got), len(pts))
+					}
+				}
+				RecycleBatch(res)
 			}
 		}
 	}
