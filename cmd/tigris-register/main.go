@@ -63,7 +63,7 @@ func (f *optFlag) Set(v string) error {
 }
 
 func main() {
-	backend := flag.String("backend", search.BackendCanonical, "search backend registry name (see internal/search)")
+	backend := flag.String("backend", search.BackendTwoStage, "search backend registry name (see internal/search; canonical is the reference KD-tree)")
 	var opts optFlag
 	flag.Var(&opts, "opt", "backend option as key=value (repeatable)")
 	parallel := flag.Int("parallel", 0, "batch search worker count (0 = all CPUs, 1 = sequential)")

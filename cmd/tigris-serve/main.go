@@ -54,9 +54,9 @@
 //
 // -selftest starts the server on a loopback port, streams two synthetic
 // LiDAR frames through the real HTTP surface — through the configured
-// -backend (default: the non-default "twostage", so the registry path is
-// always smoked) — verifies the trajectory, and exits non-zero on any
-// failure (the CI smoke test).
+// -backend (default: the non-default "canonical", so the registry path and
+// the reference tree are always smoked) — verifies the trajectory, and
+// exits non-zero on any failure (the CI smoke test).
 package main
 
 import (
@@ -81,7 +81,7 @@ func main() {
 	addr := flag.String("addr", ":8089", "listen address")
 	parallel := flag.Int("parallel", 0, "default per-stage batch worker count for sessions (0 = all CPUs)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent heavy stages across all sessions (0 = CPU count)")
-	backend := flag.String("backend", "", "default search backend for sessions (registry name; \"\" = canonical)")
+	backend := flag.String("backend", "", "default search backend for sessions (registry name; \"\" = twostage, the pipeline's default; canonical is the reference KD-tree)")
 	sessionTTL := flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = never)")
 	maxPending := flag.Int("max-pending", 0, "refuse frame pushes with 503 + Retry-After when this many frames are already pending (0 = never refuse)")
 	authToken := flag.String("auth-token", "", "require this bearer token on every /v1/* endpoint (\"\" = open access)")
@@ -124,7 +124,7 @@ func main() {
 	if *selftest {
 		name := *backend
 		if name == "" {
-			name = "twostage" // smoke a non-default backend through the registry
+			name = "canonical" // smoke a non-default backend through the registry
 		}
 		if err := runSelftest(srv, name); err != nil {
 			serve.Fatal(logger, "selftest FAILED", err)

@@ -13,12 +13,13 @@ import (
 
 // baseConfig is the pipeline skeleton all design points share; the knobs
 // of Tbl. 1 are varied on top of it. The search backend is named
-// explicitly (registry selection, not the legacy enum) so design points
-// carry their backend choice visibly and cmds can swap it by name.
+// explicitly so design points carry their backend choice visibly and
+// cmds can swap it by name: the pipeline's default, the two-stage tree
+// (the figures of cmd/tigris-paper name the canonical baseline instead).
 func baseConfig() registration.PipelineConfig {
 	return registration.PipelineConfig{
 		VoxelLeaf: 0.3,
-		Searcher:  registration.SearcherConfig{Backend: search.BackendCanonical},
+		Searcher:  registration.SearcherConfig{Backend: search.BackendTwoStage},
 		Normal:    features.NormalConfig{Method: features.PlaneSVD, SearchRadius: 0.5},
 		Keypoint: features.KeypointConfig{
 			Method:           features.Harris3D,

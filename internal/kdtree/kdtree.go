@@ -14,6 +14,12 @@
 // counts drive the redundancy analysis of Fig. 6 and the baseline cost
 // models in internal/baseline.
 //
+// This is the reference structure — Base-KD in the paper's evaluation, the
+// tree captured query streams are replayed on, the oracle the two-stage
+// tree is tested against — and not what the pipeline searches by default:
+// that is internal/twostage, which a pipeline reaches this tree from only
+// by naming the "canonical" backend.
+//
 // Radius answers come ordered by ascending (Dist2, Index), a strict total
 // order, so an answer is one fixed sequence whichever backend produced it.
 // SortNeighbors (sort.go) puts them in that order for every backend in

@@ -28,68 +28,94 @@ type SymEigen3 struct {
 // the cyclic Jacobi method. Only the lower/upper symmetric part is assumed
 // consistent; the matrix is not modified.
 func EigenSym3(m geom.Mat3) SymEigen3 {
-	// Work on copies: a is driven to diagonal form, v accumulates rotations.
-	a := m
-	v := geom.Identity3()
+	// a (a copy of m) is driven to diagonal form, v accumulates the
+	// rotations. Both are held in scalars and the three rotations of a
+	// sweep are written out, so the 27 element updates of a sweep are
+	// register arithmetic: normal estimation and Harris call this once per
+	// point.
+	a00, a01, a02 := m[0], m[1], m[2]
+	a10, a11, a12 := m[3], m[4], m[5]
+	a20, a21, a22 := m[6], m[7], m[8]
+	v00, v01, v02 := 1.0, 0.0, 0.0
+	v10, v11, v12 := 0.0, 1.0, 0.0
+	v20, v21, v22 := 0.0, 0.0, 1.0
 
 	const maxSweeps = 50
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		// Sum of squares of off-diagonal elements.
-		off := a.At(0, 1)*a.At(0, 1) + a.At(0, 2)*a.At(0, 2) + a.At(1, 2)*a.At(1, 2)
+		off := a01*a01 + a02*a02 + a12*a12
 		if off < 1e-30 {
 			break
 		}
-		for p := 0; p < 2; p++ {
-			for q := p + 1; q < 3; q++ {
-				apq := a.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app := a.At(p, p)
-				aqq := a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				// Stable tangent of the rotation angle.
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-
-				// Apply the Givens rotation G(p,q,θ) on both sides of a and
-				// accumulate it into v.
-				for k := 0; k < 3; k++ {
-					akp := a.At(k, p)
-					akq := a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < 3; k++ {
-					apk := a.At(p, k)
-					aqk := a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
-				}
-				for k := 0; k < 3; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
-				}
-			}
+		// Each block applies the Givens rotation G(p,q,θ) to the columns
+		// and then the rows p, q of a, and accumulates it into v.
+		if c, s, ok := jacobiRotation(a00, a11, a01); ok { // p, q = 0, 1
+			a00, a01 = rotate(c, s, a00, a01)
+			a10, a11 = rotate(c, s, a10, a11)
+			a20, a21 = rotate(c, s, a20, a21)
+			a00, a10 = rotate(c, s, a00, a10)
+			a01, a11 = rotate(c, s, a01, a11)
+			a02, a12 = rotate(c, s, a02, a12)
+			v00, v01 = rotate(c, s, v00, v01)
+			v10, v11 = rotate(c, s, v10, v11)
+			v20, v21 = rotate(c, s, v20, v21)
+		}
+		if c, s, ok := jacobiRotation(a00, a22, a02); ok { // p, q = 0, 2
+			a00, a02 = rotate(c, s, a00, a02)
+			a10, a12 = rotate(c, s, a10, a12)
+			a20, a22 = rotate(c, s, a20, a22)
+			a00, a20 = rotate(c, s, a00, a20)
+			a01, a21 = rotate(c, s, a01, a21)
+			a02, a22 = rotate(c, s, a02, a22)
+			v00, v02 = rotate(c, s, v00, v02)
+			v10, v12 = rotate(c, s, v10, v12)
+			v20, v22 = rotate(c, s, v20, v22)
+		}
+		if c, s, ok := jacobiRotation(a11, a22, a12); ok { // p, q = 1, 2
+			a01, a02 = rotate(c, s, a01, a02)
+			a11, a12 = rotate(c, s, a11, a12)
+			a21, a22 = rotate(c, s, a21, a22)
+			a10, a20 = rotate(c, s, a10, a20)
+			a11, a21 = rotate(c, s, a11, a21)
+			a12, a22 = rotate(c, s, a12, a22)
+			v01, v02 = rotate(c, s, v01, v02)
+			v11, v12 = rotate(c, s, v11, v12)
+			v21, v22 = rotate(c, s, v21, v22)
 		}
 	}
 
 	res := SymEigen3{
-		Values: [3]float64{a.At(0, 0), a.At(1, 1), a.At(2, 2)},
+		Values: [3]float64{a00, a11, a22},
 		Vectors: [3]geom.Vec3{
-			{X: v.At(0, 0), Y: v.At(1, 0), Z: v.At(2, 0)},
-			{X: v.At(0, 1), Y: v.At(1, 1), Z: v.At(2, 1)},
-			{X: v.At(0, 2), Y: v.At(1, 2), Z: v.At(2, 2)},
+			{X: v00, Y: v10, Z: v20},
+			{X: v01, Y: v11, Z: v21},
+			{X: v02, Y: v12, Z: v22},
 		},
 	}
 	res.sort()
 	return res
+}
+
+// jacobiRotation returns the cosine and sine of the Jacobi rotation that
+// zeroes the off-diagonal element apq between diagonal elements app and
+// aqq; ok is false when apq is already negligible.
+func jacobiRotation(app, aqq, apq float64) (c, s float64, ok bool) {
+	if math.Abs(apq) < 1e-300 {
+		return 0, 0, false
+	}
+	theta := (aqq - app) / (2 * apq)
+	// Stable tangent of the rotation angle.
+	t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+	if theta < 0 {
+		t = -t
+	}
+	c = 1 / math.Sqrt(t*t+1)
+	return c, t * c, true
+}
+
+// rotate applies the plane rotation (c, s) to the pair (x, y).
+func rotate(c, s, x, y float64) (float64, float64) {
+	return c*x - s*y, s*x + c*y
 }
 
 // sort orders eigenpairs by ascending eigenvalue.

@@ -48,8 +48,9 @@ import (
 // documented defaults.
 type Config struct {
 	// Backend is the registry name of the search backend the signature
-	// index is built with ("" = canonical). Any registered backend works;
-	// the index holds one 3D point per observed frame.
+	// index is built with ("" = the pipeline's default, twostage). Any
+	// registered backend works; the index holds one 3D point per observed
+	// frame.
 	Backend string
 	// Options is the backend's option bag (see search.Opt* keys).
 	Options search.Options
@@ -252,11 +253,9 @@ func NewDetector(cfg Config) (*Detector, error) {
 	return &Detector{cfg: cfg, frames: make(map[int]*registration.PreparedFrame), lastHit: -1 << 30}, nil
 }
 
+// backendName resolves an empty Backend the way the pipeline does.
 func backendName(cfg Config) string {
-	if cfg.Backend == "" {
-		return search.BackendCanonical
-	}
-	return cfg.Backend
+	return registration.SearcherConfig{Backend: cfg.Backend}.BackendName()
 }
 
 // frameSignature aggregates a descriptor matrix into the frame's

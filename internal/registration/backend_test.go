@@ -9,11 +9,11 @@ import (
 	"tigris/internal/synth"
 )
 
-// TestBackendNameDefaultsToCanonical: the zero SearcherConfig selects
-// the canonical KD-tree, and an explicit name is returned as given.
-func TestBackendNameDefaultsToCanonical(t *testing.T) {
-	if got := (SearcherConfig{}).BackendName(); got != search.BackendCanonical {
-		t.Errorf("SearcherConfig{} → %q, want %q", got, search.BackendCanonical)
+// TestBackendNameDefaultsToTwoStage: the zero SearcherConfig selects the
+// paper's two-stage tree, and an explicit name is returned as given.
+func TestBackendNameDefaultsToTwoStage(t *testing.T) {
+	if got := (SearcherConfig{}).BackendName(); got != search.BackendTwoStage {
+		t.Errorf("SearcherConfig{} → %q, want %q", got, search.BackendTwoStage)
 	}
 	if err := (SearcherConfig{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)

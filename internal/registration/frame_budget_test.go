@@ -15,14 +15,17 @@ import (
 // allocate what the frame *is* — its slabs, normals, the two search
 // indexes, descriptors, the stage outputs — and nothing per point, per
 // query or per neighbor. The figures are committed numbers: measured
-// ≈ 1.9 MB and ≈ 1,100 allocations per frame when set (the same path
-// allocated ≈ 21 MB and ≈ 120 k per frame before the hot path's scratch
-// was recycled), with headroom for the frames on which a result arena
-// still grows, so a regression that re-introduces per-point garbage
-// fails here long before it shows in bench/'s alloc_mb_per_frame.
+// ≈ 1.77 MB and ≈ 830 allocations per frame on the default two-stage
+// backend (≈ 1.83 MB and ≈ 1,025 on the canonical tree, whose node array
+// is half again the two-stage tree's permutation and leaf-ordered
+// coordinates; the same path allocated ≈ 21 MB and ≈ 120 k per frame
+// before the hot path's scratch was recycled), with headroom for the
+// frames on which a result arena still grows, so a regression that
+// re-introduces per-point garbage fails here long before it shows in
+// bench/'s alloc_mb_per_frame.
 const (
-	frameBudgetBytes  = 3e6
-	frameBudgetAllocs = 2500
+	frameBudgetBytes  = 2.8e6
+	frameBudgetAllocs = 1900
 )
 
 // budgetConfig is the benchmark's odometry design point (dse DP5:
@@ -31,7 +34,7 @@ const (
 func budgetConfig() PipelineConfig {
 	return PipelineConfig{
 		VoxelLeaf: 0.3,
-		Searcher:  SearcherConfig{Backend: search.BackendCanonical, Parallelism: 1},
+		Searcher:  SearcherConfig{Backend: search.BackendTwoStage, Parallelism: 1},
 		Normal:    features.NormalConfig{Method: features.AreaWeighted, SearchRadius: 0.5},
 		Keypoint: features.KeypointConfig{
 			Method: features.Harris3D, Radius: 1.0, ResponseQuantile: 0.9, MaxKeypoints: 300,

@@ -19,7 +19,7 @@ type SearcherConfig struct {
 	// Backend is the registry name of the search backend ("canonical",
 	// "twostage", "twostage-approx", "bruteforce", "trace", or any name
 	// registered through search.RegisterBackend). Empty selects
-	// "canonical".
+	// "twostage".
 	Backend string
 	// Options is the backend-specific option bag (see the search.Opt*
 	// keys). Values may come from JSON, CLI flags, or Go code (e.g. the
@@ -34,12 +34,12 @@ type SearcherConfig struct {
 }
 
 // BackendName resolves the effective registry name: Backend, or
-// "canonical" when empty.
+// "twostage" when empty.
 func (c SearcherConfig) BackendName() string {
 	if c.Backend != "" {
 		return c.Backend
 	}
-	return search.BackendCanonical
+	return search.BackendTwoStage
 }
 
 // EffectiveParallelism resolves the batch worker count the pipeline's

@@ -109,6 +109,10 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 				jtj[a*6+b] = jtj[b*6+a]
 			}
 		}
+		var neg [6]float64
+		for a := 0; a < 6; a++ {
+			neg[a] = -jtr[a]
+		}
 		improved := false
 		for attempt := 0; attempt < 8; attempt++ {
 			damped := jtj
@@ -119,11 +123,7 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 				}
 				damped[a*6+a] += lambda * d
 			}
-			neg := make([]float64, 6)
-			for a := 0; a < 6; a++ {
-				neg[a] = -jtr[a]
-			}
-			delta, err := linalg.SolveDense(damped[:], neg)
+			delta, err := linalg.SolveDense(damped[:], neg[:])
 			if err != nil {
 				lambda *= 10
 				continue

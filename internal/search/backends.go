@@ -32,8 +32,9 @@ func newCanonicalBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 }
 
 // twoStageConfigFromOptions is shared by the exact and approximate
-// two-stage factories. An absent top_height sizes leaf sets to ~128
-// points (height 0 would be one leaf holding every point: a linear scan).
+// two-stage factories. An absent top_height sizes leaf sets to
+// autoLeafSize points (height 0 would be one leaf holding every point: a
+// linear scan).
 func twoStageConfigFromOptions(opts Options) (TwoStageConfig, error) {
 	var cfg TwoStageConfig
 	var err error

@@ -167,3 +167,38 @@ func TestBatchAnswersDoNotRunIntoEachOther(t *testing.T) {
 	}
 	RecycleBatch(res)
 }
+
+// TestTwoStageScanLeavesFiledAnswersAlone: the two-stage radius scan
+// writes each candidate one past the end of the answer it is building and
+// keeps it only if it is inside the ball, so it works in the arena's tail
+// beyond what it returns. Whatever the tail's size — nothing, less than a
+// leaf set, exactly one, several — the answers already filed before it in
+// the same arena must read, after the whole run, as the oracle gives them,
+// and an answer that outgrew the tail must have moved whole.
+func TestTwoStageScanLeavesFiledAnswersAlone(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	pts := randPoints(r, 3000)
+	s := NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: 5, Parallelism: 1})
+	oracle := NewBruteSearcher(pts)
+	queries := randPoints(r, 80)
+	const radius = 4.0
+	leaf := s.Tree().MaxLeafSize()
+	for _, capacity := range []int{0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf, 5 * leaf, 64 * leaf} {
+		arena := make([]kdtree.Neighbor, 0, capacity)
+		filed := make([][]kdtree.Neighbor, len(queries))
+		for i, q := range queries {
+			filed[i] = fileResult(&arena, s.tree.RadiusInto(q, radius, arenaTail(arena), nil))
+		}
+		answered := 0
+		for i, q := range queries {
+			want := oracle.Radius(q, radius)
+			if !sameNeighbors(filed[i], want) {
+				t.Fatalf("arena of %d: answer %d reads %v after the run, oracle %v", capacity, i, filed[i], want)
+			}
+			answered += len(want)
+		}
+		if answered < len(queries) {
+			t.Fatalf("%d neighbours over %d queries: the radius exercises nothing", answered, len(queries))
+		}
+	}
+}

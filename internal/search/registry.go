@@ -23,9 +23,11 @@ import (
 // by -backend flags, the tigris-serve session JSON, and
 // registration.SearcherConfig.Backend.
 const (
-	// BackendCanonical is the classic KD-tree (the §3 baseline).
+	// BackendCanonical is the classic KD-tree (the §3 baseline): the
+	// reference structure, reached by name only.
 	BackendCanonical = "canonical"
-	// BackendTwoStage is the two-stage tree with exact search (§4.1).
+	// BackendTwoStage is the two-stage tree with exact search (§4.1): what
+	// an empty backend name resolves to throughout the pipeline.
 	BackendTwoStage = "twostage"
 	// BackendTwoStageApprox is the two-stage tree with the approximate
 	// leader/follower algorithm (§4.3).
@@ -47,7 +49,7 @@ const (
 	// built-in backend. 0 selects NumCPU, 1 forces the sequential path.
 	OptParallelism = "parallelism"
 	// OptTopHeight (int) is the two-stage top-tree height; absent or < 0
-	// sizes leaf sets to ~128 points.
+	// sizes leaf sets for a CPU (autoLeafSize points).
 	OptTopHeight = "top_height"
 	// OptNNThreshold (float) is the approximate-search NN discriminator
 	// in meters (0 selects twostage.DefaultNNThreshold).

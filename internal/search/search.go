@@ -3,11 +3,16 @@
 // name through an open registry (registry.go: RegisterBackend /
 // Backends / NewByNameSlab):
 //
-//   - KDSearcher ("canonical"): the canonical KD-tree (the pipeline's
-//     default, §3).
-//   - TwoStageSearcher ("twostage", "twostage-approx"): the two-stage
-//     tree, optionally with the approximate leader/follower algorithm
-//     (§4).
+//   - TwoStageSearcher ("twostage", "twostage-approx"): the paper's
+//     two-stage tree (§4), exact — the pipeline's default — or with the
+//     approximate leader/follower algorithm. Its leaf sets are contiguous
+//     coordinate runs scanned without a branch per point
+//     (internal/twostage), which on a CPU beats a node per point; with no
+//     top height given, leaves hold about autoLeafSize points.
+//   - KDSearcher ("canonical"): the canonical KD-tree (§3), one point a
+//     node. The reference: Base-KD of the paper's evaluation
+//     (internal/baseline, cmd/tigris-paper), the structure captured
+//     query streams are replayed on, and selected by name only.
 //   - BruteSearcher ("bruteforce"): the linear scan — correctness oracle
 //     and zero-build-cost choice for tiny clouds.
 //   - TraceSearcher ("trace"): a decorator recording every stage batch
@@ -204,10 +209,18 @@ type TwoStageSearcher struct {
 	parallelism   int
 }
 
+// autoLeafSize is the leaf-set size a two-stage searcher aims for when no
+// top height is given: the size at which a CPU's streamed leaf scans and
+// its top-tree walk cost a frame the least (CHANGES.md, PR 27, has the
+// {16, 32, 64, 128} table). The accelerator's 128 (§6.1) is the model's,
+// and the model's trees are built at it explicitly.
+const autoLeafSize = 32
+
 // TwoStageConfig configures a TwoStageSearcher.
 type TwoStageConfig struct {
 	// TopHeight is the top-tree height (paper default 10 for ~130k-point
-	// frames; <0 selects a height that yields ~128-point leaf sets).
+	// frames; <0 selects a height that yields leaf sets of at most
+	// autoLeafSize points).
 	TopHeight int
 	// Approx enables the leader/follower algorithm with these options.
 	Approx *twostage.ApproxOptions
@@ -228,7 +241,7 @@ func NewTwoStageSearcherSlab(slab *cloud.Slab, cfg TwoStageConfig) *TwoStageSear
 	start := time.Now()
 	height := cfg.TopHeight
 	if height < 0 {
-		height = twostage.HeightForLeafSize(slab.Len(), 128)
+		height = twostage.HeightForLeafSize(slab.Len(), autoLeafSize)
 	}
 	s.tree = twostage.BuildSlabPar(slab, height, s.parallelism)
 	s.metrics.BuildTime = time.Since(start)

@@ -109,8 +109,8 @@ func TestNegativeTopHeightAutoSizes(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts := randPoints(r, 4000)
 	ts := NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: -1})
-	if got := ts.Tree().MaxLeafSize(); got > 128 {
-		t.Errorf("auto-sized leaf = %d, want <= 128", got)
+	if got := ts.Tree().MaxLeafSize(); got > autoLeafSize || got < autoLeafSize/2-1 {
+		t.Errorf("auto-sized leaf = %d, want the largest halving of the cloud that is <= %d", got, autoLeafSize)
 	}
 }
 

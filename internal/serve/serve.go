@@ -110,7 +110,8 @@ type Config struct {
 	// sessions that do not set their own (0 = all CPUs).
 	Parallelism int
 	// DefaultBackend is the registry search-backend name for sessions
-	// whose request names no backend ("" = canonical).
+	// whose request names no backend ("" = the pipeline's default,
+	// twostage; "canonical" selects the reference KD-tree).
 	DefaultBackend string
 	// SessionTTL evicts sessions that have served no request for this
 	// long (0 disables eviction). Sessions still processing queued
@@ -498,7 +499,8 @@ type sessionRequest struct {
 // point plus ≈ 11 KB — so session memory grows with stream length.
 type loopRequest struct {
 	Enabled bool `json:"enabled"`
-	// Backend names the signature-index search backend ("" = canonical).
+	// Backend names the signature-index search backend ("" = the
+	// pipeline's default).
 	Backend string `json:"backend"`
 	// MinSeparation is the temporal gate in frames.
 	MinSeparation int `json:"min_separation"`

@@ -107,7 +107,7 @@ func (p *Prepared) Simulate(cfg Config) (*Report, error) {
 	}
 	rep := &Report{Queries: len(p.w.Queries), NNResults: p.nnResults}
 	w := p.w
-	eng := newEngine(&cfg, &p.visits, max(len(p.tree.Leaves()), 1))
+	eng := newEngine(&cfg, &p.visits, max(p.tree.NumLeaves(), 1))
 
 	// DRAM: per-query compressed result summaries stream back to the host
 	// (4 bytes each, 64-byte bursts). The cloud, the tree, and the query

@@ -482,7 +482,7 @@ func TestAllQueriesComplete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := newEngine(&cfg, &p.visits, max(len(tree.Leaves()), 1))
+			eng := newEngine(&cfg, &p.visits, max(tree.NumLeaves(), 1))
 			eng.run()
 			if eng.completed != len(queries) {
 				t.Fatalf("leaf=%d issue=%v: %d of %d queries completed", leaf, issue, eng.completed, len(queries))

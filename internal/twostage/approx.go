@@ -75,10 +75,7 @@ func follow[R any](leaders []leader[R], q geom.Vec3, thd float64, v *Visit) int 
 // either way.
 func (s *ApproxSession) nearestLeaf(id int, q geom.Vec3, best *kdtree.Neighbor, stats *Stats) {
 	t := s.tree
-	set := t.leaves[id]
-	if len(set) == 0 {
-		return
-	}
+	l := t.leaves[id]
 	v := &s.open
 	v.Leaf = int32(id)
 	thd := s.opts.Threshold
@@ -92,21 +89,22 @@ func (s *ApproxSession) nearestLeaf(id int, q geom.Vec3, best *kdtree.Neighbor, 
 			}
 		}
 	} else {
-		// Precise path: exhaustive scan of the leaf set, keeping the
-		// leaf-local best a leader caches beside the query's own.
-		v.Scanned = int32(len(set))
-		local := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-		for _, pi := range set {
-			d2 := t.dist2(q, pi)
-			if d2 < local.Dist2 {
-				local = kdtree.Neighbor{Index: int(pi), Dist2: d2}
-			}
-			if d2 < best.Dist2 {
-				*best = kdtree.Neighbor{Index: int(pi), Dist2: d2}
-				v.ResultWrites++
-			}
+		// Precise path: exhaustive scan of the leaf set.
+		v.Scanned = l.hi - l.lo
+		at, d2, writes := t.scanNearest(l, q, best.Dist2)
+		v.ResultWrites += writes
+		if at >= 0 {
+			*best = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
 		}
 		if thd > 0 && len(s.nn[id]) < s.opts.MaxLeaders {
+			// A leader caches the leaf-local best: the query's own when
+			// the leaf improved it, else what a scan with no bound finds.
+			local := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
+			if at >= 0 {
+				local = *best
+			} else if at, d2, _ = t.scanNearest(l, q, local.Dist2); at >= 0 {
+				local = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
+			}
 			s.nn[id] = append(s.nn[id], leader[kdtree.Neighbor]{q: q, res: local})
 			if stats != nil {
 				stats.LeaderInserts++
@@ -121,10 +119,7 @@ func (s *ApproxSession) nearestLeaf(id int, q geom.Vec3, best *kdtree.Neighbor, 
 // center.
 func (s *ApproxSession) radiusLeaf(id int, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, stats *Stats) {
 	t := s.tree
-	set := t.leaves[id]
-	if len(set) == 0 {
-		return
-	}
+	l := t.leaves[id]
 	v := &s.open
 	v.Leaf = int32(id)
 	before := len(*res)
@@ -137,8 +132,8 @@ func (s *ApproxSession) radiusLeaf(id int, q geom.Vec3, r2 float64, res *[]kdtre
 			}
 		}
 	} else {
-		v.Scanned = int32(len(set))
-		*res = t.scanRadius(set, q, r2, *res)
+		v.Scanned = l.hi - l.lo
+		*res = t.scanRadius(l, q, r2, *res)
 		if s.radThd > 0 && len(s.rad[id]) < s.opts.MaxLeaders {
 			// The leader keeps its own copy: res belongs to the caller.
 			local := append([]kdtree.Neighbor(nil), (*res)[before:]...)

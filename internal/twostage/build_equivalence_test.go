@@ -54,8 +54,9 @@ func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 				if len(got.leaves) != len(want.leaves) {
 					t.Fatalf("%s h=%d workers=%d: %d leaf sets, reference has %d", name, h, workers, len(got.leaves), len(want.leaves))
 				}
-				for id := range want.leaves {
-					if !reflect.DeepEqual(got.leaves[id], want.leaves[id]) {
+				gotSets, wantSets := got.Leaves(), want.Leaves()
+				for id := range wantSets {
+					if !reflect.DeepEqual(gotSets[id], wantSets[id]) {
 						t.Fatalf("%s h=%d workers=%d: leaf set %d differs (contents or order)", name, h, workers, id)
 					}
 				}
@@ -68,7 +69,7 @@ func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 // array; a consumer appending to one must not run into its neighbor.
 func TestLeafSetsDoNotOverlapInMemory(t *testing.T) {
 	tree := Build(randomPts(1000, 17), 4)
-	for id, set := range tree.leaves {
+	for id, set := range tree.Leaves() {
 		if cap(set) != len(set) {
 			t.Fatalf("leaf %d: cap %d > len %d exposes the next leaf's window", id, cap(set), len(set))
 		}

@@ -12,7 +12,8 @@ import (
 )
 
 // seqBuild is the original sequential append-order construction, kept as
-// the layout oracle for the offset-addressed parallel builder.
+// the layout oracle for the offset-addressed parallel builder. Its
+// permutation is its leaf sets back to back, in leaf order.
 func seqBuild(pts []geom.Vec3, topHeight int) *Tree {
 	if topHeight < 0 {
 		topHeight = 0
@@ -24,6 +25,7 @@ func seqBuild(pts []geom.Vec3, topHeight int) *Tree {
 		idx[i] = int32(i)
 	}
 	t.root = seqBuildRec(t, idx, 0)
+	t.orderCoordinates()
 	return t
 }
 
@@ -33,9 +35,9 @@ func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 	}
 	if depth >= t.height {
 		id := len(t.leaves)
-		set := make([]int32, len(idx))
-		copy(set, idx)
-		t.leaves = append(t.leaves, set)
+		lo := int32(len(t.perm))
+		t.perm = append(t.perm, idx...)
+		t.leaves = append(t.leaves, leafRun{lo, int32(len(t.perm))})
 		return encodeLeaf(id)
 	}
 	axis, ax := kdtree.SplitAxis(t.xs, t.ys, t.zs, idx)
@@ -91,7 +93,7 @@ func TestParallelBuildLayoutIdentical(t *testing.T) {
 			if len(got.leaves) != len(want.leaves) {
 				t.Fatalf("n=%d h=%d: %d leaves != %d", n, h, len(got.leaves), len(want.leaves))
 			}
-			if !reflect.DeepEqual(got.leaves, want.leaves) {
+			if !reflect.DeepEqual(got.Leaves(), want.Leaves()) {
 				t.Fatalf("n=%d h=%d: leaf sets differ", n, h)
 			}
 		}

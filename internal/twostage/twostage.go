@@ -24,6 +24,21 @@
 // walk as the bursts of top-tree nodes and the leaf scans the accelerator
 // would execute (Visit). That log is all internal/sim reads: the model
 // times the walk the software performed, it does not perform one.
+//
+// A leaf set is stored as a run: the build's final index permutation is
+// kept, the coordinates are copied once into the same order, and leaf j is
+// a window [lo, hi) of those four arrays. A leaf visit, exact or under a
+// session, is therefore one pass over contiguous memory by one of two
+// kernels (scanRadius, scanNearest) with no call and no index gather per
+// point. The radius kernel has no data-dependent branch either: at a
+// ball's edge "inside or not" is a coin toss a predictor loses, so every
+// candidate is written at the end of the answer and the answer's length
+// advances by the comparison. This is the software shape of what the
+// paper's back-end does with a node set — stream it past the query — and
+// it is why the two-stage tree, built to expose parallelism to hardware,
+// is also the faster index on a CPU and the pipeline's default backend
+// (internal/search; the canonical tree of internal/kdtree is the
+// reference, selected by name).
 package twostage
 
 import (
@@ -73,13 +88,23 @@ type Tree struct {
 	slab       *cloud.Slab
 	xs, ys, zs []float32
 	nodes      []Node
-	leaves     [][]int32
+	// perm is the index permutation the build arranged; leaf set j is its
+	// window leaves[j], and lx, ly, lz hold the coordinates in the same
+	// order (lx[k] is xs[perm[k]]), so a leaf scan reads four contiguous
+	// runs instead of gathering through the indices.
+	perm       []int32
+	lx, ly, lz []float32
+	leaves     []leafRun
 	root       Child
 	height     int
 }
 
-// dist2 is the scan kernel: squared float64 distance from q to point i,
-// streamed from the per-axis slabs.
+// leafRun is one leaf set: positions [lo, hi) of the leaf-ordered arrays.
+type leafRun struct{ lo, hi int32 }
+
+// dist2 is the squared float64 distance from q to point i, gathered from
+// the per-axis slabs: top-tree nodes and a follower's cached results are
+// reached by index. Leaf sets are streamed (scanRadius, scanNearest).
 func (t *Tree) dist2(q geom.Vec3, i int32) float64 {
 	dx := q.X - float64(t.xs[i])
 	dy := q.Y - float64(t.ys[i])
@@ -125,21 +150,34 @@ func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 		t.nodes = make([]Node, nNodes)
 	}
 	if nLeaves > 0 {
-		t.leaves = make([][]int32, nLeaves)
+		t.leaves = make([]leafRun, nLeaves)
 	}
 	// The index permutation the build rearranges ends up owned by the
 	// tree: every leaf set is a window of it.
-	idx := make([]int32, s.Len())
-	for i := range idx {
-		idx[i] = int32(i)
+	t.perm = make([]int32, s.Len())
+	for i := range t.perm {
+		t.perm[i] = int32(i)
 	}
 	if topHeight == 0 {
 		t.root = encodeLeaf(0)
 	} else {
 		t.root = Child(0)
 	}
-	t.buildAt(idx, 0, 0, 0, sizes, kdtree.BuildSpawnDepth(workers))
+	t.buildAt(t.perm, 0, 0, 0, 0, sizes, kdtree.BuildSpawnDepth(workers))
+	t.orderCoordinates()
 	return t
+}
+
+// orderCoordinates fills the leaf-ordered coordinate block from the final
+// permutation: one allocation, three runs of it. (The slots of top-tree
+// node points are filled too and never read.)
+func (t *Tree) orderCoordinates() {
+	n := len(t.perm)
+	block := make([]float32, 3*n)
+	t.lx, t.ly, t.lz = block[:n:n], block[n:2*n:2*n], block[2*n:]
+	for k, pi := range t.perm {
+		t.lx[k], t.ly[k], t.lz[k] = t.xs[pi], t.ys[pi], t.zs[pi]
+	}
 }
 
 // sizeKey memoizes subtreeSize on (points, remaining height).
@@ -173,14 +211,15 @@ func subtreeSize(n, h int, memo map[sizeKey][2]int32) (nodes, leaves int32) {
 // threshold (the spawn depth itself is kdtree.BuildSpawnDepth).
 const buildSpawnMin = 4096
 
-// buildAt constructs the subtree over idx (non-empty) at depth, writing
-// the top-tree nodes into the preorder slot range starting at nodeAt and
-// the leaf sets into consecutive slots starting at leafAt.
-func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[sizeKey][2]int32, spawn int) {
+// buildAt constructs the subtree over idx (non-empty; the window of the
+// permutation starting at position at) at depth, writing the top-tree
+// nodes into the preorder slot range starting at nodeAt and the leaf sets
+// into consecutive slots starting at leafAt.
+func (t *Tree) buildAt(idx []int32, at int32, depth int, nodeAt, leafAt int32, sizes map[sizeKey][2]int32, spawn int) {
 	if depth >= t.height {
 		// The window is final: nothing rearranges it once its parent has
 		// split, and sibling windows are disjoint.
-		t.leaves[leafAt] = idx[:len(idx):len(idx)]
+		t.leaves[leafAt] = leafRun{at, at + int32(len(idx))}
 		return
 	}
 	// The canonical tree's split-axis policy, so that the top-tree is
@@ -225,23 +264,24 @@ func (t *Tree) buildAt(idx []int32, depth int, nodeAt, leafAt int32, sizes map[s
 	}
 	t.nodes[nodeAt] = nd
 	left, right := idx[:mid], idx[mid+1:]
+	rightAt := at + int32(mid) + 1
 	if spawn > 0 && len(idx) >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer par.Release()
-			t.buildAt(left, depth+1, nodeAt+1, leafAt, sizes, spawn-1)
+			t.buildAt(left, at, depth+1, nodeAt+1, leafAt, sizes, spawn-1)
 		}()
-		t.buildAt(right, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn-1)
+		t.buildAt(right, rightAt, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn-1)
 		wg.Wait()
 		return
 	}
 	if nd.Left != ChildNone {
-		t.buildAt(left, depth+1, nodeAt+1, leafAt, sizes, spawn)
+		t.buildAt(left, at, depth+1, nodeAt+1, leafAt, sizes, spawn)
 	}
 	if nd.Right != ChildNone {
-		t.buildAt(right, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn)
+		t.buildAt(right, rightAt, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn)
 	}
 }
 
@@ -281,17 +321,26 @@ func (t *Tree) Slab() *cloud.Slab { return t.slab }
 // O(n) copy for diagnostics and tools; hot paths use Slab.
 func (t *Tree) Points() []geom.Vec3 { return t.slab.Points() }
 
-// Leaves exposes the unordered leaf sets (read-only by convention).
-func (t *Tree) Leaves() [][]int32 { return t.leaves }
+// NumLeaves returns the number of leaf sets.
+func (t *Tree) NumLeaves() int { return len(t.leaves) }
+
+// Leaves materializes the unordered leaf sets as point indices in scan
+// order, each a window of the tree's permutation (read-only by
+// convention) — for diagnostics and tests; searches stream the runs.
+func (t *Tree) Leaves() [][]int32 {
+	sets := make([][]int32, len(t.leaves))
+	for j, l := range t.leaves {
+		sets[j] = t.perm[l.lo:l.hi:l.hi]
+	}
+	return sets
+}
 
 // MaxLeafSize returns the size of the largest leaf set (the paper's
 // "leaf-set size" knob reported in Fig. 6).
 func (t *Tree) MaxLeafSize() int {
 	m := 0
 	for _, l := range t.leaves {
-		if len(l) > m {
-			m = len(l)
-		}
+		m = max(m, int(l.hi-l.lo))
 	}
 	return m
 }
@@ -353,14 +402,12 @@ func (t *Tree) nearest(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *Stats
 			s.nearestLeaf(c.LeafID(), q, best, stats)
 			return
 		}
-		set := t.leaves[c.LeafID()]
+		l := t.leaves[c.LeafID()]
 		if stats != nil {
-			stats.LeafPointsViewed += int64(len(set))
+			stats.LeafPointsViewed += int64(l.hi - l.lo)
 		}
-		for _, pi := range set {
-			if d2 := t.dist2(q, pi); d2 < best.Dist2 {
-				*best = kdtree.Neighbor{Index: int(pi), Dist2: d2}
-			}
+		if at, d2, _ := t.scanNearest(l, q, best.Dist2); at >= 0 {
+			*best = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
 		}
 	default:
 		n := &t.nodes[c]
@@ -428,11 +475,11 @@ func (t *Tree) radius(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, 
 			s.radiusLeaf(c.LeafID(), q, r2, res, stats)
 			return
 		}
-		set := t.leaves[c.LeafID()]
+		l := t.leaves[c.LeafID()]
 		if stats != nil {
-			stats.LeafPointsViewed += int64(len(set))
+			stats.LeafPointsViewed += int64(l.hi - l.lo)
 		}
-		*res = t.scanRadius(set, q, r2, *res)
+		*res = t.scanRadius(l, q, r2, *res)
 	default:
 		n := &t.nodes[c]
 		if stats != nil {
@@ -468,13 +515,64 @@ func (t *Tree) radius(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, 
 	}
 }
 
+// coordinates returns leaf set l's coordinate runs, equally long.
+func (t *Tree) coordinates(l leafRun) (xs, ys, zs []float32) {
+	xs = t.lx[l.lo:l.hi]
+	return xs, t.ly[l.lo:l.hi][:len(xs)], t.lz[l.lo:l.hi][:len(xs)]
+}
+
 // scanRadius is the exhaustive scan of one leaf set: it appends to res, in
-// the set's stored order, every point within r2 of q.
-func (t *Tree) scanRadius(set []int32, q geom.Vec3, r2 float64, res []kdtree.Neighbor) []kdtree.Neighbor {
-	for _, pi := range set {
-		if d2 := t.dist2(q, pi); d2 <= r2 {
-			res = append(res, kdtree.Neighbor{Index: int(pi), Dist2: d2})
+// the set's stored order, every point within r2 of q. The set is read as
+// four contiguous runs, and whether a point is inside — which no predictor
+// can learn at a ball's edge — is not a branch: every candidate is written
+// at the end of res and the length advances by the comparison. Room for the
+// whole set is therefore reserved up front (the batch arenas' tail has it;
+// otherwise res moves to a larger array), and nothing is ever written
+// beyond that, so cap(res) bounds what a scan may touch.
+func (t *Tree) scanRadius(l leafRun, q geom.Vec3, r2 float64, res []kdtree.Neighbor) []kdtree.Neighbor {
+	n, m := len(res), int(l.hi-l.lo)
+	if cap(res)-n < m {
+		grown := make([]kdtree.Neighbor, n, max(2*cap(res), n+m))
+		copy(grown, res)
+		res = grown
+	}
+	out := res[n : n+m]
+	xs, ys, zs := t.coordinates(l)
+	idx := t.perm[l.lo:l.hi][:len(xs)]
+	k := 0
+	for i, x := range xs {
+		dx := q.X - float64(x)
+		dy := q.Y - float64(ys[i])
+		dz := q.Z - float64(zs[i])
+		d2 := dx*dx + dy*dy + dz*dz
+		out[k] = kdtree.Neighbor{Index: int(idx[i]), Dist2: d2}
+		if d2 <= r2 {
+			k++
 		}
 	}
-	return res
+	return res[:n+k]
+}
+
+// scanNearest is the exhaustive NN scan of one leaf set: the position in
+// the permutation of the point nearest q among those strictly nearer than
+// bound (the first such in stored order; -1 when there is none), its
+// squared distance, and how many times the running best improved on the
+// way — the result writes the accelerator would have made. Best distance
+// and position stay in registers; the caller stores the answer once.
+func (t *Tree) scanNearest(l leafRun, q geom.Vec3, bound float64) (at int, d2 float64, writes int32) {
+	xs, ys, zs := t.coordinates(l)
+	at = -1
+	for i, x := range xs {
+		dx := q.X - float64(x)
+		dy := q.Y - float64(ys[i])
+		dz := q.Z - float64(zs[i])
+		if d := dx*dx + dy*dy + dz*dz; d < bound {
+			bound, at = d, i
+			writes++
+		}
+	}
+	if at >= 0 {
+		at += int(l.lo)
+	}
+	return at, bound, writes
 }

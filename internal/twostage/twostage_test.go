@@ -4,10 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 
+	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
+	"tigris/internal/synth"
 )
 
 func randPoints(r *rand.Rand, n int) []geom.Vec3 {
@@ -395,11 +399,36 @@ func BenchmarkTwoStageBuild(b *testing.B) {
 	}
 }
 
+// benchFrame is the micro-benchmarks' index and query stream: two
+// consecutive raw 32×600 synthetic LiDAR frames (≈ 18.6 k points, the
+// benchmark's full scale), the second queried against the first as ICP
+// and the on-demand normals do.
+var benchFrame = sync.OnceValues(func() (*cloud.Slab, []geom.Vec3) {
+	seq := synth.GenerateSequence(synth.EvalSequenceConfig(2, 2019))
+	return cloud.SlabFromPoints(seq.Frames[0].Points), seq.Frames[1].Points
+})
+
+// BenchmarkTwoStageRadius is one 0.5 m radius query (the normal
+// estimation radius; ≈ 33 neighbours) answered into a batch-arena-sized
+// buffer, at the leaf sizes the automatic target was chosen among.
+func BenchmarkTwoStageRadius(b *testing.B) {
+	slab, queries := benchFrame()
+	for _, leaf := range []int{16, 64, 128} {
+		b.Run("leaf"+strconv.Itoa(leaf), func(b *testing.B) {
+			tree := BuildWithLeafSizeSlab(slab, leaf)
+			buf := make([]kdtree.Neighbor, 0, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = tree.RadiusInto(queries[i%len(queries)], 0.5, buf, nil)
+			}
+		})
+	}
+}
+
+// BenchmarkTwoStageNearest is one NN query (ICP's correspondence search).
 func BenchmarkTwoStageNearest(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	pts := randPoints(r, 50000)
-	tree := BuildWithLeafSize(pts, 128)
-	queries := randPoints(r, 1024)
+	slab, queries := benchFrame()
+	tree := BuildWithLeafSizeSlab(slab, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.Nearest(queries[i%len(queries)], nil)
