@@ -85,32 +85,9 @@ func pointAt(idx []int, j int) int {
 	return j
 }
 
-// forPointBlocks is forBlocks for callers that already hold an AoS query
-// slice (sparse sets like the FPFH support points).
-func forPointBlocks(workers int, pts []geom.Vec3, batch func(block []geom.Vec3) [][]kdtree.Neighbor, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	for lo := 0; lo < len(pts); lo += batchBlockSize {
-		hi := lo + batchBlockSize
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		nbs := batch(pts[lo:hi])
-		par.For(hi-lo, workers, func(w, j int) {
-			fn(w, lo+j, nbs[j])
-		})
-		search.RecycleBatch(nbs)
-	}
-}
-
 // forRadiusBlocks is forBlocks for the common radius-search shape.
-func forRadiusBlocks(s search.Searcher, c *cloud.Slab, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	forBlocks(s.Parallelism(), c, nil, func(block []geom.Vec3) [][]kdtree.Neighbor {
-		return s.RadiusBatch(block, r)
-	}, fn)
-}
-
-// forRadiusPointBlocks is forPointBlocks for the radius-search shape.
-func forRadiusPointBlocks(s search.Searcher, pts []geom.Vec3, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	forPointBlocks(s.Parallelism(), pts, func(block []geom.Vec3) [][]kdtree.Neighbor {
+func forRadiusBlocks(s search.Searcher, c *cloud.Slab, idx []int, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
+	forBlocks(s.Parallelism(), c, idx, func(block []geom.Vec3) [][]kdtree.Neighbor {
 		return s.RadiusBatch(block, r)
 	}, fn)
 }

@@ -138,7 +138,6 @@ type spfhTable struct {
 	slot []int32   // per cloud point: its row, or spfhAbsent
 	data []float64 // rows × spfhDim
 	need []int     // the support points that are not key-points, ascending
-	pts  []geom.Vec3
 }
 
 const (
@@ -189,12 +188,11 @@ func computeSPFHTable(c *cloud.Slab, s search.Searcher, keypoints []int, kpNbs [
 			}
 		}
 	}
-	t.need, t.pts = t.need[:0], t.pts[:0]
+	t.need = t.need[:0]
 	for idx, sl := range t.slot {
 		if sl == spfhWanted {
 			t.slot[idx] = int32(len(keypoints) + len(t.need))
 			t.need = append(t.need, idx)
-			t.pts = append(t.pts, c.At(idx))
 		}
 	}
 	rows := (len(keypoints) + len(t.need)) * spfhDim
@@ -210,10 +208,11 @@ func computeSPFHTable(c *cloud.Slab, s search.Searcher, keypoints []int, kpNbs [
 	// dense, so stream it in bounded blocks like the full-cloud stages:
 	// only the SPFH rows persist, each block's neighbor lists are
 	// released after its sweep.
-	need := t.need
-	forRadiusPointBlocks(s, t.pts, radius, func(_, i int, nbs []kdtree.Neighbor) {
-		spfh(t.row(need[i]), c, need[i], nbs)
-	})
+	if len(t.need) > 0 { // a fresh table's empty list is nil, which names every point
+		forRadiusBlocks(s, c, t.need, radius, func(_, i int, nbs []kdtree.Neighbor) {
+			spfh(t.row(i), c, i, nbs)
+		})
+	}
 	return t
 }
 

@@ -103,7 +103,7 @@ func DetectKeypoints(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []int
 // alternative response functions (NOBLE, CURVATURE) for the same reason.
 func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float64 {
 	res := make([]float64, c.Len())
-	forRadiusBlocks(s, c, cfg.Radius, func(_, i int, nbs []kdtree.Neighbor) {
+	forRadiusBlocks(s, c, nil, cfg.Radius, func(_, i int, nbs []kdtree.Neighbor) {
 		if len(nbs) < 5 {
 			return
 		}
@@ -142,7 +142,7 @@ func siftResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float
 		scratch[w] = make([]float64, len(scales))
 	}
 	// One search at the largest scale serves every smaller scale.
-	forRadiusBlocks(s, c, scales[len(scales)-1], func(w, i int, nbs []kdtree.Neighbor) {
+	forRadiusBlocks(s, c, nil, scales[len(scales)-1], func(w, i int, nbs []kdtree.Neighbor) {
 		density := scratch[w]
 		for si, sigma := range scales {
 			var d float64

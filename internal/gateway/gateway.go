@@ -715,26 +715,13 @@ func (g *Gateway) handlePush(w http.ResponseWriter, r *http.Request, ses *gwSess
 	}
 	ses.mu.RLock()
 	defer ses.mu.RUnlock()
-	wk, prefixLen := ses.w, len(ses.prefix)
-	if !wk.healthy.Load() {
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
-		return
-	}
-	span := g.rec.Start("frames")
-	resp, err := g.doUpstream(wk, http.MethodPost, subPath(ses.remoteID, "frames", r.URL.RawQuery),
-		g.clientAuth(r), r.Header.Get("Content-Type"), ses.trace, r.Body)
-	span.End()
-	if err != nil {
-		g.markUnhealthy(wk, err)
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+	resp := g.sessionUpstream(w, r, ses, "frames", r.Body)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		g.forwardEvicted(w, resp, ses, wk)
-		return
-	}
-	if resp.StatusCode == http.StatusAccepted && prefixLen > 0 {
+	wk := ses.w
+	if prefixLen := len(ses.prefix); resp.StatusCode == http.StatusAccepted && prefixLen > 0 {
 		// Re-sharded session: worker-local frame indices shift by the
 		// carried-over prefix.
 		var out map[string]any
@@ -752,17 +739,46 @@ func (g *Gateway) handlePush(w http.ResponseWriter, r *http.Request, ses *gwSess
 	copyResponse(w, resp, wk)
 }
 
-// forwardEvicted relays a worker-side 404 — the session was evicted
-// (idle TTL) or otherwise lost on the worker — and drops the gateway
-// mapping, so the client sees a clean 404 now and on every later
-// request, never a silent re-route onto a fresh session.
-func (g *Gateway) forwardEvicted(w http.ResponseWriter, resp *http.Response, ses *gwSession, wk *worker) {
-	g.dropSession(ses)
-	if g.logger != nil {
-		g.logger.Warn("session gone on worker (evicted?); mapping dropped",
-			"session", ses.id, "worker", wk.url)
+// sessionUpstream makes a session-scoped route's one upstream call — the
+// client's own method and query on the session's sub-path what (also the
+// span's name), with its body and content type when there is one — to the
+// worker holding the session. The caller holds ses.mu for reading and
+// closes the response's body. A nil response has been answered already:
+// 502 when the worker is down or the call fails (which marks it
+// unhealthy), the worker's own 404 when the session is gone there.
+func (g *Gateway) sessionUpstream(w http.ResponseWriter, r *http.Request, ses *gwSession, what string, body io.Reader) *http.Response {
+	wk := ses.w
+	if !wk.healthy.Load() {
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
+		return nil
 	}
-	copyResponse(w, resp, wk)
+	contentType := ""
+	if body != nil {
+		contentType = r.Header.Get("Content-Type")
+	}
+	span := g.rec.Start(what)
+	resp, err := g.doUpstream(wk, r.Method, subPath(ses.remoteID, what, r.URL.RawQuery),
+		g.clientAuth(r), contentType, ses.trace, body)
+	span.End()
+	if err != nil {
+		g.markUnhealthy(wk, err)
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+		return nil
+	}
+	if resp.StatusCode == http.StatusNotFound {
+		// Evicted (idle TTL) or otherwise lost on the worker: drop the
+		// mapping too, so the client sees a clean 404 now and on every
+		// later request, never a silent re-route onto a fresh session.
+		g.dropSession(ses)
+		if g.logger != nil {
+			g.logger.Warn("session gone on worker (evicted?); mapping dropped",
+				"session", ses.id, "worker", wk.url)
+		}
+		copyResponse(w, resp, wk)
+		resp.Body.Close()
+		return nil
+	}
+	return resp
 }
 
 // handleTrajectory proxies a trajectory read, stitching the carried-over
@@ -771,25 +787,12 @@ func (g *Gateway) forwardEvicted(w http.ResponseWriter, resp *http.Response, ses
 func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *gwSession) {
 	ses.mu.RLock()
 	defer ses.mu.RUnlock()
-	wk := ses.w
-	if !wk.healthy.Load() {
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
-		return
-	}
-	span := g.rec.Start("trajectory")
-	resp, err := g.doUpstream(wk, http.MethodGet, subPath(ses.remoteID, "trajectory", r.URL.RawQuery),
-		g.clientAuth(r), "", ses.trace, nil)
-	span.End()
-	if err != nil {
-		g.markUnhealthy(wk, err)
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+	resp := g.sessionUpstream(w, r, ses, "trajectory", nil)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		g.forwardEvicted(w, resp, ses, wk)
-		return
-	}
+	wk := ses.w
 	if resp.StatusCode != http.StatusOK || len(ses.prefix) == 0 {
 		copyResponse(w, resp, wk)
 		return
@@ -822,25 +825,12 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSession) {
 	ses.mu.RLock()
 	defer ses.mu.RUnlock()
-	wk := ses.w
-	if !wk.healthy.Load() {
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
-		return
-	}
-	span := g.rec.Start("loops")
-	resp, err := g.doUpstream(wk, http.MethodGet, subPath(ses.remoteID, "loops", r.URL.RawQuery),
-		g.clientAuth(r), "", ses.trace, nil)
-	span.End()
-	if err != nil {
-		g.markUnhealthy(wk, err)
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+	resp := g.sessionUpstream(w, r, ses, "loops", nil)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		g.forwardEvicted(w, resp, ses, wk)
-		return
-	}
+	wk := ses.w
 	if resp.StatusCode != http.StatusOK || len(ses.prefix) == 0 {
 		copyResponse(w, resp, wk)
 		return
@@ -873,26 +863,12 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request, ses *gwSession) {
 	ses.mu.RLock()
 	defer ses.mu.RUnlock()
-	wk := ses.w
-	if !wk.healthy.Load() {
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s holding session %s is down", wk.url, ses.id)
-		return
-	}
-	span := g.rec.Start("stats")
-	resp, err := g.doUpstream(wk, http.MethodGet, subPath(ses.remoteID, "stats", r.URL.RawQuery),
-		g.clientAuth(r), "", ses.trace, nil)
-	span.End()
-	if err != nil {
-		g.markUnhealthy(wk, err)
-		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v", wk.url, err)
+	resp := g.sessionUpstream(w, r, ses, "stats", nil)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		g.forwardEvicted(w, resp, ses, wk)
-		return
-	}
-	copyResponse(w, resp, wk)
+	copyResponse(w, resp, ses.w)
 }
 
 func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, ses *gwSession) {

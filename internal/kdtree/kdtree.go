@@ -66,6 +66,10 @@ func (s *Stats) Merge(other Stats) {
 	s.Queries += other.Queries
 }
 
+// Totals returns the two counts every index reports alike: search calls,
+// and points whose distance to a query was computed.
+func (s *Stats) Totals() (queries, visited int64) { return s.Queries, s.NodesVisited }
+
 // node is one tree node. Children are indices into the flat node slice,
 // -1 when absent.
 type node struct {
@@ -288,13 +292,14 @@ func (t *Tree) height(n int32) int {
 }
 
 // Nearest returns the nearest neighbor to q, or ok=false for an empty
-// tree. stats may be nil.
+// tree. stats may be nil; every call of a search method is one query in
+// it, also one with nothing to visit (an empty tree, k <= 0, r < 0).
 func (t *Tree) Nearest(q geom.Vec3, stats *Stats) (Neighbor, bool) {
-	if t.root < 0 {
-		return Neighbor{}, false
-	}
 	if stats != nil {
 		stats.Queries++
+	}
+	if t.root < 0 {
+		return Neighbor{}, false
 	}
 	best := Neighbor{Index: -1, Dist2: 1e308}
 	t.nearest(t.root, q, &best, stats)
@@ -341,11 +346,11 @@ func (t *Tree) KNearest(q geom.Vec3, k int, stats *Stats) []Neighbor {
 // ascending order, so the returned slice (possibly a regrown replacement
 // for buf) carries results identical to KNearest.
 func (t *Tree) KNearestInto(q geom.Vec3, k int, buf []Neighbor, stats *Stats) []Neighbor {
-	if t.root < 0 || k <= 0 {
-		return nil
-	}
 	if stats != nil {
 		stats.Queries++
+	}
+	if t.root < 0 || k <= 0 {
+		return nil
 	}
 	h := maxHeap(buf[:0])
 	if cap(h) < k && k <= len(t.xs) {
@@ -395,11 +400,11 @@ func (t *Tree) Radius(q geom.Vec3, r float64, stats *Stats) []Neighbor {
 // identical to Radius. All of buf's capacity is the call's to write:
 // what the answer leaves spare is the sort's scratch (SortNeighbors).
 func (t *Tree) RadiusInto(q geom.Vec3, r float64, buf []Neighbor, stats *Stats) []Neighbor {
-	if t.root < 0 || r < 0 {
-		return nil
-	}
 	if stats != nil {
 		stats.Queries++
+	}
+	if t.root < 0 || r < 0 {
+		return nil
 	}
 	res := buf[:0]
 	t.radius(t.root, q, r*r, &res, stats)

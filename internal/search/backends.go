@@ -113,22 +113,9 @@ func newTraceBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 	if !present || !ok || sink == nil {
 		return nil, fmt.Errorf("trace backend requires a *search.TraceLog under option %q", OptTraceSink)
 	}
-	maxBatches, err := opts.Int(OptTraceMaxBatches, 0)
-	if err != nil {
-		return nil, err
-	}
-	if maxBatches < 0 {
-		return nil, fmt.Errorf("option %q: want >= 0, got %d", OptTraceMaxBatches, maxBatches)
-	}
-	// Apply whenever the option is present: an explicit 0 clears a cap a
-	// previous capture set on a reused sink.
-	if _, present := opts[OptTraceMaxBatches]; present {
-		sink.SetMaxBatchesPerKind(maxBatches)
-	}
 	rest := opts.Clone()
 	delete(rest, OptTraceInner)
 	delete(rest, OptTraceSink)
-	delete(rest, OptTraceMaxBatches)
 	is, err := NewByNameSlab(inner, slab, rest)
 	if err != nil {
 		return nil, err

@@ -6,23 +6,17 @@ import (
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
 	"tigris/internal/par"
-	"tigris/internal/twostage"
 )
 
 // This file implements the batch side of the Searcher interface once, as a
-// thin layer over internal/par: every backend runs its per-query kernel on
-// a worker pool, with one stats shard per worker merged after the batch.
-// Because each query is independent and results are written positionally,
-// the exact backends return bit-identical output to the sequential
-// methods for any worker count.
-
-// ApproxBatchChunk is the number of consecutive batch queries served by
-// one leader/follower session when the approximate backend answers a
-// batch. Chunk boundaries depend only on the batch, never on the worker
-// count, so approximate batch results are invariant under Parallelism.
-// The chunk bounds how much leader state a worker accumulates, mirroring
-// the accelerator's small per-stage Leader Buffers (§5.3).
-const ApproxBatchChunk = 256
+// thin layer over internal/par: searcher (search.go) runs its index's
+// per-query kernel on a worker pool, with one stats shard per worker
+// merged after the batch, and the canonical, two-stage and brute-force
+// searchers are that one implementation over three indexes. Because each
+// query is independent and results are written positionally, the exact
+// backends return bit-identical output to the sequential methods for any
+// worker count. The approximate leader/follower batches, whose unit of
+// work is a chunk with a session and not a query, are in approx.go.
 
 // missNeighbor marks a NearestBatch entry with no result (empty tree).
 func missNeighbor() kdtree.Neighbor { return kdtree.Neighbor{Index: -1} }
@@ -168,17 +162,6 @@ func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighb
 	return res[:len(res):len(res)]
 }
 
-// fillParallel answers a batch's queries on up to one worker per arena:
-// answer(shard, i, buf) is query i answered into buf and counted into
-// the worker's stats shard, merge folds each shard into the searcher
-// after the batch. Single-arena batches are answered by their searcher
-// in a plain loop instead, which needs neither shards nor closures.
-func fillParallel[St any](out, arenas [][]kdtree.Neighbor, answer func(shard *St, i int, buf []kdtree.Neighbor) []kdtree.Neighbor, merge func(*St)) {
-	par.Sharded(len(out), len(arenas), func(shard *St, w, i int) {
-		out[i] = fileResult(&arenas[w], answer(shard, i, arenaTail(arenas[w])))
-	}, merge)
-}
-
 // nearestInto is the optional fast-path capability behind BatchNearestInto.
 type nearestInto interface {
 	NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []kdtree.Neighbor
@@ -207,47 +190,46 @@ func growNeighbors(buf []kdtree.Neighbor, n int) []kdtree.Neighbor {
 	return buf[:n]
 }
 
-// --- KDSearcher ---------------------------------------------------------
-
 // NearestBatch implements Searcher.
-func (s *KDSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
+func (s *searcher[I, St, P]) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
 	return s.NearestBatchInto(qs, nil)
 }
 
 // NearestBatchInto is NearestBatch answering into buf (see
 // BatchNearestInto for the contract).
-func (s *KDSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []kdtree.Neighbor {
+func (s *searcher[I, St, P]) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []kdtree.Neighbor {
 	start := time.Now()
 	out := growNeighbors(buf, len(qs))
 	par.Sharded(len(qs), s.parallelism,
-		func(shard *kdtree.Stats, _, i int) {
-			nb, ok := s.tree.Nearest(qs[i], shard)
+		func(shard *St, _, i int) {
+			nb, ok := s.index.Nearest(qs[i], shard)
 			if !ok {
 				nb = missNeighbor()
 			}
 			out[i] = nb
 		},
-		func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+		s.merge)
 	s.record(start)
 	return out
 }
 
-// KNearestBatch implements Searcher. The result is a pooled batch (each
-// answer's arena window doubles as the query's candidate heap);
-// consumers that drain it may return it with RecycleBatch.
-func (s *KDSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
+// KNearestBatch implements Searcher. The result is a pooled batch (on the
+// canonical tree and the linear scan each answer's arena window doubles
+// as the query's candidate heap); consumers that drain it may return it
+// with RecycleBatch. A one-arena batch is answered in a plain loop, which
+// needs neither shards nor a closure: it allocates nothing; wider ones
+// answer on up to one worker per arena, each counting into its own shard.
+func (s *searcher[I, St, P]) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
 	if len(arenas) == 1 {
 		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.tree.KNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
+			out[i] = fileResult(&arenas[0], s.index.KNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
 		}
 	} else {
-		fillParallel(out, arenas,
-			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
-				return s.tree.KNearestInto(qs[i], k, buf, shard)
-			},
-			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+		par.Sharded(len(qs), len(arenas), func(shard *St, w, i int) {
+			out[i] = fileResult(&arenas[w], s.index.KNearestInto(qs[i], k, arenaTail(arenas[w]), shard))
+		}, s.merge)
 	}
 	s.record(start)
 	return out
@@ -255,140 +237,18 @@ func (s *KDSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 
 // RadiusBatch implements Searcher. The result is a pooled batch;
 // consumers that drain it may return it with RecycleBatch.
-func (s *KDSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
+func (s *searcher[I, St, P]) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
 	if len(arenas) == 1 {
 		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.tree.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
+			out[i] = fileResult(&arenas[0], s.index.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
 		}
 	} else {
-		fillParallel(out, arenas,
-			func(shard *kdtree.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
-				return s.tree.RadiusInto(qs[i], r, buf, shard)
-			},
-			func(shard *kdtree.Stats) { s.stats.Merge(*shard) })
+		par.Sharded(len(qs), len(arenas), func(shard *St, w, i int) {
+			out[i] = fileResult(&arenas[w], s.index.RadiusInto(qs[i], r, arenaTail(arenas[w]), shard))
+		}, s.merge)
 	}
 	s.record(start)
 	return out
-}
-
-// --- TwoStageSearcher ---------------------------------------------------
-
-// NearestBatch implements Searcher. With approximation enabled the batch
-// is served chunk-by-chunk with a fresh per-worker leader/follower session
-// per chunk (the paper's "one session per stage invocation" model), which
-// makes the result a deterministic function of the batch alone.
-func (s *TwoStageSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
-	return s.NearestBatchInto(qs, nil)
-}
-
-// NearestBatchInto is NearestBatch answering into buf (see
-// BatchNearestInto for the contract).
-func (s *TwoStageSearcher) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neighbor) []kdtree.Neighbor {
-	start := time.Now()
-	out := growNeighbors(buf, len(qs))
-	if s.approx != nil {
-		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, _, i int) {
-			nb, ok := sess.Nearest(qs[i], shard)
-			if !ok {
-				nb = missNeighbor()
-			}
-			out[i] = nb
-		})
-	} else {
-		par.Sharded(len(qs), s.parallelism,
-			func(shard *twostage.Stats, _, i int) {
-				nb, ok := s.tree.Nearest(qs[i], shard)
-				if !ok {
-					nb = missNeighbor()
-				}
-				out[i] = nb
-			},
-			func(shard *twostage.Stats) { s.stats.Merge(*shard) })
-	}
-	s.record(start)
-	return out
-}
-
-// KNearestBatch implements Searcher. k-NN is always exact (see KNearest).
-func (s *TwoStageSearcher) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
-	start := time.Now()
-	out, arenas := takeBatch(len(qs), s.parallelism)
-	if len(arenas) == 1 {
-		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.kNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
-		}
-	} else {
-		fillParallel(out, arenas,
-			func(shard *twostage.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
-				return s.kNearestInto(qs[i], k, buf, shard)
-			},
-			func(shard *twostage.Stats) { s.stats.Merge(*shard) })
-	}
-	s.record(start)
-	return out
-}
-
-// RadiusBatch implements Searcher; see NearestBatch for the approximate
-// chunking semantics.
-func (s *TwoStageSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
-	start := time.Now()
-	out, arenas := takeBatch(len(qs), s.parallelism)
-	switch {
-	case s.approx != nil:
-		s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int) {
-			out[i] = fileResult(&arenas[w], sess.RadiusInto(qs[i], r, arenaTail(arenas[w]), shard))
-		})
-	case len(arenas) == 1:
-		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.tree.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
-		}
-	default:
-		fillParallel(out, arenas,
-			func(shard *twostage.Stats, i int, buf []kdtree.Neighbor) []kdtree.Neighbor {
-				return s.tree.RadiusInto(qs[i], r, buf, shard)
-			},
-			func(shard *twostage.Stats) { s.stats.Merge(*shard) })
-	}
-	s.record(start)
-	return out
-}
-
-// approxWorker is what one worker of an approximate batch owns for the
-// life of the searcher: its leader/follower session, and the stats shard
-// of the chunks it happens to execute in the batch at hand, a cache line
-// clear of the next worker's (shards are counted into per visited node).
-type approxWorker struct {
-	sess  *twostage.ApproxSession
-	stats twostage.Stats
-	_     par.LinePad
-}
-
-// approxChunked runs one approximate query kernel over fixed-size chunks
-// of the batch. Every chunk starts from empty leader state — each worker
-// keeps one session and Resets it between chunks instead of allocating
-// O(leaves) of fresh buffers per chunk — so leader state never crosses
-// chunk (or worker) boundaries and results are independent of which
-// worker executes which chunk. run receives the worker id beside the
-// query index so batches can answer into per-worker arenas.
-func (s *TwoStageSearcher) approxChunked(n int, run func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int)) {
-	for len(s.approxWorkers) < s.parallelism {
-		s.approxWorkers = append(s.approxWorkers, approxWorker{})
-	}
-	par.ForChunks(n, s.parallelism, ApproxBatchChunk, func(w, lo, hi int) {
-		aw := &s.approxWorkers[w]
-		if aw.sess == nil {
-			aw.sess = s.tree.NewApproxSession(*s.approx)
-		} else {
-			aw.sess.Reset()
-		}
-		for i := lo; i < hi; i++ {
-			run(aw.sess, &aw.stats, w, i)
-		}
-	})
-	for w := range s.approxWorkers {
-		s.stats.Merge(s.approxWorkers[w].stats)
-		s.approxWorkers[w].stats = twostage.Stats{}
-	}
 }

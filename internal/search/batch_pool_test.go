@@ -187,7 +187,7 @@ func TestTwoStageScanLeavesFiledAnswersAlone(t *testing.T) {
 		arena := make([]kdtree.Neighbor, 0, capacity)
 		filed := make([][]kdtree.Neighbor, len(queries))
 		for i, q := range queries {
-			filed[i] = fileResult(&arena, s.tree.RadiusInto(q, radius, arenaTail(arena), nil))
+			filed[i] = fileResult(&arena, s.index.RadiusInto(q, radius, arenaTail(arena), nil))
 		}
 		answered := 0
 		for i, q := range queries {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -12,32 +13,54 @@ import (
 	"tigris/internal/twostage"
 )
 
+// The optional NearestBatchInto fast path is reached by a type assertion
+// (BatchNearestInto), and the exported searchers get it, like the rest of
+// their methods, promoted from the one implementation they embed: a
+// method that dropped out of a method set would compile, and ICP would
+// fall back to the allocating path unnoticed.
+var (
+	_ nearestInto = (*KDSearcher)(nil)
+	_ nearestInto = (*TwoStageSearcher)(nil)
+	_ nearestInto = (*BruteSearcher)(nil)
+	_ nearestInto = (*TraceSearcher)(nil)
+	_ Searcher    = (*KDSearcher)(nil)
+	_ Searcher    = (*TwoStageSearcher)(nil)
+	_ Searcher    = (*BruteSearcher)(nil)
+	_ Searcher    = (*TraceSearcher)(nil)
+)
+
 // backendCase builds a fresh searcher over pts; fresh instances per call
 // keep per-instance metrics and approximate leader state independent.
 type backendCase struct {
 	name  string
 	exact bool // batch must be bit-identical to per-query calls
-	build func(pts []geom.Vec3) Searcher
+	// direct: the answers are the index's own, so every direct exact
+	// backend must give the same ones and count the same queries.
+	direct bool
+	build  func(pts []geom.Vec3) Searcher
 }
 
 func backendCases() []backendCase {
 	return []backendCase{
-		{"canonical", true, func(pts []geom.Vec3) Searcher {
+		{"canonical", true, true, func(pts []geom.Vec3) Searcher {
 			return NewKDSearcher(pts)
 		}},
-		{"twostage-exact", true, func(pts []geom.Vec3) Searcher {
+		{"twostage-exact", true, true, func(pts []geom.Vec3) Searcher {
 			return NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: 5})
 		}},
-		{"twostage-approx", false, func(pts []geom.Vec3) Searcher {
+		{"bruteforce", true, true, func(pts []geom.Vec3) Searcher {
+			return NewBruteSearcher(pts)
+		}},
+		{"twostage-approx", false, true, func(pts []geom.Vec3) Searcher {
 			return NewTwoStageSearcher(pts, TwoStageConfig{
 				TopHeight: 5,
 				Approx:    &twostage.ApproxOptions{Threshold: 1.2, RadiusThresholdFrac: 0.4},
 			})
 		}},
-		{"kthnn-inject", true, func(pts []geom.Vec3) Searcher {
+		{"kthnn-inject", true, false, func(pts []geom.Vec3) Searcher {
 			return &KthNNSearcher{Searcher: NewKDSearcher(pts), K: 3}
 		}},
-		{"shell-inject", true, func(pts []geom.Vec3) Searcher {
+		{"shell-inject", true, false, func(pts []geom.Vec3) Searcher {
 			return &ShellSearcher{Searcher: NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: 4}), R1: 0.5, R2: 2.5}
 		}},
 	}
@@ -61,50 +84,88 @@ func sameNeighbors(a, b []kdtree.Neighbor) bool {
 
 // TestBatchMatchesSequential is the core equivalence table: for every
 // exact backend and every parallelism, the batch methods must return
-// bit-identical results to per-query calls on a fresh instance.
+// bit-identical results to per-query calls on a fresh instance — and the
+// direct ones (a tree or the scan, nothing injected) the same answers and
+// the same query count as each other, also where there is nothing to
+// find: an empty ball (r < 0 is not |r|), k = 0, k past the cloud, and an
+// index over no points, where a call is still a query that visits nothing.
 func TestBatchMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	pts := randPoints(r, 1500)
 	qs := randPoints(r, 400)
-	const radius, k = 2.0, 6
-
-	for _, bc := range backendCases() {
-		if !bc.exact {
-			continue
-		}
-		// Sequential reference on its own instance.
-		ref := bc.build(pts)
-		wantNN := make([]kdtree.Neighbor, len(qs))
-		wantKNN := make([][]kdtree.Neighbor, len(qs))
-		wantRad := make([][]kdtree.Neighbor, len(qs))
-		for i, q := range qs {
-			nb, ok := ref.Nearest(q)
-			if !ok {
-				nb = kdtree.Neighbor{Index: -1}
+	type answers struct {
+		nn       []kdtree.Neighbor
+		knn, rad [][]kdtree.Neighbor
+		queries  int64
+	}
+	for _, tc := range []struct {
+		name   string
+		pts    []geom.Vec3
+		radius float64
+		k      int
+	}{
+		{"ordinary", randPoints(r, 1500), 2.0, 6},
+		{"r=-1 k=0", randPoints(r, 500), -1, 0},
+		{"k>n", randPoints(r, 500), 2.0, 600},
+		{"empty index", nil, 2.0, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var direct *answers // the first direct backend's, which the others must repeat
+			for _, bc := range backendCases() {
+				if !bc.exact {
+					continue
+				}
+				// Sequential reference on its own instance.
+				ref := bc.build(tc.pts)
+				want := answers{
+					nn:  make([]kdtree.Neighbor, len(qs)),
+					knn: make([][]kdtree.Neighbor, len(qs)),
+					rad: make([][]kdtree.Neighbor, len(qs)),
+				}
+				for i, q := range qs {
+					nb, ok := ref.Nearest(q)
+					if !ok {
+						nb = kdtree.Neighbor{Index: -1}
+					}
+					want.nn[i] = nb
+					want.knn[i] = ref.KNearest(q, tc.k)
+					want.rad[i] = ref.Radius(q, tc.radius)
+				}
+				want.queries = ref.Metrics().Queries
+				check := func(who string, got answers) {
+					t.Helper()
+					for i := range qs {
+						if !sameNeighbor(got.nn[i], want.nn[i]) {
+							t.Fatalf("%s: Nearest[%d] = %+v, %s has %+v", who, i, got.nn[i], bc.name, want.nn[i])
+						}
+						if !sameNeighbors(got.knn[i], want.knn[i]) {
+							t.Fatalf("%s: KNearest[%d] has %d neighbours, %s has %d", who, i, len(got.knn[i]), bc.name, len(want.knn[i]))
+						}
+						if !sameNeighbors(got.rad[i], want.rad[i]) {
+							t.Fatalf("%s: Radius[%d] has %d neighbours, %s has %d", who, i, len(got.rad[i]), bc.name, len(want.rad[i]))
+						}
+					}
+					if bc.direct && got.queries != want.queries {
+						t.Fatalf("%s counted %d queries, %s %d", who, got.queries, bc.name, want.queries)
+					}
+				}
+				if bc.direct {
+					if direct == nil {
+						direct = &want
+						if want.queries != int64(3*len(qs)) {
+							t.Fatalf("%s counted %d queries for %d calls", bc.name, want.queries, 3*len(qs))
+						}
+					}
+					check("the first direct backend", *direct)
+				}
+				for _, parallelism := range []int{1, 2, 8} {
+					s := bc.build(tc.pts)
+					s.SetParallelism(parallelism)
+					got := answers{nn: s.NearestBatch(qs), knn: s.KNearestBatch(qs, tc.k), rad: s.RadiusBatch(qs, tc.radius)}
+					got.queries = s.Metrics().Queries
+					check(fmt.Sprintf("batches at parallelism %d", parallelism), got)
+				}
 			}
-			wantNN[i] = nb
-			wantKNN[i] = ref.KNearest(q, k)
-			wantRad[i] = ref.Radius(q, radius)
-		}
-		for _, parallelism := range []int{1, 2, 8} {
-			s := bc.build(pts)
-			s.SetParallelism(parallelism)
-			gotNN := s.NearestBatch(qs)
-			gotKNN := s.KNearestBatch(qs, k)
-			gotRad := s.RadiusBatch(qs, radius)
-			for i := range qs {
-				if !sameNeighbor(gotNN[i], wantNN[i]) {
-					t.Fatalf("%s/p%d: NearestBatch[%d] = %+v, want %+v",
-						bc.name, parallelism, i, gotNN[i], wantNN[i])
-				}
-				if !sameNeighbors(gotKNN[i], wantKNN[i]) {
-					t.Fatalf("%s/p%d: KNearestBatch[%d] mismatch", bc.name, parallelism, i)
-				}
-				if !sameNeighbors(gotRad[i], wantRad[i]) {
-					t.Fatalf("%s/p%d: RadiusBatch[%d] mismatch", bc.name, parallelism, i)
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -119,10 +180,7 @@ func TestRadiusBatchOrderIndependentOfTheSort(t *testing.T) {
 	r := rand.New(rand.NewSource(26))
 	pts := randPoints(r, 1500)
 	far := geom.Vec3{X: 1e200, Y: 1e200, Z: -1e200}
-	cases := append(backendCases()[:3:3], backendCase{"bruteforce", true, func(pts []geom.Vec3) Searcher {
-		return NewBruteSearcher(pts)
-	}})
-	for _, bc := range cases {
+	for _, bc := range backendCases()[:4] {
 		for _, parallelism := range []int{1, 2} {
 			s := bc.build(pts)
 			s.SetParallelism(parallelism)
@@ -175,7 +233,7 @@ func TestApproxBatchDeterministic(t *testing.T) {
 	const radius = 1.5
 
 	// Serial reference: one fresh session per ApproxBatchChunk queries,
-	// exactly the contract batch.go documents.
+	// exactly the contract approx.go documents.
 	refTree := build().Tree()
 	wantNN := make([]kdtree.Neighbor, len(qs))
 	wantRad := make([][]kdtree.Neighbor, len(qs))
@@ -239,7 +297,7 @@ func TestBatchMetricsMerge(t *testing.T) {
 		// The error-injection wrappers issue a different number of inner
 		// queries per Nearest (KNearest under the hood); only compare
 		// query counts on the direct backends.
-		if bc.exact && bc.name != "kthnn-inject" && bc.name != "shell-inject" {
+		if bc.exact && bc.direct {
 			if m.Queries != refM.Queries {
 				t.Errorf("%s: batch queries %d, sequential %d", bc.name, m.Queries, refM.Queries)
 			}
@@ -269,6 +327,11 @@ func TestBatchEmptyAndTiny(t *testing.T) {
 		}
 		if got := s.RadiusBatch([]geom.Vec3{{}}, 1); len(got) != 1 {
 			t.Errorf("%s: single-query batch size %d", bc.name, len(got))
+		}
+		// A negative radius is an empty ball on every index, the
+		// approximate session's included.
+		if bc.direct && len(s.Radius(pts[0], -1))+len(s.RadiusBatch(pts[:1], -1)[0]) != 0 {
+			t.Errorf("%s: a point within r = -1 of a query", bc.name)
 		}
 	}
 	// Empty tree: every NearestBatch entry is a miss.

@@ -63,10 +63,6 @@ const (
 	OptTraceInner = "inner"
 	// OptTraceSink (*TraceLog) is the log the trace backend records into.
 	OptTraceSink = "sink"
-	// OptTraceMaxBatches (int) caps how many batches of each query kind
-	// the trace sink retains (rotation keeps the newest; 0 = unbounded).
-	// This bounds a long session's capture memory.
-	OptTraceMaxBatches = "max_batches"
 )
 
 // Options is the generic backend option bag. Values travel untyped so

@@ -121,6 +121,9 @@ func TestBackendOptionErrors(t *testing.T) {
 		{BackendTrace, Options{}, "requires a *search.TraceLog"},
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: BackendTrace}, "cannot wrap itself"},
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: "nope"}, "unknown backend"},
+		// The decorator consumes inner and sink only; a retired key of its
+		// own is the inner backend's unknown key.
+		{BackendTrace, Options{OptTraceSink: &TraceLog{}, "max_batches": 2}, "unknown option max_batches"},
 	}
 	for _, tc := range cases {
 		_, err := NewByNameSlab(tc.name, cloud.NewSlab(0), tc.opts)

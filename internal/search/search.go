@@ -1,12 +1,17 @@
 // Package search defines the neighbor-search abstraction the registration
 // pipeline is written against, with interchangeable backends selected by
 // name through an open registry (registry.go: RegisterBackend /
-// Backends / NewByNameSlab):
+// Backends / NewByNameSlab). The paper's §4.1 puts the exact structures on
+// one axis — a two-stage tree of top height 0 is a linear scan, at full
+// height the canonical KD-tree — and so does this package: Searcher is
+// implemented once (searcher: sequential methods here, batches in
+// batch.go) over the index contract below, and the first three backends
+// are that implementation over three indexes; the last two decorate any:
 //
 //   - TwoStageSearcher ("twostage", "twostage-approx"): the paper's
 //     two-stage tree (§4), exact — the pipeline's default — or with the
-//     approximate leader/follower algorithm. Its leaf sets are contiguous
-//     coordinate runs scanned without a branch per point
+//     approximate leader/follower algorithm (approx.go). Its leaf sets are
+//     contiguous coordinate runs scanned without a branch per point
 //     (internal/twostage), which on a CPU beats a node per point; with no
 //     top height given, leaves hold about autoLeafSize points.
 //   - KDSearcher ("canonical"): the canonical KD-tree (§3), one point a
@@ -32,7 +37,7 @@
 // regardless of the Parallelism setting: each query is independent, each
 // worker records into its own stats shard, and shards are merged after the
 // batch. The approximate leader/follower backend processes batches in
-// fixed-size query chunks with a fresh per-chunk session (see batch.go),
+// fixed-size query chunks with a fresh per-chunk session (see approx.go),
 // so its results are a deterministic function of the batch alone,
 // invariant under Parallelism.
 //
@@ -47,7 +52,6 @@
 package search
 
 import (
-	"math"
 	"time"
 
 	"tigris/internal/cloud"
@@ -118,12 +122,97 @@ type Searcher interface {
 	Metrics() *Metrics
 }
 
-// KDSearcher wraps the canonical KD-tree.
-type KDSearcher struct {
-	tree        *kdtree.Tree
-	stats       kdtree.Stats
+// index is what a search structure gives the one Searcher implementation
+// below: the point store it indexes and its three per-query kernels, each
+// counting into the stats it is handed (a batch worker's shard, or the
+// searcher's own), the two *Into ones answering into buf reset to length
+// 0 and regrown as needed. *kdtree.Tree and *twostage.Tree satisfy it as
+// they are, scan is the linear one, and a new structure plugs in here: a
+// type with these four methods, a Stats that is a counters, and a
+// constructor that instantiates searcher over them.
+type index[St any] interface {
+	Slab() *cloud.Slab
+	Nearest(q geom.Vec3, stats *St) (kdtree.Neighbor, bool)
+	KNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *St) []kdtree.Neighbor
+	RadiusInto(q geom.Vec3, r float64, buf []kdtree.Neighbor, stats *St) []kdtree.Neighbor
+}
+
+// counters is the stats side of the contract: a pointer to the index's
+// counter block that can fold a worker's shard in and report the two
+// totals Metrics carries.
+type counters[St any] interface {
+	*St
+	Merge(St)
+	Totals() (queries, visited int64)
+}
+
+// searcher implements Searcher over an index, once: the sequential
+// methods here, the batch methods in batch.go. The exported searchers are
+// this type instantiated.
+type searcher[I index[St], St any, P counters[St]] struct {
+	index       I
+	stats       St
 	metrics     Metrics
 	parallelism int
+}
+
+// build times the construction of a searcher's index.
+func (s *searcher[I, St, P]) build(parallelism int, index func(workers int) I) {
+	s.parallelism = par.Workers(parallelism)
+	start := time.Now()
+	s.index = index(s.parallelism)
+	s.metrics.BuildTime = time.Since(start)
+}
+
+// SetParallelism implements Searcher.
+func (s *searcher[I, St, P]) SetParallelism(n int) { s.parallelism = par.Workers(n) }
+
+// Parallelism implements Searcher.
+func (s *searcher[I, St, P]) Parallelism() int { return s.parallelism }
+
+// Nearest implements Searcher.
+func (s *searcher[I, St, P]) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
+	start := time.Now()
+	nb, ok := s.index.Nearest(q, &s.stats)
+	s.record(start)
+	return nb, ok
+}
+
+// KNearest implements Searcher.
+func (s *searcher[I, St, P]) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
+	start := time.Now()
+	res := s.index.KNearestInto(q, k, nil, &s.stats)
+	s.record(start)
+	return res
+}
+
+// Radius implements Searcher.
+func (s *searcher[I, St, P]) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
+	start := time.Now()
+	res := s.index.RadiusInto(q, r, nil, &s.stats)
+	s.record(start)
+	return res
+}
+
+// Slab implements Searcher.
+func (s *searcher[I, St, P]) Slab() *cloud.Slab { return s.index.Slab() }
+
+// Metrics implements Searcher.
+func (s *searcher[I, St, P]) Metrics() *Metrics {
+	s.metrics.Queries, s.metrics.NodesVisited = P(&s.stats).Totals()
+	return &s.metrics
+}
+
+func (s *searcher[I, St, P]) record(start time.Time) {
+	s.metrics.SearchTime += time.Since(start)
+}
+
+// merge folds one batch worker's stats shard into the searcher's.
+func (s *searcher[I, St, P]) merge(shard *St) { P(&s.stats).Merge(*shard) }
+
+// KDSearcher wraps the canonical KD-tree.
+type KDSearcher struct {
+	searcher[*kdtree.Tree, kdtree.Stats, *kdtree.Stats]
 }
 
 // NewKDSearcher builds a canonical KD-tree over pts (quantized into a
@@ -143,70 +232,23 @@ func NewKDSearcherSlab(slab *cloud.Slab) *KDSearcher {
 // up front (<= 0 selects NumCPU), so the index build forks no wider
 // than the batches the searcher will run.
 func NewKDSearcherSlabPar(slab *cloud.Slab, parallelism int) *KDSearcher {
-	s := &KDSearcher{parallelism: par.Workers(parallelism)}
-	start := time.Now()
-	s.tree = kdtree.BuildSlabPar(slab, s.parallelism)
-	s.metrics.BuildTime = time.Since(start)
+	s := &KDSearcher{}
+	s.build(parallelism, func(workers int) *kdtree.Tree { return kdtree.BuildSlabPar(slab, workers) })
 	return s
 }
 
-// SetParallelism implements Searcher.
-func (s *KDSearcher) SetParallelism(n int) { s.parallelism = par.Workers(n) }
-
-// Parallelism implements Searcher.
-func (s *KDSearcher) Parallelism() int { return s.parallelism }
-
-// Nearest implements Searcher.
-func (s *KDSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
-	start := time.Now()
-	nb, ok := s.tree.Nearest(q, &s.stats)
-	s.record(start)
-	return nb, ok
-}
-
-// KNearest implements Searcher.
-func (s *KDSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
-	start := time.Now()
-	res := s.tree.KNearest(q, k, &s.stats)
-	s.record(start)
-	return res
-}
-
-// Radius implements Searcher.
-func (s *KDSearcher) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
-	start := time.Now()
-	res := s.tree.Radius(q, r, &s.stats)
-	s.record(start)
-	return res
-}
-
-// Slab implements Searcher.
-func (s *KDSearcher) Slab() *cloud.Slab { return s.tree.Slab() }
-
-// Metrics implements Searcher.
-func (s *KDSearcher) Metrics() *Metrics {
-	s.metrics.Queries = s.stats.Queries
-	s.metrics.NodesVisited = s.stats.NodesVisited
-	return &s.metrics
-}
-
-func (s *KDSearcher) record(start time.Time) {
-	s.metrics.SearchTime += time.Since(start)
-}
-
 // TwoStageSearcher wraps the two-stage tree, optionally with the
-// approximate leader/follower session.
+// approximate leader/follower session (approx.go), which then answers
+// Nearest, Radius and their batches; k-NN is always exact
+// (twostage.Tree.KNearestInto).
 type TwoStageSearcher struct {
-	tree    *twostage.Tree
+	searcher[*twostage.Tree, twostage.Stats, *twostage.Stats]
 	session *twostage.ApproxSession // nil when approximation is disabled
 	approx  *twostage.ApproxOptions // nil when approximation is disabled
 	// approxWorkers caches one approximate session per batch worker,
-	// Reset between chunks (see batch.go); grown lazily so repeated
+	// Reset between chunks (see approx.go); grown lazily so repeated
 	// batch calls reuse the O(leaves) leader buffers.
 	approxWorkers []approxWorker
-	stats         twostage.Stats
-	metrics       Metrics
-	parallelism   int
 }
 
 // autoLeafSize is the leaf-set size a two-stage searcher aims for when no
@@ -237,109 +279,77 @@ func NewTwoStageSearcher(pts []geom.Vec3, cfg TwoStageConfig) *TwoStageSearcher 
 // NewTwoStageSearcherSlab builds a two-stage tree zero-copy over an
 // existing SoA slab.
 func NewTwoStageSearcherSlab(slab *cloud.Slab, cfg TwoStageConfig) *TwoStageSearcher {
-	s := &TwoStageSearcher{parallelism: par.Workers(cfg.Parallelism)}
-	start := time.Now()
-	height := cfg.TopHeight
-	if height < 0 {
-		height = twostage.HeightForLeafSize(slab.Len(), autoLeafSize)
-	}
-	s.tree = twostage.BuildSlabPar(slab, height, s.parallelism)
-	s.metrics.BuildTime = time.Since(start)
+	s := &TwoStageSearcher{}
+	s.build(cfg.Parallelism, func(workers int) *twostage.Tree {
+		height := cfg.TopHeight
+		if height < 0 {
+			height = twostage.HeightForLeafSize(slab.Len(), autoLeafSize)
+		}
+		return twostage.BuildSlabPar(slab, height, workers)
+	})
 	if cfg.Approx != nil {
 		opts := *cfg.Approx
 		s.approx = &opts
-		s.session = s.tree.NewApproxSession(opts)
+		s.session = s.index.NewApproxSession(opts)
 	}
 	return s
 }
 
-// SetParallelism implements Searcher.
-func (s *TwoStageSearcher) SetParallelism(n int) { s.parallelism = par.Workers(n) }
-
-// Parallelism implements Searcher.
-func (s *TwoStageSearcher) Parallelism() int { return s.parallelism }
-
 // Tree exposes the underlying two-stage structure (used by the accelerator
 // simulator, which replays the same searches cycle by cycle).
-func (s *TwoStageSearcher) Tree() *twostage.Tree { return s.tree }
-
-// Nearest implements Searcher.
-func (s *TwoStageSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
-	start := time.Now()
-	var nb kdtree.Neighbor
-	var ok bool
-	if s.session != nil {
-		nb, ok = s.session.Nearest(q, &s.stats)
-	} else {
-		nb, ok = s.tree.Nearest(q, &s.stats)
-	}
-	s.record(start)
-	return nb, ok
-}
-
-// KNearest implements Searcher. The two-stage structure serves k-NN
-// exactly, by radius doubling from the NN distance (kNearestInto); there
-// is no leader/follower path, because the pipeline stages that use k-NN
-// are the sparse ones the paper excludes from approximation (§4.2).
-func (s *TwoStageSearcher) KNearest(q geom.Vec3, k int) []kdtree.Neighbor {
-	start := time.Now()
-	res := s.kNearestInto(q, k, nil, &s.stats)
-	s.record(start)
-	return res
-}
-
-// kNearestInto answers k-NN exactly on the two-stage tree by radius
-// doubling: start from the NN distance and expand until k neighbors are
-// inside. stats is a parameter (not s.stats) so batch workers can shard
-// it. The answer is built in buf (reset to length 0; the expanding radius
-// passes reuse it and whatever it regrows into).
-func (s *TwoStageSearcher) kNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *twostage.Stats) []kdtree.Neighbor {
-	if k <= 0 || s.tree.Len() == 0 {
-		return nil
-	}
-	nb, _ := s.tree.Nearest(q, stats)
-	r := 2 * (1e-6 + math.Sqrt(nb.Dist2))
-	var res []kdtree.Neighbor
-	for i := 0; i < 64; i++ {
-		res = s.tree.RadiusInto(q, r, buf, stats)
-		buf = res // keep any regrown capacity for the next pass
-		if len(res) >= k || len(res) == s.tree.Len() {
-			break
-		}
-		r *= 2
-	}
-	if len(res) > k {
-		res = res[:k]
-	}
-	return res
-}
-
-// Radius implements Searcher.
-func (s *TwoStageSearcher) Radius(q geom.Vec3, r float64) []kdtree.Neighbor {
-	start := time.Now()
-	var res []kdtree.Neighbor
-	if s.session != nil {
-		res = s.session.Radius(q, r, &s.stats)
-	} else {
-		res = s.tree.Radius(q, r, &s.stats)
-	}
-	s.record(start)
-	return res
-}
-
-// Slab implements Searcher.
-func (s *TwoStageSearcher) Slab() *cloud.Slab { return s.tree.Slab() }
-
-// Metrics implements Searcher.
-func (s *TwoStageSearcher) Metrics() *Metrics {
-	s.metrics.Queries = s.stats.Queries
-	s.metrics.NodesVisited = s.stats.TotalVisited()
-	return &s.metrics
-}
+func (s *TwoStageSearcher) Tree() *twostage.Tree { return s.index }
 
 // Stats exposes the two-stage counters (leader hits etc.).
 func (s *TwoStageSearcher) Stats() *twostage.Stats { return &s.stats }
 
-func (s *TwoStageSearcher) record(start time.Time) {
-	s.metrics.SearchTime += time.Since(start)
+// BruteSearcher answers every query by linear scan. It is the degenerate
+// structure the paper's §4.1 taxonomy starts from (a two-stage tree with
+// top height 0 is exactly one brute-forced leaf), the correctness oracle
+// the tree backends are tested against, and — because it builds in O(1) —
+// the fastest end-to-end choice for tiny clouds where tree construction
+// dominates query time. It registers as the "bruteforce" backend.
+type BruteSearcher struct {
+	searcher[scan, kdtree.Stats, *kdtree.Stats]
+}
+
+// NewBruteSearcher quantizes pts into a fresh SoA slab without building
+// any index; BuildTime records only the quantization pass.
+func NewBruteSearcher(pts []geom.Vec3) *BruteSearcher {
+	s := &BruteSearcher{}
+	s.build(0, func(int) scan { return scan{cloud.SlabFromPoints(pts)} })
+	return s
+}
+
+// NewBruteSearcherSlab wraps an existing slab without copying or
+// indexing; BuildTime is recorded (and is effectively zero).
+func NewBruteSearcherSlab(slab *cloud.Slab) *BruteSearcher {
+	s := &BruteSearcher{}
+	s.build(0, func(int) scan { return scan{slab} })
+	return s
+}
+
+// scan is the index that is none: every kernel is kdtree's linear scan of
+// the slab, charged as one query that computed every point's distance.
+type scan struct{ slab *cloud.Slab }
+
+func (x scan) Slab() *cloud.Slab { return x.slab }
+
+func (x scan) count(stats *kdtree.Stats) {
+	stats.Queries++
+	stats.NodesVisited += int64(x.slab.Len())
+}
+
+func (x scan) Nearest(q geom.Vec3, stats *kdtree.Stats) (kdtree.Neighbor, bool) {
+	x.count(stats)
+	return kdtree.BruteNearestSlab(x.slab, q)
+}
+
+func (x scan) KNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *kdtree.Stats) []kdtree.Neighbor {
+	x.count(stats)
+	return kdtree.BruteKNearestIntoSlab(x.slab, q, k, buf)
+}
+
+func (x scan) RadiusInto(q geom.Vec3, r float64, buf []kdtree.Neighbor, stats *kdtree.Stats) []kdtree.Neighbor {
+	x.count(stats)
+	return kdtree.BruteRadiusIntoSlab(x.slab, q, r, buf)
 }

@@ -84,62 +84,11 @@ func TagStage(s Searcher, stage string) {
 
 // TraceLog accumulates recorded batches. It is safe for concurrent use:
 // a pipelined streaming session records from two frames' searchers at
-// once. The zero value is ready to use and retains every batch; long
-// sessions should cap retention with SetMaxBatchesPerKind (the "trace"
-// backend's max_batches option) so capture memory stays bounded.
+// once. The zero value is ready to use and retains every batch until
+// Reset; captures Reset it per frame.
 type TraceLog struct {
 	mu      sync.Mutex
 	batches []TraceBatch
-	// maxPerKind bounds how many batches of each query kind are retained
-	// (0 = unbounded). The cap is per kind so the dense stages (radius,
-	// NN) cannot evict the sparse k-NN batches a co-sim replay also needs.
-	maxPerKind int
-	kindCounts [3]int
-	dropped    int64
-}
-
-// SetMaxBatchesPerKind caps retention at n batches per query kind,
-// rotating out the oldest batch of a kind when a new one arrives full —
-// the retained window always holds the most recent batches, which is what
-// a steady-state co-sim replay wants. n <= 0 removes the cap. Setting a
-// cap below the current retention evicts immediately.
-func (l *TraceLog) SetMaxBatchesPerKind(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	l.maxPerKind = n
-	if n > 0 {
-		for kind := TraceNearest; kind <= TraceRadius; kind++ {
-			for l.kindCounts[kind] > n {
-				l.evictOldestLocked(kind)
-			}
-		}
-	}
-}
-
-// Dropped reports how many batches rotation has evicted so far.
-func (l *TraceLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// evictOldestLocked removes the oldest retained batch of kind. The scan
-// is linear but the slice is bounded by 3×maxPerKind whenever eviction
-// runs, so rotation stays O(cap) regardless of session length.
-func (l *TraceLog) evictOldestLocked(kind TraceKind) {
-	for i, b := range l.batches {
-		if b.Kind == kind {
-			copy(l.batches[i:], l.batches[i+1:])
-			l.batches[len(l.batches)-1] = TraceBatch{}
-			l.batches = l.batches[:len(l.batches)-1]
-			l.kindCounts[kind]--
-			l.dropped++
-			return
-		}
-	}
 }
 
 // add records a batch, copying the queries (callers own and may reuse the
@@ -151,11 +100,7 @@ func (l *TraceLog) add(kind TraceKind, stage string, k int, radius float64, qs [
 	cp := make([]geom.Vec3, len(qs))
 	copy(cp, qs)
 	l.mu.Lock()
-	if l.maxPerKind > 0 && l.kindCounts[kind] >= l.maxPerKind {
-		l.evictOldestLocked(kind)
-	}
 	l.batches = append(l.batches, TraceBatch{Kind: kind, Stage: stage, K: k, Radius: radius, Queries: cp})
-	l.kindCounts[kind]++
 	l.mu.Unlock()
 }
 
@@ -185,12 +130,10 @@ func (l *TraceLog) QueryCount() int64 {
 	return n
 }
 
-// Reset discards the recorded batches (the log stays usable; the
-// retention cap and cumulative drop counter survive).
+// Reset discards the recorded batches (the log stays usable).
 func (l *TraceLog) Reset() {
 	l.mu.Lock()
 	l.batches = nil
-	l.kindCounts = [3]int{}
 	l.mu.Unlock()
 }
 

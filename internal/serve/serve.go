@@ -474,7 +474,7 @@ type sessionRequest struct {
 	// DesignPoint picks a base configuration, "DP1".."DP8" (default DP5).
 	DesignPoint string `json:"design_point"`
 	// Parallelism pins the per-stage batch worker count (0 = server
-	// default, 1 = sequential).
+	// default, 1 = sequential; capped at the worker's slot budget).
 	Parallelism int `json:"parallelism"`
 	// Pipelined overlaps a frame's front-end with the previous pair's
 	// fine-tuning (default true; explicit false disables).
@@ -638,6 +638,13 @@ func (s *Server) pipelineConfig(req sessionRequest) (registration.PipelineConfig
 		cfg.Searcher.Parallelism = req.Parallelism
 	} else if s.cfg.Parallelism != 0 {
 		cfg.Searcher.Parallelism = s.cfg.Parallelism
+	}
+	// Per-worker state (batch arenas, approximate sessions, feature
+	// scratch) is sized by the width asked for and no loop is granted more
+	// than the slot budget, so a width off the wire stops there.
+	if cfg.Searcher.EffectiveParallelism() > par.Slots() {
+		cfg.Searcher.Parallelism = par.Slots()
+		delete(cfg.Searcher.Options, search.OptParallelism)
 	}
 	if err := cfg.Searcher.Validate(); err != nil {
 		return cfg, err

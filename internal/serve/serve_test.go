@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tigris/internal/cloud"
+	"tigris/internal/par"
 	"tigris/internal/registration"
+	"tigris/internal/search"
 	"tigris/internal/synth"
 )
 
@@ -349,6 +352,62 @@ func TestDefaultBackendConfig(t *testing.T) {
 	}
 	if got := cfg.Searcher.BackendName(); got != "bruteforce" {
 		t.Errorf("explicit backend lost to server default: %q", got)
+	}
+}
+
+// TestSessionParallelismStopsAtTheSlotBudget: the worker count a tenant
+// asks for sizes per-worker state (one approximate session, batch arena
+// and feature scratch per worker), and no loop is ever granted more than
+// par.Slots(), so a session's resolved width — the request field, the
+// backend option that overrides it, the server default — stops there. A
+// session asking for 10⁹ workers must cost what any other does.
+func TestSessionParallelismStopsAtTheSlotBudget(t *testing.T) {
+	wide := func() map[string]any { return map[string]any{search.OptParallelism: 1e9} }
+	for _, tc := range []struct {
+		server int // Config.Parallelism
+		req    sessionRequest
+		want   int
+	}{
+		{0, sessionRequest{Parallelism: 1 << 30}, par.Slots()},
+		{0, sessionRequest{BackendOptions: wide()}, par.Slots()},
+		{0, sessionRequest{Parallelism: 1, BackendOptions: wide()}, par.Slots()},
+		{1 << 30, sessionRequest{}, par.Slots()},
+		{1 << 30, sessionRequest{Parallelism: 1}, 1}, // a width inside the budget stands
+	} {
+		srv := New(Config{Parallelism: tc.server})
+		cfg, err := srv.pipelineConfig(tc.req)
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Searcher.EffectiveParallelism(); got != tc.want {
+			t.Fatalf("server default %d, request %+v: resolved parallelism %d, want %d", tc.server, tc.req, got, tc.want)
+		}
+	}
+
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var created map[string]any
+	code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend": "twostage-approx", "parallelism": 1000000000}, &created)
+	if code != http.StatusCreated {
+		t.Fatalf("create: status %d (%v)", code, created)
+	}
+	id := created["id"].(string)
+	for _, f := range synth.GenerateSequence(synth.QuickSequenceConfig(2, 60)).Frames {
+		pushFrame(t, client, ts.URL, id, f, true)
+	}
+	if traj := getTrajectory(t, client, ts.URL, id); len(traj["trajectory"].([]any)) != 2 {
+		t.Fatalf("trajectory: %v", traj)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapInuse) - int64(before.HeapInuse); grew > 64<<20 {
+		t.Fatalf("heap in use grew by %d MB over a two-frame session", grew>>20)
 	}
 }
 

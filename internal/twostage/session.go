@@ -106,6 +106,11 @@ func (s *ApproxSession) RadiusUnsorted(q geom.Vec3, r float64, buf []kdtree.Neig
 	if stats != nil {
 		stats.Queries++
 	}
+	if r < 0 {
+		// An empty ball, as Tree.RadiusInto has it: a walk of one empty visit.
+		s.endQuery()
+		return nil
+	}
 	if r != s.radR {
 		s.resetRadius(r)
 	}

@@ -376,6 +376,10 @@ func (s *Stats) Merge(other Stats) {
 	s.Queries += other.Queries
 }
 
+// Totals returns the two counts every index reports alike: search calls,
+// and TotalVisited.
+func (s *Stats) Totals() (queries, visited int64) { return s.Queries, s.TotalVisited() }
+
 // Nearest performs an exact NN search on the two-stage structure.
 func (t *Tree) Nearest(q geom.Vec3, stats *Stats) (kdtree.Neighbor, bool) {
 	if stats != nil {
@@ -453,15 +457,45 @@ func (t *Tree) Radius(q geom.Vec3, r float64, stats *Stats) []kdtree.Neighbor {
 // RadiusInto is Radius appending into buf (reset to length 0), so callers
 // that recycle result slabs avoid a fresh allocation per query. The
 // returned slice may be a regrown replacement for buf; results are
-// identical to Radius.
+// identical to Radius. A negative radius is an empty ball, not |r|.
 func (t *Tree) RadiusInto(q geom.Vec3, r float64, buf []kdtree.Neighbor, stats *Stats) []kdtree.Neighbor {
 	if stats != nil {
 		stats.Queries++
+	}
+	if r < 0 {
+		return nil
 	}
 	res := buf[:0]
 	t.radius(t.root, q, r*r, &res, stats, nil)
 	kdtree.SortNeighbors(res)
 	return res
+}
+
+// KNearestInto answers k-NN exactly and as one query, into buf like
+// RadiusInto: the radius walk from twice the NN distance, doubled until k
+// neighbors are inside. There is no leader/follower path: the stages that
+// use k-NN are the sparse ones the paper excludes from approximation (§4.2).
+func (t *Tree) KNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *Stats) []kdtree.Neighbor {
+	if stats != nil {
+		stats.Queries++
+	}
+	if k <= 0 || t.Len() == 0 {
+		return nil
+	}
+	best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
+	t.nearest(t.root, q, &best, stats, nil)
+	r := 2 * (1e-6 + math.Sqrt(best.Dist2))
+	res := buf[:0]
+	for i := 0; i < 64; i++ {
+		res = res[:0] // a pass starts over, in whatever the last one regrew into
+		t.radius(t.root, q, r*r, &res, stats, nil)
+		if len(res) >= k || len(res) == t.Len() {
+			break
+		}
+		r *= 2
+	}
+	kdtree.SortNeighbors(res)
+	return res[:min(k, len(res))]
 }
 
 // radius is the radius walk; see nearest for s and the visiting order. It
