@@ -1,13 +1,11 @@
 // Command tigris-gateway runs the fleet front door: a reverse proxy
-// that spreads tigris-serve sessions across N worker processes with
-// pluggable routing policies, per-client token-bucket admission
-// control, worker health checking with graceful drain/re-shard, and
-// TLS termination.
+// that places tigris-serve sessions on the least-loaded of N worker
+// processes, with per-client token-bucket admission control, worker
+// health checking with graceful drain/re-shard, and TLS termination.
 //
 // Usage:
 //
 //	tigris-gateway -workers URL[,URL...] [-addr :8088]
-//	               [-policy round-robin|least-loaded|affinity]
 //	               [-admit-rate R] [-admit-burst B]
 //	               [-health-interval D] [-auth-token TOKEN]
 //	               [-worker-auth-token TOKEN]
@@ -15,7 +13,8 @@
 //	               [-log-format text|json]
 //
 // -workers lists the worker base URLs (comma-separated; at least one).
-// -policy picks session placement (see internal/gateway). -admit-rate
+// A session goes to the worker with the fewest pending frames, as
+// polled every -health-interval (see internal/gateway). -admit-rate
 // grants each client that many session-creates/frame-pushes per second
 // (token bucket of capacity -admit-burst); refusals are 429 with
 // Retry-After. -auth-token gates the mutating /gateway/* admin surface;
@@ -57,7 +56,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8088", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (required)")
-	policy := flag.String("policy", "round-robin", "session routing policy: round-robin, least-loaded, or affinity")
 	admitRate := flag.Float64("admit-rate", 0, "per-client admitted requests/sec (token bucket; 0 = admission off)")
 	admitBurst := flag.Int("admit-burst", 0, "admission bucket capacity (0 = max(1, ceil(rate)))")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "worker health-check and load-poll period (0 = off)")
@@ -85,10 +83,6 @@ func main() {
 	if *workers == "" {
 		serve.Fatal(logger, "missing -workers", fmt.Errorf("at least one worker URL is required"))
 	}
-	pol, err := gateway.ParsePolicy(*policy)
-	if err != nil {
-		serve.Fatal(logger, "invalid -policy", err)
-	}
 	tlsCfg := serve.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey}
 	if err := tlsCfg.Validate(); err != nil {
 		serve.Fatal(logger, "invalid TLS config", err)
@@ -96,7 +90,6 @@ func main() {
 
 	gw, err := gateway.New(gateway.Config{
 		Workers:         splitList(*workers),
-		Policy:          pol,
 		AdmitRate:       *admitRate,
 		AdmitBurst:      *admitBurst,
 		HealthInterval:  *healthInterval,
@@ -110,7 +103,7 @@ func main() {
 	defer gw.Close()
 
 	logger.Info("gateway listening",
-		"addr", *addr, "workers", splitList(*workers), "policy", string(pol), "tls", tlsCfg.Enabled())
+		"addr", *addr, "workers", splitList(*workers), "tls", tlsCfg.Enabled())
 	if err := tlsCfg.ListenAndServe(*addr, gw, logger, nil); err != nil {
 		serve.Fatal(logger, "gateway exited", err)
 	}

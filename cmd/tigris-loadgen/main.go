@@ -6,65 +6,51 @@
 // Usage:
 //
 //	tigris-loadgen -url http://gateway:8088 -sessions 100 -rate 5
-//	tigris-loadgen -fleet 2 -sessions 20 -rate 10 -policy least-loaded
+//	tigris-loadgen -fleet 2 -sessions 20 -rate 10
 //
 // -url targets a running worker or gateway. -fleet N instead stands up
-// a self-contained fleet in-process — N workers plus a gateway wired
-// with -policy and -admit-rate — runs the load through it, and tears it
-// down; CI uses this for a hermetic smoke test.
+// a self-contained fleet in-process — N workers behind a least-loaded
+// gateway — runs the load through it, and tears it down; CI uses this
+// for a hermetic smoke test.
 //
 // -sessions is the total session count and -rate the mean arrival rate
 // per second; arrivals are open loop (scheduled up front from a seeded
-// -arrival poisson or gamma process — gamma takes -cv), so overload
-// shows up as latency and rejections, not as a politely slowed
-// client. -mix runs the built-in weighted scenario mix (compact/dense/
-// loop-closure sessions); otherwise one profile built from -frames,
-// -beams, -azimuth, and -loop is used. The same -seed reproduces the
-// same schedule, mix, and synthetic frames.
+// Poisson process), so overload shows up as latency and rejections, not
+// as a politely slowed client. -mix runs the built-in weighted scenario
+// mix (compact/dense/loop-closure sessions); otherwise one profile built
+// from -frames, -beams, -azimuth, and -loop is used. The same -seed
+// reproduces the same schedule, mix, and synthetic frames.
 //
 // The JSON record goes to stdout, or to the file named by -out, tagged
-// with -tag. -rate-ladder "2,5,10" sweeps the run across ascending
-// arrival rates instead of the single -rate; the
-// output is then a JSON array with one record per step (the saturation
-// curve in one invocation). Each record carries per-profile latency
-// splits and trace-id exemplars: the slowest observations of each
-// family with the X-Tigris-Trace id the fleet answered with, chaseable
-// via /gateway/trace/{id}. -trace-out FILE additionally probes one
-// traced session after the run and writes its stitched gateway trace
-// (Chrome trace-event JSON, Perfetto-loadable). -version prints build
-// info and exits. Exit status is nonzero if any session failed.
+// with -tag. It carries per-profile latency splits and trace-id
+// exemplars: the slowest observations of each family with the
+// X-Tigris-Trace id the fleet answered with, chaseable via
+// /gateway/trace/{id}. -trace-out FILE additionally probes one traced
+// session after the run and writes its stitched gateway trace (Chrome
+// trace-event JSON, Perfetto-loadable). -version prints build info and
+// exits. Exit status is nonzero if any session failed.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
-	"tigris/internal/cloud"
 	"tigris/internal/gateway"
 	"tigris/internal/loadgen"
 	"tigris/internal/serve"
-	"tigris/internal/synth"
 )
 
 func main() {
 	url := flag.String("url", "", "target worker or gateway base URL")
 	fleet := flag.Int("fleet", 0, "stand up N in-process workers behind an in-process gateway instead of -url")
-	policy := flag.String("policy", "round-robin", "fleet-mode gateway routing policy")
-	admitRate := flag.Float64("admit-rate", 0, "fleet-mode gateway per-client admission rate (0 = off)")
 	sessions := flag.Int("sessions", 10, "total sessions to run")
-	rate := flag.Float64("rate", 5, "mean session arrival rate per second")
-	arrival := flag.String("arrival", "poisson", "inter-arrival process: poisson or gamma")
-	cv := flag.Float64("cv", 1, "gamma arrivals: coefficient of variation")
+	rate := flag.Float64("rate", 5, "mean session arrival rate per second (Poisson arrivals)")
 	seed := flag.Int64("seed", 1, "deterministic seed for schedule, mix, and frames")
 	frames := flag.Int("frames", 4, "frames per session (single-profile mode)")
 	beams := flag.Int("beams", 16, "lidar beams per frame (single-profile mode)")
@@ -75,7 +61,6 @@ func main() {
 	authToken := flag.String("auth-token", "", "bearer token presented on every request")
 	out := flag.String("out", "-", "output JSON path (\"-\" = stdout only)")
 	tag := flag.String("tag", "", "tag recorded in the output")
-	rateLadder := flag.String("rate-ladder", "", "comma-separated arrival rates to sweep instead of -rate; the output becomes a JSON array with one record per step")
 	traceOut := flag.String("trace-out", "", "after the run, probe one traced session through the target and write its stitched gateway trace (Chrome trace-event JSON) here")
 	version := flag.Bool("version", false, "print build info (module, go toolchain, VCS revision) and exit")
 	flag.Parse()
@@ -95,7 +80,7 @@ func main() {
 	if *fleet > 0 {
 		var stop func()
 		var err error
-		target, stop, err = startFleet(*fleet, *policy, *admitRate, *parallelism)
+		target, stop, err = startFleet(*fleet, *parallelism)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -115,51 +100,22 @@ func main() {
 		profiles = loadgen.DefaultProfiles()
 	}
 
-	cfg := loadgen.Config{
+	res, err := loadgen.Run(loadgen.Config{
 		Target:    target,
 		Sessions:  *sessions,
 		Rate:      *rate,
-		Arrival:   *arrival,
-		CV:        *cv,
 		Seed:      *seed,
 		Profiles:  profiles,
 		AuthToken: *authToken,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	res.Tag = *tag
+	printSummary(res)
 
-	var results []*loadgen.Result
-	if *rateLadder != "" {
-		rates, err := parseRates(*rateLadder)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		results, err = loadgen.RunLadder(cfg, rates)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		res, err := loadgen.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		results = []*loadgen.Result{res}
-	}
-	failed := false
-	for _, res := range results {
-		res.Tag = *tag
-		printSummary(res)
-		failed = failed || res.SessionsFailed > 0
-	}
-
-	// A single run is one JSON object; a ladder is a JSON array, one
-	// record per rate step.
-	var outDoc any = results[0]
-	if *rateLadder != "" {
-		outDoc = results
-	}
-	b, _ := json.MarshalIndent(outDoc, "", "  ")
+	b, _ := json.MarshalIndent(res, "", "  ")
 	if *out != "-" {
 		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -171,126 +127,25 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := traceProbe(target, *authToken, *traceOut); err != nil {
+		doc, err := loadgen.TraceProbe(target, *authToken)
+		if err == nil {
+			err = os.WriteFile(*traceOut, append(doc, '\n'), 0o644)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "trace probe:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *traceOut)
 	}
-	if failed {
+	if res.SessionsFailed > 0 {
 		os.Exit(1)
 	}
-}
-
-// parseRates parses the -rate-ladder list.
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(p, 64)
-		if err != nil || r <= 0 {
-			return nil, fmt.Errorf("-rate-ladder: bad rate %q", p)
-		}
-		rates = append(rates, r)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("-rate-ladder: no rates")
-	}
-	return rates, nil
-}
-
-// traceProbe drives one fresh session through the target — create, two
-// tiny frames with ?wait=1, trajectory — and saves the trace the fleet
-// recorded for it: the gateway's stitched /gateway/trace/{id} document
-// when the target is a gateway, or the worker's /debug/trace/{id} when
-// it is a bare worker. The session is left alive so its flight recorder
-// stays queryable; CI validates the written file as Chrome trace JSON.
-func traceProbe(target, authToken, path string) error {
-	client := &http.Client{Timeout: 30 * time.Second}
-	do := func(method, p, contentType string, body []byte) (*http.Response, error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, target+p, rd)
-		if err != nil {
-			return nil, err
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if authToken != "" {
-			req.Header.Set("Authorization", "Bearer "+authToken)
-		}
-		return client.Do(req)
-	}
-
-	resp, err := do(http.MethodPost, "/v1/sessions", "application/json", []byte(`{"parallelism":1}`))
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("create: status %d: %s", resp.StatusCode, body)
-	}
-	var created struct {
-		ID    string `json:"id"`
-		Trace string `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &created); err != nil || created.ID == "" {
-		return fmt.Errorf("create: bad response %s", body)
-	}
-
-	seq := synth.GenerateSequence(synth.SequenceConfig{
-		Scene:     synth.SceneConfig{Seed: 42, Length: 120},
-		Lidar:     synth.LidarConfig{Beams: 8, AzimuthSteps: 90, Seed: 42},
-		NumFrames: 2,
-	})
-	for _, c := range seq.Frames {
-		var buf bytes.Buffer
-		if err := cloud.Write(&buf, c); err != nil {
-			return err
-		}
-		resp, err := do(http.MethodPost, "/v1/sessions/"+created.ID+"/frames?wait=1", "application/octet-stream", buf.Bytes())
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			return fmt.Errorf("push: status %d", resp.StatusCode)
-		}
-	}
-
-	// Gateway ids start "g", worker ids "s" — pick the matching surface.
-	tracePath := "/gateway/trace/" + created.ID
-	if !strings.HasPrefix(created.ID, "g") {
-		tracePath = "/debug/trace/" + created.ID
-	}
-	resp, err = do(http.MethodGet, tracePath, "", nil)
-	if err != nil {
-		return err
-	}
-	doc, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d: %s", tracePath, resp.StatusCode, doc)
-	}
-	return os.WriteFile(path, append(doc, '\n'), 0o644)
 }
 
 // startFleet stands up n in-process workers behind an in-process
 // gateway on loopback listeners, returning the gateway URL and a
 // teardown function.
-func startFleet(n int, policy string, admitRate float64, parallelism int) (string, func(), error) {
-	pol, err := gateway.ParsePolicy(policy)
-	if err != nil {
-		return "", nil, err
-	}
+func startFleet(n, parallelism int) (string, func(), error) {
 	var stops []func()
 	stop := func() {
 		for i := len(stops) - 1; i >= 0; i-- {
@@ -312,8 +167,6 @@ func startFleet(n int, policy string, admitRate float64, parallelism int) (strin
 	}
 	gw, err := gateway.New(gateway.Config{
 		Workers:        urls,
-		Policy:         pol,
-		AdmitRate:      admitRate,
 		HealthInterval: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -328,14 +181,14 @@ func startFleet(n int, policy string, admitRate float64, parallelism int) (strin
 	hs := &http.Server{Handler: gw}
 	go hs.Serve(ln)
 	stops = append(stops, func() { hs.Close(); gw.Close() })
-	fmt.Printf("fleet: %d workers behind gateway %s (policy %s)\n", n, ln.Addr(), pol)
+	fmt.Printf("fleet: %d workers behind gateway %s\n", n, ln.Addr())
 	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // printSummary writes the human-readable digest to stdout.
 func printSummary(res *loadgen.Result) {
-	fmt.Printf("target %s  arrival %s  rate %.3g/s  seed %d\n",
-		res.Target, res.Arrival, res.RatePerSec, res.Seed)
+	fmt.Printf("target %s  rate %.3g/s  seed %d\n",
+		res.Target, res.RatePerSec, res.Seed)
 	fmt.Printf("sessions %d ok %d failed %d  frames %d  %.2f sessions/s over %.2fs\n",
 		res.Sessions, res.SessionsOK, res.SessionsFailed, res.FramesPushed,
 		res.SessionsPerSec, res.DurationSeconds)

@@ -137,10 +137,6 @@ func main() {
 		go servePprof(logger, *pprofAddr)
 	}
 
-	// Graceful shutdown: SIGTERM/SIGINT stops the listener (in-flight
-	// requests finish), then drains every session's queued frames before
-	// tearing the engines down — so a gateway draining this worker sees
-	// all committed state land, never an abrupt kill.
 	// Graceful shutdown: once SIGTERM/SIGINT has stopped the listener
 	// (in-flight requests finish), drain every session's queued frames
 	// before tearing the engines down — so a gateway draining this worker

@@ -155,8 +155,7 @@ func (g *Gateway) migrate(ses *gwSession, from *worker) (bool, error) {
 		}
 		ses.prefixClosures = append(ses.prefixClosures, cl)
 	}
-	from.gwSessions.Add(-1)
-	newWk.gwSessions.Add(1)
+	from.gwSessions.Add(-1) // createUpstream already counted it on newWk
 	ses.w = newWk
 	ses.remoteID = newRemoteID
 	ses.migrations++

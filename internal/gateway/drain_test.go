@@ -14,7 +14,7 @@ import (
 // pose on the new worker, and survives the old worker being killed.
 func TestDrainMigratesCommittedState(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	g, base := newGateway(t, f, Config{})
 
 	id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
 	if code != http.StatusCreated {
@@ -135,7 +135,7 @@ func TestDrainMigratesCommittedState(t *testing.T) {
 // sessions to move.
 func TestDrainEmptyWorkerAndUndrain(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	g, base := newGateway(t, f, Config{})
 
 	if n, err := g.DrainWorker(f.urls[0]); err != nil || n != 0 {
 		t.Fatalf("drain empty worker: n=%d err=%v", n, err)
@@ -159,7 +159,7 @@ func TestDrainEmptyWorkerAndUndrain(t *testing.T) {
 	if ws := g.Workers(); ws[0].Draining {
 		t.Fatalf("worker 0 still draining after DELETE: %+v", ws[0])
 	}
-	// Round-robin resumes over both workers once re-admitted.
+	// Placement resumes over both workers once re-admitted.
 	seen := map[string]bool{}
 	for i := 0; i < 2; i++ {
 		_, wkr, _ := createSession(t, base, map[string]any{"parallelism": 1})
@@ -193,7 +193,7 @@ func adminDrain(t *testing.T, method, url, token string) int {
 // gateway token, /v1/* passes through untouched.
 func TestAdminSurfaceAuth(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin, AuthToken: "secret"})
+	_, base := newGateway(t, f, Config{AuthToken: "secret"})
 
 	for _, method := range []string{http.MethodPost, http.MethodDelete} {
 		if code := adminDrain(t, method, base+"/gateway/drain?worker=0", ""); code != http.StatusUnauthorized {
@@ -213,7 +213,7 @@ func TestAdminSurfaceAuth(t *testing.T) {
 // TestWorkersEndpoint exercises the fleet-status listing over HTTP.
 func TestWorkersEndpoint(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 	createSession(t, base, map[string]any{"parallelism": 1})
 
 	body, code, _ := getJSON(t, base+"/gateway/workers")
@@ -233,7 +233,7 @@ func TestWorkersEndpoint(t *testing.T) {
 // TestHealthzAggregates checks the gateway's own liveness verdict.
 func TestHealthzAggregates(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	g, base := newGateway(t, f, Config{})
 
 	if _, code, _ := getJSON(t, base+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: status %d", code)

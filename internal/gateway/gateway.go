@@ -3,24 +3,23 @@
 // piece that takes the registration service from one process to a
 // horizontally sharded fleet.
 //
-// A session is created on exactly one worker — chosen by the configured
-// routing policy — and every later request for it is proxied to that
-// worker, so a session's trajectory is bit-identical to what a single
-// worker would have produced. The gateway mints its own session ids
-// ("g1", "g2", ...) and rewrites paths on the way through, so worker-
-// local ids ("s1" on two different workers) never collide at the front
-// door.
+// A session is created on exactly one worker — chosen by the placement
+// rule — and every later request for it is proxied to that worker, so a
+// session's trajectory is bit-identical to what a single worker would
+// have produced. The gateway mints its own session ids ("g1", "g2", ...)
+// and rewrites paths on the way through, so worker-local ids ("s1" on
+// two different workers) never collide at the front door.
 //
-// # Routing policies
+// # Placement
 //
-//   - round-robin: session creates rotate across available workers.
-//   - least-loaded: creates go to the worker with the fewest pending
-//     frames (scraped from the worker's /metrics), tie-broken by the
-//     gateway's own live session count, then worker index.
-//   - affinity: highest-random-weight (rendezvous) hash of the gateway
-//     session id over the available workers — a deterministic placement
-//     that moves the minimum number of sessions when the worker set
-//     changes.
+// Least-loaded is the one rule: a create goes to the available worker
+// with the fewest pending frames (scraped from the worker's /metrics),
+// tie-broken by the gateway's own live session count, then worker
+// index. A create counts as a live session from the moment it is placed,
+// so with no load signal polled the session-count tie-break alternates
+// the sessions open at one time across the workers, overlapping creates
+// included. A create a worker refuses with 5xx, or cannot take at all,
+// fails over to the next choice.
 //
 // # Admission control
 //
@@ -103,7 +102,8 @@ type Config struct {
 	// Workers are the worker base URLs (e.g. http://127.0.0.1:8089).
 	// At least one is required.
 	Workers []string
-	// Policy selects the session-placement policy (default round-robin).
+	// Policy names the session-placement rule: empty or
+	// PolicyLeastLoaded, the only one.
 	Policy Policy
 	// AdmitRate enables per-client token-bucket admission control:
 	// tokens per second granted to each client (0 disables admission).
@@ -141,7 +141,8 @@ type worker struct {
 	polledPending  atomic.Int64
 	polledSessions atomic.Int64
 	// gwSessions is the gateway's own live count of sessions mapped
-	// here — always current, unlike the polled signals.
+	// here — always current, unlike the polled signals. A create counts
+	// from the moment it is placed here, before the worker answers.
 	gwSessions atomic.Int64
 
 	cRouted *obs.Counter
@@ -194,7 +195,9 @@ type Gateway struct {
 
 	admit   *admitTable
 	workers []*worker
-	rr      atomic.Uint64
+	// placeMu makes picking a worker and counting the create against it
+	// one step, so overlapping creates see each other.
+	placeMu sync.Mutex
 
 	mu       sync.Mutex
 	sessions map[string]*gwSession
@@ -217,10 +220,10 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: no workers configured")
 	}
 	if cfg.Policy == "" {
-		cfg.Policy = PolicyRoundRobin
+		cfg.Policy = PolicyLeastLoaded
 	}
-	if _, err := ParsePolicy(string(cfg.Policy)); err != nil {
-		return nil, err
+	if cfg.Policy != PolicyLeastLoaded {
+		return nil, fmt.Errorf("gateway: unknown routing policy %q (the only one is %s)", cfg.Policy, PolicyLeastLoaded)
 	}
 	for _, wu := range cfg.Workers {
 		u, err := url.Parse(wu)
@@ -584,8 +587,8 @@ func copyResponse(w http.ResponseWriter, resp *http.Response, wk *worker) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// handleCreate places a new session on a worker chosen by the routing
-// policy, failing over to the next candidate on worker errors.
+// handleCreate places a new session on the least-loaded worker, failing
+// over to the next candidate on worker errors.
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !g.admitOK(w, r) {
 		return
@@ -630,7 +633,6 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	g.mu.Lock()
 	g.sessions[id] = ses
 	g.mu.Unlock()
-	wk.gwSessions.Add(1)
 	wk.cRouted.Inc()
 
 	// Rewrite the worker-local id to the gateway id and surface the
@@ -647,13 +649,15 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusCreated, created)
 }
 
-// createUpstream tries policy-ordered candidates until one accepts the
+// createUpstream tries candidates in placement order until one accepts the
 // session. Workers that refuse with 5xx or fail to connect are skipped
 // (connection failures also mark the worker unhealthy); a 4xx is the
 // client's problem and is returned as-is. Every placement attempt is
 // recorded as a routing Decision (the first under the given kind —
 // "create" or "migrate" — retries under "failover") and the recorded
-// decisions are returned for attachment to the session.
+// decisions are returned for attachment to the session. A created
+// session stays counted in its worker's gwSessions; an attempt that
+// fails gives its count back.
 func (g *Gateway) createUpstream(id, kind string, trace obs.TraceID, body []byte, auth string) (*worker, string, []byte, int, []Decision, error) {
 	tried := make(map[*worker]bool)
 	var decs []Decision
@@ -676,7 +680,12 @@ func (g *Gateway) createUpstream(id, kind string, trace obs.TraceID, body []byte
 		decs = append(decs, d)
 	}
 	for range g.workers {
-		wk, rows, tieBreak := g.pickExplain(id, func(c *worker) bool { return tried[c] })
+		g.placeMu.Lock()
+		wk, rows, tieBreak := g.pickExplain(tried)
+		if wk != nil {
+			wk.gwSessions.Add(1)
+		}
+		g.placeMu.Unlock()
 		record(wk, rows, tieBreak)
 		if wk == nil {
 			break
@@ -684,21 +693,25 @@ func (g *Gateway) createUpstream(id, kind string, trace obs.TraceID, body []byte
 		tried[wk] = true
 		resp, err := g.doUpstream(wk, http.MethodPost, "/v1/sessions", auth, "application/json", trace, strings.NewReader(string(body)))
 		if err != nil {
+			wk.gwSessions.Add(-1)
 			g.markUnhealthy(wk, err)
 			continue
 		}
 		respBody, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode >= 500 {
+			wk.gwSessions.Add(-1)
 			continue
 		}
 		if resp.StatusCode != http.StatusCreated {
+			wk.gwSessions.Add(-1)
 			return wk, "", respBody, resp.StatusCode, decs, nil
 		}
 		var created struct {
 			ID string `json:"id"`
 		}
 		if err := json.Unmarshal(respBody, &created); err != nil || created.ID == "" {
+			wk.gwSessions.Add(-1)
 			continue
 		}
 		return wk, created.ID, respBody, http.StatusCreated, decs, nil

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,10 +117,12 @@ func quickFrames(frames int, seed int64) []*cloud.Cloud {
 // workerCfg keeps worker sessions cheap and deterministic in tests.
 var workerCfg = serve.Config{Parallelism: 1}
 
-func TestRoundRobinSplitsSessions(t *testing.T) {
+func TestLeastLoadedFollowsPolledBacklog(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	g, base := newGateway(t, f, Config{Policy: PolicyLeastLoaded})
 
+	// No load polled: the session-count tie-break alternates the creates
+	// across the workers, and the gateway mints its ids in order.
 	var placed []string
 	for i := 0; i < 4; i++ {
 		id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
@@ -132,14 +137,9 @@ func TestRoundRobinSplitsSessions(t *testing.T) {
 	want := []string{f.urls[0], f.urls[1], f.urls[0], f.urls[1]}
 	for i := range want {
 		if placed[i] != want[i] {
-			t.Fatalf("round-robin placement = %v, want %v", placed, want)
+			t.Fatalf("unpolled placement = %v, want %v", placed, want)
 		}
 	}
-}
-
-func TestLeastLoadedFollowsPolledBacklog(t *testing.T) {
-	f := newFleet(t, 2, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyLeastLoaded})
 
 	// With worker 0 reporting a deep frame backlog, every create must
 	// land on worker 1 regardless of session-count tie-breaks.
@@ -154,11 +154,70 @@ func TestLeastLoadedFollowsPolledBacklog(t *testing.T) {
 		}
 	}
 	// Backlogs equal again: the session-count tie-break spreads the
-	// next creates to worker 0 (0 sessions vs 3).
+	// next creates to worker 0 (2 sessions vs 5).
 	g.workers[0].polledPending.Store(0)
 	_, wkr, _ := createSession(t, base, map[string]any{"parallelism": 1})
 	if wkr != f.urls[0] {
 		t.Fatalf("tie-break placed on %s, want %s", wkr, f.urls[0])
+	}
+}
+
+// TestOverlappingCreatesSpread: a create counts against its worker from
+// the moment it is placed, not when the worker answers, so creates in
+// flight at the same time alternate across an unpolled fleet just as
+// sequential ones do.
+func TestOverlappingCreatesSpread(t *testing.T) {
+	const n = 4
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	var urls []string
+	for i := 0; i < 2; i++ {
+		// A stand-in worker that holds every create until all n are in
+		// flight, then accepts it.
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/sessions" {
+				http.NotFound(w, r)
+				return
+			}
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusCreated)
+			_, _ = w.Write([]byte(`{"id":"s1"}`))
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	_, base := newGateway(t, &fleet{urls: urls}, Config{})
+
+	placed := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range placed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusCreated {
+				placed[i] = resp.Header.Get("X-Tigris-Worker")
+			}
+		}()
+	}
+	wg.Wait()
+	perWorker := map[string]int{}
+	for _, w := range placed {
+		perWorker[w]++
+	}
+	if perWorker[urls[0]] != n/2 || perWorker[urls[1]] != n/2 {
+		t.Fatalf("overlapping creates placed %v, want %d on each worker", perWorker, n/2)
 	}
 }
 
@@ -184,32 +243,15 @@ func TestPollWorkersScrapesLoad(t *testing.T) {
 	}
 }
 
-func TestAffinityIsRendezvousHash(t *testing.T) {
-	f := newFleet(t, 3, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyAffinity})
-
-	for i := 0; i < 6; i++ {
-		id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
-		if code != http.StatusCreated {
-			t.Fatalf("create: status %d", code)
-		}
-		// Recompute the expected HRW winner independently.
-		want, best := "", uint64(0)
-		for _, wk := range g.workers {
-			if s := hrwScore(id, wk.url); want == "" || s > best {
-				want, best = wk.url, s
-			}
-		}
-		if wkr != want {
-			t.Fatalf("session %s placed on %s, want HRW winner %s", id, wkr, want)
-		}
-	}
-}
-
 // TestTrajectoryBitIdenticalToSingleWorker is the fleet's correctness
-// anchor: the same frames through the gateway (2 workers, each routing
-// policy) and through a bare single worker must produce bit-identical
-// trajectories.
+// anchor: the same frames through the gateway (2 workers) and through a
+// bare single worker must produce bit-identical trajectories. The one
+// placement rule runs under three load states: unpolled (one session per
+// worker), worker 0 backlogged (both sessions share worker 1), and load
+// that moves after placement (each session stays on its placing
+// worker). The subtests keep the ids they had when each state stood for
+// a placement rule of its own, which the gateway no longer has; failure
+// messages name the load state.
 func TestTrajectoryBitIdenticalToSingleWorker(t *testing.T) {
 	frames := quickFrames(3, 42)
 
@@ -221,32 +263,50 @@ func TestTrajectoryBitIdenticalToSingleWorker(t *testing.T) {
 	}
 	refTraj, _, _ := getJSON(t, ref.urls[0]+"/v1/sessions/"+refID+"/trajectory?wait=1")
 
-	for _, policy := range []Policy{PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity} {
-		t.Run(string(policy), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		state   string
+		backlog [2]int64 // polled pending frames while the sessions are placed
+		after   [2]int64 // polled pending frames while they push
+		want    [2]int   // the worker each session lands on
+	}{
+		{"round-robin", "unpolled", [2]int64{0, 0}, [2]int64{0, 0}, [2]int{0, 1}},
+		{"least-loaded", "worker 0 backlogged", [2]int64{100, 0}, [2]int64{100, 0}, [2]int{1, 1}},
+		{"affinity", "load moves after placement", [2]int64{0, 0}, [2]int64{0, 100}, [2]int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			f := newFleet(t, 2, workerCfg)
-			_, base := newGateway(t, f, Config{Policy: policy})
-			// Two concurrent sessions so both workers hold state under
-			// round-robin.
+			g, base := newGateway(t, f, Config{})
+			for i, wk := range g.workers {
+				wk.polledPending.Store(tc.backlog[i])
+			}
+			// Two sessions, both open at once, so a worker may hold both.
 			var ids []string
 			for i := 0; i < 2; i++ {
-				id, _, code := createSession(t, base, map[string]any{"parallelism": 1})
+				id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
 				if code != http.StatusCreated {
-					t.Fatalf("create: status %d", code)
+					t.Fatalf("%s: create: status %d", tc.state, code)
+				}
+				if wkr != f.urls[tc.want[i]] {
+					t.Fatalf("%s: session %s placed on %s, want worker %d", tc.state, id, wkr, tc.want[i])
 				}
 				ids = append(ids, id)
+			}
+			for i, wk := range g.workers {
+				wk.polledPending.Store(tc.after[i])
 			}
 			for _, c := range frames {
 				for _, id := range ids {
 					pushFrame(t, base, id, c, true)
 				}
 			}
-			for _, id := range ids {
+			for i, id := range ids {
 				traj, code, hdr := getJSON(t, base+"/v1/sessions/"+id+"/trajectory?wait=1")
 				if code != http.StatusOK {
-					t.Fatalf("trajectory: status %d", code)
+					t.Fatalf("%s: trajectory: status %d", tc.state, code)
 				}
-				if hdr.Get("X-Tigris-Worker") == "" {
-					t.Fatal("trajectory response missing X-Tigris-Worker header")
+				if got := hdr.Get("X-Tigris-Worker"); got != f.urls[tc.want[i]] {
+					t.Fatalf("%s: session %s served by %q, want its placing worker %s", tc.state, id, got, f.urls[tc.want[i]])
 				}
 				assertSameTrajectory(t, refTraj, traj)
 			}
@@ -283,7 +343,7 @@ func TestEvictedSessionSurfacesAs404(t *testing.T) {
 	cfg := workerCfg
 	cfg.SessionTTL = time.Hour // janitor armed but never fires in-test
 	f := newFleet(t, 2, cfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyAffinity})
+	g, base := newGateway(t, f, Config{})
 
 	id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
 	if code != http.StatusCreated {
@@ -339,8 +399,8 @@ func TestEvictedSessionSurfacesAs404(t *testing.T) {
 
 func TestCreateFailsOverDeadWorker(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
-	f.ts[0].Close() // worker 0 is gone; round-robin would try it first
+	_, base := newGateway(t, f, Config{})
+	f.ts[0].Close() // worker 0 is gone; the index tie-break tries it first
 
 	id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1})
 	if code != http.StatusCreated {
@@ -356,7 +416,7 @@ func TestCreateFailsOverDeadWorker(t *testing.T) {
 
 func TestNoWorkerAnswers503WithRetryAfter(t *testing.T) {
 	f := newFleet(t, 1, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 	f.ts[0].Close()
 
 	b, _ := json.Marshal(map[string]any{})
@@ -382,7 +442,7 @@ func TestNoWorkerAnswers503WithRetryAfter(t *testing.T) {
 
 func TestBadSessionConfigForwardsWorkerVerdict(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 	b, _ := json.Marshal(map[string]any{"design_point": "DP99"})
 	resp, err := http.Post(base+"/v1/sessions", "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -396,7 +456,7 @@ func TestBadSessionConfigForwardsWorkerVerdict(t *testing.T) {
 
 func TestGatewayMetricsExposition(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 	id, _, _ := createSession(t, base, map[string]any{"parallelism": 1})
 	for _, c := range quickFrames(2, 11) {
 		pushFrame(t, base, id, c, true)
@@ -462,7 +522,7 @@ func TestAdmitTableTokenBucket(t *testing.T) {
 
 func TestAdmissionRejectsWith429(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	g, base := newGateway(t, f, Config{Policy: PolicyRoundRobin, AdmitRate: 0.001, AdmitBurst: 1})
+	g, base := newGateway(t, f, Config{AdmitRate: 0.001, AdmitBurst: 1})
 
 	if _, _, code := createSession(t, base, map[string]any{"parallelism": 1}); code != http.StatusCreated {
 		t.Fatalf("first create: status %d", code)
@@ -498,10 +558,20 @@ func TestGatewayConfigValidation(t *testing.T) {
 	if _, err := New(Config{Workers: []string{"not-a-url"}}); err == nil {
 		t.Fatal("bad worker URL accepted")
 	}
-	if _, err := New(Config{Workers: []string{"http://localhost:1"}, Policy: "bogus"}); err == nil {
-		t.Fatal("bad policy accepted")
+	// Least-loaded is the one placement rule: named or by default, and
+	// the deleted rules' names are refused like any unknown one.
+	for _, p := range []Policy{"", PolicyLeastLoaded} {
+		g, err := New(Config{Workers: []string{"http://localhost:1"}, Policy: p})
+		if err != nil {
+			t.Fatalf("policy %q: %v", p, err)
+		}
+		if g.cfg.Policy != PolicyLeastLoaded {
+			t.Fatalf("policy %q runs as %q, want %q", p, g.cfg.Policy, PolicyLeastLoaded)
+		}
 	}
-	if _, err := ParsePolicy("least-loaded"); err != nil {
-		t.Fatal(err)
+	for _, p := range []Policy{"bogus", "round-robin", "affinity"} {
+		if _, err := New(Config{Workers: []string{"http://localhost:1"}, Policy: p}); err == nil {
+			t.Fatalf("policy %q accepted", p)
+		}
 	}
 }

@@ -1,68 +1,22 @@
 package gateway
 
-import (
-	"fmt"
-	"hash/fnv"
-)
-
 // Policy names a session-placement strategy.
 type Policy string
 
-const (
-	// PolicyRoundRobin rotates session creates across available workers.
-	PolicyRoundRobin Policy = "round-robin"
-	// PolicyLeastLoaded places each session on the worker with the
-	// fewest pending frames (scraped from its /metrics by the health
-	// poller), tie-broken by the gateway's own live session count, then
-	// by worker index — so placement is deterministic given the polled
-	// state.
-	PolicyLeastLoaded Policy = "least-loaded"
-	// PolicyAffinity hashes the gateway session id over the available
-	// workers with highest-random-weight (rendezvous) hashing: the same
-	// id always lands on the same worker while the worker set is
-	// stable, and a worker-set change moves only the sessions that
-	// hashed to the lost worker.
-	PolicyAffinity Policy = "affinity"
-)
+// PolicyLeastLoaded places each session on the worker with the fewest
+// pending frames (scraped from its /metrics by the health poller),
+// tie-broken by the gateway's own live session count, then by worker
+// index — so placement is deterministic given the polled state. It is
+// the only placement rule; an empty Config.Policy selects it.
+const PolicyLeastLoaded Policy = "least-loaded"
 
-// Policies lists the selectable policy names.
-func Policies() []string {
-	return []string{string(PolicyRoundRobin), string(PolicyLeastLoaded), string(PolicyAffinity)}
-}
-
-// ParsePolicy validates a policy name.
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity:
-		return Policy(s), nil
-	}
-	return "", fmt.Errorf("unknown routing policy %q (want one of %v)", s, Policies())
-}
-
-// hrwScore is the rendezvous-hash weight of placing a session id on a
-// worker: FNV-1a over "id|workerURL". Exported shape (id, url) → uint64
-// is pinned by tests so placement stays stable across refactors.
-func hrwScore(sessionID, workerURL string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(sessionID))
-	_, _ = h.Write([]byte{'|'})
-	_, _ = h.Write([]byte(workerURL))
-	return h.Sum64()
-}
-
-// pick returns the policy's worker choice among available workers not
-// excluded by skip (nil = none excluded). Returns nil when no worker
-// qualifies.
-func (g *Gateway) pick(sessionID string, skip func(*worker) bool) *worker {
-	wk, _, _ := g.pickExplain(sessionID, skip)
-	return wk
-}
-
-// pickExplain is pick plus its evidence: one DecisionCandidate row per
-// configured worker (including the excluded ones, with why), and the
-// tie-break criterion that decided among the eligible set — the raw
-// material of the routing-decision trace.
-func (g *Gateway) pickExplain(sessionID string, skip func(*worker) bool) (*worker, []DecisionCandidate, string) {
+// pickExplain returns the least-loaded choice among available workers
+// not yet tried, or nil when no worker qualifies, plus its evidence:
+// one DecisionCandidate row per configured worker (including the
+// excluded ones, with why), and the tie-break criterion that decided
+// among the eligible set — the raw material of the routing-decision
+// trace.
+func (g *Gateway) pickExplain(tried map[*worker]bool) (*worker, []DecisionCandidate, string) {
 	rows := make([]DecisionCandidate, len(g.workers))
 	cands := make([]*worker, 0, len(g.workers))
 	for i, wk := range g.workers {
@@ -70,12 +24,9 @@ func (g *Gateway) pickExplain(sessionID string, skip func(*worker) bool) (*worke
 			Worker:        wk.url,
 			Healthy:       wk.healthy.Load(),
 			Draining:      wk.draining.Load(),
-			Tried:         skip != nil && skip(wk),
+			Tried:         tried[wk],
 			PendingFrames: wk.polledPending.Load(),
 			Sessions:      wk.gwSessions.Load(),
-		}
-		if g.cfg.Policy == PolicyAffinity {
-			rows[i].Score = hrwScore(sessionID, wk.url)
 		}
 		if wk.available() && !rows[i].Tried {
 			cands = append(cands, wk)
@@ -84,51 +35,34 @@ func (g *Gateway) pickExplain(sessionID string, skip func(*worker) bool) (*worke
 	if len(cands) == 0 {
 		return nil, rows, ""
 	}
-	var best *worker
-	tieBreak := ""
-	switch g.cfg.Policy {
-	case PolicyLeastLoaded:
-		best = cands[0]
-		for _, wk := range cands[1:] {
-			bp, wp := best.polledPending.Load(), wk.polledPending.Load()
-			bs, ws := best.gwSessions.Load(), wk.gwSessions.Load()
-			if wp < bp || (wp == bp && (ws < bs || (ws == bs && wk.idx < best.idx))) {
-				best = wk
+	best := cands[0]
+	for _, wk := range cands[1:] {
+		bp, wp := best.polledPending.Load(), wk.polledPending.Load()
+		bs, ws := best.gwSessions.Load(), wk.gwSessions.Load()
+		if wp < bp || (wp == bp && (ws < bs || (ws == bs && wk.idx < best.idx))) {
+			best = wk
+		}
+	}
+	// Name the criterion that actually separated the winner from the
+	// rest of the eligible set.
+	tieBreak := "pending_frames"
+	pendingTies, sessionTies := 0, 0
+	for _, wk := range cands {
+		if wk == best {
+			continue
+		}
+		if wk.polledPending.Load() == best.polledPending.Load() {
+			pendingTies++
+			if wk.gwSessions.Load() == best.gwSessions.Load() {
+				sessionTies++
 			}
 		}
-		// Name the criterion that actually separated the winner from the
-		// rest of the eligible set.
-		tieBreak = "pending_frames"
-		pendingTies, sessionTies := 0, 0
-		for _, wk := range cands {
-			if wk == best {
-				continue
-			}
-			if wk.polledPending.Load() == best.polledPending.Load() {
-				pendingTies++
-				if wk.gwSessions.Load() == best.gwSessions.Load() {
-					sessionTies++
-				}
-			}
+	}
+	if pendingTies > 0 {
+		tieBreak = "sessions"
+		if sessionTies > 0 {
+			tieBreak = "index"
 		}
-		if pendingTies > 0 {
-			tieBreak = "sessions"
-			if sessionTies > 0 {
-				tieBreak = "index"
-			}
-		}
-	case PolicyAffinity:
-		best = cands[0]
-		bestScore := hrwScore(sessionID, best.url)
-		for _, wk := range cands[1:] {
-			if s := hrwScore(sessionID, wk.url); s > bestScore || (s == bestScore && wk.idx < best.idx) {
-				best, bestScore = wk, s
-			}
-		}
-		tieBreak = "hrw"
-	default: // round-robin
-		best = cands[int((g.rr.Add(1)-1)%uint64(len(cands)))]
-		tieBreak = "rotation"
 	}
 	for i := range rows {
 		if rows[i].Worker == best.url {

@@ -14,11 +14,11 @@ import (
 //
 // Every session create and migration records one Decision per placement
 // attempt: the policy consulted, every worker's candidacy (health,
-// drain fence, load signals, affinity score), the chosen worker, and
-// which tie-break decided it — the BLIS-style decision trace that lets
-// a rate-ladder run be explained, not just measured. Decisions live in
-// a bounded gateway-global ring (GET /gateway/decisions) and on the
-// session they placed (merged into GET /gateway/trace/{gid}).
+// drain fence, load signals), the chosen worker, and which tie-break
+// decided it — the BLIS-style decision trace that lets a load run's
+// split be explained, not just measured. Decisions live in a bounded
+// gateway-global ring (GET /gateway/decisions) and on the session they
+// placed (merged into GET /gateway/trace/{gid}).
 //
 // GET /gateway/trace/{gid} is the fleet-level view of one session's
 // trace: the current worker's /debug/trace span tree, stitched behind
@@ -36,7 +36,6 @@ type DecisionCandidate struct {
 	Tried         bool   `json:"tried,omitempty"` // already attempted during this create's failover
 	PendingFrames int64  `json:"pending_frames"`
 	Sessions      int64  `json:"sessions"`
-	Score         uint64 `json:"score,omitempty"` // affinity: rendezvous-hash weight
 	Picked        bool   `json:"picked"`
 }
 
@@ -48,8 +47,8 @@ type Decision struct {
 	TraceID    string              `json:"trace_id,omitempty"`
 	Kind       string              `json:"kind"` // "create", "failover", or "migrate"
 	Policy     string              `json:"policy"`
-	Chosen     string              `json:"chosen,omitempty"` // empty: no worker qualified
-	TieBreak   string              `json:"tie_break,omitempty"`
+	Chosen     string              `json:"chosen,omitempty"`    // empty: no worker qualified
+	TieBreak   string              `json:"tie_break,omitempty"` // "pending_frames", "sessions" or "index"
 	Candidates []DecisionCandidate `json:"candidates"`
 }
 

@@ -31,7 +31,7 @@ type gwTraceDoc struct {
 // worker epochs under distinct process ids.
 func TestTraceFollowsSessionAcrossMigration(t *testing.T) {
 	f := newFleet(t, 2, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 
 	// Create with a client-supplied traceparent: the gateway must adopt
 	// the trace id rather than minting its own.
@@ -180,7 +180,7 @@ func TestTraceFollowsSessionAcrossMigration(t *testing.T) {
 // TestGatewayBuildinfo pins the front door's build-identity surface.
 func TestGatewayBuildinfo(t *testing.T) {
 	f := newFleet(t, 1, workerCfg)
-	_, base := newGateway(t, f, Config{Policy: PolicyRoundRobin})
+	_, base := newGateway(t, f, Config{})
 	info, code, _ := getJSON(t, base+"/gateway/buildinfo")
 	if code != http.StatusOK {
 		t.Fatalf("/gateway/buildinfo: status %d", code)

@@ -97,11 +97,6 @@ func (v Vec3) Quantize32() Vec3 {
 	}
 }
 
-// Lerp linearly interpolates between v and w: (1-t)·v + t·w.
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return v.Scale(1 - t).Add(w.Scale(t))
-}
-
 // IsFinite reports whether all components are finite numbers.
 func (v Vec3) IsFinite() bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
@@ -112,12 +107,6 @@ func (v Vec3) IsFinite() bool {
 // String implements fmt.Stringer.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%.4g, %.4g, %.4g)", v.X, v.Y, v.Z)
-}
-
-// AngleBetween returns the angle in radians between v and w, in [0, π].
-func (v Vec3) AngleBetween(w Vec3) float64 {
-	d := v.Normalize().Dot(w.Normalize())
-	return math.Acos(clamp(d, -1, 1))
 }
 
 // OrthoBasis returns two unit vectors u, t such that {v̂, u, t} form a

@@ -104,18 +104,6 @@ func TestComponentAccessors(t *testing.T) {
 	}
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	a := Vec3{1, 2, 3}
-	b := Vec3{4, -5, 6}
-	if !vecApprox(a.Lerp(b, 0), a, eps) || !vecApprox(a.Lerp(b, 1), b, eps) {
-		t.Error("lerp endpoints mismatch")
-	}
-	mid := a.Lerp(b, 0.5)
-	if !vecApprox(mid, Vec3{2.5, -1.5, 4.5}, eps) {
-		t.Errorf("lerp midpoint = %v", mid)
-	}
-}
-
 func TestOrthoBasis(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
@@ -136,18 +124,6 @@ func TestOrthoBasis(t *testing.T) {
 		if !vecApprox(h, w, 1e-9) {
 			t.Fatalf("basis not right-handed: n×u=%v, w=%v", h, w)
 		}
-	}
-}
-
-func TestAngleBetween(t *testing.T) {
-	if got := (Vec3{1, 0, 0}).AngleBetween(Vec3{0, 1, 0}); !approx(got, math.Pi/2, eps) {
-		t.Errorf("angle = %v, want π/2", got)
-	}
-	if got := (Vec3{1, 1, 0}).AngleBetween(Vec3{2, 2, 0}); !approx(got, 0, 1e-6) {
-		t.Errorf("angle = %v, want 0", got)
-	}
-	if got := (Vec3{1, 0, 0}).AngleBetween(Vec3{-3, 0, 0}); !approx(got, math.Pi, eps) {
-		t.Errorf("angle = %v, want π", got)
 	}
 }
 

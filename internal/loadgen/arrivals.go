@@ -7,99 +7,32 @@ import (
 	"time"
 )
 
-// Arrival process names.
-const (
-	// ArrivalPoisson draws exponential inter-arrival times (a Poisson
-	// process): the memoryless baseline for open-loop load, CV = 1.
-	ArrivalPoisson = "poisson"
-	// ArrivalGamma draws Gamma inter-arrival times with a configurable
-	// coefficient of variation: CV < 1 is smoother than Poisson, CV > 1
-	// is burstier. CV = 1 degenerates to the exponential.
-	ArrivalGamma = "gamma"
-)
-
-// Arrivals generates a deterministic, seeded sequence of inter-arrival
-// times with a given mean rate. Open-loop drivers consume it up front
-// to build a fixed schedule — session start times never depend on
-// completions, which is what makes the measured latencies honest under
-// overload.
+// Arrivals generates a deterministic, seeded sequence of exponential
+// inter-arrival times (a Poisson process, CV = 1) with a given mean
+// rate. Run consumes it up front to build a fixed schedule — session
+// start times never depend on completions, which is what
+// makes the measured latencies honest under overload.
 type Arrivals struct {
-	kind string
 	rate float64 // arrivals per second
-	cv   float64 // gamma only
 	rng  *rand.Rand
 }
 
-// NewArrivals validates the process and seeds it. rate is arrivals per
-// second (> 0). cv is the coefficient of variation for the gamma
-// process (> 0; ignored by poisson).
-func NewArrivals(kind string, rate, cv float64, seed int64) (*Arrivals, error) {
+// NewArrivals validates the rate (arrivals per second, > 0) and seeds
+// the process.
+func NewArrivals(rate float64, seed int64) (*Arrivals, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("loadgen: arrival rate must be > 0, got %g", rate)
 	}
-	switch kind {
-	case ArrivalPoisson:
-	case ArrivalGamma:
-		if cv <= 0 {
-			return nil, fmt.Errorf("loadgen: gamma arrivals need cv > 0, got %g", cv)
-		}
-	default:
-		return nil, fmt.Errorf("loadgen: unknown arrival process %q (want %s or %s)", kind, ArrivalPoisson, ArrivalGamma)
-	}
-	return &Arrivals{kind: kind, rate: rate, cv: cv, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Arrivals{rate: rate, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Next draws one inter-arrival time.
+// Next draws one inter-arrival time: a unit-mean exponential by inverse
+// CDF, scaled by the mean 1/rate.
 func (a *Arrivals) Next() time.Duration {
-	mean := 1 / a.rate
-	var secs float64
-	switch a.kind {
-	case ArrivalGamma:
-		// Mean m with coefficient of variation c is Gamma with shape
-		// k = 1/c² and scale θ = m·c².
-		k := 1 / (a.cv * a.cv)
-		secs = a.gamma(k) * mean * a.cv * a.cv
-	default: // poisson
-		secs = a.exp() * mean
-	}
-	return time.Duration(secs * float64(time.Second))
-}
-
-// exp draws a unit-mean exponential by inverse CDF.
-func (a *Arrivals) exp() float64 {
 	u := a.rng.Float64()
 	for u == 0 {
 		u = a.rng.Float64()
 	}
-	return -math.Log(u)
-}
-
-// gamma draws Gamma(shape k, scale 1) with the Marsaglia–Tsang
-// squeeze method; shapes below 1 use the standard boosting identity
-// Gamma(k) = Gamma(k+1) · U^(1/k).
-func (a *Arrivals) gamma(k float64) float64 {
-	if k < 1 {
-		u := a.rng.Float64()
-		for u == 0 {
-			u = a.rng.Float64()
-		}
-		return a.gamma(k+1) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := a.rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := a.rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
+	mean := 1 / a.rate
+	return time.Duration(-math.Log(u) * mean * float64(time.Second))
 }

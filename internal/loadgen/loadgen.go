@@ -3,8 +3,8 @@
 // observed service into a benchmark record.
 //
 // Open loop means the session arrival schedule is drawn up front from a
-// seeded stochastic process (Poisson or Gamma inter-arrivals) and never
-// waits for completions: if the fleet falls behind, latencies grow and
+// seeded Poisson process (exponential inter-arrivals) and never waits
+// for completions: if the fleet falls behind, latencies grow and
 // admission rejections appear in the result instead of the load
 // politely backing off — the honest way to measure tail latency.
 //
@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,10 +78,6 @@ type Config struct {
 	Sessions int
 	// Rate is the mean session arrival rate per second (required).
 	Rate float64
-	// Arrival selects the inter-arrival process (default poisson).
-	Arrival string
-	// CV is the gamma process's coefficient of variation (default 1).
-	CV float64
 	// Seed makes the schedule, profile mix, and synthetic frames
 	// deterministic.
 	Seed int64
@@ -126,9 +123,7 @@ type Result struct {
 	Name            string            `json:"name"`
 	Tag             string            `json:"tag,omitempty"`
 	Target          string            `json:"target"`
-	Arrival         string            `json:"arrival"`
 	RatePerSec      float64           `json:"rate_per_sec"`
-	CV              float64           `json:"cv,omitempty"`
 	Seed            int64             `json:"seed"`
 	Sessions        int               `json:"sessions"`
 	SessionsOK      int               `json:"sessions_ok"`
@@ -148,7 +143,8 @@ type Result struct {
 	PerProfile map[string]map[string]Digest `json:"per_profile,omitempty"`
 }
 
-// runner is the shared state of one Run.
+// runner is the session client and the digests it records: the shared
+// state of one Run, or of a TraceProbe.
 type runner struct {
 	cfg      Config
 	client   *http.Client
@@ -163,6 +159,25 @@ type runner struct {
 	mu        sync.Mutex
 	perWorker map[string]int
 	exemplars map[string][]TraceExemplar // stage → slowest traceExemplarK
+}
+
+// newRunner sets up the client and the digests for cfg's profiles.
+func newRunner(cfg Config) *runner {
+	r := &runner{
+		cfg:       cfg,
+		client:    cfg.Client,
+		rec:       obs.NewRecorder(),
+		profRecs:  make(map[string]*obs.Recorder, len(cfg.Profiles)),
+		perWorker: make(map[string]int),
+		exemplars: make(map[string][]TraceExemplar),
+	}
+	for _, p := range cfg.Profiles {
+		r.profRecs[p.Name] = obs.NewRecorder()
+	}
+	if r.client == nil {
+		r.client = &http.Client{}
+	}
+	return r
 }
 
 // observe records one latency sample into the run-wide digest, the
@@ -205,16 +220,10 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Sessions <= 0 {
 		return nil, fmt.Errorf("loadgen: sessions must be > 0, got %d", cfg.Sessions)
 	}
-	if cfg.Arrival == "" {
-		cfg.Arrival = ArrivalPoisson
-	}
-	if cfg.CV == 0 {
-		cfg.CV = 1
-	}
 	if len(cfg.Profiles) == 0 {
 		cfg.Profiles = DefaultProfiles()
 	}
-	arr, err := NewArrivals(cfg.Arrival, cfg.Rate, cfg.CV, cfg.Seed)
+	arr, err := NewArrivals(cfg.Rate, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -242,21 +251,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	r := &runner{
-		cfg:       cfg,
-		client:    cfg.Client,
-		rec:       obs.NewRecorder(),
-		profRecs:  make(map[string]*obs.Recorder, len(cfg.Profiles)),
-		perWorker: make(map[string]int),
-		exemplars: make(map[string][]TraceExemplar),
-	}
-	for _, p := range cfg.Profiles {
-		r.profRecs[p.Name] = obs.NewRecorder()
-	}
-	if r.client == nil {
-		r.client = &http.Client{}
-	}
-
+	r := newRunner(cfg)
 	var wg sync.WaitGroup
 	okCount := atomic.Int64{}
 	start := time.Now()
@@ -286,7 +281,6 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{
 		Name:            Name,
 		Target:          cfg.Target,
-		Arrival:         cfg.Arrival,
 		RatePerSec:      cfg.Rate,
 		Seed:            cfg.Seed,
 		Sessions:        cfg.Sessions,
@@ -301,9 +295,6 @@ func Run(cfg Config) (*Result, error) {
 		PerWorker:       r.perWorker,
 		ProfileSessions: make(map[string]int),
 		Latency:         make(map[string]Digest),
-	}
-	if cfg.Arrival == ArrivalGamma {
-		res.CV = cfg.CV
 	}
 	for _, pi := range assign {
 		res.ProfileSessions[cfg.Profiles[pi].Name]++
@@ -331,28 +322,6 @@ func Run(cfg Config) (*Result, error) {
 		res.PerProfile[name] = split
 	}
 	return res, nil
-}
-
-// RunLadder sweeps Run across ascending arrival rates, one record per
-// step, holding everything but the rate fixed — the saturation-curve
-// experiment (find the knee where p99 departs) as a single invocation.
-// A step whose configuration fails aborts the sweep; per-session
-// failures within a step are recorded in that step's Result and do not.
-func RunLadder(cfg Config, rates []float64) ([]*Result, error) {
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("loadgen: empty rate ladder")
-	}
-	out := make([]*Result, 0, len(rates))
-	for _, rate := range rates {
-		step := cfg
-		step.Rate = rate
-		res, err := Run(step)
-		if err != nil {
-			return out, fmt.Errorf("ladder step rate=%g: %w", rate, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }
 
 func digestOf(s obs.Summary) Digest {
@@ -445,12 +414,13 @@ func (r *runner) runSession(p Profile, frames [][]byte) error {
 	if err != nil {
 		return fmt.Errorf("trajectory: %w", err)
 	}
-	r.observe("trajectory", p.Name, trace, time.Since(start))
+	elapsed := time.Since(start)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("trajectory: status %d", resp.StatusCode)
 	}
+	r.observe("trajectory", p.Name, trace, elapsed)
 	var traj struct {
 		Frames int `json:"frames"`
 	}
@@ -466,6 +436,44 @@ func (r *runner) runSession(p Profile, frames [][]byte) error {
 		resp.Body.Close()
 	}
 	return nil
+}
+
+// TraceProbe drives one fresh session through target — create, two tiny
+// frames with ?wait=1 — and returns the trace the fleet recorded for it:
+// the gateway's stitched /gateway/trace/{id} document when the target is
+// a gateway, or the worker's /debug/trace/{id} when it is a bare worker.
+// The session is left alive so its flight recorder stays queryable.
+func TraceProbe(target, authToken string) ([]byte, error) {
+	p := Profile{Name: "trace-probe", Frames: 2, Beams: 8, AzimuthSteps: 90, Parallelism: 1}
+	r := newRunner(Config{Target: target, AuthToken: authToken, Client: &http.Client{Timeout: 30 * time.Second}})
+	frames, err := renderProfile(p, 42)
+	if err != nil {
+		return nil, err
+	}
+	id, _, trace, err := r.createSession(p)
+	if err != nil {
+		return nil, err
+	}
+	for fi, frame := range frames {
+		if err := r.pushFrame(id, p.Name, trace, frame); err != nil {
+			return nil, fmt.Errorf("push %d: %w", fi, err)
+		}
+	}
+	// Gateway ids start "g", worker ids "s" — pick the matching surface.
+	tracePath := "/gateway/trace/" + id
+	if !strings.HasPrefix(id, "g") {
+		tracePath = "/debug/trace/" + id
+	}
+	resp, err := r.do(http.MethodGet, tracePath, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	doc, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %d: %s", tracePath, resp.StatusCode, doc)
+	}
+	return doc, nil
 }
 
 // createSession creates one session, retrying per the overload policy,
@@ -487,13 +495,14 @@ func (r *runner) createSession(p Profile) (id, workerName, trace string, err err
 	if err != nil {
 		return "", "", "", fmt.Errorf("create: %w", err)
 	}
+	elapsed := time.Since(start)
 	trace = resp.Header.Get("X-Tigris-Trace")
-	r.observe("create", p.Name, trace, time.Since(start))
 	respBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		return "", "", "", fmt.Errorf("create: status %d: %s", resp.StatusCode, respBody)
 	}
+	r.observe("create", p.Name, trace, elapsed)
 	var created struct {
 		ID     string `json:"id"`
 		Worker string `json:"worker"`
@@ -514,19 +523,21 @@ func (r *runner) createSession(p Profile) (id, workerName, trace string, err err
 }
 
 // pushFrame pushes one frame with ?wait=1, so the recorded latency
-// covers queueing plus the whole per-frame pipeline.
+// covers queueing plus the whole per-frame pipeline. Only an accepted
+// push is a latency sample; a refused one is the session's failure.
 func (r *runner) pushFrame(id, profile, trace string, frame []byte) error {
 	start := time.Now()
 	resp, err := r.doWithRetry(http.MethodPost, "/v1/sessions/"+id+"/frames?wait=1", "application/octet-stream", frame)
 	if err != nil {
 		return err
 	}
-	r.observe("frame", profile, trace, time.Since(start))
+	elapsed := time.Since(start)
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("status %d", resp.StatusCode)
 	}
+	r.observe("frame", profile, trace, elapsed)
 	return nil
 }
 

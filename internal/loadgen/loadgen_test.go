@@ -2,9 +2,11 @@ package loadgen
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,64 +16,58 @@ import (
 )
 
 func TestArrivalsDeterministicAndCalibrated(t *testing.T) {
-	for _, tc := range []struct {
-		kind string
-		rate float64
-		cv   float64
-	}{
-		{ArrivalPoisson, 100, 0},
-		{ArrivalGamma, 100, 0.5},
-		{ArrivalGamma, 100, 2},
-	} {
-		a1, err := NewArrivals(tc.kind, tc.rate, tc.cv, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, _ := NewArrivals(tc.kind, tc.rate, tc.cv, 7)
-		const n = 20000
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			d1, d2 := a1.Next(), a2.Next()
-			if d1 != d2 {
-				t.Fatalf("%s: draw %d differs across same-seed processes", tc.kind, i)
-			}
-			if d1 < 0 {
-				t.Fatalf("%s: negative inter-arrival %v", tc.kind, d1)
-			}
-			s := d1.Seconds()
-			sum += s
-			sumSq += s * s
-		}
-		mean := sum / n
-		wantMean := 1 / tc.rate
-		if math.Abs(mean-wantMean)/wantMean > 0.05 {
-			t.Errorf("%s cv=%g: mean inter-arrival %g, want ~%g", tc.kind, tc.cv, mean, wantMean)
-		}
-		std := math.Sqrt(sumSq/n - mean*mean)
-		wantCV := tc.cv
-		if tc.kind == ArrivalPoisson {
-			wantCV = 1
-		}
-		if gotCV := std / mean; math.Abs(gotCV-wantCV)/wantCV > 0.1 {
-			t.Errorf("%s: CV %g, want ~%g", tc.kind, gotCV, wantCV)
+	// The first draws for seed 7 at 100/s, in nanoseconds: a seed keeps
+	// drawing the same schedule, bit for bit.
+	pinned := []time.Duration{845865, 14631444, 14213514, 925954, 3591987}
+	a, err := NewArrivals(100, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range pinned {
+		if got := a.Next(); got != want {
+			t.Fatalf("draw %d = %d ns, want %d", i, got, want)
 		}
 	}
 
-	if _, err := NewArrivals("uniform", 1, 0, 0); err == nil {
-		t.Fatal("unknown arrival process accepted")
+	const rate = 100
+	a1, _ := NewArrivals(rate, 7)
+	a2, _ := NewArrivals(rate, 7)
+	const n = 20000
+	var sum, sumSq float64
+	for i := 0; i < n; i++ {
+		d1, d2 := a1.Next(), a2.Next()
+		if d1 != d2 {
+			t.Fatalf("draw %d differs across same-seed processes", i)
+		}
+		if d1 < 0 {
+			t.Fatalf("negative inter-arrival %v", d1)
+		}
+		s := d1.Seconds()
+		sum += s
+		sumSq += s * s
 	}
-	if _, err := NewArrivals(ArrivalPoisson, 0, 0, 0); err == nil {
+	mean := sum / n
+	wantMean := 1.0 / rate
+	if math.Abs(mean-wantMean)/wantMean > 0.05 {
+		t.Errorf("mean inter-arrival %g, want ~%g", mean, wantMean)
+	}
+	// Exponential inter-arrivals have CV 1.
+	std := math.Sqrt(sumSq/n - mean*mean)
+	if gotCV := std / mean; math.Abs(gotCV-1) > 0.1 {
+		t.Errorf("CV %g, want ~1", gotCV)
+	}
+
+	if _, err := NewArrivals(0, 0); err == nil {
 		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewArrivals(ArrivalGamma, 1, 0, 0); err == nil {
-		t.Fatal("gamma with zero cv accepted")
 	}
 }
 
 // ciProfile keeps in-test traffic tiny.
 var ciProfile = Profile{Name: "tiny", Frames: 2, Beams: 8, AzimuthSteps: 90, Parallelism: 1}
 
-func startFleet(t *testing.T, workers int, policy gateway.Policy, admitRate float64) string {
+// startFleet starts that many workers behind a gateway and returns the
+// gateway's URL.
+func startFleet(t *testing.T, workers int) string {
 	t.Helper()
 	var urls []string
 	for i := 0; i < workers; i++ {
@@ -81,7 +77,7 @@ func startFleet(t *testing.T, workers int, policy gateway.Policy, admitRate floa
 		t.Cleanup(s.Close)
 		urls = append(urls, ts.URL)
 	}
-	g, err := gateway.New(gateway.Config{Workers: urls, Policy: policy, AdmitRate: admitRate})
+	g, err := gateway.New(gateway.Config{Workers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +88,7 @@ func startFleet(t *testing.T, workers int, policy gateway.Policy, admitRate floa
 }
 
 func TestRunAgainstGatewayFleet(t *testing.T) {
-	target := startFleet(t, 2, gateway.PolicyRoundRobin, 0)
+	target := startFleet(t, 2)
 	res, err := Run(Config{
 		Target:   target,
 		Sessions: 4,
@@ -112,7 +108,8 @@ func TestRunAgainstGatewayFleet(t *testing.T) {
 	if res.SessionsPerSec <= 0 {
 		t.Fatalf("sessions/sec = %g", res.SessionsPerSec)
 	}
-	// Round-robin over 2 workers: both appear, split sums to sessions.
+	// Least-loaded over 2 unpolled workers alternates creates, overlapping
+	// or not: both appear, split sums to sessions.
 	if len(res.PerWorker) != 2 {
 		t.Fatalf("per_worker = %v, want both workers", res.PerWorker)
 	}
@@ -163,8 +160,6 @@ func TestRunAgainstBareWorker(t *testing.T) {
 		Target:   ts.URL,
 		Sessions: 2,
 		Rate:     200,
-		Arrival:  ArrivalGamma,
-		CV:       0.5,
 		Seed:     3,
 		Profiles: []Profile{ciProfile},
 	})
@@ -178,28 +173,21 @@ func TestRunAgainstBareWorker(t *testing.T) {
 	if res.PerWorker[ts.URL] != 2 || len(res.PerWorker) != 1 {
 		t.Fatalf("per_worker = %v", res.PerWorker)
 	}
-	if res.CV != 0.5 || res.Arrival != ArrivalGamma {
-		t.Fatalf("arrival metadata = %s cv %g", res.Arrival, res.CV)
-	}
 }
 
-// TestRetryAfterHonored pins the backoff contract: a 429 with
-// Retry-After is counted, waited out, and retried.
-func TestRetryAfterHonored(t *testing.T) {
+// shimWorker fronts a fresh worker with a proxy that lets intercept
+// answer a request first (reporting true when it did) and relays the
+// rest, returning the proxy's URL.
+func shimWorker(t *testing.T, intercept func(http.ResponseWriter, *http.Request) bool) string {
+	t.Helper()
 	worker := serve.New(serve.Config{Parallelism: 1})
 	wts := httptest.NewServer(worker)
 	t.Cleanup(wts.Close)
 	t.Cleanup(worker.Close)
 
-	// Front the worker with a shim that refuses the first create.
-	refused := false
 	proxy := http.NewServeMux()
 	proxy.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" && !refused {
-			refused = true
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]any{"error": "slow down", "retry_after_seconds": 1})
+		if intercept(w, r) {
 			return
 		}
 		r2, _ := http.NewRequest(r.Method, wts.URL+r.URL.RequestURI(), r.Body)
@@ -211,23 +199,32 @@ func TestRetryAfterHonored(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				return
-			}
-		}
+		io.Copy(w, resp.Body)
 	})
 	pts := httptest.NewServer(proxy)
 	t.Cleanup(pts.Close)
+	return pts.URL
+}
+
+// TestRetryAfterHonored pins the backoff contract: a 429 with
+// Retry-After is counted, waited out, and retried.
+func TestRetryAfterHonored(t *testing.T) {
+	// A shim that refuses the first create.
+	refused := false
+	target := shimWorker(t, func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/sessions" || refused {
+			return false
+		}
+		refused = true
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		json.NewEncoder(w).Encode(map[string]any{"error": "slow down", "retry_after_seconds": 1})
+		return true
+	})
 
 	start := time.Now()
 	res, err := Run(Config{
-		Target:   pts.URL,
+		Target:   target,
 		Sessions: 1,
 		Rate:     100,
 		Seed:     5,
@@ -247,6 +244,77 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 }
 
+// TestRefusedPushIsNotALatencySample pins that a digest times only what
+// the service did: a push the worker refuses fails its session and is
+// counted there, but is no frame latency.
+func TestRefusedPushIsNotALatencySample(t *testing.T) {
+	target := shimWorker(t, func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/frames") {
+			return false
+		}
+		w.WriteHeader(http.StatusBadRequest)
+		json.NewEncoder(w).Encode(map[string]any{"error": "refused"})
+		return true
+	})
+	res, err := Run(Config{
+		Target:   target,
+		Sessions: 1,
+		Rate:     100,
+		Seed:     5,
+		Profiles: []Profile{ciProfile},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SessionsFailed != 1 || res.Errors != 1 || res.FramesPushed != 0 {
+		t.Fatalf("result = %+v, want one failed session and no frame pushed", res)
+	}
+	if n := res.Latency["frame"].Count; n != 0 {
+		t.Fatalf("frame digest has %d samples, want 0: a refused push is not a latency", n)
+	}
+	if n := res.Latency["create"].Count; n != 1 {
+		t.Fatalf("create digest has %d samples, want the 1 accepted create", n)
+	}
+}
+
+// TestTraceProbe drives the probe session through a gateway and through
+// a bare worker: each answers with its own trace document.
+func TestTraceProbe(t *testing.T) {
+	target := startFleet(t, 2)
+	doc, err := TraceProbe(target, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gw struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+		Decisions   []map[string]any `json:"decisions"`
+	}
+	if err := json.Unmarshal(doc, &gw); err != nil {
+		t.Fatal(err)
+	}
+	if len(gw.TraceEvents) == 0 || len(gw.Decisions) != 1 {
+		t.Fatalf("gateway trace has %d events and %d decisions, want some and 1", len(gw.TraceEvents), len(gw.Decisions))
+	}
+	if p := gw.Decisions[0]["policy"]; p != string(gateway.PolicyLeastLoaded) {
+		t.Fatalf("decision policy = %v, want %s", p, gateway.PolicyLeastLoaded)
+	}
+
+	s := serve.New(serve.Config{Parallelism: 1})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	doc, err = TraceProbe(ts.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wk struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(doc, &wk); err != nil || len(wk.TraceEvents) == 0 {
+		t.Fatalf("worker trace: %d events (err %v), want some", len(wk.TraceEvents), err)
+	}
+}
+
 func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Sessions: 1, Rate: 1}); err == nil {
 		t.Fatal("missing target accepted")
@@ -254,8 +322,8 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Target: "http://x", Rate: 1}); err == nil {
 		t.Fatal("zero sessions accepted")
 	}
-	if _, err := Run(Config{Target: "http://x", Sessions: 1, Rate: 1, Arrival: "bogus"}); err == nil {
-		t.Fatal("bad arrival accepted")
+	if _, err := Run(Config{Target: "http://x", Sessions: 1}); err == nil {
+		t.Fatal("zero rate accepted")
 	}
 }
 
@@ -263,7 +331,7 @@ func TestRunConfigValidation(t *testing.T) {
 // a mixed run splits latency by profile, and each top-level digest
 // carries slowest-K trace-id exemplars resolvable as W3C trace ids.
 func TestPerProfileSplitsAndTraceExemplars(t *testing.T) {
-	target := startFleet(t, 2, gateway.PolicyRoundRobin, 0)
+	target := startFleet(t, 2)
 	tiny2 := ciProfile
 	tiny2.Name = "tiny2"
 	res, err := Run(Config{
@@ -319,40 +387,5 @@ func TestPerProfileSplitsAndTraceExemplars(t *testing.T) {
 	}
 	if ms := res.Latency["frame"].MaxMs; exs[0].Ms != ms {
 		t.Fatalf("slowest exemplar %.3fms != digest max %.3fms", exs[0].Ms, ms)
-	}
-}
-
-// TestRunLadder pins the rate sweep: one Result per step, rates in
-// order, everything else held fixed.
-func TestRunLadder(t *testing.T) {
-	s := serve.New(serve.Config{Parallelism: 1})
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	t.Cleanup(s.Close)
-
-	rates := []float64{100, 300}
-	results, err := RunLadder(Config{
-		Target:   ts.URL,
-		Sessions: 2,
-		Seed:     4,
-		Profiles: []Profile{ciProfile},
-	}, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(rates) {
-		t.Fatalf("%d results, want %d", len(results), len(rates))
-	}
-	for i, res := range results {
-		if res.RatePerSec != rates[i] {
-			t.Fatalf("step %d rate = %g, want %g", i, res.RatePerSec, rates[i])
-		}
-		if res.SessionsOK != 2 || res.Seed != 4 {
-			t.Fatalf("step %d = %+v, want 2 clean sessions at seed 4", i, res)
-		}
-	}
-
-	if _, err := RunLadder(Config{Target: ts.URL, Sessions: 1}, nil); err == nil {
-		t.Fatal("empty ladder accepted")
 	}
 }
