@@ -157,7 +157,7 @@ func run(args []string, w io.Writer) error {
 	fs.BoolVar(&e.quick, "quick", false, "small test-scale frames (~4.7k points)")
 	fs.BoolVar(&e.full, "full", false, "KITTI-scale ~130k-point frames (the paper's regime; slower)")
 	fs.IntVar(&e.frames, "frames", 3, "frames in the synthetic sequence (fig3, fig4, fig7a, fig7b register every consecutive pair; the rest use the first)")
-	fs.IntVar(&e.parallel, "parallel", 0, "batch search worker count (0 = all CPUs, 1 = sequential)")
+	fs.IntVar(&e.parallel, "parallel", 0, "batch search worker count (0 = the slot budget, GOMAXPROCS; 1 = sequential)")
 	fs.StringVar(&e.backend, "backend", search.BackendCanonical, "search backend registry name for fig3, fig4, fig7a, fig7b (the default is the paper's software baseline, one point a node; \"\" keeps each design point's own, twostage)")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%v\n%s", err, usage(fs))

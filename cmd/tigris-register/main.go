@@ -66,7 +66,7 @@ func main() {
 	backend := flag.String("backend", search.BackendTwoStage, "search backend registry name (see internal/search; canonical is the reference KD-tree)")
 	var opts optFlag
 	flag.Var(&opts, "opt", "backend option as key=value (repeatable)")
-	parallel := flag.Int("parallel", 0, "batch search worker count (0 = all CPUs, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "batch search worker count (0 = the slot budget, GOMAXPROCS; 1 = sequential)")
 	profile := flag.Bool("profile", false, "print stage timing and KD-tree search breakdown")
 	designPoint := flag.String("dp", "DP5", "design point to run (DP1..DP8)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")

@@ -79,8 +79,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8089", "listen address")
-	parallel := flag.Int("parallel", 0, "default per-stage batch worker count for sessions (0 = all CPUs)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent heavy stages across all sessions (0 = CPU count)")
+	parallel := flag.Int("parallel", 0, "default per-stage batch worker count for sessions (0 = the slot budget, GOMAXPROCS)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent heavy stages across all sessions (0 = the slot budget, GOMAXPROCS)")
 	backend := flag.String("backend", "", "default search backend for sessions (registry name; \"\" = twostage, the pipeline's default; canonical is the reference KD-tree)")
 	sessionTTL := flag.Duration("session-ttl", 0, "evict sessions idle longer than this (0 = never)")
 	maxPending := flag.Int("max-pending", 0, "refuse frame pushes with 503 + Retry-After when this many frames are already pending (0 = never refuse)")

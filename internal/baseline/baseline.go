@@ -115,7 +115,7 @@ func ProfileCanonical(tree *kdtree.Tree, w sim.Workload) Profile {
 }
 
 // ProfileCanonicalParallel replays the workload on a canonical KD-tree
-// over parallelism workers (<= 0 selects NumCPU). Each worker records
+// over parallelism workers (<= 0 selects par.Slots). Each worker records
 // into its own stats shard and the shards are merged, so the returned
 // visit counts are identical to the sequential replay — only the
 // wall time changes.
@@ -146,7 +146,7 @@ func ProfileTwoStage(tree *twostage.Tree, w sim.Workload) Profile {
 }
 
 // ProfileTwoStageParallel replays the workload on a two-stage tree over
-// parallelism workers (<= 0 selects NumCPU), with per-worker stats shards
+// parallelism workers (<= 0 selects par.Slots), with per-worker stats shards
 // merged into one profile.
 func ProfileTwoStageParallel(tree *twostage.Tree, w sim.Workload, parallelism int) Profile {
 	var stats twostage.Stats

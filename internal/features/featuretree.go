@@ -136,7 +136,7 @@ func (t *FeatureTree) Nearest(q []float64) (FeatureMatch, bool) {
 }
 
 // NearestBatch answers Nearest for every query row on a worker pool of
-// the given size (<= 0 selects NumCPU). Results are positionally aligned
+// the given size (<= 0 selects par.Slots). Results are positionally aligned
 // with qs; a miss (empty tree) has Row -1. Each worker counts visits into
 // its own shard, merged after the batch, and SearchTime accumulates the
 // batch's wall time — so the tree's metrics stay exact while the queries

@@ -88,98 +88,3 @@ func (t Transform) NearlyEqual(u Transform, tol float64) bool {
 func (t Transform) String() string {
 	return fmt.Sprintf("Transform{R: %v, T: %v}", t.R, t.T)
 }
-
-// Quat is a unit quaternion (w + xi + yj + zk) used for smooth trajectory
-// interpolation in the synthetic LiDAR simulator and as a compact rotation
-// parameterization.
-type Quat struct {
-	W, X, Y, Z float64
-}
-
-// IdentityQuat returns the identity rotation quaternion.
-func IdentityQuat() Quat { return Quat{W: 1} }
-
-// QuatFromAxisAngle returns the quaternion rotating by angle a (radians)
-// about unit axis u.
-func QuatFromAxisAngle(u Vec3, a float64) Quat {
-	u = u.Normalize()
-	s := math.Sin(a / 2)
-	return Quat{W: math.Cos(a / 2), X: u.X * s, Y: u.Y * s, Z: u.Z * s}
-}
-
-// Mat3 converts the quaternion to a rotation matrix.
-func (q Quat) Mat3() Mat3 {
-	w, x, y, z := q.W, q.X, q.Y, q.Z
-	return Mat3{
-		1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y),
-		2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x),
-		2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y),
-	}
-}
-
-// Mul returns the Hamilton product q·r (apply r first, then q).
-func (q Quat) Mul(r Quat) Quat {
-	return Quat{
-		W: q.W*r.W - q.X*r.X - q.Y*r.Y - q.Z*r.Z,
-		X: q.W*r.X + q.X*r.W + q.Y*r.Z - q.Z*r.Y,
-		Y: q.W*r.Y - q.X*r.Z + q.Y*r.W + q.Z*r.X,
-		Z: q.W*r.Z + q.X*r.Y - q.Y*r.X + q.Z*r.W,
-	}
-}
-
-// Conjugate returns the quaternion conjugate, the inverse for unit
-// quaternions.
-func (q Quat) Conjugate() Quat { return Quat{q.W, -q.X, -q.Y, -q.Z} }
-
-// Norm returns the quaternion magnitude.
-func (q Quat) Norm() float64 {
-	return math.Sqrt(q.W*q.W + q.X*q.X + q.Y*q.Y + q.Z*q.Z)
-}
-
-// Normalize returns the unit quaternion with the same direction. The zero
-// quaternion normalizes to the identity.
-func (q Quat) Normalize() Quat {
-	n := q.Norm()
-	if n == 0 {
-		return IdentityQuat()
-	}
-	return Quat{q.W / n, q.X / n, q.Y / n, q.Z / n}
-}
-
-// Slerp spherically interpolates from q to r by fraction t ∈ [0,1].
-func (q Quat) Slerp(r Quat, t float64) Quat {
-	q = q.Normalize()
-	r = r.Normalize()
-	dot := q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z
-	// Take the short arc.
-	if dot < 0 {
-		r = Quat{-r.W, -r.X, -r.Y, -r.Z}
-		dot = -dot
-	}
-	if dot > 0.9995 {
-		// Nearly parallel: fall back to normalized linear interpolation.
-		return Quat{
-			W: q.W + t*(r.W-q.W),
-			X: q.X + t*(r.X-q.X),
-			Y: q.Y + t*(r.Y-q.Y),
-			Z: q.Z + t*(r.Z-q.Z),
-		}.Normalize()
-	}
-	theta := math.Acos(clamp(dot, -1, 1))
-	sinTheta := math.Sin(theta)
-	a := math.Sin((1-t)*theta) / sinTheta
-	b := math.Sin(t*theta) / sinTheta
-	return Quat{
-		W: a*q.W + b*r.W,
-		X: a*q.X + b*r.X,
-		Y: a*q.Y + b*r.Y,
-		Z: a*q.Z + b*r.Z,
-	}.Normalize()
-}
-
-// Rotate applies the quaternion rotation to a vector.
-func (q Quat) Rotate(v Vec3) Vec3 {
-	p := Quat{0, v.X, v.Y, v.Z}
-	out := q.Mul(p).Mul(q.Conjugate())
-	return Vec3{out.X, out.Y, out.Z}
-}

@@ -76,76 +76,6 @@ func TestRigidTransformPreservesDistances(t *testing.T) {
 	}
 }
 
-func TestQuatRotateMatchesMatrix(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	for i := 0; i < 200; i++ {
-		axis := randVec(r)
-		if axis.Norm() < 1e-9 {
-			continue
-		}
-		angle := r.Float64() * 2 * math.Pi
-		q := QuatFromAxisAngle(axis, angle)
-		m := AxisAngle(axis, angle)
-		v := randVec(r)
-		if !vecApprox(q.Rotate(v), m.MulVec(v), 1e-8) {
-			t.Fatalf("quat rotate != matrix rotate")
-		}
-	}
-}
-
-func TestQuatMulComposition(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	for i := 0; i < 100; i++ {
-		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		lhs := q1.Mul(q2).Mat3()
-		rhs := q1.Mat3().Mul(q2.Mat3())
-		if !mat3Approx(lhs, rhs, 1e-9) {
-			t.Fatal("quaternion product does not match matrix product")
-		}
-	}
-}
-
-func TestSlerpEndpoints(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	for i := 0; i < 100; i++ {
-		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		if !mat3Approx(q1.Slerp(q2, 0).Mat3(), q1.Mat3(), 1e-8) {
-			t.Fatal("slerp(0) != q1")
-		}
-		if !mat3Approx(q1.Slerp(q2, 1).Mat3(), q2.Mat3(), 1e-8) {
-			t.Fatal("slerp(1) != q2")
-		}
-	}
-}
-
-func TestSlerpStaysUnit(t *testing.T) {
-	r := rand.New(rand.NewSource(18))
-	for i := 0; i < 100; i++ {
-		q1 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		q2 := QuatFromAxisAngle(randVec(r), r.Float64()*2*math.Pi)
-		for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-			if n := q1.Slerp(q2, frac).Norm(); !approx(n, 1, 1e-9) {
-				t.Fatalf("slerp norm = %v", n)
-			}
-		}
-	}
-}
-
-func TestSlerpHalfwaySymmetric(t *testing.T) {
-	// Interpolating halfway between identity and a rotation by θ about an
-	// axis should give the rotation by θ/2.
-	axis := Vec3{0, 0, 1}
-	q1 := IdentityQuat()
-	q2 := QuatFromAxisAngle(axis, math.Pi/2)
-	mid := q1.Slerp(q2, 0.5)
-	want := QuatFromAxisAngle(axis, math.Pi/4)
-	if !mat3Approx(mid.Mat3(), want.Mat3(), 1e-9) {
-		t.Errorf("slerp midpoint mismatch: %v vs %v", mid, want)
-	}
-}
-
 func TestTransformRotationAngleAndNorm(t *testing.T) {
 	tr := Transform{R: RotX(0.3), T: Vec3{3, 4, 0}}
 	if !approx(tr.RotationAngle(), 0.3, 1e-9) {

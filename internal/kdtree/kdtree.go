@@ -118,7 +118,7 @@ func (t *Tree) component(i int32, axis int) float64 {
 const buildSpawnMin = 4096
 
 // BuildSpawnDepth bounds how many recursion levels of a tree build may
-// fork for a cap of workers goroutines (<= 0 selects NumCPU): none for
+// fork for a cap of workers goroutines (<= 0 selects par.Slots): none for
 // a single worker, otherwise enough that 2^depth concurrent subtree
 // builds reach the cap without goroutine explosion on deep trees. Each
 // fork also needs a free slot of the process's budget (internal/par).
@@ -164,7 +164,7 @@ func Build(pts []geom.Vec3) *Tree {
 func BuildSlab(s *cloud.Slab) *Tree { return BuildSlabPar(s, 0) }
 
 // BuildSlabPar is BuildSlab on at most workers goroutines (<= 0 selects
-// NumCPU; 1 builds on the calling goroutine alone): the caller, and one
+// par.Slots; 1 builds on the calling goroutine alone): the caller, and one
 // per slot it can borrow as it forks. The tree is identical at every
 // setting.
 func BuildSlabPar(s *cloud.Slab, workers int) *Tree {

@@ -13,8 +13,9 @@
 //     affine code, an 8x shrink of the retained vector) plus a
 //     3-component projection of it.
 //   - The 3D projections are indexed through any registered
-//     search.Backend (the PR 3 registry), so signature retrieval runs on
-//     the same pluggable searcher stack as the pipeline's 3D queries.
+//     search.Backend (the PR 3 registry) with the backend's default
+//     options, so signature retrieval runs on the same pluggable searcher
+//     stack as the pipeline's 3D queries.
 //   - Candidates pass a temporal gate (no matching against the recent
 //     past — consecutive frames always look alike) and are ranked by
 //     full-signature distance.
@@ -27,7 +28,9 @@
 // Everything is deterministic: signatures are fixed-order reductions,
 // retrieval uses exact backends' parallelism-invariant results, and
 // verification inherits the registration pipeline's bit-identity at any
-// Parallelism.
+// Parallelism. The detector records no telemetry of its own: the caller
+// times Observe and Verify (internal/stream records them into the
+// session's recorder).
 package loop
 
 import (
@@ -39,7 +42,6 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/features"
 	"tigris/internal/geom"
-	"tigris/internal/obs"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 )
@@ -48,12 +50,10 @@ import (
 // documented defaults.
 type Config struct {
 	// Backend is the registry name of the search backend the signature
-	// index is built with ("" = the pipeline's default, twostage). Any
-	// registered backend works; the index holds one 3D point per observed
-	// frame.
+	// index is built with, at the backend's default options ("" = the
+	// pipeline's default, twostage). Any registered backend works; the
+	// index holds one 3D point per observed frame.
 	Backend string
-	// Options is the backend's option bag (see search.Opt* keys).
-	Options search.Options
 	// MinSeparation is the temporal gate: a frame only matches frames at
 	// least this many indices older (default 15).
 	MinSeparation int
@@ -64,12 +64,6 @@ type Config struct {
 	// accepted closure, so one revisit does not spend a verification on
 	// every frame along it (default MinSeparation/2).
 	Cooldown int
-	// Obs, when non-nil, records the signature-ranking span (the
-	// obs.StageLoopObserve series: aggregation, index maintenance, and
-	// candidate ranking — the cheap per-frame half of place recognition;
-	// verification is timed by the caller, which owns the pipeline
-	// config). Recording never changes proposals; nil records nothing.
-	Obs *obs.Recorder
 }
 
 func (c *Config) defaults() {
@@ -232,12 +226,11 @@ type Detector struct {
 	stats    Stats
 }
 
-// Validate reports whether the configured signature backend exists and
-// accepts the options, without constructing a detector — the boundary
-// check (HTTP session creation, CLI flags) mirroring
-// registration.SearcherConfig.Validate.
+// Validate reports whether the configured signature backend exists,
+// without constructing a detector — the boundary check (HTTP session
+// creation, CLI flags) mirroring registration.SearcherConfig.Validate.
 func (c Config) Validate() error {
-	if _, err := search.NewByNameSlab(backendName(c), cloud.NewSlab(0), c.Options); err != nil {
+	if _, err := search.NewByNameSlab(backendName(c), cloud.NewSlab(0), nil); err != nil {
 		return fmt.Errorf("loop: %w", err)
 	}
 	return nil
@@ -322,8 +315,6 @@ func frameSignature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
 // through the same quantize/dequantize round trip, so both sides of a
 // distance carry identical quantization treatment.
 func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidate {
-	span := d.cfg.Obs.Start(obs.StageLoopObserve)
-	defer span.End()
 	mean, key := frameSignature(pf.Desc)
 	var qsig quantizedSignature
 	var queryVec []float64
@@ -351,10 +342,10 @@ func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidat
 				for i := 0; i < n; i++ {
 					keys.SetPoint(i, d.sigs[i].key)
 				}
-				s, err := search.NewByNameSlab(backendName(d.cfg), keys, d.cfg.Options)
+				s, err := search.NewByNameSlab(backendName(d.cfg), keys, nil)
 				if err != nil {
 					// Validated at construction; an error here means the
-					// options stopped being valid mid-session.
+					// backend stopped accepting its defaults mid-session.
 					panic(fmt.Sprintf("loop: %v", err))
 				}
 				d.searcher = s

@@ -28,14 +28,16 @@ import (
 const grain = 32
 
 // Workers resolves a requested parallelism: n > 0 selects n workers,
-// anything else selects runtime.NumCPU(). This is the shared default for
-// every Parallelism knob in the search and registration layers; it caps
-// how wide a loop may run, the slot budget decides how wide it does.
+// anything else selects the slot budget (Slots) — "all cores" means the
+// slots a loop could ever be granted, not the CPUs the machine has. This
+// is the shared default for every Parallelism knob in the search and
+// registration layers; it caps how wide a loop may run, the slot budget
+// decides how wide it does.
 func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return Slots()
 }
 
 // slots is the process-wide budget, a counting semaphore: its capacity is

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,15 +8,18 @@ import (
 	"unsafe"
 )
 
+// TestWorkers: a default width is the slot budget, not the CPU count — the
+// two differ under GOMAXPROCS < NumCPU, where per-worker state sized for
+// NumCPU would be built for workers no loop can ever be granted.
 func TestWorkers(t *testing.T) {
 	if got := Workers(4); got != 4 {
 		t.Errorf("Workers(4) = %d", got)
 	}
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(0); got != Slots() {
+		t.Errorf("Workers(0) = %d, want Slots %d", got, Slots())
 	}
-	if got := Workers(-3); got != runtime.NumCPU() {
-		t.Errorf("Workers(-3) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Workers(-3); got != Slots() {
+		t.Errorf("Workers(-3) = %d, want Slots %d", got, Slots())
 	}
 }
 

@@ -98,21 +98,15 @@ func FromOdometry(origin geom.Transform, deltas []geom.Transform) *Graph {
 // Options configures Optimize. Zero values select the documented
 // defaults.
 type Options struct {
-	// MaxIterations bounds outer LM iterations (default 30).
-	MaxIterations int
 	// Parallelism is the per-edge linearization worker count (<= 0
-	// selects NumCPU, 1 forces the sequential path). Results are
+	// selects par.Slots, 1 forces the sequential path). Results are
 	// bit-identical at any setting.
 	Parallelism int
 }
 
-func (o *Options) defaults() {
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 30
-	}
-}
-
 const (
+	// maxIterations bounds outer LM iterations.
+	maxIterations = 30
 	// initialLambda is the starting LM damping.
 	initialLambda = 1e-4
 	// costTol stops the run when the relative cost improvement of an
@@ -159,7 +153,6 @@ const jacStep = 1e-6
 // equations are assembled in edge order from positionally stored
 // per-edge blocks, so the result is bit-identical at any Parallelism.
 func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
-	opts.defaults()
 	n := len(g.Poses)
 	var res Result
 	if n == 0 {
@@ -198,7 +191,7 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 	lambda := initialLambda
 	var cost float64
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		// IRLS: freeze each robust edge's Huber weight at this iteration's
 		// linearization point — re-deriving it inside the perturbed

@@ -19,14 +19,14 @@ import (
 func TestRANSACSteadyStateAllocs(t *testing.T) {
 	skipUnderRace(t)
 	corr, srcPts, dstPts := ransacFixture(300, 0.3, 21)
-	cfg := RejectionConfig{Method: RejectRANSAC, Seed: 21, Parallelism: 1}
+	cfg := RejectionConfig{Method: RejectRANSAC, Seed: 21}
 
 	// Warm the sample scratch and correspondence slab pools.
 	for i := 0; i < 3; i++ {
-		recycleCorr(nil, RejectCorrespondences(corr, srcPts, dstPts, cfg))
+		recycleCorr(nil, RejectCorrespondences(corr, srcPts, dstPts, cfg, 1))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		inliers := RejectCorrespondences(corr, srcPts, dstPts, cfg)
+		inliers := RejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
 		recycleCorr(nil, inliers)
 	})
 	// Tolerated residue: a handful of per-CALL fixed costs (the scoring
@@ -47,7 +47,7 @@ func TestICPSteadyStateAllocs(t *testing.T) {
 	dst := cloud.SlabFromCloud(seq.Frames[0])
 	target := search.NewKDSearcherSlab(dst)
 	target.SetParallelism(1)
-	cfg := ICPConfig{MaxIterations: 4, Parallelism: 1}
+	cfg := ICPConfig{MaxIterations: 4}
 
 	// Warm the ICP scratch (and let its buffers grow to this pair's
 	// sizes).

@@ -100,20 +100,27 @@ func TestSearcherConfigValidate(t *testing.T) {
 	}
 }
 
-// TestEffectiveParallelism: the Options bag's parallelism must govern
-// the KPCE feature-tree stage exactly as it governs the searcher (an
-// Options entry wins over the typed field; JSON numbers coerce).
+// TestEffectiveParallelism: the worker count has one place, the
+// Parallelism field. Validate refuses it in the Options bag — with an
+// error naming the field, whatever the value — and the bag a backend is
+// built from carries the field's value.
 func TestEffectiveParallelism(t *testing.T) {
-	if got := (SearcherConfig{Parallelism: 3}).EffectiveParallelism(); got != 3 {
-		t.Errorf("typed field: %d, want 3", got)
+	for _, v := range []any{float64(1), 3, "x"} {
+		c := SearcherConfig{Parallelism: 3, Options: search.Options{search.OptParallelism: v}}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Parallelism") {
+			t.Errorf("Options %s = %v: Validate = %v, want a refusal naming Parallelism", search.OptParallelism, v, err)
+		}
 	}
-	c := SearcherConfig{Parallelism: 3, Options: search.Options{search.OptParallelism: float64(1)}}
-	if got := c.EffectiveParallelism(); got != 1 {
-		t.Errorf("Options overlay: %d, want 1", got)
+	c := SearcherConfig{Parallelism: 3, Options: search.Options{search.OptTopHeight: 4}}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-	bad := SearcherConfig{Parallelism: 2, Options: search.Options{search.OptParallelism: "x"}}
-	if got := bad.EffectiveParallelism(); got != 2 {
-		t.Errorf("uncoercible option should fall back to typed field: %d", got)
+	opts := c.BackendOptions()
+	if got, _ := opts.Int(search.OptParallelism, 0); got != 3 || len(opts) != 2 {
+		t.Errorf("BackendOptions = %v, want top_height and parallelism 3", opts)
+	}
+	if _, ok := c.Options[search.OptParallelism]; ok {
+		t.Error("BackendOptions wrote into the config's own Options")
 	}
 }
 

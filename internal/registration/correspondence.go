@@ -65,10 +65,6 @@ type KPCEConfig struct {
 	// Reciprocal keeps only pairs that are mutually nearest in feature
 	// space.
 	Reciprocal bool
-	// Parallelism is the feature-tree batch worker count (<= 0 selects
-	// NumCPU). The pipeline propagates its searcher parallelism here when
-	// the field is left zero.
-	Parallelism int
 }
 
 // kpceScratch pools the per-call KPCE query-row staging (the row views
@@ -95,8 +91,9 @@ func (sc *kpceScratch) release() {
 // trees are returned so callers can roll their build/search times into
 // the pipeline's KD-tree accounting. The correspondence list is assembled
 // in source order, bit-identical to per-query sequential matching; it
-// lives in a pooled slab (see recycleCorr).
-func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig) ([]Correspondence, *features.FeatureTree, *features.FeatureTree) {
+// lives in a pooled slab (see recycleCorr). The batches run on up to
+// workers workers (par.Workers).
+func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig, workers int) ([]Correspondence, *features.FeatureTree, *features.FeatureTree) {
 	if src.Count() == 0 || dst.Count() == 0 {
 		return nil, nil, nil
 	}
@@ -115,7 +112,7 @@ func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig) ([]Correspondence
 	for i := range rows {
 		rows[i] = src.Row(i)
 	}
-	matches := dstTree.NearestBatch(rows, cfg.Parallelism)
+	matches := dstTree.NearestBatch(rows, workers)
 
 	var backs []features.FeatureMatch
 	if cfg.Reciprocal {
@@ -136,7 +133,7 @@ func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig) ([]Correspondence
 		for ci, i := range cand {
 			backRows[ci] = dst.Row(matches[i].Row)
 		}
-		backs = srcTree.NearestBatch(backRows, cfg.Parallelism)
+		backs = srcTree.NearestBatch(backRows, workers)
 	}
 
 	out := getCorrSlab()
@@ -199,13 +196,6 @@ type RejectionConfig struct {
 	RANSACInlierDist float64
 	// Seed makes RANSAC deterministic.
 	Seed int64
-	// Parallelism is the RANSAC hypothesis-scoring worker count (<= 0
-	// selects NumCPU, 1 forces the sequential path). The pipeline
-	// propagates its searcher parallelism here when the field is left
-	// zero. Results are bit-identical at any setting: samples are drawn
-	// sequentially from the deterministic PCG before scoring fans out,
-	// and the best consensus is reduced with a deterministic tie-break.
-	Parallelism int
 }
 
 func (c *RejectionConfig) defaults() {
@@ -222,14 +212,19 @@ func (c *RejectionConfig) defaults() {
 
 // RejectCorrespondences filters the key-point correspondences. srcPts and
 // dstPts are the 3D key-point positions aligned with the descriptor rows.
-func RejectCorrespondences(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig) []Correspondence {
+// RANSAC scores its hypotheses on up to workers workers (par.Workers; 1
+// forces the sequential path). Results are bit-identical at any width:
+// samples are drawn sequentially from the deterministic PCG before
+// scoring fans out, and the best consensus is reduced with a
+// deterministic tie-break.
+func RejectCorrespondences(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig, workers int) []Correspondence {
 	cfg.defaults()
 	if len(corr) == 0 {
 		return nil
 	}
 	switch cfg.Method {
 	case RejectRANSAC:
-		return ransacReject(corr, srcPts, dstPts, cfg)
+		return ransacReject(corr, srcPts, dstPts, cfg, workers)
 	default:
 		return thresholdReject(corr, cfg)
 	}
@@ -288,8 +283,8 @@ func (s *hypoScore) better(countPlus1, hyp int) bool {
 // each worker reducing its own best consensus, and the per-worker bests
 // are merged with the (count, lowest-hypothesis-index) tie-break. The
 // selected hypothesis, and therefore the returned inlier set, is
-// bit-identical to the sequential loop at any Parallelism.
-func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig) []Correspondence {
+// bit-identical to the sequential loop at any width.
+func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig, workers int) []Correspondence {
 	if len(corr) < 3 {
 		return corr
 	}
@@ -336,7 +331,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 		return count, true
 	}
 	var best hypoScore
-	par.Sharded(iters, par.Workers(cfg.Parallelism),
+	par.Sharded(iters, par.Workers(workers),
 		func(shard *hypoScore, _, h int) {
 			if count, ok := score(h); ok && shard.better(count+1, h) {
 				*shard = hypoScore{countPlus1: count + 1, hyp: h}

@@ -53,9 +53,8 @@ func eagerICP(src, dst *registration.PreparedFrame, initial geom.Transform, cfg 
 	if cfg.Inject.RPCEKthNN > 1 {
 		target = &search.KthNNSearcher{Searcher: target, K: cfg.Inject.RPCEKthNN}
 	}
-	icpCfg := cfg.ICP
-	icpCfg.Parallelism = cfg.Searcher.EffectiveParallelism()
-	return registration.ICP(src.Raw, target, initial, icpCfg)
+	target.SetParallelism(cfg.Searcher.Parallelism)
+	return registration.ICP(src.Raw, target, initial, cfg.ICP)
 }
 
 // poisonRawNormals fills the raw cloud's normal slots with NaN, so that

@@ -285,6 +285,8 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	var res Result
 	res.SrcKeypoints = len(src.KeypointPts)
 	res.DstKeypoints = len(dst.KeypointPts)
+	// Every parallel loop below runs at the session's one worker count.
+	workers := cfg.Searcher.Parallelism
 
 	// (4) KPCE in feature space.
 	t0 := time.Now()
@@ -293,24 +295,15 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	if cfg.Inject.KPCEKthNN > 1 {
 		corr = kpceKthNN(src.Desc, dst.Desc, cfg.Inject.KPCEKthNN)
 	} else {
-		kpceCfg := cfg.KPCE
-		if kpceCfg.Parallelism == 0 {
-			kpceCfg.Parallelism = cfg.Searcher.EffectiveParallelism()
-		}
-		corr, featSearchTime, featBuildTime = kpceTimed(src.Desc, dst.Desc, kpceCfg)
+		corr, featSearchTime, featBuildTime = kpceTimed(src.Desc, dst.Desc, cfg.KPCE, workers)
 	}
 	res.Stage.KPCE = time.Since(t0)
 	res.Correspondences = len(corr)
 
-	// (5) Rejection + initial transform. Rejection inherits the searcher
-	// parallelism (like KPCE) so -parallel governs RANSAC hypothesis
-	// scoring too; results are bit-identical at any setting.
+	// (5) Rejection + initial transform. RANSAC hypothesis scoring is
+	// bit-identical at any width.
 	t0 = time.Now()
-	rejCfg := cfg.Rejection
-	if rejCfg.Parallelism == 0 {
-		rejCfg.Parallelism = cfg.Searcher.EffectiveParallelism()
-	}
-	inliers := RejectCorrespondences(corr, src.KeypointPts, dst.KeypointPts, rejCfg)
+	inliers := RejectCorrespondences(corr, src.KeypointPts, dst.KeypointPts, cfg.Rejection, workers)
 	res.Inliers = len(inliers)
 	initial, ok := estimateFromCorr(inliers, src.KeypointPts, dst.KeypointPts)
 	// Guard against a junk initial estimate: a tiny or low-ratio consensus
@@ -341,24 +334,19 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	icpTarget, _ := dst.FineTarget(cfg)
 	fine := dst.targetNormals(cfg)
 	// The target index may have been built under another config; this
-	// pair's caps the RPCE batches and the normal-estimation batches
-	// between them. Exact backends are parallelism-invariant, so this
-	// never changes results.
-	icpTarget.SetParallelism(cfg.Searcher.EffectiveParallelism())
+	// pair's caps the RPCE batches, the normal-estimation batches between
+	// them and ICP's error accumulation, which takes its width from the
+	// target. Exact backends are parallelism-invariant, so this never
+	// changes results.
+	icpTarget.SetParallelism(workers)
 	search.TagStage(icpTarget, search.StageRPCE)
 	var rpceSearch search.Searcher = icpTarget
 	if cfg.Inject.RPCEKthNN > 1 {
 		rpceSearch = &search.KthNNSearcher{Searcher: icpTarget, K: cfg.Inject.RPCEKthNN}
 	}
-	// Fine-tuning always refines with the raw source points; the error
-	// accumulation inherits the searcher parallelism like every other
-	// stage.
-	icpCfg := cfg.ICP
-	if icpCfg.Parallelism == 0 {
-		icpCfg.Parallelism = cfg.Searcher.EffectiveParallelism()
-	}
+	// Fine-tuning always refines with the raw source points.
 	known := dst.FineNormals()
-	icpRes := icp(src.Raw, rpceSearch, initial, icpCfg, fine)
+	icpRes := icp(src.Raw, rpceSearch, initial, cfg.ICP, fine)
 	res.ICP = icpRes
 	res.Stage.RPCE = icpRes.RPCETime
 	res.Stage.ErrorMinimization = icpRes.SolveTime

@@ -34,13 +34,6 @@ type ICPConfig struct {
 	// SourceStride subsamples source points during RPCE (1 = use all; the
 	// performance-oriented design points use larger strides).
 	SourceStride int
-	// Parallelism is the worker count for the per-point error
-	// accumulation inside transform estimation and the convergence RMSE
-	// (<= 0 selects NumCPU, 1 forces the sequential path). The pipeline
-	// propagates its searcher parallelism here when the field is left
-	// zero. Results are bit-identical at any setting (fixed-chunk
-	// deterministic reductions, see transform.go).
-	Parallelism int
 }
 
 func (c *ICPConfig) defaults() {
@@ -122,8 +115,10 @@ var idleICPScratch par.FreeList[*icpScratch]
 // RPCE, a second batch of back-queries against a fresh source index), so
 // the dominant per-iteration cost parallelizes across the searcher's
 // worker pool while the correspondence list keeps its sequential order;
-// the per-point error accumulation inside transform estimation fans out
-// over cfg.Parallelism workers with bit-identical results at any setting.
+// the per-point error accumulation inside transform estimation and the
+// convergence RMSE fan out over the same width (target.Parallelism) with
+// bit-identical results at any width (fixed-chunk deterministic
+// reductions, see transform.go).
 func ICP(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg ICPConfig) ICPResult {
 	return icp(src, target, initial, cfg, nil)
 }
@@ -136,6 +131,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 	cfg.defaults()
 	res := ICPResult{Transform: initial}
 	tslab := target.Slab()
+	workers := target.Parallelism()
 
 	sc, ok := idleICPScratch.Get()
 	if !ok {
@@ -185,7 +181,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		start := time.Now()
 		var srcSearch search.Searcher
 		if cfg.Reciprocal {
-			srcSearch = search.NewKDSearcherSlabPar(cloud.SlabFromPoints(cur), target.Parallelism())
+			srcSearch = search.NewKDSearcherSlabPar(cloud.SlabFromPoints(cur), workers)
 		}
 		maxD2 := cfg.MaxCorrespondenceDist * cfg.MaxCorrespondenceDist
 		nbs := search.BatchNearestInto(target, qs, sc.nbs[:0])
@@ -259,9 +255,9 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		var delta geom.Transform
 		var ok bool
 		if usePlane {
-			delta, ok = EstimatePointToPlaneSlabPar(srcS, dstS, cfg.Parallelism)
+			delta, ok = EstimatePointToPlaneSlabPar(srcS, dstS, workers)
 		} else {
-			delta, ok = EstimateRigidTransformSlabPar(srcS, dstS, cfg.Parallelism)
+			delta, ok = EstimateRigidTransformSlabPar(srcS, dstS, workers)
 		}
 		res.SolveTime += time.Since(start)
 		if !ok {
@@ -276,7 +272,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 			cur[i] = delta.Apply(cur[i])
 		}
 
-		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, cfg.Parallelism)
+		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, workers)
 		res.FinalRMSE = rmse
 
 		// Convergence criteria (Tbl. 1): small incremental motion or small

@@ -23,13 +23,16 @@ type SearcherConfig struct {
 	Backend string
 	// Options is the backend-specific option bag (see the search.Opt*
 	// keys). Values may come from JSON, CLI flags, or Go code (e.g. the
-	// trace backend's *search.TraceLog sink). An OptParallelism entry
-	// wins over the Parallelism field.
+	// trace backend's *search.TraceLog sink). The worker count is not one
+	// of them: Validate refuses a search.OptParallelism key here.
 	Options search.Options
-	// Parallelism is the batch worker count every query-dominated stage
-	// runs with: 0 (the default) selects runtime.NumCPU(), 1 forces the
-	// sequential path, and any other positive value pins the pool size.
-	// Exact backends return bit-identical results at any setting.
+	// Parallelism is the session's one worker count: every parallel loop
+	// of every stage — the searcher's batches, KPCE's feature-tree
+	// batches, RANSAC's hypothesis scoring, ICP's error accumulation —
+	// runs at most this wide. 0 (the default) selects the slot budget
+	// (par.Slots), 1 forces the sequential path, and any other positive
+	// value pins the width. Exact backends return bit-identical results at
+	// any setting.
 	Parallelism int
 }
 
@@ -42,33 +45,27 @@ func (c SearcherConfig) BackendName() string {
 	return search.BackendTwoStage
 }
 
-// EffectiveParallelism resolves the batch worker count the pipeline's
-// non-searcher batch consumers (the KPCE feature trees) should match: an
-// Options entry under search.OptParallelism wins over the typed field,
-// exactly as it does for the searcher itself via BackendOptions.
-func (c SearcherConfig) EffectiveParallelism() int {
-	if p, err := c.Options.Int(search.OptParallelism, c.Parallelism); err == nil {
-		return p
-	}
-	return c.Parallelism
-}
-
-// BackendOptions resolves the effective option bag: Parallelism under
-// search.OptParallelism, overlaid with the free-form Options.
+// BackendOptions resolves the option bag the registry receives: the
+// free-form Options plus Parallelism under search.OptParallelism.
 func (c SearcherConfig) BackendOptions() search.Options {
-	opts := search.Options{search.OptParallelism: c.Parallelism}
-	for k, v := range c.Options {
-		opts[k] = v
+	opts := c.Options.Clone()
+	if opts == nil {
+		opts = search.Options{}
 	}
+	opts[search.OptParallelism] = c.Parallelism
 	return opts
 }
 
 // Validate reports whether the configured backend exists and accepts the
 // resolved options, by constructing it over an empty slab (cheap for
-// every built-in). Boundary code (CLI flags, HTTP session creation) calls
-// this so a bad name or option fails fast with an actionable error
-// instead of panicking mid-pipeline.
+// every built-in), and refuses a worker count in Options: it has one
+// place, the Parallelism field. Boundary code (CLI flags, HTTP session
+// creation) calls this so a bad name or option fails fast with an
+// actionable error instead of panicking mid-pipeline.
 func (c SearcherConfig) Validate() error {
+	if _, ok := c.Options[search.OptParallelism]; ok {
+		return fmt.Errorf("search option %q: the worker count is set by the Parallelism field, not as a backend option", search.OptParallelism)
+	}
 	_, err := search.NewByNameSlab(c.BackendName(), cloud.NewSlab(0), c.BackendOptions())
 	return err
 }
@@ -108,7 +105,9 @@ type PipelineConfig struct {
 
 	// Obs, when non-nil, receives every stage's wall time as a latency
 	// sample (internal/obs): PrepareFrame records the per-cloud front-end
-	// stages, Align the pair stages and its ICP sub-spans. Recording is
+	// stages, Align the pair stages and its ICP sub-spans, and a streaming
+	// session (internal/stream) its whole-frame, hand-off, loop-closure and
+	// pose-graph samples — it is the session's one recorder. Recording is
 	// allocation-free and never influences results — trajectories are
 	// bit-identical with Obs set or nil — so services leave it on
 	// permanently; nil (the default) records nothing.
@@ -240,8 +239,8 @@ func Register(src, dst *cloud.Cloud, cfg PipelineConfig) Result {
 // in the paper's accounting, Fig. 2 shading). The matching itself runs
 // through the batched feature-tree path, so the reported search time is
 // the wall time of the parallel batches.
-func kpceTimed(src, dst *features.Descriptors, cfg KPCEConfig) ([]Correspondence, time.Duration, time.Duration) {
-	out, dstTree, srcTree := kpceMatch(src, dst, cfg)
+func kpceTimed(src, dst *features.Descriptors, cfg KPCEConfig, workers int) ([]Correspondence, time.Duration, time.Duration) {
+	out, dstTree, srcTree := kpceMatch(src, dst, cfg, workers)
 	var searchT, buildT time.Duration
 	if dstTree != nil {
 		searchT = dstTree.SearchTime

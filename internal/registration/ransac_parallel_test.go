@@ -38,19 +38,15 @@ func ransacFixture(n int, outlierFrac float64, seed int64) ([]Correspondence, []
 func TestRANSACParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{1, 7, 2019} {
 		corr, srcPts, dstPts := ransacFixture(300, 0.35, seed)
-		base := RejectionConfig{Method: RejectRANSAC, Seed: seed}
+		cfg := RejectionConfig{Method: RejectRANSAC, Seed: seed}
 
-		serial := base
-		serial.Parallelism = 1
-		want := RejectCorrespondences(corr, srcPts, dstPts, serial)
+		want := RejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
 		if len(want) < 3 || len(want) >= len(corr) {
 			t.Fatalf("seed %d: degenerate fixture (%d of %d inliers)", seed, len(want), len(corr))
 		}
 
 		for _, p := range []int{2, 3, 4, 8} {
-			cfg := base
-			cfg.Parallelism = p
-			got := RejectCorrespondences(corr, srcPts, dstPts, cfg)
+			got := RejectCorrespondences(corr, srcPts, dstPts, cfg, p)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d parallelism %d: %d inliers, serial found %d",
 					seed, p, len(got), len(want))
@@ -80,8 +76,7 @@ func TestRANSACDegenerateFallback(t *testing.T) {
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
 	for _, p := range []int{1, 4} {
-		cfg := RejectionConfig{Method: RejectRANSAC, Seed: 3, Parallelism: p}
-		got := RejectCorrespondences(corr, srcPts, dstPts, cfg)
+		got := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 3}, p)
 		if len(got) != n {
 			t.Fatalf("parallelism %d: degenerate fallback returned %d of %d", p, len(got), n)
 		}
@@ -91,7 +86,8 @@ func TestRANSACDegenerateFallback(t *testing.T) {
 // TestICPParallelErrorAccumulationMatchesSerial drives ICP alone — large
 // enough that the fixed-chunk reductions in transform estimation span
 // multiple chunks — and asserts bit-identical results across worker
-// counts for both error metrics.
+// counts for both error metrics. ICP takes its width from the target
+// searcher, so the target's width is what varies.
 func TestICPParallelErrorAccumulationMatchesSerial(t *testing.T) {
 	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 81))
 	src := cloud.SlabFromCloud(seq.Frames[1])
@@ -110,12 +106,10 @@ func TestICPParallelErrorAccumulationMatchesSerial(t *testing.T) {
 			}
 		}
 		target := search.NewKDSearcherSlab(tslab)
-		target.SetParallelism(1)
-		base := ICPConfig{Metric: metric, MaxIterations: 8}
+		cfg := ICPConfig{Metric: metric, MaxIterations: 8}
 
 		run := func(p int) ICPResult {
-			cfg := base
-			cfg.Parallelism = p
+			target.SetParallelism(p)
 			return ICP(src, target, geom.IdentityTransform(), cfg)
 		}
 		want := run(1)

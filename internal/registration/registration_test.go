@@ -191,7 +191,7 @@ func TestKPCEAndRejection(t *testing.T) {
 	}
 	src := mk(v(0), v(10), v(20))
 	dst := mk(v(20.01), v(0.01), v(10.01))
-	corr, _, _ := kpceMatch(src, dst, KPCEConfig{})
+	corr, _, _ := kpceMatch(src, dst, KPCEConfig{}, 0)
 	if len(corr) != 3 {
 		t.Fatalf("expected 3 correspondences, got %d", len(corr))
 	}
@@ -201,7 +201,7 @@ func TestKPCEAndRejection(t *testing.T) {
 			t.Fatalf("correspondence %d -> %d, want %d", c.Source, c.Target, want[c.Source])
 		}
 	}
-	recip, _, _ := kpceMatch(src, dst, KPCEConfig{Reciprocal: true})
+	recip, _, _ := kpceMatch(src, dst, KPCEConfig{Reciprocal: true}, 0)
 	if len(recip) != 3 {
 		t.Fatalf("reciprocal dropped valid matches: %d", len(recip))
 	}
@@ -214,7 +214,7 @@ func TestThresholdRejection(t *testing.T) {
 		{Source: 2, Target: 2, Dist2: 0.9},
 		{Source: 3, Target: 3, Dist2: 400}, // outlier
 	}
-	out := RejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold, DistanceRatio: 2})
+	out := RejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold, DistanceRatio: 2}, 0)
 	if len(out) != 3 {
 		t.Fatalf("threshold kept %d, want 3", len(out))
 	}
@@ -242,7 +242,7 @@ func TestRANSACRejectsOutliers(t *testing.T) {
 		}
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
-	out := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 9})
+	out := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 9}, 0)
 	if len(out) < 25 || len(out) > 32 {
 		t.Fatalf("RANSAC kept %d, want ~30 inliers", len(out))
 	}
@@ -264,8 +264,8 @@ func TestRANSACDeterministic(t *testing.T) {
 		dstPts[i] = truth.Apply(srcPts[i])
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
-	a := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5})
-	b := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5})
+	a := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
+	b := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
 	if len(a) != len(b) {
 		t.Fatal("same seed produced different inlier counts")
 	}

@@ -53,7 +53,7 @@ type centroidPart struct{ cs, cd geom.Vec3 }
 
 // EstimateRigidTransformPar is EstimateRigidTransform with the per-point
 // accumulation (centroids and cross-covariance) spread over up to
-// `workers` goroutines (<= 0 selects NumCPU). Results are bit-identical
+// `workers` goroutines (<= 0 selects par.Slots). Results are bit-identical
 // at any worker count (see accumChunk). Inputs at or below one chunk
 // dispatch to a closure-free sequential kernel, which keeps the RANSAC
 // hypothesis loop (3-point solves, thousands per pair) allocation-free:

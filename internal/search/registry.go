@@ -46,7 +46,9 @@ const (
 // silently selecting defaults.
 const (
 	// OptParallelism (int) is the batch worker count; accepted by every
-	// built-in backend. 0 selects NumCPU, 1 forces the sequential path.
+	// built-in backend. 0 selects the slot budget (par.Slots), 1 forces the
+	// sequential path. registration.SearcherConfig sets it from its
+	// Parallelism field and refuses it in its Options.
 	OptParallelism = "parallelism"
 	// OptTopHeight (int) is the two-stage top-tree height; absent or < 0
 	// sizes leaf sets for a CPU (autoLeafSize points).

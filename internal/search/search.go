@@ -110,7 +110,7 @@ type Searcher interface {
 	KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor
 	// RadiusBatch answers Radius for every query.
 	RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor
-	// SetParallelism sets the batch worker count (<= 0 selects NumCPU).
+	// SetParallelism sets the batch worker count (<= 0 selects par.Slots).
 	SetParallelism(n int)
 	// Parallelism reports the resolved batch worker count.
 	Parallelism() int
@@ -217,7 +217,7 @@ type KDSearcher struct {
 
 // NewKDSearcher builds a canonical KD-tree over pts (quantized into a
 // fresh SoA slab), recording build time. Batch parallelism defaults to
-// runtime.NumCPU().
+// par.Slots().
 func NewKDSearcher(pts []geom.Vec3) *KDSearcher {
 	return NewKDSearcherSlab(cloud.SlabFromPoints(pts))
 }
@@ -229,7 +229,7 @@ func NewKDSearcherSlab(slab *cloud.Slab) *KDSearcher {
 }
 
 // NewKDSearcherSlabPar is NewKDSearcherSlab with the worker count fixed
-// up front (<= 0 selects NumCPU), so the index build forks no wider
+// up front (<= 0 selects par.Slots), so the index build forks no wider
 // than the batches the searcher will run.
 func NewKDSearcherSlabPar(slab *cloud.Slab, parallelism int) *KDSearcher {
 	s := &KDSearcher{}
@@ -266,7 +266,7 @@ type TwoStageConfig struct {
 	TopHeight int
 	// Approx enables the leader/follower algorithm with these options.
 	Approx *twostage.ApproxOptions
-	// Parallelism is the batch worker count (<= 0 selects NumCPU).
+	// Parallelism is the batch worker count (<= 0 selects par.Slots).
 	Parallelism int
 }
 

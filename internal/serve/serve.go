@@ -80,7 +80,6 @@ import (
 	"tigris/internal/loop"
 	"tigris/internal/obs"
 	"tigris/internal/par"
-	"tigris/internal/posegraph"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/stream"
@@ -104,10 +103,12 @@ const maxOptimizeFrames = 1000
 // Config parameterizes the server.
 type Config struct {
 	// MaxConcurrent caps concurrent heavy stages (frame preparation and
-	// pair alignment) across all sessions; <= 0 selects runtime CPUs.
+	// pair alignment) across all sessions; <= 0 selects the slot budget
+	// (par.Slots).
 	MaxConcurrent int
 	// Parallelism is the default per-stage batch worker count for
-	// sessions that do not set their own (0 = all CPUs).
+	// sessions that do not set their own (0 = the slot budget,
+	// GOMAXPROCS).
 	Parallelism int
 	// DefaultBackend is the registry search-backend name for sessions
 	// whose request names no backend ("" = the pipeline's default,
@@ -469,7 +470,8 @@ type sessionRequest struct {
 	// them).
 	Backend string `json:"backend"`
 	// BackendOptions carries backend-specific options (e.g.
-	// {"top_height": 8, "nn_threshold": 1.0}); unknown keys are a 400.
+	// {"top_height": 8, "nn_threshold": 1.0}); unknown keys are a 400, and
+	// so is "parallelism" (the worker count is the field below).
 	BackendOptions map[string]any `json:"backend_options"`
 	// DesignPoint picks a base configuration, "DP1".."DP8" (default DP5).
 	DesignPoint string `json:"design_point"`
@@ -571,6 +573,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		origin = &tr
 	}
 	rec := obs.NewRecorder().Tee(s.globalRec)
+	cfg.Obs = rec
 	// The session's trace id: adopted from an inbound W3C traceparent
 	// (the gateway propagates one per g-session) or minted fresh, stamped
 	// on every span the flight recorder retains and echoed on every
@@ -587,7 +590,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Origin:         origin,
 		Loop:           loopCfg,
 		LoopEdgeWeight: loopWeight,
-		Obs:            rec,
 		Flight:         flight,
 		Trace:          trace,
 	})
@@ -642,10 +644,11 @@ func (s *Server) pipelineConfig(req sessionRequest) (registration.PipelineConfig
 	// Per-worker state (batch arenas, approximate sessions, feature
 	// scratch) is sized by the width asked for and no loop is granted more
 	// than the slot budget, so a width off the wire stops there.
-	if cfg.Searcher.EffectiveParallelism() > par.Slots() {
+	if cfg.Searcher.Parallelism > par.Slots() {
 		cfg.Searcher.Parallelism = par.Slots()
-		delete(cfg.Searcher.Options, search.OptParallelism)
 	}
+	// A worker count under backend_options is refused (400): the session
+	// has one, the top-level parallelism.
 	if err := cfg.Searcher.Validate(); err != nil {
 		return cfg, err
 	}
@@ -781,11 +784,11 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *s
 		// its verified loop edges. Cheap for the no-closure case (the
 		// graph is consistent); callers wanting every queued frame
 		// reflected combine with ?wait=1. The solve is a heavy stage like
-		// any other — it is admitted by the shared limiter and capped at
-		// the server's parallelism, so -max-concurrent and -parallel
-		// govern it too (the engine takes its slot).
+		// any other — it is admitted by the shared limiter, so
+		// -max-concurrent governs it too, and the engine takes its slot and
+		// runs it at the session's own parallelism.
 		s.limiter.Acquire()
-		poses, res, err := eng.OptimizedPoses(posegraph.Options{Parallelism: par.Workers(s.cfg.Parallelism)})
+		poses, res, err := eng.OptimizedPoses()
 		s.limiter.Release()
 		if err != nil {
 			HTTPError(w, http.StatusInternalServerError, "optimize: %v", err)

@@ -358,29 +358,36 @@ func TestDefaultBackendConfig(t *testing.T) {
 // TestSessionParallelismStopsAtTheSlotBudget: the worker count a tenant
 // asks for sizes per-worker state (one approximate session, batch arena
 // and feature scratch per worker), and no loop is ever granted more than
-// par.Slots(), so a session's resolved width — the request field, the
-// backend option that overrides it, the server default — stops there. A
-// session asking for 10⁹ workers must cost what any other does.
+// par.Slots(), so a session's resolved width — the request field or the
+// server default — stops there; a width under backend_options, a second
+// place to set it, is refused. A session asking for 10⁹ workers must cost
+// what any other does.
 func TestSessionParallelismStopsAtTheSlotBudget(t *testing.T) {
 	wide := func() map[string]any { return map[string]any{search.OptParallelism: 1e9} }
 	for _, tc := range []struct {
 		server int // Config.Parallelism
 		req    sessionRequest
-		want   int
+		want   int // 0: the request is refused
 	}{
 		{0, sessionRequest{Parallelism: 1 << 30}, par.Slots()},
-		{0, sessionRequest{BackendOptions: wide()}, par.Slots()},
-		{0, sessionRequest{Parallelism: 1, BackendOptions: wide()}, par.Slots()},
+		{0, sessionRequest{BackendOptions: wide()}, 0},
+		{0, sessionRequest{Parallelism: 1, BackendOptions: wide()}, 0},
 		{1 << 30, sessionRequest{}, par.Slots()},
 		{1 << 30, sessionRequest{Parallelism: 1}, 1}, // a width inside the budget stands
 	} {
 		srv := New(Config{Parallelism: tc.server})
 		cfg, err := srv.pipelineConfig(tc.req)
 		srv.Close()
+		if tc.want == 0 {
+			if err == nil || !strings.Contains(err.Error(), "Parallelism") {
+				t.Fatalf("server default %d, request %+v: err %v, want a refusal naming Parallelism", tc.server, tc.req, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := cfg.Searcher.EffectiveParallelism(); got != tc.want {
+		if got := cfg.Searcher.Parallelism; got != tc.want {
 			t.Fatalf("server default %d, request %+v: resolved parallelism %d, want %d", tc.server, tc.req, got, tc.want)
 		}
 	}
@@ -390,6 +397,10 @@ func TestSessionParallelismStopsAtTheSlotBudget(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client := ts.Client()
+	var refused map[string]any
+	if code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{"backend_options": map[string]any{"parallelism": 2}}, &refused); code != http.StatusBadRequest {
+		t.Fatalf("backend_options.parallelism: status %d (%v), want 400", code, refused)
+	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -7,7 +7,6 @@ import (
 	"tigris/internal/dse"
 	"tigris/internal/geom"
 	"tigris/internal/loop"
-	"tigris/internal/posegraph"
 	"tigris/internal/registration"
 	"tigris/internal/search"
 	"tigris/internal/synth"
@@ -51,7 +50,7 @@ func runOnBackend(t *testing.T, seq *synth.Sequence, designPoint, backend string
 	}
 	if loopCfg != nil {
 		rec.closures = eng.Closures()
-		opt, _, err := eng.OptimizedPoses(posegraph.Options{Parallelism: 2})
+		opt, _, err := eng.OptimizedPoses()
 		if err != nil {
 			t.Fatal(err)
 		}

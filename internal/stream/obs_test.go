@@ -18,11 +18,27 @@ func TestRecordingInert(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 51)
 	cfg := testConfig(search.BackendCanonical)
+
+	// The session's one recorder is the pipeline's: set there and nowhere
+	// else, it receives the engine's samples as well as the stages'. New
+	// must not replace it with one of its own, or a recorder set only on
+	// the pipeline records nothing.
+	only := cfg
+	only.Obs = obs.NewRecorder()
+	runStream(cloneFrames(seq)[:2], Config{Pipeline: only})
+	for _, stage := range []string{obs.StagePrep, obs.StageAlign, obs.StageFrame} {
+		if only.Obs.Summaries()[stage].Count == 0 {
+			t.Fatalf("a recorder set only on the pipeline config recorded no %s sample", stage)
+		}
+	}
+
 	for _, pipelined := range []bool{false, true} {
 		off, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined})
 
 		rec := obs.NewRecorder()
-		on, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined, Obs: rec})
+		onCfg := cfg
+		onCfg.Obs = rec
+		on, _ := runStream(cloneFrames(seq), Config{Pipeline: onCfg, Pipelined: pipelined})
 
 		if on.Len() != off.Len() {
 			t.Fatalf("pipelined=%v: %d frames with recording, %d without", pipelined, on.Len(), off.Len())
@@ -69,7 +85,9 @@ func TestRecordingInert(t *testing.T) {
 func TestStatsConcurrentPolling(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 52)
-	eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Pipelined: true, Obs: obs.NewRecorder()})
+	cfg := testConfig(search.BackendCanonical)
+	cfg.Obs = obs.NewRecorder()
+	eng := New(Config{Pipeline: cfg, Pipelined: true})
 
 	stop := make(chan struct{})
 	var pollers sync.WaitGroup

@@ -64,7 +64,7 @@ func runSLAM(t *testing.T, seq *synth.Sequence, parallelism int, pipelined bool)
 	eng.Drain()
 	traj := eng.Trajectory()
 	closures := eng.Closures()
-	opt, res, err := eng.OptimizedPoses(posegraph.Options{Parallelism: parallelism})
+	opt, res, err := eng.OptimizedPoses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestLoopStageConcurrency(t *testing.T) {
 	if st.Loop.Observed != int64(seq.Len()) {
 		t.Fatalf("loop stage observed %d of %d frames", st.Loop.Observed, seq.Len())
 	}
-	if _, _, err := eng.OptimizedPoses(posegraph.Options{}); err != nil {
+	if _, _, err := eng.OptimizedPoses(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
@@ -345,7 +345,7 @@ func TestOptimizedPosesWithoutLoopStage(t *testing.T) {
 		t.Fatalf("closures without a loop stage: %v", got)
 	}
 	traj := eng.Trajectory()
-	opt, _, err := eng.OptimizedPoses(posegraph.Options{})
+	opt, _, err := eng.OptimizedPoses()
 	eng.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,11 @@
 // parallelism setting, because every stage is a deterministic function of
 // its input clouds and the config; the approximate backend is
 // deterministic (two identical sessions produce identical trajectories).
+//
+// A session's worker count and recorder each have one place, its
+// registration config: Pipeline.Searcher.Parallelism is the width every
+// stage, loop verification and the pose-graph solve run at, and
+// Pipeline.Obs receives every stage's latency and the engine's own.
 package stream
 
 import (
@@ -88,6 +93,15 @@ func (l Limiter) Release() { l.release() }
 // Config parameterizes a streaming session.
 type Config struct {
 	// Pipeline is the registration configuration every pair runs with.
+	// Its Searcher.Parallelism is the session's one worker count, and its
+	// Obs the session's one recorder (internal/obs): besides every
+	// registration stage, Obs receives whole-frame latency
+	// (obs.StageFrame), the pipeline hand-off waits (obs.StageQueueWaitPrep
+	// / obs.StageQueueWaitAlign — non-trivial values mean the pipeline is
+	// stalling, not computing), the loop-closure stage's observe/verify
+	// spans, and the pose-graph solve. Recording is allocation-free and
+	// deterministically inert: trajectories, closures, and optimized poses
+	// are bit-identical with a recorder set or nil.
 	Pipeline registration.PipelineConfig
 	// Pipelined overlaps frame N's front-end with frame N−1's alignment.
 	// Off, each Push runs both stages synchronously before returning —
@@ -126,24 +140,15 @@ type Config struct {
 	// edges in the optimized pose graph (default 10): one globally
 	// accurate constraint against many locally consistent drifting ones.
 	LoopEdgeWeight float64
-	// Obs, when non-nil, receives the session's latency telemetry
-	// (internal/obs): every registration stage (threaded through the
-	// pipeline config), whole-frame latency (obs.StageFrame), the
-	// pipeline hand-off waits (obs.StageQueueWaitPrep /
-	// obs.StageQueueWaitAlign — non-trivial values mean the pipeline is
-	// stalling, not computing), the loop-closure stage's observe/verify
-	// spans, and the pose-graph solve. Recording is allocation-free and
-	// deterministically inert: trajectories, closures, and optimized
-	// poses are bit-identical with Obs set or nil.
-	Obs *obs.Recorder
 	// Flight, when non-nil, additionally records every observation as a
 	// structured span event: each frame gets a whole-frame root span
 	// (deterministic span id, wall-clock interval from front-end start
 	// to commit) and every stage/queue-wait observation becomes a child
 	// span, forming the per-frame tree the /debug/trace surface and the
-	// slowest-K exemplars expose. Same inertness contract as Obs: the
-	// trajectory, closures, and optimized poses are bit-identical with
-	// the flight recorder attached or not, in both pipelining modes.
+	// slowest-K exemplars expose. Same inertness contract as
+	// Pipeline.Obs: the trajectory, closures, and optimized poses are
+	// bit-identical with the flight recorder attached or not, in both
+	// pipelining modes.
 	// Note the frame root span measures the wall interval (including
 	// pipeline hand-off waits), while the obs.StageFrame histogram keeps
 	// its compute-only PrepTime+AlignTime semantic.
@@ -232,21 +237,19 @@ type Engine struct {
 	// goroutines).
 	pushMu sync.Mutex
 
-	// rec is the session's telemetry sink (Config.Obs; nil records
-	// nothing). It is also threaded into the pipeline config handed to
-	// every stage, so registration's per-stage taps land here.
+	// rec is the session's telemetry sink (Config.Pipeline.Obs, which
+	// every stage's pipeline config carries; nil records nothing).
 	rec *obs.Recorder
 
 	// Tracing (Config.Flight). stageRecs holds one traced handle per
 	// pipeline stage, each owned by exactly one goroutine (prep worker,
 	// align worker, loop worker — or the serialized Push path in
 	// sequential mode), so rescoping them per frame with SetScope is
-	// race-free and allocation-free. loopObsRec is the detector's
-	// handle, rescoped in observeLoop on the commit goroutine.
-	flight     *obs.FlightRecorder
-	trace      obs.TraceID
-	stageRecs  [3]*obs.Recorder
-	loopObsRec *obs.Recorder
+	// race-free and allocation-free. The loop stage's observe span is
+	// recorded on the align handle: Observe runs on the commit goroutine.
+	flight    *obs.FlightRecorder
+	trace     obs.TraceID
+	stageRecs [3]*obs.Recorder
 
 	// Work counters, on lock-free atomics so Stats can be polled
 	// concurrently with running stages (the /stats endpoint does) without
@@ -338,11 +341,7 @@ var ErrClosed = errors.New("stream: engine closed")
 func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
 	e.cond = sync.NewCond(&e.mu)
-	e.rec = cfg.Obs
-	// Thread the recorder into every registration stage's config so the
-	// per-stage taps (normals, keypoints, KPCE, ICP, ...) land in the
-	// session's histograms.
-	e.cfg.Pipeline.Obs = cfg.Obs
+	e.rec = cfg.Pipeline.Obs
 	if cfg.Flight != nil {
 		e.flight = cfg.Flight
 		e.trace = cfg.Trace
@@ -358,15 +357,9 @@ func New(cfg Config) *Engine {
 		for s := range e.stageRecs {
 			e.stageRecs[s] = e.rec.Traced(e.flight, e.trace)
 		}
-		e.loopObsRec = e.rec.Traced(e.flight, e.trace)
 	}
 	if cfg.Loop != nil {
-		lc := *cfg.Loop
-		lc.Obs = e.cfg.Pipeline.Obs
-		if e.loopObsRec != nil {
-			lc.Obs = e.loopObsRec
-		}
-		det, err := loop.NewDetector(lc)
+		det, err := loop.NewDetector(*cfg.Loop)
 		if err != nil {
 			panic(fmt.Sprintf("stream: %v (validate loop configs at the boundary with loop.Config.Validate)", err))
 		}
@@ -431,13 +424,14 @@ func (e *Engine) process(c *cloud.Cloud, idx int) {
 	e.commit(pf, prev, idx, prepStart)
 }
 
-// traceRec returns the stage's traced recorder handle rescoped to
-// frame idx, or nil when tracing is off. Each handle is owned by the
-// one goroutine that runs the stage, so the rescope is race-free.
-func (e *Engine) traceRec(stage, idx int) *obs.Recorder {
+// stageRec returns the recorder a stage records frame idx under: its
+// traced handle rescoped to the frame, or the session recorder when
+// tracing is off. Each handle is owned by the one goroutine that runs the
+// stage, so the rescope is race-free.
+func (e *Engine) stageRec(stage, idx int) *obs.Recorder {
 	sr := e.stageRecs[stage]
 	if sr == nil {
-		return nil
+		return e.rec
 	}
 	sr.SetScope(frameSpanID(idx), idx)
 	return sr
@@ -464,9 +458,7 @@ func (e *Engine) prepare(c *cloud.Cloud, idx int) *registration.PreparedFrame {
 	e.enter()
 	defer e.leave()
 	cfg := e.cfg.Pipeline
-	if sr := e.traceRec(stagePrep, idx); sr != nil {
-		cfg.Obs = sr
-	}
+	cfg.Obs = e.stageRec(stagePrep, idx)
 	pf := registration.PrepareFrame(c, cfg)
 	e.cFramesPrepared.Inc()
 	e.cDescriptorBuilds.Inc()
@@ -480,9 +472,7 @@ func (e *Engine) commit(pf, prev *registration.PreparedFrame, idx int, prepStart
 	if prev != nil {
 		e.enter()
 		cfg := e.cfg.Pipeline
-		if sr := e.traceRec(stageAlign, idx); sr != nil {
-			cfg.Obs = sr
-		}
+		cfg.Obs = e.stageRec(stageAlign, idx)
 		start := time.Now()
 		fr.Reg = registration.Align(pf, prev, cfg)
 		fr.AlignTime = time.Since(start)
@@ -574,6 +564,10 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 		}
 		e.mu.Unlock()
 	}
+	// The observe span (obs.StageLoopObserve) times the cheap per-frame
+	// half of place recognition: aggregation, index maintenance and
+	// candidate ranking, parented to this frame's root span.
+	span := e.stageRec(stageAlign, index).Start(obs.StageLoopObserve)
 	// The detector keeps pf's point arrays and key-point positions by
 	// reference (loop.Detector.Observe), so a verification may be reading
 	// them while the next pair aligns against pf. Nothing writes them after
@@ -581,8 +575,8 @@ func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 	// raw index — hangs off pf and pf.Raw's own header, which the detector
 	// does not hold, and a raw-cloud front-end's normals are all there
 	// already.
-	e.loopObsRec.SetScope(frameSpanID(index), index)
 	cands := e.det.Observe(index, pf)
+	span.End()
 	if len(cands) == 0 {
 		return
 	}
@@ -619,11 +613,7 @@ func (e *Engine) verifyLoop(cands []loop.Candidate) {
 	e.leave()
 	e.cLoopTimeNs.Add(int64(elapsed))
 	// The verification span hangs off the proposing frame's root span.
-	vrec := e.rec
-	if sr := e.traceRec(stageLoop, cands[0].From); sr != nil {
-		vrec = sr
-	}
-	vrec.Observe(obs.StageLoopVerify, elapsed)
+	e.stageRec(stageLoop, cands[0].From).Observe(obs.StageLoopVerify, elapsed)
 
 	if accepted != nil {
 		e.mu.Lock()
@@ -651,11 +641,7 @@ func (e *Engine) prepWorker(out chan<- queuedFrame) {
 	defer e.wg.Done()
 	defer close(out)
 	for qc := range e.in {
-		wrec := e.rec
-		if sr := e.traceRec(stagePrep, qc.idx); sr != nil {
-			wrec = sr
-		}
-		wrec.Observe(obs.StageQueueWaitPrep, time.Since(qc.enq))
+		e.stageRec(stagePrep, qc.idx).Observe(obs.StageQueueWaitPrep, time.Since(qc.enq))
 		prepStart := time.Now()
 		out <- queuedFrame{pf: e.prepare(qc.c, qc.idx), idx: qc.idx, prepStart: prepStart, enq: time.Now()}
 	}
@@ -670,11 +656,7 @@ func (e *Engine) alignWorker(in <-chan queuedFrame) {
 	defer e.wg.Done()
 	var prev *registration.PreparedFrame
 	for qf := range in {
-		wrec := e.rec
-		if sr := e.traceRec(stageAlign, qf.idx); sr != nil {
-			wrec = sr
-		}
-		wrec.Observe(obs.StageQueueWaitAlign, time.Since(qf.enq))
+		e.stageRec(stageAlign, qf.idx).Observe(obs.StageQueueWaitAlign, time.Since(qf.enq))
 		e.commit(qf.pf, prev, qf.idx, qf.prepStart)
 		prev = qf.pf
 	}
@@ -796,11 +778,11 @@ func (e *Engine) Closures() []loop.Closure {
 // consecutive edges plus one weighted robust edge per verified loop
 // closure — and optimizes it (internal/posegraph), returning the
 // globally consistent trajectory. Callers should Drain first so every
-// pushed frame and queued verification is reflected. The zero Options
-// value selects the optimizer defaults; the result is bit-identical at
-// any Options.Parallelism. Without loop closures the graph is exactly
-// consistent and the odometry poses come back unchanged.
-func (e *Engine) OptimizedPoses(opts posegraph.Options) ([]geom.Transform, posegraph.Result, error) {
+// pushed frame and queued verification is reflected. The solve runs at the
+// session's worker count (Pipeline.Searcher.Parallelism), and its result
+// is bit-identical at any width. Without loop closures the graph is
+// exactly consistent and the odometry poses come back unchanged.
+func (e *Engine) OptimizedPoses() ([]geom.Transform, posegraph.Result, error) {
 	e.mu.Lock()
 	if len(e.traj.Poses) == 0 {
 		e.mu.Unlock()
@@ -831,7 +813,7 @@ func (e *Engine) OptimizedPoses(opts posegraph.Options) ([]geom.Transform, poseg
 	// The solve computes on a slot like a stage does; admitting it is the
 	// caller's business (the server takes its limiter around this call).
 	par.Acquire()
-	poses, res, err := g.Optimize(opts)
+	poses, res, err := g.Optimize(posegraph.Options{Parallelism: e.cfg.Pipeline.Searcher.Parallelism})
 	par.Release()
 	e.rec.Observe(obs.StagePoseGraph, res.SolveTime)
 	if e.flight != nil {

@@ -133,7 +133,7 @@ func Build(pts []geom.Vec3, topHeight int) *Tree {
 func BuildSlab(s *cloud.Slab, topHeight int) *Tree { return BuildSlabPar(s, topHeight, 0) }
 
 // BuildSlabPar is BuildSlab on at most workers goroutines (<= 0 selects
-// NumCPU; 1 builds on the calling goroutine alone): the caller, and one
+// par.Slots; 1 builds on the calling goroutine alone): the caller, and one
 // per slot of the process's budget (internal/par) it can borrow as it
 // forks. The tree is identical at every setting.
 func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {

@@ -15,9 +15,9 @@
 // batched parallel Searcher API, spreading the millions of per-frame
 // queries over a worker pool — the software counterpart of the
 // query-level parallelism the paper's two-stage tree exposes to hardware.
-// PipelineConfig.Searcher.Parallelism pins the pool size (0 = all CPUs,
-// 1 = the sequential path); exact backends return bit-identical results
-// at any setting.
+// PipelineConfig.Searcher.Parallelism pins the pool size (0 = the slot
+// budget, GOMAXPROCS; 1 = the sequential path); exact backends return
+// bit-identical results at any setting.
 //
 // # Layout
 //
@@ -108,7 +108,7 @@ type (
 	TraceLog = search.TraceLog
 	// SearcherConfig selects the search backend — by registry name
 	// (Backend + Options) — and its Parallelism (the batch worker count
-	// every query-dominated stage runs with; 0 = NumCPU, 1 = sequential).
+	// every parallel stage runs with; 0 = the slot budget, 1 = sequential).
 	SearcherConfig = registration.SearcherConfig
 )
 
