@@ -1,12 +1,14 @@
-// Micro-benchmarks of the registration hot path: the two fine-tuning
-// benchmarks and the loop-verification benchmark CI runs, and
-// serial/parallel pairs of the batched search API. The paper's figures are cmd/tigris-paper; the end-to-end numbers
-// are bench/.
+// Micro-benchmarks of the registration hot path: one streamed frame at
+// the default design point, the two fine-tuning benchmarks and the
+// loop-verification benchmark CI runs, and serial/parallel pairs of the
+// batched search API. The paper's figures are cmd/tigris-paper; the
+// end-to-end numbers are bench/.
 package tigris
 
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"tigris/internal/cloud"
 	"tigris/internal/dse"
@@ -72,6 +74,45 @@ func BenchmarkRegisterSerial(b *testing.B) { benchmarkRegister(b, 1) }
 
 // BenchmarkRegisterParallel uses one worker per CPU (the default).
 func BenchmarkRegisterParallel(b *testing.B) { benchmarkRegister(b, 0) }
+
+// processCPU returns the process's user plus system CPU time so far, where
+// the platform reports it (rusage_test.go), and is nil elsewhere.
+var processCPU func() time.Duration
+
+// BenchmarkFrameDP5 times one streamed frame at the default design point
+// (DP5, 32×600 frames, one worker): the frame's front-end (PrepareFrame)
+// and its alignment onto the previous frame, whose front-end is prepared
+// off the clock, as the stream prepared it a frame earlier. cpu_ms/op is
+// the process's CPU time per frame, which a neighbour taking the
+// machine's cores does not inflate as it does ns/op.
+func BenchmarkFrameDP5(b *testing.B) {
+	if processCPU == nil {
+		b.Skip("no process CPU clock on this platform")
+	}
+	seq := benchSeqEval()
+	cfg := DefaultPipelineConfig()
+	cfg.Searcher.Parallelism = 1
+	var cpu time.Duration
+	var res registration.Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dst := registration.PrepareFrame(seq.Frames[0].Clone(), cfg)
+		frame := seq.Frames[1].Clone()
+		before := processCPU()
+		b.StartTimer()
+		src := registration.PrepareFrame(frame, cfg)
+		res = registration.Align(src, dst, cfg)
+		b.StopTimer()
+		cpu += processCPU() - before
+		src.Release()
+		dst.Release()
+		b.StartTimer()
+	}
+	if res.Stage.Total() <= 0 {
+		b.Fatal("per-stage StageTimes not populated")
+	}
+	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu_ms/op")
+}
 
 // BenchmarkAlignFirst times what a streamed frame's alignment pays at
 // the default design point (DP5, 32×600 frames, one worker): the target's

@@ -220,9 +220,12 @@ func computeSPFHTable(c *cloud.Slab, s search.Searcher, keypoints []int, kpNbs [
 
 const fpfhBinsPerAngle = 11
 
-// darbouxAngles computes the three FPFH pair features (α, φ, θ) between a
-// source point/normal and a target point/normal, following Rusu et al.
-func darbouxAngles(ps, ns, pt, nt geom.Vec3) (alpha, phi, theta float64, ok bool) {
+// darbouxBins computes the three FPFH pair features (α, φ, θ) between a
+// source point/normal and a target point/normal, following Rusu et al.,
+// and returns the bins they fall in. θ is atan2(w·nt, u·nt), and its bin
+// comes from thetaBin, which takes the arctangent only where its key
+// cannot decide.
+func darbouxBins(ps, ns, pt, nt geom.Vec3) (alpha, phi, theta int, ok bool) {
 	d := pt.Sub(ps)
 	dist := d.Norm()
 	if dist < 1e-12 {
@@ -231,15 +234,13 @@ func darbouxAngles(ps, ns, pt, nt geom.Vec3) (alpha, phi, theta float64, ok bool
 	dn := d.Scale(1 / dist)
 	u := ns
 	v := dn.Cross(u)
-	if v.Norm() < 1e-12 {
+	vn := v.Norm()
+	if vn < 1e-12 {
 		return 0, 0, 0, false
 	}
-	v = v.Normalize()
+	v = v.Scale(1 / vn) // v.Normalize(), its norm taken once
 	w := u.Cross(v)
-	alpha = v.Dot(nt)                        // ∈ [-1, 1]
-	phi = u.Dot(dn)                          // ∈ [-1, 1]
-	theta = math.Atan2(w.Dot(nt), u.Dot(nt)) // ∈ [-π, π]
-	return alpha, phi, theta, true
+	return binUnit(v.Dot(nt)), binUnit(u.Dot(dn)), thetaBin(w.Dot(nt), u.Dot(nt)), true
 }
 
 // spfh fills h (spfhDim long) with the Simplified Point Feature Histogram
@@ -254,13 +255,13 @@ func spfh(h []float64, c *cloud.Slab, pi int, nbs []kdtree.Neighbor) {
 		if nb.Index == pi {
 			continue
 		}
-		alpha, phi, theta, ok := darbouxAngles(p, n, c.At(nb.Index), c.NormalAt(nb.Index))
+		alpha, phi, theta, ok := darbouxBins(p, n, c.At(nb.Index), c.NormalAt(nb.Index))
 		if !ok {
 			continue
 		}
-		h[binUnit(alpha)]++
-		h[fpfhBinsPerAngle+binUnit(phi)]++
-		h[2*fpfhBinsPerAngle+binAngle(theta)]++
+		h[alpha]++
+		h[fpfhBinsPerAngle+phi]++
+		h[2*fpfhBinsPerAngle+theta]++
 		count++
 	}
 	if count > 0 {
@@ -293,6 +294,32 @@ func binAngle(v float64) int {
 		b = fpfhBinsPerAngle - 1
 	}
 	return b
+}
+
+// thetaEdgeKeys are the diamond keys of binAngle's inner bin edges,
+// -π + e·2π/11 for e = 1…10, from the edges' sines and cosines.
+var thetaEdgeKeys = func() (keys [fpfhBinsPerAngle - 1]float64) {
+	for e := range keys {
+		edge := -math.Pi + float64(e+1)*2*math.Pi/fpfhBinsPerAngle
+		keys[e] = diamondKey(math.Sin(edge), math.Cos(edge))
+	}
+	return keys
+}()
+
+// thetaBin is binAngle(math.Atan2(y, x)), decided by the diamond key of
+// (x, y) where that key lies keyGuard or more from every bin edge's key:
+// the bin is then the count of edges below it. Within the guard of an edge,
+// or where the key is NaN (a non-finite |x|+|y|), it takes the arctangent.
+func thetaBin(y, x float64) int {
+	k := diamondKey(y, x)
+	b := 0
+	for b < len(thetaEdgeKeys) && thetaEdgeKeys[b] < k {
+		b++
+	}
+	if (b == 0 || k-thetaEdgeKeys[b-1] >= keyGuard) && (b == len(thetaEdgeKeys) || thetaEdgeKeys[b]-k >= keyGuard) {
+		return b
+	}
+	return binAngle(math.Atan2(y, x))
 }
 
 // fpfhDescriptor computes FPFH(p) = SPFH(p) + Σ_k SPFH(k)/ω_k over the

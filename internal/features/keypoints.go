@@ -112,12 +112,23 @@ func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []flo
 			mean = mean.Add(c.NormalAt(nb.Index))
 		}
 		mean = mean.Scale(1 / float64(len(nbs)))
-		var cov geom.Mat3
+		// Six sums, mirrored, are bit for bit the nine that adding up
+		// OuterProduct(d, d) gives (see planeSVDNormal).
+		var xx, xy, xz, yy, yz, zz float64
 		for _, nb := range nbs {
 			d := c.NormalAt(nb.Index).Sub(mean)
-			cov = cov.Add(geom.OuterProduct(d, d))
+			xx += d.X * d.X
+			xy += d.X * d.Y
+			xz += d.X * d.Z
+			yy += d.Y * d.Y
+			yz += d.Y * d.Z
+			zz += d.Z * d.Z
 		}
-		cov = cov.Scale(1 / float64(len(nbs)))
+		cov := geom.Mat3{
+			xx, xy, xz,
+			xy, yy, yz,
+			xz, yz, zz,
+		}.Scale(1 / float64(len(nbs)))
 		res[i] = cov.Trace() + cov.Det()/cfg.HarrisK
 	})
 	return res

@@ -20,6 +20,13 @@
 // shares with its search indexes: neighbor coordinates and normals are
 // dequantized per read and all accumulation runs in float64, so results
 // are deterministic at any parallelism for the float32-quantized inputs.
+//
+// Angles that decide only an order or a bin are not computed on the
+// AreaWeighted and FPFH paths: the AreaWeighted fan is sorted, and FPFH's
+// θ is binned, by a diamond pseudo-angle (diamondKey), and math.Atan2 runs
+// only where that key is too close to a neighbor's or to a bin edge to
+// certify the answer. Every order and bin is the one atan2 gives, bit for
+// bit. SHOT and 3DSC still bin their azimuths from atan2.
 package features
 
 import (
@@ -220,18 +227,23 @@ func (sw *normalSweep) distinct(idx []int, n int) []int {
 }
 
 // normalScratch is one worker's reusable state for the per-point normal
-// kernels: the neighborhood's positions, dequantized once per point, the
-// azimuth-ordered fan AreaWeighted walks with the two buffers its sort
-// works through, and the worker's tally of degenerate neighborhoods. The
-// slices grow to the largest neighborhood the worker has seen and are
-// then reused as they are.
+// kernels: the neighborhood's positions, dequantized once per point, their
+// coordinates in AreaWeighted's tangent plane, the azimuth-ordered fan it
+// walks with the two buffers its sort works through, and the worker's
+// tally of degenerate neighborhoods. The slices grow to the largest
+// neighborhood the worker has seen and are then reused as they are.
 type normalScratch struct {
 	pts        []geom.Vec3
+	tangent    []tangentCoord
 	polar      []polarEntry
 	polarTmp   []polarEntry
 	sectorEnd  []int32
 	degenerate int
 }
+
+// tangentCoord is a neighbor's (y, x) in a tangent plane, in atan2's
+// argument order.
+type tangentCoord struct{ y, x float64 }
 
 // gather loads the positions of nbs into the scratch, in neighbor order.
 func (sc *normalScratch) gather(nbs []kdtree.Neighbor, c *cloud.Slab) {
@@ -280,14 +292,14 @@ func (sc *normalScratch) areaWeightedNormal(p geom.Vec3) geom.Vec3 {
 	// is geometrically consistent.
 	prov := sc.planeSVDNormal()
 	u, v := prov.OrthoBasis()
-	ordered := sc.polar[:0]
-	for j, q := range sc.pts {
+	sc.tangent = sc.tangent[:0]
+	for _, q := range sc.pts {
 		d := q.Sub(p)
-		ordered = append(ordered, polarEntry{slot: j, ang: math.Atan2(d.Dot(v), d.Dot(u))})
+		sc.tangent = append(sc.tangent, tangentCoord{y: d.Dot(v), x: d.Dot(u)})
 	}
-	sc.polar = ordered
-	sc.sortPolar()
+	sc.orderFan()
 
+	ordered := sc.polar
 	var sum geom.Vec3
 	for i := range ordered {
 		a := sc.pts[ordered[i].slot].Sub(p)
@@ -306,11 +318,97 @@ func (sc *normalScratch) areaWeightedNormal(p geom.Vec3) geom.Vec3 {
 	return n
 }
 
-// polarEntry pairs a gathered neighbor's slot with its azimuth in a
-// tangent plane.
+// orderFan fills sc.polar with the slots of sc.tangent in the stable order
+// of their azimuths atan2(y, x) — without the arctangent wherever a
+// cheaper key certifies that order. Entries are sorted by their diamond
+// key, and only runs of keys closer than keyGuard take math.Atan2 to settle
+// their order (settleTies). A fan with a non-finite coordinate gets NaN
+// keys and some permutation of its slots, which is all it needs: the
+// normal of a neighborhood holding a NaN or infinite point is NaN in any
+// order.
+func (sc *normalScratch) orderFan() {
+	fan := sc.polar[:0]
+	for j, t := range sc.tangent {
+		fan = append(fan, polarEntry{slot: j, key: diamondKey(t.y, t.x)})
+	}
+	sc.polar = fan
+	sc.sortPolar()
+	sc.settleTies()
+}
+
+// keyGuard is the key gap at and above which the diamond key certifies an
+// order: two computed keys that far apart belong to azimuths at least that
+// far apart (the key grows no faster than the angle), and the key's and
+// math.Atan2's own errors are a few 1e-16 each, a millionth of it.
+const keyGuard = 1e-9
+
+// diamondKey returns the pseudo-angle of (x, y) on the unit diamond,
+// |y|/(|x|+|y|) carried into [-2, 2]: 2 minus it where x's sign bit is
+// set, negated where y's is. In exact arithmetic it is strictly monotone
+// in the azimuth θ = atan2(y, x), with dkey/dθ in [½, 1]; as computed it
+// errs by a few 1e-16 and keeps math.Atan2's conventions at the ends: the
+// origin keys ±0 or ±2 where atan2 gives ±0 or ±π, and so does a point
+// where atan2's own y/x underflows. The key is NaN where |x|+|y| is not
+// finite (a NaN, an infinity or an overflowing sum), so that it certifies
+// nothing there.
+func diamondKey(y, x float64) float64 {
+	s := math.Abs(x) + math.Abs(y)
+	switch {
+	case s == 0:
+		s = 1
+	case s > math.MaxFloat64:
+		return math.NaN()
+	}
+	t := math.Abs(y) / s
+	// 2 − t where x's sign bit is set, t where not: the bit moved to
+	// 2.0's exponent bit gives 2 or 0, and |0 − t| is t exactly.
+	t = math.Abs(math.Float64frombits(math.Float64bits(x)>>63<<62) - t)
+	key := math.Copysign(t, y)
+	if key == -2 && y != 0 && math.Atan2(y, x) > 0 {
+		// Both negative, and y/x underflowing to +0 inside math.Atan2,
+		// which then answers +π for this hair above −π: follow it there.
+		key = 2
+	}
+	return key
+}
+
+// polarEntry pairs a gathered neighbor's slot with its sort key in a
+// tangent plane: a diamond key, or, where the key cannot decide, the
+// azimuth.
 type polarEntry struct {
 	slot int
-	ang  float64
+	key  float64
+}
+
+// settleTies gives the key-sorted fan (sc.polar) its azimuth order: every
+// maximal run of entries whose neighboring keys are less than keyGuard
+// apart takes its azimuths and is re-sorted by (azimuth, slot). Entries in
+// different runs are certified apart, so those runs are the only places
+// the key order can differ from the stable azimuth order — and the runs
+// are common, the points of a facade column lying on one line through p.
+func (sc *normalScratch) settleTies() {
+	fan := sc.polar
+	for lo := 0; lo < len(fan); {
+		hi := lo + 1
+		for hi < len(fan) && fan[hi].key-fan[hi-1].key < keyGuard {
+			hi++
+		}
+		if run := fan[lo:hi]; len(run) > 1 {
+			for i := range run {
+				t := sc.tangent[run[i].slot]
+				run[i].key = math.Atan2(t.y, t.x)
+			}
+			for i := 1; i < len(run); i++ {
+				e := run[i]
+				j := i
+				for ; j > 0 && (e.key < run[j-1].key || e.key == run[j-1].key && e.slot < run[j-1].slot); j-- {
+					run[j] = run[j-1]
+				}
+				run[j] = e
+			}
+		}
+		lo = hi
+	}
 }
 
 // fanInsertionRun is the fan length up to which sortPolar is a bare
@@ -318,18 +416,18 @@ type polarEntry struct {
 // that.
 const fanInsertionRun = 12
 
-// sortPolar orders the worker's fan (sc.polar) by azimuth, stably: equal
-// azimuths keep their neighbor order, which the fan's cross-product sum
-// depends on. The insertion sort this replaces was O(k²) and a quarter of
-// an AreaWeighted normal on a raw LiDAR cloud, whose fans average 35
-// entries and reach past 100. A fan longer than fanInsertionRun is first
-// dealt, in order, into as many equal sectors of [-π, π] as it has
-// entries — a counting pass, O(k), after which entries are at or next to
-// their place whenever azimuths are spread — and then merge-sorted from
-// short insertion-sorted runs, which bounds the whole at O(k log k)
-// however the azimuths cluster. Sectors are monotone in the azimuth and
-// both passes are stable, and the stable order of NaN-free keys is
-// unique: the result is the insertion sort's, entry for entry.
+// sortPolar orders the worker's fan (sc.polar) by key, stably: equal keys
+// keep their neighbor order, which the fan's cross-product sum depends on.
+// The insertion sort this replaces was O(k²) and a quarter of an
+// AreaWeighted normal on a raw LiDAR cloud, whose fans average 35 entries
+// and reach past 100. A fan longer than fanInsertionRun is first dealt, in
+// order, into as many equal sectors of the diamond key's range [-2, 2] as
+// it has entries — a counting pass, O(k), after which entries are at or
+// next to their place whenever keys are spread — and then merge-sorted
+// from short insertion-sorted runs, which bounds the whole at O(k log k)
+// however the keys cluster. Sectors are monotone in the key and both
+// passes are stable, and the stable order of NaN-free keys is unique: the
+// result is the insertion sort's, entry for entry.
 func (sc *normalScratch) sortPolar() {
 	p := sc.polar
 	n := len(p)
@@ -353,7 +451,7 @@ func (sc *normalScratch) sortPolar() {
 			for k := lo; k < hi; k++ {
 				// Take from the right run only when it is strictly
 				// smaller: ties go to the left, which came first.
-				if r < hi && (l == mid || src[r].ang < src[l].ang) {
+				if r < hi && (l == mid || src[r].key < src[l].key) {
 					dst[k] = src[r]
 					r++
 				} else {
@@ -374,7 +472,7 @@ func insertionSortPolar(run []polarEntry) {
 	for i := 1; i < len(run); i++ {
 		e := run[i]
 		j := i
-		for ; j > 0 && e.ang < run[j-1].ang; j-- {
+		for ; j > 0 && e.key < run[j-1].key; j-- {
 			run[j] = run[j-1]
 		}
 		run[j] = e
@@ -382,13 +480,13 @@ func insertionSortPolar(run []polarEntry) {
 }
 
 // dealSectors reorders sc.polar by sector: entry order is kept within a
-// sector, and sector s holds the azimuths of [-π + s·2π/n, -π + (s+1)·2π/n).
+// sector, and sector s holds the keys of [-2 + s·4/n, -2 + (s+1)·4/n).
 func (sc *normalScratch) dealSectors() {
 	p := sc.polar
 	n := len(p)
-	scale := float64(n) / (2 * math.Pi)
-	sector := func(ang float64) int {
-		s := int((ang + math.Pi) * scale)
+	scale := float64(n) / 4
+	sector := func(key float64) int {
+		s := int((key + 2) * scale)
 		// Also where a NaN's conversion lands: anywhere, but in range.
 		if !(s >= 0) {
 			return 0
@@ -398,7 +496,7 @@ func (sc *normalScratch) dealSectors() {
 	end := sc.sectorEnd[:n+1]
 	clear(end)
 	for i := range p {
-		end[sector(p[i].ang)+1]++
+		end[sector(p[i].key)+1]++
 	}
 	for s := 1; s <= n; s++ {
 		end[s] += end[s-1]
@@ -407,7 +505,7 @@ func (sc *normalScratch) dealSectors() {
 	// the sector fills.
 	tmp := sc.polarTmp[:n]
 	for i := range p {
-		s := sector(p[i].ang)
+		s := sector(p[i].key)
 		tmp[end[s]] = p[i]
 		end[s]++
 	}

@@ -164,6 +164,29 @@ func TestNormalKernelsZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// darbouxAngles computes the three FPFH pair features (α, φ, θ) between a
+// source point/normal and a target point/normal, following Rusu et al.,
+// with θ from math.Atan2: the form darbouxBins must bin identically.
+func darbouxAngles(ps, ns, pt, nt geom.Vec3) (alpha, phi, theta float64, ok bool) {
+	d := pt.Sub(ps)
+	dist := d.Norm()
+	if dist < 1e-12 {
+		return 0, 0, 0, false
+	}
+	dn := d.Scale(1 / dist)
+	u := ns
+	v := dn.Cross(u)
+	if v.Norm() < 1e-12 {
+		return 0, 0, 0, false
+	}
+	v = v.Normalize()
+	w := u.Cross(v)
+	alpha = v.Dot(nt)                        // ∈ [-1, 1]
+	phi = u.Dot(dn)                          // ∈ [-1, 1]
+	theta = math.Atan2(w.Dot(nt), u.Dot(nt)) // ∈ [-π, π]
+	return alpha, phi, theta, true
+}
+
 // refFPFH is FPFH as it stood before the flat SPFH table: every SPFH its
 // own slice, memoized in a map, one radius query per support point.
 func refFPFH(c *cloud.Slab, s search.Searcher, keypoints []int, radius float64) []float64 {
@@ -252,5 +275,54 @@ func TestFPFHBitIdenticalToReference(t *testing.T) {
 		big, bigS := descriptorTestCloud(rand.New(rand.NewSource(64 + int64(round))))
 		bigKps := DetectKeypoints(big, bigS, KeypointConfig{Method: Harris3D, Radius: 1.0, MaxKeypoints: 80})
 		ComputeDescriptors(big, bigS, bigKps, DescriptorConfig{Method: FPFH, SearchRadius: 1.5})
+	}
+}
+
+// refHarrisResponses is the Harris3D response as it stood before the
+// six-sum covariance: nine entries accumulated through
+// Mat3.Add(OuterProduct), one radius query per point.
+func refHarrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float64 {
+	cfg.defaults()
+	res := make([]float64, c.Len())
+	for i := range res {
+		nbs := s.Radius(c.At(i), cfg.Radius)
+		if len(nbs) < 5 {
+			continue
+		}
+		var mean geom.Vec3
+		for _, nb := range nbs {
+			mean = mean.Add(c.NormalAt(nb.Index))
+		}
+		mean = mean.Scale(1 / float64(len(nbs)))
+		var cov geom.Mat3
+		for _, nb := range nbs {
+			d := c.NormalAt(nb.Index).Sub(mean)
+			cov = cov.Add(geom.OuterProduct(d, d))
+		}
+		cov = cov.Scale(1 / float64(len(nbs)))
+		res[i] = cov.Trace() + cov.Det()/cfg.HarrisK
+	}
+	return res
+}
+
+// TestHarrisBitIdenticalToReference: every point's response equals the
+// nine-entry reference's to the bit, at one worker and at four.
+func TestHarrisBitIdenticalToReference(t *testing.T) {
+	c := boxEdgeCloud(rand.New(rand.NewSource(65)), 1500)
+	s := search.NewKDSearcherSlab(c)
+	EstimateNormals(c, s, NormalConfig{SearchRadius: 0.8})
+	for _, radius := range []float64{0.8, 1.5} {
+		cfg := KeypointConfig{Method: Harris3D, Radius: radius}
+		want := refHarrisResponses(c, s, cfg)
+		for _, workers := range []int{1, 4} {
+			s.SetParallelism(workers)
+			cfg.defaults()
+			got := harrisResponses(c, s, cfg)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("radius %v p%d: response[%d] = %v, reference %v", radius, workers, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

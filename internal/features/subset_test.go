@@ -117,18 +117,20 @@ func TestEstimateNormalsAtAllocatesNormalSlabs(t *testing.T) {
 // before sortPolar; the order it produces is the contract.
 func refSortPolar(p []polarEntry) {
 	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j].ang < p[j-1].ang; j-- {
+		for j := i; j > 0 && p[j].key < p[j-1].key; j-- {
 			p[j], p[j-1] = p[j-1], p[j]
 		}
 	}
 }
 
 // TestFanSortMatchesInsertionSort: entry for entry, on random fans, fans
-// of one azimuth, fans with runs of ties, clustered fans (every entry in
-// one or two sectors) and azimuths at the range's ends, lengths 0–300.
+// of one key, fans with runs of ties, clustered fans (every entry in one or
+// two sectors), keys at the range's ends and fans clustered in descending
+// order (reversed within their sectors after the deal), lengths 0–300,
+// over the diamond key's range [-2, 2].
 func TestFanSortMatchesInsertionSort(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
-	uniform := func() float64 { return (r.Float64()*2 - 1) * math.Pi }
+	uniform := func() float64 { return r.Float64()*4 - 2 }
 	makers := map[string]func(n int) []float64{
 		"random": func(n int) []float64 {
 			a := make([]float64, n)
@@ -147,7 +149,7 @@ func TestFanSortMatchesInsertionSort(t *testing.T) {
 		},
 		"tie-runs": func(n int) []float64 {
 			a := make([]float64, n)
-			vals := []float64{uniform(), uniform(), uniform(), 0, math.Copysign(0, -1), math.Pi, -math.Pi}
+			vals := []float64{uniform(), uniform(), uniform(), 0, math.Copysign(0, -1), 2, -2}
 			for i := 0; i < n; {
 				v := vals[r.Intn(len(vals))]
 				for run := 1 + r.Intn(9); run > 0 && i < n; run-- {
@@ -163,7 +165,7 @@ func TestFanSortMatchesInsertionSort(t *testing.T) {
 			for i := range a {
 				a[i] = c + (r.Float64()-0.5)*1e-3
 				if r.Intn(2) == 0 {
-					a[i] = math.Remainder(a[i]+math.Pi, 2*math.Pi)
+					a[i] = math.Remainder(a[i]+2, 4)
 				}
 			}
 			return a
@@ -171,7 +173,15 @@ func TestFanSortMatchesInsertionSort(t *testing.T) {
 		"descending": func(n int) []float64 {
 			a := make([]float64, n)
 			for i := range a {
-				a[i] = math.Pi - 2*math.Pi*float64(i)/float64(n+1)
+				a[i] = 2 - 4*float64(i)/float64(n+1)
+			}
+			return a
+		},
+		"clustered-descending": func(n int) []float64 {
+			a := make([]float64, n)
+			c := uniform()
+			for i := range a {
+				a[i] = c - 1e-6*float64(i)
 			}
 			return a
 		},
@@ -179,16 +189,16 @@ func TestFanSortMatchesInsertionSort(t *testing.T) {
 	var sc normalScratch
 	for name, mk := range makers {
 		for n := 0; n <= 300; n++ {
-			angs := mk(n)
+			keys := mk(n)
 			want := make([]polarEntry, n)
-			for i, a := range angs {
-				want[i] = polarEntry{slot: i, ang: a}
+			for i, k := range keys {
+				want[i] = polarEntry{slot: i, key: k}
 			}
 			sc.polar = append(sc.polar[:0], want...)
 			refSortPolar(want)
 			sc.sortPolar()
 			for i := range want {
-				if sc.polar[i].slot != want[i].slot || math.Float64bits(sc.polar[i].ang) != math.Float64bits(want[i].ang) {
+				if sc.polar[i].slot != want[i].slot || math.Float64bits(sc.polar[i].key) != math.Float64bits(want[i].key) {
 					t.Fatalf("%s n=%d: entry %d = %+v, insertion sort has %+v", name, n, i, sc.polar[i], want[i])
 				}
 			}
