@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tigris/internal/geom"
@@ -173,12 +174,30 @@ func TestSVD3OfRotation(t *testing.T) {
 
 func TestSolveDenseKnown(t *testing.T) {
 	// 2x + y = 5; x - y = 1 → x=2, y=1.
-	x, err := SolveDense([]float64{2, 1, 1, -1}, []float64{5, 1})
-	if err != nil {
+	x := []float64{5, 1}
+	if err := SolveDense([]float64{2, 1, 1, -1}, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
 		t.Fatalf("solution = %v", x)
+	}
+}
+
+// TestSolveDenseInPlace holds the solve to its contract: b receives x, a
+// is left eliminated (upper triangular after the row swap), and the
+// backing arrays are the caller's — no copy is solved instead.
+func TestSolveDenseInPlace(t *testing.T) {
+	a := []float64{0, 2, 4, 1}
+	b := []float64{6, 9}
+	if err := SolveDense(a, b); err != nil {
+		t.Fatal(err)
+	}
+	// 2y = 6, 4x + y = 9 → x = 1.5, y = 3; the zero pivot swapped the rows.
+	if b[0] != 1.5 || b[1] != 3 {
+		t.Fatalf("b = %v, want the solution [1.5 3]", b)
+	}
+	if want := []float64{4, 1, 0, 2}; !slices.Equal(a, want) {
+		t.Fatalf("a = %v, want the eliminated %v", a, want)
 	}
 }
 
@@ -198,50 +217,42 @@ func TestSolveDenseRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = r.Float64()*10 - 5
 		}
-		b := make([]float64, n)
-		MatVec(a, want, b)
-		got, err := SolveDense(a, b)
-		if err != nil {
+		b := make([]float64, n) // b = A·want
+		for i := range b {
+			for j, w := range want {
+				b[i] += a[i*n+j] * w
+			}
+		}
+		if err := SolveDense(a, b); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("solve mismatch at %d: %v vs %v", i, got[i], want[i])
+			if math.Abs(b[i]-want[i]) > 1e-8 {
+				t.Fatalf("solve mismatch at %d: %v vs %v", i, b[i], want[i])
 			}
 		}
 	}
 }
 
 func TestSolveDenseSingular(t *testing.T) {
-	_, err := SolveDense([]float64{1, 2, 2, 4}, []float64{1, 2})
-	if err == nil {
+	if err := SolveDense([]float64{1, 2, 2, 4}, []float64{1, 2}); err == nil {
 		t.Fatal("expected error for singular system")
 	}
 }
 
 func TestSolveDenseDimensionMismatch(t *testing.T) {
-	if _, err := SolveDense([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
+	if err := SolveDense([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
 
 func TestSolveDenseNeedsPivoting(t *testing.T) {
 	// Zero on the leading diagonal forces a row swap.
-	x, err := SolveDense([]float64{0, 1, 1, 0}, []float64{3, 7})
-	if err != nil {
+	x := []float64{3, 7}
+	if err := SolveDense([]float64{0, 1, 1, 0}, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-7) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("solution = %v", x)
-	}
-}
-
-func TestMatVec(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	x := []float64{1, 0, -1}
-	y := make([]float64, 2)
-	MatVec(a, x, y)
-	if y[0] != -2 || y[1] != -2 {
-		t.Fatalf("MatVec = %v", y)
 	}
 }

@@ -10,73 +10,56 @@ import (
 var ErrSingular = errors.New("linalg: singular matrix")
 
 // SolveDense solves the n×n system A·x = b in place using Gaussian
-// elimination with partial pivoting. A is given row-major as a flat slice of
-// length n*n. The inputs are not modified. The Levenberg–Marquardt solver
-// uses this for its (J'J + λI)δ = J'r normal equations (6×6 for ICP).
-func SolveDense(a []float64, b []float64) ([]float64, error) {
+// elimination with partial pivoting. A is given row-major as a flat slice
+// of length n*n and is destroyed; b receives x. Nothing is allocated, so
+// a caller retrying with a different damping refills its own buffers. On
+// an error both are left partly eliminated. The Levenberg–Marquardt
+// solvers use this for their (J'J + λI)δ = J'r normal equations (6×6 for
+// ICP, 6(N−1) square for the pose graph).
+func SolveDense(a []float64, b []float64) error {
 	n := len(b)
 	if len(a) != n*n {
-		return nil, fmt.Errorf("linalg: matrix size %d does not match vector size %d", len(a), n)
+		return fmt.Errorf("linalg: matrix size %d does not match vector size %d", len(a), n)
 	}
-	// Working copies.
-	m := make([]float64, len(a))
-	copy(m, a)
-	x := make([]float64, n)
-	copy(x, b)
-
 	for col := 0; col < n; col++ {
 		// Partial pivoting: find the largest remaining entry in this column.
 		pivot := col
-		maxAbs := math.Abs(m[col*n+col])
+		maxAbs := math.Abs(a[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if abs := math.Abs(m[r*n+col]); abs > maxAbs {
+			if abs := math.Abs(a[r*n+col]); abs > maxAbs {
 				maxAbs = abs
 				pivot = r
 			}
 		}
 		if maxAbs < 1e-300 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
 			for c := 0; c < n; c++ {
-				m[col*n+c], m[pivot*n+c] = m[pivot*n+c], m[col*n+c]
+				a[col*n+c], a[pivot*n+c] = a[pivot*n+c], a[col*n+c]
 			}
-			x[col], x[pivot] = x[pivot], x[col]
+			b[col], b[pivot] = b[pivot], b[col]
 		}
 		// Eliminate below the pivot.
-		inv := 1 / m[col*n+col]
+		inv := 1 / a[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := m[r*n+col] * inv
+			f := a[r*n+col] * inv
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m[r*n+c] -= f * m[col*n+c]
+				a[r*n+c] -= f * a[col*n+c]
 			}
-			x[r] -= f * x[col]
+			b[r] -= f * b[col]
 		}
 	}
 	// Back substitution.
 	for r := n - 1; r >= 0; r-- {
-		s := x[r]
+		s := b[r]
 		for c := r + 1; c < n; c++ {
-			s -= m[r*n+c] * x[c]
+			s -= a[r*n+c] * b[c]
 		}
-		x[r] = s / m[r*n+r]
+		b[r] = s / a[r*n+r]
 	}
-	return x, nil
-}
-
-// MatVec computes y = A·x for a row-major n×m matrix A (n = len(y),
-// m = len(x)).
-func MatVec(a []float64, x []float64, y []float64) {
-	m := len(x)
-	for r := range y {
-		var s float64
-		row := a[r*m : (r+1)*m]
-		for c, v := range row {
-			s += v * x[c]
-		}
-		y[r] = s
-	}
+	return nil
 }

@@ -183,9 +183,9 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 
 	h := make([]float64, dim*dim)
 	b := make([]float64, dim)
-	damped := make([]float64, dim*dim) // reused across damping attempts
+	damped := make([]float64, dim*dim) // H + λ·diag(H), eliminated in place by each attempt
 	trial := make([]geom.Transform, n)
-	delta := make([]float64, dim)
+	delta := make([]float64, dim) // b, solved in place into the step
 
 	g.evalResiduals(poses, resids, workers)
 	lambda := initialLambda
@@ -241,12 +241,11 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 				}
 				damped[i*dim+i] += lambda * d
 			}
-			step, err := linalg.SolveDense(damped, b)
-			if err != nil {
+			copy(delta, b)
+			if err := linalg.SolveDense(damped, delta); err != nil {
 				lambda *= 10
 				continue
 			}
-			copy(delta, step)
 			applyDelta(poses, delta, trial)
 			g.evalResiduals(trial, trialResids, workers)
 			trialCost := scaledCost(trialResids, scales)

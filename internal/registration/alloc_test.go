@@ -70,6 +70,26 @@ func TestICPSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPointToPlaneAllocs pins the LM solve and the RMSE pass at one
+// worker to no allocation at all: the passes run kernels bound once in a
+// pooled slabPasses and the 6×6 solves run in place on stack arrays. A
+// DP5 frame runs this solve once per ICP iteration, and a rejected loop
+// candidate a dozen times, so anything it allocates is paid per pass.
+func TestPointToPlaneAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for _, n := range []int{500, 3*accumChunk + 1} {
+		src, dst := planeFixture(n, 9, 0.05, 0.4, 0.01, false)
+		EstimatePointToPlaneSlabPar(src, dst, 1) // warm the pooled passes
+		allocs := testing.AllocsPerRun(10, func() {
+			EstimatePointToPlaneSlabPar(src, dst, 1)
+			AlignmentRMSESlabPar(geom.IdentityTransform(), src, dst, 1)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: a one-worker point-to-plane solve and RMSE pass allocate %.1f times, want 0", n, allocs)
+		}
+	}
+}
+
 // skipUnderRace skips allocation-budget tests when the race detector's
 // shadow allocations would break AllocsPerRun.
 func skipUnderRace(t *testing.T) {

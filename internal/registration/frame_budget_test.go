@@ -14,18 +14,20 @@ import (
 // frame's front-end and its alignment against the previous frame may
 // allocate what the frame *is* — its slabs, normals, the two search
 // indexes, descriptors, the stage outputs — and nothing per point, per
-// query or per neighbor. The figures are committed numbers: measured
-// ≈ 1.77 MB and ≈ 830 allocations per frame on the default two-stage
-// backend (≈ 1.83 MB and ≈ 1,025 on the canonical tree, whose node array
-// is half again the two-stage tree's permutation and leaf-ordered
-// coordinates; the same path allocated ≈ 21 MB and ≈ 120 k per frame
-// before the hot path's scratch was recycled), with headroom for the
-// frames on which a result arena still grows, so a regression that
-// re-introduces per-point garbage fails here long before it shows in
-// bench/'s alloc_mb_per_frame.
+// query, per neighbor or per solver pass. The figures are committed
+// numbers: measured ≈ 1.7 MB and ≈ 420 allocations per frame on the
+// default two-stage backend (≈ 1.83 MB and ≈ 545 on the canonical tree,
+// whose node array is half again the two-stage tree's permutation and
+// leaf-ordered coordinates). The same path allocated ≈ 895 per frame
+// while the point-to-plane solve allocated per pass and per damping
+// attempt, and ≈ 21 MB and ≈ 120 k before the hot path's scratch was
+// recycled. The headroom covers the frames on which a result arena
+// still grows, so a regression that re-introduces per-point or per-pass
+// garbage fails here long before it shows in bench/'s
+// alloc_mb_per_frame.
 const (
 	frameBudgetBytes  = 2.8e6
-	frameBudgetAllocs = 1900
+	frameBudgetAllocs = 600
 )
 
 // budgetConfig is the benchmark's odometry design point (dse DP5:

@@ -154,16 +154,18 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 	}
 	qs := sc.qs[:len(qIdx)]
 	for qi, i := range qIdx {
-		qs[qi] = initial.Apply(src.At(i))
+		qs[qi] = src.At(i)
 	}
+	moveAll(initial, qs)
 	// Reciprocal RPCE indexes the whole moved source every iteration, so
 	// only then is every point carried along; otherwise nothing ever
 	// reads the points between the strides.
 	cur := sc.cur[:0]
 	if cfg.Reciprocal {
 		for i := 0; i < src.Len(); i++ {
-			cur = append(cur, initial.Apply(src.At(i)))
+			cur = append(cur, src.At(i))
 		}
+		moveAll(initial, cur)
 		sc.cur = cur
 	}
 
@@ -265,12 +267,8 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		}
 
 		res.Transform = delta.Compose(res.Transform)
-		for qi := range qs {
-			qs[qi] = delta.Apply(qs[qi])
-		}
-		for i := range cur {
-			cur[i] = delta.Apply(cur[i])
-		}
+		moveAll(delta, qs)
+		moveAll(delta, cur)
 
 		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, workers)
 		res.FinalRMSE = rmse

@@ -21,12 +21,19 @@ const accumChunk = 4096
 
 // reduceChunks evaluates eval over the fixed-size chunks of [0, n) on up
 // to `workers` goroutines and folds the chunk partials in chunk order.
-// See accumChunk for why this is deterministic at any worker count.
+// See accumChunk for why this is deterministic at any worker count. One
+// worker, or one chunk, folds as it goes on the caller: no partials
+// slice and no closure for the pool, so such a pass allocates nothing
+// beyond what eval does.
 func reduceChunks[P any](n, workers int, eval func(lo, hi int) P, fold func(acc, p P) P) P {
-	if n <= accumChunk {
-		return eval(0, n)
-	}
 	workers = par.Workers(workers)
+	if workers == 1 || n <= accumChunk {
+		acc := eval(0, min(n, accumChunk))
+		for lo := accumChunk; lo < n; lo += accumChunk {
+			acc = fold(acc, eval(lo, min(lo+accumChunk, n)))
+		}
+		return acc
+	}
 	chunks := (n + accumChunk - 1) / accumChunk
 	parts := make([]P, chunks)
 	par.ForChunks(n, workers, accumChunk, func(_, lo, hi int) {
@@ -161,20 +168,31 @@ func (m ErrorMetric) String() string {
 	}
 }
 
-// normalEqPart is one chunk's share of the 6×6 normal equations.
-type normalEqPart struct {
-	jtj [36]float64
-	jtr [6]float64
-}
+// normalEqPart is one chunk's share of the 6×6 normal equations: JᵀJ's
+// 21 upper-triangle sums row by row, then Jᵀr's 6.
+type normalEqPart [27]float64
 
 func (p normalEqPart) add(o normalEqPart) normalEqPart {
-	for i := range p.jtj {
-		p.jtj[i] += o.jtj[i]
-	}
-	for i := range p.jtr {
-		p.jtr[i] += o.jtr[i]
+	for i := range p {
+		p[i] += o[i]
 	}
 	return p
+}
+
+// moveAll replaces every point p with t.Apply(p): the same expression,
+// so the same bits, with t's entries in locals rather than a call and a
+// receiver copy per point (see transform_slab.go).
+func moveAll(t geom.Transform, pts []geom.Vec3) {
+	m := &t.R
+	r0, r1, r2, r3, r4, r5, r6, r7, r8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
+	tx, ty, tz := t.T.X, t.T.Y, t.T.Z
+	for i, p := range pts {
+		pts[i] = geom.Vec3{
+			X: r0*p.X + r1*p.Y + r2*p.Z + tx,
+			Y: r3*p.X + r4*p.Y + r5*p.Z + ty,
+			Z: r6*p.X + r7*p.Y + r8*p.Z + tz,
+		}
+	}
 }
 
 func vecNorm6(v []float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/linalg"
+	"tigris/internal/par"
 )
 
 // This file holds the error-minimization reductions ICP runs over
@@ -14,6 +15,19 @@ import (
 // slabs; every accumulation dequantizes to float64 and folds in
 // accumChunk order, keeping results bit-identical at any Parallelism for
 // the same (float32) inputs.
+//
+// The point-to-plane and RMSE passes are straight-line kernels: the
+// transform's twelve entries sit in locals and each point is moved by
+// the expression geom.Transform.Apply evaluates (R·p, row by row, then
+// + T), so the bits are Apply's. Apply itself is not called there: its
+// inline cost (93) is over the compiler's budget (80), so each point
+// would pay a call and a copy of the 96-byte receiver. The normal
+// equations are 27 scalar sums (JᵀJ's upper triangle and Jᵀr) in point
+// order, and the kernels are bound once per pooled slabPasses, so a
+// solve at one worker allocates nothing. reference_test.go holds both to
+// the Apply-based forms they replaced, bit for bit. That evidence is
+// from amd64 builds only: arm64 builds fuse multiply-adds, and may fuse
+// these expressions differently from the old ones.
 
 // EstimateRigidTransformSlab solves the point-to-point alignment over
 // paired correspondence slabs (see EstimateRigidTransform).
@@ -78,40 +92,23 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 	if src.Len() != dst.Len() || !dst.HasNormals() || src.Len() < 6 {
 		return geom.IdentityTransform(), false
 	}
+	ps := getSlabPasses(src, dst)
+	defer ps.release()
 	cur := geom.IdentityTransform()
 	lambda := 1e-4
-	cost := pointToPlaneCostSlab(cur, src, dst, workers)
+	cost := ps.reduce(cur, workers, ps.costPass)
 	// A handful of damped Gauss-Newton steps suffices: the outer ICP loop
 	// re-linearizes anyway.
 	for iter := 0; iter < 6; iter++ {
-		eq := reduceChunks(src.Len(), workers,
-			func(lo, hi int) normalEqPart {
-				var p normalEqPart
-				for i := lo; i < hi; i++ {
-					s := cur.Apply(src.At(i))
-					n := dst.NormalAt(i)
-					r := s.Sub(dst.At(i)).Dot(n)
-					c := s.Cross(n)
-					row := [6]float64{c.X, c.Y, c.Z, n.X, n.Y, n.Z}
-					for a := 0; a < 6; a++ {
-						p.jtr[a] += row[a] * r
-						for b := a; b < 6; b++ {
-							p.jtj[a*6+b] += row[a] * row[b]
-						}
-					}
-				}
-				return p
-			},
-			normalEqPart.add)
-		jtj, jtr := eq.jtj, eq.jtr
+		ps.at = cur
+		eq := reduceChunks(src.Len(), workers, ps.eqPass, normalEqPart.add)
+		var jtj [36]float64
+		k := 0
 		for a := 0; a < 6; a++ {
-			for b := 0; b < a; b++ {
-				jtj[a*6+b] = jtj[b*6+a]
+			for b := a; b < 6; b++ {
+				jtj[a*6+b], jtj[b*6+a] = eq[k], eq[k]
+				k++
 			}
-		}
-		var neg [6]float64
-		for a := 0; a < 6; a++ {
-			neg[a] = -jtr[a]
 		}
 		improved := false
 		for attempt := 0; attempt < 8; attempt++ {
@@ -123,19 +120,22 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 				}
 				damped[a*6+a] += lambda * d
 			}
-			delta, err := linalg.SolveDense(damped[:], neg[:])
-			if err != nil {
+			var delta [6]float64
+			for a := range delta {
+				delta[a] = -eq[21+a]
+			}
+			if linalg.SolveDense(damped[:], delta[:]) != nil {
 				lambda *= 10
 				continue
 			}
-			trial := twistToTransform(delta).Compose(cur)
-			trialCost := pointToPlaneCostSlab(trial, src, dst, workers)
+			trial := twistToTransform(delta[:]).Compose(cur)
+			trialCost := ps.reduce(trial, workers, ps.costPass)
 			if trialCost < cost {
 				cur = trial
 				cost = trialCost
 				lambda = math.Max(lambda*0.3, 1e-12)
 				improved = true
-				if vecNorm6(delta) < 1e-10 {
+				if vecNorm6(delta[:]) < 1e-10 {
 					return cur, true
 				}
 				break
@@ -147,19 +147,6 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 		}
 	}
 	return cur, true
-}
-
-func pointToPlaneCostSlab(t geom.Transform, src, dst *cloud.Slab, workers int) float64 {
-	return reduceChunks(src.Len(), workers,
-		func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				r := t.Apply(src.At(i)).Sub(dst.At(i)).Dot(dst.NormalAt(i))
-				s += r * r
-			}
-			return s
-		},
-		func(a, b float64) float64 { return a + b })
 }
 
 // AlignmentRMSESlab returns the root-mean-square point-to-point error of
@@ -176,14 +163,154 @@ func AlignmentRMSESlabPar(tr geom.Transform, src, dst *cloud.Slab, workers int) 
 	if src.Len() == 0 {
 		return 0
 	}
-	s := reduceChunks(src.Len(), workers,
-		func(lo, hi int) float64 {
-			var p float64
-			for i := lo; i < hi; i++ {
-				p += tr.Apply(src.At(i)).Dist2(dst.At(i))
-			}
-			return p
-		},
-		func(a, b float64) float64 { return a + b })
+	ps := getSlabPasses(src, dst)
+	s := ps.reduce(tr, workers, ps.sqErrPass)
+	ps.release()
 	return math.Sqrt(s / float64(src.Len()))
+}
+
+// slabPasses holds the per-point passes of one solve over a correspondence
+// slab pair, with their kernels bound once: a pass hands reduceChunks a
+// function value that already exists, so neither a pass nor a trial
+// allocates. at is the transform the next pass evaluates.
+type slabPasses struct {
+	src, dst  *cloud.Slab
+	at        geom.Transform
+	eqPass    func(lo, hi int) normalEqPart
+	costPass  func(lo, hi int) float64
+	sqErrPass func(lo, hi int) float64
+}
+
+// idleSlabPasses holds the slabPasses no solve is using.
+var idleSlabPasses par.FreeList[*slabPasses]
+
+func getSlabPasses(src, dst *cloud.Slab) *slabPasses {
+	ps, ok := idleSlabPasses.Get()
+	if !ok {
+		ps = new(slabPasses)
+		ps.eqPass = ps.normalEqs
+		ps.costPass = ps.planeCost
+		ps.sqErrPass = ps.sqErr
+	}
+	ps.src, ps.dst = src, dst
+	return ps
+}
+
+func (ps *slabPasses) release() {
+	ps.src, ps.dst = nil, nil
+	idleSlabPasses.Put(ps)
+}
+
+// reduce sums a scalar pass over the slabs at t.
+func (ps *slabPasses) reduce(t geom.Transform, workers int, pass func(lo, hi int) float64) float64 {
+	ps.at = t
+	return reduceChunks(ps.src.Len(), workers, pass, addFloat)
+}
+
+func addFloat(a, b float64) float64 { return a + b }
+
+// normalEqs accumulates the point-to-plane normal equations of [lo, hi)
+// at ps.at: per pair, s = R·src + T, the residual r = (s − dst)·n and
+// the Jacobian row [s×n ; n].
+func (ps *slabPasses) normalEqs(lo, hi int) normalEqPart {
+	m, t := &ps.at.R, ps.at.T
+	r0, r1, r2, r3, r4, r5, r6, r7, r8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
+	tx, ty, tz := t.X, t.Y, t.Z
+	xs, ys, zs := ps.src.Xs[lo:hi], ps.src.Ys[lo:hi], ps.src.Zs[lo:hi]
+	dxs, dys, dzs := ps.dst.Xs[lo:hi], ps.dst.Ys[lo:hi], ps.dst.Zs[lo:hi]
+	nxs, nys, nzs := ps.dst.NXs[lo:hi], ps.dst.NYs[lo:hi], ps.dst.NZs[lo:hi]
+	var (
+		a00, a01, a02, a03, a04, a05 float64
+		a11, a12, a13, a14, a15      float64
+		a22, a23, a24, a25           float64
+		a33, a34, a35                float64
+		a44, a45                     float64
+		a55                          float64
+		b0, b1, b2, b3, b4, b5       float64
+	)
+	for i := range xs {
+		x, y, z := float64(xs[i]), float64(ys[i]), float64(zs[i])
+		sx := r0*x + r1*y + r2*z + tx
+		sy := r3*x + r4*y + r5*z + ty
+		sz := r6*x + r7*y + r8*z + tz
+		nx, ny, nz := float64(nxs[i]), float64(nys[i]), float64(nzs[i])
+		r := (sx-float64(dxs[i]))*nx + (sy-float64(dys[i]))*ny + (sz-float64(dzs[i]))*nz
+		cx, cy, cz := sy*nz-sz*ny, sz*nx-sx*nz, sx*ny-sy*nx
+
+		a00 += cx * cx
+		a01 += cx * cy
+		a02 += cx * cz
+		a03 += cx * nx
+		a04 += cx * ny
+		a05 += cx * nz
+		a11 += cy * cy
+		a12 += cy * cz
+		a13 += cy * nx
+		a14 += cy * ny
+		a15 += cy * nz
+		a22 += cz * cz
+		a23 += cz * nx
+		a24 += cz * ny
+		a25 += cz * nz
+		a33 += nx * nx
+		a34 += nx * ny
+		a35 += nx * nz
+		a44 += ny * ny
+		a45 += ny * nz
+		a55 += nz * nz
+		b0 += cx * r
+		b1 += cy * r
+		b2 += cz * r
+		b3 += nx * r
+		b4 += ny * r
+		b5 += nz * r
+	}
+	return normalEqPart{
+		a00, a01, a02, a03, a04, a05,
+		a11, a12, a13, a14, a15,
+		a22, a23, a24, a25,
+		a33, a34, a35,
+		a44, a45,
+		a55,
+		b0, b1, b2, b3, b4, b5,
+	}
+}
+
+// planeCost is Σ r² over [lo, hi) at ps.at, r the point-to-plane
+// residual of normalEqs.
+func (ps *slabPasses) planeCost(lo, hi int) float64 {
+	m, t := &ps.at.R, ps.at.T
+	r0, r1, r2, r3, r4, r5, r6, r7, r8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
+	tx, ty, tz := t.X, t.Y, t.Z
+	xs, ys, zs := ps.src.Xs[lo:hi], ps.src.Ys[lo:hi], ps.src.Zs[lo:hi]
+	dxs, dys, dzs := ps.dst.Xs[lo:hi], ps.dst.Ys[lo:hi], ps.dst.Zs[lo:hi]
+	nxs, nys, nzs := ps.dst.NXs[lo:hi], ps.dst.NYs[lo:hi], ps.dst.NZs[lo:hi]
+	var s float64
+	for i := range xs {
+		x, y, z := float64(xs[i]), float64(ys[i]), float64(zs[i])
+		sx := r0*x + r1*y + r2*z + tx
+		sy := r3*x + r4*y + r5*z + ty
+		sz := r6*x + r7*y + r8*z + tz
+		r := (sx-float64(dxs[i]))*float64(nxs[i]) + (sy-float64(dys[i]))*float64(nys[i]) + (sz-float64(dzs[i]))*float64(nzs[i])
+		s += r * r
+	}
+	return s
+}
+
+// sqErr is Σ ‖ps.at(src) − dst‖² over [lo, hi).
+func (ps *slabPasses) sqErr(lo, hi int) float64 {
+	m, t := &ps.at.R, ps.at.T
+	r0, r1, r2, r3, r4, r5, r6, r7, r8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
+	tx, ty, tz := t.X, t.Y, t.Z
+	xs, ys, zs := ps.src.Xs[lo:hi], ps.src.Ys[lo:hi], ps.src.Zs[lo:hi]
+	dxs, dys, dzs := ps.dst.Xs[lo:hi], ps.dst.Ys[lo:hi], ps.dst.Zs[lo:hi]
+	var s float64
+	for i := range xs {
+		x, y, z := float64(xs[i]), float64(ys[i]), float64(zs[i])
+		dx := r0*x + r1*y + r2*z + tx - float64(dxs[i])
+		dy := r3*x + r4*y + r5*z + ty - float64(dys[i])
+		dz := r6*x + r7*y + r8*z + tz - float64(dzs[i])
+		s += dx*dx + dy*dy + dz*dz
+	}
+	return s
 }
