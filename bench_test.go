@@ -142,14 +142,19 @@ func BenchmarkAlignFirst(b *testing.B) {
 
 // BenchmarkEstimateNormalsRaw times the per-point normal kernel where
 // fine-tuning runs it: AreaWeighted normals (DP5's configuration) for
-// every point of a raw 32×600 frame, one worker.
+// every point of a raw 32×600 frame, one worker, over the index
+// fine-tuning builds for that frame (the default backend).
 func BenchmarkEstimateNormalsRaw(b *testing.B) {
 	slab := cloud.SlabFromCloud(benchSeqEval().Frames[0])
-	s := search.NewKDSearcherSlabPar(slab, 1)
-	cfg := DefaultPipelineConfig().Normal
+	cfg := DefaultPipelineConfig()
+	cfg.Searcher.Parallelism = 1
+	s, err := search.NewByNameSlab(cfg.Searcher.BackendName(), slab, cfg.Searcher.BackendOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		features.EstimateNormals(slab, s, cfg)
+		features.EstimateNormals(slab, s, cfg.Normal)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"tigris/internal/kdtree"
 	"tigris/internal/par"
 	"tigris/internal/search"
+	"tigris/internal/twostage"
 )
 
 // ICPConfig parameterizes the fine-tuning phase (paper Fig. 2, right):
@@ -77,17 +78,20 @@ type ICPResult struct {
 
 // icpScratch holds every buffer one ICP call cycles through its
 // iterations: the moved source copy (reciprocal RPCE only), the strided
-// query set, the nearest-neighbor results, the list of matched targets
-// still lacking a normal, and the gated correspondence slabs. Recycled
-// across calls so a streaming session's fine-tuning runs with near-zero
-// steady-state allocations. The correspondence pairs live in SoA float32
-// slabs (srcS/dstS) — half the bytes of the historical AoS gather — and
-// every downstream reduction dequantizes to float64 (see
-// transform_slab.go).
+// query set with each query's NN certificate and the distance it has moved
+// since (search.BatchNearestTracked), the nearest-neighbor results, the
+// list of matched targets still lacking a normal, and the gated
+// correspondence slabs. Recycled across calls so a streaming session's
+// fine-tuning runs with near-zero steady-state allocations. The
+// correspondence pairs live in SoA float32 slabs (srcS/dstS) — half the
+// bytes of the historical AoS gather — and every downstream reduction
+// dequantizes to float64 (see transform_slab.go).
 type icpScratch struct {
 	cur    []geom.Vec3
 	qIdx   []int
 	qs     []geom.Vec3
+	certs  []twostage.Cert
+	moved  []float64
 	nbs    []kdtree.Neighbor
 	candQ  []int
 	backQs []geom.Vec3
@@ -156,7 +160,15 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 	for qi, i := range qIdx {
 		qs[qi] = src.At(i)
 	}
-	moveAll(initial, qs)
+	moveAll(initial, qs, nil)
+	// Every query starts uncertified, so iteration 0 walks them all; a
+	// certificate never outlives this call.
+	if cap(sc.certs) < len(qs) {
+		sc.certs, sc.moved = make([]twostage.Cert, len(qs)), make([]float64, len(qs))
+	}
+	certs, moved := sc.certs[:len(qs)], sc.moved[:len(qs)]
+	clear(certs)
+	clear(moved)
 	// Reciprocal RPCE indexes the whole moved source every iteration, so
 	// only then is every point carried along; otherwise nothing ever
 	// reads the points between the strides.
@@ -165,7 +177,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		for i := 0; i < src.Len(); i++ {
 			cur = append(cur, src.At(i))
 		}
-		moveAll(initial, cur)
+		moveAll(initial, cur, nil)
 		sc.cur = cur
 	}
 
@@ -179,14 +191,17 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		res.Iterations = iter + 1
 
 		// RPCE: for every point in the (moved) source cloud, find its
-		// nearest neighbor in the target (paper Fig. 2).
+		// nearest neighbor in the target (paper Fig. 2). A query has moved
+		// a few millimetres since the last iteration, so on the two-stage
+		// tree most are answered from the leaf set their certificate names
+		// without a walk; the answers are those of a walk, bit for bit.
 		start := time.Now()
 		var srcSearch search.Searcher
 		if cfg.Reciprocal {
 			srcSearch = search.NewKDSearcherSlabPar(cloud.SlabFromPoints(cur), workers)
 		}
 		maxD2 := cfg.MaxCorrespondenceDist * cfg.MaxCorrespondenceDist
-		nbs := search.BatchNearestInto(target, qs, sc.nbs[:0])
+		nbs := search.BatchNearestTracked(target, qs, certs, moved, sc.nbs[:0])
 		sc.nbs = nbs
 
 		// Candidates that pass the distance gate, in query order.
@@ -267,8 +282,8 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		}
 
 		res.Transform = delta.Compose(res.Transform)
-		moveAll(delta, qs)
-		moveAll(delta, cur)
+		moveAll(delta, qs, moved)
+		moveAll(delta, cur, nil)
 
 		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, workers)
 		res.FinalRMSE = rmse

@@ -268,7 +268,7 @@ func checkAgainstReference(t *testing.T, name string, src, dst *cloud.Slab, work
 		t.Fatalf("%s, %d workers: RMSE = %v, reference %v", name, workers, gotRMSE, wantRMSE)
 	}
 	pts := src.Points()
-	moveAll(want, pts)
+	moveAll(want, pts, nil)
 	for i, p := range pts {
 		if q := want.Apply(src.At(i)); vecBits(p) != vecBits(q) {
 			t.Fatalf("%s: moveAll moved point %d to %v, Apply to %v", name, i, p, q)

@@ -181,17 +181,23 @@ func (p normalEqPart) add(o normalEqPart) normalEqPart {
 
 // moveAll replaces every point p with t.Apply(p): the same expression,
 // so the same bits, with t's entries in locals rather than a call and a
-// receiver copy per point (see transform_slab.go).
-func moveAll(t geom.Transform, pts []geom.Vec3) {
+// receiver copy per point (see transform_slab.go). When moved is not nil,
+// moved[i] gains point i's displacement |p' − p|, computed from the
+// float64 positions — ICP's queries keep that budget for their NN
+// certificates (search.BatchNearestTracked).
+func moveAll(t geom.Transform, pts []geom.Vec3, moved []float64) {
 	m := &t.R
 	r0, r1, r2, r3, r4, r5, r6, r7, r8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
 	tx, ty, tz := t.T.X, t.T.Y, t.T.Z
 	for i, p := range pts {
-		pts[i] = geom.Vec3{
-			X: r0*p.X + r1*p.Y + r2*p.Z + tx,
-			Y: r3*p.X + r4*p.Y + r5*p.Z + ty,
-			Z: r6*p.X + r7*p.Y + r8*p.Z + tz,
+		x := r0*p.X + r1*p.Y + r2*p.Z + tx
+		y := r3*p.X + r4*p.Y + r5*p.Z + ty
+		z := r6*p.X + r7*p.Y + r8*p.Z + tz
+		if moved != nil {
+			dx, dy, dz := x-p.X, y-p.Y, z-p.Z
+			moved[i] += math.Sqrt(dx*dx + dy*dy + dz*dz)
 		}
+		pts[i] = geom.Vec3{X: x, Y: y, Z: z}
 	}
 }
 

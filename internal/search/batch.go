@@ -6,6 +6,7 @@ import (
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
 	"tigris/internal/par"
+	"tigris/internal/twostage"
 )
 
 // This file implements the batch side of the Searcher interface once, as a
@@ -179,6 +180,40 @@ func BatchNearestInto(s Searcher, qs []geom.Vec3, buf []kdtree.Neighbor) []kdtre
 		return bi.NearestBatchInto(qs, buf)
 	}
 	return s.NearestBatch(qs)
+}
+
+// BatchNearestTracked answers BatchNearestInto for queries that move
+// between batches, as ICP's RPCE queries do: certs and moved hold one
+// certificate and one accumulated displacement per query, owned by the
+// caller — zero values start a query, and the caller adds to moved[i]
+// every distance query i moves (twostage.Tree.NearestTracked). On the
+// exact two-stage searcher a query whose certificate still holds is
+// answered from its certified leaf set without a walk, and a walked query
+// is re-certified. Every other searcher — the approximate two-stage one,
+// whose answers no certificate vouches for, and every decorator, so that
+// a trace records each query's walk and an injected error is never
+// bypassed — falls back to BatchNearestInto and leaves certs and moved
+// alone. The answers are bit for bit those of BatchNearestInto either
+// way; only the visit counts of certified queries fall.
+func BatchNearestTracked(s Searcher, qs []geom.Vec3, certs []twostage.Cert, moved []float64, buf []kdtree.Neighbor) []kdtree.Neighbor {
+	ts, ok := s.(*TwoStageSearcher)
+	if !ok || ts.approx != nil {
+		return BatchNearestInto(s, qs, buf)
+	}
+	start := time.Now()
+	out := growNeighbors(buf, len(qs))
+	certs, moved = certs[:len(qs)], moved[:len(qs)]
+	par.Sharded(len(qs), ts.parallelism,
+		func(shard *twostage.Stats, _, i int) {
+			nb, ok := ts.index.NearestTracked(qs[i], &certs[i], &moved[i], shard)
+			if !ok {
+				nb = missNeighbor()
+			}
+			out[i] = nb
+		},
+		ts.merge)
+	ts.record(start)
+	return out
 }
 
 // growNeighbors returns buf reset to length n, reallocating only when the

@@ -69,9 +69,15 @@ type Metrics struct {
 	// the wall time of the whole batch, so with Parallelism > 1 this is
 	// less than the sum of per-query times — exactly the Fig. 4-style
 	// speedup the batched API exists to expose.
-	SearchTime   time.Duration
+	SearchTime time.Duration
+	// Queries counts answered queries. NodesVisited counts the points and
+	// nodes whose distance was computed; on the exact two-stage searcher
+	// a tracked query whose certificate holds (BatchNearestTracked)
+	// computes only its leaf set's, so the visits of the pipeline's
+	// searchers fall below a walk per query while every answer still
+	// counts one query. Replays of captured streams walk every query.
 	Queries      int64
-	NodesVisited int64 // points/nodes whose distance was computed
+	NodesVisited int64
 }
 
 // Merge adds other's counters into m.

@@ -91,19 +91,17 @@ func (s *ApproxSession) nearestLeaf(id int, q geom.Vec3, best *kdtree.Neighbor, 
 	} else {
 		// Precise path: exhaustive scan of the leaf set.
 		v.Scanned = l.hi - l.lo
-		at, d2, writes := t.scanNearest(l, q, best.Dist2)
+		at, d2, writes, lowAt, low := t.scanNearest(l, q, best.Dist2)
 		v.ResultWrites += writes
 		if at >= 0 {
 			*best = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
 		}
 		if thd > 0 && len(s.nn[id]) < s.opts.MaxLeaders {
-			// A leader caches the leaf-local best: the query's own when
-			// the leaf improved it, else what a scan with no bound finds.
-			local := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-			if at >= 0 {
-				local = *best
-			} else if at, d2, _ = t.scanNearest(l, q, local.Dist2); at >= 0 {
-				local = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
+			// A leader caches the leaf-local best, which the same scan
+			// found whether or not the leaf improved the query's own.
+			local := kdtree.Neighbor{Index: -1, Dist2: low}
+			if lowAt >= 0 {
+				local.Index = int(t.perm[lowAt])
 			}
 			s.nn[id] = append(s.nn[id], leader[kdtree.Neighbor]{q: q, res: local})
 			if stats != nil {

@@ -139,8 +139,8 @@ func TestRadiusScanKeepsToItsBuffer(t *testing.T) {
 // TestLeadersCacheTheLeafLocalBest: a leader's cached NN result is the
 // nearest point of its leaf — the first such in the leaf's stored order —
 // whether or not the leaf improved on the bound the query arrived with
-// (when it did not, the bounded scan found nothing and the leader is
-// given a second, unbounded one).
+// (when it did not, the bounded scan found nothing and the leader takes
+// the leaf minimum the same pass found).
 func TestLeadersCacheTheLeafLocalBest(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	pts := scanCloud(r, 3000)

@@ -1,8 +1,6 @@
 package twostage
 
 import (
-	"math"
-
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
 )
@@ -76,10 +74,9 @@ func (s *ApproxSession) Nearest(q geom.Vec3, stats *Stats) (kdtree.Neighbor, boo
 	if stats != nil {
 		stats.Queries++
 	}
-	best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-	s.tree.nearest(s.tree.root, q, &best, stats, s)
+	w := s.tree.walk(q, false, stats, s)
 	s.endQuery()
-	return best, best.Index >= 0
+	return w.best, w.best.Index >= 0
 }
 
 // Radius performs one radius query, updating leader state.

@@ -30,15 +30,24 @@
 // a window [lo, hi) of those four arrays. A leaf visit, exact or under a
 // session, is therefore one pass over contiguous memory by one of two
 // kernels (scanRadius, scanNearest) with no call and no index gather per
-// point. The radius kernel has no data-dependent branch either: at a
-// ball's edge "inside or not" is a coin toss a predictor loses, so every
-// candidate is written at the end of the answer and the answer's length
-// advances by the comparison. This is the software shape of what the
+// point. Neither kernel has a data-dependent branch either: at a ball's
+// edge "inside or not" is a coin toss a predictor loses, so the radius
+// kernel writes every candidate at the end of the answer and advances the
+// answer's length by the comparison, and the NN kernel keeps its running
+// minimum as the distance's bits and moves it conditionally. This is the
+// software shape of what the
 // paper's back-end does with a node set — stream it past the query — and
 // it is why the two-stage tree, built to expose parallelism to hardware,
 // is also the faster index on a CPU and the pipeline's default backend
 // (internal/search; the canonical tree of internal/kdtree is the
 // reference, selected by name).
+//
+// A query that moves a little between calls, as ICP's do between
+// iterations, need not be walked again: the exact NN walk also proves a
+// certificate (Cert) — the leaf set holding the answer and a lower bound
+// on the distance to every point outside it — and NearestTracked answers
+// from that set alone while the query has not moved far enough to break
+// it, with the walk's answer bit for bit.
 package twostage
 
 import (
@@ -348,7 +357,12 @@ func (t *Tree) MaxLeafSize() int {
 // Stats instruments two-stage searches. The split between top-tree visits
 // and leaf-set visits matters: the paper's Fig. 6 counts both as "nodes
 // visited", while the accelerator maps the former onto Recursion Units and
-// the latter onto Search Unit PEs.
+// the latter onto Search Unit PEs. The counts are of the distances a
+// search computed: a NearestTracked query answered from its certificate
+// counts one query and only its set's points, so the visit counts of the
+// searchers ICP queries fall below those of walking every query. (A
+// replayed query stream, on which the accelerator model and the
+// nodes-per-query figures rest, is walked in full.)
 type Stats struct {
 	TopNodesVisited  int64 // top-tree nodes whose distance was computed
 	TopNodesPruned   int64 // top-tree sub-trees skipped
@@ -385,33 +399,158 @@ func (t *Tree) Nearest(q geom.Vec3, stats *Stats) (kdtree.Neighbor, bool) {
 	if stats != nil {
 		stats.Queries++
 	}
-	best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-	t.nearest(t.root, q, &best, stats, nil)
-	return best, best.Index >= 0
+	w := t.walk(q, false, stats, nil)
+	return w.best, w.best.Index >= 0
 }
 
-// nearest is the NN walk, the only one: Tree.Nearest, ApproxSession and,
-// through a session's visit log, the accelerator model all run it. It
-// descends the near child first and tests the far child against the bound
-// the near subtree left behind. s is what a walk carries beyond exact
-// search — Algorithm 1's leaders and the visit being recorded — and is nil
-// for plain exact search, which then pays one branch per leaf and nil
-// checks per node for the sharing.
-func (t *Tree) nearest(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *Stats, s *ApproxSession) {
+// Cert certifies a query's nearest neighbour for as long as the query
+// stays close to where it was answered: it names the leaf set, or the
+// top-tree node, that held the answer, and how far the query may move
+// before a point outside it could be as near as the set's own nearest.
+// NearestTracked issues and reads it. The zero Cert certifies nothing.
+type Cert struct {
+	set Child
+	// reach is the lower bound the walk proved on the distance from the
+	// query to every point outside set, less the rounding margins
+	// (NearestTracked); a NaN or non-positive reach certifies nothing.
+	reach float64
+}
+
+// Rounding margins on a certificate's slack: relative on each of its two
+// terms (the proved gap and the query's accumulated displacement) and
+// absolute on the difference. The float64 rounding they cover — of the
+// squared distances the gap is the minimum of, of its square root, of the
+// displacement sums and of the subtraction — is a few parts in 1e16.
+const (
+	certRel = 1e-9
+	certAbs = 1e-12 // metres
+)
+
+// NearestTracked is Nearest for a query that moves between calls. c is
+// the query's certificate and *moved the distance the query has moved
+// since c was issued (the sum of its displacements bounds it), both owned
+// by the caller; the zero Cert with *moved = 0 starts a query.
+//
+// When the certified set, scanned at q, has a nearest point nearer than
+// the certificate's reach less *moved, every point outside the set is
+// strictly farther from q, so that point — the set's first nearest in
+// stored order — is the answer, and it is the answer Nearest gives, with
+// the same Dist2 bits: Nearest's walk reaches the set before any bound
+// could prune it and scans it in the same order with the same arithmetic.
+// Otherwise q is walked as Nearest walks it, and c and *moved are reset
+// to the new certificate and zero. A NaN or infinite position or
+// displacement fails the check, so such a query is always walked.
+//
+// Either way the call counts one query, and stats counts the distances it
+// computed: a certified answer only the set's, a failed check the set's
+// and the walk's.
+func (t *Tree) NearestTracked(q geom.Vec3, c *Cert, moved *float64, stats *Stats) (kdtree.Neighbor, bool) {
+	if stats != nil {
+		stats.Queries++
+	}
+	if slack := c.reach - *moved*(1+certRel); slack > 0 {
+		if nb, ok := t.nearestIn(c.set, q, stats); ok && math.Sqrt(nb.Dist2) < slack {
+			return nb, true
+		}
+	}
+	w := t.walk(q, true, stats, nil)
+	*c, *moved = w.cert(), 0
+	return w.best, w.best.Index >= 0
+}
+
+// nearestIn is the nearest point to q of one certified set: a leaf set's
+// first nearest in stored order, or a top-tree node's own point.
+func (t *Tree) nearestIn(set Child, q geom.Vec3, stats *Stats) (kdtree.Neighbor, bool) {
+	if !set.IsLeaf() {
+		if stats != nil {
+			stats.TopNodesVisited++
+		}
+		p := t.nodes[set].Point
+		return kdtree.Neighbor{Index: int(p), Dist2: t.dist2(q, p)}, true
+	}
+	l := t.leaves[set.LeafID()]
+	if stats != nil {
+		stats.LeafPointsViewed += int64(l.hi - l.lo)
+	}
+	at, d2, _, _, _ := t.scanNearest(l, q, math.MaxFloat64)
+	if at < 0 {
+		return kdtree.Neighbor{}, false
+	}
+	return kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}, true
+}
+
+// nnWalk is what the NN walk carries: the best point so far and, for a
+// certificate, the leaf set or top-tree node holding it and gap2, a lower
+// bound on the squared distance from the query to every point outside
+// that set. gap2 is the minimum over the nearest points of the other
+// leaves scanned, the other top-tree points visited (the bests the answer
+// superseded among them) and the squared distances to the planes of the
+// far sides pruned. Only a walk asked for a certificate (track) keeps
+// gap2, so that plain Nearest pays a predicted branch for it and no more;
+// under an ApproxSession only best is kept.
+type nnWalk struct {
+	best  kdtree.Neighbor
+	set   Child
+	gap2  float64
+	track bool
+}
+
+// fold lowers gap2 to d2 on a tracked walk; a NaN sticks (min's rule), so
+// that it certifies nothing.
+func (w *nnWalk) fold(d2 float64) {
+	if w.track {
+		w.gap2 = min(w.gap2, d2)
+	}
+}
+
+// improve makes nb, found in set, the best: the best it supersedes lies
+// outside set and becomes part of the gap.
+func (w *nnWalk) improve(nb kdtree.Neighbor, set Child) {
+	w.fold(w.best.Dist2)
+	w.best, w.set = nb, set
+}
+
+// cert is the certificate the finished walk proves (the zero Cert when it
+// found nothing).
+func (w *nnWalk) cert() Cert {
+	if w.best.Index < 0 {
+		return Cert{}
+	}
+	return Cert{set: w.set, reach: math.Sqrt(w.gap2)*(1-certRel) - certAbs}
+}
+
+// walk runs the NN walk from the root, under session s when it is not
+// nil, proving a certificate when track is set.
+func (t *Tree) walk(q geom.Vec3, track bool, stats *Stats, s *ApproxSession) nnWalk {
+	w := nnWalk{best: kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}, set: ChildNone, gap2: math.MaxFloat64, track: track}
+	t.nearest(t.root, q, &w, stats, s)
+	return w
+}
+
+// nearest is the NN walk, the only one: Tree.Nearest, NearestTracked,
+// ApproxSession and, through a session's visit log, the accelerator model
+// all run it. It descends the near child first and tests the far child
+// against the bound the near subtree left behind. s is what a walk carries
+// beyond exact search — Algorithm 1's leaders and the visit being
+// recorded — and is nil for plain exact search, which then pays one branch
+// per leaf and nil checks per node for the sharing.
+func (t *Tree) nearest(c Child, q geom.Vec3, w *nnWalk, stats *Stats, s *ApproxSession) {
 	switch {
 	case c == ChildNone:
 		return
 	case c.IsLeaf():
 		if s != nil {
-			s.nearestLeaf(c.LeafID(), q, best, stats)
+			s.nearestLeaf(c.LeafID(), q, &w.best, stats)
 			return
 		}
 		l := t.leaves[c.LeafID()]
 		if stats != nil {
 			stats.LeafPointsViewed += int64(l.hi - l.lo)
 		}
-		if at, d2, _ := t.scanNearest(l, q, best.Dist2); at >= 0 {
-			*best = kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}
+		if at, d2, _, _, low := t.scanNearest(l, q, w.best.Dist2); at >= 0 {
+			w.improve(kdtree.Neighbor{Index: int(t.perm[at]), Dist2: d2}, c)
+		} else {
+			w.fold(low)
 		}
 	default:
 		n := &t.nodes[c]
@@ -421,22 +560,25 @@ func (t *Tree) nearest(c Child, q geom.Vec3, best *kdtree.Neighbor, stats *Stats
 		if s != nil {
 			s.open.TopNodes++
 		}
-		if d2 := t.dist2(q, n.Point); d2 < best.Dist2 {
-			*best = kdtree.Neighbor{Index: int(n.Point), Dist2: d2}
+		if d2 := t.dist2(q, n.Point); d2 < w.best.Dist2 {
+			w.improve(kdtree.Neighbor{Index: int(n.Point), Dist2: d2}, c)
 			if s != nil {
 				s.open.ResultWrites++
 			}
+		} else {
+			w.fold(d2)
 		}
 		diff := q.Component(int(n.Axis)) - n.Split
 		near, far := n.Left, n.Right
 		if diff > 0 {
 			near, far = far, near
 		}
-		t.nearest(near, q, best, stats, s)
+		t.nearest(near, q, w, stats, s)
 		if far != ChildNone {
-			if diff*diff < best.Dist2 {
-				t.nearest(far, q, best, stats, s)
+			if diff*diff < w.best.Dist2 {
+				t.nearest(far, q, w, stats, s)
 			} else {
+				w.fold(diff * diff)
 				if stats != nil {
 					stats.TopNodesPruned++
 				}
@@ -482,9 +624,7 @@ func (t *Tree) KNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *St
 	if k <= 0 || t.Len() == 0 {
 		return nil
 	}
-	best := kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}
-	t.nearest(t.root, q, &best, stats, nil)
-	r := 2 * (1e-6 + math.Sqrt(best.Dist2))
+	r := 2 * (1e-6 + math.Sqrt(t.walk(q, false, stats, nil).best.Dist2))
 	res := buf[:0]
 	for i := 0; i < 64; i++ {
 		res = res[:0] // a pass starts over, in whatever the last one regrew into
@@ -590,23 +730,47 @@ func (t *Tree) scanRadius(l leafRun, q geom.Vec3, r2 float64, res []kdtree.Neigh
 // scanNearest is the exhaustive NN scan of one leaf set: the position in
 // the permutation of the point nearest q among those strictly nearer than
 // bound (the first such in stored order; -1 when there is none), its
-// squared distance, and how many times the running best improved on the
-// way — the result writes the accelerator would have made. Best distance
-// and position stay in registers; the caller stores the answer once.
-func (t *Tree) scanNearest(l leafRun, q geom.Vec3, bound float64) (at int, d2 float64, writes int32) {
+// squared distance (bound when there is none), and how many times the
+// running best improved on the way — the result writes the accelerator
+// would have made. In the same pass it finds the leaf's own nearest point,
+// as a scan with no bound (math.MaxFloat64) would: its position (-1 when
+// no distance is below math.MaxFloat64) and its squared distance (then
+// math.MaxFloat64). bound must not be NaN.
+//
+// The scan has no data-dependent branch. A squared distance is never
+// negative: it is +0, positive, +Inf or NaN (a NaN keeps its operand's
+// sign, so it may be -NaN). Read as uint64, such bit patterns order as
+// the values do, and every NaN pattern, of either sign, lies above +Inf.
+// So "d < best" is an integer comparison that is false for a NaN exactly
+// as the float one is, and the compiler keeps the running minima and the
+// position in registers with conditional moves instead of a branch that
+// mispredicts whenever a nearer point turns up.
+func (t *Tree) scanNearest(l leafRun, q geom.Vec3, bound float64) (at int, d2 float64, writes int32, lowAt int, low float64) {
 	xs, ys, zs := t.coordinates(l)
-	at = -1
+	bb := math.Float64bits(bound)
+	rb, lb, la := bb, math.Float64bits(math.MaxFloat64), -1
 	for i, x := range xs {
 		dx := q.X - float64(x)
 		dy := q.Y - float64(ys[i])
 		dz := q.Z - float64(zs[i])
-		if d := dx*dx + dy*dy + dz*dz; d < bound {
-			bound, at = d, i
-			writes++
+		d := math.Float64bits(dx*dx + dy*dy + dz*dz)
+		var w int32
+		if d < rb {
+			w = 1
+		}
+		writes += w
+		rb = min(rb, d)
+		if d < lb {
+			lb, la = d, i
 		}
 	}
-	if at >= 0 {
-		at += int(l.lo)
+	lowAt, low = la, math.Float64frombits(lb)
+	if la >= 0 {
+		lowAt += int(l.lo)
 	}
-	return at, bound, writes
+	at = -1
+	if rb < bb {
+		at = lowAt
+	}
+	return at, math.Float64frombits(rb), writes, lowAt, low
 }

@@ -435,6 +435,39 @@ func BenchmarkTwoStageNearest(b *testing.B) {
 	}
 }
 
+// BenchmarkTrackedNearestICP is ICP's correspondence search as the
+// pipeline runs it: every point of the second frame queried against the
+// first through eight iterations whose rigid motions halve each time (5 cm
+// and 5 mrad first), each query certified by NearestTracked; one op is
+// the whole sequence, reported per query beside the share certified.
+func BenchmarkTrackedNearestICP(b *testing.B) {
+	slab, queries := benchFrame()
+	tree := BuildWithLeafSizeSlab(slab, 32)
+	qs := make([]geom.Vec3, len(queries))
+	certs, moved := make([]Cert, len(qs)), make([]float64, len(qs))
+	const iterations = 8
+	var walks Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(qs, queries)
+		clear(certs)
+		clear(moved)
+		r := rand.New(rand.NewSource(1))
+		for k := 0; k < iterations; k++ {
+			var st Stats
+			for j, q := range qs {
+				tree.NearestTracked(q, &certs[j], &moved[j], &st)
+			}
+			walks.Merge(st)
+			scale := math.Ldexp(1, -k)
+			rigidStep(r, qs, moved, 5e-3*scale*r.NormFloat64(), 0.05*scale)
+		}
+	}
+	n := float64(b.N * iterations * len(qs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/query")
+	b.ReportMetric(float64(walks.TotalVisited())/n, "visited/query")
+}
+
 func BenchmarkApproxNearestBatch(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	pts := randPoints(r, 20000)
