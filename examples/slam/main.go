@@ -43,7 +43,7 @@ func main() {
 	})
 	fmt.Printf("streaming %d frames around a %d-frame circuit...\n", seq.Len(), *lap)
 	for _, f := range seq.Frames {
-		if _, err := eng.Push(f.Clone()); err != nil {
+		if _, err := eng.Push(f); err != nil {
 			panic(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -222,5 +223,120 @@ func TestIOEmptyCloud(t *testing.T) {
 	}
 	if back.Len() != 0 {
 		t.Errorf("empty cloud round trip gained points: %d", back.Len())
+	}
+}
+
+// hostileHeader is a 73-byte frame whose header claims 10⁸ points with
+// normals: trusted, it buys 4.8 GB of AoS capacity before the reader
+// finds the body is one line long.
+const hostileHeader = "TIGRIS-CLOUD v1\nPOINTS 100000000\nFIELDS xyznormal\nDATA ascii\n1 2 3 0 0 1\n"
+
+func TestReadDoesNotTrustPointCount(t *testing.T) {
+	if len(hostileHeader) != 73 {
+		t.Fatalf("hostile frame is %d bytes", len(hostileHeader))
+	}
+	readers := map[string]func() error{
+		"Read":     func() error { _, err := Read(strings.NewReader(hostileHeader)); return err },
+		"ReadSlab": func() error { _, err := ReadSlab(strings.NewReader(hostileHeader)); return err },
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a one-point body claiming 10⁸ points", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s allocated %.1f MB before refusing a %d-byte frame", name, float64(grew)/(1<<20), len(hostileHeader))
+		}
+	}
+}
+
+// frameWithNormals is a Write-encoded frame of n random points and unit
+// normals, the shape of a front-end's output.
+func frameWithNormals(n int) []byte {
+	r := rand.New(rand.NewSource(11))
+	c := randCloud(r, n)
+	c.Normals = make([]geom.Vec3, n)
+	for i := range c.Normals {
+		c.Normals[i] = geom.Vec3{X: r.NormFloat64(), Y: r.NormFloat64(), Z: r.NormFloat64()}.Normalize()
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, c); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func TestReadersMatchReference(t *testing.T) {
+	for _, n := range []int{0, 1, 1000, maxPrealloc + 3} {
+		body := frameWithNormals(n)
+		want, err := referenceRead(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Read(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCloud(t, c, want)
+		s, err := ReadSlab(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSlab(t, s, SlabFromCloud(want))
+	}
+}
+
+// TestReadSlabAllocatesTheSlab holds ReadSlab to a fixed handful of
+// allocations whatever the frame's size: the scanner and its buffer, the
+// header's strings, the slab and its columns — nothing per point.
+func TestReadSlabAllocatesTheSlab(t *testing.T) {
+	body := frameWithNormals(20_000)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadSlab(bytes.NewReader(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 30 {
+		t.Errorf("ReadSlab made %.0f allocations for a 20,000-point frame, want ≤ 30", allocs)
+	}
+}
+
+// frame20k is a Write-encoded 20,000-point frame without normals, the
+// shape and size of a pushed 32×600 LiDAR frame.
+func frame20k() []byte {
+	var buf bytes.Buffer
+	if err := Write(&buf, randCloud(rand.New(rand.NewSource(3)), 20_000)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReadSlab times what a pushed frame costs before the pipeline
+// sees it; BenchmarkReferenceReadThenSlab is the same frame through the
+// reference reader and the AoS cloud.
+func BenchmarkReadSlab(b *testing.B) {
+	body := frame20k()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadSlab(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReferenceReadThenSlab(b *testing.B) {
+	body := frame20k()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		c, err := referenceRead(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		SlabFromCloud(c)
 	}
 }

@@ -10,7 +10,7 @@
 //     BOTH clouds of every pair, so a frame in the middle of a stream is
 //     processed twice — once as a pair's source and once as the next
 //     pair's target. The engine prepares each frame exactly once
-//     (registration.PrepareFrame) and reuses the state for both roles,
+//     (registration.PrepareFrameSlab) and reuses the state for both roles,
 //     halving steady-state front-end work; with the loop stage on, a
 //     verification aligns those same front-ends, a frame's third role.
 //
@@ -225,14 +225,14 @@ type Stats struct {
 	LoopTime time.Duration
 }
 
-// Engine is a streaming odometry session. Frames enter through Push;
-// the accumulated trajectory is read with Trajectory. An Engine's
-// methods are safe for concurrent use, but frames are processed in Push
-// order regardless of caller interleaving.
+// Engine is a streaming odometry session. Frames enter through PushSlab
+// (or Push, for an AoS cloud); the accumulated trajectory is read with
+// Trajectory. An Engine's methods are safe for concurrent use, but frames
+// are processed in push order regardless of caller interleaving.
 type Engine struct {
 	cfg Config
 
-	// pushMu serializes Push so frame indices match arrival order even
+	// pushMu serializes PushSlab so frame indices match arrival order even
 	// with concurrent callers (the HTTP server pushes from handler
 	// goroutines).
 	pushMu sync.Mutex
@@ -274,7 +274,7 @@ type Engine struct {
 	closed      bool
 
 	// Pipelined mode.
-	in chan queuedCloud
+	in chan queuedSlab
 	wg sync.WaitGroup
 
 	// Loop-closure stage (enabled by Config.Loop).
@@ -301,13 +301,13 @@ type loopTask struct {
 	cands []loop.Candidate
 }
 
-// queuedCloud is a raw frame in flight to the front-end worker, stamped
+// queuedSlab is a raw frame in flight to the front-end worker, stamped
 // at enqueue so the hand-off wait (obs.StageQueueWaitPrep) is visible.
-// idx is the frame's Push-order index, threaded through the pipeline so
+// idx is the frame's push-order index, threaded through the pipeline so
 // every stage can scope its spans to the right frame before the frame
 // is committed.
-type queuedCloud struct {
-	c   *cloud.Cloud
+type queuedSlab struct {
+	s   *cloud.Slab
 	idx int
 	enq time.Time
 }
@@ -368,7 +368,7 @@ func New(cfg Config) *Engine {
 	if cfg.Pipelined {
 		// Capacity 1: one pushed frame may wait for the front-end before
 		// Push blocks (see Config.Pipelined for the memory bound).
-		e.in = make(chan queuedCloud, 1)
+		e.in = make(chan queuedSlab, 1)
 		// Capacity 1 is the pipeline register between the two stages:
 		// the front-end worker may run one frame ahead of alignment.
 		preparedCh := make(chan queuedFrame, 1)
@@ -388,12 +388,18 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Push submits the next frame of the stream and returns its index. The
-// engine takes ownership of c (its Normals are filled in place, exactly
-// as Register does to its arguments). In pipelined mode Push returns as
-// soon as the frame is queued; otherwise it returns after the frame's
-// pose is committed. Use Drain to wait for all pushed frames.
+// Push submits the next frame of the stream as PushSlab does, quantizing
+// c into a fresh slab first; c itself is left as it was.
 func (e *Engine) Push(c *cloud.Cloud) (int, error) {
+	return e.PushSlab(cloud.SlabFromCloud(c))
+}
+
+// PushSlab submits the next frame of the stream and returns its index.
+// The engine takes ownership of s (its normal columns are filled in
+// place, exactly as PrepareFrameSlab does). In pipelined mode PushSlab
+// returns as soon as the frame is queued; otherwise it returns after the
+// frame's pose is committed. Use Drain to wait for all pushed frames.
+func (e *Engine) PushSlab(s *cloud.Slab) (int, error) {
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
 
@@ -408,17 +414,17 @@ func (e *Engine) Push(c *cloud.Cloud) (int, error) {
 	e.cFramesPushed.Inc()
 
 	if e.cfg.Pipelined {
-		e.in <- queuedCloud{c: c, idx: idx, enq: time.Now()}
+		e.in <- queuedSlab{s: s, idx: idx, enq: time.Now()}
 		return idx, nil
 	}
-	e.process(c, idx)
+	e.process(s, idx)
 	return idx, nil
 }
 
 // process runs both stages synchronously (sequential mode).
-func (e *Engine) process(c *cloud.Cloud, idx int) {
+func (e *Engine) process(s *cloud.Slab, idx int) {
 	prepStart := time.Now()
-	pf := e.prepare(c, idx)
+	pf := e.prepare(s, idx)
 	prev := e.prev
 	e.prev = pf
 	e.commit(pf, prev, idx, prepStart)
@@ -454,12 +460,12 @@ func (e *Engine) leave() {
 // prepare runs the front-end stage. The build-once counters are bumped
 // here — at the site that actually builds — so the stats assert real
 // work, not commits.
-func (e *Engine) prepare(c *cloud.Cloud, idx int) *registration.PreparedFrame {
+func (e *Engine) prepare(s *cloud.Slab, idx int) *registration.PreparedFrame {
 	e.enter()
 	defer e.leave()
 	cfg := e.cfg.Pipeline
 	cfg.Obs = e.stageRec(stagePrep, idx)
-	pf := registration.PrepareFrame(c, cfg)
+	pf := registration.PrepareFrameSlab(s, cfg)
 	e.cFramesPrepared.Inc()
 	e.cDescriptorBuilds.Inc()
 	return pf
@@ -643,7 +649,7 @@ func (e *Engine) prepWorker(out chan<- queuedFrame) {
 	for qc := range e.in {
 		e.stageRec(stagePrep, qc.idx).Observe(obs.StageQueueWaitPrep, time.Since(qc.enq))
 		prepStart := time.Now()
-		out <- queuedFrame{pf: e.prepare(qc.c, qc.idx), idx: qc.idx, prepStart: prepStart, enq: time.Now()}
+		out <- queuedFrame{pf: e.prepare(qc.s, qc.idx), idx: qc.idx, prepStart: prepStart, enq: time.Now()}
 	}
 }
 

@@ -32,9 +32,9 @@ func testConfig(backend string) registration.PipelineConfig {
 	return cfg
 }
 
-// cloneFrames deep-copies a sequence's clouds: both the engine and
-// Register write Normals into their inputs, so equivalence runs must not
-// share backing arrays.
+// cloneFrames deep-copies a sequence's clouds. Neither the engine nor
+// Register writes into its input (each quantizes a copy), but equivalence
+// runs take their own copies so no run can see another's frames.
 func cloneFrames(seq *synth.Sequence) []*cloud.Cloud {
 	out := make([]*cloud.Cloud, len(seq.Frames))
 	for i, f := range seq.Frames {
