@@ -32,7 +32,8 @@ const (
 	// maxPrealloc caps the points a reader allocates for before it has
 	// read them: the header's count is the sender's claim, and a 73-byte
 	// body claiming 10⁸ points must not buy gigabytes. A longer frame
-	// grows by append.
+	// doubles (grownCapacity) up to exactly the declared count, so one
+	// read in full holds no slack.
 	maxPrealloc = 1 << 16
 )
 
@@ -78,6 +79,13 @@ func Read(r io.Reader) (*Cloud, error) {
 		if err := p.point(i, v[:p.want]); err != nil {
 			return nil, err
 		}
+		if i == cap(c.Points) {
+			k := p.grownCapacity(i)
+			c.Points = grown(c.Points, k)
+			if p.want == 6 {
+				c.Normals = grown(c.Normals, k)
+			}
+		}
 		c.Points = append(c.Points, geom.Vec3{X: v[0], Y: v[1], Z: v[2]})
 		if p.want == 6 {
 			c.Normals = append(c.Normals, geom.Vec3{X: v[3], Y: v[4], Z: v[5]})
@@ -108,6 +116,13 @@ func ReadSlab(r io.Reader) (*Slab, error) {
 	for i := 0; i < p.n; i++ {
 		if err := p.point(i, v[:p.want]); err != nil {
 			return nil, err
+		}
+		if i == cap(s.Xs) {
+			k := p.grownCapacity(i)
+			s.Xs, s.Ys, s.Zs = grown(s.Xs, k), grown(s.Ys, k), grown(s.Zs, k)
+			if p.want == 6 {
+				s.NXs, s.NYs, s.NZs = grown(s.NXs, k), grown(s.NYs, k), grown(s.NZs, k)
+			}
 		}
 		s.Xs = append(s.Xs, float32(v[0]))
 		s.Ys = append(s.Ys, float32(v[1]))
@@ -192,6 +207,18 @@ func newReader(r io.Reader) (reader, error) {
 // capacity is the number of points to allocate for up front.
 func (p *reader) capacity() int { return min(p.n, maxPrealloc) }
 
+// grownCapacity is the capacity to grow to once read points fill it:
+// double, but never past the declared count, so a frame read in full
+// holds no slack.
+func (p *reader) grownCapacity(read int) int { return min(p.n, 2*read) }
+
+// grown copies s into a new slice of capacity k.
+func grown[T any](s []T, k int) []T {
+	t := make([]T, len(s), k)
+	copy(t, s)
+	return t
+}
+
 // point parses point i, the next non-blank line, into v (want values).
 func (p *reader) point(i int, v []float64) error {
 	for p.sc.Scan() {
@@ -219,8 +246,8 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 // parseLine splits line into fields as strings.Fields does and parses
 // the first len(v) of them into v. It returns the number of fields (0
 // for a blank line), and the index and error of the first field that is
-// not a number. A field goes to strconv.ParseFloat, on a view of the
-// buffer, only when scanDecimal declines it. A line holding a byte
+// not a number. A field goes to strconv.ParseFloat on a view of the
+// buffer, which allocates only for an error. A line holding a byte
 // outside ASCII takes parseFieldsSlow: only strings.Fields knows which
 // Unicode spaces split it.
 func parseLine(line []byte, v []float64) (nf, bad int, err error) {
@@ -233,21 +260,17 @@ func parseLine(line []byte, v []float64) (nf, bad int, err error) {
 		if c >= utf8.RuneSelf {
 			return parseFieldsSlow(line, v)
 		}
-		x, j, ok := scanDecimal(line, i)
-		if !ok || (j < len(line) && !asciiSpace[line[j]]) {
-			for j = i; j < len(line) && !asciiSpace[line[j]]; j++ {
-				if line[j] >= utf8.RuneSelf {
-					return parseFieldsSlow(line, v)
-				}
-			}
-			if nf < len(v) && err == nil {
-				var perr error
-				if x, perr = strconv.ParseFloat(unsafe.String(&line[i], j-i), 64); perr != nil {
-					bad, err = nf, perr
-				}
+		j := i
+		for ; j < len(line) && !asciiSpace[line[j]]; j++ {
+			if line[j] >= utf8.RuneSelf {
+				return parseFieldsSlow(line, v)
 			}
 		}
-		if nf < len(v) {
+		if nf < len(v) && err == nil {
+			x, perr := strconv.ParseFloat(unsafe.String(&line[i], j-i), 64)
+			if perr != nil {
+				bad, err = nf, perr
+			}
 			v[nf] = x
 		}
 		nf++
