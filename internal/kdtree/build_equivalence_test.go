@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,11 +12,12 @@ import (
 	"tigris/internal/geom"
 )
 
-// equivalenceClouds are the inputs the selection-built trees are held to
+// equivalenceClouds are the inputs the presort-built trees are held to
 // the sort-built reference on: generic positions, heavy coordinate
 // duplication (every split resolves ties by index), all points equal
-// (every split is nothing but ties), and sizes around the builders' spawn
-// threshold and the selection cutoff.
+// (every split is nothing but ties), signed zeros, and sizes around the
+// builders' spawn threshold and the small windows split without a
+// partition.
 func equivalenceClouds() map[string][]geom.Vec3 {
 	clouds := map[string][]geom.Vec3{}
 	for _, n := range []int{0, 1, 2, 3, 12, 13, 14, buildSpawnMin - 1, buildSpawnMin, buildSpawnMin + 1} {
@@ -41,11 +43,27 @@ func equivalenceClouds() map[string][]geom.Vec3 {
 		asc[i] = geom.V3(float64(i), float64(len(asc)-i), 0)
 	}
 	clouds["monotone/3000"] = asc
+	// Signed zeros on every axis: −0 and +0 compare equal, so their order
+	// is the index order, as for any other tie.
+	for _, n := range []int{3, 500, buildSpawnMin + 1} {
+		clouds["signed-zeros/"+strconv.Itoa(n)] = signedZeros(rng, n)
+	}
 	return clouds
 }
 
-// TestSelectionBuildMatchesSortBuild: the selection-built tree is the
-// sort-built reference (seqBuild, the per-level sort.Slice construction)
+// signedZeros returns n points whose coordinates are mostly −0 or +0,
+// with a few ±1 so that the spreads differ by axis.
+func signedZeros(rng *rand.Rand, n int) []geom.Vec3 {
+	vals := []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 1, -1}
+	pts := make([]geom.Vec3, n)
+	for i := range pts {
+		pts[i] = geom.V3(vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals)-2)], vals[rng.Intn(len(vals)-1)])
+	}
+	return pts
+}
+
+// TestSelectionBuildMatchesSortBuild: the tree built from presorted
+// lists is the sort-built reference (seqBuild, the per-level sort.Slice construction)
 // node for node, at every build width.
 func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 	for name, pts := range equivalenceClouds() {
@@ -76,7 +94,7 @@ func TestBuildSpawnDepthHonorsWorkers(t *testing.T) {
 }
 
 // referenceOrder sorts idx by (col[i*stride], i) with sort.Slice — the
-// comparator the builders used before the dedicated selection.
+// comparator the builders used before the dedicated sort.
 func referenceOrder[K Key](idx []int32, col []K, stride int) {
 	sort.Slice(idx, func(a, b int) bool {
 		ka, kb := col[int(idx[a])*stride], col[int(idx[b])*stride]
@@ -96,11 +114,10 @@ func shuffledIndex(rng *rand.Rand, n int) []int32 {
 	return idx
 }
 
-// TestSelectAndSortIndexMatchReference drives SelectIndex and SortIndex
-// directly, on float32 columns at stride 1 (the 3D trees) and float64
-// columns at a row stride (the feature tree), with coarse keys so ties
-// are the common case.
-func TestSelectAndSortIndexMatchReference(t *testing.T) {
+// TestSortIndexMatchesReference drives SortIndex directly, on float32
+// columns at stride 1 and float64 columns at a row stride (the feature
+// tree), with coarse keys so ties are the common case.
+func TestSortIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 2, 3, 12, 13, 50, 257, 2000} {
 		for trial := 0; trial < 10; trial++ {
@@ -115,47 +132,30 @@ func TestSelectAndSortIndexMatchReference(t *testing.T) {
 				col64[i*stride] = float64(rng.Intn(levels))
 			}
 
-			want32 := shuffledIndex(rng, n)
-			referenceOrder(want32, col32, 1)
+			want := shuffledIndex(rng, n)
+			referenceOrder(want, col32, 1)
 			got := shuffledIndex(rng, n)
 			SortIndex(got, col32, 1)
-			if !reflect.DeepEqual(got, want32) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d: SortIndex(float32) differs from the reference order", n)
 			}
-			want64 := shuffledIndex(rng, n)
-			referenceOrder(want64, col64, stride)
+			want = shuffledIndex(rng, n)
+			referenceOrder(want, col64, stride)
 			got = shuffledIndex(rng, n)
 			SortIndex(got, col64, stride)
-			if !reflect.DeepEqual(got, want64) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d: SortIndex(float64, stride) differs from the reference order", n)
-			}
-
-			k := rng.Intn(n)
-			got = shuffledIndex(rng, n)
-			SelectIndex(got, k, col32, 1)
-			if got[k] != want32[k] {
-				t.Fatalf("n=%d k=%d: SelectIndex picked %d, rank-k element is %d", n, k, got[k], want32[k])
-			}
-			rank := make(map[int32]int, n)
-			for r, i := range want32 {
-				rank[i] = r
-			}
-			for pos, i := range got {
-				if (pos < k && rank[i] > k) || (pos > k && rank[i] < k) {
-					t.Fatalf("n=%d k=%d: element of rank %d left at position %d", n, k, rank[i], pos)
-				}
 			}
 		}
 	}
 }
 
-// TestSelectIndexSurvivesNaN: an inconsistent order may misplace
+// TestSortIndexSurvivesNaN: an inconsistent order may misplace
 // elements but must neither hang nor index out of range.
-func TestSelectIndexSurvivesNaN(t *testing.T) {
+func TestSortIndexSurvivesNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	col := make([]float32, 500)
-	nan := float32(0)
-	nan /= nan
+	nan := float32(math.NaN())
 	for i := range col {
 		col[i] = float32(rng.Intn(5))
 		if rng.Intn(4) == 0 {
@@ -163,7 +163,6 @@ func TestSelectIndexSurvivesNaN(t *testing.T) {
 		}
 	}
 	idx := shuffledIndex(rng, len(col))
-	SelectIndex(idx, len(idx)/2, col, 1)
 	SortIndex(idx, col, 1)
 	seen := make([]bool, len(col))
 	for _, i := range idx {
@@ -171,6 +170,63 @@ func TestSelectIndexSurvivesNaN(t *testing.T) {
 			t.Fatalf("index %d duplicated", i)
 		}
 		seen[i] = true
+	}
+}
+
+// nanSlabs are point sets with NaN coordinates — on one axis, on all
+// three, everywhere — which ingest refuses: a build over one may split
+// differently from the sort-built reference, whose comparisons NaN makes
+// inconsistent, but it must finish and keep every point.
+func nanSlabs() map[string]*cloud.Slab {
+	nan := math.NaN()
+	slabs := map[string]*cloud.Slab{}
+	for _, n := range []int{1, 2, 3, 500, buildSpawnMin + 1} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		one, some, all := make([]geom.Vec3, n), make([]geom.Vec3, n), make([]geom.Vec3, n)
+		for i := range one {
+			p := geom.V3(float64(rng.Intn(7)), rng.Float64(), float64(rng.Intn(3)))
+			one[i], some[i] = p, p
+			if rng.Intn(3) == 0 {
+				one[i].Y = nan
+			}
+			if rng.Intn(4) == 0 {
+				some[i].X = nan
+			}
+			if rng.Intn(4) == 0 {
+				some[i].Z = math.Copysign(nan, -1)
+			}
+			all[i] = geom.V3(nan, nan, nan)
+		}
+		slabs["nan-y/"+strconv.Itoa(n)] = cloud.SlabFromPoints(one)
+		slabs["nan-xz/"+strconv.Itoa(n)] = cloud.SlabFromPoints(some)
+		slabs["nan-all/"+strconv.Itoa(n)] = cloud.SlabFromPoints(all)
+	}
+	return slabs
+}
+
+// TestBuildSurvivesNaN: on NaN-bearing slabs every build width finishes,
+// and every point is exactly one node's, reachable from the root.
+func TestBuildSurvivesNaN(t *testing.T) {
+	for name, s := range nanSlabs() {
+		for _, workers := range []int{1, 2, 8} {
+			tree := BuildSlabPar(s, workers)
+			seen := make([]bool, s.Len())
+			var walk func(ni int32) int
+			walk = func(ni int32) int {
+				if ni < 0 {
+					return 0
+				}
+				n := tree.nodes[ni]
+				if seen[n.point] {
+					t.Fatalf("%s workers=%d: point %d placed twice", name, workers, n.point)
+				}
+				seen[n.point] = true
+				return 1 + walk(n.left) + walk(n.right)
+			}
+			if got := walk(tree.root); got != s.Len() {
+				t.Fatalf("%s workers=%d: %d of %d points reachable", name, workers, got, s.Len())
+			}
+		}
 	}
 }
 

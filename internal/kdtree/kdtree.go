@@ -114,7 +114,7 @@ func (t *Tree) component(i int32, axis int) float64 {
 }
 
 // buildSpawnMin is the smallest subtree worth a fresh goroutine during
-// construction: below it the median selection is cheaper than scheduling.
+// construction: below it splitting the lists is cheaper than scheduling.
 const buildSpawnMin = 4096
 
 // BuildSpawnDepth bounds how many recursion levels of a tree build may
@@ -135,23 +135,21 @@ func BuildSpawnDepth(workers int) int {
 	return d + 1
 }
 
-// idxScratch recycles the builders' index permutation across builds: a
-// streaming session builds two trees per frame forever, and the
-// permutation is dead the moment the node array is filled.
-var idxScratch par.FreeList[[]int32]
-
 // Build constructs a balanced KD-tree by recursive median split along the
-// widest-spread axis, the strategy FLANN and PCL use for point clouds.
-// Each level finds its median by selection (SelectIndex), so Build is
-// O(n log n) and allocates only the node array.
+// widest-spread axis, the strategy FLANN and PCL use for point clouds,
+// with ties broken by point index so the tree is a function of the point
+// set. It sorts each axis once and splits the sorted lists level by level
+// (Presort), so Build is O(n log n), compares no coordinates after the
+// sort, and allocates only the tree and its node array once its scratch
+// has been recycled.
 //
-// Construction parallelizes: sibling subtrees rearrange disjoint index
-// ranges and are built concurrently to a bounded spawn depth. Because a
-// KD subtree over n points holds exactly n nodes, every recursion's slot
-// range in the preorder node array is known up front, so workers write
-// disjoint, deterministic slots — the resulting tree is bit-identical to
-// a sequential build (the Fig. 4b "construction" bar shrinks with cores,
-// nothing else changes).
+// Construction parallelizes: sibling subtrees own disjoint windows of the
+// sorted lists and are built concurrently to a bounded spawn depth.
+// Because a KD subtree over n points holds exactly n nodes, every
+// recursion's slot range in the preorder node array is known up front, so
+// workers write disjoint, deterministic slots — the resulting tree is
+// bit-identical to a sequential build (the Fig. 4b "construction" bar
+// shrinks with cores, nothing else changes).
 // Build quantizes pts into a fresh slab and
 // builds over it; BuildSlab builds zero-copy over an existing slab.
 func Build(pts []geom.Vec3) *Tree {
@@ -174,104 +172,72 @@ func BuildSlabPar(s *cloud.Slab, workers int) *Tree {
 		return t
 	}
 	t.nodes = make([]node, n)
-	idx, _ := idxScratch.Get()
-	if cap(idx) < n {
-		idx = make([]int32, n)
-	}
-	idx = idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
+	p := AcquirePresort(s.Xs, s.Ys, s.Zs)
 	t.root = 0
-	t.buildAt(idx, 0, BuildSpawnDepth(workers))
-	idxScratch.Put(idx)
+	t.buildAt(p, 0, n, 0, BuildSpawnDepth(workers))
+	p.Release()
 	return t
 }
 
-// buildAt constructs the subtree over idx (non-empty) into the preorder
-// slot range [at, at+len(idx)): the median at `at`, the left subtree in
-// the next mid slots, the right subtree after it. spawn > 0 allows
-// forking the left child onto its own goroutine, which happens when a
-// slot of the process's budget (internal/par) is free at that instant.
-func (t *Tree) buildAt(idx []int32, at int32, spawn int) {
-	// Median split by selection on the chosen axis (a contiguous float32
-	// load per comparison — the SoA layout's construction win); ties are
-	// broken by index so construction is deterministic. Comparing the
-	// float32 values directly orders identically to comparing their
-	// float64 dequantizations.
-	axis, ax := SplitAxis(t.xs, t.ys, t.zs, idx)
-	mid := len(idx) / 2
-	SelectIndex(idx, mid, ax, 1)
+// buildAt constructs the subtree over the window [lo, hi) (non-empty) of
+// p's lists into the preorder slot range [at, at+hi-lo): the median at
+// `at`, the left subtree in the next mid slots, the right subtree after
+// it. spawn > 0 allows forking the left child onto its own goroutine,
+// which happens when a slot of the process's budget (internal/par) is
+// free at that instant.
+func (t *Tree) buildAt(p *Presort, lo, hi int, at int32, spawn int) {
+	axis, point, split := p.Median(lo, hi)
+	mid := (hi - lo) / 2
 	n := node{
-		point: idx[mid],
+		point: point,
 		axis:  int8(axis),
-		split: float64(ax[idx[mid]]),
+		split: float64(split),
 		left:  -1,
 		right: -1,
 	}
 	if mid > 0 {
 		n.left = at + 1
 	}
-	if len(idx)-mid-1 > 0 {
+	if hi-lo-mid-1 > 0 {
 		n.right = at + 1 + int32(mid)
 	}
 	t.nodes[at] = n
-	left, right := idx[:mid], idx[mid+1:]
-	if spawn > 0 && len(idx) >= buildSpawnMin && n.left >= 0 && n.right >= 0 && par.TryAcquire() {
+	if hi-lo <= 3 {
+		// The children are single points, read off the sorted list:
+		// nothing below needs the other lists split.
+		sorted := p.Sorted(axis, lo, hi)
+		if n.left >= 0 {
+			t.single(n.left, sorted[0])
+		}
+		if n.right >= 0 {
+			t.single(n.right, sorted[2])
+		}
+		return
+	}
+	p.Split(lo, hi, axis)
+	if spawn > 0 && hi-lo >= buildSpawnMin && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer par.Release()
-			t.buildAt(left, n.left, spawn-1)
+			t.buildAt(p, lo, lo+mid, n.left, spawn-1)
 		}()
-		t.buildAt(right, n.right, spawn-1)
+		t.buildAt(p, lo+mid+1, hi, n.right, spawn-1)
 		wg.Wait()
 		return
 	}
-	if n.left >= 0 {
-		t.buildAt(left, n.left, spawn)
-	}
-	if n.right >= 0 {
-		t.buildAt(right, n.right, spawn)
-	}
+	t.buildAt(p, lo, lo+mid, n.left, spawn)
+	t.buildAt(p, lo+mid+1, hi, n.right, spawn)
 }
 
-// SplitAxis is the split-axis policy of a tree build: the axis with the
-// largest coordinate spread over the indexed points (non-empty) and that
-// axis's coordinate slab, scanning each axis slab independently (three
-// sequential float32 streams instead of one strided struct walk). The
-// two-stage builder shares it.
-func SplitAxis(xs, ys, zs []float32, idx []int32) (axis int, col []float32) {
-	lox, hix := xs[idx[0]], xs[idx[0]]
-	loy, hiy := ys[idx[0]], ys[idx[0]]
-	loz, hiz := zs[idx[0]], zs[idx[0]]
-	for _, i := range idx[1:] {
-		if v := xs[i]; v < lox {
-			lox = v
-		} else if v > hix {
-			hix = v
-		}
-		if v := ys[i]; v < loy {
-			loy = v
-		} else if v > hiy {
-			hiy = v
-		}
-		if v := zs[i]; v < loz {
-			loz = v
-		} else if v > hiz {
-			hiz = v
-		}
-	}
-	sx, sy, sz := hix-lox, hiy-loy, hiz-loz
-	switch {
-	case sx >= sy && sx >= sz:
-		return 0, xs
-	case sy >= sz:
-		return 1, ys
-	default:
-		return 2, zs
-	}
+// single writes the childless node of point i at slot at: its spreads
+// are its coordinates minus themselves, so its axis is x unless one is
+// not finite.
+func (t *Tree) single(at, i int32) {
+	x, y, z := t.xs[i], t.ys[i], t.zs[i]
+	axis := widest(x-x, y-y, z-z)
+	t.nodes[at] = node{point: i, axis: int8(axis), split: t.component(i, axis), left: -1, right: -1}
 }
 
 // Slab exposes the backing SoA point slab (read-only by convention).

@@ -7,6 +7,7 @@ import (
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
+	"tigris/internal/synth"
 )
 
 // randPoints generates test points pre-snapped to float32 (the slab
@@ -231,6 +232,20 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(pts)
+	}
+}
+
+// BenchmarkBuildFrame is one build on one worker over a raw 32×600
+// synthetic LiDAR frame (≈ 18.6 k points, the benchmark's full scale),
+// the scratch recycled as a streaming session recycles it.
+func BenchmarkBuildFrame(b *testing.B) {
+	seq := synth.GenerateSequence(synth.EvalSequenceConfig(1, 2019))
+	slab := cloud.SlabFromPoints(seq.Frames[0].Points)
+	BuildSlabPar(slab, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildSlabPar(slab, 1)
 	}
 }
 

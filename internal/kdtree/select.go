@@ -1,52 +1,29 @@
 package kdtree
 
-// This file holds the allocation-free selection and sort every tree
-// builder in the repo splits with (this package, internal/twostage, and
-// the descriptor-space tree in internal/features). All three order point
-// indices by one strict total order — ascending (coordinate, index) — so
-// a median split is a function of the point *set* alone: selecting the
-// median leaves each half unordered, and because every child re-selects
-// on its own axis the finished tree is node-for-node the one the
-// historical per-level sort.Slice produced, at O(n) per level instead of
-// O(n log n) and without sort.Slice's per-call closure and swapper.
+// This file holds the allocation-free index sort of the descriptor-space
+// tree in internal/features, which sorts every level fully because the
+// order a level leaves its halves in decides its children's axes (the 3D
+// trees split presorted lists instead; presort.go). It orders point
+// indices by the strict total order every tree builder in the repo splits
+// in — ascending (coordinate, index) — so a median split is a function of
+// the point *set* alone, without sort.Slice's per-call closure and
+// swapper.
 
-// Key is a coordinate type the builders split on: float32 slab axes for
-// the 3D trees, float64 descriptor columns for the feature tree.
+// Key is a coordinate type SortIndex orders by: float64 descriptor
+// columns for the feature tree, float32 slab axes in tests.
 type Key interface{ ~float32 | ~float64 }
 
-// selectCutoff is the range size below which selection and sort finish
-// with an insertion sort.
-const selectCutoff = 12
+// sortCutoff is the range size below which the sort finishes with an
+// insertion sort.
+const sortCutoff = 12
 
-// SelectIndex rearranges idx so that idx[k] holds the element of rank k
-// under ascending (col[i*stride], i), every element before it orders
-// lower and every element after it higher. col[i*stride] is point i's
-// coordinate: stride 1 over an axis slab, the row width over one column
-// of a row-major matrix. The halves are left in no particular order.
-func SelectIndex[K Key](idx []int32, k int, col []K, stride int) {
-	lo, hi := 0, len(idx)
-	for hi-lo > selectCutoff {
-		p := lo + partitionIndex(idx[lo:hi], col, stride)
-		switch {
-		case p == k:
-			return
-		case p < k:
-			lo = p + 1
-		default:
-			hi = p
-		}
-	}
-	insertionSortIndex(idx[lo:hi], col, stride)
-}
-
-// SortIndex sorts idx ascending by (col[i*stride], i) — the order
-// SelectIndex selects in. Builders use it only where the order *within*
-// a half is part of their output (two-stage leaf sets, the feature
-// tree's positional axis sampling).
+// SortIndex sorts idx ascending by (col[i*stride], i). col[i*stride] is
+// point i's coordinate: stride 1 over an axis slab, the row width over
+// one column of a row-major matrix.
 func SortIndex[K Key](idx []int32, col []K, stride int) {
 	// Recurse into the smaller side and loop on the larger so stack
 	// depth stays O(log n).
-	for len(idx) > selectCutoff {
+	for len(idx) > sortCutoff {
 		p := partitionIndex(idx, col, stride)
 		if p < len(idx)-p-1 {
 			SortIndex(idx[:p], col, stride)

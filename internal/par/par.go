@@ -255,7 +255,7 @@ const freeListMax = 16
 // FreeList is a small bounded stack of reusable scratch values shared by
 // every goroutine of the process. It exists beside sync.Pool because the
 // collector empties a sync.Pool on every cycle: a streaming session's
-// per-frame scratch (result arenas, build permutations, hash buckets) is
+// per-frame scratch (result arenas, tree-build lists, hash buckets) is
 // megabytes that a pool hands to the collector between frames and the
 // next frame then regrows. A FreeList keeps what it is given until it is
 // taken again, so its footprint is the high-water mark of what was in

@@ -1,6 +1,7 @@
 package twostage
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -11,8 +12,8 @@ import (
 )
 
 // equivalenceClouds mirrors the canonical tree's equivalence inputs:
-// generic positions, heavy coordinate duplication, all points equal, and
-// sizes around the spawn threshold.
+// generic positions, heavy coordinate duplication, all points equal,
+// signed zeros, and sizes around the spawn threshold.
 func equivalenceClouds() map[string][]geom.Vec3 {
 	clouds := map[string][]geom.Vec3{}
 	for _, n := range []int{0, 1, 2, 3, buildSpawnMin - 1, buildSpawnMin, buildSpawnMin + 1} {
@@ -31,11 +32,22 @@ func equivalenceClouds() map[string][]geom.Vec3 {
 		}
 		clouds["all-equal/"+strconv.Itoa(n)] = same
 	}
+	// −0 and +0 on every axis: they compare equal, so their order is the
+	// index order, as for any other tie. A few ±1 make the spreads differ
+	// by axis.
+	vals := []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 1, -1}
+	for _, n := range []int{3, 500, buildSpawnMin + 1} {
+		zeros := make([]geom.Vec3, n)
+		for i := range zeros {
+			zeros[i] = geom.V3(vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals)-2)], vals[rng.Intn(len(vals)-1)])
+		}
+		clouds["signed-zeros/"+strconv.Itoa(n)] = zeros
+	}
 	return clouds
 }
 
-// TestSelectionBuildMatchesSortBuild: the selection-built two-stage tree
-// is the sort-built reference (seqBuild) node for node and leaf for leaf,
+// TestSelectionBuildMatchesSortBuild: the two-stage tree built from
+// presorted lists is the sort-built reference (seqBuild) node for node and leaf for leaf,
 // each leaf set in the reference's scan order — the order the
 // accelerator model streams and the approximate search elects leaders
 // in — at every top height and build width.
@@ -73,5 +85,69 @@ func TestLeafSetsDoNotOverlapInMemory(t *testing.T) {
 		if cap(set) != len(set) {
 			t.Fatalf("leaf %d: cap %d > len %d exposes the next leaf's window", id, cap(set), len(set))
 		}
+	}
+}
+
+// TestBuildSurvivesNaN: on slabs with NaN coordinates, which ingest
+// refuses, a build may split differently from the sort-built reference
+// (NaN makes its comparisons inconsistent), but at every top height and
+// width it finishes, its permutation holds every point once, and every
+// point is either one top-tree node's or in one leaf set.
+func TestBuildSurvivesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, n := range []int{1, 2, 3, 500, buildSpawnMin + 1} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		pts := make([]geom.Vec3, n)
+		for i := range pts {
+			pts[i] = geom.V3(float64(rng.Intn(7)), rng.Float64(), float64(rng.Intn(3)))
+			if rng.Intn(4) == 0 {
+				pts[i].X = nan
+			}
+			if rng.Intn(3) == 0 {
+				pts[i].Z = math.Copysign(nan, -1)
+			}
+		}
+		s := cloud.SlabFromPoints(pts)
+		for _, h := range []int{0, 1, 3, 30} {
+			for _, workers := range []int{1, 2, 8} {
+				tree := BuildSlabPar(s, h, workers)
+				inPerm, placed := make([]bool, n), make([]int, n)
+				for _, i := range tree.perm {
+					if inPerm[i] {
+						t.Fatalf("n=%d h=%d workers=%d: point %d twice in the permutation", n, h, workers, i)
+					}
+					inPerm[i] = true
+				}
+				for _, nd := range tree.nodes {
+					placed[nd.Point]++
+				}
+				for _, set := range tree.Leaves() {
+					for _, i := range set {
+						placed[i]++
+					}
+				}
+				for i, c := range placed {
+					if c != 1 {
+						t.Fatalf("n=%d h=%d workers=%d: point %d placed %d times", n, h, workers, i, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildAllocatesOnlyWhatItKeeps: with the build's scratch recycled, a
+// warmed one-worker build allocates the five things the tree keeps — the
+// tree, its top-tree nodes, its leaf runs, its permutation and the
+// leaf-ordered coordinate block — and nothing per level.
+func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are meaningless under -race")
+	}
+	s := cloud.SlabFromPoints(randomPts(5000, 4))
+	h := HeightForLeafSize(s.Len(), 32)
+	BuildSlabPar(s, h, 1)
+	if allocs := testing.AllocsPerRun(5, func() { BuildSlabPar(s, h, 1) }); allocs > 5 {
+		t.Errorf("BuildSlabPar allocates %.1f times per build, want <= 5 (tree, nodes, leaf runs, permutation, coordinates)", allocs)
 	}
 }

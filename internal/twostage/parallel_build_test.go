@@ -8,7 +8,6 @@ import (
 
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
-	"tigris/internal/kdtree"
 )
 
 // seqBuild is the original sequential append-order construction, kept as
@@ -40,7 +39,7 @@ func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 		t.leaves = append(t.leaves, leafRun{lo, int32(len(t.perm))})
 		return encodeLeaf(id)
 	}
-	axis, ax := kdtree.SplitAxis(t.xs, t.ys, t.zs, idx)
+	axis, ax := spreadAxis(t.xs, t.ys, t.zs, idx)
 	sort.Slice(idx, func(a, b int) bool {
 		pa := ax[idx[a]]
 		pb := ax[idx[b]]
@@ -63,6 +62,41 @@ func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 	t.nodes[self].Left = left
 	t.nodes[self].Right = right
 	return Child(self)
+}
+
+// spreadAxis is the reference's split-axis policy, scanned rather than
+// read off presorted lists: the axis of largest coordinate spread over
+// the indexed points (non-empty), the lowest on a tie, and its slab.
+func spreadAxis(xs, ys, zs []float32, idx []int32) (axis int, col []float32) {
+	lox, hix := xs[idx[0]], xs[idx[0]]
+	loy, hiy := ys[idx[0]], ys[idx[0]]
+	loz, hiz := zs[idx[0]], zs[idx[0]]
+	for _, i := range idx[1:] {
+		if v := xs[i]; v < lox {
+			lox = v
+		} else if v > hix {
+			hix = v
+		}
+		if v := ys[i]; v < loy {
+			loy = v
+		} else if v > hiy {
+			hiy = v
+		}
+		if v := zs[i]; v < loz {
+			loz = v
+		} else if v > hiz {
+			hiz = v
+		}
+	}
+	sx, sy, sz := hix-lox, hiy-loy, hiz-loz
+	switch {
+	case sx >= sy && sx >= sz:
+		return 0, xs
+	case sy >= sz:
+		return 1, ys
+	default:
+		return 2, zs
+	}
 }
 
 func randomPts(n int, seed int64) []geom.Vec3 {

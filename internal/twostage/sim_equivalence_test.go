@@ -12,7 +12,7 @@ import (
 // TestAcceleratorModelSeesTheSameTree: the accelerator model walks the
 // top-tree and streams the leaf sets in their stored order, so its cycle
 // and energy figures are a fingerprint of the whole structure. On a fixed
-// query stream they must be equal for the selection-built tree and the
+// query stream they must be equal for the presort-built tree and the
 // sort-built reference, exact and approximate search alike.
 func TestAcceleratorModelSeesTheSameTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -50,13 +50,13 @@ func TestAcceleratorModelSeesTheSameTree(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got.Cycles != want.Cycles {
-			t.Errorf("%s: %d cycles on the selection-built tree, %d on the reference", tc.name, got.Cycles, want.Cycles)
+			t.Errorf("%s: %d cycles on the presort-built tree, %d on the reference", tc.name, got.Cycles, want.Cycles)
 		}
 		if got.Energy != want.Energy {
-			t.Errorf("%s: energy %+v on the selection-built tree, %+v on the reference", tc.name, got.Energy, want.Energy)
+			t.Errorf("%s: energy %+v on the presort-built tree, %+v on the reference", tc.name, got.Energy, want.Energy)
 		}
 		if got.Traffic != want.Traffic {
-			t.Errorf("%s: traffic %+v on the selection-built tree, %+v on the reference", tc.name, got.Traffic, want.Traffic)
+			t.Errorf("%s: traffic %+v on the presort-built tree, %+v on the reference", tc.name, got.Traffic, want.Traffic)
 		}
 	}
 }

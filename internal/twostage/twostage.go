@@ -125,11 +125,13 @@ func (t *Tree) dist2(q geom.Vec3, i int32) float64 {
 // 0 degenerates to a single unordered set (pure brute force, paper §4.1);
 // larger heights approach the canonical tree.
 //
-// Construction parallelizes like the canonical tree's: median splits only
-// depend on the subset size, so every subtree's node-slot and leaf-slot
-// ranges in the preorder layout are computed up front (subtreeSize) and
-// sibling subtrees build concurrently into disjoint ranges to a bounded
-// spawn depth. The resulting tree is bit-identical to a sequential build.
+// Construction is the canonical tree's (kdtree.Presort: each axis sorted
+// once, the sorted lists split level by level) and parallelizes like it:
+// median splits only depend on the subset size, so every subtree's
+// node-slot and leaf-slot ranges in the preorder layout are computed up
+// front (subtreeSize) and sibling subtrees build concurrently into
+// disjoint ranges to a bounded spawn depth. The resulting tree is
+// bit-identical to a sequential build.
 // Build quantizes pts into a fresh slab; BuildSlab builds zero-copy over
 // an existing one.
 func Build(pts []geom.Vec3, topHeight int) *Tree {
@@ -150,29 +152,33 @@ func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 		topHeight = 0
 	}
 	t := &Tree{slab: s, xs: s.Xs, ys: s.Ys, zs: s.Zs, height: topHeight, root: ChildNone}
-	if s.Len() == 0 {
+	n := s.Len()
+	if n == 0 {
 		return t
 	}
-	sizes := make(map[sizeKey][2]int32)
-	nNodes, nLeaves := subtreeSize(s.Len(), topHeight, sizes)
+	nNodes, nLeaves := subtreeSize(n, topHeight)
 	if nNodes > 0 {
 		t.nodes = make([]Node, nNodes)
 	}
 	if nLeaves > 0 {
 		t.leaves = make([]leafRun, nLeaves)
 	}
-	// The index permutation the build rearranges ends up owned by the
-	// tree: every leaf set is a window of it.
-	t.perm = make([]int32, s.Len())
-	for i := range t.perm {
-		t.perm[i] = int32(i)
-	}
+	// The permutation the build writes ends up owned by the tree: every
+	// leaf set is a window of it.
+	t.perm = make([]int32, n)
 	if topHeight == 0 {
+		// One leaf set holding every point, in index order.
+		for i := range t.perm {
+			t.perm[i] = int32(i)
+		}
 		t.root = encodeLeaf(0)
+		t.leaves[0] = leafRun{0, int32(n)}
 	} else {
+		p := kdtree.AcquirePresort(s.Xs, s.Ys, s.Zs)
 		t.root = Child(0)
+		t.buildAt(p, 0, int32(n), 0, 0, 0, kdtree.BuildSpawnDepth(workers))
+		p.Release()
 	}
-	t.buildAt(t.perm, 0, 0, 0, 0, sizes, kdtree.BuildSpawnDepth(workers))
 	t.orderCoordinates()
 	return t
 }
@@ -189,74 +195,84 @@ func (t *Tree) orderCoordinates() {
 	}
 }
 
-// sizeKey memoizes subtreeSize on (points, remaining height).
-type sizeKey struct{ n, h int }
-
 // subtreeSize returns the top-tree node count and leaf-set count of the
 // subtree over n points with h top-tree levels remaining. Median splits
-// depend only on the subset size, so the recursion is exact; memo keeps
-// it cheap (each level contributes only a handful of distinct sizes).
-// The memo is filled before the parallel build phase and read-only after.
-func subtreeSize(n, h int, memo map[sizeKey][2]int32) (nodes, leaves int32) {
-	if n == 0 {
-		return 0, 0
+// depend only on the subset size, so the count is exact.
+func subtreeSize(n, h int) (nodes, leaves int32) {
+	c := sizePair(n, h)
+	return c[0][0], c[0][1]
+}
+
+// sizePair returns the (nodes, leaf sets) of the subtrees over n and over
+// n+1 points with h levels remaining. The halves of either window have
+// m = (n-1)/2 or m+1 points, so one call per level covers both sizes.
+func sizePair(n, h int) (c [2][2]int32) {
+	switch {
+	case h == 0:
+		for s := range c {
+			if n+s > 0 {
+				c[s][1] = 1
+			}
+		}
+		return c
+	case n == 0:
+		// No points: nothing. One point: one node, both children empty.
+		c[1][0] = 1
+		return c
 	}
-	if h == 0 {
-		return 0, 1
+	m := (n - 1) / 2
+	half := sizePair(m, h-1)
+	for s := range c {
+		size := n + s
+		mid := size / 2
+		l, r := half[mid-m], half[size-mid-1-m]
+		c[s] = [2]int32{1 + l[0] + r[0], l[1] + r[1]}
 	}
-	k := sizeKey{n, h}
-	if v, ok := memo[k]; ok {
-		return v[0], v[1]
-	}
-	mid := n / 2
-	ln, ll := subtreeSize(mid, h-1, memo)
-	rn, rl := subtreeSize(n-mid-1, h-1, memo)
-	nodes, leaves = 1+ln+rn, ll+rl
-	memo[k] = [2]int32{nodes, leaves}
-	return nodes, leaves
+	return c
 }
 
 // buildSpawnMin mirrors the canonical tree's construction fan-out
 // threshold (the spawn depth itself is kdtree.BuildSpawnDepth).
 const buildSpawnMin = 4096
 
-// buildAt constructs the subtree over idx (non-empty; the window of the
-// permutation starting at position at) at depth, writing the top-tree
-// nodes into the preorder slot range starting at nodeAt and the leaf sets
-// into consecutive slots starting at leafAt.
-func (t *Tree) buildAt(idx []int32, at int32, depth int, nodeAt, leafAt int32, sizes map[sizeKey][2]int32, spawn int) {
+// buildAt constructs the subtree over the window [at, at+n) (n > 0) of
+// p's sorted lists — the same window of the permutation — at depth,
+// writing the top-tree nodes into the preorder slot range starting at
+// nodeAt and the leaf sets into consecutive slots starting at leafAt.
+func (t *Tree) buildAt(p *kdtree.Presort, at, n int32, depth int, nodeAt, leafAt int32, spawn int) {
 	if depth >= t.height {
-		// The window is final: nothing rearranges it once its parent has
-		// split, and sibling windows are disjoint.
-		t.leaves[leafAt] = leafRun{at, at + int32(len(idx))}
+		// The window is final: its parent wrote it, and sibling windows
+		// are disjoint.
+		t.leaves[leafAt] = leafRun{at, at + n}
 		return
 	}
-	// The canonical tree's split-axis policy, so that the top-tree is
-	// "exactly the same as the first htop levels of the classic KD-tree"
-	// (paper §4.1).
-	axis, ax := kdtree.SplitAxis(t.xs, t.ys, t.zs, idx)
-	mid := len(idx) / 2
+	// The canonical tree's split, so that the top-tree is "exactly the
+	// same as the first htop levels of the classic KD-tree" (paper §4.1).
+	lo, hi := int(at), int(at+n)
+	axis, point, split := p.Median(lo, hi)
+	mid := n / 2
 	rem := t.height - depth - 1 // top levels remaining below this node
 	if rem == 0 {
 		// The halves become leaf sets as they stand, and a leaf set's
 		// scan order is part of the tree (the accelerator model streams
-		// it, approximate search picks leaders in it): this level alone
-		// sorts fully, so every set keeps the (coordinate, index) order
-		// of its parent's axis.
-		kdtree.SortIndex(idx, ax, 1)
+		// it, approximate search picks leaders in it): every set keeps
+		// the (coordinate, index) order of its parent's axis, which is
+		// that axis's sorted window, copied as it is.
+		copy(t.perm[at:at+n], p.Sorted(axis, lo, hi))
 	} else {
-		// Deeper levels re-split on their own axis, so only the median
-		// matters here.
-		kdtree.SelectIndex(idx, mid, ax, 1)
+		// Deeper levels re-split on their own axis; only the median's
+		// slot is final here.
+		t.perm[at+mid] = point
+		p.Split(lo, hi, axis)
 	}
 	nd := Node{
-		Point: idx[mid],
+		Point: point,
 		Axis:  int8(axis),
-		Split: float64(ax[idx[mid]]),
+		Split: float64(split),
 		Left:  ChildNone,
 		Right: ChildNone,
 	}
-	leftN, leftL := subtreeSize(mid, rem, sizes)
+	leftN, leftL := subtreeSize(int(mid), rem)
 	if mid > 0 {
 		if rem == 0 {
 			nd.Left = encodeLeaf(int(leafAt))
@@ -264,7 +280,7 @@ func (t *Tree) buildAt(idx []int32, at int32, depth int, nodeAt, leafAt int32, s
 			nd.Left = Child(nodeAt + 1)
 		}
 	}
-	if len(idx)-mid-1 > 0 {
+	if n-mid-1 > 0 {
 		if rem == 0 {
 			nd.Right = encodeLeaf(int(leafAt + leftL))
 		} else {
@@ -272,25 +288,24 @@ func (t *Tree) buildAt(idx []int32, at int32, depth int, nodeAt, leafAt int32, s
 		}
 	}
 	t.nodes[nodeAt] = nd
-	left, right := idx[:mid], idx[mid+1:]
-	rightAt := at + int32(mid) + 1
-	if spawn > 0 && len(idx) >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone && par.TryAcquire() {
+	rightAt := at + mid + 1
+	if spawn > 0 && n >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer par.Release()
-			t.buildAt(left, at, depth+1, nodeAt+1, leafAt, sizes, spawn-1)
+			t.buildAt(p, at, mid, depth+1, nodeAt+1, leafAt, spawn-1)
 		}()
-		t.buildAt(right, rightAt, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn-1)
+		t.buildAt(p, rightAt, n-mid-1, depth+1, nodeAt+1+leftN, leafAt+leftL, spawn-1)
 		wg.Wait()
 		return
 	}
 	if nd.Left != ChildNone {
-		t.buildAt(left, at, depth+1, nodeAt+1, leafAt, sizes, spawn)
+		t.buildAt(p, at, mid, depth+1, nodeAt+1, leafAt, spawn)
 	}
 	if nd.Right != ChildNone {
-		t.buildAt(right, rightAt, depth+1, nodeAt+1+leftN, leafAt+leftL, sizes, spawn)
+		t.buildAt(p, rightAt, n-mid-1, depth+1, nodeAt+1+leftN, leafAt+leftL, spawn)
 	}
 }
 

@@ -408,6 +408,20 @@ var benchFrame = sync.OnceValues(func() (*cloud.Slab, []geom.Vec3) {
 	return cloud.SlabFromPoints(seq.Frames[0].Points), seq.Frames[1].Points
 })
 
+// BenchmarkBuildFrame is one build on one worker over the first frame at
+// the pipeline's leaf sets of ≤ 32 points (internal/search's automatic
+// size), the scratch recycled as a streaming session recycles it.
+func BenchmarkBuildFrame(b *testing.B) {
+	slab, _ := benchFrame()
+	h := HeightForLeafSize(slab.Len(), 32)
+	BuildSlabPar(slab, h, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildSlabPar(slab, h, 1)
+	}
+}
+
 // BenchmarkTwoStageRadius is one 0.5 m radius query (the normal
 // estimation radius; ≈ 33 neighbours) answered into a batch-arena-sized
 // buffer, at the leaf sizes the automatic target was chosen among.
