@@ -63,8 +63,8 @@ func signedZeros(rng *rand.Rand, n int) []geom.Vec3 {
 }
 
 // TestSelectionBuildMatchesSortBuild: the tree built from presorted
-// lists is the sort-built reference (seqBuild, the per-level sort.Slice construction)
-// node for node, at every build width.
+// lists is the sort-built reference (seqBuild, the per-level sort.Slice
+// construction) node for node, at every build width.
 func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 	for name, pts := range equivalenceClouds() {
 		want := seqBuild(append([]geom.Vec3(nil), pts...))
@@ -132,18 +132,18 @@ func TestSortIndexMatchesReference(t *testing.T) {
 				col64[i*stride] = float64(rng.Intn(levels))
 			}
 
-			want := shuffledIndex(rng, n)
-			referenceOrder(want, col32, 1)
+			want32 := shuffledIndex(rng, n)
+			referenceOrder(want32, col32, 1)
 			got := shuffledIndex(rng, n)
 			SortIndex(got, col32, 1)
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want32) {
 				t.Fatalf("n=%d: SortIndex(float32) differs from the reference order", n)
 			}
-			want = shuffledIndex(rng, n)
-			referenceOrder(want, col64, stride)
+			want64 := shuffledIndex(rng, n)
+			referenceOrder(want64, col64, stride)
 			got = shuffledIndex(rng, n)
 			SortIndex(got, col64, stride)
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want64) {
 				t.Fatalf("n=%d: SortIndex(float64, stride) differs from the reference order", n)
 			}
 		}
@@ -155,7 +155,8 @@ func TestSortIndexMatchesReference(t *testing.T) {
 func TestSortIndexSurvivesNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	col := make([]float32, 500)
-	nan := float32(math.NaN())
+	nan := float32(0)
+	nan /= nan
 	for i := range col {
 		col[i] = float32(rng.Intn(5))
 		if rng.Intn(4) == 0 {
@@ -173,10 +174,11 @@ func TestSortIndexSurvivesNaN(t *testing.T) {
 	}
 }
 
-// nanSlabs are point sets with NaN coordinates — on one axis, on all
-// three, everywhere — which ingest refuses: a build over one may split
-// differently from the sort-built reference, whose comparisons NaN makes
-// inconsistent, but it must finish and keep every point.
+// nanSlabs are point sets with NaN coordinates — on one axis of some
+// points, on two, on all three of every point — which ingest refuses: a
+// build over one may split differently from the sort-built reference,
+// whose comparisons NaN makes inconsistent, but it must finish and keep
+// every point.
 func nanSlabs() map[string]*cloud.Slab {
 	nan := math.NaN()
 	slabs := map[string]*cloud.Slab{}
@@ -230,7 +232,7 @@ func TestBuildSurvivesNaN(t *testing.T) {
 	}
 }
 
-// TestBuildAllocatesOnlyItsNodes: with the index permutation recycled, a
+// TestBuildAllocatesOnlyItsNodes: with the build's scratch recycled, a
 // warmed sequential build allocates the tree and its node array and
 // nothing per level.
 func TestBuildAllocatesOnlyItsNodes(t *testing.T) {

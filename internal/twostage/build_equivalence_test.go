@@ -47,10 +47,10 @@ func equivalenceClouds() map[string][]geom.Vec3 {
 }
 
 // TestSelectionBuildMatchesSortBuild: the two-stage tree built from
-// presorted lists is the sort-built reference (seqBuild) node for node and leaf for leaf,
-// each leaf set in the reference's scan order — the order the
-// accelerator model streams and the approximate search elects leaders
-// in — at every top height and build width.
+// presorted lists is the sort-built reference (seqBuild) node for node
+// and leaf for leaf, each leaf set in the reference's scan order — the
+// order the accelerator model streams and the approximate search elects
+// leaders in — at every top height and build width.
 func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 	for name, pts := range equivalenceClouds() {
 		for _, h := range []int{0, 1, 2, 5, 9, 30} {
