@@ -104,7 +104,9 @@ var voxelGrids par.FreeList[*voxelGrid]
 
 // VoxelDownsampleSlab returns a new slab with at most one point per cubic
 // voxel of the given edge length: the centroid of the points that fell in
-// the cell, in order of each cell's first point. Registration front-ends
+// the cell, in order of each cell's first point. A point whose cell index
+// does not fit in int32 on some axis (a huge coordinate, or a tiny leaf)
+// is a cell of its own. Registration front-ends
 // routinely downsample dense LiDAR frames before key-point detection; the
 // leaf size is one of the pipeline's parametric knobs. Cell keys are
 // computed from the dequantized coordinates, centroids accumulate in
@@ -122,15 +124,19 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 	inv := 1 / leaf
 	for i := 0; i < s.Len(); i++ {
 		p := s.At(i)
-		k := voxelKey{
-			X: int32(math.Floor(p.X * inv)),
-			Y: int32(math.Floor(p.Y * inv)),
-			Z: int32(math.Floor(p.Z * inv)),
+		x, okX := voxelIndex(p.X, inv)
+		y, okY := voxelIndex(p.Y, inv)
+		z, okZ := voxelIndex(p.Z, inv)
+		ci := int32(len(g.cells))
+		if okX && okY && okZ {
+			k := voxelKey{X: x, Y: y, Z: z}
+			if seen, ok := g.index[k]; ok {
+				ci = seen
+			} else {
+				g.index[k] = ci
+			}
 		}
-		ci, seen := g.index[k]
-		if !seen {
-			ci = int32(len(g.cells))
-			g.index[k] = ci
+		if ci == int32(len(g.cells)) {
 			g.cells = append(g.cells, voxelCell{})
 		}
 		c := &g.cells[ci]
@@ -145,6 +151,19 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 	g.cells = g.cells[:0]
 	voxelGrids.Put(g)
 	return out
+}
+
+// voxelIndex returns floor(x·inv), the cell index of coordinate x, and
+// whether it fits a voxelKey field. Converting a float outside int32's
+// range is implementation-defined in Go, and on amd64 sends every such
+// value to one index, so a point whose index does not fit (or is NaN)
+// has no key: it is a cell of its own, never merged.
+func voxelIndex(x, inv float64) (int32, bool) {
+	f := math.Floor(x * inv)
+	if !(f >= math.MinInt32 && f <= math.MaxInt32) {
+		return 0, false
+	}
+	return int32(f), true
 }
 
 // Validate checks what everything below ingest relies on: a normals slice

@@ -102,6 +102,42 @@ func TestVoxelDownsampleOnePerCell(t *testing.T) {
 	}
 }
 
+// TestVoxelDownsampleOutOfRangeCells: a point whose cell index does not
+// fit in int32 on some axis is a cell of its own. Before, such indices
+// converted to one implementation-defined key and the points merged into
+// a centroid far from all of them (on amd64, (0, 0, 0)). Cells in range
+// merge as before, alongside.
+func TestVoxelDownsampleOutOfRangeCells(t *testing.T) {
+	mid := geom.Vec3{X: (float64(float32(0.1)) + float64(float32(0.2))) / 2}.Quantize32()
+	for _, tc := range []struct {
+		name string
+		pts  []geom.Vec3
+		leaf float64
+		want []geom.Vec3
+	}{
+		{"±1e30 at 0.3", []geom.Vec3{{X: 1e30}, {X: -1e30}}, 0.3,
+			[]geom.Vec3{{X: float64(float32(1e30))}, {X: float64(float32(-1e30))}}},
+		{"±3 at 1e-9", []geom.Vec3{{X: 3}, {X: -3}}, 1e-9,
+			[]geom.Vec3{{X: 3}, {X: -3}}},
+		{"in range", []geom.Vec3{{X: 0.1}, {X: 0.2}, {X: 1}}, 0.3,
+			[]geom.Vec3{mid, {X: 1}}},
+		{"mixed", []geom.Vec3{{X: 0.1}, {Y: 1e30}, {X: 0.2}, {Y: 1e30}, {Z: -1e30}}, 0.3,
+			[]geom.Vec3{mid, {Y: float64(float32(1e30))}, {Y: float64(float32(1e30))}, {Z: float64(float32(-1e30))}}},
+	} {
+		d := VoxelDownsampleSlab(SlabFromPoints(tc.pts), tc.leaf)
+		got := d.Points()
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d cells %v, want %d %v", tc.name, len(got), got, len(tc.want), tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: cell %d = %v, want %v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestVoxelDownsampleDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	c := SlabFromCloud(randCloud(r, 1000))

@@ -30,17 +30,19 @@ var blockBufs = sync.Pool{
 	},
 }
 
-// forBlocks streams slab points through batch in bounded blocks and hands
-// every query's neighbors to fn on the worker pool: the points idx names,
-// in that order, or every point when idx is nil. Queries are dequantized
+// forRadiusBlocks streams slab points through s.RadiusBatch at radius r
+// in bounded blocks and hands every query's neighbors to fn on the
+// searcher's worker pool: the points idx names, in that order, or every
+// point of c when idx is nil. Queries are dequantized
 // slab coordinates (float64 of the stored float32), so every stage
 // queries exactly the values the search structures index. fn receives
 // the worker id (stable within one call, for per-worker tallies), the
 // query's point index, and that query's neighbor list; it must write
 // results positionally, which keeps the output bit-identical to the
 // sequential per-query loop.
-func forBlocks(workers int, s *cloud.Slab, idx []int, batch func(block []geom.Vec3) [][]kdtree.Neighbor, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	n := s.Len()
+func forRadiusBlocks(s search.Searcher, c *cloud.Slab, idx []int, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
+	workers := s.Parallelism()
+	n := c.Len()
 	if idx != nil {
 		n = len(idx)
 	}
@@ -53,9 +55,9 @@ func forBlocks(workers int, s *cloud.Slab, idx []int, batch func(block []geom.Ve
 		}
 		block := buf[:hi-lo]
 		for j := range block {
-			block[j] = s.At(pointAt(idx, lo+j))
+			block[j] = c.At(pointAt(idx, lo+j))
 		}
-		nbs := batch(block)
+		nbs := s.RadiusBatch(block, r)
 		if workers <= 1 {
 			// The plain loop: a one-worker sweep needs no closure, and a
 			// stage that issues many small batches (fine-tuning normals,
@@ -83,11 +85,4 @@ func pointAt(idx []int, j int) int {
 		return idx[j]
 	}
 	return j
-}
-
-// forRadiusBlocks is forBlocks for the common radius-search shape.
-func forRadiusBlocks(s search.Searcher, c *cloud.Slab, idx []int, r float64, fn func(worker, i int, nbs []kdtree.Neighbor)) {
-	forBlocks(s.Parallelism(), c, idx, func(block []geom.Vec3) [][]kdtree.Neighbor {
-		return s.RadiusBatch(block, r)
-	}, fn)
 }

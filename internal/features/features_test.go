@@ -318,44 +318,6 @@ func TestFeatureTreeEmpty(t *testing.T) {
 	}
 }
 
-func TestKNeighborNormals(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	want := geom.Vec3{Z: 1}
-	c := planeCloud(r, 400, want, 0.005)
-	s := search.NewKDSearcherSlab(c)
-	deg := EstimateNormals(c, s, NormalConfig{KNeighbors: 12, Viewpoint: geom.Vec3{Z: 100}})
-	if deg != 0 {
-		t.Errorf("k-NN neighborhoods should never be degenerate on a dense plane: %d", deg)
-	}
-	good := 0
-	for i := 0; i < c.Len(); i++ {
-		if c.NormalAt(i).Dot(want) > 0.99 {
-			good++
-		}
-	}
-	if frac := float64(good) / float64(c.Len()); frac < 0.9 {
-		t.Errorf("only %.2f k-NN normals aligned with plane", frac)
-	}
-}
-
-func TestKNeighborNormalsSparseRobust(t *testing.T) {
-	// The adaptive property: points far apart still get plausible normals
-	// with k-NN support, where a fixed radius finds nothing.
-	c := cloud.SlabFromPoints([]geom.Vec3{
-		{X: 0}, {X: 10}, {X: 20}, {X: 0, Y: 10}, {X: 10, Y: 10}, {X: 20, Y: 10},
-	})
-	s := search.NewKDSearcherSlab(c)
-	deg := EstimateNormals(c, s, NormalConfig{KNeighbors: 4, MinNeighbors: 3})
-	if deg != 0 {
-		t.Errorf("k-NN normals degenerate on sparse plane: %d", deg)
-	}
-	for i := 0; i < c.Len(); i++ {
-		if n := c.NormalAt(i); math.Abs(n.Dot(geom.Vec3{Z: 1})) < 0.99 {
-			t.Errorf("sparse point %d normal %v not plane-aligned", i, n)
-		}
-	}
-}
-
 func BenchmarkEstimateNormals(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	c := boxEdgeCloud(r, 3000)

@@ -43,12 +43,8 @@ type KeypointConfig struct {
 	Method KeypointMethod
 	// Radius is the Harris support radius in meters (default 1.0).
 	Radius float64
-	// HarrisK is the Harris response trace weight (default 0.04).
-	HarrisK float64
 	// Scale is the SIFT base scale in meters (default 0.5).
 	Scale float64
-	// Octaves is the number of SIFT octaves (default 3).
-	Octaves int
 	// ResponseQuantile keeps points whose response exceeds this quantile
 	// of all responses (default 0.90); the non-max suppression radius is
 	// the detector's support radius.
@@ -57,18 +53,19 @@ type KeypointConfig struct {
 	MaxKeypoints int
 }
 
+const (
+	// harrisK weighs det(C) in the Harris response (see harrisResponses).
+	harrisK = 0.04
+	// siftOctaves is the number of SIFT octaves above the base scale.
+	siftOctaves = 3
+)
+
 func (c *KeypointConfig) defaults() {
 	if c.Radius == 0 {
 		c.Radius = 1.0
 	}
-	if c.HarrisK == 0 {
-		c.HarrisK = 0.04
-	}
 	if c.Scale == 0 {
 		c.Scale = 0.5
-	}
-	if c.Octaves == 0 {
-		c.Octaves = 3
 	}
 	if c.ResponseQuantile == 0 {
 		c.ResponseQuantile = 0.90
@@ -129,7 +126,7 @@ func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []flo
 			xy, yy, yz,
 			xz, yz, zz,
 		}.Scale(1 / float64(len(nbs)))
-		res[i] = cov.Trace() + cov.Det()/cfg.HarrisK
+		res[i] = cov.Trace() + cov.Det()/harrisK
 	})
 	return res
 }
@@ -141,7 +138,7 @@ func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []flo
 // differences; flat regions produce nearly scale-invariant densities.
 func siftResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float64 {
 	res := make([]float64, c.Len())
-	scales := make([]float64, cfg.Octaves+1)
+	scales := make([]float64, siftOctaves+1)
 	for o := range scales {
 		scales[o] = cfg.Scale * math.Pow(2, float64(o)*0.5)
 	}

@@ -68,28 +68,24 @@ func (m NormalMethod) String() string {
 // NormalConfig parameterizes normal estimation. SearchRadius is the knob
 // the paper sweeps (Tbl. 1) and the one that controls how much radius
 // search the stage issues — DP4 uses 0.30 m, DP7 uses 0.75 m (§6.3).
+// Support regions are radius regions only: Tbl. 1 also lists k-nearest
+// regions (PCL's setKSearch), which no design point uses.
 type NormalConfig struct {
 	Method NormalMethod
 	// SearchRadius is the neighborhood radius in meters (default 0.5).
 	SearchRadius float64
-	// KNeighbors, when positive, selects k-nearest-neighbor support
-	// regions instead of radius regions (the PCL setKSearch mode). The
-	// neighborhood then adapts to local density: dense regions get tight
-	// fits, sparse regions still find support.
-	KNeighbors int
 	// Viewpoint orients normals to point toward the sensor. The zero value
 	// (origin) is correct for sensor-frame clouds.
 	Viewpoint geom.Vec3
-	// MinNeighbors below which a point's normal is left as +Z (default 3).
-	MinNeighbors int
 }
+
+// minNeighbors is the neighborhood size below which a point's normal is
+// left as +Z and counted degenerate.
+const minNeighbors = 3
 
 func (c *NormalConfig) defaults() {
 	if c.SearchRadius == 0 {
 		c.SearchRadius = 0.5
-	}
-	if c.MinNeighbors == 0 {
-		c.MinNeighbors = 3
 	}
 }
 
@@ -98,7 +94,7 @@ func (c *NormalConfig) defaults() {
 // number of points that had too few neighbors for a stable fit.
 //
 // The queries stream through the searcher's batch API in bounded blocks
-// (see forBlocks), each consumed by a parallel sweep fitting the
+// (see forRadiusBlocks), each consumed by a parallel sweep fitting the
 // per-point normals. Every sweep writes positionally, so the output is
 // bit-identical to the sequential per-point loop.
 func EstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int {
@@ -128,21 +124,14 @@ func EstimateNormalsAt(c *cloud.Slab, s search.Searcher, cfg NormalConfig, idx [
 func estimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig, idx []int) int {
 	cfg.defaults()
 	c.EnsureNormals()
-	workers := s.Parallelism()
-	batch := func(block []geom.Vec3) [][]kdtree.Neighbor {
-		if cfg.KNeighbors > 0 {
-			return s.KNearestBatch(block, cfg.KNeighbors)
-		}
-		return s.RadiusBatch(block, cfg.SearchRadius)
-	}
-	sw := takeNormalSweep(workers)
+	sw := takeNormalSweep(s.Parallelism())
 	// Each point once: two workers fitting the same point would both
 	// write its slot, and the degenerate tally counts points.
 	idx = sw.distinct(idx, c.Len())
-	forBlocks(workers, c, idx, batch, func(w, i int, nbs []kdtree.Neighbor) {
+	forRadiusBlocks(s, c, idx, cfg.SearchRadius, func(w, i int, nbs []kdtree.Neighbor) {
 		sc := &sw.scratch[w]
 		p := c.At(i)
-		if len(nbs) < cfg.MinNeighbors {
+		if len(nbs) < minNeighbors {
 			c.SetNormal(i, geom.Vec3{Z: 1})
 			sc.degenerate++
 			return

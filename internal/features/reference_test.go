@@ -72,13 +72,8 @@ func refEstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int 
 	degenerate := 0
 	for i := 0; i < c.Len(); i++ {
 		p := c.At(i)
-		var nbs []kdtree.Neighbor
-		if cfg.KNeighbors > 0 {
-			nbs = s.KNearest(p, cfg.KNeighbors)
-		} else {
-			nbs = s.Radius(p, cfg.SearchRadius)
-		}
-		if len(nbs) < cfg.MinNeighbors {
+		nbs := s.Radius(p, cfg.SearchRadius)
+		if len(nbs) < minNeighbors {
 			c.SetNormal(i, geom.Vec3{Z: 1})
 			degenerate++
 			continue
@@ -97,9 +92,9 @@ func refEstimateNormals(c *cloud.Slab, s search.Searcher, cfg NormalConfig) int 
 	return degenerate
 }
 
-// TestNormalsBitIdenticalToReferenceKernels: both estimators, radius and
-// k-neighbor support regions, sequential and parallel sweeps, against the
-// reference loop — every stored normal component equal to the bit.
+// TestNormalsBitIdenticalToReferenceKernels: both estimators, sequential
+// and parallel sweeps, against the reference loop — every stored normal
+// component equal to the bit.
 func TestNormalsBitIdenticalToReferenceKernels(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	base := boxEdgeCloud(r, 1500)
@@ -111,7 +106,6 @@ func TestNormalsBitIdenticalToReferenceKernels(t *testing.T) {
 	for _, method := range []NormalMethod{PlaneSVD, AreaWeighted} {
 		for _, cfg := range []NormalConfig{
 			{Method: method, SearchRadius: 0.8},
-			{Method: method, KNeighbors: 12},
 			{Method: method, SearchRadius: 0.05}, // mostly degenerate neighborhoods
 		} {
 			ref := cloneSlab(base)
@@ -300,7 +294,7 @@ func refHarrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []
 			cov = cov.Add(geom.OuterProduct(d, d))
 		}
 		cov = cov.Scale(1 / float64(len(nbs)))
-		res[i] = cov.Trace() + cov.Det()/cfg.HarrisK
+		res[i] = cov.Trace() + cov.Det()/harrisK
 	}
 	return res
 }

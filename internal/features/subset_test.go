@@ -17,8 +17,7 @@ var untouched = geom.Vec3{X: 7, Y: -7, Z: 7}
 // TestEstimateNormalsAtMatchesWholeCloud: over any index list — empty,
 // with repeats, unsorted, every point — the listed points end with the
 // bits a whole-cloud EstimateNormals leaves there and no other slot is
-// written, for both estimators, both support-region modes, sequential
-// and parallel sweeps.
+// written, for both estimators, sequential and parallel sweeps.
 func TestEstimateNormalsAtMatchesWholeCloud(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	base := boxEdgeCloud(r, 1800)
@@ -45,7 +44,6 @@ func TestEstimateNormalsAtMatchesWholeCloud(t *testing.T) {
 	for _, method := range []NormalMethod{PlaneSVD, AreaWeighted} {
 		for _, cfg := range []NormalConfig{
 			{Method: method, SearchRadius: 0.8},
-			{Method: method, KNeighbors: 12},
 			{Method: method, SearchRadius: 0.05}, // mostly degenerate neighborhoods
 		} {
 			whole := cloneSlab(base)
@@ -55,7 +53,7 @@ func TestEstimateNormalsAtMatchesWholeCloud(t *testing.T) {
 			wantDegenerate := func(idx []int) int {
 				seen := map[int]bool{}
 				for _, i := range idx {
-					if cfg.KNeighbors == 0 && len(wholeS.Radius(whole.At(i), cfg.SearchRadius)) < 3 {
+					if len(wholeS.Radius(whole.At(i), cfg.SearchRadius)) < 3 {
 						seen[i] = true
 					}
 				}
@@ -218,7 +216,7 @@ func TestNormalSweepsAreRecycled(t *testing.T) {
 	idx := []int{3, 500, 77, 1200, 9}
 	for _, cfg := range []NormalConfig{
 		{Method: AreaWeighted, SearchRadius: 0.8},
-		{Method: PlaneSVD, KNeighbors: 12},
+		{Method: PlaneSVD, SearchRadius: 0.8},
 	} {
 		EstimateNormals(c, s, cfg) // grow the scratch and the result arenas
 		if allocs := testing.AllocsPerRun(50, func() { EstimateNormalsAt(c, s, cfg, idx) }); allocs > 2 {

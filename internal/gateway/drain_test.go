@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"tigris/internal/geom"
 )
 
 // TestDrainMigratesCommittedState is the re-shard acceptance test: a
@@ -128,6 +130,50 @@ func TestDrainMigratesCommittedState(t *testing.T) {
 	}
 	if g.session(id) != nil {
 		t.Fatal("mapping survived delete")
+	}
+}
+
+// TestDrainReanchorsARotatedSession: a drain re-creates a session at its
+// last committed pose, and a worker accepts an origin only if it is a
+// rigid motion. A session opened at a rotated origin is drained twice,
+// the second time from a session whose own origin was such a pose; both
+// moves are accepted and every pose stays a rotation.
+func TestDrainReanchorsARotatedSession(t *testing.T) {
+	f := newFleet(t, 2, workerCfg)
+	g, base := newGateway(t, f, Config{})
+	origin := map[string]any{"r": geom.RotZ(2.1).Mul(geom.RotX(0.4)), "t": [3]float64{40, -7, 1.5}}
+	id, wkr, code := createSession(t, base, map[string]any{"parallelism": 1, "origin": origin})
+	if code != http.StatusCreated || wkr != f.urls[0] {
+		t.Fatalf("create: status %d on %s, want 201 on worker 0", code, wkr)
+	}
+	frames := quickFrames(4, 99)
+	for hop, from := range []int{0, 1} {
+		for _, c := range frames[2*hop : 2*hop+2] {
+			pushFrame(t, base, id, c, true)
+		}
+		if n, err := g.DrainWorker(f.urls[from]); err != nil || n != 1 {
+			t.Fatalf("drain %d off worker %d: migrated %d, err %v", hop, from, n, err)
+		}
+		if code := adminDrain(t, http.MethodDelete, fmt.Sprintf("%s/gateway/drain?worker=%d", base, from), ""); code != http.StatusOK {
+			t.Fatalf("undrain worker %d: status %d", from, code)
+		}
+	}
+	traj, code, _ := getJSON(t, base+"/v1/sessions/"+id+"/trajectory?wait=1")
+	if code != http.StatusOK || traj["migrations"] != 2.0 {
+		t.Fatalf("trajectory: status %d, migrations %v, want 200 and 2", code, traj["migrations"])
+	}
+	frs := traj["trajectory"].([]any)
+	if len(frs) != len(frames) {
+		t.Fatalf("trajectory has %d frames, want %d", len(frs), len(frames))
+	}
+	for i, fr := range frs {
+		var r geom.Mat3
+		for k, v := range fr.(map[string]any)["pose"].(map[string]any)["r"].([]any) {
+			r[k] = v.(float64)
+		}
+		if !r.IsRotation(1e-6) {
+			t.Fatalf("frame %d pose r %v is not a rotation", i, r)
+		}
 	}
 }
 

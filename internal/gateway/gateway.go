@@ -122,9 +122,6 @@ type Config struct {
 	// upstream calls it originates itself (drain migration traffic).
 	// Leave empty when workers run without -auth-token.
 	WorkerAuthToken string
-	// Client is the upstream HTTP client (nil = http.DefaultTransport
-	// with no timeout; pushes with ?wait=1 are long-lived).
-	Client *http.Client
 	// Logger, when non-nil, receives request and lifecycle records.
 	Logger *slog.Logger
 }
@@ -184,7 +181,7 @@ type gwSession struct {
 type Gateway struct {
 	mux    *http.ServeMux
 	cfg    Config
-	client *http.Client
+	client *http.Client // upstream, no timeout: pushes with ?wait=1 are long-lived
 	logger *slog.Logger
 
 	reg            *obs.Registry
@@ -231,15 +228,11 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: bad worker URL %q (want http[s]://host:port)", wu)
 		}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	reg := obs.NewRegistry()
 	g := &Gateway{
 		mux:            http.NewServeMux(),
 		cfg:            cfg,
-		client:         client,
+		client:         &http.Client{},
 		logger:         cfg.Logger,
 		reg:            reg,
 		rec:            obs.NewPublishedRecorder(reg, proxyLatencyFamily),

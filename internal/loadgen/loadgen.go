@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -88,8 +87,6 @@ type Config struct {
 	AuthToken string
 	// Client is the HTTP client (default a fresh one, no timeout).
 	Client *http.Client
-	// Logger, when non-nil, receives per-session records.
-	Logger *slog.Logger
 }
 
 // Digest is one latency family in the result, in milliseconds. The
@@ -267,9 +264,6 @@ func Run(cfg Config) (*Result, error) {
 			p := cfg.Profiles[assign[i]]
 			if err := r.runSession(p, frames[assign[i]]); err != nil {
 				r.errs.Add(1)
-				if cfg.Logger != nil {
-					cfg.Logger.Warn("session failed", "profile", p.Name, "error", err.Error())
-				}
 				return
 			}
 			okCount.Add(1)

@@ -187,24 +187,21 @@ func (m RejectionMethod) String() string {
 // RejectionConfig parameterizes correspondence rejection.
 type RejectionConfig struct {
 	Method RejectionMethod
-	// DistanceRatio for RejectThreshold: keep pairs with feature distance
-	// below DistanceRatio × median (default 2.0).
-	DistanceRatio float64
-	// RANSACIterations (default 400).
-	RANSACIterations int
 	// RANSACInlierDist is the 3D inlier distance in meters (default 0.5).
 	RANSACInlierDist float64
 	// Seed makes RANSAC deterministic.
 	Seed int64
 }
 
+const (
+	// distanceRatio is RejectThreshold's cut: keep pairs with feature
+	// distance below distanceRatio × median.
+	distanceRatio = 2.0
+	// ransacIterations is the number of 3-point hypotheses RANSAC draws.
+	ransacIterations = 400
+)
+
 func (c *RejectionConfig) defaults() {
-	if c.DistanceRatio == 0 {
-		c.DistanceRatio = 2.0
-	}
-	if c.RANSACIterations == 0 {
-		c.RANSACIterations = 400
-	}
 	if c.RANSACInlierDist == 0 {
 		c.RANSACInlierDist = 0.5
 	}
@@ -226,20 +223,20 @@ func RejectCorrespondences(corr []Correspondence, srcPts, dstPts []geom.Vec3, cf
 	case RejectRANSAC:
 		return ransacReject(corr, srcPts, dstPts, cfg, workers)
 	default:
-		return thresholdReject(corr, cfg)
+		return thresholdReject(corr)
 	}
 }
 
 // thresholdReject keeps correspondences whose feature distance is below
-// DistanceRatio × median feature distance.
-func thresholdReject(corr []Correspondence, cfg RejectionConfig) []Correspondence {
+// distanceRatio × median feature distance.
+func thresholdReject(corr []Correspondence) []Correspondence {
 	ds := make([]float64, len(corr))
 	for i, c := range corr {
 		ds[i] = c.Dist2
 	}
 	sort.Float64s(ds)
 	median := ds[len(ds)/2]
-	limit := median * cfg.DistanceRatio * cfg.DistanceRatio // distances are squared
+	limit := median * distanceRatio * distanceRatio // distances are squared
 	out := getCorrSlab()
 	for _, c := range corr {
 		if c.Dist2 <= limit {
@@ -277,7 +274,7 @@ func (s *hypoScore) better(countPlus1, hyp int) bool {
 // recycleCorr).
 //
 // The hypothesis loop is parallel (the paper-adjacent ROADMAP item): all
-// RANSACIterations 3-point samples are drawn sequentially from the
+// ransacIterations 3-point samples are drawn sequentially from the
 // deterministic PCG first — so the random stream never depends on the
 // schedule — then hypotheses are estimated and scored on the worker pool,
 // each worker reducing its own best consensus, and the per-worker bests
@@ -290,7 +287,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 	}
 	rng := newPCG(uint64(cfg.Seed)*6364136223846793005 + 1442695040888963407)
 	inlierD2 := cfg.RANSACInlierDist * cfg.RANSACInlierDist
-	iters := cfg.RANSACIterations
+	const iters = ransacIterations
 
 	// Phase 1: draw every hypothesis' 3 correspondence indices up front.
 	// Degenerate draws (repeated indices) burn their PCG outputs exactly

@@ -77,7 +77,7 @@ func sameICP(a, b registration.ICPResult) bool {
 }
 
 // TestAlignMatchesEagerReference: for all eight named design points, plus
-// reciprocal RPCE and k-th-NN injection, on every exact backend, Align
+// k-th-NN injection, on every exact backend, Align
 // gives the transform, iteration count and final RMSE of the eager
 // reference, bit for bit — with the target's raw normal slots poisoned
 // beforehand, so it also proves that every normal ICP gathered had been
@@ -92,9 +92,6 @@ func TestAlignMatchesEagerReference(t *testing.T) {
 	for _, dp := range dse.NamedDesignPoints() {
 		variants = append(variants, variant{dp.Name, dp.Config})
 	}
-	reciprocal := dse.NamedDesignPoints()[4].Config
-	reciprocal.ICP.Reciprocal = true
-	variants = append(variants, variant{"DP5+reciprocal", reciprocal})
 	kth := dse.NamedDesignPoints()[4].Config
 	kth.Inject.RPCEKthNN = 3
 	variants = append(variants, variant{"DP5+rpce-3rd-nn", kth})

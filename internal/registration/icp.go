@@ -14,38 +14,35 @@ import (
 // ICPConfig parameterizes the fine-tuning phase (paper Fig. 2, right):
 // Raw-Point Correspondence Estimation alternating with transformation
 // estimation until convergence. The convergence criteria are the Tbl. 1
-// knobs the paper highlights as impacting both accuracy and compute time.
+// knobs the paper highlights as impacting both accuracy and compute time;
+// the ones no design point varies are constants (maxCorrespondenceDist,
+// transformEpsilon). RPCE has no reciprocal gate: Tbl. 1 lists one, and
+// no design point turns it on.
 type ICPConfig struct {
 	// Metric selects point-to-point (SVD) or point-to-plane (LM).
 	Metric ErrorMetric
 	// MaxIterations bounds ICP iterations (default 30).
 	MaxIterations int
-	// MaxCorrespondenceDist drops pairs farther than this during RPCE, in
-	// meters (default 2.0).
-	MaxCorrespondenceDist float64
-	// TransformEpsilon stops when an iteration's incremental translation
-	// falls below it (default 1e-4 m).
-	TransformEpsilon float64
 	// EuclideanFitnessEpsilon stops when the RMSE improvement between
 	// iterations falls below it (default 1e-5).
 	EuclideanFitnessEpsilon float64
-	// Reciprocal requires source→target and target→source NN agreement
-	// during RPCE (Tbl. 1 knob). It roughly doubles search cost.
-	Reciprocal bool
 	// SourceStride subsamples source points during RPCE (1 = use all; the
 	// performance-oriented design points use larger strides).
 	SourceStride int
 }
 
+const (
+	// maxCorrespondenceDist drops pairs farther than this during RPCE, in
+	// meters.
+	maxCorrespondenceDist = 2.0
+	// transformEpsilon stops ICP when an iteration's incremental
+	// translation (m) and rotation (rad) both fall below it.
+	transformEpsilon = 1e-4
+)
+
 func (c *ICPConfig) defaults() {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 30
-	}
-	if c.MaxCorrespondenceDist == 0 {
-		c.MaxCorrespondenceDist = 2.0
-	}
-	if c.TransformEpsilon == 0 {
-		c.TransformEpsilon = 1e-4
 	}
 	if c.EuclideanFitnessEpsilon == 0 {
 		c.EuclideanFitnessEpsilon = 1e-5
@@ -77,27 +74,25 @@ type ICPResult struct {
 }
 
 // icpScratch holds every buffer one ICP call cycles through its
-// iterations: the moved source copy (reciprocal RPCE only), the strided
-// query set with each query's NN certificate and the distance it has moved
-// since (search.BatchNearestTracked), the nearest-neighbor results, the
-// list of matched targets still lacking a normal, and the gated
-// correspondence slabs. Recycled across calls so a streaming session's
-// fine-tuning runs with near-zero steady-state allocations. The
+// iterations: the strided query set with each query's NN certificate and
+// the distance it has moved since (search.BatchNearestTracked), the
+// nearest-neighbor results, the list of matched targets still lacking a
+// normal, and the gated correspondence slabs. Recycled across calls so a
+// streaming session's fine-tuning runs with near-zero steady-state
+// allocations. The
 // correspondence pairs live in SoA float32 slabs (srcS/dstS) — half the
 // bytes of the historical AoS gather — and every downstream reduction
 // dequantizes to float64 (see transform_slab.go).
 type icpScratch struct {
-	cur    []geom.Vec3
-	qIdx   []int
-	qs     []geom.Vec3
-	certs  []twostage.Cert
-	moved  []float64
-	nbs    []kdtree.Neighbor
-	candQ  []int
-	backQs []geom.Vec3
-	need   []int
-	srcS   cloud.Slab
-	dstS   cloud.Slab
+	qIdx  []int
+	qs    []geom.Vec3
+	certs []twostage.Cert
+	moved []float64
+	nbs   []kdtree.Neighbor
+	candQ []int
+	need  []int
+	srcS  cloud.Slab
+	dstS  cloud.Slab
 }
 
 // idleICPScratch holds the scratches no ICP call is using. A par.FreeList,
@@ -115,11 +110,10 @@ var idleICPScratch par.FreeList[*icpScratch]
 // downgraded to point-to-point. (Align's targets are the exception: their
 // raw-cloud normals arrive on demand, see PreparedFrame.FineTarget, which
 // is why Align does not come through this entry point.) Each iteration's
-// RPCE runs as one NearestBatch against the target (and, for reciprocal
-// RPCE, a second batch of back-queries against a fresh source index), so
-// the dominant per-iteration cost parallelizes across the searcher's
-// worker pool while the correspondence list keeps its sequential order;
-// the per-point error accumulation inside transform estimation and the
+// RPCE runs as one tracked NearestBatch against the target, so the
+// dominant per-iteration cost parallelizes across the searcher's worker
+// pool while the correspondence list keeps its sequential order; the
+// per-point error accumulation inside transform estimation and the
 // convergence RMSE fan out over the same width (target.Parallelism) with
 // bit-identical results at any width (fixed-chunk deterministic
 // reductions, see transform.go).
@@ -169,17 +163,6 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 	certs, moved := sc.certs[:len(qs)], sc.moved[:len(qs)]
 	clear(certs)
 	clear(moved)
-	// Reciprocal RPCE indexes the whole moved source every iteration, so
-	// only then is every point carried along; otherwise nothing ever
-	// reads the points between the strides.
-	cur := sc.cur[:0]
-	if cfg.Reciprocal {
-		for i := 0; i < src.Len(); i++ {
-			cur = append(cur, src.At(i))
-		}
-		moveAll(initial, cur, nil)
-		sc.cur = cur
-	}
 
 	usePlane := cfg.Metric == PointToPlane
 	if usePlane && !tslab.HasNormals() {
@@ -196,11 +179,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		// tree most are answered from the leaf set their certificate names
 		// without a walk; the answers are those of a walk, bit for bit.
 		start := time.Now()
-		var srcSearch search.Searcher
-		if cfg.Reciprocal {
-			srcSearch = search.NewKDSearcherSlabPar(cloud.SlabFromPoints(cur), workers)
-		}
-		maxD2 := cfg.MaxCorrespondenceDist * cfg.MaxCorrespondenceDist
+		const maxD2 = maxCorrespondenceDist * maxCorrespondenceDist
 		nbs := search.BatchNearestTracked(target, qs, certs, moved, sc.nbs[:0])
 		sc.nbs = nbs
 
@@ -212,26 +191,6 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 			}
 		}
 		sc.candQ = candQ
-		// Reciprocal gate: batch the back-queries for the candidates only
-		// (the same queries the sequential loop would issue) and keep the
-		// candidates whose match points back at them.
-		if cfg.Reciprocal {
-			if cap(sc.backQs) < len(candQ) {
-				sc.backQs = make([]geom.Vec3, len(candQ))
-			}
-			backQs := sc.backQs[:len(candQ)]
-			for ci, qi := range candQ {
-				backQs[ci] = tslab.At(nbs[qi].Index)
-			}
-			backs := srcSearch.NearestBatch(backQs)
-			kept := candQ[:0]
-			for ci, qi := range candQ {
-				if backs[ci].Index == qIdx[qi] {
-					kept = append(kept, qi)
-				}
-			}
-			candQ = kept
-		}
 		// The matches are settled; those whose normal no iteration and no
 		// earlier pair has read before get it now, ahead of the gather.
 		if fine != nil {
@@ -283,14 +242,13 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 
 		res.Transform = delta.Compose(res.Transform)
 		moveAll(delta, qs, moved)
-		moveAll(delta, cur, nil)
 
 		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, workers)
 		res.FinalRMSE = rmse
 
 		// Convergence criteria (Tbl. 1): small incremental motion or small
 		// fitness improvement.
-		if delta.TranslationNorm() < cfg.TransformEpsilon && delta.RotationAngle() < cfg.TransformEpsilon {
+		if delta.TranslationNorm() < transformEpsilon && delta.RotationAngle() < transformEpsilon {
 			res.Converged = true
 			return res
 		}

@@ -109,26 +109,3 @@ func TestRegisterApproxParallelismInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestICPReciprocalParallelMatchesSequential exercises the reciprocal
-// RPCE path, whose back-queries run as a second batch per iteration.
-func TestICPReciprocalParallelMatchesSequential(t *testing.T) {
-	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 80))
-	base := pipelineTestConfig()
-	base.ICP.Reciprocal = true
-
-	serial := base
-	serial.Searcher.Parallelism = 1
-	parallel := base
-	parallel.Searcher.Parallelism = 4
-
-	resS := Register(seq.Frames[1], seq.Frames[0], serial)
-	resP := Register(seq.Frames[1], seq.Frames[0], parallel)
-	if resS.Transform != resP.Transform {
-		t.Errorf("reciprocal RPCE: parallel transform differs from sequential")
-	}
-	if resS.ICP.Iterations != resP.ICP.Iterations {
-		t.Errorf("reciprocal RPCE: iteration counts differ (%d vs %d)",
-			resS.ICP.Iterations, resP.ICP.Iterations)
-	}
-}

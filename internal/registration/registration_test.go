@@ -214,7 +214,7 @@ func TestThresholdRejection(t *testing.T) {
 		{Source: 2, Target: 2, Dist2: 0.9},
 		{Source: 3, Target: 3, Dist2: 400}, // outlier
 	}
-	out := RejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold, DistanceRatio: 2}, 0)
+	out := RejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold}, 0)
 	if len(out) != 3 {
 		t.Fatalf("threshold kept %d, want 3", len(out))
 	}

@@ -104,6 +104,12 @@ func (o Options) Int(key string, def int) (int, error) {
 		if n != math.Trunc(n) {
 			return 0, fmt.Errorf("option %q: want an integer, got %v", key, n)
 		}
+		// Converting a float64 outside int's range is
+		// implementation-defined: on amd64 every such value reads as
+		// math.MinInt, which an option may take for "auto".
+		if n < math.MinInt || n >= -math.MinInt {
+			return 0, fmt.Errorf("option %q: %v is out of range for an integer", key, n)
+		}
 		return int(n), nil
 	}
 	return 0, fmt.Errorf("option %q: want an integer, got %T", key, v)

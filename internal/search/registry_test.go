@@ -117,6 +117,9 @@ func TestBackendOptionErrors(t *testing.T) {
 		{BackendCanonical, Options{"top_height": 5}, "unknown option"},
 		{BackendCanonical, Options{OptParallelism: "four"}, "want an integer"},
 		{BackendTwoStage, Options{OptTopHeight: 2.5}, "want an integer"},
+		{BackendTwoStage, Options{OptTopHeight: 1e300}, "out of range"},
+		{BackendTwoStage, Options{OptTopHeight: -1e300}, "out of range"},
+		{BackendTwoStage, Options{OptTopHeight: 9.3e18}, "out of range"},
 		{BackendTwoStageApprox, Options{OptNNThreshold: "big"}, "want a number"},
 		{BackendTrace, Options{}, "requires a *search.TraceLog"},
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: BackendTrace}, "cannot wrap itself"},

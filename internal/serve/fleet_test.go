@@ -131,6 +131,33 @@ func TestSessionOriginAnchorsTrajectory(t *testing.T) {
 	}
 }
 
+// TestSessionOriginMustBeRigid: an origin multiplies every pose of its
+// session, so one that is not a rigid motion is a 400 — the empty object
+// (the zero matrix) and a scaled rotation among them — while a rotation
+// opens a session.
+func TestSessionOriginMustBeRigid(t *testing.T) {
+	srv := New(Config{Parallelism: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	rot := geom.RotZ(0.3).Mul(geom.RotX(-0.2))
+	for _, tc := range []struct {
+		name   string
+		origin map[string]any
+		want   int
+	}{
+		{"empty", map[string]any{}, http.StatusBadRequest},
+		{"scaled", map[string]any{"r": rot.Scale(2), "t": [3]float64{1, 2, 3}}, http.StatusBadRequest},
+		{"rotation", map[string]any{"r": rot, "t": [3]float64{1, 2, 3}}, http.StatusCreated},
+	} {
+		var out map[string]any
+		if code := postJSON(t, ts.Client(), ts.URL+"/v1/sessions", map[string]any{"origin": tc.origin}, &out); code != tc.want {
+			t.Errorf("%s origin: status %d (%v), want %d", tc.name, code, out, tc.want)
+		}
+	}
+}
+
 // TestDrainWaitsForPending pins Server.Drain: after pushing without
 // ?wait, Drain returns only once every frame is committed.
 func TestDrainWaitsForPending(t *testing.T) {

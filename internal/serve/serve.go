@@ -476,7 +476,8 @@ type sessionRequest struct {
 	// DesignPoint picks a base configuration, "DP1".."DP8" (default DP5).
 	DesignPoint string `json:"design_point"`
 	// Parallelism pins the per-stage batch worker count (0 = server
-	// default, 1 = sequential; capped at the worker's slot budget).
+	// default, 1 = sequential, negative a 400; capped at the worker's
+	// slot budget).
 	Parallelism int `json:"parallelism"`
 	// Pipelined overlaps a frame's front-end with the previous pair's
 	// fine-tuning (default true; explicit false disables).
@@ -541,39 +542,21 @@ func (lr *loopRequest) loopConfig() (*loop.Config, float64, error) {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req sessionRequest
+	var body io.Reader
 	if r.Body != nil {
-		// A misspelled or retired key is a 400 naming the field, never
-		// silently a default session.
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			HTTPError(w, http.StatusBadRequest, "bad session config: %v", err)
-			return
-		}
+		body = http.MaxBytesReader(w, r.Body, 1<<20)
 	}
-	cfg, err := s.pipelineConfig(req)
+	scfg, err := s.resolveSession(body)
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	pipelined := req.Pipelined == nil || *req.Pipelined
-	loopCfg, loopWeight, err := req.Loop.loopConfig()
-	if err != nil {
-		HTTPError(w, http.StatusBadRequest, "loop config: %v", err)
 		return
 	}
 	// The session records stage latencies into its own recorder (read
 	// back as latency_ms on the stats endpoint) teed into the global
 	// published recorder, so /metrics aggregates across sessions without
 	// per-session label cardinality.
-	var origin *geom.Transform
-	if req.Origin != nil {
-		tr := req.Origin.transform()
-		origin = &tr
-	}
 	rec := obs.NewRecorder().Tee(s.globalRec)
-	cfg.Obs = rec
+	scfg.Pipeline.Obs = rec
 	// The session's trace id: adopted from an inbound W3C traceparent
 	// (the gateway propagates one per g-session) or minted fresh, stamped
 	// on every span the flight recorder retains and echoed on every
@@ -583,16 +566,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		trace = obs.NewTraceID()
 	}
 	flight := obs.NewFlightRecorder(flightRingEvents, flightSlowestK)
-	eng := stream.New(stream.Config{
-		Pipeline:       cfg,
-		Pipelined:      pipelined,
-		Limiter:        s.limiter,
-		Origin:         origin,
-		Loop:           loopCfg,
-		LoopEdgeWeight: loopWeight,
-		Flight:         flight,
-		Trace:          trace,
-	})
+	scfg.Limiter, scfg.Flight, scfg.Trace = s.limiter, flight, trace
+	eng := stream.New(scfg)
 
 	s.mu.Lock()
 	s.nextID++
@@ -604,11 +579,51 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Tigris-Trace", trace.String())
 	WriteJSON(w, http.StatusCreated, map[string]any{
 		"id":        id,
-		"pipelined": pipelined,
-		"backend":   cfg.Searcher.BackendName(),
-		"loop":      loopCfg != nil,
+		"pipelined": scfg.Pipelined,
+		"backend":   scfg.Pipeline.Searcher.BackendName(),
+		"loop":      scfg.Loop != nil,
 		"trace":     trace.String(),
 	})
+}
+
+// resolveSession decodes a create request's JSON body (nil or empty: every
+// default) and resolves it to the engine config it asks for, all but the
+// server-side fields (Limiter, Flight, Trace, Pipeline.Obs). Every error
+// is the client's (a 400) and names what is wrong; nothing is started, so
+// a fuzz target can call it.
+func (s *Server) resolveSession(body io.Reader) (stream.Config, error) {
+	var req sessionRequest
+	if body != nil {
+		// A misspelled or retired key is a 400 naming the field, never
+		// silently a default session.
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			return stream.Config{}, fmt.Errorf("bad session config: %v", err)
+		}
+	}
+	cfg, err := s.pipelineConfig(req)
+	if err != nil {
+		return stream.Config{}, err
+	}
+	loopCfg, loopWeight, err := req.Loop.loopConfig()
+	if err != nil {
+		return stream.Config{}, fmt.Errorf("loop config: %v", err)
+	}
+	scfg := stream.Config{
+		Pipeline:       cfg,
+		Pipelined:      req.Pipelined == nil || *req.Pipelined,
+		Loop:           loopCfg,
+		LoopEdgeWeight: loopWeight,
+	}
+	if req.Origin != nil {
+		tr, err := req.Origin.rigid()
+		if err != nil {
+			return stream.Config{}, err
+		}
+		scfg.Origin = &tr
+	}
+	return scfg, nil
 }
 
 // pipelineConfig resolves a session request to a registration config.
@@ -636,9 +651,12 @@ func (s *Server) pipelineConfig(req sessionRequest) (registration.PipelineConfig
 	if req.BackendOptions != nil {
 		cfg.Searcher.Options = search.Options(req.BackendOptions)
 	}
-	if req.Parallelism != 0 {
+	switch {
+	case req.Parallelism < 0:
+		return cfg, fmt.Errorf("parallelism %d: want 0 (the server default) or a worker count", req.Parallelism)
+	case req.Parallelism > 0:
 		cfg.Searcher.Parallelism = req.Parallelism
-	} else if s.cfg.Parallelism != 0 {
+	case s.cfg.Parallelism > 0:
 		cfg.Searcher.Parallelism = s.cfg.Parallelism
 	}
 	// Per-worker state (batch arenas, approximate sessions, feature
@@ -956,10 +974,20 @@ func wireTransformOf(tr geom.Transform) wireTransform {
 	return wireTransform{R: [9]float64(tr.R), T: [3]float64{tr.T.X, tr.T.Y, tr.T.Z}}
 }
 
-// transform converts the wire shape back to a geom.Transform (the
-// inverse of wireTransformOf; used by the session-origin field).
-func (wt wireTransform) transform() geom.Transform {
-	return geom.Transform{R: geom.Mat3(wt.R), T: geom.Vec3{X: wt.T[0], Y: wt.T[1], Z: wt.T[2]}}
+// rigid converts a session origin from the wire shape back to a
+// geom.Transform (the inverse of wireTransformOf) and refuses one that is
+// not a rigid motion: every pose of the session is multiplied by it, and
+// "origin": {} would otherwise be the zero matrix. R is held to the
+// tolerance rigidFromStats holds a solved rotation to.
+func (wt wireTransform) rigid() (geom.Transform, error) {
+	tr := geom.Transform{R: geom.Mat3(wt.R), T: geom.Vec3{X: wt.T[0], Y: wt.T[1], Z: wt.T[2]}}
+	if !tr.R.IsRotation(1e-6) {
+		return geom.Transform{}, fmt.Errorf("origin: r %v is not a rotation matrix", wt.R)
+	}
+	if !tr.T.IsFinite() {
+		return geom.Transform{}, fmt.Errorf("origin: t %v is not finite", wt.T)
+	}
+	return tr, nil
 }
 
 // wireFrame is one frame's record in the trajectory response.

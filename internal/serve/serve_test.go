@@ -422,6 +422,57 @@ func TestSessionParallelismStopsAtTheSlotBudget(t *testing.T) {
 	}
 }
 
+// FuzzSessionRequest feeds arbitrary bytes to session creation's
+// request resolution: it must never panic, and every config it accepts
+// must be one an engine can run — a non-negative voxel leaf, a worker
+// count within the slot budget, a rigid origin and a backend selection
+// that validates.
+func FuzzSessionRequest(f *testing.F) {
+	for _, seed := range []string{
+		``,
+		`{}`,
+		`{"origin": {}}`,
+		`{"origin": {"r": [2, 0, 0, 0, 2, 0, 0, 0, 2], "t": [0, 0, 0]}}`,
+		`{"origin": {"r": [0, -1, 0, 1, 0, 0, 0, 0, 1], "t": [3, -2, 0.5]}}`,
+		`{"backend": "twostage", "backend_options": {"top_height": 1e300}}`,
+		`{"backend": "twostage", "backend_options": {"top_height": -1e300}}`,
+		`{"backend": "twostage", "backend_options": {"top_height": 9.3e18}}`,
+		`{"backend": "twostage-approx", "backend_options": {"nn_threshold": 1.0, "top_height": 8}}`,
+		`{"backend_options": {"parallelism": 2}}`,
+		`{"parallelism": -1}`,
+		`{"parallelism": 1000000000, "pipelined": false}`,
+		`{"voxel_leaf": -1}`,
+		`{"voxel_leaf": 1e-9, "design_point": "DP7"}`,
+		`{"design_point": "DP9"}`,
+		`{"loop": {"enabled": true, "min_separation": -1}}`,
+		`{"loop": {"enabled": true, "backend": "bruteforce", "edge_weight": 2}}`,
+		`{"bogus": 1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := New(Config{})
+	f.Cleanup(srv.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		scfg, err := srv.resolveSession(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		cfg := scfg.Pipeline
+		if !(cfg.VoxelLeaf >= 0) {
+			t.Errorf("%s: voxel leaf %v", body, cfg.VoxelLeaf)
+		}
+		if p := cfg.Searcher.Parallelism; p < 0 || p > par.Slots() {
+			t.Errorf("%s: parallelism %d outside [0, %d]", body, p, par.Slots())
+		}
+		if o := scfg.Origin; o != nil && (!o.R.IsRotation(1e-6) || !o.T.IsFinite()) {
+			t.Errorf("%s: origin %+v is not rigid", body, *o)
+		}
+		if err := cfg.Searcher.Validate(); err != nil {
+			t.Errorf("%s: searcher config does not validate: %v", body, err)
+		}
+	})
+}
+
 // TestSessionTTLEviction drives the idle janitor deterministically
 // through EvictIdle, then checks the janitor goroutine sweeps on its own.
 func TestSessionTTLEviction(t *testing.T) {
