@@ -78,15 +78,6 @@ type Profile struct {
 	Queries int64
 }
 
-// Add merges two profiles.
-func (p Profile) Add(q Profile) Profile {
-	return Profile{
-		TreeVisits:  p.TreeVisits + q.TreeVisits,
-		BruteVisits: p.BruteVisits + q.BruteVisits,
-		Queries:     p.Queries + q.Queries,
-	}
-}
-
 // Time converts a profile into modeled execution time.
 func (m Model) Time(p Profile) time.Duration {
 	secs := float64(p.TreeVisits)/m.TreeVisitRate + float64(p.BruteVisits)/m.BruteVisitRate

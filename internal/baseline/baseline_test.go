@@ -103,15 +103,6 @@ func TestProfileCounts(t *testing.T) {
 	}
 }
 
-func TestProfileAdd(t *testing.T) {
-	a := Profile{TreeVisits: 1, BruteVisits: 2, Queries: 3}
-	b := Profile{TreeVisits: 10, BruteVisits: 20, Queries: 30}
-	c := a.Add(b)
-	if c.TreeVisits != 11 || c.BruteVisits != 22 || c.Queries != 33 {
-		t.Errorf("add = %+v", c)
-	}
-}
-
 func TestTimeMonotoneInWork(t *testing.T) {
 	small := Profile{TreeVisits: 1000, BruteVisits: 1000}
 	large := Profile{TreeVisits: 100000, BruteVisits: 100000}

@@ -35,11 +35,16 @@ func TestTraceReplayMatchesPipelineQueries(t *testing.T) {
 	if res.SearchQueries == 0 {
 		t.Fatal("pipeline issued no searches")
 	}
-	if got := sink.QueryCount(); got != res.SearchQueries {
-		t.Fatalf("trace captured %d queries, pipeline metrics counted %d", got, res.SearchQueries)
+	batches := sink.Batches()
+	var captured int64
+	for _, b := range batches {
+		captured += int64(len(b.Queries))
+	}
+	if captured != res.SearchQueries {
+		t.Fatalf("trace captured %d queries, pipeline metrics counted %d", captured, res.SearchQueries)
 	}
 
-	workloads := sim.WorkloadsFromTrace(sink.Batches())
+	workloads := sim.WorkloadsFromTrace(batches)
 	if len(workloads) == 0 {
 		t.Fatal("no workloads converted from the trace")
 	}

@@ -178,14 +178,6 @@ func (s *Slab) TransformInPlace(t geom.Transform) {
 	}
 }
 
-// Bytes returns the slab's point-storage footprint: coordinate and
-// normal payload bytes.
-func (s *Slab) Bytes() int64 {
-	b := int64(len(s.Xs)+len(s.Ys)+len(s.Zs)) * 4
-	b += int64(len(s.NXs)+len(s.NYs)+len(s.NZs)) * 4
-	return b
-}
-
 // Validate checks structural invariants: equal-length axis slices,
 // finite coordinates, and normal slabs either absent or parallel.
 func (s *Slab) Validate() error {

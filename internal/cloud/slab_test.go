@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"tigris/internal/geom"
 )
@@ -134,23 +133,6 @@ func TestSlabCloneSharesNoNormalArray(t *testing.T) {
 	bare.SetNormal(0, geom.Vec3{X: 1})
 	if early.HasNormals() || early.NXs != nil {
 		t.Error("a clone taken before its origin had normals has them now")
-	}
-}
-
-// TestSlabBytesHalvesAoS pins the slab's storage claim: coordinate
-// payload is 12 B/point against the 24 of a []geom.Vec3, with and without
-// normals.
-func TestSlabBytesHalvesAoS(t *testing.T) {
-	s := NewSlab(1000)
-	if got, want := s.Bytes(), int64(12000); got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
-	}
-	if aos := int64(unsafe.Sizeof(geom.Vec3{})) * 1000; aos != 2*s.Bytes() {
-		t.Fatalf("[]geom.Vec3 at %d B is not 2x Bytes %d", aos, s.Bytes())
-	}
-	s.EnsureNormals()
-	if got, want := s.Bytes(), int64(24000); got != want {
-		t.Fatalf("Bytes with normals = %d, want %d", got, want)
 	}
 }
 

@@ -296,15 +296,16 @@ func TestFeatureTreeMatchesBrute(t *testing.T) {
 		for i := range d.Data {
 			d.Data[i] = r.Float64()
 		}
-		tree := NewFeatureTree(d)
-		for trial := 0; trial < 30; trial++ {
-			q := make([]float64, dim)
-			for i := range q {
-				q[i] = r.Float64()
+		qs := make([][]float64, 30)
+		for trial := range qs {
+			qs[trial] = make([]float64, dim)
+			for i := range qs[trial] {
+				qs[trial][i] = r.Float64()
 			}
-			got, ok := tree.Nearest(q)
-			want, _ := BruteNearestFeature(d, q)
-			if !ok || math.Abs(got.Dist2-want.Dist2) > 1e-12 {
+		}
+		for trial, got := range NewFeatureTree(d).NearestBatch(qs, 1) {
+			want, _ := BruteNearestFeature(d, qs[trial])
+			if got.Row < 0 || math.Abs(got.Dist2-want.Dist2) > 1e-12 {
 				t.Fatalf("dim %d: tree %v vs brute %v", dim, got, want)
 			}
 		}
@@ -313,8 +314,8 @@ func TestFeatureTreeMatchesBrute(t *testing.T) {
 
 func TestFeatureTreeEmpty(t *testing.T) {
 	tree := NewFeatureTree(&Descriptors{Dim: 4})
-	if _, ok := tree.Nearest([]float64{0, 0, 0, 0}); ok {
-		t.Error("empty feature tree returned match")
+	if got := tree.NearestBatch([][]float64{{0, 0, 0, 0}}, 1); got[0].Row != -1 {
+		t.Errorf("empty feature tree returned match %+v", got[0])
 	}
 }
 

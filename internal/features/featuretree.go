@@ -122,25 +122,13 @@ type FeatureMatch struct {
 	Dist2 float64
 }
 
-// Nearest returns the descriptor row nearest to the query vector in L2.
-func (t *FeatureTree) Nearest(q []float64) (FeatureMatch, bool) {
-	if t.root < 0 {
-		return FeatureMatch{}, false
-	}
-	start := time.Now()
-	t.Queries++
-	best := FeatureMatch{Row: -1, Dist2: math.MaxFloat64}
-	t.nearest(t.root, q, &best, &t.Visited)
-	t.SearchTime += time.Since(start)
-	return best, best.Row >= 0
-}
-
-// NearestBatch answers Nearest for every query row on a worker pool of
-// the given size (<= 0 selects par.Slots). Results are positionally aligned
-// with qs; a miss (empty tree) has Row -1. Each worker counts visits into
-// its own shard, merged after the batch, and SearchTime accumulates the
-// batch's wall time — so the tree's metrics stay exact while the queries
-// run concurrently. Results are bit-identical to per-query Nearest calls.
+// NearestBatch returns, for every query row, the descriptor row nearest
+// to it in L2, on a worker pool of the given size (<= 0 selects
+// par.Slots). Results are positionally aligned with qs; a miss (empty
+// tree) has Row -1. Each worker counts visits into its own shard, merged
+// after the batch, and SearchTime accumulates the batch's wall time — so
+// the tree's metrics stay exact while the queries run concurrently.
+// Results and counts do not depend on the worker count.
 //
 // The result lives in a pooled slab: callers that fully consume it may
 // hand it back with RecycleMatches so steady-state batches allocate

@@ -95,7 +95,8 @@ func TestDetectKeypointsParallelMatchesSequential(t *testing.T) {
 }
 
 // TestFeatureTreeNearestBatchMatchesSequential covers the KPCE-side batch
-// path and its merged metrics.
+// path and its merged metrics: every width gives the brute-force answer and
+// the one-worker batch's visit count.
 func TestFeatureTreeNearestBatchMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	c, s := descriptorTestCloud(r)
@@ -111,11 +112,12 @@ func TestFeatureTreeNearestBatchMatchesSequential(t *testing.T) {
 		queries[i] = desc.Row(half + i)
 	}
 
-	ref := NewFeatureTree(index)
 	want := make([]FeatureMatch, len(queries))
 	for i, q := range queries {
-		want[i], _ = ref.Nearest(q)
+		want[i], _ = BruteNearestFeature(index, q)
 	}
+	ref := NewFeatureTree(index)
+	ref.NearestBatch(queries, 1)
 	for _, workers := range []int{1, 4} {
 		tree := NewFeatureTree(index)
 		got := tree.NearestBatch(queries, workers)

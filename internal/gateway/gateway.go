@@ -73,6 +73,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -106,7 +107,8 @@ type Config struct {
 	// PolicyLeastLoaded, the only one.
 	Policy Policy
 	// AdmitRate enables per-client token-bucket admission control:
-	// tokens per second granted to each client (0 disables admission).
+	// tokens per second granted to each client (0 disables admission;
+	// NaN and ±Inf are refused).
 	AdmitRate float64
 	// AdmitBurst is the bucket capacity (default max(1, ceil(AdmitRate))).
 	AdmitBurst int
@@ -221,6 +223,9 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Policy != PolicyLeastLoaded {
 		return nil, fmt.Errorf("gateway: unknown routing policy %q (the only one is %s)", cfg.Policy, PolicyLeastLoaded)
+	}
+	if math.IsNaN(cfg.AdmitRate) || math.IsInf(cfg.AdmitRate, 0) {
+		return nil, fmt.Errorf("gateway: admission rate must be finite, got %g", cfg.AdmitRate)
 	}
 	for _, wu := range cfg.Workers {
 		u, err := url.Parse(wu)

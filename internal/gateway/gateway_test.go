@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -107,6 +109,21 @@ func getJSON(t *testing.T, url string) (map[string]any, int, http.Header) {
 	var out map[string]any
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	return out, resp.StatusCode, resp.Header
+}
+
+// scrape returns the body of a GET.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // quickFrames renders a short synthetic sequence once per (frames, seed).
@@ -385,14 +402,10 @@ func TestEvictedSessionSurfacesAs404(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("second access: status %d, want 404", code)
 	}
-	for i, s := range f.servers {
-		if n := s.Metrics(); n != nil {
-			// Worker-side active sessions must be zero on both workers.
-			var buf bytes.Buffer
-			n.WritePrometheus(&buf)
-			if !bytes.Contains(buf.Bytes(), []byte("tigris_sessions_active 0")) {
-				t.Fatalf("worker %d still holds a session:\n%s", i, buf.String())
-			}
+	// Worker-side active sessions must be zero on both workers.
+	for i, u := range f.urls {
+		if body := scrape(t, u+"/metrics"); !strings.Contains(body, "tigris_sessions_active 0") {
+			t.Fatalf("worker %d still holds a session:\n%s", i, body)
 		}
 	}
 }
@@ -461,14 +474,7 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	for _, c := range quickFrames(2, 11) {
 		pushFrame(t, base, id, c, true)
 	}
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	body := buf.String()
+	body := scrape(t, base+"/metrics")
 	for _, want := range []string{
 		"tigris_gateway_sessions_active 1",
 		`tigris_gateway_routed_total{worker="` + f.urls[0] + `"} 1`,
@@ -476,7 +482,7 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		`tigris_gateway_proxy_seconds_bucket{stage="frames",le="+Inf"} 2`,
 		`tigris_gateway_requests_total{route="/v1/sessions",code="201"} 1`,
 	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
 	}
@@ -517,6 +523,16 @@ func TestAdmitTableTokenBucket(t *testing.T) {
 	var nilTab *admitTable
 	if ok, _ := nilTab.Allow("c", now); !ok {
 		t.Fatal("nil table refused")
+	}
+}
+
+// TestGatewayRefusesNonFiniteAdmitRate: a NaN rate would make every
+// bucket NaN and refuse every request; an infinite one is no limit.
+func TestGatewayRefusesNonFiniteAdmitRate(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(Config{Workers: []string{"http://localhost:1"}, AdmitRate: rate, AdmitBurst: 3}); err == nil {
+			t.Fatalf("admission rate %g accepted", rate)
+		}
 	}
 }
 

@@ -246,24 +246,6 @@ type Mat4 [16]float64
 // At returns the element at row r, column c.
 func (m Mat4) At(r, c int) float64 { return m[4*r+c] }
 
-// Set assigns the element at row r, column c.
-func (m *Mat4) Set(r, c int, v float64) { m[4*r+c] = v }
-
-// Mul returns the matrix product m·n.
-func (m Mat4) Mul(n Mat4) Mat4 {
-	var out Mat4
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			var s float64
-			for k := 0; k < 4; k++ {
-				s += m.At(r, k) * n.At(k, c)
-			}
-			out.Set(r, c, s)
-		}
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (m Mat4) String() string {
 	return fmt.Sprintf("[%.4g %.4g %.4g %.4g; %.4g %.4g %.4g %.4g; %.4g %.4g %.4g %.4g; %.4g %.4g %.4g %.4g]",

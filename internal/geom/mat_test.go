@@ -143,30 +143,32 @@ func TestOuterProduct(t *testing.T) {
 	}
 }
 
-func TestMat4Mul(t *testing.T) {
-	id := IdentityTransform().Mat4()
-	var m Mat4
-	for i := range m {
-		m[i] = float64(i)
-	}
-	if id.Mul(m) != m || m.Mul(id) != m {
-		t.Error("Mat4 identity multiplication changed matrix")
-	}
-}
-
 func TestMat4MatchesTransformCompose(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 100; i++ {
 		t1 := Transform{R: randRotation(r), T: randVec(r)}
 		t2 := Transform{R: randRotation(r), T: randVec(r)}
 		viaTransforms := t1.Compose(t2).Mat4()
-		viaMatrices := t1.Mat4().Mul(t2.Mat4())
+		viaMatrices := mat4Mul(t1.Mat4(), t2.Mat4())
 		for j := range viaTransforms {
 			if !approx(viaTransforms[j], viaMatrices[j], 1e-9) {
 				t.Fatalf("Mat4 compose mismatch at %d: %v vs %v", j, viaTransforms[j], viaMatrices[j])
 			}
 		}
 	}
+}
+
+// mat4Mul is the homogeneous matrix product m·n, the oracle for Compose.
+func mat4Mul(m, n Mat4) Mat4 {
+	var out Mat4
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			for k := 0; k < 4; k++ {
+				out[4*r+c] += m.At(r, k) * n.At(k, c)
+			}
+		}
+	}
+	return out
 }
 
 func TestExpLogRotationRoundTrip(t *testing.T) {

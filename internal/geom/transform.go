@@ -55,16 +55,6 @@ func (t Transform) Mat4() Mat4 {
 	}
 }
 
-// TransformFromMat4 extracts the rigid transform from a homogeneous matrix.
-// The bottom row is assumed to be [0 0 0 1]; no re-orthonormalization is
-// performed.
-func TransformFromMat4(m Mat4) Transform {
-	return Transform{
-		R: Mat3{m[0], m[1], m[2], m[4], m[5], m[6], m[8], m[9], m[10]},
-		T: Vec3{m[3], m[7], m[11]},
-	}
-}
-
 // RotationAngle returns the magnitude of the rotation in radians.
 func (t Transform) RotationAngle() float64 { return t.R.RotationAngle() }
 

@@ -47,9 +47,19 @@ func TestTransformMat4RoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 100; i++ {
 		tr := randTransform(r)
-		back := TransformFromMat4(tr.Mat4())
-		if !tr.NearlyEqual(back, 1e-12) {
-			t.Fatalf("Mat4 round trip changed transform")
+		m := tr.Mat4()
+		for row := 0; row < 3; row++ {
+			for col := 0; col < 3; col++ {
+				if m.At(row, col) != tr.R.At(row, col) {
+					t.Fatalf("Mat4 (%d,%d) = %v, want R's %v", row, col, m.At(row, col), tr.R.At(row, col))
+				}
+			}
+			if m.At(row, 3) != tr.T.Component(row) {
+				t.Fatalf("Mat4 (%d,3) = %v, want T's %v", row, m.At(row, 3), tr.T.Component(row))
+			}
+		}
+		if m.At(3, 0) != 0 || m.At(3, 1) != 0 || m.At(3, 2) != 0 || m.At(3, 3) != 1 {
+			t.Fatalf("Mat4 bottom row = %v, want [0 0 0 1]", m[12:])
 		}
 	}
 }

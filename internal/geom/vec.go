@@ -157,36 +157,5 @@ func (b *Aabb) Extend(p Vec3) {
 	b.Max.Z = math.Max(b.Max.Z, p.Z)
 }
 
-// Contains reports whether p lies inside the closed box.
-func (b Aabb) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X &&
-		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z <= b.Max.Z
-}
-
-// Dist2 returns the squared distance from p to the box (0 if inside).
-// This is the pruning test from paper §4.1: a sub-tree can be skipped when
-// its bounding box lies entirely outside the query's current hypersphere,
-// i.e. when Dist2(query) > currentNearestDist².
-func (b Aabb) Dist2(p Vec3) float64 {
-	var d2 float64
-	for axis := 0; axis < 3; axis++ {
-		v := p.Component(axis)
-		lo := b.Min.Component(axis)
-		hi := b.Max.Component(axis)
-		if v < lo {
-			d := lo - v
-			d2 += d * d
-		} else if v > hi {
-			d := v - hi
-			d2 += d * d
-		}
-	}
-	return d2
-}
-
-// Center returns the box center.
-func (b Aabb) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
-
 // Size returns the box extent along each axis.
 func (b Aabb) Size() Vec3 { return b.Max.Sub(b.Min) }

@@ -6,9 +6,10 @@
 //
 // Point cloud registration uses two search kinds (paper §4.1): radius
 // search (all points within r of the query) and nearest-neighbor search.
-// Both are provided, plus k-nearest-neighbors, which the feature stages
-// (normal estimation with a fixed neighbor count, descriptor support
-// regions) use.
+// Both are provided, plus k-nearest-neighbors, which two callers use: the
+// loop detector's signature index (internal/loop/loop.go,
+// Searcher.KNearest) and the error-injection KthNNSearcher of Fig. 7a
+// (internal/search/errinject.go).
 //
 // Every search can report how many tree nodes it visited via Stats; those
 // counts drive the redundancy analysis of Fig. 6 and the baseline cost
@@ -300,17 +301,13 @@ func (t *Tree) nearest(ni int32, q geom.Vec3, best *Neighbor, stats *Stats) {
 	}
 }
 
-// KNearest returns the k nearest neighbors to q ordered by increasing
-// distance. Fewer than k are returned when the tree is smaller than k.
-func (t *Tree) KNearest(q geom.Vec3, k int, stats *Stats) []Neighbor {
-	return t.KNearestInto(q, k, nil, stats)
-}
-
-// KNearestInto is KNearest answering into buf (reset to length 0), so
-// callers that recycle result slabs avoid a fresh allocation per query.
-// The slab doubles as the candidate heap and is drained in place into
-// ascending order, so the returned slice (possibly a regrown replacement
-// for buf) carries results identical to KNearest.
+// KNearestInto returns the k nearest neighbors to q ordered by increasing
+// distance; fewer than k are returned when the tree is smaller than k.
+// It answers into buf (reset to length 0; nil allocates), so callers that
+// recycle result slabs avoid a fresh allocation per query. The slab
+// doubles as the candidate heap and is drained in place into ascending
+// order, so the returned slice (possibly a regrown replacement for buf)
+// carries the same results whatever buf was passed.
 func (t *Tree) KNearestInto(q geom.Vec3, k int, buf []Neighbor, stats *Stats) []Neighbor {
 	if stats != nil {
 		stats.Queries++

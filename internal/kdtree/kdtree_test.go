@@ -50,7 +50,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		q := randPoints(r, 1)[0]
 		k := 1 + r.Intn(20)
-		got := tree.KNearest(q, k, nil)
+		got := tree.KNearestInto(q, k, nil, nil)
 		want := BruteKNearestIntoSlab(tree.Slab(), q, k, nil)
 		if len(got) != len(want) {
 			t.Fatalf("k-NN count %d, want %d", len(got), len(want))
@@ -68,7 +68,7 @@ func TestKNearestOrdered(t *testing.T) {
 	pts := randPoints(r, 300)
 	tree := Build(pts)
 	for i := 0; i < 20; i++ {
-		res := tree.KNearest(randPoints(r, 1)[0], 15, nil)
+		res := tree.KNearestInto(randPoints(r, 1)[0], 15, nil, nil)
 		for j := 1; j < len(res); j++ {
 			if res[j].Dist2 < res[j-1].Dist2 {
 				t.Fatal("k-NN results not ascending")
@@ -80,7 +80,7 @@ func TestKNearestOrdered(t *testing.T) {
 func TestKNearestMoreThanTree(t *testing.T) {
 	pts := randPoints(rand.New(rand.NewSource(4)), 5)
 	tree := Build(pts)
-	res := tree.KNearest(geom.Vec3{}, 10, nil)
+	res := tree.KNearestInto(geom.Vec3{}, 10, nil, nil)
 	if len(res) != 5 {
 		t.Fatalf("k > n should return n results, got %d", len(res))
 	}
@@ -123,7 +123,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if res := empty.Radius(geom.Vec3{}, 5, nil); len(res) != 0 {
 		t.Error("empty tree radius returned results")
 	}
-	if res := empty.KNearest(geom.Vec3{}, 3, nil); len(res) != 0 {
+	if res := empty.KNearestInto(geom.Vec3{}, 3, nil, nil); len(res) != 0 {
 		t.Error("empty tree k-NN returned results")
 	}
 

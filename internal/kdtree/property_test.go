@@ -88,8 +88,8 @@ func TestQuickKNNPrefixProperty(t *testing.T) {
 	f := func(cq cloudAndQuery) bool {
 		tree := Build(cq.Pts)
 		k := 1 + len(cq.Pts)/4
-		a := tree.KNearest(cq.Query, k, nil)
-		b := tree.KNearest(cq.Query, k+1, nil)
+		a := tree.KNearestInto(cq.Query, k, nil, nil)
+		b := tree.KNearestInto(cq.Query, k+1, nil, nil)
 		if len(b) < len(a) {
 			return false
 		}

@@ -221,13 +221,3 @@ func matFromCols(c [3]geom.Vec3) geom.Mat3 {
 		c[0].Z, c[1].Z, c[2].Z,
 	}
 }
-
-// Reconstruct returns U·diag(S)·Vᵀ, useful for verifying the decomposition.
-func (d SVD3) Reconstruct() geom.Mat3 {
-	ds := geom.Mat3{
-		d.S[0], 0, 0,
-		0, d.S[1], 0,
-		0, 0, d.S[2],
-	}
-	return d.U.Mul(ds).Mul(d.V.Transpose())
-}

@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a linear system has no unique solution.
-var ErrSingular = errors.New("linalg: singular matrix")
+// errSingular is returned when a linear system has no unique solution.
+var errSingular = errors.New("linalg: singular matrix")
 
 // SolveDense solves the n×n system A·x = b in place using Gaussian
 // elimination with partial pivoting. A is given row-major as a flat slice
@@ -32,7 +32,7 @@ func SolveDense(a []float64, b []float64) error {
 			}
 		}
 		if maxAbs < 1e-300 {
-			return ErrSingular
+			return errSingular
 		}
 		if pivot != col {
 			for c := 0; c < n; c++ {

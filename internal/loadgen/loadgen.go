@@ -36,8 +36,8 @@ import (
 	"tigris/internal/synth"
 )
 
-// Name identifies loadgen records in BENCH JSON files.
-const Name = "tigris-loadgen"
+// resultName identifies loadgen records in BENCH JSON files.
+const resultName = "tigris-loadgen"
 
 // Profile is one traffic scenario: how many frames a session pushes,
 // how dense its clouds are, and whether loop closure is enabled.
@@ -75,7 +75,8 @@ type Config struct {
 	Target string
 	// Sessions is the total number of sessions to run (required).
 	Sessions int
-	// Rate is the mean session arrival rate per second (required).
+	// Rate is the mean session arrival rate per second (required; finite
+	// and > 0).
 	Rate float64
 	// Seed makes the schedule, profile mix, and synthetic frames
 	// deterministic.
@@ -220,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.Profiles) == 0 {
 		cfg.Profiles = DefaultProfiles()
 	}
-	arr, err := NewArrivals(cfg.Rate, cfg.Seed)
+	arr, err := newArrivals(cfg.Rate, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +274,7 @@ func Run(cfg Config) (*Result, error) {
 	elapsed := time.Since(start)
 
 	res := &Result{
-		Name:            Name,
+		Name:            resultName,
 		Target:          cfg.Target,
 		RatePerSec:      cfg.Rate,
 		Seed:            cfg.Seed,

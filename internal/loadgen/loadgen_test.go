@@ -19,7 +19,7 @@ func TestArrivalsDeterministicAndCalibrated(t *testing.T) {
 	// The first draws for seed 7 at 100/s, in nanoseconds: a seed keeps
 	// drawing the same schedule, bit for bit.
 	pinned := []time.Duration{845865, 14631444, 14213514, 925954, 3591987}
-	a, err := NewArrivals(100, 7)
+	a, err := newArrivals(100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestArrivalsDeterministicAndCalibrated(t *testing.T) {
 	}
 
 	const rate = 100
-	a1, _ := NewArrivals(rate, 7)
-	a2, _ := NewArrivals(rate, 7)
+	a1, _ := newArrivals(rate, 7)
+	a2, _ := newArrivals(rate, 7)
 	const n = 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
@@ -57,8 +57,10 @@ func TestArrivalsDeterministicAndCalibrated(t *testing.T) {
 		t.Errorf("CV %g, want ~1", gotCV)
 	}
 
-	if _, err := NewArrivals(0, 0); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := newArrivals(bad, 0); err == nil {
+			t.Fatalf("rate %g accepted", bad)
+		}
 	}
 }
 
@@ -142,7 +144,7 @@ func TestRunAgainstGatewayFleet(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back["name"] != Name {
+	if back["name"] != resultName {
 		t.Fatalf("name = %v", back["name"])
 	}
 	if _, ok := back["latency_percentiles"].(map[string]any)["frame"]; !ok {

@@ -69,11 +69,11 @@ func chromeEvent(ev SpanEvent, pid int) ChromeEvent {
 	}
 }
 
-// BuildChromeTrace assembles the export document from a flight
+// buildChromeTrace assembles the export document from a flight
 // snapshot: ring events plus any exemplar-retained subtree events the
 // ring has already wrapped past, deduplicated by span id and sorted by
 // ts (jq-checkable monotone order).
-func BuildChromeTrace(exp Export, pid int, meta map[string]any) ChromeTrace {
+func buildChromeTrace(exp Export, pid int, meta map[string]any) ChromeTrace {
 	seen := make(map[uint64]bool, len(exp.Events))
 	events := make([]ChromeEvent, 0, len(exp.Events))
 	add := func(ev SpanEvent) {
@@ -132,5 +132,5 @@ func sortChromeEvents(events []ChromeEvent) {
 // JSON to w.
 func WriteChromeTrace(w io.Writer, exp Export, meta map[string]any) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(BuildChromeTrace(exp, 1, meta))
+	return enc.Encode(buildChromeTrace(exp, 1, meta))
 }

@@ -84,8 +84,8 @@ type histShard struct {
 }
 
 // Histogram is a fixed-size log-bucketed latency histogram. The zero
-// value is NOT ready to use; create instances with NewHistogram (the
-// shard array is large, so histograms are shared by pointer).
+// value is ready to use; the shard array is large, so histograms are
+// shared by pointer (Registry.Histogram hands them out).
 //
 // Record is lock-free, allocation-free, and safe for any number of
 // concurrent writers; Snapshot/Quantile/Summary may run concurrently
@@ -95,9 +95,6 @@ type histShard struct {
 type Histogram struct {
 	shards [histShards]histShard
 }
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
 
 // shardHint derives a stripe index from the caller's stack address: a
 // goroutine's stack is stable across the few nanoseconds of a record

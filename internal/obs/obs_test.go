@@ -49,7 +49,7 @@ func TestQuantileExactCountVsOracle(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := NewHistogram()
+			h := new(Histogram)
 			for _, v := range tc.vals {
 				h.Record(time.Duration(v))
 			}
@@ -121,12 +121,12 @@ func TestShardMergeDeterminism(t *testing.T) {
 		vals[i] = int64(rng.Intn(50_000_000))
 	}
 
-	serial := NewHistogram()
+	serial := new(Histogram)
 	for _, v := range vals {
 		serial.Record(time.Duration(v))
 	}
 
-	concurrent := NewHistogram()
+	concurrent := new(Histogram)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -157,7 +157,7 @@ func TestShardMergeDeterminism(t *testing.T) {
 // This is what lets the pipeline keep its AllocsPerRun budgets with
 // metrics enabled.
 func TestRecordZeroAllocs(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	if allocs := testing.AllocsPerRun(200, func() { h.Record(12345 * time.Nanosecond) }); allocs != 0 {
 		t.Errorf("Histogram.Record allocates %.1f times, want 0", allocs)
 	}
@@ -180,7 +180,7 @@ func TestRecordZeroAllocs(t *testing.T) {
 // concurrent writers and readers; under -race this is the data-race
 // proof for the whole record/snapshot surface.
 func TestConcurrentRecordRead(t *testing.T) {
-	h := NewHistogram()
+	h := new(Histogram)
 	rec := NewRecorder()
 	stop := make(chan struct{})
 	var writers, readers sync.WaitGroup

@@ -139,7 +139,7 @@ func (r *Recorder) histogram(stage string) *Histogram {
 	if c.reg != nil {
 		h = c.reg.Histogram(c.family + `{stage="` + stage + `"}`)
 	} else {
-		h = NewHistogram()
+		h = new(Histogram)
 	}
 	if actual, loaded := c.hists.LoadOrStore(stage, h); loaded {
 		return actual.(*Histogram)

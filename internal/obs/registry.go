@@ -89,7 +89,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok = r.hists[name]; ok {
 		return h
 	}
-	h = NewHistogram()
+	h = new(Histogram)
 	r.hists[name] = h
 	return h
 }

@@ -64,8 +64,8 @@ type Graph struct {
 	Edges []Edge
 }
 
-// NewGraph starts a graph from initial absolute poses (copied).
-func NewGraph(poses []geom.Transform) *Graph {
+// newGraph starts a graph from initial absolute poses (copied).
+func newGraph(poses []geom.Transform) *Graph {
 	return &Graph{Poses: append([]geom.Transform(nil), poses...)}
 }
 
@@ -90,7 +90,7 @@ func FromOdometry(origin geom.Transform, deltas []geom.Transform) *Graph {
 	for k, d := range deltas {
 		poses[k+1] = poses[k].Compose(d)
 	}
-	g := NewGraph(poses)
+	g := newGraph(poses)
 	g.AddOdometry(deltas)
 	return g
 }
@@ -135,8 +135,8 @@ type Result struct {
 	SolveTime time.Duration
 }
 
-// ErrGraph is returned for structurally invalid graphs.
-var ErrGraph = errors.New("posegraph: invalid graph")
+// errGraph is returned for structurally invalid graphs.
+var errGraph = errors.New("posegraph: invalid graph")
 
 // residualDim is the per-edge residual size: 3 rotation + 3 translation.
 const residualDim = 6
@@ -156,11 +156,11 @@ func (g *Graph) Optimize(opts Options) ([]geom.Transform, Result, error) {
 	n := len(g.Poses)
 	var res Result
 	if n == 0 {
-		return nil, res, fmt.Errorf("%w: no nodes", ErrGraph)
+		return nil, res, fmt.Errorf("%w: no nodes", errGraph)
 	}
 	for _, e := range g.Edges {
 		if e.I < 0 || e.I >= n || e.J < 0 || e.J >= n || e.I == e.J {
-			return nil, res, fmt.Errorf("%w: edge %d-%d outside %d nodes", ErrGraph, e.I, e.J, n)
+			return nil, res, fmt.Errorf("%w: edge %d-%d outside %d nodes", errGraph, e.I, e.J, n)
 		}
 	}
 	solveStart := time.Now()

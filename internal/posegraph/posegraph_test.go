@@ -129,16 +129,16 @@ func TestOptimizeLeavesConsistentGraphAlone(t *testing.T) {
 }
 
 func TestOptimizeValidation(t *testing.T) {
-	g := NewGraph([]geom.Transform{geom.IdentityTransform(), geom.IdentityTransform()})
+	g := newGraph([]geom.Transform{geom.IdentityTransform(), geom.IdentityTransform()})
 	g.AddEdge(Edge{I: 0, J: 5, Z: geom.IdentityTransform()})
 	if _, _, err := g.Optimize(Options{}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	empty := NewGraph(nil)
+	empty := newGraph(nil)
 	if _, _, err := empty.Optimize(Options{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	single := NewGraph([]geom.Transform{geom.IdentityTransform()})
+	single := newGraph([]geom.Transform{geom.IdentityTransform()})
 	if _, _, err := single.Optimize(Options{}); err != nil {
 		t.Fatalf("single node: %v", err)
 	}

@@ -23,10 +23,10 @@ func TestRANSACSteadyStateAllocs(t *testing.T) {
 
 	// Warm the sample scratch and correspondence slab pools.
 	for i := 0; i < 3; i++ {
-		recycleCorr(nil, RejectCorrespondences(corr, srcPts, dstPts, cfg, 1))
+		recycleCorr(nil, rejectCorrespondences(corr, srcPts, dstPts, cfg, 1))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		inliers := RejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
+		inliers := rejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
 		recycleCorr(nil, inliers)
 	})
 	// Tolerated residue: a handful of per-CALL fixed costs (the scoring
@@ -79,10 +79,10 @@ func TestPointToPlaneAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, n := range []int{500, 3*accumChunk + 1} {
 		src, dst := planeFixture(n, 9, 0.05, 0.4, 0.01, false)
-		EstimatePointToPlaneSlabPar(src, dst, 1) // warm the pooled passes
+		estimatePointToPlaneSlabPar(src, dst, 1) // warm the pooled passes
 		allocs := testing.AllocsPerRun(10, func() {
-			EstimatePointToPlaneSlabPar(src, dst, 1)
-			AlignmentRMSESlabPar(geom.IdentityTransform(), src, dst, 1)
+			estimatePointToPlaneSlabPar(src, dst, 1)
+			alignmentRMSESlabPar(geom.IdentityTransform(), src, dst, 1)
 		})
 		if allocs != 0 {
 			t.Errorf("n=%d: a one-worker point-to-plane solve and RMSE pass allocate %.1f times, want 0", n, allocs)

@@ -207,14 +207,14 @@ func (c *RejectionConfig) defaults() {
 	}
 }
 
-// RejectCorrespondences filters the key-point correspondences. srcPts and
+// rejectCorrespondences filters the key-point correspondences. srcPts and
 // dstPts are the 3D key-point positions aligned with the descriptor rows.
 // RANSAC scores its hypotheses on up to workers workers (par.Workers; 1
 // forces the sequential path). Results are bit-identical at any width:
 // samples are drawn sequentially from the deterministic PCG before
 // scoring fans out, and the best consensus is reduced with a
 // deterministic tie-break.
-func RejectCorrespondences(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig, workers int) []Correspondence {
+func rejectCorrespondences(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg RejectionConfig, workers int) []Correspondence {
 	cfg.defaults()
 	if len(corr) == 0 {
 		return nil
@@ -363,7 +363,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 
 // estimateFromTriple estimates the rigid transform of one 3-sample
 // hypothesis without allocating. It calls the sequential accumulation
-// kernel directly — the same kernel EstimateRigidTransform dispatches 3
+// kernel directly — the same kernel estimateRigidTransform dispatches 3
 // points to — because routing through the Par wrapper would mark the
 // sample arrays as escaping (its chunked branch captures the slices in
 // goroutine closures) and heap-allocate every hypothesis.
@@ -386,7 +386,7 @@ func estimateFromCorr(corr []Correspondence, srcPts, dstPts []geom.Vec3) (geom.T
 		src[i] = srcPts[c.Source]
 		dst[i] = dstPts[c.Target]
 	}
-	return EstimateRigidTransform(src, dst)
+	return estimateRigidTransform(src, dst)
 }
 
 // pcg is a tiny PCG-XSH-RR deterministic PRNG for RANSAC sampling.

@@ -303,7 +303,7 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	// (5) Rejection + initial transform. RANSAC hypothesis scoring is
 	// bit-identical at any width.
 	t0 = time.Now()
-	inliers := RejectCorrespondences(corr, src.KeypointPts, dst.KeypointPts, cfg.Rejection, workers)
+	inliers := rejectCorrespondences(corr, src.KeypointPts, dst.KeypointPts, cfg.Rejection, workers)
 	res.Inliers = len(inliers)
 	initial, ok := estimateFromCorr(inliers, src.KeypointPts, dst.KeypointPts)
 	// Guard against a junk initial estimate: a tiny or low-ratio consensus

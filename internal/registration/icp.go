@@ -231,9 +231,9 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		var delta geom.Transform
 		var ok bool
 		if usePlane {
-			delta, ok = EstimatePointToPlaneSlabPar(srcS, dstS, workers)
+			delta, ok = estimatePointToPlaneSlabPar(srcS, dstS, workers)
 		} else {
-			delta, ok = EstimateRigidTransformSlabPar(srcS, dstS, workers)
+			delta, ok = estimateRigidTransformSlabPar(srcS, dstS, workers)
 		}
 		res.SolveTime += time.Since(start)
 		if !ok {
@@ -243,7 +243,7 @@ func icp(src *cloud.Slab, target search.Searcher, initial geom.Transform, cfg IC
 		res.Transform = delta.Compose(res.Transform)
 		moveAll(delta, qs, moved)
 
-		rmse := AlignmentRMSESlabPar(delta, srcS, dstS, workers)
+		rmse := alignmentRMSESlabPar(delta, srcS, dstS, workers)
 		res.FinalRMSE = rmse
 
 		// Convergence criteria (Tbl. 1): small incremental motion or small

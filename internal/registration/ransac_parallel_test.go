@@ -40,13 +40,13 @@ func TestRANSACParallelMatchesSerial(t *testing.T) {
 		corr, srcPts, dstPts := ransacFixture(300, 0.35, seed)
 		cfg := RejectionConfig{Method: RejectRANSAC, Seed: seed}
 
-		want := RejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
+		want := rejectCorrespondences(corr, srcPts, dstPts, cfg, 1)
 		if len(want) < 3 || len(want) >= len(corr) {
 			t.Fatalf("seed %d: degenerate fixture (%d of %d inliers)", seed, len(want), len(corr))
 		}
 
 		for _, p := range []int{2, 3, 4, 8} {
-			got := RejectCorrespondences(corr, srcPts, dstPts, cfg, p)
+			got := rejectCorrespondences(corr, srcPts, dstPts, cfg, p)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d parallelism %d: %d inliers, serial found %d",
 					seed, p, len(got), len(want))
@@ -76,7 +76,7 @@ func TestRANSACDegenerateFallback(t *testing.T) {
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
 	for _, p := range []int{1, 4} {
-		got := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 3}, p)
+		got := rejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 3}, p)
 		if len(got) != n {
 			t.Fatalf("parallelism %d: degenerate fallback returned %d of %d", p, len(got), n)
 		}
@@ -140,20 +140,20 @@ func TestEstimateRigidTransformParInvariant(t *testing.T) {
 		src[i] = geom.Vec3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
 		dst[i] = tr.Apply(src[i])
 	}
-	want, ok := EstimateRigidTransformPar(src, dst, 1)
+	want, ok := estimateRigidTransformPar(src, dst, 1)
 	if !ok {
 		t.Fatal("estimation failed")
 	}
 	for _, w := range []int{2, 5, 16} {
-		got, ok := EstimateRigidTransformPar(src, dst, w)
+		got, ok := estimateRigidTransformPar(src, dst, w)
 		if !ok || got != want {
 			t.Fatalf("workers %d: transform differs from serial", w)
 		}
 	}
 	srcS, dstS := cloud.SlabFromPoints(src), cloud.SlabFromPoints(dst)
-	rmse1 := AlignmentRMSESlabPar(tr, srcS, dstS, 1)
+	rmse1 := alignmentRMSESlabPar(tr, srcS, dstS, 1)
 	for _, w := range []int{3, 8} {
-		if AlignmentRMSESlabPar(tr, srcS, dstS, w) != rmse1 {
+		if alignmentRMSESlabPar(tr, srcS, dstS, w) != rmse1 {
 			t.Fatalf("workers %d: RMSE differs from serial", w)
 		}
 	}

@@ -253,18 +253,18 @@ func planeFixture(n int, seed int64, angle, shift, noise float64, parallel bool)
 	return src, dst
 }
 
-// checkAgainstReference holds EstimatePointToPlaneSlabPar, the RMSE pass
+// checkAgainstReference holds estimatePointToPlaneSlabPar, the RMSE pass
 // at its answer and moveAll to the reference forms, bit for bit, and
 // returns the reference solve's trace.
 func checkAgainstReference(t *testing.T, name string, src, dst *cloud.Slab, workers int) lmTrace {
 	t.Helper()
 	want, wantOK, tr := refEstimatePointToPlane(src, dst, workers)
-	got, gotOK := EstimatePointToPlaneSlabPar(src, dst, workers)
+	got, gotOK := estimatePointToPlaneSlabPar(src, dst, workers)
 	if gotOK != wantOK || transformBits(got) != transformBits(want) {
 		t.Fatalf("%s, %d workers: point-to-plane = %v, %v; reference %v, %v", name, workers, got, gotOK, want, wantOK)
 	}
 	wantRMSE := refAlignmentRMSE(want, src, dst, workers)
-	if gotRMSE := AlignmentRMSESlabPar(want, src, dst, workers); math.Float64bits(gotRMSE) != math.Float64bits(wantRMSE) {
+	if gotRMSE := alignmentRMSESlabPar(want, src, dst, workers); math.Float64bits(gotRMSE) != math.Float64bits(wantRMSE) {
 		t.Fatalf("%s, %d workers: RMSE = %v, reference %v", name, workers, gotRMSE, wantRMSE)
 	}
 	pts := src.Points()
@@ -332,6 +332,6 @@ func BenchmarkEstimatePointToPlane(b *testing.B) {
 	src, dst := planeFixture(6200, 11, 0.05, 0.4, 0.01, false)
 	b.ReportAllocs()
 	for b.Loop() {
-		EstimatePointToPlaneSlabPar(src, dst, 1)
+		estimatePointToPlaneSlabPar(src, dst, 1)
 	}
 }

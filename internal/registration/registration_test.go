@@ -55,7 +55,7 @@ func TestEstimateRigidTransformRecovers(t *testing.T) {
 		for i := range dst {
 			dst[i] = truth.Apply(src[i])
 		}
-		got, ok := EstimateRigidTransform(src, dst)
+		got, ok := estimateRigidTransform(src, dst)
 		if !ok {
 			// Nearly collinear triples can be degenerate; only tiny n.
 			if n > 4 {
@@ -70,15 +70,15 @@ func TestEstimateRigidTransformRecovers(t *testing.T) {
 }
 
 func TestEstimateRigidTransformDegenerate(t *testing.T) {
-	if _, ok := EstimateRigidTransform(nil, nil); ok {
+	if _, ok := estimateRigidTransform(nil, nil); ok {
 		t.Error("empty input accepted")
 	}
 	src := []geom.Vec3{{X: 1}, {X: 2}}
-	if _, ok := EstimateRigidTransform(src, src); ok {
+	if _, ok := estimateRigidTransform(src, src); ok {
 		t.Error("two points accepted")
 	}
 	mismatch := []geom.Vec3{{X: 1}, {X: 2}, {X: 3}}
-	if _, ok := EstimateRigidTransform(mismatch, mismatch[:2]); ok {
+	if _, ok := estimateRigidTransform(mismatch, mismatch[:2]); ok {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestEstimateRigidTransformWithNoise(t *testing.T) {
 			X: r.NormFloat64() * 0.01, Y: r.NormFloat64() * 0.01, Z: r.NormFloat64() * 0.01,
 		})
 	}
-	got, ok := EstimateRigidTransform(src, dst)
+	got, ok := estimateRigidTransform(src, dst)
 	if !ok {
 		t.Fatal("estimation failed")
 	}
@@ -115,7 +115,7 @@ func TestEstimatePointToPlaneRecovers(t *testing.T) {
 	inv := truth.Inverse()
 	src := c.Clone()
 	src.TransformInPlace(inv) // so truth maps src back onto c
-	got, ok := EstimatePointToPlaneSlab(src, c)
+	got, ok := estimatePointToPlaneSlabPar(src, c, 1)
 	if !ok {
 		t.Fatal("point-to-plane failed")
 	}
@@ -214,7 +214,7 @@ func TestThresholdRejection(t *testing.T) {
 		{Source: 2, Target: 2, Dist2: 0.9},
 		{Source: 3, Target: 3, Dist2: 400}, // outlier
 	}
-	out := RejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold}, 0)
+	out := rejectCorrespondences(corr, nil, nil, RejectionConfig{Method: RejectThreshold}, 0)
 	if len(out) != 3 {
 		t.Fatalf("threshold kept %d, want 3", len(out))
 	}
@@ -242,7 +242,7 @@ func TestRANSACRejectsOutliers(t *testing.T) {
 		}
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
-	out := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 9}, 0)
+	out := rejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 9}, 0)
 	if len(out) < 25 || len(out) > 32 {
 		t.Fatalf("RANSAC kept %d, want ~30 inliers", len(out))
 	}
@@ -264,8 +264,8 @@ func TestRANSACDeterministic(t *testing.T) {
 		dstPts[i] = truth.Apply(srcPts[i])
 		corr[i] = Correspondence{Source: i, Target: i}
 	}
-	a := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
-	b := RejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
+	a := rejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
+	b := rejectCorrespondences(corr, srcPts, dstPts, RejectionConfig{Method: RejectRANSAC, Seed: 5}, 0)
 	if len(a) != len(b) {
 		t.Fatal("same seed produced different inlier counts")
 	}

@@ -44,8 +44,8 @@ func TestSlabSolversBitIdenticalToAoS(t *testing.T) {
 		srcPts, dstPts := snappedCorrespondences(r, n)
 		src, dst := cloud.SlabFromPoints(srcPts), cloud.SlabFromPoints(dstPts)
 		for _, workers := range []int{1, 2, 4} {
-			aosT, aosOK := EstimateRigidTransformPar(srcPts, dstPts, workers)
-			soaT, soaOK := EstimateRigidTransformSlabPar(src, dst, workers)
+			aosT, aosOK := estimateRigidTransformPar(srcPts, dstPts, workers)
+			soaT, soaOK := estimateRigidTransformSlabPar(src, dst, workers)
 			if aosOK != soaOK || aosT != soaT {
 				t.Fatalf("n=%d p=%d: point-to-point differs\nAoS %v\nSoA %v", n, workers, aosT, soaT)
 			}
@@ -55,23 +55,23 @@ func TestSlabSolversBitIdenticalToAoS(t *testing.T) {
 
 func TestSlabSolverGuards(t *testing.T) {
 	empty := cloud.NewSlab(0)
-	if _, ok := EstimateRigidTransformSlab(empty, empty); ok {
+	if _, ok := estimateRigidTransformSlabPar(empty, empty, 1); ok {
 		t.Error("empty slabs accepted by point-to-point")
 	}
 	five := cloud.NewSlab(5)
 	five.EnsureNormals()
-	if _, ok := EstimatePointToPlaneSlab(five, five); ok {
+	if _, ok := estimatePointToPlaneSlabPar(five, five, 1); ok {
 		t.Error("5 correspondences accepted by point-to-plane (needs 6)")
 	}
 	noNormals := cloud.NewSlab(10)
-	if _, ok := EstimatePointToPlaneSlab(noNormals, noNormals); ok {
+	if _, ok := estimatePointToPlaneSlabPar(noNormals, noNormals, 1); ok {
 		t.Error("normal-less target accepted by point-to-plane")
 	}
 	mismatch := cloud.NewSlab(4)
-	if _, ok := EstimateRigidTransformSlab(mismatch, cloud.NewSlab(3)); ok {
+	if _, ok := estimateRigidTransformSlabPar(mismatch, cloud.NewSlab(3), 1); ok {
 		t.Error("length mismatch accepted")
 	}
-	if AlignmentRMSESlab(geom.IdentityTransform(), empty, empty) != 0 {
+	if alignmentRMSESlabPar(geom.IdentityTransform(), empty, empty, 1) != 0 {
 		t.Error("empty RMSE not 0")
 	}
 }

@@ -46,19 +46,19 @@ func reduceChunks[P any](n, workers int, eval func(lo, hi int) P, fold func(acc,
 	return acc
 }
 
-// EstimateRigidTransform solves the point-to-point least-squares alignment
+// estimateRigidTransform solves the point-to-point least-squares alignment
 // problem: find the rigid T minimizing Σ‖T(srcᵢ) − dstᵢ‖² for paired
 // points, via the SVD method of Umeyama/Arun (the paper's "SVD [25]"
 // solver choice in Tbl. 1). Returns ok=false when fewer than 3 pairs are
 // given or the configuration is degenerate.
-func EstimateRigidTransform(src, dst []geom.Vec3) (geom.Transform, bool) {
-	return EstimateRigidTransformPar(src, dst, 1)
+func estimateRigidTransform(src, dst []geom.Vec3) (geom.Transform, bool) {
+	return estimateRigidTransformPar(src, dst, 1)
 }
 
 // centroidPart is one chunk's running point sums.
 type centroidPart struct{ cs, cd geom.Vec3 }
 
-// EstimateRigidTransformPar is EstimateRigidTransform with the per-point
+// estimateRigidTransformPar is estimateRigidTransform with the per-point
 // accumulation (centroids and cross-covariance) spread over up to
 // `workers` goroutines (<= 0 selects par.Slots). Results are bit-identical
 // at any worker count (see accumChunk). Inputs at or below one chunk
@@ -66,7 +66,7 @@ type centroidPart struct{ cs, cd geom.Vec3 }
 // hypothesis loop (3-point solves, thousands per pair) allocation-free:
 // the chunked reducers' closures would otherwise force every sample
 // array to the heap.
-func EstimateRigidTransformPar(src, dst []geom.Vec3, workers int) (geom.Transform, bool) {
+func estimateRigidTransformPar(src, dst []geom.Vec3, workers int) (geom.Transform, bool) {
 	if len(src) != len(dst) || len(src) < 3 {
 		return geom.IdentityTransform(), false
 	}

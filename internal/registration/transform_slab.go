@@ -29,17 +29,12 @@ import (
 // from amd64 builds only: arm64 builds fuse multiply-adds, and may fuse
 // these expressions differently from the old ones.
 
-// EstimateRigidTransformSlab solves the point-to-point alignment over
-// paired correspondence slabs (see EstimateRigidTransform).
-func EstimateRigidTransformSlab(src, dst *cloud.Slab) (geom.Transform, bool) {
-	return EstimateRigidTransformSlabPar(src, dst, 1)
-}
-
-// EstimateRigidTransformSlabPar is EstimateRigidTransformSlab with the
+// estimateRigidTransformSlabPar solves the point-to-point alignment over
+// paired correspondence slabs (see estimateRigidTransform), with the
 // centroid and cross-covariance accumulation spread over up to `workers`
 // goroutines; results are bit-identical at any worker count (see
 // accumChunk).
-func EstimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Transform, bool) {
+func estimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Transform, bool) {
 	if src.Len() != dst.Len() || src.Len() < 3 {
 		return geom.IdentityTransform(), false
 	}
@@ -73,22 +68,17 @@ func EstimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Tran
 	return rigidFromStats(h, cs, cd)
 }
 
-// EstimatePointToPlaneSlab solves the point-to-plane alignment over
+// estimatePointToPlaneSlabPar solves the point-to-plane alignment over
 // correspondence slabs: find the rigid T minimizing Σ((T(srcᵢ)−dstᵢ)·nᵢ)²,
 // with nᵢ the target surface normal dst must carry. It runs
 // Levenberg–Marquardt over a 6-DoF twist (rx, ry, rz, tx, ty, tz) with the
 // analytic Jacobian of the linearized residual: for the residual
 // r = (R·s + t − d)·n, ∂r/∂ξ = [ (R·s)×n ; n ] at the current estimate —
 // the standard ICP linearization (Low 2004) the paper's LM solver [45]
-// choice corresponds to.
-func EstimatePointToPlaneSlab(src, dst *cloud.Slab) (geom.Transform, bool) {
-	return EstimatePointToPlaneSlabPar(src, dst, 1)
-}
-
-// EstimatePointToPlaneSlabPar is EstimatePointToPlaneSlab with the
-// normal-equation and cost accumulations spread over up to `workers`
-// goroutines; results are bit-identical at any worker count.
-func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transform, bool) {
+// choice corresponds to. The normal-equation and cost accumulations are
+// spread over up to `workers` goroutines; results are bit-identical at any
+// worker count.
+func estimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transform, bool) {
 	if src.Len() != dst.Len() || !dst.HasNormals() || src.Len() < 6 {
 		return geom.IdentityTransform(), false
 	}
@@ -149,17 +139,11 @@ func EstimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 	return cur, true
 }
 
-// AlignmentRMSESlab returns the root-mean-square point-to-point error of
-// the transform over the correspondence slabs; the ICP convergence
-// criterion watches it.
-func AlignmentRMSESlab(tr geom.Transform, src, dst *cloud.Slab) float64 {
-	return AlignmentRMSESlabPar(tr, src, dst, 1)
-}
-
-// AlignmentRMSESlabPar is AlignmentRMSESlab with the squared-error
-// accumulation spread over up to `workers` goroutines; results are
-// bit-identical at any worker count.
-func AlignmentRMSESlabPar(tr geom.Transform, src, dst *cloud.Slab, workers int) float64 {
+// alignmentRMSESlabPar returns the root-mean-square point-to-point error
+// of the transform over the correspondence slabs; the ICP convergence
+// criterion watches it. The squared-error accumulation is spread over up
+// to `workers` goroutines; results are bit-identical at any worker count.
+func alignmentRMSESlabPar(tr geom.Transform, src, dst *cloud.Slab, workers int) float64 {
 	if src.Len() == 0 {
 		return 0
 	}

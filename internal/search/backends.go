@@ -59,21 +59,21 @@ func newTwoStageBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
 }
 
 func newTwoStageApproxBackend(slab *cloud.Slab, opts Options) (Searcher, error) {
-	if err := opts.checkKeys(OptParallelism, OptTopHeight, OptNNThreshold, OptRadiusThresholdFrac); err != nil {
+	if err := opts.checkKeys(OptParallelism, OptTopHeight, optNNThreshold, optRadiusThresholdFrac); err != nil {
 		return nil, err
 	}
 	cfg, err := twoStageConfigFromOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	thd, err := opts.Float(OptNNThreshold, 0)
+	thd, err := opts.Float(optNNThreshold, 0)
 	if err != nil {
 		return nil, err
 	}
 	if thd == 0 {
 		thd = twostage.DefaultNNThreshold
 	}
-	frac, err := opts.Float(OptRadiusThresholdFrac, 0)
+	frac, err := opts.Float(optRadiusThresholdFrac, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -182,7 +182,7 @@ func TestTwoStageScanLeavesFiledAnswersAlone(t *testing.T) {
 	oracle := NewBruteSearcher(pts)
 	queries := randPoints(r, 80)
 	const radius = 4.0
-	leaf := s.Tree().MaxLeafSize()
+	leaf := maxLeafSize(s.index)
 	for _, capacity := range []int{0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf, 5 * leaf, 64 * leaf} {
 		arena := make([]kdtree.Neighbor, 0, capacity)
 		filed := make([][]kdtree.Neighbor, len(queries))

@@ -234,7 +234,7 @@ func TestApproxBatchDeterministic(t *testing.T) {
 
 	// Serial reference: one fresh session per ApproxBatchChunk queries,
 	// exactly the contract approx.go documents.
-	refTree := build().Tree()
+	refTree := build().index
 	wantNN := make([]kdtree.Neighbor, len(qs))
 	wantRad := make([][]kdtree.Neighbor, len(qs))
 	for lo := 0; lo < len(qs); lo += ApproxBatchChunk {

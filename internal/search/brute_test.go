@@ -142,9 +142,9 @@ func TestKNearestIntoSharedSlab(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := randPoints(rng, 1)[0]
 		got := tree.KNearestInto(q, 9, buf, nil)
-		want := tree.KNearest(q, 9, nil)
+		want := tree.KNearestInto(q, 9, nil, nil)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: KNearestInto diverged from KNearest", i)
+			t.Fatalf("query %d: KNearestInto on a recycled slab diverged from a fresh one", i)
 		}
 		buf = got // reuse the (possibly regrown) slab
 	}

@@ -53,13 +53,13 @@ const (
 	// OptTopHeight (int) is the two-stage top-tree height; absent or < 0
 	// sizes leaf sets for a CPU (autoLeafSize points).
 	OptTopHeight = "top_height"
-	// OptNNThreshold (float) is the approximate-search NN discriminator
+	// optNNThreshold (float) is the approximate-search NN discriminator
 	// in meters (0 selects twostage.DefaultNNThreshold).
-	OptNNThreshold = "nn_threshold"
-	// OptRadiusThresholdFrac (float) is the approximate-search radius
+	optNNThreshold = "nn_threshold"
+	// optRadiusThresholdFrac (float) is the approximate-search radius
 	// discriminator as a fraction of the radius (0 selects
 	// twostage.DefaultRadiusThresholdFrac).
-	OptRadiusThresholdFrac = "radius_threshold_frac"
+	optRadiusThresholdFrac = "radius_threshold_frac"
 	// OptTraceInner (string) names the backend the trace decorator wraps
 	// (default canonical). Remaining options pass through to it.
 	OptTraceInner = "inner"
@@ -243,8 +243,8 @@ func Backends() []string {
 	return names
 }
 
-// LookupBackend returns the named backend factory.
-func LookupBackend(name string) (Backend, bool) {
+// lookupBackend returns the named backend factory.
+func lookupBackend(name string) (Backend, bool) {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	b, ok := registry[name]
@@ -257,7 +257,7 @@ func LookupBackend(name string) (Backend, bool) {
 // set so callers (CLI flags, HTTP handlers) can surface an actionable
 // error.
 func NewByNameSlab(name string, slab *cloud.Slab, opts Options) (Searcher, error) {
-	b, ok := LookupBackend(name)
+	b, ok := lookupBackend(name)
 	if !ok {
 		return nil, fmt.Errorf("search: unknown backend %q (registered: %s)",
 			name, strings.Join(Backends(), ", "))

@@ -120,7 +120,7 @@ func TestBackendOptionErrors(t *testing.T) {
 		{BackendTwoStage, Options{OptTopHeight: 1e300}, "out of range"},
 		{BackendTwoStage, Options{OptTopHeight: -1e300}, "out of range"},
 		{BackendTwoStage, Options{OptTopHeight: 9.3e18}, "out of range"},
-		{BackendTwoStageApprox, Options{OptNNThreshold: "big"}, "want a number"},
+		{BackendTwoStageApprox, Options{optNNThreshold: "big"}, "want a number"},
 		{BackendTrace, Options{}, "requires a *search.TraceLog"},
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: BackendTrace}, "cannot wrap itself"},
 		{BackendTrace, Options{OptTraceSink: &TraceLog{}, OptTraceInner: "nope"}, "unknown backend"},
@@ -166,7 +166,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 		BackendBruteForce: {OptParallelism: float64(2)},
 		BackendTwoStageApprox: {
 			OptParallelism: float64(2), OptTopHeight: float64(4),
-			OptNNThreshold: 1.0, OptRadiusThresholdFrac: 0.3,
+			optNNThreshold: 1.0, optRadiusThresholdFrac: 0.3,
 		},
 	}
 	for name, opts := range jsonOpts {

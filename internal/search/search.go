@@ -301,10 +301,6 @@ func NewTwoStageSearcherSlab(slab *cloud.Slab, cfg TwoStageConfig) *TwoStageSear
 	return s
 }
 
-// Tree exposes the underlying two-stage structure (used by the accelerator
-// simulator, which replays the same searches cycle by cycle).
-func (s *TwoStageSearcher) Tree() *twostage.Tree { return s.index }
-
 // Stats exposes the two-stage counters (leader hits etc.).
 func (s *TwoStageSearcher) Stats() *twostage.Stats { return &s.stats }
 

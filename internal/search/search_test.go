@@ -105,11 +105,20 @@ func TestTwoStageApproxSessionPersistsLeaders(t *testing.T) {
 	}
 }
 
+// maxLeafSize returns the size of the tree's largest leaf set.
+func maxLeafSize(t *twostage.Tree) int {
+	m := 0
+	for _, set := range t.Leaves() {
+		m = max(m, len(set))
+	}
+	return m
+}
+
 func TestNegativeTopHeightAutoSizes(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts := randPoints(r, 4000)
 	ts := NewTwoStageSearcher(pts, TwoStageConfig{TopHeight: -1})
-	if got := ts.Tree().MaxLeafSize(); got > autoLeafSize || got < autoLeafSize/2-1 {
+	if got := maxLeafSize(ts.index); got > autoLeafSize || got < autoLeafSize/2-1 {
 		t.Errorf("auto-sized leaf = %d, want the largest halving of the cloud that is <= %d", got, autoLeafSize)
 	}
 }
@@ -124,8 +133,8 @@ func TestTwoStageBackendDefaultIsATree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tree := s.(*TwoStageSearcher).Tree()
-		if leaves, max := len(tree.Leaves()), tree.MaxLeafSize(); leaves < 2 || max > 128 {
+		tree := s.(*TwoStageSearcher).index
+		if leaves, max := len(tree.Leaves()), maxLeafSize(tree); leaves < 2 || max > 128 {
 			t.Errorf("%s with no options: %d leaves, largest %d points; want > 1 leaf of <= 128", name, leaves, max)
 		}
 	}

@@ -66,10 +66,10 @@ type TraceBatch struct {
 	Queries []geom.Vec3
 }
 
-// StageTagger is implemented by searchers that attribute subsequent
+// stageTagger is implemented by searchers that attribute subsequent
 // queries to a pipeline stage. Decorators forward the tag to their inner
 // searcher; use TagStage to tag any Searcher without a type assertion.
-type StageTagger interface {
+type stageTagger interface {
 	SetStage(stage string)
 }
 
@@ -77,7 +77,7 @@ type StageTagger interface {
 // A no-op for searchers that do not record stages, so every stage can
 // tag unconditionally.
 func TagStage(s Searcher, stage string) {
-	if t, ok := s.(StageTagger); ok {
+	if t, ok := s.(stageTagger); ok {
 		t.SetStage(stage)
 	}
 }
@@ -112,24 +112,6 @@ func (l *TraceLog) Batches() []TraceBatch {
 	return append([]TraceBatch(nil), l.batches...)
 }
 
-// Len reports the number of recorded batches.
-func (l *TraceLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.batches)
-}
-
-// QueryCount sums the queries across all recorded batches.
-func (l *TraceLog) QueryCount() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n int64
-	for _, b := range l.batches {
-		n += int64(len(b.Queries))
-	}
-	return n
-}
-
 // Reset discards the recorded batches (the log stays usable).
 func (l *TraceLog) Reset() {
 	l.mu.Lock()
@@ -151,8 +133,8 @@ type TraceSearcher struct {
 	stage string
 }
 
-// SetStage implements StageTagger: subsequent batches are attributed to
-// the given pipeline stage.
+// SetStage attributes subsequent batches to the given pipeline stage
+// (TagStage calls it).
 func (s *TraceSearcher) SetStage(stage string) { s.stage = stage }
 
 // Nearest implements Searcher, recording a batch of one.

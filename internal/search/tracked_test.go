@@ -39,7 +39,7 @@ func TestBatchNearestTrackedMatchesInto(t *testing.T) {
 			var want twostage.Stats
 			c, m := append([]twostage.Cert(nil), certs...), append([]float64(nil), moved...)
 			for i, q := range qs {
-				s.Tree().NearestTracked(q, &c[i], &m[i], &want)
+				s.index.NearestTracked(q, &c[i], &m[i], &want)
 			}
 			before, beforeFresh := *s.Metrics(), *fresh.Metrics()
 			buf = BatchNearestTracked(s, qs, certs, moved, buf)

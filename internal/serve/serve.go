@@ -265,10 +265,6 @@ func (s *Server) snapshotSessions() []*session {
 	return out
 }
 
-// Metrics exposes the server's registry (the /metrics backing store) so
-// embedding programs can add their own series or scrape in-process.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // BuildInfo reports the running binary's identity from the embedded
 // build metadata: module path and version, Go toolchain, and — when the
 // binary was built inside a checkout — VCS revision, commit time, and

@@ -160,8 +160,9 @@ func TestBackendRestartsLeadersModelDoesNot(t *testing.T) {
 	pts := surfacePoints(r, 6000)
 	queries := clusteredQueries(r, pts, 600)
 	opts := twostage.ApproxOptions{Threshold: twostage.DefaultNNThreshold}
-	backend := search.NewTwoStageSearcher(pts, search.TwoStageConfig{TopHeight: -1, Approx: &opts})
-	tree := backend.Tree()
+	height := twostage.HeightForLeafSize(len(pts), 32) // what TopHeight -1 picks
+	backend := search.NewTwoStageSearcher(pts, search.TwoStageConfig{TopHeight: height, Approx: &opts})
+	tree := twostage.Build(pts, height)
 
 	cfg := DefaultConfig()
 	cfg.Approx = opts.Threshold

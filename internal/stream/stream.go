@@ -329,8 +329,8 @@ type queuedFrame struct {
 // stage-span ids.
 func frameSpanID(idx int) uint64 { return uint64(idx) + 1 }
 
-// ErrClosed is returned by Push after Close.
-var ErrClosed = errors.New("stream: engine closed")
+// errClosed is returned by Push after Close.
+var errClosed = errors.New("stream: engine closed")
 
 // New creates an engine and, in pipelined mode, starts its stage
 // workers (two, or three with the loop-closure stage). Callers must
@@ -406,7 +406,7 @@ func (e *Engine) PushSlab(s *cloud.Slab) (int, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return 0, ErrClosed
+		return 0, errClosed
 	}
 	idx := e.pushed
 	e.pushed++
@@ -693,7 +693,7 @@ func (e *Engine) Drain() {
 }
 
 // Close drains the session, stops the pipeline workers, and releases the
-// last frame's state. Push returns ErrClosed afterwards; Trajectory and
+// last frame's state. Push returns an error afterwards; Trajectory and
 // Stats remain readable.
 func (e *Engine) Close() {
 	// Serialize with Push: a frame mid-submission finishes (or its send
@@ -832,7 +832,3 @@ func (e *Engine) OptimizedPoses() ([]geom.Transform, posegraph.Result, error) {
 	}
 	return poses, res, err
 }
-
-// TraceID returns the trace id stamped on the session's spans (zero
-// when no flight recorder is attached).
-func (e *Engine) TraceID() obs.TraceID { return e.trace }

@@ -218,8 +218,8 @@ func TestStreamConcurrentSessions(t *testing.T) {
 				t.Errorf("session drained with %d frames, want %d", got, frames)
 			}
 			eng.Close()
-			if _, err := eng.Push(cloud.New(0)); err != ErrClosed {
-				t.Errorf("push after close: err = %v, want ErrClosed", err)
+			if _, err := eng.Push(cloud.New(0)); err != errClosed {
+				t.Errorf("push after close: err = %v, want errClosed", err)
 			}
 		}(int64(30 + s))
 	}

@@ -88,23 +88,28 @@ func TestTracingInert(t *testing.T) {
 }
 
 // TestTracingDefaultsTraceID pins that an engine given a flight
-// recorder but no trace id mints one and exposes it via TraceID().
+// recorder but no trace id mints one and stamps it on every span.
 func TestTracingDefaultsTraceID(t *testing.T) {
 	seq := testSeq(t, 2, 54)
 	fr := obs.NewFlightRecorder(256, 1)
 	eng := New(Config{Pipeline: testConfig(search.BackendCanonical), Flight: fr})
-	if eng.TraceID().IsZero() {
-		t.Fatal("engine with a flight recorder minted no trace id")
-	}
 	for _, f := range cloneFrames(seq) {
 		if _, err := eng.Push(f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.Close()
-	for _, ev := range fr.Events() {
-		if ev.Trace != eng.TraceID() {
-			t.Fatalf("span %q trace %s != engine trace %s", ev.Stage, ev.Trace, eng.TraceID())
+	events := fr.Events()
+	if len(events) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	trace := events[0].Trace
+	if trace.IsZero() {
+		t.Fatal("engine with a flight recorder minted no trace id")
+	}
+	for _, ev := range events {
+		if ev.Trace != trace {
+			t.Fatalf("span %q trace %s != first span's trace %s", ev.Stage, ev.Trace, trace)
 		}
 	}
 }

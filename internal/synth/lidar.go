@@ -61,8 +61,8 @@ type Lidar struct {
 	scene *Scene
 }
 
-// NewLidar binds a sensor configuration to a scene.
-func NewLidar(scene *Scene, cfg LidarConfig) *Lidar {
+// newLidar binds a sensor configuration to a scene.
+func newLidar(scene *Scene, cfg LidarConfig) *Lidar {
 	cfg.defaults()
 	return &Lidar{cfg: cfg, scene: scene}
 }

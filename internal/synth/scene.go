@@ -173,12 +173,12 @@ func (c *SceneConfig) defaults() {
 	}
 }
 
-// GenerateScene builds a deterministic street scene: ground plane, building
+// generateScene builds a deterministic street scene: ground plane, building
 // facades lining both sides, poles, and parked cars. The mix mirrors what a
 // KITTI residential/road sequence contains, which is what gives LiDAR
 // clouds their characteristic structure: a huge dense ground region plus
 // vertical structure at mid ranges.
-func GenerateScene(cfg SceneConfig) *Scene {
+func generateScene(cfg SceneConfig) *Scene {
 	cfg.defaults()
 	rng := newSplitMix(uint64(cfg.Seed)*2654435761 + 12345)
 

@@ -142,8 +142,8 @@ func GenerateSequence(cfg SequenceConfig) *Sequence {
 	if cfg.Trajectory == nil {
 		cfg.Trajectory = DrivingTrajectory{}
 	}
-	scene := GenerateScene(cfg.Scene)
-	lidar := NewLidar(scene, cfg.Lidar)
+	scene := generateScene(cfg.Scene)
+	lidar := newLidar(scene, cfg.Lidar)
 
 	seq := &Sequence{
 		Frames: make([]*cloud.Cloud, cfg.NumFrames),

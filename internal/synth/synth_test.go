@@ -71,12 +71,12 @@ func TestCylinderIntersect(t *testing.T) {
 }
 
 func TestSceneDeterminism(t *testing.T) {
-	a := GenerateScene(SceneConfig{Seed: 42})
-	b := GenerateScene(SceneConfig{Seed: 42})
+	a := generateScene(SceneConfig{Seed: 42})
+	b := generateScene(SceneConfig{Seed: 42})
 	if len(a.prims) != len(b.prims) {
 		t.Fatalf("same seed produced %d vs %d primitives", len(a.prims), len(b.prims))
 	}
-	c := GenerateScene(SceneConfig{Seed: 43})
+	c := generateScene(SceneConfig{Seed: 43})
 	// Different seeds should (overwhelmingly) differ somewhere; compare a
 	// raycast fingerprint.
 	origin := geom.Vec3{Z: 1.7}
@@ -96,7 +96,7 @@ func TestSceneDeterminism(t *testing.T) {
 }
 
 func TestSceneRaycastHitsGround(t *testing.T) {
-	s := GenerateScene(SceneConfig{Seed: 1})
+	s := generateScene(SceneConfig{Seed: 1})
 	// Steep downward ray must hit the ground (or something nearer).
 	d, ok := s.Raycast(geom.Vec3{Z: 1.7}, geom.Vec3{X: 0.1, Z: -1}.Normalize(), 120)
 	if !ok {
@@ -108,8 +108,8 @@ func TestSceneRaycastHitsGround(t *testing.T) {
 }
 
 func TestLidarScanProducesPlausibleFrame(t *testing.T) {
-	scene := GenerateScene(SceneConfig{Seed: 7, Length: 120})
-	lidar := NewLidar(scene, LidarConfig{Beams: 16, AzimuthSteps: 300, Seed: 7})
+	scene := generateScene(SceneConfig{Seed: 7, Length: 120})
+	lidar := newLidar(scene, LidarConfig{Beams: 16, AzimuthSteps: 300, Seed: 7})
 	frame := lidar.Scan(geom.IdentityTransform(), 0)
 	if frame.Len() < 1000 {
 		t.Fatalf("frame too sparse: %d points", frame.Len())
@@ -139,8 +139,8 @@ func TestLidarScanProducesPlausibleFrame(t *testing.T) {
 }
 
 func TestLidarDeterministicPerFrameIndex(t *testing.T) {
-	scene := GenerateScene(SceneConfig{Seed: 3})
-	lidar := NewLidar(scene, LidarConfig{Beams: 8, AzimuthSteps: 100, Seed: 3})
+	scene := generateScene(SceneConfig{Seed: 3})
+	lidar := newLidar(scene, LidarConfig{Beams: 8, AzimuthSteps: 100, Seed: 3})
 	a := lidar.Scan(geom.IdentityTransform(), 5)
 	b := lidar.Scan(geom.IdentityTransform(), 5)
 	if a.Len() != b.Len() {
@@ -268,12 +268,12 @@ func TestSplitMixDistribution(t *testing.T) {
 }
 
 func TestSceneConfigKnobs(t *testing.T) {
-	base := GenerateScene(SceneConfig{Seed: 1})
-	dense := GenerateScene(SceneConfig{Seed: 1, CarDensity: 3, PoleSpacing: 6, BuildingDensity: 2})
+	base := generateScene(SceneConfig{Seed: 1})
+	dense := generateScene(SceneConfig{Seed: 1, CarDensity: 3, PoleSpacing: 6, BuildingDensity: 2})
 	if len(dense.prims) <= len(base.prims) {
 		t.Errorf("denser knobs produced %d primitives vs base %d", len(dense.prims), len(base.prims))
 	}
-	long := GenerateScene(SceneConfig{Seed: 1, Length: 500})
+	long := generateScene(SceneConfig{Seed: 1, Length: 500})
 	if len(long.prims) <= len(base.prims) {
 		t.Error("longer street should have more primitives")
 	}
@@ -293,8 +293,8 @@ func TestLidarBeamGeometry(t *testing.T) {
 	// Beam elevations must span the configured FOV: the top beam looks
 	// slightly up (hits tall facades), the bottom steeply down (hits
 	// ground near the vehicle).
-	scene := GenerateScene(SceneConfig{Seed: 2})
-	lidar := NewLidar(scene, LidarConfig{Beams: 4, AzimuthSteps: 90, Seed: 2, RangeNoiseStd: 1e-9})
+	scene := generateScene(SceneConfig{Seed: 2})
+	lidar := newLidar(scene, LidarConfig{Beams: 4, AzimuthSteps: 90, Seed: 2, RangeNoiseStd: 1e-9})
 	frame := lidar.Scan(geom.IdentityTransform(), 0)
 	var minZ, maxZ float64
 	for i, p := range frame.Points {

@@ -30,7 +30,7 @@ func seqBuild(pts []geom.Vec3, topHeight int) *Tree {
 
 func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 	if len(idx) == 0 {
-		return ChildNone
+		return childNone
 	}
 	if depth >= t.height {
 		id := len(t.leaves)
@@ -50,12 +50,12 @@ func seqBuildRec(t *Tree, idx []int32, depth int) Child {
 	})
 	mid := len(idx) / 2
 	self := len(t.nodes)
-	t.nodes = append(t.nodes, Node{
+	t.nodes = append(t.nodes, topNode{
 		Point: idx[mid],
 		Axis:  int8(axis),
 		Split: float64(ax[idx[mid]]),
-		Left:  ChildNone,
-		Right: ChildNone,
+		Left:  childNone,
+		Right: childNone,
 	})
 	left := seqBuildRec(t, idx[:mid], depth+1)
 	right := seqBuildRec(t, idx[mid+1:], depth+1)

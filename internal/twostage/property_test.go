@@ -117,7 +117,7 @@ func TestQuickSplitPlaneInvariant(t *testing.T) {
 		var collect func(c Child) []int32
 		collect = func(c Child) []int32 {
 			switch {
-			case c == ChildNone:
+			case c == childNone:
 				return nil
 			case c.IsLeaf():
 				return tree.Leaves()[c.LeafID()]

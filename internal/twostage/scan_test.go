@@ -107,7 +107,7 @@ func TestRadiusScanKeepsToItsBuffer(t *testing.T) {
 	for _, h := range []int{0, 3, 6} {
 		tree := Build(pts, h)
 		slab := tree.Slab()
-		leaf := tree.MaxLeafSize()
+		leaf := maxLeafSize(tree)
 		queries := scanQueries(r, slab)[slab.Len()-40 : slab.Len()+40]
 		for _, capacity := range []int{-1, 0, 1, leaf - 1, leaf, leaf + 1, 3 * leaf, 4 * len(pts)} {
 			const before = 8

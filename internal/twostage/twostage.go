@@ -61,11 +61,11 @@ import (
 )
 
 // Child encodes a top-tree child link: an internal node index (>= 0), an
-// empty slot (ChildNone), or a leaf-set reference (use LeafID to decode).
+// empty slot (childNone), or a leaf-set reference (use LeafID to decode).
 type Child int32
 
-// ChildNone marks an absent child.
-const ChildNone Child = -1
+// childNone marks an absent child.
+const childNone Child = -1
 
 // leafBase offsets leaf encodings so they never collide with node indices.
 const leafBase Child = -2
@@ -79,9 +79,9 @@ func (c Child) LeafID() int { return int(leafBase - c) }
 // encodeLeaf builds the child link for leaf set id.
 func encodeLeaf(id int) Child { return leafBase - Child(id) }
 
-// Node is one top-tree node. It stores a point (like the canonical tree)
+// topNode is one top-tree node. It stores a point (like the canonical tree)
 // and a splitting plane.
-type Node struct {
+type topNode struct {
 	Point       int32 // index into the point slice
 	Left, Right Child
 	Axis        int8
@@ -96,7 +96,7 @@ type Node struct {
 type Tree struct {
 	slab       *cloud.Slab
 	xs, ys, zs []float32
-	nodes      []Node
+	nodes      []topNode
 	// perm is the index permutation the build arranged; leaf set j is its
 	// window leaves[j], and lx, ly, lz hold the coordinates in the same
 	// order (lx[k] is xs[perm[k]]), so a leaf scan reads four contiguous
@@ -151,14 +151,14 @@ func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 	if topHeight < 0 {
 		topHeight = 0
 	}
-	t := &Tree{slab: s, xs: s.Xs, ys: s.Ys, zs: s.Zs, height: topHeight, root: ChildNone}
+	t := &Tree{slab: s, xs: s.Xs, ys: s.Ys, zs: s.Zs, height: topHeight, root: childNone}
 	n := s.Len()
 	if n == 0 {
 		return t
 	}
 	nNodes, nLeaves := subtreeSize(n, topHeight)
 	if nNodes > 0 {
-		t.nodes = make([]Node, nNodes)
+		t.nodes = make([]topNode, nNodes)
 	}
 	if nLeaves > 0 {
 		t.leaves = make([]leafRun, nLeaves)
@@ -265,12 +265,12 @@ func (t *Tree) buildAt(p *kdtree.Presort, at, n int32, depth int, nodeAt, leafAt
 		t.perm[at+mid] = point
 		p.Split(lo, hi, axis)
 	}
-	nd := Node{
+	nd := topNode{
 		Point: point,
 		Axis:  int8(axis),
 		Split: float64(split),
-		Left:  ChildNone,
-		Right: ChildNone,
+		Left:  childNone,
+		Right: childNone,
 	}
 	leftN, leftL := subtreeSize(int(mid), rem)
 	if mid > 0 {
@@ -289,7 +289,7 @@ func (t *Tree) buildAt(p *kdtree.Presort, at, n int32, depth int, nodeAt, leafAt
 	}
 	t.nodes[nodeAt] = nd
 	rightAt := at + mid + 1
-	if spawn > 0 && n >= buildSpawnMin && nd.Left != ChildNone && nd.Right != ChildNone && par.TryAcquire() {
+	if spawn > 0 && n >= buildSpawnMin && nd.Left != childNone && nd.Right != childNone && par.TryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -301,10 +301,10 @@ func (t *Tree) buildAt(p *kdtree.Presort, at, n int32, depth int, nodeAt, leafAt
 		wg.Wait()
 		return
 	}
-	if nd.Left != ChildNone {
+	if nd.Left != childNone {
 		t.buildAt(p, at, mid, depth+1, nodeAt+1, leafAt, spawn)
 	}
-	if nd.Right != ChildNone {
+	if nd.Right != childNone {
 		t.buildAt(p, rightAt, n-mid-1, depth+1, nodeAt+1+leftN, leafAt+leftL, spawn)
 	}
 }
@@ -357,16 +357,6 @@ func (t *Tree) Leaves() [][]int32 {
 		sets[j] = t.perm[l.lo:l.hi:l.hi]
 	}
 	return sets
-}
-
-// MaxLeafSize returns the size of the largest leaf set (the paper's
-// "leaf-set size" knob reported in Fig. 6).
-func (t *Tree) MaxLeafSize() int {
-	m := 0
-	for _, l := range t.leaves {
-		m = max(m, int(l.hi-l.lo))
-	}
-	return m
 }
 
 // Stats instruments two-stage searches. The split between top-tree visits
@@ -537,7 +527,7 @@ func (w *nnWalk) cert() Cert {
 // walk runs the NN walk from the root, under session s when it is not
 // nil, proving a certificate when track is set.
 func (t *Tree) walk(q geom.Vec3, track bool, stats *Stats, s *ApproxSession) nnWalk {
-	w := nnWalk{best: kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}, set: ChildNone, gap2: math.MaxFloat64, track: track}
+	w := nnWalk{best: kdtree.Neighbor{Index: -1, Dist2: math.MaxFloat64}, set: childNone, gap2: math.MaxFloat64, track: track}
 	t.nearest(t.root, q, &w, stats, s)
 	return w
 }
@@ -551,7 +541,7 @@ func (t *Tree) walk(q geom.Vec3, track bool, stats *Stats, s *ApproxSession) nnW
 // per leaf and nil checks per node for the sharing.
 func (t *Tree) nearest(c Child, q geom.Vec3, w *nnWalk, stats *Stats, s *ApproxSession) {
 	switch {
-	case c == ChildNone:
+	case c == childNone:
 		return
 	case c.IsLeaf():
 		if s != nil {
@@ -589,7 +579,7 @@ func (t *Tree) nearest(c Child, q geom.Vec3, w *nnWalk, stats *Stats, s *ApproxS
 			near, far = far, near
 		}
 		t.nearest(near, q, w, stats, s)
-		if far != ChildNone {
+		if far != childNone {
 			if diff*diff < w.best.Dist2 {
 				t.nearest(far, q, w, stats, s)
 			} else {
@@ -657,7 +647,7 @@ func (t *Tree) KNearestInto(q geom.Vec3, k int, buf []kdtree.Neighbor, stats *St
 // appends in visiting order and leaves the sorting to its callers.
 func (t *Tree) radius(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, stats *Stats, s *ApproxSession) {
 	switch {
-	case c == ChildNone:
+	case c == childNone:
 		return
 	case c.IsLeaf():
 		if s != nil {
@@ -689,7 +679,7 @@ func (t *Tree) radius(c Child, q geom.Vec3, r2 float64, res *[]kdtree.Neighbor, 
 			near, far = far, near
 		}
 		t.radius(near, q, r2, res, stats, s)
-		if far != ChildNone {
+		if far != childNone {
 			if diff*diff <= r2 {
 				t.radius(far, q, r2, res, stats, s)
 			} else {

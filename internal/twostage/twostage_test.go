@@ -135,12 +135,22 @@ func TestRedundancyIncreasesWithLeafSize(t *testing.T) {
 	}
 }
 
+// maxLeafSize returns the size of the largest leaf set (the paper's
+// "leaf-set size" knob reported in Fig. 6).
+func maxLeafSize(t *Tree) int {
+	m := 0
+	for _, l := range t.leaves {
+		m = max(m, int(l.hi-l.lo))
+	}
+	return m
+}
+
 func TestBuildWithLeafSizeRespectsTarget(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	pts := randPoints(r, 1000)
 	for _, target := range []int{1, 4, 16, 64} {
 		tree := BuildWithLeafSize(pts, target)
-		if got := tree.MaxLeafSize(); got > target {
+		if got := maxLeafSize(tree); got > target {
 			t.Errorf("target %d: max leaf size %d", target, got)
 		}
 	}
@@ -156,8 +166,8 @@ func TestChildEncoding(t *testing.T) {
 			t.Fatalf("leaf id round trip: %d -> %d", id, c.LeafID())
 		}
 	}
-	if ChildNone.IsLeaf() || ChildNone >= 0 {
-		t.Error("ChildNone misclassified")
+	if childNone.IsLeaf() || childNone >= 0 {
+		t.Error("childNone misclassified")
 	}
 	if Child(5).IsLeaf() {
 		t.Error("node child misclassified")
