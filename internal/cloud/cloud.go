@@ -110,7 +110,8 @@ var voxelGrids par.FreeList[*voxelGrid]
 // routinely downsample dense LiDAR frames before key-point detection; the
 // leaf size is one of the pipeline's parametric knobs. Cell keys are
 // computed from the dequantized coordinates, centroids accumulate in
-// float64, and the result is re-quantized into a fresh slab. Normals are
+// float64, and the result is re-quantized into a fresh slab (its columns
+// drawn from the ones released slabs handed back). Normals are
 // not carried over (the front-end estimates them on the downsampled
 // cloud).
 func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
@@ -143,7 +144,7 @@ func VoxelDownsampleSlab(s *Slab, leaf float64) *Slab {
 		c.sum = c.sum.Add(p)
 		c.count++
 	}
-	out := NewSlab(len(g.cells))
+	out := takeSlab(len(g.cells))
 	for i, c := range g.cells {
 		out.SetPoint(i, c.sum.Scale(1/float64(c.count)))
 	}

@@ -306,8 +306,10 @@ func frameWithNormals(n int) []byte {
 	return buf.Bytes()
 }
 
-// TestReadersMatchReference also holds both readers to columns of
-// exactly the frame's length, a frame longer than maxPrealloc included.
+// TestReadersMatchReference also holds Read to slices of exactly the
+// frame's length, and ReadSlab to pooled columns at most three eighths
+// longer (par.SlicePool's size classes), a frame longer than maxPrealloc
+// included.
 func TestReadersMatchReference(t *testing.T) {
 	for _, n := range []int{0, 1, 1000, maxPrealloc + 3, 2*maxPrealloc + 5} {
 		body := frameWithNormals(n)
@@ -325,12 +327,16 @@ func TestReadersMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSlab(t, s, SlabFromCloud(want))
+		for name, k := range map[string]int{"Points": cap(c.Points), "Normals": cap(c.Normals)} {
+			if k != n {
+				t.Errorf("%d points: %s has capacity %d", n, name, k)
+			}
+		}
 		for name, k := range map[string]int{
-			"Points": cap(c.Points), "Normals": cap(c.Normals),
 			"Xs": cap(s.Xs), "Ys": cap(s.Ys), "Zs": cap(s.Zs),
 			"NXs": cap(s.NXs), "NYs": cap(s.NYs), "NZs": cap(s.NZs),
 		} {
-			if k != n {
+			if k < n || 8*(k-n) > 3*n {
 				t.Errorf("%d points: %s has capacity %d", n, name, k)
 			}
 		}

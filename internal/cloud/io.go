@@ -32,8 +32,8 @@ const (
 	// maxPrealloc caps the points a reader allocates for before it has
 	// read them: the header's count is the sender's claim, and a 73-byte
 	// body claiming 10⁸ points must not buy gigabytes. A longer frame
-	// doubles (grownCapacity) up to exactly the declared count, so one
-	// read in full holds no slack.
+	// doubles (grownCapacity) up to the declared count, so one read in
+	// full holds no more slack than its columns' size class (ReadSlab).
 	maxPrealloc = 1 << 16
 )
 
@@ -101,27 +101,40 @@ func Read(r io.Reader) (*Cloud, error) {
 // value is the float32 of Read's float64, so the slab is exactly
 // SlabFromCloud(Read(r)), normals included, and nothing Read refuses is
 // accepted — a point or a normal that is not finite as float32 included.
-// The slab is the only allocation that grows with the frame.
+// The slab is the only allocation that grows with the frame, and its
+// columns come from the ones released slabs handed back (Slab.Recycle),
+// so they may hold up to three eighths more than the frame.
 func ReadSlab(r io.Reader) (*Slab, error) {
 	p, err := newReader(r)
 	if err != nil {
 		return nil, err
 	}
 	k := p.capacity()
-	s := &Slab{Xs: make([]float32, 0, k), Ys: make([]float32, 0, k), Zs: make([]float32, 0, k)}
+	s := &Slab{Xs: columns.Get(k)[:0], Ys: columns.Get(k)[:0], Zs: columns.Get(k)[:0]}
 	if p.want == 6 {
-		s.NXs, s.NYs, s.NZs = make([]float32, 0, k), make([]float32, 0, k), make([]float32, 0, k)
+		s.NXs, s.NYs, s.NZs = columns.Get(k)[:0], columns.Get(k)[:0], columns.Get(k)[:0]
 	}
+	s, err = p.readSlab(s, k)
+	if err != nil {
+		s.Recycle()
+		return nil, err
+	}
+	return s, nil
+}
+
+// readSlab fills s, whose columns each hold at least k points, with the
+// body's points and checks them.
+func (p *reader) readSlab(s *Slab, k int) (*Slab, error) {
 	var v [6]float64
 	for i := 0; i < p.n; i++ {
 		if err := p.point(i, v[:p.want]); err != nil {
-			return nil, err
+			return s, err
 		}
-		if i == cap(s.Xs) {
-			k := p.grownCapacity(i)
-			s.Xs, s.Ys, s.Zs = grown(s.Xs, k), grown(s.Ys, k), grown(s.Zs, k)
+		if i == k {
+			k = p.grownCapacity(i)
+			s.Xs, s.Ys, s.Zs = grownColumn(s.Xs, k), grownColumn(s.Ys, k), grownColumn(s.Zs, k)
 			if p.want == 6 {
-				s.NXs, s.NYs, s.NZs = grown(s.NXs, k), grown(s.NYs, k), grown(s.NZs, k)
+				s.NXs, s.NYs, s.NZs = grownColumn(s.NXs, k), grownColumn(s.NYs, k), grownColumn(s.NZs, k)
 			}
 		}
 		s.Xs = append(s.Xs, float32(v[0]))
@@ -135,15 +148,24 @@ func ReadSlab(r io.Reader) (*Slab, error) {
 	}
 	for i := range s.Xs {
 		if pt := s.At(i); !pt.IsFinite() {
-			return nil, fmt.Errorf("cloud: point %d is not finite in float32: %v", i, pt)
+			return s, fmt.Errorf("cloud: point %d is not finite in float32: %v", i, pt)
 		}
 	}
 	for i := range s.NXs {
 		if nv := s.NormalAt(i); !nv.IsFinite() {
-			return nil, fmt.Errorf("cloud: normal %d is not finite in float32: %v", i, nv)
+			return s, fmt.Errorf("cloud: normal %d is not finite in float32: %v", i, nv)
 		}
 	}
 	return s, nil
+}
+
+// grownColumn moves c into a pooled column with room for k points and
+// hands c's array back.
+func grownColumn(c []float32, k int) []float32 {
+	t := columns.Get(k)[:len(c)]
+	copy(t, c)
+	columns.Put(c)
+	return t
 }
 
 // reader is the one tokenizer behind Read and ReadSlab: the header, then

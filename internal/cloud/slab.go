@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 
 	"tigris/internal/geom"
+	"tigris/internal/par"
 )
 
 // Slab is the structure-of-arrays float32 point store: three contiguous
@@ -33,18 +35,43 @@ type Slab struct {
 	NXs, NYs, NZs []float32
 }
 
+// columns recycles point and normal columns. Every slab constructor
+// draws from it and Recycle hands a slab's columns back, so a streaming
+// session whose frames are released (registration.PreparedFrame.Release)
+// reads, downsamples and estimates normals into the same arrays frame
+// after frame.
+var columns = par.NewSlicePool(float32(math.NaN()))
+
+// takeSlab returns a slab of n points whose coordinates the caller
+// overwrites (no normals).
+func takeSlab(n int) *Slab {
+	return &Slab{Xs: columns.Get(n), Ys: columns.Get(n), Zs: columns.Get(n)}
+}
+
 // NewSlab returns a slab of n zeroed points (no normals).
 func NewSlab(n int) *Slab {
-	return &Slab{
-		Xs: make([]float32, n),
-		Ys: make([]float32, n),
-		Zs: make([]float32, n),
+	s := takeSlab(n)
+	clear(s.Xs)
+	clear(s.Ys)
+	clear(s.Zs)
+	return s
+}
+
+// Recycle hands every column s holds back for later slabs and leaves s
+// empty. Nothing may read the columns afterwards, through s or through
+// any other header or view of them: a caller that shares some (a
+// detached frame, registration.PreparedFrame.Detach) sets those fields
+// to nil first.
+func (s *Slab) Recycle() {
+	for _, c := range []*[]float32{&s.Xs, &s.Ys, &s.Zs, &s.NXs, &s.NYs, &s.NZs} {
+		columns.Put(*c)
+		*c = nil
 	}
 }
 
 // SlabFromPoints quantizes an AoS point slice into a fresh slab.
 func SlabFromPoints(pts []geom.Vec3) *Slab {
-	s := NewSlab(len(pts))
+	s := takeSlab(len(pts))
 	for i, p := range pts {
 		s.Xs[i] = float32(p.X)
 		s.Ys[i] = float32(p.Y)
@@ -90,15 +117,16 @@ func (s *Slab) HasNormals() bool {
 	return s.NXs != nil && len(s.NXs) == len(s.Xs)
 }
 
-// EnsureNormals allocates zeroed normal slabs if absent.
+// EnsureNormals gives the slab zeroed normal slabs if it has none.
 func (s *Slab) EnsureNormals() {
 	if s.HasNormals() {
 		return
 	}
 	n := s.Len()
-	s.NXs = make([]float32, n)
-	s.NYs = make([]float32, n)
-	s.NZs = make([]float32, n)
+	s.NXs, s.NYs, s.NZs = columns.Get(n), columns.Get(n), columns.Get(n)
+	clear(s.NXs)
+	clear(s.NYs)
+	clear(s.NZs)
 }
 
 // NormalAt dequantizes normal i (call only when HasNormals).
@@ -152,15 +180,16 @@ func (s *Slab) Points() []geom.Vec3 {
 
 // Clone returns a deep copy.
 func (s *Slab) Clone() *Slab {
-	out := &Slab{
-		Xs: append([]float32(nil), s.Xs...),
-		Ys: append([]float32(nil), s.Ys...),
-		Zs: append([]float32(nil), s.Zs...),
-	}
+	out := takeSlab(s.Len())
+	copy(out.Xs, s.Xs)
+	copy(out.Ys, s.Ys)
+	copy(out.Zs, s.Zs)
 	if s.HasNormals() {
-		out.NXs = append([]float32(nil), s.NXs...)
-		out.NYs = append([]float32(nil), s.NYs...)
-		out.NZs = append([]float32(nil), s.NZs...)
+		n := s.Len()
+		out.NXs, out.NYs, out.NZs = columns.Get(n), columns.Get(n), columns.Get(n)
+		copy(out.NXs, s.NXs)
+		copy(out.NYs, s.NYs)
+		copy(out.NZs, s.NZs)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"tigris/internal/cloud"
@@ -77,18 +78,37 @@ func (c *KeypointConfig) defaults() {
 // Harris detector is selected.
 func DetectKeypoints(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []int {
 	cfg.defaults()
-	var responses []float64
+	sc, ok := idleKeypointScratch.Get()
+	if !ok {
+		sc = &keypointScratch{}
+	}
+	defer idleKeypointScratch.Put(sc)
+	sc.responses = slices.Grow(sc.responses[:0], c.Len())[:c.Len()]
+	clear(sc.responses)
 	var suppressRadius float64
 	switch cfg.Method {
 	case SIFT3D:
-		responses = siftResponses(c, s, cfg)
+		siftResponses(c, s, cfg, sc.responses)
 		suppressRadius = cfg.Scale * 2
 	default:
-		responses = harrisResponses(c, s, cfg)
+		harrisResponses(c, s, cfg, sc.responses)
 		suppressRadius = cfg.Radius
 	}
-	return selectKeypoints(c, s, responses, suppressRadius, cfg)
+	return selectKeypoints(c, s, sc, suppressRadius, cfg)
 }
+
+// keypointScratch is what a detection needs besides its result: the
+// per-point responses, the positive ones sorted for the quantile, the
+// candidates, the suppression marks and the query of a suppression
+// search. A session detects once a frame, so scratches are recycled.
+type keypointScratch struct {
+	responses, positive []float64
+	cand                []int
+	suppressed          []bool
+	query               []geom.Vec3
+}
+
+var idleKeypointScratch par.FreeList[*keypointScratch]
 
 // harrisResponses computes a Harris3D response over the covariance C of
 // surface normals in each point's support region. The classic
@@ -98,8 +118,9 @@ func DetectKeypoints(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []int
 // trace(C) + det(C)/k', which ranks edges and corners above planes using
 // the same covariance statistic. PCL's Harris3D offers equivalent
 // alternative response functions (NOBLE, CURVATURE) for the same reason.
-func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float64 {
-	res := make([]float64, c.Len())
+// res holds one zeroed response per point of c; a point with fewer than
+// five neighbors keeps its zero.
+func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig, res []float64) {
 	forRadiusBlocks(s, c, nil, cfg.Radius, func(_, i int, nbs []kdtree.Neighbor) {
 		if len(nbs) < 5 {
 			return
@@ -128,7 +149,6 @@ func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []flo
 		}.Scale(1 / float64(len(nbs)))
 		res[i] = cov.Trace() + cov.Det()/harrisK
 	})
-	return res
 }
 
 // siftResponses builds a difference-of-densities scale space: at each
@@ -136,8 +156,8 @@ func harrisResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []flo
 // response is the maximum absolute difference between adjacent scales.
 // Blob-like structure (curbs, poles, car corners) produces large
 // differences; flat regions produce nearly scale-invariant densities.
-func siftResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float64 {
-	res := make([]float64, c.Len())
+// res receives one response per point of c.
+func siftResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig, res []float64) {
 	scales := make([]float64, siftOctaves+1)
 	for o := range scales {
 		scales[o] = cfg.Scale * math.Pow(2, float64(o)*0.5)
@@ -168,18 +188,21 @@ func siftResponses(c *cloud.Slab, s search.Searcher, cfg KeypointConfig) []float
 		}
 		res[i] = best
 	})
-	return res
 }
 
-// selectKeypoints thresholds responses at the configured quantile and
-// applies non-maximum suppression within suppressRadius.
-func selectKeypoints(c *cloud.Slab, s search.Searcher, responses []float64, suppressRadius float64, cfg KeypointConfig) []int {
-	positive := make([]float64, 0, len(responses))
+// selectKeypoints thresholds sc's responses at the configured quantile
+// and applies non-maximum suppression within suppressRadius. Each
+// suppression search is a batch of one, answered into a pooled arena and
+// handed back once its marks are set.
+func selectKeypoints(c *cloud.Slab, s search.Searcher, sc *keypointScratch, suppressRadius float64, cfg KeypointConfig) []int {
+	responses := sc.responses
+	positive := sc.positive[:0]
 	for _, r := range responses {
 		if r > 0 {
 			positive = append(positive, r)
 		}
 	}
+	sc.positive = positive
 	if len(positive) == 0 {
 		return nil
 	}
@@ -191,12 +214,13 @@ func selectKeypoints(c *cloud.Slab, s search.Searcher, responses []float64, supp
 	threshold := positive[qIdx]
 
 	// Candidates above threshold, strongest first.
-	cand := make([]int, 0, len(responses)/8)
+	cand := sc.cand[:0]
 	for i, r := range responses {
 		if r >= threshold && r > 0 {
 			cand = append(cand, i)
 		}
 	}
+	sc.cand = cand
 	sort.Slice(cand, func(a, b int) bool {
 		if responses[cand[a]] != responses[cand[b]] {
 			return responses[cand[a]] > responses[cand[b]]
@@ -204,7 +228,11 @@ func selectKeypoints(c *cloud.Slab, s search.Searcher, responses []float64, supp
 		return cand[a] < cand[b]
 	})
 
-	suppressed := make([]bool, len(responses))
+	suppressed := slices.Grow(sc.suppressed[:0], len(responses))[:len(responses)]
+	sc.suppressed = suppressed
+	clear(suppressed)
+	query := slices.Grow(sc.query[:0], 1)[:1]
+	sc.query = query
 	var out []int
 	for _, i := range cand {
 		if suppressed[i] {
@@ -214,9 +242,12 @@ func selectKeypoints(c *cloud.Slab, s search.Searcher, responses []float64, supp
 		if cfg.MaxKeypoints > 0 && len(out) >= cfg.MaxKeypoints {
 			break
 		}
-		for _, nb := range s.Radius(c.At(i), suppressRadius) {
+		query[0] = c.At(i)
+		nbs := s.RadiusBatch(query, suppressRadius)
+		for _, nb := range nbs[0] {
 			suppressed[nb.Index] = true
 		}
+		search.RecycleBatch(nbs)
 	}
 	return out
 }

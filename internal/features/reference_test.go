@@ -311,7 +311,8 @@ func TestHarrisBitIdenticalToReference(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			s.SetParallelism(workers)
 			cfg.defaults()
-			got := harrisResponses(c, s, cfg)
+			got := make([]float64, c.Len())
+			harrisResponses(c, s, cfg, got)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("radius %v p%d: response[%d] = %v, reference %v", radius, workers, i, got[i], want[i])

@@ -85,9 +85,12 @@ func (p *Presort) Release() {
 	idlePresorts.Put(p)
 }
 
+// resize returns s with length n. A list that must grow grows an eighth
+// past n: a session's frames differ by a few points, and growing to the
+// exact size would reallocate on every frame larger than all before it.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/8)
 	}
 	return s[:n]
 }

@@ -308,7 +308,8 @@ func frameSignature(d *features.Descriptors) (mean []float64, key geom.Vec3) {
 // and, by reference, the key-point positions, the raw point arrays and
 // (front-end on the raw cloud) its normals. The caller may go on to align
 // pf as source or target and Release it, none of which writes those
-// arrays; it must not move or re-estimate pf.Raw in place.
+// arrays (Release keeps them out of the pools); it must not move or
+// re-estimate pf.Raw in place.
 //
 // Signatures are retained uint8-quantized (see quantizedSignature); the
 // query side of every ranking is the freshly-computed mean passed
@@ -388,7 +389,8 @@ func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidat
 // consensus; a candidate naming a frame that was not retained is declined.
 // The newer frame is only read and the older one is aligned through a
 // Detach of its own, so what Align builds lives for this verification
-// alone and concurrent verifications may share either frame.
+// alone (its release hands the raw-cloud index and the normals back) and
+// concurrent verifications may share either frame.
 //
 // cfg governs the pair stages only (KPCE, rejection, ICP, the fine-tuning
 // index and its on-demand normals) — callers typically pass their pipeline
@@ -408,7 +410,9 @@ func (d *Detector) Verify(cand Candidate, cfg registration.PipelineConfig) (Clos
 		return Closure{}, false
 	}
 
-	res := registration.Align(from, to.Detach(), cfg)
+	target := to.Detach()
+	res := registration.Align(from, target, cfg)
+	target.Release()
 
 	cl := Closure{
 		From:            cand.From,

@@ -16,9 +16,11 @@
 package par
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"testing"
 )
 
 // grain is the number of consecutive indices a worker claims per atomic
@@ -248,8 +250,9 @@ func ForChunks(n, workers, c int, fn func(worker, lo, hi int)) {
 	})
 }
 
-// freeListMax bounds how many idle values a FreeList keeps; a Put beyond
-// it drops the value for the collector.
+// freeListMax bounds how many idle values a FreeList keeps, unless it
+// was given a limit of its own; a Put beyond it drops the value for the
+// collector.
 const freeListMax = 16
 
 // FreeList is a small bounded stack of reusable scratch values shared by
@@ -265,6 +268,7 @@ const freeListMax = 16
 type FreeList[T any] struct {
 	mu    sync.Mutex
 	items []T
+	limit int // the bound on idle values; 0 means freeListMax
 }
 
 // Get pops the most recently returned value; ok is false when the list
@@ -289,9 +293,110 @@ func (f *FreeList[T]) Put(v T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.items == nil {
-		f.items = make([]T, 0, freeListMax)
+		if f.limit == 0 {
+			f.limit = freeListMax
+		}
+		f.items = make([]T, 0, f.limit)
 	}
-	if len(f.items) < freeListMax {
+	if len(f.items) < f.limit {
 		f.items = append(f.items, v)
 	}
+}
+
+// SlicePool recycles the arrays a streaming session allocates once per
+// frame and drops a frame or two later (point and normal columns, tree
+// arrays): one FreeList per size class, eight classes to an octave, so
+// arrays of a raw frame's size and of a downsampled front-end's never
+// take each other's place or push each other out, and an array is at
+// most three eighths larger than the slice it was drawn for (Get). A
+// warmed session then draws the same arrays frame after frame.
+//
+// A class keeps up to slicePoolMax idle arrays: a pipelined session has
+// about five frames' slabs in flight at once (two queued, three in the
+// stages), six columns a slab, and all of them come back when it closes.
+//
+// In a test binary every array handed back is first overwritten with the
+// pool's poison value (NaN for floats, -1 for indices), so a reader that
+// outlives its owner's release changes the bits of whatever it computes.
+type SlicePool[E any] struct {
+	poison  E
+	classes [(bits.UintSize - 2) << classBits]FreeList[[]E]
+}
+
+const (
+	// classBits is log2 of the size classes per octave.
+	classBits    = 3
+	slicePoolMax = 64
+)
+
+// NewSlicePool returns an empty pool whose returned arrays are poisoned
+// with poison under test.
+func NewSlicePool[E any](poison E) *SlicePool[E] {
+	p := &SlicePool[E]{poison: poison}
+	for i := range p.classes {
+		p.classes[i].limit = slicePoolMax
+	}
+	return p
+}
+
+// poisonRecycled turns the poisoning on: in test binaries, always.
+var poisonRecycled = testing.Testing()
+
+// classBelow returns the largest size class not above c (c >= 1). Sizes
+// under 1<<classBits are classes of their own; above, an octave
+// [2^e, 2^(e+1)) splits into 1<<classBits equal steps.
+func classBelow(c int) int {
+	e := bits.Len(uint(c)) - 1
+	if e < classBits {
+		return c
+	}
+	m := c >> (e - classBits) & (1<<classBits - 1)
+	return (e-classBits+1)<<classBits + m
+}
+
+// classSize is the array length of size class i.
+func classSize(i int) int {
+	if i < 1<<classBits {
+		return i
+	}
+	e, m := i>>classBits+classBits-1, i&(1<<classBits-1)
+	return (1<<classBits + m) << (e - classBits)
+}
+
+// Get returns a slice of length n with capacity of at least n: a
+// recycled array when one of n's class, or of the class above, is idle
+// (frames whose sizes straddle a class boundary then share the arrays;
+// the contents are whatever the last holder or the poison left),
+// otherwise a fresh zeroed one of the class's full size. Get(0) returns
+// an empty, non-nil slice and allocates nothing.
+func (p *SlicePool[E]) Get(n int) []E {
+	if n <= 0 {
+		return make([]E, 0)
+	}
+	k := classBelow(n)
+	if classSize(k) < n {
+		k++
+	}
+	for _, c := range [2]int{k, k + 1} {
+		if s, ok := p.classes[c].Get(); ok {
+			return s[:n]
+		}
+	}
+	return make([]E, n, classSize(k))
+}
+
+// Put hands s's whole array back for a later Get; the caller and every
+// other holder of a view of it must not touch it afterwards. An array of
+// any capacity is welcome: it joins the largest class it can serve.
+func (p *SlicePool[E]) Put(s []E) {
+	if cap(s) == 0 {
+		return
+	}
+	s = s[:cap(s)]
+	if poisonRecycled {
+		for i := range s {
+			s[i] = p.poison
+		}
+	}
+	p.classes[classBelow(len(s))].Put(s[:0])
 }

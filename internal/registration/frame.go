@@ -64,6 +64,10 @@ type PreparedFrame struct {
 
 	fineSearch search.Searcher
 	fine       *fineNormals
+	// sharesRaw is set on both sides of a Detach: the raw points, and the
+	// normals of a front-end that ran on the raw cloud, belong to every
+	// frame holding them, so Release hands them to no pool.
+	sharesRaw bool
 }
 
 // fineNormals is a target frame's raw-cloud normals, estimated on demand:
@@ -118,7 +122,8 @@ func PrepareFrame(c *cloud.Cloud, cfg PipelineConfig) *PreparedFrame {
 // frame as an SoA slab: no further quantization or copying happens — the
 // search indexes are built zero-copy over the slab, and the slab's normal
 // arrays receive the normal-estimation output. The frame takes ownership
-// of s (its normals are written in place).
+// of s (its normals are written in place, and Release hands its columns
+// back for later slabs).
 func PrepareFrameSlab(s *cloud.Slab, cfg PipelineConfig) *PreparedFrame {
 	start := time.Now()
 	f := &PreparedFrame{Raw: s, FE: s}
@@ -243,13 +248,20 @@ func (f *PreparedFrame) SearchMetrics() search.Metrics {
 // they are what point-to-plane ICP reads (error injection included) and
 // no Align writes them; otherwise a detached target estimates its own on
 // demand, into arrays f never sees. The descriptors are copied, because
-// f.Release recycles f's; a detached frame needs no Release.
+// f.Release recycles f's. What is shared stays out of the pools when
+// either frame is released; the rest of each is its own.
 func (f *PreparedFrame) Detach() *PreparedFrame {
+	if !f.sharesRaw {
+		// A detached frame is marked from birth, so concurrent
+		// verifications detaching it again only read the mark.
+		f.sharesRaw = true
+	}
 	raw := &cloud.Slab{Xs: f.Raw.Xs, Ys: f.Raw.Ys, Zs: f.Raw.Zs}
 	d := &PreparedFrame{
 		Raw:         raw,
 		KeypointPts: f.KeypointPts,
 		Desc:        &features.Descriptors{Dim: f.Desc.Dim, Data: append([]float64(nil), f.Desc.Data...)},
+		sharesRaw:   true,
 	}
 	if f.FE == f.Raw {
 		raw.NXs, raw.NYs, raw.NZs = f.Raw.NXs, f.Raw.NYs, f.Raw.NZs
@@ -258,20 +270,34 @@ func (f *PreparedFrame) Detach() *PreparedFrame {
 	return d
 }
 
-// Release returns the frame's pooled buffers (currently the descriptor
-// slab) for reuse and drops the references that keep the front-end
-// products alive. Call it when the frame has played its last role in a
-// session; the frame must not be used afterwards.
+// Release is the end of the frame's life: everything it allocated goes
+// back to the pools later frames draw from — the descriptor slab, the
+// arrays of both search indexes (search.Recycle), the front-end slab and
+// the raw slab's columns, normals included (cloud.Slab.Recycle) — except
+// what it shares with a detached frame: the raw points always, and the
+// normals too when the front-end ran on the raw cloud. Call it when the
+// frame has played its last role in a session; nothing may use the frame,
+// or read an array it held, afterwards. A detached frame needs no
+// Release, and may have one: it then returns only what it built as a
+// target (the raw-cloud index and its own normals).
 func (f *PreparedFrame) Release() {
 	features.RecycleDescriptors(f.Desc)
-	f.Desc = nil
-	f.FESearch = nil
-	f.fineSearch = nil
-	f.fine = nil
-	f.Keypoints = nil
-	f.KeypointPts = nil
-	f.FE = nil
-	f.Raw = nil
+	search.Recycle(f.FESearch)
+	search.Recycle(f.fineSearch)
+	if f.FE != nil && f.FE != f.Raw {
+		f.FE.Recycle()
+	}
+	if raw := f.Raw; raw != nil {
+		if f.sharesRaw {
+			raw.Xs, raw.Ys, raw.Zs = nil, nil, nil
+			if f.FE == raw {
+				raw.NXs, raw.NYs, raw.NZs = nil, nil, nil
+			}
+		}
+		raw.Recycle()
+	}
+	f.Desc, f.FESearch, f.fineSearch, f.fine = nil, nil, nil, nil
+	f.Keypoints, f.KeypointPts, f.FE, f.Raw = nil, nil, nil, nil
 }
 
 // Align runs the pair-level back half of the pipeline on two prepared

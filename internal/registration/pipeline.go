@@ -229,6 +229,8 @@ func Register(src, dst *cloud.Cloud, cfg PipelineConfig) Result {
 		res.NodesVisited += m.NodesVisited
 		res.SearchQueries += m.Queries
 	}
+	ps.Release()
+	pd.Release()
 
 	res.Total = time.Since(start)
 	return res

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"sync/atomic"
 	"time"
 
 	"tigris/internal/geom"
@@ -88,6 +89,27 @@ const arenaFloor = 4096
 // and the end mark.
 var idleBatches par.FreeList[[][]kdtree.Neighbor]
 
+// arenaHigh and headerHigh are the largest arena and header any batch
+// has needed. Headers wait in idleBatches in no particular order, so a
+// stage's large batch may draw the header a small one grew; an arena or
+// header that has to grow grows at once to the process's high-water mark
+// instead of doubling up to it on every header in turn, and a warmed
+// session regrows neither.
+var arenaHigh, headerHigh atomic.Int64
+
+// raiseMark lifts a high-water mark to at least v and returns it.
+func raiseMark(mark *atomic.Int64, v int) int {
+	for {
+		old := mark.Load()
+		if int64(v) <= old {
+			return int(old)
+		}
+		if mark.CompareAndSwap(old, int64(v)) {
+			return v
+		}
+	}
+}
+
 // takeBatch returns the result slice for n queries and the arenas of the
 // workers that will answer them, reusing an idle header when there is
 // one. Every result entry must be assigned before the batch is returned
@@ -100,8 +122,8 @@ func takeBatch(n, workers int) (out, arenas [][]kdtree.Neighbor) {
 	held := heldArenas(hdr)
 	keep := max(len(held), workers)
 	if c := n + 1 + keep + 1; len(hdr) < c {
-		grown := make([][]kdtree.Neighbor, c)
-		copy(grown[c-1-len(held):], held)
+		grown := make([][]kdtree.Neighbor, raiseMark(&headerHigh, c))
+		copy(grown[len(grown)-1-len(held):], held)
 		hdr = grown
 	}
 	c := len(hdr)
@@ -147,9 +169,11 @@ func arenaTail(arena []kdtree.Neighbor) []kdtree.Neighbor {
 // tail and the arena simply grows over it. When the kernel outgrew the
 // tail and moved the answer to an array of its own, the worker is given
 // a larger arena for the queries still to come (the results already
-// filed keep the old one alive until the batch is recycled). Empty
-// answers are nil, as the sequential methods return them, and a filed
-// answer's capacity ends with it so an append cannot run into the next.
+// filed keep the old one alive until the batch is recycled): twice the
+// old one, or the largest any worker has needed (arenaHigh) if that is
+// more. Empty answers are nil, as the sequential methods return them, and
+// a filed answer's capacity ends with it so an append cannot run into the
+// next.
 func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighbor {
 	if len(res) == 0 {
 		return nil
@@ -158,7 +182,7 @@ func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighb
 	if tail := a[len(a):cap(a)]; len(tail) > 0 && &res[0] == &tail[0] {
 		*arena = a[:len(a)+len(res)]
 	} else {
-		*arena = make([]kdtree.Neighbor, 0, max(2*cap(a), arenaFloor)+len(res))
+		*arena = make([]kdtree.Neighbor, 0, raiseMark(&arenaHigh, max(2*cap(a), arenaFloor)+len(res)))
 	}
 	return res[:len(res):len(res)]
 }
@@ -271,11 +295,13 @@ func (s *searcher[I, St, P]) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Nei
 }
 
 // RadiusBatch implements Searcher. The result is a pooled batch;
-// consumers that drain it may return it with RecycleBatch.
+// consumers that drain it may return it with RecycleBatch. A batch of one
+// query, like a one-arena batch, is answered in the plain loop: key-point
+// suppression issues one per key-point it keeps.
 func (s *searcher[I, St, P]) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
-	if len(arenas) == 1 {
+	if len(arenas) == 1 || len(qs) == 1 {
 		for i, q := range qs {
 			out[i] = fileResult(&arenas[0], s.index.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
 		}

@@ -304,6 +304,27 @@ func NewTwoStageSearcherSlab(slab *cloud.Slab, cfg TwoStageConfig) *TwoStageSear
 // Stats exposes the two-stage counters (leader hits etc.).
 func (s *TwoStageSearcher) Stats() *twostage.Stats { return &s.stats }
 
+// recycle hands the tree's arrays back for later builds (Recycle). The
+// searcher is left over an empty tree; its metrics stay readable.
+func (s *TwoStageSearcher) recycle() {
+	s.index.Recycle()
+	s.session, s.approxWorkers = nil, nil
+}
+
+// Recycle is the end of a searcher's life: the index arrays of a
+// two-stage searcher, plain or under a trace, go back to the pools the
+// next tree is built from; any other searcher is left to the collector.
+// Nothing may query s afterwards. Its Metrics stay readable, and the
+// slab it indexes belongs to its owner. A nil s is a no-op.
+func Recycle(s Searcher) {
+	switch x := s.(type) {
+	case *TwoStageSearcher:
+		x.recycle()
+	case *TraceSearcher:
+		Recycle(x.Searcher)
+	}
+}
+
 // BruteSearcher answers every query by linear scan. It is the degenerate
 // structure the paper's §4.1 taxonomy starts from (a two-stage tree with
 // top height 0 is exactly one brute-forced leaf), the correctness oracle

@@ -765,6 +765,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request, ses *session
 	n := f.Len()
 	idx, err := eng.PushSlab(f)
 	if err != nil {
+		f.Recycle()
 		HTTPError(w, http.StatusConflict, "%v", err)
 		return
 	}

@@ -389,16 +389,24 @@ func New(cfg Config) *Engine {
 }
 
 // Push submits the next frame of the stream as PushSlab does, quantizing
-// c into a fresh slab first; c itself is left as it was.
+// c into a slab first (its columns drawn from the ones released frames
+// handed back); c itself is left as it was.
 func (e *Engine) Push(c *cloud.Cloud) (int, error) {
-	return e.PushSlab(cloud.SlabFromCloud(c))
+	s := cloud.SlabFromCloud(c)
+	idx, err := e.PushSlab(s)
+	if err != nil {
+		s.Recycle()
+	}
+	return idx, err
 }
 
 // PushSlab submits the next frame of the stream and returns its index.
 // The engine takes ownership of s (its normal columns are filled in
-// place, exactly as PrepareFrameSlab does). In pipelined mode PushSlab
-// returns as soon as the frame is queued; otherwise it returns after the
-// frame's pose is committed. Use Drain to wait for all pushed frames.
+// place, exactly as PrepareFrameSlab does, and its columns go back to the
+// slab pool once the frame is released); after an error s is still the
+// caller's. In pipelined mode PushSlab returns as soon as the frame is
+// queued; otherwise it returns after the frame's pose is committed. Use
+// Drain to wait for all pushed frames.
 func (e *Engine) PushSlab(s *cloud.Slab) (int, error) {
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
@@ -536,8 +544,10 @@ func (e *Engine) commit(pf, prev *registration.PreparedFrame, idx int, prepStart
 }
 
 // release retires a frame that has played both of its roles: its search
-// metrics fold into the session stats and its pooled buffers go back for
-// the frames still to come.
+// metrics fold into the session stats and everything it allocated goes
+// back to the pools the frames still to come draw from
+// (registration.PreparedFrame.Release; what the loop detector shares with
+// it stays out).
 func (e *Engine) release(f *registration.PreparedFrame) {
 	m := f.SearchMetrics()
 	e.mu.Lock()
@@ -554,11 +564,16 @@ func (e *Engine) release(f *registration.PreparedFrame) {
 //
 // Determinism: proposals depend on the detector's cooldown state, which
 // verification outcomes advance — so in pipelined mode Observe waits
-// for any still-queued verifications of earlier frames first. Candidates
-// are rare (gated and cooled down), so the wait is almost always free;
-// verification itself still overlaps the next frame's front-end and
-// alignment compute. This keeps the closure set, and therefore the
-// optimized trajectory, bit-identical across pipelining and Parallelism.
+// for any still-queued verifications of earlier frames first. That keeps
+// the closure set, and therefore the optimized trajectory, bit-identical
+// across pipelining and Parallelism, and it is not free: a verification
+// costs several frames of compute, so on a looping route the wait is
+// most of the align stage's time. Timed around this loop on
+// bench/'s slam_circuit (seed 1, --seconds 10, 2 vCPU), the align stage
+// blocked here 4.7–4.8 s of each 10.2–10.7 s timed region, while the
+// front-end ran at most one frame ahead. Not waiting (the loop worker
+// re-checking the cooldown instead) gained nothing end to end on that
+// box: ROADMAP item 16 has the measurement.
 func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 	if e.det == nil {
 		return

@@ -139,7 +139,10 @@ func TestBuildSurvivesNaN(t *testing.T) {
 // TestBuildAllocatesOnlyWhatItKeeps: with the build's scratch recycled, a
 // warmed one-worker build allocates the five things the tree keeps — the
 // tree, its top-tree nodes, its leaf runs, its permutation and the
-// leaf-ordered coordinate block — and nothing per level.
+// leaf-ordered coordinate block — and nothing per level; and when the
+// tree before it was recycled, as a streaming session recycles each
+// frame's (search.Recycle), the last four come back from the pools and
+// only the tree itself is new.
 func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are meaningless under -race")
@@ -149,5 +152,33 @@ func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 	BuildSlabPar(s, h, 1)
 	if allocs := testing.AllocsPerRun(5, func() { BuildSlabPar(s, h, 1) }); allocs > 5 {
 		t.Errorf("BuildSlabPar allocates %.1f times per build, want <= 5 (tree, nodes, leaf runs, permutation, coordinates)", allocs)
+	}
+	BuildSlabPar(s, h, 1).Recycle()
+	if allocs := testing.AllocsPerRun(5, func() { BuildSlabPar(s, h, 1).Recycle() }); allocs > 1 {
+		t.Errorf("a build after a recycled one allocates %.1f times, want <= 1 (the tree)", allocs)
+	}
+}
+
+// TestRecycledBuildMatchesFresh: a tree built into the arrays another
+// tree handed back (poisoned under test) is the tree a fresh build makes,
+// node for node and run for run, on a smaller and on a larger point set
+// than the tree that held them.
+func TestRecycledBuildMatchesFresh(t *testing.T) {
+	for _, n := range []int{3900, 4050} {
+		s := cloud.SlabFromPoints(randomPts(n, 9))
+		h := HeightForLeafSize(n, 32)
+		want := BuildSlabPar(s, h, 1)
+		old := BuildSlabPar(cloud.SlabFromPoints(randomPts(4000, 10)), h, 1)
+		perm, block := &old.perm[0], &old.lx[0]
+		old.Recycle()
+		got := BuildSlabPar(s, h, 1)
+		if &got.perm[0] != perm || &got.lx[0] != block {
+			t.Fatalf("n=%d: the build did not draw the recycled arrays", n)
+		}
+		if !reflect.DeepEqual(got.nodes, want.nodes) || !reflect.DeepEqual(got.leaves, want.leaves) ||
+			!reflect.DeepEqual(got.perm, want.perm) || !reflect.DeepEqual(got.lx, want.lx) ||
+			!reflect.DeepEqual(got.ly, want.ly) || !reflect.DeepEqual(got.lz, want.lz) {
+			t.Errorf("n=%d: the build into recycled arrays differs from a fresh one", n)
+		}
 	}
 }

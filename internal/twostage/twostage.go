@@ -156,16 +156,18 @@ func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 	if n == 0 {
 		return t
 	}
+	// Every array the build fills is drawn from the pools Recycle hands
+	// them back to, and every element of each is written below.
 	nNodes, nLeaves := subtreeSize(n, topHeight)
 	if nNodes > 0 {
-		t.nodes = make([]topNode, nNodes)
+		t.nodes = nodeArrays.Get(int(nNodes))
 	}
 	if nLeaves > 0 {
-		t.leaves = make([]leafRun, nLeaves)
+		t.leaves = leafArrays.Get(int(nLeaves))
 	}
 	// The permutation the build writes ends up owned by the tree: every
 	// leaf set is a window of it.
-	t.perm = make([]int32, n)
+	t.perm = permutations.Get(n)
 	if topHeight == 0 {
 		// One leaf set holding every point, in index order.
 		for i := range t.perm {
@@ -184,15 +186,36 @@ func BuildSlabPar(s *cloud.Slab, topHeight, workers int) *Tree {
 }
 
 // orderCoordinates fills the leaf-ordered coordinate block from the final
-// permutation: one allocation, three runs of it. (The slots of top-tree
+// permutation: one array, three runs of it. lx keeps the block's
+// capacity, which is how Recycle finds the block. (The slots of top-tree
 // node points are filled too and never read.)
 func (t *Tree) orderCoordinates() {
 	n := len(t.perm)
-	block := make([]float32, 3*n)
-	t.lx, t.ly, t.lz = block[:n:n], block[n:2*n:2*n], block[2*n:]
+	block := coordinateBlocks.Get(3 * n)
+	t.lx, t.ly, t.lz = block[:n], block[n:2*n:2*n], block[2*n:3*n:3*n]
 	for k, pi := range t.perm {
 		t.lx[k], t.ly[k], t.lz[k] = t.xs[pi], t.ys[pi], t.zs[pi]
 	}
+}
+
+// The pools a tree's arrays come from and Recycle returns them to: a
+// streaming session builds two trees a frame and drops two.
+var (
+	coordinateBlocks = par.NewSlicePool(float32(math.NaN()))
+	permutations     = par.NewSlicePool(int32(-1))
+	nodeArrays       = par.NewSlicePool(topNode{Point: -1, Left: -1, Right: -1, Axis: -1, Split: math.NaN()})
+	leafArrays       = par.NewSlicePool(leafRun{-1, -1})
+)
+
+// Recycle hands the tree's arrays back for later builds and leaves t
+// empty; the slab it indexes is its owner's. Nothing may search t, or
+// read a Leaves view or a Cert of it, afterwards.
+func (t *Tree) Recycle() {
+	coordinateBlocks.Put(t.lx)
+	permutations.Put(t.perm)
+	nodeArrays.Put(t.nodes)
+	leafArrays.Put(t.leaves)
+	*t = Tree{root: childNone}
 }
 
 // subtreeSize returns the top-tree node count and leaf-set count of the
