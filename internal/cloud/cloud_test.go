@@ -358,6 +358,32 @@ func TestReadSlabAllocatesTheSlab(t *testing.T) {
 	}
 }
 
+// TestReadSlabRecyclesItsScanBuffer holds a warmed ReadSlab whose slab is
+// handed back to well under the 64 KiB scanner buffer a frame once cost:
+// the buffer, like the columns, is drawn from a pool and returned on
+// every path out of the reader.
+func TestReadSlabRecyclesItsScanBuffer(t *testing.T) {
+	body := frame20k()
+	read := func() {
+		s, err := ReadSlab(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Recycle()
+	}
+	read()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("a warmed ReadSlab of a 20,000-point frame allocates %d bytes, want < %d", per, 64<<10)
+	}
+}
+
 // frame20k is a Write-encoded 20,000-point frame without normals, the
 // shape and size of a pushed 32×600 LiDAR frame.
 func frame20k() []byte {

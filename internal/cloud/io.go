@@ -10,6 +10,7 @@ import (
 	"unsafe"
 
 	"tigris/internal/geom"
+	"tigris/internal/par"
 )
 
 // The ASCII interchange format is a minimal PCD-style layout:
@@ -66,8 +67,9 @@ func Write(w io.Writer, c *Cloud) error {
 // pass Validate — a coordinate or normal that is not finite as float32 —
 // is an error, not a cloud.
 func Read(r io.Reader) (*Cloud, error) {
-	p, err := newReader(r)
-	if err != nil {
+	p := newReader(r)
+	defer p.release()
+	if err := p.header(); err != nil {
 		return nil, err
 	}
 	c := &Cloud{Points: make([]geom.Vec3, 0, p.capacity())}
@@ -105,8 +107,9 @@ func Read(r io.Reader) (*Cloud, error) {
 // columns come from the ones released slabs handed back (Slab.Recycle),
 // so they may hold up to three eighths more than the frame.
 func ReadSlab(r io.Reader) (*Slab, error) {
-	p, err := newReader(r)
-	if err != nil {
+	p := newReader(r)
+	defer p.release()
+	if err := p.header(); err != nil {
 		return nil, err
 	}
 	k := p.capacity()
@@ -114,7 +117,7 @@ func ReadSlab(r io.Reader) (*Slab, error) {
 	if p.want == 6 {
 		s.NXs, s.NYs, s.NZs = columns.Get(k)[:0], columns.Get(k)[:0], columns.Get(k)[:0]
 	}
-	s, err = p.readSlab(s, k)
+	s, err := p.readSlab(s, k)
 	if err != nil {
 		s.Recycle()
 		return nil, err
@@ -173,57 +176,80 @@ func grownColumn(c []float32, k int) []float32 {
 // buffer.
 type reader struct {
 	sc   *bufio.Scanner
-	n    int // points the header declares
-	want int // fields per point: 3, or 6 with normals
+	buf  []byte // the scanner's first buffer, drawn from scanBufs
+	n    int    // points the header declares
+	want int    // fields per point: 3, or 6 with normals
 }
 
-// newReader reads the header.
-func newReader(r io.Reader) (reader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+// scanBufs holds the idle 64 KiB buffers readers scan with, so a session
+// that ingests a frame per push scans every frame in the same few. A
+// line longer than the buffer makes the scanner move to a larger one of
+// its own (up to the 16 MiB token limit); that one is left to the
+// collector.
+var scanBufs par.FreeList[[]byte]
 
-	line, err := nextLine(sc)
+// newReader returns a reader over r; release hands its buffer back.
+func newReader(r io.Reader) reader {
+	buf, ok := scanBufs.Get()
+	if !ok {
+		buf = make([]byte, 0, 64*1024)
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(buf, 16*1024*1024)
+	return reader{sc: sc, buf: buf}
+}
+
+// release hands the scanner's buffer back; nothing may scan afterwards.
+// Nothing read keeps a view of it: header lines are copies and parse
+// errors carry copies of their fields.
+func (p *reader) release() {
+	scanBufs.Put(p.buf[:0])
+	p.sc, p.buf = nil, nil
+}
+
+// header reads the header.
+func (p *reader) header() error {
+	line, err := nextLine(p.sc)
 	if err != nil {
-		return reader{}, err
+		return err
 	}
 	if line != magicLine {
-		return reader{}, fmt.Errorf("cloud: bad magic %q", line)
+		return fmt.Errorf("cloud: bad magic %q", line)
 	}
 
-	var n int
-	if line, err = nextLine(sc); err != nil {
-		return reader{}, err
+	if line, err = nextLine(p.sc); err != nil {
+		return err
 	}
-	if _, err := fmt.Sscanf(line, "POINTS %d", &n); err != nil {
-		return reader{}, fmt.Errorf("cloud: bad POINTS line %q: %w", line, err)
+	if _, err := fmt.Sscanf(line, "POINTS %d", &p.n); err != nil {
+		return fmt.Errorf("cloud: bad POINTS line %q: %w", line, err)
 	}
-	if n < 0 || n > maxIOPoints {
-		return reader{}, fmt.Errorf("cloud: unreasonable point count %d", n)
+	if p.n < 0 || p.n > maxIOPoints {
+		return fmt.Errorf("cloud: unreasonable point count %d", p.n)
 	}
 
-	if line, err = nextLine(sc); err != nil {
-		return reader{}, err
+	if line, err = nextLine(p.sc); err != nil {
+		return err
 	}
 	var fields string
 	if _, err := fmt.Sscanf(line, "FIELDS %s", &fields); err != nil {
-		return reader{}, fmt.Errorf("cloud: bad FIELDS line %q: %w", line, err)
+		return fmt.Errorf("cloud: bad FIELDS line %q: %w", line, err)
 	}
-	want := 3
 	switch fields {
 	case fieldsXYZ:
+		p.want = 3
 	case fieldsXYZN:
-		want = 6
+		p.want = 6
 	default:
-		return reader{}, fmt.Errorf("cloud: unknown fields %q", fields)
+		return fmt.Errorf("cloud: unknown fields %q", fields)
 	}
 
-	if line, err = nextLine(sc); err != nil {
-		return reader{}, err
+	if line, err = nextLine(p.sc); err != nil {
+		return err
 	}
 	if line != "DATA ascii" {
-		return reader{}, fmt.Errorf("cloud: unsupported data line %q", line)
+		return fmt.Errorf("cloud: unsupported data line %q", line)
 	}
-	return reader{sc: sc, n: n, want: want}, nil
+	return nil
 }
 
 // capacity is the number of points to allocate for up front.

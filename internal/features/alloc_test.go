@@ -1,6 +1,7 @@
 package features
 
 import (
+	"math"
 	"testing"
 )
 
@@ -31,11 +32,51 @@ func TestFeatureTreeNearestBatchSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		RecycleMatches(tree.NearestBatch(qs, 1))
 	})
-	// Tolerated residue: the two worker-pool closures and the pooled-slab
-	// pointer round trip — fixed per-call costs, nothing proportional to
-	// the query count (which used to cost one len(qs)-sized slice per
-	// call).
+	// Tolerated residue: the two worker-pool closures — fixed per-call
+	// costs, nothing proportional to the query count (which used to cost
+	// one len(qs)-sized slice per call).
 	if allocs > 4 {
 		t.Errorf("NearestBatch allocates %.1f times per call steady-state, want <= 4", allocs)
+	}
+}
+
+// TestRecycledSlabsArePoisoned: under test, a match batch and a
+// descriptor slab handed back are overwritten with their pool's poison
+// (Row −1 and NaN), so a reader that outlives RecycleMatches or
+// RecycleDescriptors computes garbage rather than the next pair's
+// values; and a descriptor slab drawn again starts at zero, as the
+// kernels' += accumulation needs.
+func TestRecycledSlabsArePoisoned(t *testing.T) {
+	const dim, n = 33, 40
+	d := &Descriptors{Dim: dim, Data: newDescriptorData(dim * n)}
+	for i := range d.Data {
+		d.Data[i] = float64(i%89) * 0.7
+	}
+	tree := NewFeatureTree(d)
+	ms := tree.NearestBatch([][]float64{d.Row(3), d.Row(17), d.Row(31)}, 1)
+	if ms[1].Row != 17 {
+		t.Fatalf("row 17 matched row %d", ms[1].Row)
+	}
+	RecycleMatches(ms)
+	for i, m := range ms[:cap(ms)] {
+		if m.Row != -1 || !math.IsNaN(m.Dist2) {
+			t.Fatalf("recycled match %d reads %+v", i, m)
+		}
+	}
+
+	data := d.Data
+	RecycleDescriptors(d)
+	if d.Data != nil {
+		t.Error("RecycleDescriptors left the slab on the descriptors")
+	}
+	for i, v := range data[:cap(data)] {
+		if !math.IsNaN(v) {
+			t.Fatalf("recycled descriptor entry %d reads %v", i, v)
+		}
+	}
+	for i, v := range newDescriptorData(len(data)) {
+		if v != 0 {
+			t.Fatalf("a redrawn descriptor slab holds %v at %d", v, i)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package features
 
 import (
-	"sync"
-
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
 	"tigris/internal/kdtree"
@@ -20,15 +18,10 @@ import (
 // stage issues one big batch or streams blocks.
 const batchBlockSize = 32 * search.ApproxBatchChunk
 
-// blockBufs pools the dequantized query block each full-cloud stage
-// streams slab points through; one buffer serves a whole stage call, so a
+// blockBufs holds the idle dequantized query blocks each full-cloud stage
+// streams slab points through; one block serves a whole stage call, so a
 // streaming session's stages run without a per-frame block allocation.
-var blockBufs = sync.Pool{
-	New: func() any {
-		s := make([]geom.Vec3, batchBlockSize)
-		return &s
-	},
-}
+var blockBufs par.FreeList[[]geom.Vec3]
 
 // forRadiusBlocks streams slab points through s.RadiusBatch at radius r
 // in bounded blocks and hands every query's neighbors to fn on the
@@ -46,8 +39,10 @@ func forRadiusBlocks(s search.Searcher, c *cloud.Slab, idx []int, r float64, fn 
 	if idx != nil {
 		n = len(idx)
 	}
-	bufp := blockBufs.Get().(*[]geom.Vec3)
-	buf := *bufp
+	buf, ok := blockBufs.Get()
+	if !ok {
+		buf = make([]geom.Vec3, batchBlockSize)
+	}
 	for lo := 0; lo < n; lo += batchBlockSize {
 		hi := lo + batchBlockSize
 		if hi > n {
@@ -75,7 +70,7 @@ func forRadiusBlocks(s search.Searcher, c *cloud.Slab, idx []int, r float64, fn 
 		// answers into the same arenas instead of allocating.
 		search.RecycleBatch(nbs)
 	}
-	blockBufs.Put(bufp)
+	blockBufs.Put(buf)
 }
 
 // pointAt resolves the j-th query of a sweep to its point index: idx[j],

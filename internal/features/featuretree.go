@@ -130,11 +130,11 @@ type FeatureMatch struct {
 // the tree's metrics stay exact while the queries run concurrently.
 // Results and counts do not depend on the worker count.
 //
-// The result lives in a pooled slab: callers that fully consume it may
+// The result is drawn from a pool: callers that fully consume it may
 // hand it back with RecycleMatches so steady-state batches allocate
 // nothing (KPCE does exactly that).
 func (t *FeatureTree) NearestBatch(qs [][]float64, parallelism int) []FeatureMatch {
-	out := newMatchSlab(len(qs))
+	out := matchSlabs.Get(len(qs))
 	if t.root < 0 {
 		for i := range out {
 			out[i] = FeatureMatch{Row: -1}

@@ -1,35 +1,22 @@
 package features
 
-import "sync"
+import (
+	"math"
 
-// descSlabs pools descriptor data slabs (Descriptors.Data). A streaming
-// session computes one descriptor matrix per frame and frees it a frame
-// later; without pooling that is hundreds of KB of fresh allocation per
-// frame for the lifetime of the session (ROADMAP "pool allocations").
-var descSlabs = sync.Pool{
-	New: func() any {
-		s := make([]float64, 0, 4096)
-		return &s
-	},
-}
+	"tigris/internal/par"
+)
 
-// newDescriptorData returns a zeroed slab of length n, reusing pooled
-// capacity when available. Zeroing is required: the descriptor kernels
-// accumulate into their rows with +=.
+// descSlabs recycles descriptor data slabs (Descriptors.Data). A
+// streaming session computes one descriptor matrix per frame and frees it
+// a frame later (PreparedFrame.Release), so a warmed session draws the
+// same slabs frame after frame.
+var descSlabs = par.NewSlicePool(math.NaN())
+
+// newDescriptorData returns a zeroed slab of length n. Zeroing is
+// required: the descriptor kernels accumulate into their rows with +=.
 func newDescriptorData(n int) []float64 {
-	p := descSlabs.Get().(*[]float64)
-	s := *p
-	if cap(s) < n {
-		// Keep the pointer box in the pool for its next Get; the backing
-		// array is abandoned for a larger one.
-		*p = s
-		descSlabs.Put(p)
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	s := descSlabs.Get(n)
+	clear(s)
 	return s
 }
 
@@ -37,45 +24,18 @@ func newDescriptorData(n int) []float64 {
 // The caller must not use d (or any Row view of it) afterwards. Nil or
 // empty descriptors are ignored.
 func RecycleDescriptors(d *Descriptors) {
-	if d == nil || cap(d.Data) == 0 {
+	if d == nil {
 		return
 	}
-	s := d.Data[:0]
-	descSlabs.Put(&s)
+	descSlabs.Put(d.Data)
 	d.Data = nil
 }
 
-// matchSlabs pools FeatureMatch result slices for FeatureTree's batched
-// queries. KPCE issues one (reciprocal: two) NearestBatch per pair
-// forever in a streaming session; pooling the result slab closes the
-// last per-pair allocation proportional to the key-point count (the PR 4
-// follow-up).
-var matchSlabs = sync.Pool{
-	New: func() any {
-		s := make([]FeatureMatch, 0, 256)
-		return &s
-	},
-}
-
-// newMatchSlab returns a length-n FeatureMatch slice from the pool
-// (contents unspecified; batch queries overwrite every entry).
-func newMatchSlab(n int) []FeatureMatch {
-	p := matchSlabs.Get().(*[]FeatureMatch)
-	s := *p
-	if cap(s) < n {
-		*p = s
-		matchSlabs.Put(p)
-		return make([]FeatureMatch, n)
-	}
-	return s[:n]
-}
+// matchSlabs recycles FeatureTree.NearestBatch results: KPCE issues one
+// (reciprocal: two) batch per pair, forever, in a streaming session, and
+// hands each back once it has read it.
+var matchSlabs = par.NewSlicePool(FeatureMatch{Row: -1, Dist2: math.NaN()})
 
 // RecycleMatches hands a fully consumed NearestBatch result back to the
 // pool. The caller must not use the slice afterwards.
-func RecycleMatches(ms []FeatureMatch) {
-	if cap(ms) == 0 {
-		return
-	}
-	s := ms[:0]
-	matchSlabs.Put(&s)
-}
+func RecycleMatches(ms []FeatureMatch) { matchSlabs.Put(ms) }

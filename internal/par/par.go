@@ -256,13 +256,15 @@ func ForChunks(n, workers, c int, fn func(worker, lo, hi int)) {
 const freeListMax = 16
 
 // FreeList is a small bounded stack of reusable scratch values shared by
-// every goroutine of the process. It exists beside sync.Pool because the
-// collector empties a sync.Pool on every cycle: a streaming session's
-// per-frame scratch (result arenas, tree-build lists, hash buckets) is
-// megabytes that a pool hands to the collector between frames and the
-// next frame then regrows. A FreeList keeps what it is given until it is
-// taken again, so its footprint is the high-water mark of what was in
-// use at once, capped at freeListMax values. The zero value is ready to
+// every goroutine of the process. FreeList and SlicePool are the
+// process's only recycling. A pool the collector empties on every cycle
+// would hand a streaming session's per-frame scratch (result arenas,
+// tree-build lists, hash buckets, descriptor and correspondence slabs)
+// to the collector between frames, and one that caches per processor
+// loses it whenever a stage's goroutine resumes on another processor;
+// either way the next frame regrows it. A FreeList keeps what it is
+// given until it is taken again, so its footprint is the high-water mark
+// of what was in use at once, capped at freeListMax values. The zero value is ready to
 // use; T is typically a slice or a pointer to a scratch struct, stored by
 // value so Put does not allocate.
 type FreeList[T any] struct {

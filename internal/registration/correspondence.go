@@ -7,8 +7,8 @@
 package registration
 
 import (
+	"math"
 	"sort"
-	"sync"
 
 	"tigris/internal/features"
 	"tigris/internal/geom"
@@ -23,29 +23,12 @@ type Correspondence struct {
 	Dist2 float64
 }
 
-// corrSlabs pools correspondence slices. KPCE emits one correspondence
+// corrSlabs recycles correspondence lists. KPCE emits one correspondence
 // list and rejection one inlier list per pair, forever, in a streaming
-// session; both are fully consumed inside Align, so the slabs cycle
-// through this pool instead of churning the heap. Slabs converge to the
-// largest list seen.
-var corrSlabs = sync.Pool{
-	New: func() any {
-		s := make([]Correspondence, 0, 256)
-		return &s
-	},
-}
-
-func getCorrSlab() []Correspondence {
-	return (*corrSlabs.Get().(*[]Correspondence))[:0]
-}
-
-func putCorrSlab(s []Correspondence) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	corrSlabs.Put(&s)
-}
+// session; both are fully consumed inside Align, so a list is drawn at
+// the bound its producer knows (source key-points; the list it filters)
+// and handed back through recycleCorr.
+var corrSlabs = par.NewSlicePool(Correspondence{Source: -1, Target: -1, Dist2: math.NaN()})
 
 // recycleCorr returns the correspondence list and its rejected subset to
 // the slab pool once Align has consumed both. The two may share a backing
@@ -53,9 +36,9 @@ func putCorrSlab(s []Correspondence) {
 // in which case the storage is recycled once.
 func recycleCorr(corr, inliers []Correspondence) {
 	shared := cap(corr) > 0 && cap(inliers) > 0 && &corr[:1][0] == &inliers[:1][0]
-	putCorrSlab(corr)
+	corrSlabs.Put(corr)
 	if !shared {
-		putCorrSlab(inliers)
+		corrSlabs.Put(inliers)
 	}
 }
 
@@ -67,21 +50,22 @@ type KPCEConfig struct {
 	Reciprocal bool
 }
 
-// kpceScratch pools the per-call KPCE query-row staging (the row views
-// handed to the batched feature trees). References to descriptor rows are
-// cleared before the scratch returns to the pool so a parked scratch
-// cannot pin retired descriptor slabs.
+// kpceScratch is one KPCE call's query-row staging (the row views handed
+// to the batched feature trees). References to descriptor rows are
+// cleared before the scratch goes idle so a parked scratch cannot pin
+// retired descriptor slabs.
 type kpceScratch struct {
 	rows, backRows [][]float64
 	cand           []int
 }
 
-var kpceScratchPool = sync.Pool{New: func() any { return new(kpceScratch) }}
+// idleKPCEScratch holds the scratches no KPCE call is using.
+var idleKPCEScratch par.FreeList[*kpceScratch]
 
 func (sc *kpceScratch) release() {
 	clear(sc.rows)
 	clear(sc.backRows)
-	kpceScratchPool.Put(sc)
+	idleKPCEScratch.Put(sc)
 }
 
 // kpceMatch is the KPCE kernel (paper Fig. 2): forward (and optionally
@@ -91,7 +75,7 @@ func (sc *kpceScratch) release() {
 // trees are returned so callers can roll their build/search times into
 // the pipeline's KD-tree accounting. The correspondence list is assembled
 // in source order, bit-identical to per-query sequential matching; it
-// lives in a pooled slab (see recycleCorr). The batches run on up to
+// is drawn from corrSlabs (see recycleCorr). The batches run on up to
 // workers workers (par.Workers).
 func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig, workers int) ([]Correspondence, *features.FeatureTree, *features.FeatureTree) {
 	if src.Count() == 0 || dst.Count() == 0 {
@@ -103,7 +87,10 @@ func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig, workers int) ([]C
 		srcTree = features.NewFeatureTree(src)
 	}
 	n := src.Count()
-	sc := kpceScratchPool.Get().(*kpceScratch)
+	sc, ok := idleKPCEScratch.Get()
+	if !ok {
+		sc = new(kpceScratch)
+	}
 	defer sc.release()
 	if cap(sc.rows) < n {
 		sc.rows = make([][]float64, n)
@@ -136,7 +123,7 @@ func kpceMatch(src, dst *features.Descriptors, cfg KPCEConfig, workers int) ([]C
 		backs = srcTree.NearestBatch(backRows, workers)
 	}
 
-	out := getCorrSlab()
+	out := corrSlabs.Get(n)[:0]
 	ci := 0
 	for i, m := range matches {
 		if m.Row < 0 {
@@ -237,7 +224,7 @@ func thresholdReject(corr []Correspondence) []Correspondence {
 	sort.Float64s(ds)
 	median := ds[len(ds)/2]
 	limit := median * distanceRatio * distanceRatio // distances are squared
-	out := getCorrSlab()
+	out := corrSlabs.Get(len(corr))[:0]
 	for _, c := range corr {
 		if c.Dist2 <= limit {
 			out = append(out, c)
@@ -247,12 +234,14 @@ func thresholdReject(corr []Correspondence) []Correspondence {
 }
 
 // ransacScratch holds one rejection call's pre-drawn hypothesis samples,
-// pooled so steady-state RANSAC allocates nothing but its result slab.
+// recycled so steady-state RANSAC allocates nothing proportional to its
+// hypotheses.
 type ransacScratch struct {
 	triples [][3]int32
 }
 
-var ransacScratchPool = sync.Pool{New: func() any { return new(ransacScratch) }}
+// idleRANSACScratch holds the scratches no rejection call is using.
+var idleRANSACScratch par.FreeList[*ransacScratch]
 
 // hypoScore is one worker's running best consensus. count is stored +1 so
 // the zero value means "no hypothesis scored yet" (a real hypothesis can
@@ -270,7 +259,7 @@ func (s *hypoScore) better(countPlus1, hyp int) bool {
 }
 
 // ransacReject runs RANSAC over 3-point rigid-transform hypotheses and
-// returns the inliers of the best hypothesis (in a pooled slab; see
+// returns the inliers of the best hypothesis (drawn from corrSlabs; see
 // recycleCorr).
 //
 // The hypothesis loop is parallel (the paper-adjacent ROADMAP item): all
@@ -292,8 +281,11 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 	// Phase 1: draw every hypothesis' 3 correspondence indices up front.
 	// Degenerate draws (repeated indices) burn their PCG outputs exactly
 	// like the sequential loop did and are marked invalid.
-	sc := ransacScratchPool.Get().(*ransacScratch)
-	defer ransacScratchPool.Put(sc)
+	sc, ok := idleRANSACScratch.Get()
+	if !ok {
+		sc = new(ransacScratch)
+	}
+	defer idleRANSACScratch.Put(sc)
 	if cap(sc.triples) < iters {
 		sc.triples = make([][3]int32, iters)
 	}
@@ -346,7 +338,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 		return corr // no valid hypothesis: keep the unfiltered set
 	}
 	tr, _ := estimateFromTriple(triples[best.hyp], corr, srcPts, dstPts)
-	inliers := getCorrSlab()
+	inliers := corrSlabs.Get(len(corr))[:0]
 	for _, c := range corr {
 		if tr.Apply(srcPts[c.Source]).Dist2(dstPts[c.Target]) <= inlierD2 {
 			inliers = append(inliers, c)
@@ -355,7 +347,7 @@ func ransacReject(corr []Correspondence, srcPts, dstPts []geom.Vec3, cfg Rejecti
 	if len(inliers) < 3 {
 		// Degenerate data: fall back to the unfiltered set rather than
 		// returning an unusable correspondence list.
-		putCorrSlab(inliers)
+		corrSlabs.Put(inliers)
 		return corr
 	}
 	return inliers

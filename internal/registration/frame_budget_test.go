@@ -15,14 +15,15 @@ import (
 // normal columns, the arrays of both search indexes, its descriptors —
 // and the next frame draws the same arrays from the pools (PreparedFrame
 // .Release), so what a frame still allocates is its small stage outputs
-// (key-point lists and positions, correspondences, the feature trees)
-// and the sync.Pool scratch the collection before the measurement
-// emptied: measured 0.05–0.19 MB and 81–88 allocations per frame on the
-// default two-stage backend. The same path allocated ≈ 1.7 MB and ≈ 420
-// allocations while each frame's slabs, normals and tree arrays were
-// fresh, ≈ 895 allocations while the point-to-plane solve allocated per
-// pass and per damping attempt, and ≈ 21 MB and ≈ 120 k before the hot
-// path's scratch was recycled. The headroom covers a frame on which a
+// (key-point lists and positions, the feature trees): measured 0.07 MB
+// and 73–74 allocations per frame on the default two-stage backend
+// (0.05–0.19 MB and 81–88 while correspondence lists, RANSAC samples,
+// descriptor slabs and query blocks were pooled where the collection
+// before the measurement emptied them). The same path allocated ≈ 1.7
+// MB and ≈ 420 allocations while each frame's slabs, normals and tree
+// arrays were fresh, ≈ 895 allocations while the point-to-plane solve
+// allocated per pass and per damping attempt, and ≈ 21 MB and ≈ 120 k
+// before the hot path's scratch was recycled. The headroom covers a frame on which a
 // result arena still grows, so a frame that stops recycling its slabs or
 // tree arrays (≈ 0.5 MB), or a regression that re-introduces per-point,
 // per-query or per-pass garbage, fails here long before it shows in

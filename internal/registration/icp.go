@@ -95,11 +95,7 @@ type icpScratch struct {
 	dstS  cloud.Slab
 }
 
-// idleICPScratch holds the scratches no ICP call is using. A par.FreeList,
-// not a sync.Pool: a scratch is half a megabyte, and a pool's per-P caches
-// lose it whenever the alignment goroutine resumes on another P — every
-// pipeline hand-off, once the stages are balanced enough for alignment to
-// wait on the front-end.
+// idleICPScratch holds the scratches no ICP call is using.
 var idleICPScratch par.FreeList[*icpScratch]
 
 // ICP runs iterative closest point from the initial guess. target is the

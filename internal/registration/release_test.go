@@ -2,6 +2,7 @@ package registration_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tigris/internal/dse"
@@ -21,7 +22,8 @@ func allPoisoned(col []float32) bool {
 
 // TestReleaseReturnsWhatTheFrameOwns: Release hands back — and so, under
 // test, poisons — every column the frame drew: raw and front-end points,
-// the front-end's normals and the raw normals fine-tuning estimated; and
+// the front-end's normals, the raw normals fine-tuning estimated and the
+// descriptor slab; and
 // none of what a detached frame shares with it, the raw points always and
 // the normals when the front-end ran on the raw cloud. The detached frame
 // then aligns bit for bit as it did before its owner was released, and
@@ -38,11 +40,15 @@ func TestReleaseReturnsWhatTheFrameOwns(t *testing.T) {
 		cur := registration.PrepareFrame(seq.Frames[1].Clone(), cfg)
 		registration.Align(cur, prev, cfg)
 		owned := [][]float32{prev.Raw.Xs, prev.Raw.Zs, prev.Raw.NXs, prev.Raw.NZs, prev.FE.Xs, prev.FE.NYs}
+		desc := prev.Desc.Data
 		prev.Release()
 		for i, col := range owned {
 			if !allPoisoned(col) {
 				t.Errorf("onRaw=%v: column %d of a released frame was not handed back", onRaw, i)
 			}
+		}
+		if len(desc) == 0 || slices.ContainsFunc(desc, func(v float64) bool { return !math.IsNaN(v) }) {
+			t.Errorf("onRaw=%v: the descriptor slab of a released frame was not handed back", onRaw)
 		}
 
 		// A frame the loop detector keeps a Detach of.

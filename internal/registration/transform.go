@@ -24,8 +24,10 @@ const accumChunk = 4096
 // See accumChunk for why this is deterministic at any worker count. One
 // worker, or one chunk, folds as it goes on the caller: no partials
 // slice and no closure for the pool, so such a pass allocates nothing
-// beyond what eval does.
-func reduceChunks[P any](n, workers int, eval func(lo, hi int) P, fold func(acc, p P) P) P {
+// beyond what eval does. Otherwise the partials go to *keep, grown to
+// the chunk count and kept there for the caller's next pass; a nil keep
+// takes a fresh slice.
+func reduceChunks[P any](n, workers int, keep *[]P, eval func(lo, hi int) P, fold func(acc, p P) P) P {
 	workers = par.Workers(workers)
 	if workers == 1 || n <= accumChunk {
 		acc := eval(0, min(n, accumChunk))
@@ -35,7 +37,13 @@ func reduceChunks[P any](n, workers int, eval func(lo, hi int) P, fold func(acc,
 		return acc
 	}
 	chunks := (n + accumChunk - 1) / accumChunk
-	parts := make([]P, chunks)
+	if keep == nil {
+		keep = new([]P)
+	}
+	if cap(*keep) < chunks {
+		*keep = make([]P, chunks)
+	}
+	parts := (*keep)[:chunks]
 	par.ForChunks(n, workers, accumChunk, func(_, lo, hi int) {
 		parts[lo/accumChunk] = eval(lo, hi)
 	})
@@ -96,7 +104,7 @@ func estimateRigidSeq(src, dst []geom.Vec3) (geom.Transform, bool) {
 
 func estimateRigidChunked(src, dst []geom.Vec3, workers int) (geom.Transform, bool) {
 	n := float64(len(src))
-	cp := reduceChunks(len(src), workers,
+	cp := reduceChunks(len(src), workers, nil,
 		func(lo, hi int) centroidPart {
 			var p centroidPart
 			for i := lo; i < hi; i++ {
@@ -114,7 +122,7 @@ func estimateRigidChunked(src, dst []geom.Vec3, workers int) (geom.Transform, bo
 	cd := cp.cd.Scale(1 / n)
 
 	// Cross-covariance H = Σ (srcᵢ−c̄s)(dstᵢ−c̄d)ᵀ.
-	h := reduceChunks(len(src), workers,
+	h := reduceChunks(len(src), workers, nil,
 		func(lo, hi int) geom.Mat3 {
 			var hp geom.Mat3
 			for i := lo; i < hi; i++ {

@@ -39,7 +39,7 @@ func estimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Tran
 		return geom.IdentityTransform(), false
 	}
 	n := float64(src.Len())
-	cp := reduceChunks(src.Len(), workers,
+	cp := reduceChunks(src.Len(), workers, nil,
 		func(lo, hi int) centroidPart {
 			var p centroidPart
 			for i := lo; i < hi; i++ {
@@ -56,7 +56,7 @@ func estimateRigidTransformSlabPar(src, dst *cloud.Slab, workers int) (geom.Tran
 	cs := cp.cs.Scale(1 / n)
 	cd := cp.cd.Scale(1 / n)
 
-	h := reduceChunks(src.Len(), workers,
+	h := reduceChunks(src.Len(), workers, nil,
 		func(lo, hi int) geom.Mat3 {
 			var hp geom.Mat3
 			for i := lo; i < hi; i++ {
@@ -91,7 +91,7 @@ func estimatePointToPlaneSlabPar(src, dst *cloud.Slab, workers int) (geom.Transf
 	// re-linearizes anyway.
 	for iter := 0; iter < 6; iter++ {
 		ps.at = cur
-		eq := reduceChunks(src.Len(), workers, ps.eqPass, normalEqPart.add)
+		eq := reduceChunks(src.Len(), workers, &ps.eqParts, ps.eqPass, normalEqPart.add)
 		var jtj [36]float64
 		k := 0
 		for a := 0; a < 6; a++ {
@@ -156,13 +156,16 @@ func alignmentRMSESlabPar(tr geom.Transform, src, dst *cloud.Slab, workers int) 
 // slabPasses holds the per-point passes of one solve over a correspondence
 // slab pair, with their kernels bound once: a pass hands reduceChunks a
 // function value that already exists, so neither a pass nor a trial
-// allocates. at is the transform the next pass evaluates.
+// allocates. at is the transform the next pass evaluates; eqParts and
+// sums keep a multi-worker pass's chunk partials from pass to pass.
 type slabPasses struct {
 	src, dst  *cloud.Slab
 	at        geom.Transform
 	eqPass    func(lo, hi int) normalEqPart
 	costPass  func(lo, hi int) float64
 	sqErrPass func(lo, hi int) float64
+	eqParts   []normalEqPart
+	sums      []float64
 }
 
 // idleSlabPasses holds the slabPasses no solve is using.
@@ -188,7 +191,7 @@ func (ps *slabPasses) release() {
 // reduce sums a scalar pass over the slabs at t.
 func (ps *slabPasses) reduce(t geom.Transform, workers int, pass func(lo, hi int) float64) float64 {
 	ps.at = t
-	return reduceChunks(ps.src.Len(), workers, pass, addFloat)
+	return reduceChunks(ps.src.Len(), workers, &ps.sums, pass, addFloat)
 }
 
 func addFloat(a, b float64) float64 { return a + b }

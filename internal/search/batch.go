@@ -45,9 +45,7 @@ func missNeighbor() kdtree.Neighbor { return kdtree.Neighbor{Index: -1} }
 //
 // A slice that is not laid out this way (built by a custom backend,
 // re-sliced, appended to) is simply not a batch: RecycleBatch clears it
-// and the collector takes the rest. Idle headers wait in a par.FreeList,
-// which unlike sync.Pool survives garbage collections — arenas are
-// megabytes, and a collected pool made every second frame regrow them.
+// and the collector takes the rest. Idle headers wait in a par.FreeList.
 // A header keeps every arena it was ever given: a batch narrower than
 // the last one uses the rightmost and leaves the others parked.
 
