@@ -337,18 +337,9 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	// scenes), and a wrong initialization is worse for ICP than none —
 	// exactly the local-minimum trap the paper's two-phase design exists
 	// to avoid (§3.1).
-	if !ok || len(inliers) < 6 || (len(corr) > 0 && float64(len(inliers)) < 0.2*float64(len(corr))) {
-		initial = geom.IdentityTransform()
-	}
-	maxT, maxR := cfg.MaxInitialTranslation, cfg.MaxInitialRotation
-	if maxT == 0 {
-		maxT = 5
-	}
-	if maxR == 0 {
-		maxR = 0.6
-	}
-	if (maxT > 0 && initial.TranslationNorm() > maxT) || (maxR > 0 && initial.RotationAngle() > maxR) {
-		initial = geom.IdentityTransform()
+	res.InitialSource = FromFrontEnd
+	if !ok || len(inliers) < 6 || (len(corr) > 0 && float64(len(inliers)) < 0.2*float64(len(corr))) || !withinMotionBounds(initial, cfg) {
+		initial, res.InitialSource = geom.IdentityTransform(), FromIdentity
 	}
 	res.Stage.Rejection = time.Since(t0)
 	res.Initial = initial
@@ -399,4 +390,18 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	}
 	cfg.Obs.Observe(obs.StageAlign, res.Total)
 	return res
+}
+
+// withinMotionBounds reports whether t is a motion consecutive frames can
+// make: cfg.MaxInitialTranslation / MaxInitialRotation, 5 m and 0.6 rad
+// when zero, unbounded when negative.
+func withinMotionBounds(t geom.Transform, cfg PipelineConfig) bool {
+	maxT, maxR := cfg.MaxInitialTranslation, cfg.MaxInitialRotation
+	if maxT == 0 {
+		maxT = 5
+	}
+	if maxR == 0 {
+		maxR = 0.6
+	}
+	return !(maxT > 0 && t.TranslationNorm() > maxT) && !(maxR > 0 && t.RotationAngle() > maxR)
 }

@@ -147,8 +147,10 @@ type Result struct {
 	// Transform maps source-frame points into the target frame (the
 	// paper's M of Eq. 1).
 	Transform geom.Transform
-	// Initial is the front-end's initial estimate before fine-tuning.
-	Initial geom.Transform
+	// Initial is where fine-tuning started, and InitialSource where that
+	// came from.
+	Initial       geom.Transform
+	InitialSource InitialSource
 	// Stage holds the Fig. 4a per-stage times.
 	Stage StageTimes
 	// Total is the end-to-end wall time.
@@ -175,6 +177,19 @@ type Result struct {
 	// normals ICP reads are the front-end's own or it reads none.
 	FineNormals, FineTargetPoints int
 }
+
+// InitialSource names where a pair's ICP started (Result.InitialSource).
+type InitialSource string
+
+const (
+	// FromFrontEnd: the front-end's estimate passed Align's guards.
+	FromFrontEnd InitialSource = "front_end"
+	// FromMotionPrior: the guards rejected it, and the caller's prior
+	// (AlignFrom) was used.
+	FromMotionPrior InitialSource = "motion_prior"
+	// FromIdentity: the guards rejected it and there was no usable prior.
+	FromIdentity InitialSource = "identity"
+)
 
 // OtherTime returns Total − KDSearchTime − KDBuildTime (clamped at 0).
 func (r *Result) OtherTime() time.Duration {

@@ -997,19 +997,23 @@ type wireFrame struct {
 	// ICP convergence of the pair that produced Delta (frame 0: zeros).
 	Iterations int     `json:"icp_iterations"`
 	RMSE       float64 `json:"icp_rmse"`
+	// Where that pair's ICP started (registration.InitialSource; frame 0:
+	// empty).
+	InitialSource registration.InitialSource `json:"initial_source,omitempty"`
 }
 
 func trajectoryResponse(traj stream.Trajectory) map[string]any {
 	frames := make([]wireFrame, len(traj.Frames))
 	for i, fr := range traj.Frames {
 		frames[i] = wireFrame{
-			Index:      fr.Index,
-			Delta:      wireTransformOf(fr.Delta),
-			Pose:       wireTransformOf(fr.Pose),
-			PrepMs:     float64(fr.PrepTime.Microseconds()) / 1e3,
-			AlignMs:    float64(fr.AlignTime.Microseconds()) / 1e3,
-			Iterations: fr.Reg.ICP.Iterations,
-			RMSE:       fr.Reg.ICP.FinalRMSE,
+			Index:         fr.Index,
+			Delta:         wireTransformOf(fr.Delta),
+			Pose:          wireTransformOf(fr.Pose),
+			PrepMs:        float64(fr.PrepTime.Microseconds()) / 1e3,
+			AlignMs:       float64(fr.AlignTime.Microseconds()) / 1e3,
+			Iterations:    fr.Reg.ICP.Iterations,
+			RMSE:          fr.Reg.ICP.FinalRMSE,
+			InitialSource: fr.Reg.InitialSource,
 		}
 	}
 	return map[string]any{"frames": len(frames), "trajectory": frames}
