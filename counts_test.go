@@ -130,7 +130,16 @@ func TestCounts(t *testing.T) {
 		}
 		got[run] = append(b, '\n')
 	}
+	c := runs[0]
 
+	// A 3 m step is where starting ICP from the identity misaligns (frame
+	// 9 onto 6 of seeds 6 and 8); the motion prior must keep every pair of
+	// both fixtures within 10 % of its path.
+	for _, fx := range []countsFixture{c.Stride1m, c.Stride3m} {
+		if n := fx.Summary.PairsOverTenPercentErr; n > 0 {
+			t.Errorf("%d of %d pairs end more than 10 %% off", n, fx.Summary.Pairs)
+		}
+	}
 	if !bytes.Equal(got[0], got[1]) {
 		t.Fatalf("two workers, pipelined, differ from one worker, unpipelined:\n%s\nvs\n%s", got[1], got[0])
 	}

@@ -305,8 +305,20 @@ func (f *PreparedFrame) Release() {
 // estimate with its robustness guards, and ICP fine-tuning against the
 // target's raw cloud. It fills every Result field except the per-cloud
 // front-end stage times, which the caller composes from the frames'
-// prep timings (Register does exactly that).
+// prep timings (Register does exactly that). It is AlignFrom with the
+// identity as the prior.
 func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
+	return AlignFrom(src, dst, cfg, geom.IdentityTransform())
+}
+
+// AlignFrom is Align for a caller that knows roughly how the pair moved:
+// when the guards reject the front-end's estimate, ICP starts from prior
+// instead of the identity, as LiDAR odometry seeds scan matching with a
+// constant-velocity prediction (KISS-ICP, Vizzo et al., RA-L 2023; LOAM,
+// Zhang & Singh, RSS 2014). A prior outside the motion bounds
+// (PipelineConfig.MaxInitialTranslation) is not used either. An estimate
+// that passes the guards is used as Align uses it.
+func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform) Result {
 	start := time.Now()
 	var res Result
 	res.SrcKeypoints = len(src.KeypointPts)
@@ -339,7 +351,10 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 	// to avoid (§3.1).
 	res.InitialSource = FromFrontEnd
 	if !ok || len(inliers) < 6 || (len(corr) > 0 && float64(len(inliers)) < 0.2*float64(len(corr))) || !withinMotionBounds(initial, cfg) {
-		initial, res.InitialSource = geom.IdentityTransform(), FromIdentity
+		initial, res.InitialSource = prior, FromMotionPrior
+		if prior == geom.IdentityTransform() || !withinMotionBounds(prior, cfg) {
+			initial, res.InitialSource = geom.IdentityTransform(), FromIdentity
+		}
 	}
 	res.Stage.Rejection = time.Since(t0)
 	res.Initial = initial

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tigris/internal/cloud"
+	"tigris/internal/geom"
 	"tigris/internal/par"
 	"tigris/internal/registration"
 	"tigris/internal/search"
@@ -76,8 +77,9 @@ func getTrajectory(t *testing.T, client *http.Client, base, id string) map[strin
 }
 
 // TestServerEndToEnd drives the full session lifecycle over real HTTP
-// and checks the served deltas are bit-identical to per-pair Register on
-// the same (wire round-tripped) clouds.
+// and checks the served deltas are bit-identical to the per-pair loop on
+// the same (wire round-tripped) clouds: both clouds of a pair prepared,
+// the pair aligned from the previous pair's delta.
 func TestServerEndToEnd(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -129,7 +131,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	records := traj["trajectory"].([]any)
 
-	// Reference: per-pair Register over the wire clouds, bit-compared
+	// Reference: the per-pair loop over the wire clouds, bit-compared
 	// against the served deltas.
 	var dpCfg registration.PipelineConfig
 	srvCfg, err := srv.pipelineConfig(sessionRequest{Backend: "canonical"})
@@ -137,8 +139,14 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	dpCfg = srvCfg
+	want := geom.IdentityTransform()
 	for i := 1; i < frames; i++ {
-		want := registration.Register(wire[i].Clone(), wire[i-1].Clone(), dpCfg).Transform
+		src, dst := registration.PrepareFrame(wire[i], dpCfg), registration.PrepareFrame(wire[i-1], dpCfg)
+		res := registration.AlignFrom(src, dst, dpCfg, want)
+		want = res.Transform
+		if got, _ := records[i].(map[string]any)["initial_source"].(string); got != string(res.InitialSource) {
+			t.Fatalf("frame %d: served initial_source %q, want %q", i, got, res.InitialSource)
+		}
 		rec := records[i].(map[string]any)
 		delta := rec["delta"].(map[string]any)
 		rj := delta["r"].([]any)

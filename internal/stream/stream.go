@@ -286,6 +286,13 @@ type Engine struct {
 
 	// Sequential mode: the previous frame's prepared state.
 	prev *registration.PreparedFrame
+
+	// prior is the last committed pair's Delta (the identity before the
+	// first pair): where the next pair's ICP starts when the front-end's
+	// estimate is rejected (registration.AlignFrom). Only commit reads or
+	// writes it, and commits run one at a time in frame order in both
+	// modes, so the trajectory does not depend on pipelining or width.
+	prior geom.Transform
 }
 
 // Pipeline stage indices (stageRecs).
@@ -339,7 +346,7 @@ var errClosed = errors.New("stream: engine closed")
 // loop.Config.Validate, exactly as SearcherConfig.Validate guards the
 // searcher selection.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, prior: geom.IdentityTransform()}
 	e.cond = sync.NewCond(&e.mu)
 	e.rec = cfg.Pipeline.Obs
 	if cfg.Flight != nil {
@@ -488,10 +495,11 @@ func (e *Engine) commit(pf, prev *registration.PreparedFrame, idx int, prepStart
 		cfg := e.cfg.Pipeline
 		cfg.Obs = e.stageRec(stageAlign, idx)
 		start := time.Now()
-		fr.Reg = registration.Align(pf, prev, cfg)
+		fr.Reg = registration.AlignFrom(pf, prev, cfg, e.prior)
 		fr.AlignTime = time.Since(start)
 		e.leave()
 		fr.Delta = fr.Reg.Transform
+		e.prior = fr.Delta
 		// Surface this frame's front-end shares in the pair result so
 		// per-frame records read like Register's (the target's shares
 		// belong to the previous frame's record).

@@ -43,6 +43,23 @@ func cloneFrames(seq *synth.Sequence) []*cloud.Cloud {
 	return out
 }
 
+// perPairFrom is the loop a session must equal bit for bit: each pair
+// prepared afresh, both clouds (PrepareFrame, as Register does), and
+// aligned from the previous pair's delta (AlignFrom; the identity before
+// the first pair), as the engine carries it.
+func perPairFrom(frames []*cloud.Cloud, cfg registration.PipelineConfig) []geom.Transform {
+	prior := geom.IdentityTransform()
+	deltas := make([]geom.Transform, 0, len(frames))
+	for i := 0; i+1 < len(frames); i++ {
+		src, dst := registration.PrepareFrame(frames[i+1], cfg), registration.PrepareFrame(frames[i], cfg)
+		prior = registration.AlignFrom(src, dst, cfg, prior).Transform
+		src.Release()
+		dst.Release()
+		deltas = append(deltas, prior)
+	}
+	return deltas
+}
+
 // runStream pushes every frame through a fresh engine and returns the
 // final trajectory and stats.
 func runStream(frames []*cloud.Cloud, cfg Config) (Trajectory, Stats) {
@@ -58,20 +75,14 @@ func runStream(frames []*cloud.Cloud, cfg Config) (Trajectory, Stats) {
 
 // TestStreamMatchesPerPairExact is the tentpole acceptance test: for the
 // exact backends, a streamed session's deltas and poses are bit-identical
-// to the sequential per-pair Register loop, pipelined or not.
+// to the sequential per-pair loop that carries the previous pair's delta
+// (perPairFrom), pipelined or not.
 func TestStreamMatchesPerPairExact(t *testing.T) {
 	const frames = 4
 	seq := testSeq(t, frames, 21)
 	for _, kind := range []string{search.BackendCanonical, search.BackendTwoStage} {
 		cfg := testConfig(kind)
-
-		// Reference: the classic per-pair loop.
-		ref := cloneFrames(seq)
-		wantDeltas := make([]geom.Transform, 0, frames-1)
-		for i := 0; i+1 < frames; i++ {
-			res := registration.Register(ref[i+1], ref[i], cfg)
-			wantDeltas = append(wantDeltas, res.Transform)
-		}
+		wantDeltas := perPairFrom(cloneFrames(seq), cfg)
 
 		for _, pipelined := range []bool{false, true} {
 			traj, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: pipelined})
@@ -85,7 +96,7 @@ func TestStreamMatchesPerPairExact(t *testing.T) {
 						t.Fatalf("%v: frame 0 delta not identity", kind)
 					}
 				} else if fr.Delta != wantDeltas[i-1] {
-					t.Fatalf("%v pipelined=%v: frame %d delta differs from per-pair Register", kind, pipelined, i)
+					t.Fatalf("%v pipelined=%v: frame %d delta differs from the per-pair loop", kind, pipelined, i)
 				}
 				pose = poseOrCompose(pose, fr, i)
 				if traj.Poses[i] != pose {
@@ -137,11 +148,7 @@ func TestStreamDownsampledFineIndex(t *testing.T) {
 	cfg := testConfig(search.BackendCanonical)
 	cfg.VoxelLeaf = 0.4
 
-	ref := cloneFrames(seq)
-	var wantDeltas []geom.Transform
-	for i := 0; i+1 < frames; i++ {
-		wantDeltas = append(wantDeltas, registration.Register(ref[i+1], ref[i], cfg).Transform)
-	}
+	wantDeltas := perPairFrom(cloneFrames(seq), cfg)
 
 	traj, stats := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: true})
 	for i := 1; i < frames; i++ {
@@ -395,24 +402,18 @@ func TestAdaptiveSplitNarrowPool(t *testing.T) {
 // TestStreamPipelinedAdaptiveMatchesRegister: which slots a stage's loops
 // could borrow changes only worker counts, and exact backends are
 // parallelism-invariant, so a pipelined session whose stages lend each
-// other the machine must still be bit-identical to the per-pair Register
-// loop.
+// other the machine must still be bit-identical to the per-pair loop
+// (perPairFrom).
 func TestStreamPipelinedAdaptiveMatchesRegister(t *testing.T) {
 	seq := testSeq(t, 4, 41)
 	cfg := testConfig(search.BackendCanonical)
 	cfg.Searcher.Parallelism = 4
-
-	ref := cloneFrames(seq)
-	var want []geom.Transform
-	for i := 0; i+1 < len(ref); i++ {
-		res := registration.Register(ref[i+1], ref[i], cfg)
-		want = append(want, res.Transform)
-	}
+	want := perPairFrom(cloneFrames(seq), cfg)
 
 	traj, _ := runStream(cloneFrames(seq), Config{Pipeline: cfg, Pipelined: true})
 	for i, w := range want {
 		if got := traj.Frames[i+1].Delta; got != w {
-			t.Fatalf("pair %d: adaptive pipelined delta differs from Register:\n%v\nvs\n%v", i, got, w)
+			t.Fatalf("pair %d: adaptive pipelined delta differs from the per-pair loop:\n%v\nvs\n%v", i, got, w)
 		}
 	}
 }

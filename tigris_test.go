@@ -15,6 +15,7 @@ import (
 	"tigris"
 	"tigris/internal/cloud"
 	"tigris/internal/geom"
+	"tigris/internal/registration"
 )
 
 // TestPublicAPIEndToEnd drives the whole public surface the way the
@@ -105,7 +106,8 @@ func TestPublicAPIDesignPoints(t *testing.T) {
 
 // TestPublicAPIStream drives the streaming engine surface: push a short
 // synthetic sequence, drain, and check the trajectory matches the
-// per-pair Register loop (bit-identical for the exact backend).
+// per-pair loop that prepares both clouds of every pair and aligns it
+// from the previous pair's delta (bit-identical for the exact backend).
 func TestPublicAPIStream(t *testing.T) {
 	const frames = 3
 	seq := tigris.GenerateSequence(tigris.QuickSequenceConfig(frames, 12))
@@ -128,10 +130,12 @@ func TestPublicAPIStream(t *testing.T) {
 	if traj.Len() != frames {
 		t.Fatalf("trajectory has %d frames, want %d", traj.Len(), frames)
 	}
+	prior := tigris.IdentityTransform()
 	for i := 1; i < frames; i++ {
-		want := tigris.Register(ref[i], ref[i-1], cfg).Transform
-		if traj.Frames[i].Delta != want {
-			t.Fatalf("frame %d: streamed delta differs from per-pair Register", i)
+		src, dst := registration.PrepareFrame(ref[i], cfg), registration.PrepareFrame(ref[i-1], cfg)
+		prior = registration.AlignFrom(src, dst, cfg, prior).Transform
+		if traj.Frames[i].Delta != prior {
+			t.Fatalf("frame %d: streamed delta differs from the per-pair loop", i)
 		}
 	}
 	if st := eng.Stats(); st.FramesPrepared != frames || st.DescriptorBuilds != frames {
