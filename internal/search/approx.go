@@ -82,7 +82,8 @@ func (s *TwoStageSearcher) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Nei
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
 	s.approxChunked(len(qs), func(sess *twostage.ApproxSession, shard *twostage.Stats, w, i int) {
-		out[i] = fileResult(&arenas[w], sess.RadiusInto(qs[i], r, arenaTail(arenas[w]), shard))
+		a := arenaOf(arenas, w)
+		out[i] = fileResult(a, sess.RadiusInto(qs[i], r, arenaTail(a), shard))
 	})
 	s.record(start)
 	return out

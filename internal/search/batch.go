@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -24,30 +25,32 @@ import (
 func missNeighbor() kdtree.Neighbor { return kdtree.Neighbor{Index: -1} }
 
 // A KNearestBatch/RadiusBatch result is one pooled batch: a header slice
-// with one entry per query, each a window of a per-worker arena that
-// holds the worker's answers back to back. Radius search is the dominant
-// query kind of the front-end (normal estimation, key-point responses,
+// with one entry per query, each a window of an arena chunk that holds a
+// worker's answers back to back. Radius search is the dominant query
+// kind of the front-end (normal estimation, key-point responses,
 // descriptor support regions) and a streaming session issues tens of
-// thousands of such queries per frame forever; answering into a handful
-// of large arenas instead of one small slab per query, and handing the
-// whole batch back in one piece (RecycleBatch), is what keeps that
-// steady state allocation-free.
+// thousands of such queries per frame forever; answering into fixed
+// chunks drawn from one pool instead of one small slab per query, and
+// handing the whole batch back in one piece (RecycleBatch), is what
+// keeps that steady state allocation-free. However dense a frame, a
+// chunk never grows: a worker whose answers outrun one takes another.
 //
 // The header describes itself, so RecycleBatch needs nothing but the
 // slice the caller was given. Past that slice's length, inside its
 // capacity, the header goes on:
 //
-//	hdr[0:n]          the n per-query results (the caller's slice)
-//	hdr[n]            a mark: "what you hold is a whole batch"
-//	...               unused (nil)
-//	hdr[c-1-k:c-1]    the k arenas the header carries (cap = capacity)
-//	hdr[c-1]          a mark whose capacity encodes k
+//	hdr[0:n]            the n per-query results (the caller's slice)
+//	hdr[n]              a mark: "what you hold is a whole batch"
+//	...                 unused (nil)
+//	hdr[c-1-k*g:c-1]    k workers' arenas, g = arenaSlots entries each
+//	hdr[c-1]            a mark whose capacity encodes k
 //
 // A slice that is not laid out this way (built by a custom backend,
 // re-sliced, appended to) is simply not a batch: RecycleBatch clears it
-// and the collector takes the rest. Idle headers wait in a par.FreeList.
-// A header keeps every arena it was ever given: a batch narrower than
-// the last one uses the rightmost and leaves the others parked.
+// and the collector takes the rest. Idle headers wait in a par.FreeList,
+// each worker's arena with the chunk it answers into: a batch narrower
+// than the last one uses the rightmost arenas and leaves the others
+// parked.
 
 // batchMark backs the mark slices of a batch header; the end mark's
 // capacity carries the arena count, so pooled batches have fewer than
@@ -65,6 +68,29 @@ func markCount(s []kdtree.Neighbor) (int, bool) {
 	return cap(s) - 1, true
 }
 
+const (
+	// arenaChunk is the size of every arena chunk, in neighbours (1 MiB).
+	arenaChunk = 64 << 10
+	// spareChunks is how many full chunks one worker's arena records for
+	// RecycleBatch; arenaSlots adds the chunk it answers into.
+	spareChunks = 16
+	arenaSlots  = spareChunks + 1
+)
+
+// arenaChunks holds the chunks no batch is answering into or holding
+// answers in.
+var arenaChunks = par.NewSlicePool(kdtree.Neighbor{Index: -1, Dist2: math.NaN()})
+
+// arena is one worker's entries of a batch header: the full chunks its
+// earlier answers lie in (nil where there are none), then the chunk it
+// answers into.
+type arena [][]kdtree.Neighbor
+
+// arenaOf returns worker w's arena among a batch's arenas.
+func arenaOf(arenas [][]kdtree.Neighbor, w int) arena {
+	return arena(arenas[w*arenaSlots : (w+1)*arenaSlots])
+}
+
 // heldArenas returns the arenas an idle (or whole live) header carries,
 // nil when hdr does not end in a mark.
 func heldArenas(hdr [][]kdtree.Neighbor) [][]kdtree.Neighbor {
@@ -73,27 +99,22 @@ func heldArenas(hdr [][]kdtree.Neighbor) [][]kdtree.Neighbor {
 		return nil
 	}
 	k, ok := markCount(hdr[c-1])
-	if !ok || k > c-1 {
+	if !ok || k*arenaSlots > c-1 {
 		return nil
 	}
-	return hdr[c-1-k : c-1]
+	return hdr[c-1-k*arenaSlots : c-1]
 }
 
-// arenaFloor is the smallest arena a worker is given once it has
-// outgrown the one it held.
-const arenaFloor = 4096
-
-// idleBatches holds recycled batch headers: all nil but for the arenas
-// and the end mark.
+// idleBatches holds recycled batch headers: all nil but for each arena's
+// current chunk and the end mark.
 var idleBatches par.FreeList[[][]kdtree.Neighbor]
 
-// arenaHigh and headerHigh are the largest arena and header any batch
-// has needed. Headers wait in idleBatches in no particular order, so a
-// stage's large batch may draw the header a small one grew; an arena or
-// header that has to grow grows at once to the process's high-water mark
-// instead of doubling up to it on every header in turn, and a warmed
-// session regrows neither.
-var arenaHigh, headerHigh atomic.Int64
+// headerHigh is the largest header any batch has needed. Headers wait in
+// idleBatches in no particular order, so a stage's large batch may draw
+// the header a small one grew; a header that has to grow grows at once
+// to the process's high-water mark instead of doubling up to it on every
+// header in turn, and a warmed session regrows none.
+var headerHigh atomic.Int64
 
 // raiseMark lifts a high-water mark to at least v and returns it.
 func raiseMark(mark *atomic.Int64, v int) int {
@@ -109,17 +130,17 @@ func raiseMark(mark *atomic.Int64, v int) int {
 }
 
 // takeBatch returns the result slice for n queries and the arenas of the
-// workers that will answer them, reusing an idle header when there is
-// one. Every result entry must be assigned before the batch is returned
-// to a caller.
+// workers that will answer them (arenaOf), reusing an idle header when
+// there is one; every arena has a chunk to answer into. Every result
+// entry must be assigned before the batch is returned to a caller.
 func takeBatch(n, workers int) (out, arenas [][]kdtree.Neighbor) {
 	if workers >= len(batchMark) {
-		return make([][]kdtree.Neighbor, n), make([][]kdtree.Neighbor, workers)
+		return make([][]kdtree.Neighbor, n), make([][]kdtree.Neighbor, workers*arenaSlots)
 	}
 	hdr, _ := idleBatches.Get()
 	held := heldArenas(hdr)
-	keep := max(len(held), workers)
-	if c := n + 1 + keep + 1; len(hdr) < c {
+	keep := max(len(held)/arenaSlots, workers)
+	if c := n + 1 + keep*arenaSlots + 1; len(hdr) < c {
 		grown := make([][]kdtree.Neighbor, raiseMark(&headerHigh, c))
 		copy(grown[len(grown)-1-len(held):], held)
 		hdr = grown
@@ -127,18 +148,24 @@ func takeBatch(n, workers int) (out, arenas [][]kdtree.Neighbor) {
 	c := len(hdr)
 	hdr[c-1] = markOf(keep)
 	hdr[n] = markOf(0)
-	arenas = hdr[c-1-workers : c-1]
-	for w := range arenas {
-		arenas[w] = arenas[w][:0]
+	arenas = hdr[c-1-workers*arenaSlots : c-1]
+	for w := 0; w < workers; w++ {
+		cur := &arenas[w*arenaSlots+spareChunks]
+		if cap(*cur) == 0 {
+			*cur = arenaChunks.Get(arenaChunk)
+		}
+		*cur = (*cur)[:0]
 	}
 	return hdr[:n], arenas
 }
 
 // RecycleBatch takes back a KNearestBatch/RadiusBatch result the caller
 // has fully consumed: every entry is cleared, and when res is a pooled
-// batch (every built-in backend returns one) its header and arenas serve
-// the next batch. No reference to any entry may be retained. Any other
-// slice of neighbor lists is welcome too and is only cleared.
+// batch (every built-in backend returns one) the full chunks its workers
+// recorded go back to the chunk pool and its header, with each arena's
+// current chunk, serves the next batch. No reference to any entry may be
+// retained. Any other slice of neighbor lists is welcome too and is only
+// cleared.
 func RecycleBatch(res [][]kdtree.Neighbor) {
 	clear(res)
 	n := len(res)
@@ -149,39 +176,63 @@ func RecycleBatch(res [][]kdtree.Neighbor) {
 	if _, ok := markCount(hdr[n]); !ok {
 		return
 	}
-	if held := heldArenas(hdr); held == nil || n+1+len(held)+1 > len(hdr) {
+	held := heldArenas(hdr)
+	if held == nil || n+1+len(held)+1 > len(hdr) {
 		return
+	}
+	for i, chunk := range held {
+		if chunk != nil && i%arenaSlots != spareChunks {
+			arenaChunks.Put(chunk)
+			held[i] = nil
+		}
 	}
 	hdr[n] = nil
 	idleBatches.Put(hdr)
 }
 
-// arenaTail is the unfilled remainder of an arena: the buffer a query
-// answers into (the *Into kernels reset it to length 0 and append).
-func arenaTail(arena []kdtree.Neighbor) []kdtree.Neighbor {
-	return arena[len(arena):]
+// arenaTail is the unfilled remainder of an arena's current chunk: the
+// buffer a query answers into (the *Into kernels reset it to length 0
+// and append).
+func arenaTail(a arena) []kdtree.Neighbor {
+	cur := a[spareChunks]
+	return cur[len(cur):]
 }
 
 // fileResult files one query's answer, which a kernel produced from
-// arenaTail(*arena). While the arena has room the answer lies in the
-// tail and the arena simply grows over it. When the kernel outgrew the
-// tail and moved the answer to an array of its own, the worker is given
-// a larger arena for the queries still to come (the results already
-// filed keep the old one alive until the batch is recycled): twice the
-// old one, or the largest any worker has needed (arenaHigh) if that is
-// more. Empty answers are nil, as the sequential methods return them, and
-// a filed answer's capacity ends with it so an append cannot run into the
-// next.
-func fileResult(arena *[]kdtree.Neighbor, res []kdtree.Neighbor) []kdtree.Neighbor {
+// arenaTail(a). While the current chunk has room the answer lies in its
+// tail and the chunk simply grows over it. The worker takes a fresh chunk
+// from arenaChunks when the kernel outgrew the tail and moved the answer
+// to an array of its own, or when less than an eighth of the chunk is
+// left; the full one is recorded in a spare entry for RecycleBatch, or,
+// when the worker has filled all spareChunks of them, left to the
+// collector with the answers in it. Empty answers are nil, as the
+// sequential methods return them, and a filed answer's capacity ends
+// with it so an append cannot run into the next.
+func fileResult(a arena, res []kdtree.Neighbor) []kdtree.Neighbor {
 	if len(res) == 0 {
 		return nil
 	}
-	a := *arena
-	if tail := a[len(a):cap(a)]; len(tail) > 0 && &res[0] == &tail[0] {
-		*arena = a[:len(a)+len(res)]
-	} else {
-		*arena = make([]kdtree.Neighbor, 0, raiseMark(&arenaHigh, max(2*cap(a), arenaFloor)+len(res)))
+	cur := &a[spareChunks]
+	c := *cur
+	if tail := c[len(c):cap(c)]; len(tail) > 0 && &res[0] == &tail[0] {
+		c = c[:len(c)+len(res)]
+		*cur = c
+		if cap(c)-len(c) >= arenaChunk/8 {
+			return res[:len(res):len(res)]
+		}
+	} else if len(c) == 0 && cap(c) > 0 {
+		// Nothing is filed in the chunk: keep it for the next answer.
+		return res[:len(res):len(res)]
 	}
+	if len(c) > 0 {
+		for i, spare := range a[:spareChunks] {
+			if spare == nil {
+				a[i] = c
+				break
+			}
+		}
+	}
+	*cur = arenaChunks.Get(arenaChunk)[:0]
 	return res[:len(res):len(res)]
 }
 
@@ -279,13 +330,15 @@ func (s *searcher[I, St, P]) NearestBatchInto(qs []geom.Vec3, buf []kdtree.Neigh
 func (s *searcher[I, St, P]) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Neighbor {
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
-	if len(arenas) == 1 {
+	if workers := len(arenas) / arenaSlots; workers == 1 {
+		a := arenaOf(arenas, 0)
 		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.index.KNearestInto(q, k, arenaTail(arenas[0]), &s.stats))
+			out[i] = fileResult(a, s.index.KNearestInto(q, k, arenaTail(a), &s.stats))
 		}
 	} else {
-		par.Sharded(len(qs), len(arenas), func(shard *St, w, i int) {
-			out[i] = fileResult(&arenas[w], s.index.KNearestInto(qs[i], k, arenaTail(arenas[w]), shard))
+		par.Sharded(len(qs), workers, func(shard *St, w, i int) {
+			a := arenaOf(arenas, w)
+			out[i] = fileResult(a, s.index.KNearestInto(qs[i], k, arenaTail(a), shard))
 		}, s.merge)
 	}
 	s.record(start)
@@ -299,13 +352,15 @@ func (s *searcher[I, St, P]) KNearestBatch(qs []geom.Vec3, k int) [][]kdtree.Nei
 func (s *searcher[I, St, P]) RadiusBatch(qs []geom.Vec3, r float64) [][]kdtree.Neighbor {
 	start := time.Now()
 	out, arenas := takeBatch(len(qs), s.parallelism)
-	if len(arenas) == 1 || len(qs) == 1 {
+	if workers := len(arenas) / arenaSlots; workers == 1 || len(qs) == 1 {
+		a := arenaOf(arenas, 0)
 		for i, q := range qs {
-			out[i] = fileResult(&arenas[0], s.index.RadiusInto(q, r, arenaTail(arenas[0]), &s.stats))
+			out[i] = fileResult(a, s.index.RadiusInto(q, r, arenaTail(a), &s.stats))
 		}
 	} else {
-		par.Sharded(len(qs), len(arenas), func(shard *St, w, i int) {
-			out[i] = fileResult(&arenas[w], s.index.RadiusInto(qs[i], r, arenaTail(arenas[w]), shard))
+		par.Sharded(len(qs), workers, func(shard *St, w, i int) {
+			a := arenaOf(arenas, w)
+			out[i] = fileResult(a, s.index.RadiusInto(qs[i], r, arenaTail(a), shard))
 		}, s.merge)
 	}
 	s.record(start)

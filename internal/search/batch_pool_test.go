@@ -96,8 +96,8 @@ func TestRecycledBatchesServeAnyShape(t *testing.T) {
 			t.Fatalf("round %d: a second header appeared; the idle one was not reused", round)
 		}
 		arenas := heldArenas(hdr)
-		if len(arenas) < shape.workers {
-			t.Fatalf("round %d: header holds %d arenas for %d workers", round, len(arenas), shape.workers)
+		if len(arenas) < shape.workers*arenaSlots {
+			t.Fatalf("round %d: header holds %d arena entries for %d workers", round, len(arenas), shape.workers)
 		}
 		for a := range arenas {
 			for b := a + 1; b < len(arenas); b++ {
@@ -107,6 +107,63 @@ func TestRecycledBatchesServeAnyShape(t *testing.T) {
 			}
 		}
 		idleBatches.Put(hdr)
+	}
+}
+
+// TestBatchSpanningChunks: a batch whose answers fill several arena
+// chunks answers as the oracle does, at one worker and at three, and
+// RecycleBatch hands every full chunk back to the chunk pool, poisoned.
+func TestBatchSpanningChunks(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	pts := randPoints(r, 3000)
+	qs := randPoints(r, 600)
+	const radius = 20.0
+	oracle := NewBruteSearcher(pts)
+	want := make([][]kdtree.Neighbor, len(qs))
+	total := 0
+	for i, q := range qs {
+		want[i] = oracle.Radius(q, radius)
+		total += len(want[i])
+	}
+	if total < 3*arenaChunk {
+		t.Fatalf("%d neighbours in all: the batch fits in fewer than three chunks", total)
+	}
+	for _, workers := range []int{1, 3} {
+		s := NewKDSearcher(pts)
+		s.SetParallelism(workers)
+		res := s.RadiusBatch(qs, radius)
+		for i := range qs {
+			if !sameNeighbors(res[i], want[i]) {
+				t.Fatalf("%d workers: query %d diverged from the oracle", workers, i)
+			}
+		}
+		full := map[*kdtree.Neighbor]bool{}
+		for i, chunk := range heldArenas(res[:cap(res)]) {
+			if chunk != nil && i%arenaSlots != spareChunks {
+				if cap(chunk) != arenaChunk {
+					t.Fatalf("%d workers: a full chunk of %d neighbours", workers, cap(chunk))
+				}
+				full[&chunk[:1][0]] = true
+			}
+		}
+		if len(full) < 2 {
+			t.Fatalf("%d workers: %d full chunks recorded for %d neighbours", workers, len(full), total)
+		}
+		RecycleBatch(res)
+		back := make([][]kdtree.Neighbor, 0, len(full))
+		for range full {
+			chunk := arenaChunks.Get(arenaChunk)
+			if !full[&chunk[0]] {
+				t.Fatalf("%d workers: the chunk pool did not get a full chunk back", workers)
+			}
+			if chunk[0].Index != -1 || chunk[arenaChunk-1].Index != -1 {
+				t.Fatalf("%d workers: a recycled chunk was not poisoned", workers)
+			}
+			back = append(back, chunk)
+		}
+		for _, chunk := range back {
+			arenaChunks.Put(chunk)
+		}
 	}
 }
 
@@ -184,10 +241,11 @@ func TestTwoStageScanLeavesFiledAnswersAlone(t *testing.T) {
 	const radius = 4.0
 	leaf := maxLeafSize(s.index)
 	for _, capacity := range []int{0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf, 5 * leaf, 64 * leaf} {
-		arena := make([]kdtree.Neighbor, 0, capacity)
+		a := make(arena, arenaSlots)
+		a[spareChunks] = make([]kdtree.Neighbor, 0, capacity)
 		filed := make([][]kdtree.Neighbor, len(queries))
 		for i, q := range queries {
-			filed[i] = fileResult(&arena, s.index.RadiusInto(q, radius, arenaTail(arena), nil))
+			filed[i] = fileResult(a, s.index.RadiusInto(q, radius, arenaTail(a), nil))
 		}
 		answered := 0
 		for i, q := range queries {
