@@ -94,7 +94,10 @@ func (g *Gateway) migrate(ses *gwSession, from *worker) (bool, error) {
 
 	// Recreate the session on another worker from its original config,
 	// anchored at the last committed pose so the trajectory continues
-	// where it left off.
+	// where it left off. The engine's motion prior (the last pair's delta,
+	// stream.Engine) is not carried and need not be: the new session's
+	// first frame is anchored at that pose, not registered against the
+	// old session's last frame, so no pair spans the drain.
 	createBody := map[string]any{}
 	if len(ses.createBody) > 0 {
 		if err := json.Unmarshal(ses.createBody, &createBody); err != nil {

@@ -118,9 +118,10 @@ type PipelineConfig struct {
 	// meters or flip around, but scene symmetry (a street looks alike
 	// fore and aft) occasionally yields a *consistent* wrong hypothesis
 	// that distance-based rejection cannot catch; odometry pipelines
-	// guard with exactly this kind of motion prior. Violations fall back
-	// to the identity initialization. Zero values select 5 m and 0.6 rad;
-	// negative values disable the check.
+	// guard with exactly this kind of motion prior. A rejected estimate
+	// falls back to the caller's prior (AlignFrom), which must pass the
+	// same bounds, else to the identity. Zero values select 5 m and
+	// 0.6 rad; negative values disable the check.
 	MaxInitialTranslation float64
 	MaxInitialRotation    float64
 }

@@ -72,8 +72,11 @@ const (
 	// arenaChunk is the size of every arena chunk, in neighbours (1 MiB).
 	arenaChunk = 64 << 10
 	// spareChunks is how many full chunks one worker's arena records for
-	// RecycleBatch; arenaSlots adds the chunk it answers into.
-	spareChunks = 16
+	// RecycleBatch; arenaSlots adds the chunk it answers into. A replayed
+	// DP7 normal-estimation batch on a raw frame (8,192 queries, ≈ 360
+	// neighbours each) fills 52, all on one worker when no other slot is
+	// free.
+	spareChunks = 64
 	arenaSlots  = spareChunks + 1
 )
 

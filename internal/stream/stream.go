@@ -24,11 +24,16 @@
 //     idle or blocked on the register between them gets the whole
 //     machine, at the configured Parallelism at most.
 //
-// For the exact search backends the resulting trajectory is bit-identical
-// to the sequential per-pair Register loop at any pipelining or
-// parallelism setting, because every stage is a deterministic function of
-// its input clouds and the config; the approximate backend is
-// deterministic (two identical sessions produce identical trajectories).
+// Unlike Register, which has no history, a session starts a pair's ICP
+// from the last committed pair's delta whenever the guards reject the
+// front-end's estimate (registration.AlignFrom): a constant-velocity
+// prior. For the exact search backends the resulting trajectory is
+// bit-identical to the sequential per-pair loop that prepares both clouds
+// of every pair and aligns it from the previous pair's delta, at any
+// pipelining or parallelism setting, because every stage is a
+// deterministic function of its input clouds, the config and that delta;
+// the approximate backend is deterministic (two identical sessions
+// produce identical trajectories).
 //
 // A session's worker count and recorder each have one place, its
 // registration config: Pipeline.Searcher.Parallelism is the width every
@@ -92,7 +97,9 @@ func (l Limiter) Release() { l.release() }
 
 // Config parameterizes a streaming session.
 type Config struct {
-	// Pipeline is the registration configuration every pair runs with.
+	// Pipeline is the registration configuration every pair runs with,
+	// each from the previous pair's delta when its front-end's estimate is
+	// rejected (registration.AlignFrom).
 	// Its Searcher.Parallelism is the session's one worker count, and its
 	// Obs the session's one recorder (internal/obs): besides every
 	// registration stage, Obs receives whole-frame latency

@@ -162,9 +162,13 @@ type StreamConfig = stream.Config
 // NewStream starts a streaming odometry session: frames are pushed one
 // at a time, each frame's front-end is computed once and reused when the
 // frame becomes the next pair's target, and (when pipelined) frame N's
-// front-end overlaps frame N−1's fine-tuning. For exact search backends
-// the trajectory is bit-identical to a per-pair Register loop. Close it
-// to stop the pipeline workers and release the last frame's state.
+// front-end overlaps frame N−1's fine-tuning. When the front-end's
+// estimate is rejected, a pair's ICP starts from the previous pair's
+// delta (registration.AlignFrom). For exact search backends the
+// trajectory is bit-identical to the per-pair loop that prepares both
+// clouds of every pair and aligns it from the previous pair's delta.
+// Close it to stop the pipeline workers and release the last frame's
+// state.
 func NewStream(cfg StreamConfig) *stream.Engine { return stream.New(cfg) }
 
 // SLAM layer: loop closure + pose-graph optimization. A streaming
