@@ -348,7 +348,9 @@ func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform
 	// means the front-end found no reliable matches (e.g. feature-poor
 	// scenes), and a wrong initialization is worse for ICP than none —
 	// exactly the local-minimum trap the paper's two-phase design exists
-	// to avoid (§3.1).
+	// to avoid (§3.1). So is a motion past the bounds. ICP then starts
+	// from the caller's prior, or from the identity when the prior is the
+	// identity or out of bounds too.
 	res.InitialSource = FromFrontEnd
 	if !ok || len(inliers) < 6 || (len(corr) > 0 && float64(len(inliers)) < 0.2*float64(len(corr))) || !withinMotionBounds(initial, cfg) {
 		initial, res.InitialSource = prior, FromMotionPrior
