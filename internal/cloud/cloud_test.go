@@ -2,6 +2,9 @@ package cloud
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -260,6 +263,43 @@ func TestIOEmptyCloud(t *testing.T) {
 	}
 	if back.Len() != 0 {
 		t.Errorf("empty cloud round trip gained points: %d", back.Len())
+	}
+}
+
+// TestReadPointCountBoundary: a header may declare exactly maxIOPoints
+// points (such a frame fails only on its missing body), not one more.
+func TestReadPointCountBoundary(t *testing.T) {
+	const head = "TIGRIS-CLOUD v1\nPOINTS %d\nFIELDS xyz\nDATA ascii\n"
+	readers := map[string]func(string) error{
+		"Read":     func(s string) error { _, err := Read(strings.NewReader(s)); return err },
+		"ReadSlab": func(s string) error { _, err := ReadSlab(strings.NewReader(s)); return err },
+	}
+	for name, read := range readers {
+		if err := read(fmt.Sprintf(head, maxIOPoints)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: POINTS %d with no body: %v, want the missing body", name, maxIOPoints, err)
+		}
+		if err := read(fmt.Sprintf(head, maxIOPoints+1)); err == nil || !strings.Contains(err.Error(), "unreasonable point count") {
+			t.Errorf("%s: POINTS %d: %v, want an unreasonable count", name, maxIOPoints+1, err)
+		}
+	}
+}
+
+// TestVoxelIndexRange: cell indices from MinInt32 to MaxInt32 have a key,
+// one past either end has none.
+func TestVoxelIndexRange(t *testing.T) {
+	for _, tc := range []struct {
+		x    float64
+		want bool
+	}{
+		{math.MaxInt32, true},
+		{math.MinInt32, true},
+		{math.MaxInt32 + 1, false},
+		{math.MinInt32 - 1, false},
+	} {
+		got, ok := voxelIndex(tc.x, 1)
+		if ok != tc.want || (ok && float64(got) != tc.x) {
+			t.Errorf("voxelIndex(%v, 1) = %d, %v; want %v", tc.x, got, ok, tc.want)
+		}
 	}
 }
 

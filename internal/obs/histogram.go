@@ -5,13 +5,13 @@
 // registry the serving layer scrapes.
 //
 // The design constraint is that recording must be safe on the hot path:
-// Record/Add/Observe never allocate and never take a lock. Histograms
-// stripe their buckets across cache-line-padded shards selected by a
-// per-goroutine hint, so concurrent pipeline stages recording into the
-// same histogram do not contend on one cache line; shards are summed
-// only at read time. The existing AllocsPerRun budgets in kdtree and
-// registration therefore hold unchanged with metrics enabled, and a nil
-// *Recorder is a complete no-op, so telemetry is strictly opt-in for
+// Record/Add/Observe never allocate. A histogram is one array of atomic
+// buckets, so Record and Add take no lock; a recorder finds a stage's
+// histogram under one short mutex, and a flight recorder appends a span
+// under one. A session records a dozen spans a frame, far too few for
+// those locks to contend. The existing AllocsPerRun budgets in kdtree
+// and registration therefore hold unchanged with metrics enabled, and a
+// nil *Recorder is a complete no-op, so telemetry is strictly opt-in for
 // library users.
 package obs
 
@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Histogram bucket layout: log-linear (HDR-style) over nanoseconds.
@@ -35,12 +34,6 @@ const (
 	// years); larger values clamp into the last bucket.
 	histBuckets = (62-histSubBits)*histSub + 2*histSub
 )
-
-// histShards stripes recording across this many independent bucket
-// arrays. Recording picks a shard from a per-goroutine stack hint, so
-// the handful of pipeline workers that share one histogram land on
-// different cache lines; reads merge all shards. Must be a power of two.
-const histShards = 4
 
 // bucketIndex maps a non-negative nanosecond value to its bucket.
 func bucketIndex(ns int64) int {
@@ -71,42 +64,19 @@ func bucketUpperNs(idx int) int64 {
 	return int64((sub+1)<<block - 1)
 }
 
-// histShard is one stripe of a histogram. The pad keeps adjacent shards
-// off each other's cache lines for the fields updated on every record
-// (count, sum, max); the bucket array is large enough that cross-shard
-// false sharing there is negligible.
-type histShard struct {
+// Histogram is a fixed-size log-bucketed latency histogram. The zero
+// value is ready to use; histograms are shared by pointer
+// (Registry.Histogram hands them out).
+//
+// Record is lock-free, allocation-free, and safe for any number of
+// concurrent writers; Snapshot/Quantile/Summary may run concurrently
+// with writers and load each counter independently (a read racing a
+// record may miss that one sample — monitoring reads, not barriers).
+type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Int64
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
-	_      [64]byte
-}
-
-// Histogram is a fixed-size log-bucketed latency histogram. The zero
-// value is ready to use; the shard array is large, so histograms are
-// shared by pointer (Registry.Histogram hands them out).
-//
-// Record is lock-free, allocation-free, and safe for any number of
-// concurrent writers; Snapshot/Quantile/Summary may run concurrently
-// with writers and observe each shard's counters independently (a read
-// racing a record may miss that one sample — monitoring reads, not
-// barriers).
-type Histogram struct {
-	shards [histShards]histShard
-}
-
-// shardHint derives a stripe index from the caller's stack address: a
-// goroutine's stack is stable across the few nanoseconds of a record
-// and distinct goroutines live on distinct stacks, so concurrent
-// recorders spread across shards without any runtime support. The
-// multiplicative mix spreads whichever address bits actually differ.
-// Any distribution is correct — shards are summed at read time — this
-// only reduces contention.
-func shardHint() uint64 {
-	var marker byte
-	a := uint64(uintptr(unsafe.Pointer(&marker)))
-	return (a * 0x9E3779B97F4A7C15) >> 32
 }
 
 // Record adds one duration sample. Negative durations clamp to zero.
@@ -115,19 +85,18 @@ func (h *Histogram) Record(d time.Duration) {
 	if ns < 0 {
 		ns = 0
 	}
-	s := &h.shards[shardHint()&(histShards-1)]
-	s.counts[bucketIndex(ns)].Add(1)
-	s.count.Add(1)
-	s.sumNs.Add(ns)
+	h.counts[bucketIndex(ns)].Add(1)
+	h.count.Add(1)
+	h.sumNs.Add(ns)
 	for {
-		cur := s.maxNs.Load()
-		if ns <= cur || s.maxNs.CompareAndSwap(cur, ns) {
+		cur := h.maxNs.Load()
+		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
 			break
 		}
 	}
 }
 
-// Snapshot is a merged, point-in-time view of a histogram's counts.
+// Snapshot is a point-in-time view of a histogram's counts.
 type Snapshot struct {
 	Counts [histBuckets]uint64
 	Count  int64
@@ -135,22 +104,15 @@ type Snapshot struct {
 	MaxNs  int64
 }
 
-// Snapshot merges all shards into one view. The merge is deterministic:
-// whatever shard each sample landed on, the summed counts (and
-// therefore every quantile) depend only on the recorded multiset.
+// Snapshot reads the histogram's counters into one view.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	for i := range h.shards {
-		sh := &h.shards[i]
-		for b := range sh.counts {
-			s.Counts[b] += sh.counts[b].Load()
-		}
-		s.Count += sh.count.Load()
-		s.SumNs += sh.sumNs.Load()
-		if m := sh.maxNs.Load(); m > s.MaxNs {
-			s.MaxNs = m
-		}
+	for b := range h.counts {
+		s.Counts[b] = h.counts[b].Load()
 	}
+	s.Count = h.count.Load()
+	s.SumNs = h.sumNs.Load()
+	s.MaxNs = h.maxNs.Load()
 	return s
 }
 

@@ -110,11 +110,11 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardMergeDeterminism records the same multiset from many
-// goroutines (scattering samples across shards) and checks the merged
-// snapshot equals a single-goroutine recording of the same values:
-// shard placement must be invisible in every read-side quantity.
-func TestShardMergeDeterminism(t *testing.T) {
+// TestConcurrentRecordMatchesSerial records the same multiset from many
+// goroutines and checks the snapshot equals a single-goroutine recording
+// of the same values: no concurrent record may be lost, and the
+// interleaving must be invisible in every read-side quantity.
+func TestConcurrentRecordMatchesSerial(t *testing.T) {
 	vals := make([]int64, 5000)
 	rng := rand.New(rand.NewSource(42))
 	for i := range vals {

@@ -49,10 +49,8 @@ type recorderCore struct {
 	reg    *Registry // nil for standalone recorders
 	family string    // Prometheus family name when published
 
-	hists sync.Map // stage name -> *Histogram
-
-	mu     sync.Mutex
-	stages []string // creation-ordered stage names, for Summaries
+	mu    sync.Mutex
+	hists map[string]*Histogram // stage name -> histogram
 }
 
 // Recorder is the pipeline-facing telemetry handle: a set of named
@@ -61,11 +59,11 @@ type recorderCore struct {
 // is deterministically inert: every call site works identically with
 // recording on or off.
 //
-// Observe on an existing stage is lock-free and allocation-free (one
-// sync.Map load plus a sharded histogram record); a stage's histogram
-// is created once on first use. Recorders can be chained with Tee so a
-// per-session recorder also feeds a server-global one, and published
-// into a Registry so the same histograms appear on /metrics.
+// Observe on an existing stage is allocation-free (a map lookup under
+// the recorder's mutex plus a lock-free histogram record); a stage's
+// histogram is created once on first use. Recorders can be chained with
+// Tee so a per-session recorder also feeds a server-global one, and
+// published into a Registry so the same histograms appear on /metrics.
 //
 // A recorder may additionally carry a trace scope (Traced): every
 // observation is then also recorded as a SpanEvent into a
@@ -89,13 +87,15 @@ type Recorder struct {
 
 // NewRecorder returns a standalone recorder (histograms not exposed on
 // any registry — read them back with Summaries).
-func NewRecorder() *Recorder { return &Recorder{core: &recorderCore{}} }
+func NewRecorder() *Recorder {
+	return &Recorder{core: &recorderCore{hists: map[string]*Histogram{}}}
+}
 
 // NewPublishedRecorder returns a recorder whose stage histograms are
 // registered in reg under family{stage="<name>"}, so everything the
 // pipeline records is scrapeable as Prometheus series.
 func NewPublishedRecorder(reg *Registry, family string) *Recorder {
-	return &Recorder{core: &recorderCore{reg: reg, family: family}}
+	return &Recorder{core: &recorderCore{reg: reg, family: family, hists: map[string]*Histogram{}}}
 }
 
 // Tee chains next after r: every Observe records into both r and next
@@ -132,21 +132,17 @@ func (r *Recorder) SetScope(parent uint64, frame int) {
 // histogram returns the stage's histogram, creating it on first use.
 func (r *Recorder) histogram(stage string) *Histogram {
 	c := r.core
-	if h, ok := c.hists.Load(stage); ok {
-		return h.(*Histogram)
-	}
-	var h *Histogram
-	if c.reg != nil {
-		h = c.reg.Histogram(c.family + `{stage="` + stage + `"}`)
-	} else {
-		h = new(Histogram)
-	}
-	if actual, loaded := c.hists.LoadOrStore(stage, h); loaded {
-		return actual.(*Histogram)
-	}
 	c.mu.Lock()
-	c.stages = append(c.stages, stage)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	h := c.hists[stage]
+	if h == nil {
+		if c.reg != nil {
+			h = c.reg.Histogram(c.family + `{stage="` + stage + `"}`)
+		} else {
+			h = new(Histogram)
+		}
+		c.hists[stage] = h
+	}
 	return h
 }
 
@@ -206,13 +202,10 @@ func (r *Recorder) Summaries() map[string]Summary {
 	}
 	c := r.core
 	c.mu.Lock()
-	stages := append([]string(nil), c.stages...)
-	c.mu.Unlock()
-	out := make(map[string]Summary, len(stages))
-	for _, st := range stages {
-		if h, ok := c.hists.Load(st); ok {
-			out[st] = h.(*Histogram).Summary()
-		}
+	defer c.mu.Unlock()
+	out := make(map[string]Summary, len(c.hists))
+	for st, h := range c.hists {
+		out[st] = h.Summary()
 	}
 	return out
 }

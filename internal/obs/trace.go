@@ -14,7 +14,7 @@ import (
 // bench run); SpanEvents are completed intervals inside it, linked by
 // span/parent ids into a tree (frame spans parent the per-stage spans
 // the registration pipeline already times). Events land in a
-// FlightRecorder — a bounded, sharded ring that is always on and
+// FlightRecorder — a bounded ring that is always on and
 // allocation-free on the record path, so it rides the same hot paths as
 // the histograms without disturbing the pipeline's determinism or its
 // per-frame allocation budgets. Slowest-K exemplar buffers per stage
@@ -68,15 +68,29 @@ func ParseTraceID(s string) (TraceID, bool) {
 
 // ParseTraceParent extracts the trace id from a W3C traceparent header
 // (`00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>`). Only the
-// trace id is used — tigris spans form their own tree under it.
+// trace id is used — tigris spans form their own tree under it — but
+// the header comes from outside the program, so the whole of it is
+// checked as the spec asks: lower-case hex in all three fields, and
+// neither id all zero.
 func ParseTraceParent(s string) (TraceID, bool) {
-	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+	if len(s) != 55 || s[:3] != "00-" || s[35] != '-' || s[52] != '-' {
 		return TraceID{}, false
 	}
-	if s[0] != '0' || s[1] != '0' {
+	parent := s[36:52]
+	if !lowerHex(s[3:35]) || !lowerHex(parent) || !lowerHex(s[53:]) || parent == "0000000000000000" {
 		return TraceID{}, false
 	}
 	return ParseTraceID(s[3:35])
+}
+
+// lowerHex reports whether s is made of the digits 0-9 and a-f only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // FormatTraceParent renders a traceparent header for outbound
@@ -125,93 +139,65 @@ type Exemplar struct {
 	Events []SpanEvent // root-first subtree snapshot; nil for leaf spans
 }
 
-// flightShards stripes the ring across independent segments picked by
-// the same per-goroutine stack hint the histograms use, so pipeline
-// stages recording concurrently do not serialize on one mutex.
-const flightShards = 4
-
-type flightShard struct {
-	mu   sync.Mutex
-	pos  uint64 // total events written to this shard
-	ring []SpanEvent
-	_    [64]byte
-}
-
-// FlightRecorder is a bounded in-memory span sink: a sharded ring
-// buffer holding the most recent ~capacity span events, plus per-stage
-// slowest-K exemplar buffers. All methods are safe on a nil receiver
-// and for concurrent use. Record never allocates in steady state (a
-// shard-local mutex guards a fixed-slot copy; exemplar admission
-// allocates only when a new tail-beating sample arrives).
+// FlightRecorder is a bounded in-memory span sink: a ring buffer
+// holding the newest capacity span events, whichever goroutine recorded
+// them, plus per-stage slowest-K exemplars. All methods are safe on a
+// nil receiver and for concurrent use: one mutex guards the ring and the
+// exemplars. Record never allocates in steady state (a fixed-slot copy;
+// exemplar admission allocates only when a new tail-beating sample
+// arrives).
 type FlightRecorder struct {
-	spanCtr   atomic.Uint64
-	shards    [flightShards]flightShard
-	exemplars sync.Map // stage name -> *exemplarBuf
-	slowestK  int
+	slowestK int
+
+	mu        sync.Mutex
+	lastSpan  uint64                // last counter-allocated span id
+	pos       uint64                // total events written
+	ring      []SpanEvent           // event p lives at ring[p%len(ring)]
+	exemplars map[string][]Exemplar // stage -> slowest K, unordered (K is small)
 }
 
 // exemplarSpanBase keeps counter-allocated span ids disjoint from the
 // deterministic small ids the stream engine assigns to frame spans.
 const exemplarSpanBase = 1 << 32
 
-// NewFlightRecorder returns a recorder retaining roughly `capacity`
-// events (rounded up to a multiple of the shard count; min 64) and
-// `slowestK` exemplars per stage (min 1).
+// NewFlightRecorder returns a recorder retaining the newest `capacity`
+// events (min 64) and `slowestK` exemplars per stage (min 1).
 func NewFlightRecorder(capacity, slowestK int) *FlightRecorder {
-	if capacity < 64 {
-		capacity = 64
+	return &FlightRecorder{
+		slowestK:  max(slowestK, 1),
+		lastSpan:  exemplarSpanBase,
+		ring:      make([]SpanEvent, max(capacity, 64)),
+		exemplars: map[string][]Exemplar{},
 	}
-	if slowestK < 1 {
-		slowestK = 1
-	}
-	per := (capacity + flightShards - 1) / flightShards
-	f := &FlightRecorder{slowestK: slowestK}
-	f.spanCtr.Store(exemplarSpanBase)
-	for i := range f.shards {
-		f.shards[i].ring = make([]SpanEvent, per)
-	}
-	return f
 }
 
 // Record appends one completed span to the ring (overwriting the
-// oldest event in its shard once full) and runs slowest-K admission
-// for the span's stage. ev.Span == 0 gets a fresh id. Nil-safe.
+// oldest event once full) and runs slowest-K admission for the span's
+// stage. ev.Span == 0 gets a fresh id. Nil-safe.
 func (f *FlightRecorder) Record(ev SpanEvent) {
 	if f == nil {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if ev.Span == 0 {
-		ev.Span = f.spanCtr.Add(1)
+		f.lastSpan++
+		ev.Span = f.lastSpan
 	}
-	s := &f.shards[shardHint()&(flightShards-1)]
-	s.mu.Lock()
-	s.ring[s.pos%uint64(len(s.ring))] = ev
-	s.pos++
-	s.mu.Unlock()
+	f.ring[f.pos%uint64(len(f.ring))] = ev
+	f.pos++
 	f.admit(ev)
 }
 
-// Events returns a merged snapshot of the ring, oldest first (sorted
-// by start time). Export path — allocates freely.
+// Events returns a snapshot of the ring, oldest first (sorted by start
+// time). Export path — allocates freely.
 func (f *FlightRecorder) Events() []SpanEvent {
 	if f == nil {
 		return nil
 	}
-	var out []SpanEvent
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		n := s.pos
-		cap64 := uint64(len(s.ring))
-		start := uint64(0)
-		if n > cap64 {
-			start = n - cap64
-		}
-		for p := start; p < n; p++ {
-			out = append(out, s.ring[p%cap64])
-		}
-		s.mu.Unlock()
-	}
+	f.mu.Lock()
+	out := append([]SpanEvent(nil), f.retained()...)
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -221,48 +207,35 @@ func (f *FlightRecorder) Events() []SpanEvent {
 	return out
 }
 
-// exemplarBuf holds one stage's slowest-K entries.
-type exemplarBuf struct {
-	mu      sync.Mutex
-	entries []Exemplar // len <= K; unordered, min found by scan (K is small)
+// retained is the filled part of the ring, in slot order. Called with
+// f.mu held.
+func (f *FlightRecorder) retained() []SpanEvent {
+	return f.ring[:min(f.pos, uint64(len(f.ring)))]
 }
 
-func (f *FlightRecorder) stageBuf(stage string) *exemplarBuf {
-	if b, ok := f.exemplars.Load(stage); ok {
-		return b.(*exemplarBuf)
-	}
-	b := &exemplarBuf{entries: make([]Exemplar, 0, f.slowestK)}
-	if actual, loaded := f.exemplars.LoadOrStore(stage, b); loaded {
-		return actual.(*exemplarBuf)
-	}
-	return b
-}
-
-// admit runs slowest-K admission: keep ev if the stage's buffer has
-// room or ev outlasts the current minimum. Steady-state samples that
-// do not beat the retained tail cost one lock and a K-element scan —
-// no allocation.
+// admit runs slowest-K admission: keep ev if the stage has room or ev
+// outlasts its current minimum. Steady-state samples that do not beat
+// the retained tail cost a map lookup and a K-element scan — no
+// allocation. Called with f.mu held.
 func (f *FlightRecorder) admit(ev SpanEvent) {
-	b := f.stageBuf(ev.Stage)
-	b.mu.Lock()
-	slot := -1
-	if len(b.entries) < cap(b.entries) {
-		b.entries = b.entries[:len(b.entries)+1]
-		slot = len(b.entries) - 1
+	es := f.exemplars[ev.Stage]
+	if es == nil {
+		es = make([]Exemplar, 0, f.slowestK)
+	}
+	slot := len(es)
+	if slot < cap(es) {
+		es = es[:slot+1]
+		f.exemplars[ev.Stage] = es
 	} else {
-		min := 0
-		for i := 1; i < len(b.entries); i++ {
-			if b.entries[i].Dur < b.entries[min].Dur {
-				min = i
+		slot = 0
+		for i := 1; i < len(es); i++ {
+			if es[i].Dur < es[slot].Dur {
+				slot = i
 			}
 		}
-		if ev.Dur > b.entries[min].Dur {
-			slot = min
+		if ev.Dur <= es[slot].Dur {
+			return
 		}
-	}
-	if slot < 0 {
-		b.mu.Unlock()
-		return
 	}
 	ex := Exemplar{Trace: ev.Trace, Span: ev.Span, Frame: ev.Frame, Start: ev.Start, Dur: ev.Dur}
 	if ev.Parent == 0 {
@@ -271,20 +244,19 @@ func (f *FlightRecorder) admit(ev SpanEvent) {
 		// so the allocation and scan stay off the steady-state budget.
 		ex.Events = f.collectTree(ev)
 	}
-	b.entries[slot] = ex
-	b.mu.Unlock()
+	es[slot] = ex
 }
 
 // collectTree snapshots root and every ring event reachable from it
-// through parent links (the stage spans of one frame), root first.
-// The span forest is at most three levels deep (frame → stage →
-// sub-stage), so two expansion passes suffice.
+// through parent links (the stage spans of one frame), root first,
+// children by start time. The span forest is at most three levels deep
+// (frame → stage → sub-stage), so two expansion passes suffice. Called
+// with f.mu held.
 func (f *FlightRecorder) collectTree(root SpanEvent) []SpanEvent {
-	all := f.Events()
 	in := map[uint64]bool{root.Span: true}
 	tree := []SpanEvent{root}
 	for pass := 0; pass < 2; pass++ {
-		for _, ev := range all {
+		for _, ev := range f.retained() {
 			if ev.Trace == root.Trace && in[ev.Parent] && !in[ev.Span] {
 				in[ev.Span] = true
 				tree = append(tree, ev)
@@ -300,22 +272,22 @@ func (f *FlightRecorder) Slowest() map[string][]Exemplar {
 	if f == nil {
 		return nil
 	}
-	out := make(map[string][]Exemplar)
-	f.exemplars.Range(func(k, v any) bool {
-		b := v.(*exemplarBuf)
-		b.mu.Lock()
-		es := make([]Exemplar, len(b.entries))
-		for i := range b.entries {
-			es[i] = b.entries[i]
-			if b.entries[i].Events != nil {
-				es[i].Events = append([]SpanEvent(nil), b.entries[i].Events...)
+	f.mu.Lock()
+	out := make(map[string][]Exemplar, len(f.exemplars))
+	for stage, kept := range f.exemplars {
+		es := make([]Exemplar, len(kept))
+		for i := range kept {
+			es[i] = kept[i]
+			if kept[i].Events != nil {
+				es[i].Events = append([]SpanEvent(nil), kept[i].Events...)
 			}
 		}
-		b.mu.Unlock()
+		out[stage] = es
+	}
+	f.mu.Unlock()
+	for _, es := range out {
 		sort.Slice(es, func(i, j int) bool { return es[i].Dur > es[j].Dur })
-		out[k.(string)] = es
-		return true
-	})
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/hex"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,12 @@ func TestTraceParentRoundTrip(t *testing.T) {
 		"01-" + NewTraceID().String() + "-0000000000000001-01",   // unknown version
 		"00-" + NewTraceID().String() + "-0000000000000001",      // truncated
 		strings.Repeat("x", 55),                                  // right length, wrong shape
+		// W3C trace-context: lower-case hex in every field, and a
+		// non-zero parent-id.
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-zzzzzzzzzzzzzzzz-01", // parent-id not hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // all-zero parent-id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // flags not hex
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // upper-case trace-id
 	} {
 		if _, ok := ParseTraceParent(bad); ok {
 			t.Errorf("ParseTraceParent(%q) accepted", bad)
@@ -64,11 +71,44 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRingWrap: a recorder keeps exactly its newest
+// capacity events, however many were recorded and from however few
+// goroutines (a recorder striped by goroutine kept a quarter of them).
+// FuzzTraceParent holds ParseTraceParent to the W3C header shape on any
+// input: it never panics, whatever it accepts is 55 bytes of lower-case
+// hex fields, and a header FormatTraceParent wrote parses back to its
+// trace id.
+func FuzzTraceParent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", []byte("0123456789abcdef"), uint64(0))
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", []byte{1}, uint64(1))
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", make([]byte, 16), uint64(0xdeadbeef))
+	f.Add("", []byte(nil), ^uint64(0))
+	f.Fuzz(func(t *testing.T, hdr string, id []byte, span uint64) {
+		if _, ok := ParseTraceParent(hdr); ok {
+			if len(hdr) != 55 {
+				t.Fatalf("accepted %q of %d bytes", hdr, len(hdr))
+			}
+			for _, field := range strings.Split(hdr, "-") {
+				if _, err := hex.DecodeString(field); err != nil || strings.ToLower(field) != field {
+					t.Fatalf("accepted %q: field %q is not lower-case hex", hdr, field)
+				}
+			}
+		}
+		var want TraceID
+		copy(want[:], id)
+		if want.IsZero() {
+			return
+		}
+		if got, ok := ParseTraceParent(FormatTraceParent(want, span)); !ok || got != want {
+			t.Fatalf("FormatTraceParent(%s, %d) parsed back as %s, %v", want, span, got, ok)
+		}
+	})
+}
+
 func TestFlightRecorderRingWrap(t *testing.T) {
-	const capacity = 64
+	const capacity, n = 1024, 5000
 	fr := NewFlightRecorder(capacity, 1)
 	trace := NewTraceID()
-	const n = 1000
 	for i := 0; i < n; i++ {
 		fr.Record(SpanEvent{
 			Trace: trace,
@@ -80,25 +120,13 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 		})
 	}
 	evs := fr.Events()
-	if len(evs) == 0 || len(evs) > capacity {
-		t.Fatalf("ring snapshot has %d events, want 1..%d", len(evs), capacity)
+	if len(evs) != capacity {
+		t.Fatalf("ring snapshot has %d events, want %d", len(evs), capacity)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Start < evs[i-1].Start {
-			t.Fatalf("events not sorted by start: [%d]=%d after %d", i, evs[i].Start, evs[i-1].Start)
+	for i, ev := range evs {
+		if want := int64(n - capacity + i); ev.Start != want {
+			t.Fatalf("event %d starts at %d, want %d: not the newest %d, oldest first", i, ev.Start, want, capacity)
 		}
-	}
-	// Recency: the newest event always survives a wrap (each shard ring
-	// keeps its own newest; the last write is by definition among them).
-	found := false
-	for _, ev := range evs {
-		if ev.Start == n-1 {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("newest event missing after wrap (retained %d of %d)", len(evs), n)
 	}
 }
 
@@ -158,8 +186,8 @@ func TestSlowestKSurvivesWrap(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrentRecord(t *testing.T) {
-	// Sized so that any one shard could hold every event: none may be lost.
-	fr := NewFlightRecorder(flightShards*8*500, 4)
+	// Sized to hold every event: none may be lost.
+	fr := NewFlightRecorder(8*500, 4)
 	trace := NewTraceID()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -196,7 +224,7 @@ func TestTracedObserveZeroAlloc(t *testing.T) {
 	fr := NewFlightRecorder(1024, 2)
 	rec := NewRecorder().Traced(fr, NewTraceID())
 	rec.SetScope(7, 3)
-	// Warm: fill the histogram shard and the slowest-K buffer so the
+	// Warm: create the stage and fill the slowest-K buffer so the
 	// measured runs take the replace-or-reject path only.
 	for i := 0; i < 4; i++ {
 		rec.Observe("traced_stage", 2*time.Millisecond)

@@ -59,6 +59,18 @@ func TestSlicePoolReusesAndPoisons(t *testing.T) {
 	}
 }
 
+// TestSlicePoolTakesTheClassAbove: with its own class empty, Get hands
+// out an idle array of the class above.
+func TestSlicePoolTakesTheClassAbove(t *testing.T) {
+	p := NewSlicePool(0)
+	k := classBelow(19_000)
+	above := make([]int, classSize(k+1))
+	p.Put(above)
+	if got := p.Get(classSize(k)); &got[0] != &above[0] {
+		t.Errorf("Get(%d) allocated with an idle array of the class above", classSize(k))
+	}
+}
+
 // TestSlicePoolConcurrentOwnership: under concurrent Get/Put from several
 // goroutines, with sizes that straddle a class boundary, every array has
 // one holder at a time (run under -race, a second holder's writes race).

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -139,6 +140,19 @@ func TestBackendOptionErrors(t *testing.T) {
 	_, err := NewByNameSlab(BackendCanonical, cloud.NewSlab(0), Options{"tophight": 8, "nn_treshold": 1.0})
 	if err == nil || !strings.Contains(err.Error(), "nn_treshold, tophight") {
 		t.Errorf("multi-typo error should list every unknown key, got: %v", err)
+	}
+}
+
+// TestOptionsIntRange: a JSON number converts to an int exactly when it
+// lies in [MinInt, -MinInt): the smallest int is accepted, the first
+// float past the largest is not.
+func TestOptionsIntRange(t *testing.T) {
+	lo, hi := float64(math.MinInt), -float64(math.MinInt)
+	if got, err := (Options{"n": lo}).Int("n", 0); err != nil || got != math.MinInt {
+		t.Errorf("Int(%v) = %d, %v; want %d", lo, got, err, math.MinInt)
+	}
+	if got, err := (Options{"n": hi}).Int("n", 0); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("Int(%v) = %d, %v; want out of range", hi, got, err)
 	}
 }
 

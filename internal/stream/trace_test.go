@@ -87,6 +87,33 @@ func TestTracingInert(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderKeepsTheWholeSession: an unpipelined 40-frame
+// session records about 400 spans, all from one goroutine; a 1,024-event
+// recorder keeps every one of them, frame 0's root included. Every span
+// the engine records is also one sample in a stage histogram.
+func TestFlightRecorderKeepsTheWholeSession(t *testing.T) {
+	cfg := testConfig(search.BackendCanonical)
+	rec := obs.NewRecorder()
+	cfg.Obs = rec
+	fr := obs.NewFlightRecorder(1024, 1)
+	runStream(cloneFrames(testSeq(t, 40, 53)), Config{Pipeline: cfg, Flight: fr})
+
+	var recorded int64
+	for _, s := range rec.Summaries() {
+		recorded += s.Count
+	}
+	evs := fr.Events()
+	if int64(len(evs)) != recorded || recorded > 1024 {
+		t.Fatalf("flight recorder kept %d of the %d spans recorded", len(evs), recorded)
+	}
+	for _, ev := range evs {
+		if ev.Stage == obs.StageFrame && ev.Frame == 0 {
+			return
+		}
+	}
+	t.Fatal("frame 0's root span is gone")
+}
+
 // TestTracingDefaultsTraceID pins that an engine given a flight
 // recorder but no trace id mints one and stamps it on every span.
 func TestTracingDefaultsTraceID(t *testing.T) {
