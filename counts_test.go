@@ -143,18 +143,44 @@ func TestCounts(t *testing.T) {
 	if !bytes.Equal(got[0], got[1]) {
 		t.Fatalf("two workers, pipelined, differ from one worker, unpipelined:\n%s\nvs\n%s", got[1], got[0])
 	}
-	if *updateCounts {
-		if err := os.WriteFile(countsFile, got[0], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+	checkCountsFile(t, func(doc *countsDoc) { doc.counts = c })
+}
+
+// countsDoc is the whole of testdata/counts.json: TestCounts owns the
+// odometry fixtures, TestLoopCounts the loop-on row, and each test
+// regenerates (or, with -update, rewrites) its own part alone.
+type countsDoc struct {
+	counts
+	LoopCircuit *loopCounts `json:"loop_circuit,omitempty"`
+}
+
+// checkCountsFile lets set put this run's part into the committed file's
+// contents and requires the result to equal the file byte for byte; with
+// -update it writes the result instead.
+func checkCountsFile(t *testing.T, set func(*countsDoc)) {
+	t.Helper()
 	want, err := os.ReadFile(countsFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got[0], want) {
-		t.Fatalf("%s differs from this run (rewrite it with -update and commit the diff):\n%s", countsFile, got[0])
+	var doc countsDoc
+	if err := json.Unmarshal(want, &doc); err != nil {
+		t.Fatal(err)
+	}
+	set(&doc)
+	got, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if *updateCounts {
+		if err := os.WriteFile(countsFile, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from this run (rewrite it with -update and commit the diff):\n%s", countsFile, got)
 	}
 }
 
@@ -172,11 +198,7 @@ func countStreet(seed int64, frames []*cloud.Cloud, truth []geom.Transform, work
 	traj := eng.Trajectory()
 
 	row := countsRow{Seed: seed, InitialSources: map[string]int{}}
-	h := sha256.New()
 	for i, fr := range traj.Frames {
-		for _, v := range append(fr.Pose.R[:], fr.Pose.T.X, fr.Pose.T.Y, fr.Pose.T.Z) {
-			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(v))
-		}
 		if i == 0 {
 			continue
 		}
@@ -189,8 +211,19 @@ func countStreet(seed int64, frames []*cloud.Cloud, truth []geom.Transform, work
 		e := tigris.EvaluatePair(fr.Delta, truth[i-1].Inverse().Compose(truth[i]))
 		row.TransErrPct = append(row.TransErrPct, fmt.Sprintf("%.17g", e.TranslationalPct))
 	}
-	row.PoseDigest = hex.EncodeToString(h.Sum(nil)[:8])
+	row.PoseDigest = digest(traj.Poses...)
 	return row
+}
+
+// digest is a SHA-256 prefix of the transforms' bits.
+func digest(ts ...geom.Transform) string {
+	h := sha256.New()
+	for _, t := range ts {
+		for _, v := range append(t.R[:], t.T.X, t.T.Y, t.T.Z) {
+			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // summarize totals the fixture's rows.

@@ -124,6 +124,8 @@ type Stats struct {
 	// Observed frames, proposed candidates, verification attempts, and
 	// accepted closures.
 	Observed, Proposed, Verified, Accepted int64
+	// ICPIterations sums the ICP iterations every verification ran.
+	ICPIterations int64
 }
 
 // signature is one frame's place fingerprint.
@@ -413,6 +415,9 @@ func (d *Detector) Verify(cand Candidate, cfg registration.PipelineConfig) (Clos
 	target := to.Detach()
 	res := registration.Align(from, target, cfg)
 	target.Release()
+	d.mu.Lock()
+	d.stats.ICPIterations += int64(res.ICP.Iterations)
+	d.mu.Unlock()
 
 	cl := Closure{
 		From:            cand.From,
