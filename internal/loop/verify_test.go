@@ -14,27 +14,35 @@ import (
 
 // referenceVerify is the verification Verify replaced, kept here as the
 // oracle: re-run the whole front-end on private clones of both retained
-// clouds, align the results, apply the gates. A front-end is a
-// deterministic function of the points and the config, so aligning the
-// front-ends the caller already computed must give the same closure, bit
-// for bit.
+// clouds, align the results at the full ICP budget and, without feature
+// consensus, align them again at the loose-fit budget, then apply the
+// gates. A front-end is a deterministic function of the points and the
+// config, so aligning the front-ends the caller already computed, and
+// choosing the budget between the two phases, must give the same closure,
+// bit for bit.
 func referenceVerify(cand Candidate, from, to *cloud.Slab, cfg registration.PipelineConfig) (Closure, bool) {
 	pf := registration.PrepareFrameSlab(from.Clone(), cfg)
 	pt := registration.PrepareFrameSlab(to.Clone(), cfg)
 	res := registration.Align(pf, pt, cfg)
+	featureOK := featureConsensus(res.Inliers, res.Correspondences)
+	if !featureOK {
+		res = registration.Align(pf, pt, looseFit(cfg))
+	}
 	pf.Release()
 	pt.Release()
-	cl := Closure{
+	ok := res.ICP.Converged && res.ICP.FinalRMSE <= maxRMSE &&
+		res.Transform.TranslationNorm() <= maxDeltaTranslation &&
+		(featureOK || res.ICP.FinalRMSE <= tightRMSE)
+	return closureOf(cand, res), ok
+}
+
+// closureOf is the closure Verify reports for cand aligned as res.
+func closureOf(cand Candidate, res registration.Result) Closure {
+	return Closure{
 		From: cand.From, To: cand.To, Delta: res.Transform,
 		Inliers: res.Inliers, Correspondences: res.Correspondences,
 		RMSE: res.ICP.FinalRMSE, SigDist: cand.SigDist,
 	}
-	featureOK := res.Correspondences > 0 && res.Inliers >= minInliers &&
-		float64(res.Inliers) >= minInlierRatio*float64(res.Correspondences)
-	ok := res.ICP.Converged && res.ICP.FinalRMSE <= maxRMSE &&
-		res.Transform.TranslationNorm() <= maxDeltaTranslation &&
-		(featureOK || res.ICP.FinalRMSE <= tightRMSE)
-	return cl, ok
 }
 
 // observeCircuit prepares every frame of a short circuit under cfg and
@@ -124,6 +132,82 @@ func TestVerifyMatchesReprepareReference(t *testing.T) {
 			}
 			t.Logf("%d candidates, %d of %d verifications accepted", len(cands), accepted, 2*len(cands))
 		})
+	}
+}
+
+// TestFeatureConsensusBoundary pins the predicate's three edges.
+func TestFeatureConsensusBoundary(t *testing.T) {
+	for _, c := range []struct {
+		inliers, correspondences int
+		want                     bool
+	}{
+		{12, 24, true},  // both floors met exactly
+		{11, 22, false}, // half, one inlier short
+		{12, 25, false}, // enough inliers, under half
+		{12, 0, false},  // no correspondences
+	} {
+		if got := featureConsensus(c.inliers, c.correspondences); got != c.want {
+			t.Errorf("featureConsensus(%d, %d) = %v, want %v", c.inliers, c.correspondences, got, c.want)
+		}
+	}
+}
+
+// TestLooseFitCapsICP: the loose-fit budget caps ICP at
+// looseFitIterations, the default of 30 included, and never raises it.
+func TestLooseFitCapsICP(t *testing.T) {
+	for in, want := range map[int]int{0: looseFitIterations, 30: looseFitIterations, 11: looseFitIterations, 10: 10, 4: 4} {
+		var cfg registration.PipelineConfig
+		cfg.ICP.MaxIterations = in
+		if got := looseFit(cfg).ICP.MaxIterations; got != want {
+			t.Errorf("looseFit(MaxIterations %d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// TestVerifyBudgetRule holds Verify to a full-budget Align of the same
+// retained front-ends, candidate by candidate: with feature consensus, and
+// without it when ICP stopped within looseFitIterations, the closure, the
+// verdict and the ICP iterations counted are the full-budget ones; without
+// consensus and still moving at the budget, the candidate is declined
+// after looseFitIterations, with a loose-fit Align's closure.
+func TestVerifyBudgetRule(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full pipeline verification")
+	}
+	cfg := dse.DP7().Config
+	cfg.Searcher.Parallelism = 1
+	det, cands, _ := observeCircuit(t, cfg)
+	align := func(cand Candidate, cfg registration.PipelineConfig) registration.Result {
+		target := det.frames[cand.To].Detach()
+		defer target.Release()
+		return registration.Align(det.frames[cand.From], target, cfg)
+	}
+	var consensus, within, cut int
+	for _, cand := range cands {
+		full := align(cand, cfg)
+		featureOK := featureConsensus(full.Inliers, full.Correspondences)
+		want, wantOK, wantIters := closureOf(cand, full), accepts(full, featureOK), full.ICP.Iterations
+		switch {
+		case featureOK:
+			consensus++
+		case full.ICP.Iterations <= looseFitIterations:
+			within++
+		default:
+			cut++
+			loose := align(cand, looseFit(cfg))
+			want, wantOK, wantIters = closureOf(cand, loose), false, looseFitIterations
+		}
+		before := det.Stats().ICPIterations
+		got, gotOK := det.Verify(cand, cfg)
+		iters := int(det.Stats().ICPIterations - before)
+		if gotOK != wantOK || !sameClosure(got, want) || iters != wantIters {
+			t.Fatalf("%d->%d (full budget: %d iterations, %d of %d inliers): Verify = %+v (%v, %d iterations), want %+v (%v, %d)",
+				cand.From, cand.To, full.ICP.Iterations, full.Inliers, full.Correspondences, got, gotOK, iters, want, wantOK, wantIters)
+		}
+	}
+	t.Logf("%d candidates: %d with consensus, %d without that stop within the budget, %d cut", len(cands), consensus, within, cut)
+	if consensus == 0 || within == 0 || cut == 0 {
+		t.Fatalf("the circuit does not exercise every case: %d with consensus, %d within the budget, %d cut", consensus, within, cut)
 	}
 }
 

@@ -317,8 +317,19 @@ func Align(src, dst *PreparedFrame, cfg PipelineConfig) Result {
 // constant-velocity prediction (KISS-ICP, Vizzo et al., RA-L 2023; LOAM,
 // Zhang & Singh, RSS 2014). A prior outside the motion bounds
 // (PipelineConfig.MaxInitialTranslation) is not used either. An estimate
-// that passes the guards is used as Align uses it.
+// that passes the guards is used as Align uses it. It is EstimateInitial
+// followed by FineTune.
 func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform) Result {
+	return FineTune(src, dst, cfg, EstimateInitial(src, dst, cfg, prior))
+}
+
+// EstimateInitial is AlignFrom's initial-estimation phase (paper Fig. 2,
+// left): KPCE, rejection and the guarded initial estimate. Its Result
+// holds the key-point, correspondence and inlier counts, Initial and
+// InitialSource, the two stages' times and KPCE's feature-tree times; hand
+// it to FineTune to finish the pair. A caller can read the feature
+// evidence in between and choose the ICP config it fine-tunes under.
+func EstimateInitial(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform) Result {
 	start := time.Now()
 	var res Result
 	res.SrcKeypoints = len(src.KeypointPts)
@@ -329,11 +340,13 @@ func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform
 	// (4) KPCE in feature space.
 	t0 := time.Now()
 	var corr []Correspondence
-	var featSearchTime, featBuildTime time.Duration
 	if cfg.Inject.KPCEKthNN > 1 {
 		corr = kpceKthNN(src.Desc, dst.Desc, cfg.Inject.KPCEKthNN)
 	} else {
-		corr, featSearchTime, featBuildTime = kpceTimed(src.Desc, dst.Desc, cfg.KPCE, workers)
+		// KPCE's feature trees count toward KD-tree time (Fig. 2 shading);
+		// the 3D searchers' roll-up is the caller's job because their
+		// metrics span the front-end too.
+		corr, res.KDSearchTime, res.KDBuildTime = kpceTimed(src.Desc, dst.Desc, cfg.KPCE, workers)
 	}
 	res.Stage.KPCE = time.Since(t0)
 	res.Correspondences = len(corr)
@@ -363,8 +376,21 @@ func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform
 	// Both correspondence lists are fully consumed; their slabs go back
 	// to the pool for the next pair.
 	recycleCorr(corr, inliers)
+	res.Total = time.Since(start)
+	// Telemetry tap for the two stages (no-ops on a nil recorder).
+	cfg.Obs.Observe(obs.StageKPCE, res.Stage.KPCE)
+	cfg.Obs.Observe(obs.StageRejection, res.Stage.Rejection)
+	return res
+}
 
-	// --- Fine-tuning phase (paper Fig. 2, right) ---
+// FineTune is AlignFrom's fine-tuning phase (paper Fig. 2, right): ICP
+// from est.Initial against dst's raw cloud, under cfg. est is
+// EstimateInitial's Result for the same pair; the returned Result is est
+// completed, as AlignFrom returns it.
+func FineTune(src, dst *PreparedFrame, cfg PipelineConfig, est Result) Result {
+	start := time.Now()
+	res := est
+	workers := cfg.Searcher.Parallelism
 	icpTarget, _ := dst.FineTarget(cfg)
 	fine := dst.targetNormals(cfg)
 	// The target index may have been built under another config; this
@@ -380,7 +406,7 @@ func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform
 	}
 	// Fine-tuning always refines with the raw source points.
 	known := dst.FineNormals()
-	icpRes := icp(src.Raw, rpceSearch, initial, cfg.ICP, fine)
+	icpRes := icp(src.Raw, rpceSearch, res.Initial, cfg.ICP, fine)
 	res.ICP = icpRes
 	res.Stage.RPCE = icpRes.RPCETime
 	res.Stage.ErrorMinimization = icpRes.SolveTime
@@ -389,17 +415,9 @@ func AlignFrom(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Transform
 		res.FineNormals = dst.FineNormals() - known
 		res.FineTargetPoints = dst.Raw.Len()
 	}
-
-	// KPCE's feature trees count toward KD-tree time (Fig. 2 shading);
-	// the 3D searchers' roll-up is the caller's job because their metrics
-	// span the front-end too.
-	res.KDSearchTime = featSearchTime
-	res.KDBuildTime = featBuildTime
-	res.Total = time.Since(start)
-	// Telemetry tap for the pair stages and the ICP sub-spans (no-ops on
-	// a nil recorder).
-	cfg.Obs.Observe(obs.StageKPCE, res.Stage.KPCE)
-	cfg.Obs.Observe(obs.StageRejection, res.Stage.Rejection)
+	res.Total += time.Since(start)
+	// Telemetry tap for the ICP sub-spans and the whole pair (no-ops on a
+	// nil recorder).
 	cfg.Obs.Observe(obs.StageRPCE, icpRes.RPCETime)
 	cfg.Obs.Observe(obs.StageSolve, icpRes.SolveTime)
 	if fine != nil {
