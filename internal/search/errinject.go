@@ -28,11 +28,7 @@ type KthNNSearcher struct {
 
 // Nearest implements Searcher with the k-th-neighbor substitution.
 func (s *KthNNSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
-	k := s.K
-	if k < 1 {
-		k = 1
-	}
-	res := s.Searcher.KNearest(q, k)
+	res := s.Searcher.KNearest(q, max(s.K, 1))
 	if len(res) == 0 {
 		return kdtree.Neighbor{}, false
 	}
@@ -47,11 +43,7 @@ func (s *KthNNSearcher) Nearest(q geom.Vec3) (kdtree.Neighbor, bool) {
 // consumed here (only the last value survives, by copy), so it goes
 // straight back for reuse.
 func (s *KthNNSearcher) NearestBatch(qs []geom.Vec3) []kdtree.Neighbor {
-	k := s.K
-	if k < 1 {
-		k = 1
-	}
-	knn := s.Searcher.KNearestBatch(qs, k)
+	knn := s.Searcher.KNearestBatch(qs, max(s.K, 1))
 	out := make([]kdtree.Neighbor, len(qs))
 	for i, res := range knn {
 		if len(res) == 0 {

@@ -3,6 +3,7 @@ package search
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tigris/internal/cloud"
@@ -246,5 +247,41 @@ func TestMetricsMerge(t *testing.T) {
 	a.Merge(Metrics{Queries: 2, NodesVisited: 5})
 	if a.Queries != 3 || a.NodesVisited != 15 {
 		t.Errorf("merged = %+v", a)
+	}
+}
+
+// TestShellKeepsItsInnerEdge: the shell is [R1, R2], so a neighbour at
+// exactly R1 is kept, by Radius and by RadiusBatch alike.
+func TestShellKeepsItsInnerEdge(t *testing.T) {
+	pts := []geom.Vec3{{X: 0.25}, {X: 0.5}, {X: 1}, {X: 3}} // 0.5² = 0.25 exactly
+	s := &ShellSearcher{Searcher: NewBruteSearcher(pts), R1: 0.5, R2: 2}
+	want := []int{1, 2}
+	for name, res := range map[string][]kdtree.Neighbor{
+		"Radius":      s.Radius(geom.Vec3{}, 1),
+		"RadiusBatch": s.RadiusBatch([]geom.Vec3{{}}, 1)[0],
+	} {
+		var got []int
+		for _, nb := range res {
+			got = append(got, nb.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: shell [0.5, 2] kept %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestKthNNBelowOneIsNearest: a K below 1 answers the nearest neighbour,
+// as K = 1 does, through Nearest and NearestBatch alike.
+func TestKthNNBelowOneIsNearest(t *testing.T) {
+	pts := []geom.Vec3{{X: 3}, {X: 1}, {X: 2}}
+	q := geom.Vec3{}
+	for _, k := range []int{0, -1} {
+		s := &KthNNSearcher{Searcher: NewBruteSearcher(pts), K: k}
+		if nb, ok := s.Nearest(q); !ok || nb.Index != 1 {
+			t.Errorf("K=%d: Nearest = %+v, %v; want point 1", k, nb, ok)
+		}
+		if nb := s.NearestBatch([]geom.Vec3{q})[0]; nb.Index != 1 {
+			t.Errorf("K=%d: NearestBatch = %+v; want point 1", k, nb)
+		}
 	}
 }

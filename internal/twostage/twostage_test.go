@@ -506,3 +506,19 @@ func BenchmarkApproxNearestBatch(b *testing.B) {
 		sessionNearest(tree, queries, ApproxOptions{Threshold: 1.2}, nil)
 	}
 }
+
+// TestFollowThresholdIsExclusive pins Algorithm 1's discriminator at its
+// edge: a query exactly thd from its closest leader takes the precise path
+// and becomes a leader; one a hair closer follows.
+func TestFollowThresholdIsExclusive(t *testing.T) {
+	const thd = 1.5 // 1.5² = 2.25 and its square root are exact
+	leaders := []leader[kdtree.Neighbor]{{q: geom.Vec3{X: 10}}, {q: geom.Vec3{}}}
+	var v Visit
+	if got := follow(leaders, geom.Vec3{Y: thd}, thd, &v); got != -1 || v.Follower {
+		t.Fatalf("query at exactly thd follows leader %d (Follower %v), want the precise path", got, v.Follower)
+	}
+	v = Visit{}
+	if got := follow(leaders, geom.Vec3{Y: math.Nextafter(thd, 0)}, thd, &v); got != 1 || !v.Follower {
+		t.Fatalf("query just inside thd: follow = %d (Follower %v), want leader 1", got, v.Follower)
+	}
+}
