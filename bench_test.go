@@ -164,8 +164,9 @@ func BenchmarkEstimateNormalsRaw(b *testing.B) {
 // iteration is one raw-cloud index over the older frame, its normals on
 // demand, KPCE, rejection and ICP. "accepted" is frame 40 against frame 0
 // (the same pose a lap later); "rejected" is frame 40 against frame 20,
-// across the circuit, the kind of candidate that runs ICP to its
-// iteration limit before the gates can turn it down.
+// across the circuit, a candidate without feature consensus that is
+// declined once ICP has not converged within the loose-fit budget of 10
+// iterations.
 func BenchmarkLoopVerify(b *testing.B) {
 	seqCfg := synth.QuickSequenceConfig(41, 2019)
 	seqCfg.Trajectory = synth.CircuitTrajectory{Radius: 3, FramesPerLap: 40}

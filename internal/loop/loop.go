@@ -19,11 +19,17 @@
 //   - Candidates pass a temporal gate (no matching against the recent
 //     past — consecutive frames always look alike) and are ranked by
 //     full-signature distance.
-//   - Verification runs registration.Align on the front-ends the caller
-//     already computed (the detector keeps what Align reads of each; no
-//     frame is prepared again) and accepts the closure only on strong
-//     geometric consensus (inlier count and ratio, ICP convergence,
-//     bounded relative motion).
+//   - Verification registers the front-ends the caller already computed
+//     (the detector keeps what registration.Align reads of each; no frame
+//     is prepared again) and accepts the closure only on strong geometric
+//     consensus (inlier count and ratio, ICP convergence, bounded
+//     relative motion).
+//   - ICP's budget follows the feature evidence, read before ICP runs: a
+//     candidate without feature consensus can pass only on a tight fit,
+//     which converges at once, so it gets looseFitIterations instead of
+//     the configured MaxIterations. That cap halves verification's ICP
+//     iterations on slam_circuit's circuit and changes no closure
+//     (Verify has the measurement).
 //
 // Everything is deterministic: signatures are fixed-order reductions,
 // retrieval uses exact backends' parallelism-invariant results, and
@@ -403,10 +409,11 @@ func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidat
 // registration.Align's bit for bit. One without can pass only on a fit
 // tighter than tightRMSE, and gets looseFitIterations: such a fit
 // converges at once, and a candidate still moving after that is declined.
-// Over generator seeds 1–11 of slam_circuit's circuit (13 streets, 1,250
-// verifications) the 126 accepted that way all converged in 2 iterations
-// and no rejected one came below 0.228 m, so the budget declined nothing
-// a full one would have accepted; it halved verification's ICP iterations.
+// On slam_circuit's circuits for seeds 1–11 (13 streets, 486 distinct
+// verifications at DP7, whose MaxIterations is 40) the 51 accepted that
+// way all converged in 2 iterations and no rejected one came below 0.227
+// m at the full budget: the budget changed no verdict, and verification
+// ran 5,491 ICP iterations where the full budget ran 10,341.
 //
 // cfg governs the pair stages only (KPCE, rejection, ICP, the fine-tuning
 // index and its on-demand normals) — callers typically pass their pipeline

@@ -582,13 +582,10 @@ func (e *Engine) release(f *registration.PreparedFrame) {
 // for any still-queued verifications of earlier frames first. That keeps
 // the closure set, and therefore the optimized trajectory, bit-identical
 // across pipelining and Parallelism, and it is not free: a verification
-// costs several frames of compute, so on a looping route the wait is
-// most of the align stage's time. Timed around this loop on
-// bench/'s slam_circuit (seed 1, --seconds 10, 2 vCPU), the align stage
-// blocked here 4.7–4.8 s of each 10.2–10.7 s timed region, while the
-// front-end ran at most one frame ahead. Not waiting (the loop worker
-// re-checking the cooldown instead) gained nothing end to end on that
-// box: ROADMAP item 16 has the measurement.
+// costs several frames of compute, so on a looping route the align stage
+// spends much of its time waiting here. Not waiting (the loop worker
+// re-checking the cooldown instead) gained nothing end to end when it
+// was tried: ROADMAP item 16 has the measurement.
 func (e *Engine) observeLoop(index int, pf *registration.PreparedFrame) {
 	if e.det == nil {
 		return
