@@ -384,13 +384,11 @@ func EstimateInitial(src, dst *PreparedFrame, cfg PipelineConfig, prior geom.Tra
 }
 
 // FineTune is AlignFrom's fine-tuning phase (paper Fig. 2, right): ICP
-// from est.Initial against dst's raw cloud, under cfg. est is
-// EstimateInitial's Result for the same pair; the returned Result is est
+// from res.Initial against dst's raw cloud, under cfg. res is
+// EstimateInitial's Result for the same pair; FineTune returns it
 // completed, as AlignFrom returns it.
-func FineTune(src, dst *PreparedFrame, cfg PipelineConfig, est Result) Result {
+func FineTune(src, dst *PreparedFrame, cfg PipelineConfig, res Result) Result {
 	start := time.Now()
-	res := est
-	workers := cfg.Searcher.Parallelism
 	icpTarget, _ := dst.FineTarget(cfg)
 	fine := dst.targetNormals(cfg)
 	// The target index may have been built under another config; this
@@ -398,7 +396,7 @@ func FineTune(src, dst *PreparedFrame, cfg PipelineConfig, est Result) Result {
 	// them and ICP's error accumulation, which takes its width from the
 	// target. Exact backends are parallelism-invariant, so this never
 	// changes results.
-	icpTarget.SetParallelism(workers)
+	icpTarget.SetParallelism(cfg.Searcher.Parallelism)
 	search.TagStage(icpTarget, search.StageRPCE)
 	var rpceSearch search.Searcher = icpTarget
 	if cfg.Inject.RPCEKthNN > 1 {
