@@ -26,10 +26,10 @@
 //     relative motion).
 //   - ICP's budget follows the feature evidence, read before ICP runs: a
 //     candidate without feature consensus can pass only on a tight fit,
-//     which converges at once, so it gets looseFitIterations instead of
-//     the configured MaxIterations. That cap halves verification's ICP
-//     iterations on slam_circuit's circuit and changes no closure
-//     (Verify has the measurement).
+//     which converges at once, so it gets looseFitIterations (5) instead
+//     of the configured MaxIterations. On slam_circuit's 32 circuits that
+//     cap takes verification from 26,700 ICP iterations at the full budget
+//     to 10,306 and changes no closure (Verify has the measurement).
 //
 // Everything is deterministic: signatures are fixed-order reductions,
 // retrieval uses exact backends' parallelism-invariant results, and
@@ -105,7 +105,9 @@ const (
 	maxDeltaTranslation = 10
 	// looseFitIterations is ICP's budget for a candidate without feature
 	// consensus (Verify): it must converge within it to a tightRMSE fit.
-	looseFitIterations = 10
+	// It is the slowest such closure slam_circuit's circuits accept at the
+	// full budget (3 iterations) plus two.
+	looseFitIterations = 5
 )
 
 // Candidate is a proposed loop pair awaiting verification: frame From
@@ -409,11 +411,20 @@ func (d *Detector) Observe(index int, pf *registration.PreparedFrame) []Candidat
 // registration.Align's bit for bit. One without can pass only on a fit
 // tighter than tightRMSE, and gets looseFitIterations: such a fit
 // converges at once, and a candidate still moving after that is declined.
-// On slam_circuit's circuits for seeds 1–11 (13 streets, 486 distinct
-// verifications at DP7, whose MaxIterations is 40) the 51 accepted that
-// way all converged in 2 iterations and no rejected one came below 0.227
-// m at the full budget: the budget changed no verdict, and verification
-// ran 5,491 ICP iterations where the full budget ran 10,341.
+// The budget was sized on every circuit slam_circuit draws (its 32 street
+// seeds, 64 frames of 16×300 at 40 a lap, 1,225 verifications at DP7,
+// whose MaxIterations is 40): uncapped, the 108 closures accepted without
+// consensus converged in 2 iterations (106) or 3 (2). A capped ICP run is
+// a prefix of the uncapped one, so a candidate that stops inside the cap
+// is untouched and one that is cut is declined. At 5, every closure,
+// odometry pose and optimized ATE is the uncapped run's, and verification
+// ran 10,306 ICP iterations where the full budget ran 26,700.
+//
+// Candidates with consensus keep MaxIterations. The closures accepted
+// with consensus on those circuits took up to 23 iterations (circuit 18,
+// frame 60 onto 19) and every other one 13 or fewer, so a budget small
+// enough to pay for the declined ones would sit within a couple of
+// iterations of a real closure.
 //
 // cfg governs the pair stages only (KPCE, rejection, ICP, the fine-tuning
 // index and its on-demand normals) — callers typically pass their pipeline

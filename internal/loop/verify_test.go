@@ -155,7 +155,13 @@ func TestFeatureConsensusBoundary(t *testing.T) {
 // TestLooseFitCapsICP: the loose-fit budget caps ICP at
 // looseFitIterations, the default of 30 included, and never raises it.
 func TestLooseFitCapsICP(t *testing.T) {
-	for in, want := range map[int]int{0: looseFitIterations, 30: looseFitIterations, 11: looseFitIterations, 10: 10, 4: 4} {
+	for in, want := range map[int]int{
+		0:                      looseFitIterations,
+		30:                     looseFitIterations,
+		looseFitIterations + 1: looseFitIterations,
+		looseFitIterations:     looseFitIterations,
+		looseFitIterations - 1: looseFitIterations - 1,
+	} {
 		var cfg registration.PipelineConfig
 		cfg.ICP.MaxIterations = in
 		if got := looseFit(cfg).ICP.MaxIterations; got != want {
@@ -169,7 +175,10 @@ func TestLooseFitCapsICP(t *testing.T) {
 // without it when ICP stopped within looseFitIterations, the closure, the
 // verdict and the ICP iterations counted are the full-budget ones; without
 // consensus and still moving at the budget, the candidate is declined
-// after looseFitIterations, with a loose-fit Align's closure.
+// after looseFitIterations, with a loose-fit Align's closure. Every
+// candidate without consensus that the full budget accepts must have
+// converged at least two iterations inside looseFitIterations: the margin
+// the budget was sized with.
 func TestVerifyBudgetRule(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full pipeline verification")
@@ -182,11 +191,18 @@ func TestVerifyBudgetRule(t *testing.T) {
 		defer target.Release()
 		return registration.Align(det.frames[cand.From], target, cfg)
 	}
-	var consensus, within, cut int
+	var consensus, within, cut, looseAccepted int
 	for _, cand := range cands {
 		full := align(cand, cfg)
 		featureOK := featureConsensus(full.Inliers, full.Correspondences)
 		want, wantOK, wantIters := closureOf(cand, full), accepts(full, featureOK), full.ICP.Iterations
+		if wantOK && !featureOK {
+			looseAccepted++
+			if full.ICP.Iterations+2 > looseFitIterations {
+				t.Errorf("%d->%d: accepted without consensus after %d iterations, within two of the budget of %d",
+					cand.From, cand.To, full.ICP.Iterations, looseFitIterations)
+			}
+		}
 		switch {
 		case featureOK:
 			consensus++
@@ -205,9 +221,11 @@ func TestVerifyBudgetRule(t *testing.T) {
 				cand.From, cand.To, full.ICP.Iterations, full.Inliers, full.Correspondences, got, gotOK, iters, want, wantOK, wantIters)
 		}
 	}
-	t.Logf("%d candidates: %d with consensus, %d without that stop within the budget, %d cut", len(cands), consensus, within, cut)
-	if consensus == 0 || within == 0 || cut == 0 {
-		t.Fatalf("the circuit does not exercise every case: %d with consensus, %d within the budget, %d cut", consensus, within, cut)
+	t.Logf("%d candidates: %d with consensus, %d without that stop within the budget (%d accepted), %d cut",
+		len(cands), consensus, within, looseAccepted, cut)
+	if consensus == 0 || within == 0 || looseAccepted == 0 || cut == 0 {
+		t.Fatalf("the circuit does not exercise every case: %d with consensus, %d within the budget (%d accepted), %d cut",
+			consensus, within, looseAccepted, cut)
 	}
 }
 
