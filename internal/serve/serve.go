@@ -216,6 +216,7 @@ func New(cfg Config) *Server {
 		return float64(n)
 	})
 	reg.GaugeFunc("tigris_loop_closures_accepted", s.sumSessionStats(func(st stream.Stats) int64 { return st.Loop.Accepted }))
+	reg.GaugeFunc("tigris_loop_verification_icp_iterations", s.sumSessionStats(func(st stream.Stats) int64 { return st.Loop.ICPIterations }))
 	// What share of its targets fine-tuning touched: normals estimated
 	// over target points, across the live sessions' odometry pairs.
 	reg.GaugeFunc("tigris_fine_normals_estimated", s.sumSessionStats(func(st stream.Stats) int64 { return st.FineNormals }))
@@ -858,11 +859,12 @@ func (s *Server) handleLoops(w http.ResponseWriter, r *http.Request, ses *sessio
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"closures": out,
 		"stats": map[string]any{
-			"observed": st.Loop.Observed,
-			"proposed": st.Loop.Proposed,
-			"verified": st.Loop.Verified,
-			"accepted": st.Loop.Accepted,
-			"loop_ms":  float64(st.LoopTime.Microseconds()) / 1e3,
+			"observed":       st.Loop.Observed,
+			"proposed":       st.Loop.Proposed,
+			"verified":       st.Loop.Verified,
+			"accepted":       st.Loop.Accepted,
+			"icp_iterations": st.Loop.ICPIterations,
+			"loop_ms":        float64(st.LoopTime.Microseconds()) / 1e3,
 		},
 	})
 }
@@ -909,22 +911,23 @@ func (s *Server) sumSessionStats(pick func(stream.Stats) int64) func() float64 {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ses *session) {
 	st := ses.eng.Stats()
 	WriteJSON(w, http.StatusOK, map[string]any{
-		"frames_pushed":      st.FramesPushed,
-		"frames_prepared":    st.FramesPrepared,
-		"pairs_aligned":      st.PairsAligned,
-		"tree_builds":        st.TreeBuilds,
-		"descriptor_builds":  st.DescriptorBuilds,
-		"fine_normals":       st.FineNormals,
-		"fine_target_points": st.FineTargetPoints,
-		"search_queries":     st.Search.Queries,
-		"nodes_visited":      st.Search.NodesVisited,
-		"search_ms":          float64(st.Search.SearchTime.Microseconds()) / 1e3,
-		"build_ms":           float64(st.Search.BuildTime.Microseconds()) / 1e3,
-		"loops_proposed":     st.Loop.Proposed,
-		"loops_verified":     st.Loop.Verified,
-		"loops_accepted":     st.Loop.Accepted,
-		"loop_ms":            float64(st.LoopTime.Microseconds()) / 1e3,
-		"latency_ms":         latencyDigest(ses.rec),
+		"frames_pushed":        st.FramesPushed,
+		"frames_prepared":      st.FramesPrepared,
+		"pairs_aligned":        st.PairsAligned,
+		"tree_builds":          st.TreeBuilds,
+		"descriptor_builds":    st.DescriptorBuilds,
+		"fine_normals":         st.FineNormals,
+		"fine_target_points":   st.FineTargetPoints,
+		"search_queries":       st.Search.Queries,
+		"nodes_visited":        st.Search.NodesVisited,
+		"search_ms":            float64(st.Search.SearchTime.Microseconds()) / 1e3,
+		"build_ms":             float64(st.Search.BuildTime.Microseconds()) / 1e3,
+		"loops_proposed":       st.Loop.Proposed,
+		"loops_verified":       st.Loop.Verified,
+		"loops_accepted":       st.Loop.Accepted,
+		"loops_icp_iterations": st.Loop.ICPIterations,
+		"loop_ms":              float64(st.LoopTime.Microseconds()) / 1e3,
+		"latency_ms":           latencyDigest(ses.rec),
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"tigris/internal/synth"
@@ -111,5 +112,76 @@ func TestLoopSessionSurface(t *testing.T) {
 		if _, ok := stats[k]; !ok {
 			t.Errorf("stats missing %q", k)
 		}
+	}
+}
+
+// TestLoopVerificationICPIterationsOnTheWire: the ICP iterations loop
+// verification ran reach the loops listing, the stats JSON and /metrics,
+// each equal to the engine's own count, and read 0 on a session with the
+// loop stage off.
+func TestLoopVerificationICPIterationsOnTheWire(t *testing.T) {
+	seq := synth.GenerateSequence(synth.QuickSequenceConfig(4, 11))
+	for _, loopOn := range []bool{true, false} {
+		t.Run(fmt.Sprintf("loop=%v", loopOn), func(t *testing.T) {
+			srv := New(Config{Parallelism: 1})
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			client := ts.Client()
+			get := func(path string, out any) {
+				t.Helper()
+				code, body := fetch(t, client, ts.URL+path)
+				if code != http.StatusOK {
+					t.Fatalf("GET %s: status %d", path, code)
+				}
+				if err := json.Unmarshal([]byte(body), out); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			req := map[string]any{"parallelism": 1, "pipelined": false}
+			if loopOn {
+				req["loop"] = map[string]any{"enabled": true, "min_separation": 2, "max_candidates": 1}
+			}
+			var created struct {
+				ID string `json:"id"`
+			}
+			if code := postJSON(t, client, ts.URL+"/v1/sessions", req, &created); code != http.StatusCreated {
+				t.Fatalf("create: status %d", code)
+			}
+			for _, f := range seq.Frames {
+				pushFrame(t, client, ts.URL, created.ID, f, true)
+			}
+
+			var loops struct {
+				Stats struct {
+					ICPIterations int64 `json:"icp_iterations"`
+				} `json:"stats"`
+			}
+			get("/v1/sessions/"+created.ID+"/loops?wait=1", &loops)
+			var stats struct {
+				ICPIterations int64 `json:"loops_icp_iterations"`
+			}
+			get("/v1/sessions/"+created.ID+"/stats", &stats)
+			_, body := fetch(t, client, ts.URL+"/metrics")
+			gauge := int64(-1)
+			for _, line := range strings.Split(body, "\n") {
+				fmt.Sscanf(line, "tigris_loop_verification_icp_iterations %d", &gauge)
+			}
+
+			srv.mu.Lock()
+			want := srv.sessions[created.ID].eng.Stats().Loop.ICPIterations
+			srv.mu.Unlock()
+			if loopOn && want == 0 {
+				t.Fatal("the loop-on session verified no candidate: nothing to compare")
+			}
+			if !loopOn && want != 0 {
+				t.Fatalf("the loop-off session counted %d verification ICP iterations", want)
+			}
+			if loops.Stats.ICPIterations != want || stats.ICPIterations != want || gauge != want {
+				t.Fatalf("loops icp_iterations %d, stats loops_icp_iterations %d, /metrics gauge %d; the engine counted %d",
+					loops.Stats.ICPIterations, stats.ICPIterations, gauge, want)
+			}
+		})
 	}
 }
