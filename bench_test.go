@@ -165,7 +165,7 @@ func BenchmarkEstimateNormalsRaw(b *testing.B) {
 // demand, KPCE, rejection and ICP. "accepted" is frame 40 against frame 0
 // (the same pose a lap later); "rejected" is frame 40 against frame 20,
 // across the circuit, a candidate without feature consensus that is
-// declined once ICP has not converged within the loose-fit budget of 10
+// declined once ICP has not converged within the loose-fit budget of 5
 // iterations.
 func BenchmarkLoopVerify(b *testing.B) {
 	seqCfg := synth.QuickSequenceConfig(41, 2019)
