@@ -26,10 +26,10 @@
 //     relative motion).
 //   - ICP's budget follows the feature evidence, read before ICP runs: a
 //     candidate without feature consensus can pass only on a tight fit,
-//     which converges at once, so it gets looseFitIterations (5) instead
-//     of the configured MaxIterations. On slam_circuit's 32 circuits that
-//     cap takes verification from 26,700 ICP iterations at the full budget
-//     to 10,306 and changes no closure (Verify has the measurement).
+//     which converges at once, so it gets looseFitIterations instead of
+//     the configured MaxIterations. On slam_circuit's 32 circuits that cap
+//     takes verification from 26,700 ICP iterations at the full budget to
+//     10,306 and changes no closure (Verify has the measurement).
 //
 // Everything is deterministic: signatures are fixed-order reductions,
 // retrieval uses exact backends' parallelism-invariant results, and
