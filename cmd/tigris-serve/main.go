@@ -12,7 +12,6 @@
 //	             [-max-pending N]
 //	             [-tls-cert CERT.pem -tls-key KEY.pem]
 //	             [-log-format text|json] [-pprof-addr ADDR]
-//	tigris-serve -selftest [-backend NAME]
 //	tigris-serve -version
 //
 // -backend sets the default search backend (a registry name, see GET
@@ -52,29 +51,21 @@
 //	curl 'localhost:8089/v1/sessions/s1/trajectory?wait=1'
 //	curl -X DELETE localhost:8089/v1/sessions/s1
 //
-// -selftest starts the server on a loopback port, streams two synthetic
-// LiDAR frames through the real HTTP surface — through the configured
-// -backend (default: the non-default "canonical", so the registry path and
-// the reference tree are always smoked) — verifies the trajectory, and
-// exits non-zero on any failure (the CI smoke test).
+// The HTTP surface is tested over httptest servers in internal/serve
+// (go test ./internal/serve): every endpoint, and a pipelined session on a
+// named backend streamed at the experiment scale.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strings"
 
-	"tigris/internal/cloud"
 	"tigris/internal/serve"
-	"tigris/internal/synth"
 )
 
 func main() {
@@ -90,7 +81,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "request log encoding on stderr: text or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (\"\" = profiling off)")
 	version := flag.Bool("version", false, "print build info (module, go toolchain, VCS revision) and exit")
-	selftest := flag.Bool("selftest", false, "start on a loopback port, stream two synthetic frames over HTTP, verify, exit")
 	flag.Parse()
 
 	if *version {
@@ -120,18 +110,6 @@ func main() {
 		MaxPending:     *maxPending,
 		Logger:         logger,
 	})
-
-	if *selftest {
-		name := *backend
-		if name == "" {
-			name = "canonical" // smoke a non-default backend through the registry
-		}
-		if err := runSelftest(srv, name); err != nil {
-			serve.Fatal(logger, "selftest FAILED", err)
-		}
-		fmt.Println("selftest ok")
-		return
-	}
 
 	if *pprofAddr != "" {
 		go servePprof(logger, *pprofAddr)
@@ -166,229 +144,4 @@ func servePprof(logger *slog.Logger, addr string) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		logger.Error("pprof listener exited", "error", err)
 	}
-}
-
-// runSelftest exercises the service end to end over a real socket,
-// streaming through the named search backend.
-func runSelftest(srv *serve.Server, backend string) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { _ = http.Serve(ln, srv) }()
-	defer ln.Close()
-	base := "http://" + ln.Addr().String()
-
-	// Health.
-	if err := expectStatus(http.Get(base + "/healthz")); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-
-	// The registry must advertise the requested backend.
-	resp, err := http.Get(base + "/v1/backends")
-	if err != nil {
-		return err
-	}
-	var reg struct {
-		Backends []string `json:"backends"`
-	}
-	if err := decodeAndClose(resp, &reg); err != nil {
-		return fmt.Errorf("backends: %w", err)
-	}
-	found := false
-	for _, b := range reg.Backends {
-		found = found || b == backend
-	}
-	if !found {
-		return fmt.Errorf("backend %q not in registry %v", backend, reg.Backends)
-	}
-	fmt.Fprintf(os.Stderr, "backends: %v\n", reg.Backends)
-
-	// Create the streaming session on the requested backend.
-	resp, err = http.Post(base+"/v1/sessions", "application/json",
-		bytes.NewReader([]byte(fmt.Sprintf(`{"backend":%q,"pipelined":true}`, backend))))
-	if err != nil {
-		return err
-	}
-	var created struct {
-		ID      string `json:"id"`
-		Backend string `json:"backend"`
-	}
-	if err := decodeAndClose(resp, &created); err != nil {
-		return fmt.Errorf("create session: %w", err)
-	}
-	if created.ID == "" {
-		return fmt.Errorf("create session: empty id")
-	}
-	if created.Backend != backend {
-		return fmt.Errorf("session backend = %q, want %q", created.Backend, backend)
-	}
-	fmt.Fprintf(os.Stderr, "session %s created (backend %s)\n", created.ID, created.Backend)
-
-	// Push two synthetic frames at the experiment scale (the quick test
-	// scale is too sparse for a meaningful accuracy check).
-	seq := synth.GenerateSequence(synth.EvalSequenceConfig(2, 2019))
-	for i, f := range seq.Frames {
-		var buf bytes.Buffer
-		if err := cloud.Write(&buf, f); err != nil {
-			return err
-		}
-		resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/frames", base, created.ID), "text/plain", &buf)
-		if err != nil {
-			return err
-		}
-		var pushed struct {
-			Frame  int `json:"frame"`
-			Points int `json:"points"`
-		}
-		if err := decodeAndClose(resp, &pushed); err != nil {
-			return fmt.Errorf("push frame %d: %w", i, err)
-		}
-		if pushed.Frame != i || pushed.Points != f.Len() {
-			return fmt.Errorf("push frame %d: got frame=%d points=%d", i, pushed.Frame, pushed.Points)
-		}
-		fmt.Fprintf(os.Stderr, "frame %d pushed (%d points)\n", pushed.Frame, pushed.Points)
-	}
-
-	// Trajectory must hold both frames with a finite, non-degenerate
-	// odometry step close to the ground-truth motion.
-	resp, err = http.Get(fmt.Sprintf("%s/v1/sessions/%s/trajectory?wait=1", base, created.ID))
-	if err != nil {
-		return err
-	}
-	var traj struct {
-		Frames     int `json:"frames"`
-		Trajectory []struct {
-			Delta struct {
-				R [9]float64 `json:"r"`
-				T [3]float64 `json:"t"`
-			} `json:"delta"`
-		} `json:"trajectory"`
-	}
-	if err := decodeAndClose(resp, &traj); err != nil {
-		return fmt.Errorf("trajectory: %w", err)
-	}
-	if traj.Frames != 2 || len(traj.Trajectory) != 2 {
-		return fmt.Errorf("trajectory has %d frames, want 2", traj.Frames)
-	}
-	d := traj.Trajectory[1].Delta
-	truth := seq.GroundTruthDelta(0)
-	stepErr := 0.0
-	for k, v := range [3]float64{truth.T.X, truth.T.Y, truth.T.Z} {
-		diff := d.T[k] - v
-		stepErr += diff * diff
-	}
-	if stepErr > 0.5*0.5 {
-		return fmt.Errorf("odometry step %v is >0.5 m from ground truth %v", d.T, truth.T)
-	}
-	fmt.Fprintf(os.Stderr, "odometry step %.3f m (truth %.3f m)\n",
-		vecNorm(d.T), truth.TranslationNorm())
-
-	// The stats endpoint must carry the per-stage latency digest for the
-	// frames just pushed.
-	resp, err = http.Get(fmt.Sprintf("%s/v1/sessions/%s/stats", base, created.ID))
-	if err != nil {
-		return err
-	}
-	var stats struct {
-		FramesPushed int `json:"frames_pushed"`
-		Latency      map[string]struct {
-			Count int     `json:"count"`
-			P99   float64 `json:"p99"`
-		} `json:"latency_ms"`
-	}
-	if err := decodeAndClose(resp, &stats); err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
-	if stats.FramesPushed != 2 {
-		return fmt.Errorf("stats frames_pushed = %d, want 2", stats.FramesPushed)
-	}
-	if fl, ok := stats.Latency["frame"]; !ok || fl.Count != 2 {
-		return fmt.Errorf("stats latency_ms missing frame digest (got %v)", stats.Latency)
-	}
-	fmt.Fprintf(os.Stderr, "stats: frame p99 %.3f ms over %d stages\n",
-		stats.Latency["frame"].P99, len(stats.Latency))
-
-	// The scrape surface must expose the same activity as Prometheus
-	// series: counters, scrape-time gauges, and per-stage histograms.
-	body, err := fetchText(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	for _, want := range []string{
-		"tigris_frames_pushed_total 2",
-		"tigris_sessions_active 1",
-		"\ntigris_par_slots ",
-		"\ntigris_par_slots_in_use ",
-		`tigris_stage_latency_seconds_bucket{stage="frame",le="+Inf"} 2`,
-		`tigris_http_requests_total{route="/v1/sessions/{id}/frames",code="202"} 2`,
-	} {
-		if !strings.Contains(body, want) {
-			return fmt.Errorf("metrics missing %q in:\n%s", want, body)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "metrics: %d lines\n", strings.Count(body, "\n"))
-
-	// Build identity must round-trip.
-	resp, err = http.Get(base + "/v1/buildinfo")
-	if err != nil {
-		return err
-	}
-	var bi struct {
-		Go string `json:"go"`
-	}
-	if err := decodeAndClose(resp, &bi); err != nil {
-		return fmt.Errorf("buildinfo: %w", err)
-	}
-	if bi.Go == "" {
-		return fmt.Errorf("buildinfo: empty go toolchain")
-	}
-	fmt.Fprintf(os.Stderr, "buildinfo: %s\n", bi.Go)
-
-	// Delete the session.
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%s", base, created.ID), nil)
-	if err := expectStatus(http.DefaultClient.Do(req)); err != nil {
-		return fmt.Errorf("delete: %w", err)
-	}
-	return nil
-}
-
-// fetchText GETs a URL and returns its body as a string.
-func fetchText(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return "", fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
-func vecNorm(v [3]float64) float64 {
-	return math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
-}
-
-func expectStatus(resp *http.Response, err error) error {
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func decodeAndClose(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -145,19 +145,10 @@ func (g *Gateway) migrate(ses *gwSession, from *worker) (bool, error) {
 
 	// Fold the drained frames into the carried-over prefix with global
 	// indices, and re-point the session.
-	base := len(ses.prefix)
-	for i, fr := range traj.Trajectory {
-		fr["index"] = float64(base + i)
-		ses.prefix = append(ses.prefix, fr)
-	}
-	for _, cl := range loops.Closures {
-		for _, k := range []string{"from", "to"} {
-			if v, ok := cl[k].(float64); ok {
-				cl[k] = v + float64(base)
-			}
-		}
-		ses.prefixClosures = append(ses.prefixClosures, cl)
-	}
+	shiftIndices(traj.Trajectory, len(ses.prefix), "index")
+	shiftIndices(loops.Closures, len(ses.prefix), "from", "to")
+	ses.prefix = append(ses.prefix, traj.Trajectory...)
+	ses.prefixClosures = append(ses.prefixClosures, loops.Closures...)
 	from.gwSessions.Add(-1) // createUpstream already counted it on newWk
 	ses.w = newWk
 	ses.remoteID = newRemoteID

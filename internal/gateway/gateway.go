@@ -69,6 +69,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -93,10 +94,11 @@ const proxyLatencyFamily = "tigris_gateway_proxy_seconds"
 // workerHeader names the worker that served a proxied response.
 const workerHeader = "X-Tigris-Worker"
 
-// maxCreateBody bounds a buffered session-create request body (it must
-// be buffered: creates fail over across workers, and re-shard needs the
-// original config to recreate the session).
-const maxCreateBody = 1 << 20
+// maxBufferedBody bounds a body the gateway reads whole: a session-create
+// request (it must be buffered: creates fail over across workers, and
+// re-shard needs the original config to recreate the session) and a
+// worker's answer to a delete.
+const maxBufferedBody = 1 << 20
 
 // Config parameterizes the gateway.
 type Config struct {
@@ -326,57 +328,12 @@ func (g *Gateway) Close() {
 	}
 }
 
-// routeLabel normalizes a request path to a bounded route pattern.
-func routeLabel(path string) string {
-	switch path {
-	case "/healthz", "/metrics", "/v1/backends", "/v1/buildinfo", "/v1/sessions",
-		"/gateway/workers", "/gateway/drain", "/gateway/buildinfo", "/gateway/decisions":
-		return path
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/sessions/"); ok {
-		_, sub, _ := strings.Cut(rest, "/")
-		switch sub {
-		case "":
-			return "/v1/sessions/{id}"
-		case "frames", "trajectory", "loops", "stats":
-			return "/v1/sessions/{id}/" + sub
-		}
-	}
-	if id, ok := strings.CutPrefix(path, "/gateway/trace/"); ok && !strings.Contains(id, "/") {
-		return "/gateway/trace/{id}"
-	}
-	return "other"
-}
-
-// ServeHTTP implements http.Handler: admin-surface auth, per-route
-// request counting, and request logging.
+// ServeHTTP implements http.Handler through serve.Front: the mutating
+// /gateway/* admin surface is gated behind Config.AuthToken. /v1/* passes
+// through untouched — the client's bearer token travels with the proxied
+// request and the worker enforces it.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := &serve.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
-	g.serveAuthed(sw, r)
-	route := routeLabel(r.URL.Path)
-	g.reg.Counter(`tigris_gateway_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.Status) + `"}`).Inc()
-	if g.logger != nil {
-		g.logger.Info("request",
-			"method", r.Method,
-			"route", route,
-			"status", sw.Status,
-			"bytes", sw.Bytes,
-			"duration_ms", float64(time.Since(start).Microseconds())/1e3,
-		)
-	}
-}
-
-// serveAuthed gates the mutating admin surface behind Config.AuthToken,
-// then routes. /v1/* passes through untouched — the client's bearer
-// token travels with the proxied request and the worker enforces it.
-func (g *Gateway) serveAuthed(w http.ResponseWriter, r *http.Request) {
-	if g.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/gateway/") && !serve.BearerOK(r, g.cfg.AuthToken) {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="tigris-gateway"`)
-		serve.HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-		return
-	}
-	g.mux.ServeHTTP(w, r)
+	serve.Front(w, r, g.mux, g.reg, g.logger, "tigris_gateway_requests_total", "/gateway/", "tigris-gateway", g.cfg.AuthToken)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -571,6 +528,20 @@ func subPath(remoteID, sub, rawQuery string) string {
 	return p
 }
 
+// shiftIndices adds base to the named frame-index fields of a worker's
+// records (a trajectory frame's "index", a closure's "from" and "to"),
+// making the worker-local indices of a re-sharded session global.
+func shiftIndices[T any](records []T, base int, keys ...string) {
+	for _, rec := range records {
+		m, _ := any(rec).(map[string]any)
+		for _, k := range keys {
+			if v, ok := m[k].(float64); ok {
+				m[k] = v + float64(base)
+			}
+		}
+	}
+}
+
 // copyResponse relays an upstream response: status, the headers that
 // matter (Content-Type, Retry-After), the worker identity, and body.
 func copyResponse(w http.ResponseWriter, resp *http.Response, wk *worker) {
@@ -591,7 +562,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !g.admitOK(w, r) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCreateBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBufferedBody))
 	if err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "reading session config: %v", err)
 		return
@@ -818,12 +789,8 @@ func (g *Gateway) handleTrajectory(w http.ResponseWriter, r *http.Request, ses *
 	for _, fr := range ses.prefix {
 		stitched = append(stitched, fr)
 	}
-	for i, fr := range suffix {
-		if m, ok := fr.(map[string]any); ok {
-			m["index"] = float64(len(ses.prefix) + i)
-		}
-		stitched = append(stitched, fr)
-	}
+	shiftIndices(suffix, len(ses.prefix), "index")
+	stitched = append(stitched, suffix...)
 	out["trajectory"] = stitched
 	out["frames"] = len(stitched)
 	out["migrations"] = ses.migrations
@@ -856,16 +823,8 @@ func (g *Gateway) handleLoops(w http.ResponseWriter, r *http.Request, ses *gwSes
 	for _, cl := range ses.prefixClosures {
 		all = append(all, cl)
 	}
-	for _, cl := range suffix {
-		if m, ok := cl.(map[string]any); ok {
-			for _, k := range []string{"from", "to"} {
-				if v, ok := m[k].(float64); ok {
-					m[k] = v + float64(len(ses.prefix))
-				}
-			}
-		}
-		all = append(all, cl)
-	}
+	shiftIndices(suffix, len(ses.prefix), "from", "to")
+	all = append(all, suffix...)
 	out["closures"] = all
 	w.Header().Set(workerHeader, wk.url)
 	serve.WriteJSON(w, http.StatusOK, out)
@@ -896,13 +855,21 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request, ses *gwSe
 		return
 	}
 	defer resp.Body.Close()
+	// One bounded read: a JSON object gets the gateway's id, anything else
+	// (the worker mux's plain-text 404, say) is relayed as read.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBufferedBody))
+	if err != nil {
+		serve.HTTPError(w, http.StatusBadGateway, "worker %s: %v (gateway mapping removed)", wk.url, err)
+		return
+	}
 	var out map[string]any
-	if json.NewDecoder(resp.Body).Decode(&out) == nil {
+	if json.Unmarshal(body, &out) == nil && out != nil {
 		out["id"] = ses.id
 		w.Header().Set(workerHeader, wk.url)
 		serve.WriteJSON(w, resp.StatusCode, out)
 		return
 	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
 	copyResponse(w, resp, wk)
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -485,6 +488,123 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestRouteLabel is the worker's route table test on the gateway: a
+// request to every route its mux registers, and to a path and a method it
+// does not, holding the request counter's route label and the log
+// record's route and session to the pattern matched. A 401 on the admin
+// surface keeps its route.
+func TestRouteLabel(t *testing.T) {
+	const token = "secret"
+	f := newFleet(t, 1, workerCfg)
+	var logs bytes.Buffer
+	g, _ := newGateway(t, f, Config{AuthToken: token, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	cases := []struct {
+		method, path, body string
+		auth               bool
+		code               int
+		route, session     string
+	}{
+		{"GET", "/healthz", "", false, 200, "/healthz", ""},
+		{"GET", "/metrics", "", false, 200, "/metrics", ""},
+		{"GET", "/v1/backends", "", false, 200, "/v1/backends", ""},
+		{"GET", "/v1/buildinfo", "", false, 200, "/v1/buildinfo", ""},
+		{"POST", "/v1/sessions", `{"parallelism":1}`, false, 201, "/v1/sessions", ""},
+		{"POST", "/v1/sessions/g1/frames", "not a cloud", false, 400, "/v1/sessions/{id}/frames", "g1"},
+		{"GET", "/v1/sessions/g1/trajectory", "", false, 200, "/v1/sessions/{id}/trajectory", "g1"},
+		{"GET", "/v1/sessions/g1/loops", "", false, 200, "/v1/sessions/{id}/loops", "g1"},
+		{"GET", "/v1/sessions/g1/stats", "", false, 200, "/v1/sessions/{id}/stats", "g1"},
+		{"GET", "/gateway/workers", "", true, 200, "/gateway/workers", ""},
+		{"GET", "/gateway/buildinfo", "", true, 200, "/gateway/buildinfo", ""},
+		{"GET", "/gateway/decisions", "", true, 200, "/gateway/decisions", ""},
+		{"GET", "/gateway/trace/g1", "", true, 200, "/gateway/trace/{id}", "g1"},
+		{"DELETE", "/v1/sessions/g1", "", false, 200, "/v1/sessions/{id}", "g1"},
+		{"GET", "/v1/sessions/g1/stats", "", false, 404, "/v1/sessions/{id}/stats", "g1"},
+		// Refused at the gate: the route stays.
+		{"POST", "/gateway/drain?worker=0", "", false, 401, "/gateway/drain", ""},
+		{"POST", "/gateway/drain?worker=9", "", true, 404, "/gateway/drain", ""},
+		{"DELETE", "/gateway/drain?worker=0", "", true, 200, "/gateway/drain", ""},
+		{"GET", "/gateway/trace/g1/deeper", "", true, 404, "other", ""},
+		{"GET", "/totally/unknown", "", false, 404, "other", ""},
+		{"PUT", "/gateway/drain", "", true, 405, "other", ""},
+	}
+	want := map[string]int{}
+	for _, c := range cases {
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		if c.auth {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		logs.Reset()
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, req)
+		if rec.Code != c.code {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, rec.Code, c.code)
+		}
+		// The request's record is the last: an undrain logs its own first.
+		lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+		var got struct {
+			Msg     string `json:"msg"`
+			Route   string `json:"route"`
+			Session string `json:"session"`
+			Status  int    `json:"status"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &got); err != nil || got.Msg != "request" {
+			t.Fatalf("%s %s: last log record %q (%v), want the request's", c.method, c.path, lines[len(lines)-1], err)
+		}
+		if got.Route != c.route || got.Session != c.session || got.Status != c.code {
+			t.Errorf("%s %s: logged route %q session %q status %d, want %q %q %d",
+				c.method, c.path, got.Route, got.Session, got.Status, c.route, c.session, c.code)
+		}
+		want[fmt.Sprintf(`tigris_gateway_requests_total{route="%s",code="%d"}`, c.route, c.code)]++
+	}
+	var scrape bytes.Buffer
+	g.reg.WritePrometheus(&scrape)
+	counted := map[string]int{}
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if series, n, ok := strings.Cut(line, "} "); ok && strings.HasPrefix(series, "tigris_gateway_requests_total{") {
+			counted[series+"}"], _ = strconv.Atoi(n)
+		}
+	}
+	if !reflect.DeepEqual(counted, want) {
+		t.Errorf("request counters %v, want %v", counted, want)
+	}
+}
+
+// TestDeleteRelaysANonJSONWorkerAnswer: a worker's answer to a delete
+// that is not a JSON object (a plain-text 500 here, the worker mux's
+// plain-text 404 in life) reaches the client with its status and its
+// body, byte for byte.
+func TestDeleteRelaysANonJSONWorkerAnswer(t *testing.T) {
+	const answer = "worker fell over; this is not JSON\n"
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" {
+			serve.WriteJSON(w, http.StatusCreated, map[string]any{"id": "s1"})
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusInternalServerError)
+		io.WriteString(w, answer)
+	}))
+	t.Cleanup(stub.Close)
+	_, base := newGateway(t, &fleet{urls: []string{stub.URL}}, Config{})
+	id, _, code := createSession(t, base, map[string]any{})
+	if code != http.StatusCreated {
+		t.Fatalf("create on the stub worker: status %d", code)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/sessions/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || string(body) != answer {
+		t.Fatalf("delete relayed %d %q, want %d %q", resp.StatusCode, body, http.StatusInternalServerError, answer)
 	}
 }
 

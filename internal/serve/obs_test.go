@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -192,31 +194,76 @@ func TestBuildinfoEndpoint(t *testing.T) {
 	}
 }
 
-// TestRouteLabel pins the normalizer: every served path maps to a
-// bounded route pattern, and junk never mints new labels.
+// TestRouteLabel sends a request to every route the mux registers, and
+// to paths and methods it does not, and holds the request counter's route
+// label and the log record's route and session to the pattern matched: a
+// 401 keeps its route, and junk never mints a new label.
 func TestRouteLabel(t *testing.T) {
+	const token = "sesame"
+	var logs bytes.Buffer
+	srv := New(Config{Parallelism: 1, AuthToken: token, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	defer srv.Close()
 	cases := []struct {
-		path, route, session string
+		method, path, body string
+		auth               bool
+		code               int
+		route, session     string
 	}{
-		{"/healthz", "/healthz", ""},
-		{"/metrics", "/metrics", ""},
-		{"/v1/backends", "/v1/backends", ""},
-		{"/v1/buildinfo", "/v1/buildinfo", ""},
-		{"/v1/sessions", "/v1/sessions", ""},
-		{"/v1/sessions/s7", "/v1/sessions/{id}", "s7"},
-		{"/v1/sessions/s7/frames", "/v1/sessions/{id}/frames", "s7"},
-		{"/v1/sessions/s7/trajectory", "/v1/sessions/{id}/trajectory", "s7"},
-		{"/v1/sessions/s7/loops", "/v1/sessions/{id}/loops", "s7"},
-		{"/v1/sessions/s7/stats", "/v1/sessions/{id}/stats", "s7"},
-		{"/v1/sessions/s7/exfiltrate", "other", ""},
-		{"/v1/sessions/s7/stats/deeper", "other", ""},
-		{"/totally/unknown", "other", ""},
+		{"GET", "/healthz", "", false, 200, "/healthz", ""},
+		{"GET", "/metrics", "", false, 200, "/metrics", ""},
+		{"GET", "/v1/backends", "", true, 200, "/v1/backends", ""},
+		{"GET", "/v1/buildinfo", "", true, 200, "/v1/buildinfo", ""},
+		{"POST", "/v1/sessions", `{"parallelism":1}`, true, 201, "/v1/sessions", ""},
+		{"POST", "/v1/sessions/s1/frames", "not a cloud", true, 400, "/v1/sessions/{id}/frames", "s1"},
+		{"GET", "/v1/sessions/s1/trajectory", "", true, 200, "/v1/sessions/{id}/trajectory", "s1"},
+		{"GET", "/v1/sessions/s1/loops", "", true, 200, "/v1/sessions/{id}/loops", "s1"},
+		{"GET", "/v1/sessions/s1/stats", "", true, 200, "/v1/sessions/{id}/stats", "s1"},
+		{"GET", "/debug/trace/s1", "", false, 200, "/debug/trace/{id}", "s1"},
+		{"DELETE", "/v1/sessions/s1", "", true, 200, "/v1/sessions/{id}", "s1"},
+		{"GET", "/v1/sessions/s1/stats", "", true, 404, "/v1/sessions/{id}/stats", "s1"},
+		// Refused at the gate: the route stays, and no handler saw the id.
+		{"GET", "/v1/sessions/s1/stats", "", false, 401, "/v1/sessions/{id}/stats", ""},
+		{"GET", "/v1/sessions/s1/exfiltrate", "", true, 404, "other", ""},
+		{"GET", "/v1/sessions/s1/stats/deeper", "", true, 404, "other", ""},
+		{"GET", "/totally/unknown", "", false, 404, "other", ""},
+		{"PUT", "/v1/sessions", "", true, 405, "other", ""},
 	}
+	want := map[string]int{}
 	for _, c := range cases {
-		route, session := routeLabel(c.path)
-		if route != c.route || session != c.session {
-			t.Errorf("routeLabel(%q) = (%q, %q), want (%q, %q)", c.path, route, session, c.route, c.session)
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		if c.auth {
+			req.Header.Set("Authorization", "Bearer "+token)
 		}
+		logs.Reset()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != c.code {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, rec.Code, c.code)
+		}
+		var got struct {
+			Route   string `json:"route"`
+			Session string `json:"session"`
+			Status  int    `json:"status"`
+		}
+		if err := json.Unmarshal(logs.Bytes(), &got); err != nil {
+			t.Fatalf("%s %s: log record %q: %v", c.method, c.path, logs.String(), err)
+		}
+		if got.Route != c.route || got.Session != c.session || got.Status != c.code {
+			t.Errorf("%s %s: logged route %q session %q status %d, want %q %q %d",
+				c.method, c.path, got.Route, got.Session, got.Status, c.route, c.session, c.code)
+		}
+		want[fmt.Sprintf(`tigris_http_requests_total{route="%s",code="%d"}`, c.route, c.code)]++
+	}
+	var scrape bytes.Buffer
+	srv.reg.WritePrometheus(&scrape)
+	counted := map[string]int{}
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if series, n, ok := strings.Cut(line, "} "); ok && strings.HasPrefix(series, "tigris_http_requests_total{") {
+			counted[series+"}"], _ = strconv.Atoi(n)
+		}
+	}
+	if !reflect.DeepEqual(counted, want) {
+		t.Errorf("request counters %v, want %v", counted, want)
 	}
 }
 

@@ -296,87 +296,72 @@ func BuildInfo() map[string]any {
 	return out
 }
 
-// StatusWriter captures the response status and body size for the
-// request log and the per-route request counter (the worker's and the
-// gateway's). Initialize Status to http.StatusOK: a handler that never
-// calls WriteHeader answered 200.
-type StatusWriter struct {
+// statusWriter captures the response status and body size for the
+// request log and the per-route request counter. status starts at
+// http.StatusOK: a handler that never calls WriteHeader answered 200.
+type statusWriter struct {
 	http.ResponseWriter
-	Status int
-	Bytes  int
+	status int
+	bytes  int
 }
 
-func (sw *StatusWriter) WriteHeader(code int) {
-	sw.Status = code
+func (sw *statusWriter) WriteHeader(code int) {
+	sw.status = code
 	sw.ResponseWriter.WriteHeader(code)
 }
 
-func (sw *StatusWriter) Write(p []byte) (int, error) {
+func (sw *statusWriter) Write(p []byte) (int, error) {
 	n, err := sw.ResponseWriter.Write(p)
-	sw.Bytes += n
+	sw.bytes += n
 	return n, err
 }
 
-// routeLabel normalizes a request path to its route pattern plus the
-// session id (empty when the route has none). Patterns — never raw
-// paths — feed the request counter's route label and the request log, so
-// label cardinality stays bounded whatever clients send.
-func routeLabel(path string) (route, sessionID string) {
-	switch path {
-	case "/healthz", "/metrics", "/v1/backends", "/v1/buildinfo", "/v1/sessions":
-		return path, ""
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/sessions/"); ok {
-		id, sub, _ := strings.Cut(rest, "/")
-		switch sub {
-		case "":
-			return "/v1/sessions/{id}", id
-		case "frames", "trajectory", "loops", "stats":
-			return "/v1/sessions/{id}/" + sub, id
-		}
-	}
-	if id, ok := strings.CutPrefix(path, "/debug/trace/"); ok && !strings.Contains(id, "/") {
-		return "/debug/trace/{id}", id
-	}
-	return "other", ""
+// ServeHTTP implements http.Handler through Front: the /v1/* surface is
+// gated when Config.AuthToken is set, with /healthz and /metrics left open
+// for probes and scrapers.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	Front(w, r, s.mux, s.reg, s.cfg.Logger, "tigris_http_requests_total", "/v1/", "tigris", s.cfg.AuthToken)
 }
 
-// ServeHTTP implements http.Handler: bearer-token auth on the /v1/*
-// surface when Config.AuthToken is set (with /healthz and /metrics left
-// open for probes and scrapers), a per-route/status request counter on
-// the metrics registry, and one structured log record per request when
-// Config.Logger is set.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// Front is the request front the worker and the gateway share. When
+// token is set, a request under prefix without `Authorization: Bearer
+// <token>` is answered 401 with a challenge naming realm; every other
+// request is routed by mux. Each request is then counted under
+// family{route=...,code=...} in reg and, when logger is set, logged as one
+// "request" record. The route is the path of the pattern mux matches,
+// looked up before the gate so a 401 keeps its route, or "other" when no
+// pattern matches (a wrong method included): patterns, never raw paths, so
+// label cardinality stays bounded whatever clients send. The logged
+// session is the matched {id}, known once the request reaches mux.
+func Front(w http.ResponseWriter, r *http.Request, mux *http.ServeMux, reg *obs.Registry, logger *slog.Logger, family, prefix, realm, token string) {
 	start := time.Now()
-	sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
-	s.serveAuthed(sw, r)
-	route, sid := routeLabel(r.URL.Path)
-	s.reg.Counter(`tigris_http_requests_total{route="` + route + `",code="` + strconv.Itoa(sw.Status) + `"}`).Inc()
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("request",
+	route := "other"
+	if _, pattern := mux.Handler(r); pattern != "" {
+		route = pattern[strings.IndexByte(pattern, ' ')+1:] // drop the method
+	}
+	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	if token != "" && strings.HasPrefix(r.URL.Path, prefix) && !bearerOK(r, token) {
+		sw.Header().Set("WWW-Authenticate", `Bearer realm="`+realm+`"`)
+		HTTPError(sw, http.StatusUnauthorized, "missing or invalid bearer token")
+	} else {
+		mux.ServeHTTP(sw, r)
+	}
+	reg.Counter(family + `{route="` + route + `",code="` + strconv.Itoa(sw.status) + `"}`).Inc()
+	if logger != nil {
+		logger.Info("request",
 			"method", r.Method,
 			"route", route,
-			"session", sid,
-			"status", sw.Status,
-			"bytes", sw.Bytes,
+			"session", r.PathValue("id"),
+			"status", sw.status,
+			"bytes", sw.bytes,
 			"duration_ms", float64(time.Since(start).Microseconds())/1e3,
 		)
 	}
 }
 
-// serveAuthed enforces the bearer-token gate, then routes.
-func (s *Server) serveAuthed(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.AuthToken != "" && strings.HasPrefix(r.URL.Path, "/v1/") && !BearerOK(r, s.cfg.AuthToken) {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="tigris"`)
-		HTTPError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-		return
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-// BearerOK reports whether the request carries `Authorization: Bearer
+// bearerOK reports whether the request carries `Authorization: Bearer
 // <token>`, compared in constant time.
-func BearerOK(r *http.Request, token string) bool {
+func bearerOK(r *http.Request, token string) bool {
 	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
 }
@@ -956,6 +941,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
+	// Not behind withSession (the session leaves the table here), so the
+	// trace header it promises is set here.
+	w.Header().Set("X-Tigris-Trace", ses.trace.String())
 	ses.eng.Close()
 	s.cSessionsClosed.Inc()
 	WriteJSON(w, http.StatusOK, map[string]any{"id": id, "frames": ses.eng.Trajectory().Len()})

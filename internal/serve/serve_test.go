@@ -178,13 +178,17 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("frames_prepared = %v, want %d", stats["frames_prepared"], frames)
 	}
 
-	// Delete the session; further pushes 404.
+	// Delete the session (its trace id on the answer, like every
+	// session-scoped response); further pushes 404.
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/sessions/%s", ts.URL, id), nil)
 	resp, err = client.Do(req)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: %v %v", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+	if got := resp.Header.Get("X-Tigris-Trace"); got == "" || got != created["trace"] {
+		t.Fatalf("delete answered X-Tigris-Trace %q, want the session's %v", got, created["trace"])
+	}
 	resp, err = client.Get(fmt.Sprintf("%s/v1/sessions/%s/trajectory", ts.URL, id))
 	if err != nil {
 		t.Fatal(err)
@@ -307,25 +311,46 @@ func TestBackendsEndpointAndNamedSessions(t *testing.T) {
 		}
 	}
 
-	// Named session with backend options, streamed end to end.
-	var created map[string]any
-	code := postJSON(t, client, ts.URL+"/v1/sessions", map[string]any{
-		"backend":         "twostage",
-		"backend_options": map[string]any{"top_height": 3},
-	}, &created)
-	if code != http.StatusCreated {
-		t.Fatalf("named create: status %d (%v)", code, created)
-	}
-	if created["backend"] != "twostage" {
-		t.Fatalf("create response backend = %v", created["backend"])
-	}
-	id := created["id"].(string)
-	seq := synth.GenerateSequence(synth.QuickSequenceConfig(2, 60))
-	for _, f := range seq.Frames {
-		pushFrame(t, client, ts.URL, id, f, false)
-	}
-	if traj := getTrajectory(t, client, ts.URL, id); int(traj["frames"].(float64)) != 2 {
-		t.Fatalf("named session trajectory: %v", traj["frames"])
+	// Named sessions streamed end to end: one with backend options, and
+	// the approximate backend pipelined at the experiment scale (the quick
+	// scale is too sparse for an accuracy check), its odometry step within
+	// 0.5 m of the truth.
+	for _, row := range []struct {
+		body       map[string]any
+		seq        synth.SequenceConfig
+		maxStepErr float64 // 0: no accuracy check
+	}{
+		{map[string]any{"backend": "twostage", "backend_options": map[string]any{"top_height": 3}}, synth.QuickSequenceConfig(2, 60), 0},
+		{map[string]any{"backend": "twostage-approx", "pipelined": true}, synth.EvalSequenceConfig(2, 2019), 0.5},
+	} {
+		var created map[string]any
+		if code := postJSON(t, client, ts.URL+"/v1/sessions", row.body, &created); code != http.StatusCreated {
+			t.Fatalf("named create %v: status %d (%v)", row.body, code, created)
+		}
+		if created["backend"] != row.body["backend"] {
+			t.Fatalf("create response backend = %v, want %v", created["backend"], row.body["backend"])
+		}
+		id := created["id"].(string)
+		seq := synth.GenerateSequence(row.seq)
+		for i, f := range seq.Frames {
+			out := pushFrame(t, client, ts.URL, id, f, false)
+			if out["frame"] != float64(i) || out["points"] != float64(f.Len()) {
+				t.Fatalf("push %d of %d points answered %v", i, f.Len(), out)
+			}
+		}
+		traj := getTrajectory(t, client, ts.URL, id)
+		if traj["frames"] != float64(len(seq.Frames)) {
+			t.Fatalf("%v session trajectory: %v frames", row.body["backend"], traj["frames"])
+		}
+		if row.maxStepErr == 0 {
+			continue
+		}
+		step := traj["trajectory"].([]any)[1].(map[string]any)["delta"].(map[string]any)["t"].([]any)
+		truth := seq.GroundTruthDelta(0).T
+		got := geom.Vec3{X: step[0].(float64), Y: step[1].(float64), Z: step[2].(float64)}
+		if d := got.Dist(truth); d > row.maxStepErr {
+			t.Errorf("%v odometry step %v is %.3f m from the truth %v", row.body["backend"], got, d, truth)
+		}
 	}
 
 	// Error paths: unknown name, unknown option key, trace without sink.
